@@ -38,11 +38,14 @@ from .errors import (
 from .experiments import (
     APPENDIX_CHECKS,
     CHAIN_CHECKS,
+    MAX_TOLERANCE,
     Branch,
+    CompiledChain,
     ExperimentSpec,
     RunReport,
     chain_layout,
     coefficient_independence_check,
+    compile_chain,
     decompose_branches,
     disagreement_weight,
     expected_final_state,
@@ -53,7 +56,6 @@ from .experiments import (
     phase_flip_perturbation,
     primed_coefficients,
     reconstruct_branches,
-    record_component,
     record_cycle_perturbation,
     run_appendix_rotation,
     run_measurement_chain,

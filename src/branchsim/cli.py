@@ -2,15 +2,18 @@
 
 Configs are JSON files (see README for the schema).  Exit codes: 0 all
 checks passed, 1 at least one check failed, 2 usage or config error,
-3 capacity exceeded.
+3 capacity exceeded, 4 internal error (a bug; the traceback goes to
+standard error).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +22,9 @@ from .errors import CapacityError, ConfigError
 from .experiments import (
     APPENDIX_CHECKS,
     CHAIN_CHECKS,
+    MAX_TOLERANCE,
     ExperimentSpec,
+    compile_chain,
     run_appendix_rotation,
     run_measurement_chain,
 )
@@ -92,9 +97,7 @@ def parse_config(path: str) -> ConfigFile:
     config.n_versions = _expect_int(raw, "n_versions", default=2, minimum=2)
     config.observers = _expect_int(raw, "observers", default=1, minimum=1)
     config.photon_model = _expect_bool(raw, "photon_model", default=False)
-    config.tolerance = _expect_float(raw, "tolerance", default=1e-12)
-    if config.tolerance <= 0:
-        raise ConfigError("tolerance: must be positive")
+    config.tolerance = _check_tolerance(_expect_float(raw, "tolerance", default=1e-12))
     if "seed" in raw:
         config.seed = _expect_int(raw, "seed", default=None, minimum=0)
 
@@ -130,9 +133,25 @@ def _expect_float(raw, key, default):
     if key not in raw:
         return default
     value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _is_finite_number(value) -> bool:
+    """JSON numbers only; Python's json also reads NaN and Infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_tolerance(value: float) -> float:
+    # Written so that NaN fails the comparison too.
+    if not 0 < value <= MAX_TOLERANCE:
+        raise ConfigError(f"tolerance: must lie in (0, {MAX_TOLERANCE}], got {value!r}")
+    return value
 
 
 def _parse_coefficients(raw: dict, config: ConfigFile) -> None:
@@ -151,12 +170,10 @@ def _parse_coefficients(raw: dict, config: ConfigFile) -> None:
         raise ConfigError("coefficients: expected a list of [re, im] pairs or {\"random\": count}")
     coefficients = []
     for i, pair in enumerate(value):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
-            raise ConfigError(f"coefficients[{i}]: expected an [re, im] pair, got {pair!r}")
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_finite_number, pair)):
+            raise ConfigError(
+                f"coefficients[{i}]: expected an [re, im] pair of finite numbers, got {pair!r}"
+            )
         coefficients.append(complex(pair[0], pair[1]))
     if len(coefficients) != config.n_versions:
         raise ConfigError(
@@ -188,10 +205,8 @@ def _parse_thetas(raw: dict, config: ConfigFile) -> None:
         # turn does not duplicate theta = 0.
         config.thetas = [start + (end - start) * k / count for k in range(count)]
         return
-    if not isinstance(value, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in value
-    ):
-        raise ConfigError("thetas: expected a list of angles or {count, start, end}")
+    if not isinstance(value, list) or not all(map(_is_finite_number, value)):
+        raise ConfigError("thetas: expected a list of finite angles or {count, start, end}")
     config.thetas = [float(x) for x in value]
 
 
@@ -254,32 +269,45 @@ def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
 
 
 def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[int, dict]:
-    """Execute every run the config asks for and assemble the report."""
+    """Execute every run the config asks for and assemble the report.
+
+    The chain is compiled once and shared by every draw and angle.
+    """
     started = time.perf_counter()
-    runs = []
     try:
-        for draw_index, coefficients in enumerate(_coefficient_draws(config)):
-            spec = ExperimentSpec(
+        specs = [
+            ExperimentSpec(
                 n_versions=config.n_versions,
                 coefficients=tuple(coefficients),
                 observers=config.observers,
                 photon_model=config.photon_model,
-                rotation_thetas=tuple(config.thetas),
                 tolerance=config.tolerance,
             )
-            if config.experiment == "appendix_rotation":
-                for theta in config.thetas:
-                    report = run_appendix_rotation(
-                        spec, theta, checks=config.checks, negative_control=negative_control
-                    )
-                    runs.append((draw_index, report))
-            else:
-                report = run_measurement_chain(
-                    spec, checks=config.checks, negative_control=negative_control
-                )
-                runs.append((draw_index, report))
+            for coefficients in _coefficient_draws(config)
+        ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+    chain = compile_chain(
+        config.n_versions, config.observers, config.photon_model, negative_control
+    )
+    runs = []
+    for draw_index, spec in enumerate(specs):
+        if config.experiment == "appendix_rotation":
+            for theta in config.thetas:
+                report = run_appendix_rotation(
+                    spec,
+                    theta,
+                    checks=config.checks,
+                    negative_control=negative_control,
+                    chain=chain,
+                )
+                runs.append((draw_index, report))
+        else:
+            report = run_measurement_chain(
+                spec, checks=config.checks, negative_control=negative_control, chain=chain
+            )
+            runs.append((draw_index, report))
 
     checks_total = sum(len(r.checks) for _, r in runs)
     checks_failed = sum(1 for _, r in runs for c in r.checks if not c.passed)
@@ -358,9 +386,12 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
         text = render_text(report)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,9 +425,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("seed: must be non-negative")
             config.seed = args.seed
         if args.tolerance is not None:
-            if args.tolerance <= 0:
-                raise ConfigError("tolerance: must be positive")
-            config.tolerance = args.tolerance
+            config.tolerance = _check_tolerance(args.tolerance)
         if args.checks:
             config.checks = args.checks
         if args.format:
@@ -413,6 +442,11 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        # Anything else is a bug in branchsim, not in the config.
+        traceback.print_exc()
+        print("internal error: see the traceback above", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

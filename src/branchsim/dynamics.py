@@ -387,13 +387,7 @@ def build_basis_rotation(layout: SubsystemLayout, rotation: BasisRotation) -> Un
     if offsets["first"] == offsets["second"]:
         raise ValueError("span labels must name two distinct configurations")
 
-    obs_offsets = np.zeros(1, dtype=int)
-    for r in observers:
-        stride = layout.strides[layout.position(r.name)]
-        obs_offsets = (
-            obs_offsets[:, None] + (np.arange(r.dimension) * stride)[None, :]
-        ).ravel()
-
+    obs_offsets = layout.label_offsets([r.name for r in observers])
     i1 = offsets["first"] + obs_offsets
     i2 = offsets["second"] + obs_offsets
     c, s = np.cos(rotation.theta), np.sin(rotation.theta)

@@ -1,21 +1,29 @@
 """The measurement-chain experiments and their certification checks.
 
 A run prepares a path superposition in front of an armed detector bank,
-evolves it through the staged step operator (detection, optional photon
-emission, one perception step per observer) and decomposes the result into
-branches: one coefficient and one relative state per record label.  The
-checks certify the package's core claims on the finished state -- the
-branch structure is exactly the weighted sum of single-version outcomes,
-branches are mutually orthogonal, no observer register ever holds the
-mixed-record level, observers agree, removing other branches does not
-change a branch's evolution, and perturbing one branch cannot signal
-another.
+evolves it through the step operator (detection, optional photon emission,
+one perception step per observer) and decomposes the result into branches:
+one coefficient and one relative state per record label.  The checks
+certify the package's core claims on the finished state -- the branch
+structure is exactly the weighted sum of single-version outcomes, branches
+are mutually orthogonal, no observer register ever holds the mixed-record
+level, observers agree, removing other branches does not change a branch's
+evolution, and perturbing one branch cannot signal another.
+
+The step operator is compiled once per chain configuration
+(``compile_chain``): the layout, the record stages (detection, then photon
+emission) composed into one permutation, and every observer's perception
+stage composed into another.  Every run, coefficient draw, rotation angle
+and check of one configuration shares that ``CompiledChain``.  A run
+evolves its initial state once; the independence check reuses the final
+state and reads each standalone version's evolution off the permutations
+as a single basis state; the no-signaling probes reuse the post-detection
+state.  Functions called without a compiled chain build their own.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
+import cmath
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,6 +39,7 @@ from .dynamics import (
     build_detection_unitary,
     build_perception_unitary,
     build_photon_emission_unitary,
+    compose,
     standard_classical_configs,
 )
 from .errors import InvalidPerturbationError
@@ -53,6 +62,10 @@ from .state import (
     product_state,
     superpose,
 )
+
+# The loosest tolerance a run accepts.  Weights are compared against the
+# squared tolerance, so this still tells a weight of 1e-6 from zero.
+MAX_TOLERANCE = 1e-3
 
 CHAIN_CHECKS = (
     "structure",
@@ -80,18 +93,25 @@ APPENDIX_CHECKS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parameters of one experiment family."""
+    """Parameters of one experiment family.
+
+    ``tolerance`` must lie in ``(0, MAX_TOLERANCE]``; the coefficients must
+    be finite, with squared moduli summing to one within the tolerance.
+    """
 
     n_versions: int
     coefficients: tuple[complex, ...]
     observers: int = 1
     photon_model: bool = False
-    rotation_thetas: tuple[float, ...] = ()
     tolerance: float = TOLERANCE
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
-        object.__setattr__(self, "rotation_thetas", tuple(float(t) for t in self.rotation_thetas))
+        # Written so that NaN fails the comparison too.
+        if not 0 < self.tolerance <= MAX_TOLERANCE:
+            raise ValueError(
+                f"tolerance must lie in (0, {MAX_TOLERANCE}], got {self.tolerance!r}"
+            )
         if self.n_versions < 2:
             raise ValueError(f"n_versions must be >= 2, got {self.n_versions}")
         if self.observers < 1:
@@ -100,6 +120,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"{len(self.coefficients)} coefficients for {self.n_versions} versions"
             )
+        if not all(cmath.isfinite(c) for c in self.coefficients):
+            raise ValueError(f"coefficients must be finite, got {self.coefficients!r}")
         total = sum(abs(c) ** 2 for c in self.coefficients)
         if abs(total - 1.0) > self.tolerance:
             raise ValueError(
@@ -123,7 +145,7 @@ class Branch:
 
 @dataclass
 class RunReport:
-    """Result of one run: branch table, check results and timing."""
+    """Result of one run: branch table and check results."""
 
     experiment: str
     spec: ExperimentSpec
@@ -132,7 +154,6 @@ class RunReport:
     final_state: StateVector
     branches: list[Branch]
     checks: list[CheckResult]
-    elapsed_seconds: float = 0.0
 
     def __post_init__(self):
         names = [c.name for c in self.checks]
@@ -144,8 +165,8 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        """JSON-ready view.  Timing is deliberately excluded; reports must
-        be byte-identical across reruns of the same configuration."""
+        """JSON-ready view; byte-identical across reruns of the same
+        configuration."""
         amps = self.final_state.amplitudes
         return {
             "experiment": self.experiment,
@@ -238,69 +259,133 @@ def version_labels(
     return labels
 
 
-def _build_stages(
-    layout: SubsystemLayout, spec: ExperimentSpec, negative_control: bool
-) -> tuple[list[UnitaryOp], list[UnitaryOp]]:
-    """Record-forming stages and perception stages of the step operator."""
-    record_stages = [build_detection_unitary(layout)]
-    if spec.photon_model:
-        record_stages.append(build_photon_emission_unitary(layout))
-        condition = [r.name for r in layout.by_role(ROLE_PHOTON)]
-    else:
-        condition = [r.name for r in layout.by_role(ROLE_DETECTOR)]
-
-    configs = standard_classical_configs(spec.n_versions)
-    if negative_control:
-        # Test hook: rewire version 1's message onto the reserved level.
-        one_hot_first = tuple(1 if k == 0 else 0 for k in range(spec.n_versions))
-        obs_dim = observer_dimension(spec.n_versions)
-        configs[one_hot_first] = mixed_record_level(obs_dim)
-
-    perception_stages = [
-        build_perception_unitary(
-            layout,
-            reg.name,
-            configs,
-            condition_registers=condition,
-            allow_mixed_message=negative_control,
-        )
-        for reg in layout.by_role(ROLE_OBSERVER)
-    ]
-    return record_stages, perception_stages
+def _version_index(layout: SubsystemLayout, version: int, **kwargs) -> int:
+    """Flat index of ``version_labels(layout, version, **kwargs)``."""
+    return layout.encode(version_labels(layout, version, **kwargs))
 
 
-def _apply_stages(stages: Sequence[UnitaryOp], state: StateVector) -> StateVector:
-    for stage in stages:
-        state = apply_unitary(stage, state)
-    return state
+def _basis_superposition(
+    layout: SubsystemLayout, indices: Sequence[int], coefficients: Sequence[complex]
+) -> StateVector:
+    """``sum_j c_j e_{i_j}`` over distinct indices, written by index.
+
+    Adding onto zeros, as ``superpose`` does, leaves the same amplitudes
+    down to the sign of zero parts.
+    """
+    amps = np.zeros(layout.total_dimension, dtype=complex)
+    amps[np.asarray(indices, dtype=int)] += np.asarray(coefficients, dtype=complex)
+    return StateVector(layout, amps)
 
 
 def initial_state(layout: SubsystemLayout, coefficients: Sequence[complex]) -> StateVector:
     """Path superposition in front of armed detectors, observers blank."""
-    return superpose(
-        [
-            (c, product_state(layout, version_labels(layout, j, detected=False)))
-            for j, c in enumerate(coefficients)
-        ]
-    )
+    indices = [_version_index(layout, j, detected=False) for j in range(len(coefficients))]
+    return _basis_superposition(layout, indices, coefficients)
 
 
 def expected_final_state(
     layout: SubsystemLayout, coefficients: Sequence[complex]
 ) -> StateVector:
     """The branch-table target: each version tagged with its own message."""
-    return superpose(
-        [
-            (
-                c,
-                product_state(
-                    layout,
-                    version_labels(layout, j, detected=True, message=message_level(j)),
-                ),
-            )
-            for j, c in enumerate(coefficients)
-        ]
+    indices = [
+        _version_index(layout, j, detected=True, message=message_level(j))
+        for j in range(len(coefficients))
+    ]
+    return _basis_superposition(layout, indices, coefficients)
+
+
+@dataclass(frozen=True)
+class CompiledChain:
+    """Layout and step operator of one chain configuration, built once.
+
+    ``record`` is detection followed, with the photon model, by photon
+    emission, composed into one permutation; ``perception`` composes every
+    observer's perception stage in layout order.  It depends only on
+    ``(n_versions, observers, photon_model, negative_control)``, so runs
+    that differ in coefficients, angle or checks share one.
+    """
+
+    n_versions: int
+    observers: int
+    photon_model: bool
+    negative_control: bool
+    layout: SubsystemLayout
+    record: UnitaryOp
+    perception: UnitaryOp
+
+    @property
+    def step(self) -> UnitaryOp:
+        """The whole step operator: record stages, then perception."""
+        return compose(self.perception, self.record)
+
+    def evolve(self, state: StateVector) -> tuple[StateVector, StateVector]:
+        """The post-detection and final states reached from ``state``."""
+        post_detection = apply_unitary(self.record, state)
+        return post_detection, apply_unitary(self.perception, post_detection)
+
+    def evolve_basis(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Image index and phase of each basis state under the step.
+
+        ``U e_i = phases[i] e_perm[i]``, so a single basis state evolves by
+        reading one entry of each permutation, as ``compose`` combines them.
+        """
+        mid = self.record.perm[indices]
+        phases = self.record.phases[indices] * self.perception.phases[mid]
+        return self.perception.perm[mid], phases
+
+
+def compile_chain(
+    n_versions: int,
+    observers: int = 1,
+    photon_model: bool = False,
+    negative_control: bool = False,
+) -> CompiledChain:
+    """Build the layout and every stage once and compose the stages.
+
+    ``negative_control`` rewires version 1's message onto the reserved
+    mixed-record level, so tests can prove the mixed-record checks can fail.
+    """
+    layout = chain_layout(n_versions, observers, photon_model)
+    record = build_detection_unitary(layout)
+    condition = [r.name for r in layout.by_role(ROLE_DETECTOR)]
+    if photon_model:
+        record = compose(build_photon_emission_unitary(layout), record)
+        condition = [r.name for r in layout.by_role(ROLE_PHOTON)]
+
+    configs = standard_classical_configs(n_versions)
+    if negative_control:
+        one_hot_first = tuple(1 if k == 0 else 0 for k in range(n_versions))
+        configs[one_hot_first] = mixed_record_level(observer_dimension(n_versions))
+
+    perception = None
+    for reg in layout.by_role(ROLE_OBSERVER):
+        stage = build_perception_unitary(
+            layout,
+            reg.name,
+            configs,
+            condition_registers=condition,
+            allow_mixed_message=negative_control,
+        )
+        perception = stage if perception is None else compose(stage, perception)
+    return CompiledChain(
+        n_versions, observers, photon_model, negative_control, layout, record, perception
     )
+
+
+def _compiled(
+    spec: ExperimentSpec, negative_control: bool, chain: CompiledChain | None
+) -> CompiledChain:
+    """``chain`` after checking it matches the spec, or a new one."""
+    wanted = (spec.n_versions, spec.observers, spec.photon_model, negative_control)
+    if chain is None:
+        return compile_chain(*wanted)
+    have = (chain.n_versions, chain.observers, chain.photon_model, chain.negative_control)
+    if have != wanted:
+        raise ValueError(
+            f"compiled chain for (n_versions, observers, photon_model, "
+            f"negative_control) = {have} does not match {wanted}"
+        )
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +404,7 @@ def _record_embedding(
     """Sub-layout without the record registers and the index map embedding
     each relative flat index at record label zero."""
     relative = layout.drop(names)
-    rel_to_full = np.zeros(relative.total_dimension, dtype=int)
-    rel_idx = np.arange(relative.total_dimension)
-    for reg, stride in zip(relative.registers, relative.strides):
-        digits = (rel_idx // stride) % reg.dimension
-        rel_to_full += digits * layout.strides[layout.position(reg.name)]
-    return relative, rel_to_full
+    return relative, layout.label_offsets(relative.names())
 
 
 def decompose_branches(
@@ -387,20 +467,6 @@ def reconstruct_branches(
     return StateVector(layout, amps)
 
 
-def record_component(
-    state: StateVector, record_register: str | Sequence[str], label: int | Sequence[int]
-) -> StateVector:
-    """Unnormalized component of the state with the record at ``label``."""
-    names = _record_names(record_register)
-    labels = (int(label),) if isinstance(label, (int, np.integer)) else tuple(label)
-    if len(labels) != len(names):
-        raise ValueError(f"{len(labels)} labels for {len(names)} record registers")
-    mask = np.ones(state.layout.total_dimension, dtype=bool)
-    for name, lab in zip(names, labels):
-        mask &= state.layout.digit_values(name) == lab
-    return StateVector(state.layout, np.where(mask, state.amplitudes, 0.0))
-
-
 def _label_text(layout, record_register, label) -> str:
     names = _record_names(record_register)
     if len(names) == 1:
@@ -427,43 +493,39 @@ def run_measurement_chain(
     spec: ExperimentSpec,
     checks: Sequence[str] | None = None,
     negative_control: bool = False,
+    chain: CompiledChain | None = None,
 ) -> RunReport:
     """Run detection then perception and certify the branch structure.
 
     ``checks`` selects by name from ``CHAIN_CHECKS``; None runs all of
     them.  ``negative_control`` corrupts the perception step so that the
     first version's message lands on the reserved mixed-record level,
-    proving the mixed-record check can fail.
+    proving the mixed-record check can fail.  ``chain`` is the compiled
+    chain to share with other runs of the same configuration.
     """
-    started = time.perf_counter()
     enabled = _select_checks(checks, CHAIN_CHECKS)
-    layout = chain_layout(spec.n_versions, spec.observers, spec.photon_model)
-    record_stages, perception_stages = _build_stages(layout, spec, negative_control)
-
-    start = initial_state(layout, spec.coefficients)
-    post_detection = _apply_stages(record_stages, start)
-    final = _apply_stages(perception_stages, post_detection)
+    chain = _compiled(spec, negative_control, chain)
+    post_detection, final = chain.evolve(initial_state(chain.layout, spec.coefficients))
 
     branches = decompose_branches(final, "Obs1", spec.tolerance)
-    results = _state_checks(
-        spec, layout, post_detection, final, enabled, theta=None
-    )
+    results = _state_checks(spec, post_detection, final, branches, enabled)
     if "coefficient_independence" in enabled:
         results.append(
-            coefficient_independence_check(spec, negative_control=negative_control)
+            coefficient_independence_check(
+                spec, negative_control=negative_control, chain=chain, final_state=final
+            )
         )
     if "no_signaling" in enabled:
-        results.append(_canonical_no_signaling(spec, negative_control))
+        results.append(_canonical_no_signaling(spec, chain, post_detection))
 
     return RunReport(
         experiment="measurement_chain",
         spec=spec,
         theta=None,
-        layout=layout,
+        layout=chain.layout,
         final_state=final,
         branches=branches,
         checks=results,
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 
@@ -478,14 +540,15 @@ def _select_checks(requested: Sequence[str] | None, available: Sequence[str]) ->
 
 def _state_checks(
     spec: ExperimentSpec,
-    layout: SubsystemLayout,
     post_detection: StateVector,
     final: StateVector,
+    obs_branches: Sequence[Branch],
     enabled: Sequence[str],
-    theta: float | None,
 ) -> list[CheckResult]:
-    """The checks evaluated directly on the run's states."""
+    """The checks evaluated directly on the run's states; ``obs_branches``
+    is the decomposition of ``final`` by the first observer's record."""
     results: list[CheckResult] = []
+    layout = final.layout
     detector_names = tuple(r.name for r in layout.by_role(ROLE_DETECTOR))
     observer_names = [r.name for r in layout.by_role(ROLE_OBSERVER)]
 
@@ -497,10 +560,8 @@ def _state_checks(
         )
 
     det_branches: list[Branch] = []
-    obs_branches: list[Branch] = []
     if "branch_orthogonality" in enabled or "born_weights" in enabled:
         det_branches = decompose_branches(post_detection, detector_names, spec.tolerance)
-        obs_branches = decompose_branches(final, "Obs1", spec.tolerance)
 
     if "branch_orthogonality" in enabled:
         residual = max(
@@ -606,69 +667,59 @@ def coefficient_independence_check(
     spec: ExperimentSpec,
     version_states: Sequence[StateVector] | None = None,
     negative_control: bool = False,
+    *,
+    chain: CompiledChain | None = None,
+    final_state: StateVector | None = None,
 ) -> CheckResult:
     """Compare each branch of the full run against its standalone run.
 
-    Default mode replays the measurement chain once per version with that
-    version's coefficient set to one and the others to zero, then checks
-    the rescaled record component of the full run against it.  When
-    ``version_states`` is given (they may be non-orthogonal, in which case
-    record projection cannot separate them) the extraction instead
-    subtracts the other versions' standalone evolutions before rescaling.
+    The versions are the armed single-path configurations, or
+    ``version_states`` when given (they may be non-orthogonal, in which
+    case record projection could not separate them).  Version j's
+    standalone run evolves it alone; for a configuration that is a single
+    basis state, read off the compiled step.  From the full run's final
+    state the check subtracts every other version's standalone run,
+    rescales by ``1 / a_j`` and compares with version j's.  ``final_state``
+    is that full run's final state when the caller already has it.
     Versions with zero coefficient are skipped and noted.
     """
-    skipped: list[int] = []
-    residual = 0.0
-
+    chain = _compiled(spec, negative_control, chain)
+    layout = chain.layout
     if version_states is None:
-        full = run_measurement_chain(spec, checks=(), negative_control=negative_control)
-        for j, a in enumerate(spec.coefficients):
-            if abs(a) <= spec.tolerance:
-                skipped.append(j)
-                continue
-            alone = dataclasses.replace(
-                spec,
-                coefficients=tuple(
-                    1.0 if k == j else 0.0 for k in range(spec.n_versions)
-                ),
-            )
-            standalone = run_measurement_chain(
-                alone, checks=(), negative_control=negative_control
-            )
-            mixed = mixed_record_level(observer_dimension(spec.n_versions))
-            label = message_level(j)
-            if negative_control and j == 0:
-                label = mixed
-            component = record_component(full.final_state, "Obs1", label)
-            extracted = component.amplitudes / a
-            residual = max(
-                residual,
-                float(np.linalg.norm(extracted - standalone.final_state.amplitudes)),
-            )
+        starts = np.array(
+            [_version_index(layout, j, detected=False) for j in range(spec.n_versions)]
+        )
+        if final_state is None:
+            _, final_state = chain.evolve(initial_state(layout, spec.coefficients))
+        ends, phases = chain.evolve_basis(starts)
+        # Every vector compared below vanishes off this support.
+        support = np.union1d(np.flatnonzero(final_state.amplitudes), ends)
+        singles = np.zeros((spec.n_versions, support.size), dtype=complex)
+        singles[np.arange(spec.n_versions), np.searchsorted(support, ends)] = phases
     else:
         if len(version_states) != spec.n_versions:
             raise ValueError(
                 f"{len(version_states)} version states for {spec.n_versions} versions"
             )
-        layout = version_states[0].layout
-        record_stages, perception_stages = _build_stages(layout, spec, negative_control)
-        stages = record_stages + perception_stages
-        singles = [_apply_stages(stages, v) for v in version_states]
-        whole = _apply_stages(
-            stages, superpose(list(zip(spec.coefficients, version_states)))
-        )
-        for j, a in enumerate(spec.coefficients):
-            if abs(a) <= spec.tolerance:
-                skipped.append(j)
-                continue
-            rest = whole.amplitudes.copy()
-            for k, (b, single) in enumerate(zip(spec.coefficients, singles)):
-                if k != j:
-                    rest -= b * single.amplitudes
-            residual = max(
-                residual,
-                float(np.linalg.norm(rest / a - singles[j].amplitudes)),
+        if final_state is None:
+            _, final_state = chain.evolve(
+                superpose(list(zip(spec.coefficients, version_states)))
             )
+        support = np.arange(layout.total_dimension)
+        singles = np.array([chain.evolve(v)[1].amplitudes for v in version_states])
+    whole = final_state.amplitudes[support]
+
+    skipped: list[int] = []
+    residual = 0.0
+    for j, a in enumerate(spec.coefficients):
+        if abs(a) <= spec.tolerance:
+            skipped.append(j)
+            continue
+        rest = whole.copy()
+        for k, b in enumerate(spec.coefficients):
+            if k != j:
+                rest -= b * singles[k]
+        residual = max(residual, float(np.linalg.norm(rest / a - singles[j])))
 
     detail = f"skipped zero-coefficient versions {skipped}" if skipped else ""
     return CheckResult.from_residual(
@@ -682,8 +733,8 @@ def coefficient_independence_check(
 
 def phase_flip_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
     """Flip the sign of every basis state in one version's configuration."""
-    mask = _version_configuration_mask(layout, version)
-    phases = np.where(mask, -1.0 + 0.0j, 1.0 + 0.0j)
+    phases = np.ones(layout.total_dimension, dtype=complex)
+    phases[_version_configuration_indices(layout, version)] = -1.0
     return UnitaryOp(
         layout.total_dimension,
         f"phase-flip[version {version + 1}]",
@@ -704,12 +755,11 @@ def record_cycle_perturbation(
     if observer_register is None:
         observer_register = layout.by_role(ROLE_OBSERVER)[0].name
     reg = layout.register(observer_register)
-    mask = _version_configuration_mask(layout, version)
-    digit = layout.digit_values(observer_register)
+    indices = _version_configuration_indices(layout, version)
     stride = layout.strides[layout.position(observer_register)]
+    digit = (indices // stride) % reg.dimension
     perm = np.arange(layout.total_dimension)
-    shifted = (digit + 1) % reg.dimension
-    perm[mask] += (shifted[mask] - digit[mask]) * stride
+    perm[indices] += ((digit + 1) % reg.dimension - digit) * stride
     return UnitaryOp(
         layout.total_dimension,
         f"record-cycle[version {version + 1}]",
@@ -718,49 +768,50 @@ def record_cycle_perturbation(
     )
 
 
-def _version_configuration_mask(layout: SubsystemLayout, version: int) -> np.ndarray:
-    """Basis states whose non-observer registers read version's record."""
-    labels = version_labels(layout, version, detected=True)
-    mask = np.ones(layout.total_dimension, dtype=bool)
-    for reg in layout.registers:
-        if reg.role == ROLE_OBSERVER:
-            continue
-        mask &= layout.digit_values(reg.name) == labels[reg.name]
-    return mask
+def _version_configuration_indices(layout: SubsystemLayout, version: int) -> np.ndarray:
+    """Basis states whose non-observer registers read version's record,
+    in increasing order."""
+    base = _version_index(layout, version, detected=True)
+    return base + layout.label_offsets([r.name for r in layout.by_role(ROLE_OBSERVER)])
 
 
 def no_signaling_check(
     spec: ExperimentSpec,
     perturbation: UnitaryOp,
     negative_control: bool = False,
+    *,
+    chain: CompiledChain | None = None,
+    post_detection: StateVector | None = None,
 ) -> CheckResult:
     """Perturb the second version mid-run; the first branch must not move.
 
     The perturbation is applied after the records form but before any
     observer looks.  It must be the identity on the first version's
     configuration subspace, else ``InvalidPerturbationError``.
+    ``post_detection`` is the run's state at that point when the caller
+    already has it.
     """
-    layout = chain_layout(spec.n_versions, spec.observers, spec.photon_model)
+    chain = _compiled(spec, negative_control, chain)
+    layout = chain.layout
     if perturbation.dimension != layout.total_dimension:
         raise ValueError(
             f"perturbation dimension {perturbation.dimension} does not match "
             f"layout dimension {layout.total_dimension}"
         )
-    _require_identity_on(
-        perturbation, np.flatnonzero(_version_configuration_mask(layout, 0))
-    )
-
-    record_stages, perception_stages = _build_stages(layout, spec, negative_control)
-    mid = _apply_stages(record_stages, initial_state(layout, spec.coefficients))
-    baseline = _apply_stages(perception_stages, mid)
-    perturbed = _apply_stages(perception_stages, apply_unitary(perturbation, mid))
-
     # Branch 1 is everything living on version 1's configuration, observer
     # included; a perturbed version 2 may do anything, even display the
     # first version's message, without touching that subspace.
-    first_branch = _version_configuration_mask(layout, 0)
+    first_branch = _version_configuration_indices(layout, 0)
+    _require_identity_on(perturbation, first_branch)
+
+    if post_detection is None:
+        post_detection, _ = chain.evolve(initial_state(layout, spec.coefficients))
+    baseline = apply_unitary(chain.perception, post_detection)
+    perturbed = apply_unitary(chain.perception, apply_unitary(perturbation, post_detection))
     residual = float(
-        np.linalg.norm((baseline.amplitudes - perturbed.amplitudes)[first_branch])
+        np.linalg.norm(
+            baseline.amplitudes[first_branch] - perturbed.amplitudes[first_branch]
+        )
     )
     return CheckResult.from_residual(
         "no_signaling", residual, spec.tolerance, detail=perturbation.provenance
@@ -784,18 +835,27 @@ def _require_identity_on(op: UnitaryOp, indices: np.ndarray) -> None:
         )
 
 
-def _canonical_no_signaling(spec: ExperimentSpec, negative_control: bool) -> CheckResult:
+def _canonical_no_signaling(
+    spec: ExperimentSpec, chain: CompiledChain, post_detection: StateVector
+) -> CheckResult:
     """Worst residual over the stock phase-flip and record-cycle probes."""
-    layout = chain_layout(spec.n_versions, spec.observers, spec.photon_model)
     probes = [
-        phase_flip_perturbation(layout, 1),
-        record_cycle_perturbation(layout, 1),
+        phase_flip_perturbation(chain.layout, 1),
+        record_cycle_perturbation(chain.layout, 1),
     ]
-    worst = None
-    for probe in probes:
-        result = no_signaling_check(spec, probe, negative_control)
-        if worst is None or result.residual > worst.residual:
-            worst = result
+    worst = max(
+        (
+            no_signaling_check(
+                spec,
+                probe,
+                chain.negative_control,
+                chain=chain,
+                post_detection=post_detection,
+            )
+            for probe in probes
+        ),
+        key=lambda result: result.residual,
+    )
     return CheckResult(
         "no_signaling",
         worst.passed,
@@ -813,11 +873,10 @@ def multi_observer_agreement(
     spec: ExperimentSpec, negative_control: bool = False
 ) -> CheckResult:
     """Weight on any inter-observer disagreement after the full chain."""
-    if spec.observers < 2:
-        return CheckResult.skip("observer_agreement", "needs at least two observers")
-    report = run_measurement_chain(spec, checks=(), negative_control=negative_control)
-    weight = disagreement_weight(report.final_state)
-    return CheckResult.from_residual("observer_agreement", weight, spec.tolerance**2)
+    report = run_measurement_chain(
+        spec, checks=("observer_agreement",), negative_control=negative_control
+    )
+    return report.checks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +906,7 @@ def run_appendix_rotation(
     theta: float,
     checks: Sequence[str] | None = None,
     negative_control: bool = False,
+    chain: CompiledChain | None = None,
 ) -> RunReport:
     """Rerun perception in a deliberately mixed basis.
 
@@ -855,31 +915,26 @@ def run_appendix_rotation(
     closed-form coefficient transform, (b) the rotated first basis vector
     evolves into the expected two-message expansion, and (c) no observer
     level outside the plain messages is ever populated -- the records are
-    properties of the state, not of the basis used to display it.
+    properties of the state, not of the basis used to display it.  ``chain``
+    is the compiled chain to share with the other angles.
     """
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
-    started = time.perf_counter()
     enabled = _select_checks(checks, APPENDIX_CHECKS)
-    layout = chain_layout(2, spec.observers, spec.photon_model)
-    _, perception_stages = _build_stages(layout, spec, negative_control)
+    chain = _compiled(spec, negative_control, chain)
+    layout = chain.layout
 
     a1, a2 = spec.coefficients
-    post_detection = superpose(
-        [
-            (a1, product_state(layout, version_labels(layout, 0, detected=True))),
-            (a2, product_state(layout, version_labels(layout, 1, detected=True))),
-        ]
-    )
-    final = _apply_stages(perception_stages, post_detection)
+    i1 = _version_index(layout, 0, detected=True)
+    i2 = _version_index(layout, 1, detected=True)
+    post_detection = _basis_superposition(layout, [i1, i2], [a1, a2])
+    final = apply_unitary(chain.perception, post_detection)
     branches = decompose_branches(final, "Obs1", spec.tolerance)
 
     span = _version_span(layout)
     rotation = build_basis_rotation(layout, BasisRotation(theta, span))
-    i1 = layout.encode(version_labels(layout, 0, detected=True))
-    i2 = layout.encode(version_labels(layout, 1, detected=True))
 
-    results = _state_checks(spec, layout, post_detection, final, enabled, theta)
+    results = _state_checks(spec, post_detection, final, branches, enabled)
 
     if "primed_coefficients" in enabled:
         rotated = apply_unitary(rotation, post_detection)
@@ -895,26 +950,16 @@ def run_appendix_rotation(
         primed_first = apply_unitary(
             rotation, product_state(layout, version_labels(layout, 0, detected=True))
         )
-        primed_evolved = _apply_stages(perception_stages, primed_first)
+        primed_evolved = apply_unitary(chain.perception, primed_first)
 
     if "primed_evolution" in enabled:
-        target = superpose(
+        target = _basis_superposition(
+            layout,
             [
-                (
-                    np.cos(theta),
-                    product_state(
-                        layout,
-                        version_labels(layout, 0, detected=True, message=message_level(0)),
-                    ),
-                ),
-                (
-                    np.sin(theta),
-                    product_state(
-                        layout,
-                        version_labels(layout, 1, detected=True, message=message_level(1)),
-                    ),
-                ),
-            ]
+                _version_index(layout, j, detected=True, message=message_level(j))
+                for j in (0, 1)
+            ],
+            [np.cos(theta), np.sin(theta)],
         )
         residual = float(np.linalg.norm(primed_evolved.amplitudes - target.amplitudes))
         results.append(
@@ -948,7 +993,6 @@ def run_appendix_rotation(
         final_state=final,
         branches=branches,
         checks=results,
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 

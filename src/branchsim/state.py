@@ -121,8 +121,25 @@ class SubsystemLayout:
     def digit_values(self, name: str) -> np.ndarray:
         """Vector of this register's digit for every flat index."""
         pos = self.position(name)
-        idx = np.arange(self.total_dimension)
-        return (idx // self.strides[pos]) % self.registers[pos].dimension
+        shape = [1] * len(self.registers)
+        shape[pos] = self.registers[pos].dimension
+        levels = np.arange(shape[pos]).reshape(shape)
+        # Flattening the broadcast in C order enumerates the flat indices,
+        # so no integer division is needed.
+        return np.broadcast_to(levels, self.dimensions()).flatten()
+
+    def label_offsets(self, names: Sequence[str]) -> np.ndarray:
+        """Flat offsets of every joint label of the named registers.
+
+        Every other register reads zero.  The offsets increase, so entry k
+        belongs to the k-th joint label in mixed-radix order (registers in
+        layout order).
+        """
+        offsets = np.zeros(1, dtype=int)
+        for pos in sorted(self.position(name) for name in names):
+            steps = np.arange(self.registers[pos].dimension) * self.strides[pos]
+            offsets = (offsets[:, None] + steps[None, :]).ravel()
+        return offsets
 
     def drop(self, names: Sequence[str]) -> "SubsystemLayout":
         """Layout with the named registers removed (order preserved)."""

@@ -230,3 +230,90 @@ def test_tolerance_override_must_be_positive(tmp_path):
 
 def test_seed_override_must_be_non_negative(tmp_path):
     assert main(["run", str(write_config(tmp_path)), "--seed", "-1"]) == 2
+
+
+# -- non-finite and out-of-range inputs ---------------------------------------------
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, 1.0])
+def test_config_tolerance_outside_the_range_exits_two(tmp_path, tolerance):
+    # json.dumps writes Infinity and NaN, which Python's json reads back.
+    path = write_config(tmp_path, tolerance=tolerance)
+    with pytest.raises(ConfigError, match="tolerance"):
+        parse_config(str(path))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--negative-control", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "1.0"])
+def test_flag_tolerance_outside_the_range_exits_two(tmp_path, tolerance):
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "run",
+            str(write_config(tmp_path)),
+            "--negative-control",
+            "--tolerance",
+            tolerance,
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+def test_largest_accepted_tolerance_still_fails_the_negative_control(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "run",
+            str(write_config(tmp_path, tolerance=1e-3)),
+            "--negative-control",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 1
+    statuses = {c["name"]: c["status"] for c in load_report(out)["runs"][0]["checks"]}
+    assert statuses["mixed_record"] == "fail"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coefficients_and_angles_exit_two(tmp_path, bad):
+    coefficients = write_config(tmp_path, name="c.json", coefficients=[[bad, 0.0], [0.8, 0.0]])
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(str(coefficients))
+    assert main(["run", str(coefficients)]) == 2
+    angles = write_config(
+        tmp_path, name="t.json", experiment="appendix_rotation", thetas=[0.5, bad]
+    )
+    assert main(["run", str(angles)]) == 2
+    sweep = write_config(
+        tmp_path,
+        name="s.json",
+        experiment="appendix_rotation",
+        thetas={"count": 4, "end": bad},
+    )
+    assert main(["run", str(sweep)]) == 2
+
+
+# -- the error contract -------------------------------------------------------------
+
+
+def test_internal_error_exits_four_not_two(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("simulated bug inside a run")
+
+    monkeypatch.setattr("branchsim.cli.run_measurement_chain", broken)
+    code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "r.json")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "simulated bug inside a run" in err
+    assert "config error" not in err
+
+
+def test_unwritable_report_path_exits_two(tmp_path):
+    out = tmp_path / "missing-directory" / "report.json"
+    assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2

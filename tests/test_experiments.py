@@ -29,6 +29,7 @@ from branchsim import (
     version_labels,
 )
 from oracles import (
+    naive_decode,
     naive_disagreement_weight,
     naive_encode,
     naive_evolve,
@@ -273,6 +274,23 @@ def test_no_signaling_rejects_overlapping_perturbation():
         no_signaling_check(spec, phase_flip_perturbation(layout, 0))
 
 
+def test_probes_act_on_exactly_one_version_configuration():
+    layout = chain_layout(3, 2, photon_model=True)
+    dims = [r.dimension for r in layout.registers]
+    target = version_labels(layout, 1, detected=True)
+    flip = phase_flip_perturbation(layout, 1)
+    cycle = record_cycle_perturbation(layout, 1)
+    for flat in range(layout.total_dimension):
+        labels = dict(zip(layout.names(), naive_decode(dims, flat)))
+        inside = all(
+            labels[r.name] == target[r.name]
+            for r in layout.registers
+            if r.role != "observer"
+        )
+        assert flip.phases[flat] == (-1.0 if inside else 1.0)
+        assert (cycle.perm[flat] != flat) == inside
+
+
 def test_no_signaling_with_photons():
     spec = ExperimentSpec(2, (0.6, 0.8), photon_model=True)
     layout = chain_layout(2, 1, photon_model=True)
@@ -397,3 +415,13 @@ def test_mixed_record_weight_helper():
     assert mixed_record_weight(poisoned) == pytest.approx(1.0)
     clean = initial_state(layout, (0.6, 0.8))
     assert mixed_record_weight(clean) == 0.0
+
+
+def test_spec_rejects_non_finite_and_out_of_range_inputs():
+    for tolerance in (0.0, -1e-12, 1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            ExperimentSpec(2, (0.6, 0.8), tolerance=tolerance)
+    ExperimentSpec(2, (0.6, 0.8), tolerance=1e-3)
+    for bad in (float("nan"), complex(0.6, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(2, (bad, 0.8))

@@ -63,6 +63,25 @@ def test_index_round_trip(dims):
         assert naive_encode(dims, labels) == flat
 
 
+@given(
+    st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4),
+    st.data(),
+)
+@settings(max_examples=40)
+def test_digit_tables_and_label_offsets_match_naive_indexing(dims, data):
+    layout = make_layout([(f"r{i}", d, "detector") for i, d in enumerate(dims)])
+    labels = [naive_decode(dims, flat) for flat in range(layout.total_dimension)]
+    for pos, name in enumerate(layout.names()):
+        assert layout.digit_values(name).tolist() == [lab[pos] for lab in labels]
+    chosen = data.draw(st.lists(st.sampled_from(layout.names()), unique=True))
+    others_zero = [
+        naive_encode(dims, lab)
+        for lab in labels
+        if all(lab[p] == 0 for p, n in enumerate(layout.names()) if n not in chosen)
+    ]
+    assert layout.label_offsets(chosen).tolist() == sorted(others_zero)
+
+
 def test_decode_out_of_range():
     layout = make_layout(SG)
     with pytest.raises(ValueError):
