@@ -17,6 +17,7 @@ from .analysis import (
 from .dynamics import (
     BasisRotation,
     CheckResult,
+    PairedRotation,
     UnitaryOp,
     apply_unitary,
     build_basis_rotation,
@@ -39,6 +40,7 @@ from .experiments import (
     APPENDIX_CHECKS,
     CHAIN_CHECKS,
     MAX_TOLERANCE,
+    MIN_TOLERANCE,
     Branch,
     CompiledChain,
     ExperimentSpec,

@@ -23,11 +23,14 @@ from .experiments import (
     APPENDIX_CHECKS,
     CHAIN_CHECKS,
     MAX_TOLERANCE,
+    MIN_TOLERANCE,
     ExperimentSpec,
     compile_chain,
+    is_normalized,
     run_appendix_rotation,
     run_measurement_chain,
 )
+from .state import TOLERANCE
 
 SCHEMA_VERSION = 1
 
@@ -149,8 +152,10 @@ def _is_finite_number(value) -> bool:
 
 def _check_tolerance(value: float) -> float:
     # Written so that NaN fails the comparison too.
-    if not 0 < value <= MAX_TOLERANCE:
-        raise ConfigError(f"tolerance: must lie in (0, {MAX_TOLERANCE}], got {value!r}")
+    if not MIN_TOLERANCE <= value <= MAX_TOLERANCE:
+        raise ConfigError(
+            f"tolerance: must lie in [{MIN_TOLERANCE}, {MAX_TOLERANCE}], got {value!r}"
+        )
     return value
 
 
@@ -180,10 +185,10 @@ def _parse_coefficients(raw: dict, config: ConfigFile) -> None:
             f"coefficients: {len(coefficients)} entries for n_versions={config.n_versions}"
         )
     total = sum(abs(c) ** 2 for c in coefficients)
-    if abs(total - 1.0) > config.tolerance:
+    if not is_normalized(total):
         raise ConfigError(
             f"coefficients: squared moduli sum to {total!r}, expected 1 "
-            f"within {config.tolerance}"
+            f"within {TOLERANCE}"
         )
     config.coefficients = coefficients
 
@@ -285,6 +290,9 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
             )
             for coefficients in _coefficient_draws(config)
         ]
+        if negative_control:
+            for spec in specs:
+                spec.require_live_negative_control()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -2,9 +2,11 @@
 
 Every step of the measurement chain is a controlled permutation of the
 computational basis (detection toggles a detector conditioned on the path,
-perception transposes an observer level conditioned on the record), so the
-default operator representation is a basis permutation with phases.  The
-mixed-basis rotation needs a genuinely dense block and uses a matrix.
+perception transposes an observer level conditioned on the record), stored
+as a permutation with phases (``UnitaryOp``).  The mixed-basis rotation
+turns disjoint pairs of basis states within their planes and is stored as
+the index pairs and one angle (``PairedRotation``).  Neither is ever dense;
+``to_matrix`` serves small oracle comparisons.
 
 Permutation convention: ``U e_i = phases[i] * e_perm[i]``.
 """
@@ -12,7 +14,7 @@ Permutation convention: ``U e_i = phases[i] * e_perm[i]``.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .state import (
     mixed_record_level,
 )
 
-# Dense matrices only below this dimension; permutations have no such limit.
+# Dense matrices only below this dimension, for oracle comparisons.
 DENSE_DIMENSION_CAP = 4096
 
 
@@ -59,39 +61,29 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """Linear operator on the composite space.
+    """Basis permutation with phases on the composite space.
 
-    Exactly one representation is set: (``perm``, ``phases``) for a basis
-    permutation with phases, or ``matrix`` for a dense operator.  Operators
-    are immutable once built and application is a pure function, so one
-    operator may be applied from many threads at once.
+    ``U e_i = phases[i] * e_perm[i]``.  Operators are immutable once built
+    and application is a pure function, so one operator may be applied from
+    many threads at once.
     """
 
     dimension: int
     provenance: str
-    perm: np.ndarray | None = field(default=None, repr=False)
-    phases: np.ndarray | None = field(default=None, repr=False)
-    matrix: np.ndarray | None = field(default=None, repr=False)
+    perm: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if (self.perm is None) != (self.phases is None):
-            raise ValueError("perm and phases must be given together")
-        if (self.perm is None) == (self.matrix is None):
-            raise ValueError("need exactly one of (perm, phases) or matrix")
-        if self.perm is not None:
-            if self.perm.shape != (self.dimension,) or self.phases.shape != (self.dimension,):
-                raise ValueError("perm/phases length must equal dimension")
-        elif self.matrix.shape != (self.dimension, self.dimension):
-            raise ValueError("matrix shape must be (dimension, dimension)")
+        if self.perm.shape != (self.dimension,) or self.phases.shape != (self.dimension,):
+            raise ValueError("perm/phases length must equal dimension")
 
-    @property
-    def is_permutation(self) -> bool:
-        return self.perm is not None
+    @classmethod
+    def permutation(cls, provenance: str, perm: np.ndarray) -> "UnitaryOp":
+        """Basis permutation with unit phases."""
+        return cls(perm.size, provenance, perm=perm, phases=np.ones(perm.size, dtype=complex))
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix of the operator (capped at DENSE_DIMENSION_CAP)."""
-        if self.matrix is not None:
-            return self.matrix
         if self.dimension > DENSE_DIMENSION_CAP:
             raise CapacityError(
                 f"refusing dense {self.dimension}x{self.dimension} matrix "
@@ -102,79 +94,107 @@ class UnitaryOp:
         return m
 
     def adjoint(self) -> "UnitaryOp":
-        if self.is_permutation:
-            inv = np.empty_like(self.perm)
-            inv[self.perm] = np.arange(self.dimension)
-            inv_phases = np.empty_like(self.phases)
-            inv_phases[self.perm] = np.conj(self.phases)
-            return UnitaryOp(
-                self.dimension, f"adjoint({self.provenance})", perm=inv, phases=inv_phases
-            )
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(self.dimension)
+        inv_phases = np.empty_like(self.phases)
+        inv_phases[self.perm] = np.conj(self.phases)
         return UnitaryOp(
-            self.dimension,
-            f"adjoint({self.provenance})",
-            matrix=self.matrix.conj().T,
+            self.dimension, f"adjoint({self.provenance})", perm=inv, phases=inv_phases
         )
+
+    def _apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(amplitudes)
+        out[self.perm] = self.phases * amplitudes
+        return out
+
+    def _unitarity_residual(self) -> float:
+        residual = float(np.max(np.abs(np.abs(self.phases) ** 2 - 1.0)))
+        counts = np.bincount(self.perm, minlength=self.dimension)
+        if np.any(counts != 1):
+            # Colliding columns i, j give |(U^dagger U)[i, j]| = |p_i p_j|.
+            for target in np.flatnonzero(counts > 1):
+                mags = np.sort(np.abs(self.phases[self.perm == target]))
+                residual = max(residual, float(mags[-1] * mags[-2]))
+        return residual
+
+
+@dataclass(frozen=True)
+class PairedRotation:
+    """Rotation by ``theta`` in each plane ``(e_first[k], e_second[k])``.
+
+    ``U e_first[k] = cos e_first[k] + sin e_second[k]`` and
+    ``U e_second[k] = -sin e_first[k] + cos e_second[k]``; every other basis
+    state is fixed.  Unitary when the pairs are disjoint and in range.
+    """
+
+    dimension: int
+    provenance: str
+    first: np.ndarray = field(repr=False)
+    second: np.ndarray = field(repr=False)
+    theta: float
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense matrix of the operator (capped at DENSE_DIMENSION_CAP)."""
+        return self._apply(identity(self.dimension).to_matrix())
+
+    def adjoint(self) -> "PairedRotation":
+        return replace(self, provenance=f"adjoint({self.provenance})", theta=-self.theta)
+
+    def _apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Rotate the paired entries (rows, for a matrix) in closed form."""
+        c, s = np.cos(self.theta), np.sin(self.theta)
+        a, b = amplitudes[self.first], amplitudes[self.second]
+        out = amplitudes.copy()
+        out[self.first] = c * a - s * b
+        out[self.second] = s * a + c * b
+        return out
+
+    def _unitarity_residual(self) -> float:
+        paired = np.concatenate([self.first, self.second])
+        in_range = np.all((paired >= 0) & (paired < self.dimension))
+        if not in_range or np.unique(paired).size != paired.size:
+            return 1.0
+        return float(abs(np.cos(self.theta) ** 2 + np.sin(self.theta) ** 2 - 1.0))
 
 
 def identity(dimension: int) -> UnitaryOp:
-    return UnitaryOp(
-        dimension,
-        "identity",
-        perm=np.arange(dimension),
-        phases=np.ones(dimension, dtype=complex),
-    )
+    return UnitaryOp.permutation("identity", np.arange(dimension))
 
 
-def apply_unitary(op: UnitaryOp, x: StateVector) -> StateVector:
+def apply_unitary(op: UnitaryOp | PairedRotation, x: StateVector) -> StateVector:
     if op.dimension != x.layout.total_dimension:
         raise ValueError(
             f"operator dimension {op.dimension} does not match "
             f"state dimension {x.layout.total_dimension}"
         )
-    if op.is_permutation:
-        out = np.zeros_like(x.amplitudes)
-        out[op.perm] = op.phases * x.amplitudes
-    else:
-        out = op.matrix @ x.amplitudes
-    return StateVector(x.layout, out)
+    return StateVector(x.layout, op._apply(x.amplitudes))
 
 
 def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
-    """Operator equal to applying ``first`` and then ``second``."""
+    """Permutation equal to applying ``first`` and then ``second``."""
+    for op in (second, first):
+        if not isinstance(op, UnitaryOp):
+            raise TypeError(f"compose takes permutation operators only, got {op!r}")
     if second.dimension != first.dimension:
         raise ValueError(
             f"cannot compose dimensions {second.dimension} and {first.dimension}"
         )
     provenance = f"{second.provenance} . {first.provenance}"
-    if second.is_permutation and first.is_permutation:
-        perm = second.perm[first.perm]
-        phases = first.phases * second.phases[first.perm]
-        return UnitaryOp(first.dimension, provenance, perm=perm, phases=phases)
-    return UnitaryOp(
-        first.dimension, provenance, matrix=second.to_matrix() @ first.to_matrix()
-    )
+    perm = second.perm[first.perm]
+    phases = first.phases * second.phases[first.perm]
+    return UnitaryOp(first.dimension, provenance, perm=perm, phases=phases)
 
 
-def verify_unitary(op: UnitaryOp, tolerance: float = TOLERANCE) -> CheckResult:
+def verify_unitary(
+    op: UnitaryOp | PairedRotation, tolerance: float = TOLERANCE
+) -> CheckResult:
     """Check ``U^dagger U = I``; the residual is ``max |U^dagger U - I|``.
 
-    For permutation operators the residual is computed structurally, so
-    there is no dimension limit.
+    It is computed structurally, so there is no dimension limit; a rotation
+    whose pairs overlap or leave the space has residual 1.
     """
-    if op.is_permutation:
-        residual = float(np.max(np.abs(np.abs(op.phases) ** 2 - 1.0)))
-        counts = np.bincount(op.perm, minlength=op.dimension)
-        if np.any(counts != 1):
-            # Colliding columns i, j give |(U^dagger U)[i, j]| = |p_i p_j|.
-            for target in np.flatnonzero(counts > 1):
-                mags = np.sort(np.abs(op.phases[op.perm == target]))
-                residual = max(residual, float(mags[-1] * mags[-2]))
-    else:
-        gram = op.matrix.conj().T @ op.matrix
-        residual = float(np.max(np.abs(gram - np.eye(op.dimension))))
     return CheckResult.from_residual(
-        f"unitary[{op.provenance}]", residual, tolerance
+        f"unitary[{op.provenance}]", op._unitarity_residual(), tolerance
     )
 
 
@@ -206,20 +226,14 @@ def build_detection_unitary(layout: SubsystemLayout) -> UnitaryOp:
         )
     _require_two_level(layout, detectors, "detector")
 
-    idx = np.arange(layout.total_dimension)
     path_digit = layout.digit_values(paths[0])
-    perm = idx.copy()
+    perm = np.arange(layout.total_dimension)
     for j, det in enumerate(detectors):
         mask = path_digit == j
         digit = layout.digit_values(det)
         stride = layout.strides[layout.position(det)]
         perm[mask] += (1 - 2 * digit[mask]) * stride
-    return UnitaryOp(
-        layout.total_dimension,
-        "detection",
-        perm=perm,
-        phases=np.ones(layout.total_dimension, dtype=complex),
-    )
+    return UnitaryOp.permutation("detection", perm)
 
 
 def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
@@ -237,19 +251,13 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
         )
     _require_two_level(layout, photons, "photon")
 
-    idx = np.arange(layout.total_dimension)
-    perm = idx.copy()
+    perm = np.arange(layout.total_dimension)
     for det, ph in zip(detectors, photons):
         mask = layout.digit_values(det) == DETECTOR_YES
         digit = layout.digit_values(ph)
         stride = layout.strides[layout.position(ph)]
         perm[mask] += (1 - 2 * digit[mask]) * stride
-    return UnitaryOp(
-        layout.total_dimension,
-        "photon-emission",
-        perm=perm,
-        phases=np.ones(layout.total_dimension, dtype=complex),
-    )
+    return UnitaryOp.permutation("photon-emission", perm)
 
 
 def standard_classical_configs(n_versions: int) -> dict[tuple[int, ...], int]:
@@ -319,20 +327,14 @@ def build_perception_unitary(
     obs_stride = layout.strides[layout.position(observer_register)]
     condition_digits = [layout.digit_values(name) for name in condition_registers]
 
-    idx = np.arange(layout.total_dimension)
-    perm = idx.copy()
+    perm = np.arange(layout.total_dimension)
     for config, message in classical_configs.items():
         mask = np.ones(layout.total_dimension, dtype=bool)
         for digits, wanted in zip(condition_digits, config):
             mask &= digits == wanted
         perm[mask & (obs_digit == OBSERVER_BLANK)] += message * obs_stride
         perm[mask & (obs_digit == message)] -= message * obs_stride
-    return UnitaryOp(
-        layout.total_dimension,
-        f"perception[{observer_register}]",
-        perm=perm,
-        phases=np.ones(layout.total_dimension, dtype=complex),
-    )
+    return UnitaryOp.permutation(f"perception[{observer_register}]", perm)
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,9 @@ class BasisRotation:
     span: tuple[Mapping[str, int], Mapping[str, int]]
 
 
-def build_basis_rotation(layout: SubsystemLayout, rotation: BasisRotation) -> UnitaryOp:
+def build_basis_rotation(
+    layout: SubsystemLayout, rotation: BasisRotation
+) -> PairedRotation:
     """Rotate the two-dimensional span for every fixed observer label.
 
     Writing ``|1>``, ``|2>`` for the span configurations, the images are
@@ -360,46 +364,26 @@ def build_basis_rotation(layout: SubsystemLayout, rotation: BasisRotation) -> Un
     ``(a1 cos - a2 sin, a2 cos + a1 sin)`` on the plane, and the inverse is
     the rotation by ``-theta``.
     """
-    if layout.total_dimension > DENSE_DIMENSION_CAP:
-        raise CapacityError(
-            f"basis rotation needs a dense matrix; dimension "
-            f"{layout.total_dimension} exceeds cap {DENSE_DIMENSION_CAP}"
-        )
-    labels_a, labels_b = rotation.span
-    non_observer = [r for r in layout.registers if r.role != ROLE_OBSERVER]
-    observers = [r for r in layout.registers if r.role == ROLE_OBSERVER]
-    expected = {r.name for r in non_observer}
-
-    offsets = {}
-    for tag, labels in (("first", labels_a), ("second", labels_b)):
+    observers = [r.name for r in layout.by_role(ROLE_OBSERVER)]
+    expected = set(layout.names()) - set(observers)
+    offsets = []
+    for tag, labels in zip(("first", "second"), rotation.span):
         if set(labels) != expected:
             raise ValueError(
                 f"{tag} span labels must cover exactly the non-observer registers "
                 f"{sorted(expected)}, got {sorted(labels)}"
             )
-        base = 0
-        for r in non_observer:
-            digit = labels[r.name]
-            if not 0 <= digit < r.dimension:
-                raise ValueError(f"span label {digit} out of range for {r.name!r}")
-            base += digit * layout.strides[layout.position(r.name)]
-        offsets[tag] = base
-    if offsets["first"] == offsets["second"]:
+        offsets.append(layout.encode({**labels, **dict.fromkeys(observers, OBSERVER_BLANK)}))
+    if offsets[0] == offsets[1]:
         raise ValueError("span labels must name two distinct configurations")
 
-    obs_offsets = layout.label_offsets([r.name for r in observers])
-    i1 = offsets["first"] + obs_offsets
-    i2 = offsets["second"] + obs_offsets
-    c, s = np.cos(rotation.theta), np.sin(rotation.theta)
-    m = np.eye(layout.total_dimension, dtype=complex)
-    m[i1, i1] = c
-    m[i2, i1] = s
-    m[i1, i2] = -s
-    m[i2, i2] = c
-    return UnitaryOp(
+    obs_offsets = layout.label_offsets(observers)
+    return PairedRotation(
         layout.total_dimension,
         f"basis-rotation[theta={rotation.theta:g}]",
-        matrix=m,
+        first=offsets[0] + obs_offsets,
+        second=offsets[1] + obs_offsets,
+        theta=rotation.theta,
     )
 
 
@@ -410,9 +394,4 @@ def level_cycle(layout: SubsystemLayout, register: str, shift: int = 1) -> Unita
     stride = layout.strides[layout.position(register)]
     new_digit = (digit + shift) % reg.dimension
     perm = np.arange(layout.total_dimension) + (new_digit - digit) * stride
-    return UnitaryOp(
-        layout.total_dimension,
-        f"level-cycle[{register}+{shift}]",
-        perm=perm,
-        phases=np.ones(layout.total_dimension, dtype=complex),
-    )
+    return UnitaryOp.permutation(f"level-cycle[{register}+{shift}]", perm)

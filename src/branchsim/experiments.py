@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +67,10 @@ from .state import (
 # squared tolerance, so this still tells a weight of 1e-6 from zero.
 MAX_TOLERANCE = 1e-3
 
+# The tightest tolerance a run accepts: sound runs leave rounding residuals
+# of up to a few 1e-16, which a tighter setting would report as failures.
+MIN_TOLERANCE = 1e-14
+
 CHAIN_CHECKS = (
     "structure",
     "branch_orthogonality",
@@ -95,8 +99,8 @@ APPENDIX_CHECKS = (
 class ExperimentSpec:
     """Parameters of one experiment family.
 
-    ``tolerance`` must lie in ``(0, MAX_TOLERANCE]``; the coefficients must
-    be finite, with squared moduli summing to one within the tolerance.
+    ``tolerance`` must lie in ``[MIN_TOLERANCE, MAX_TOLERANCE]``; the
+    coefficients must be finite, with ``is_normalized`` squared moduli.
     """
 
     n_versions: int
@@ -108,9 +112,10 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
         # Written so that NaN fails the comparison too.
-        if not 0 < self.tolerance <= MAX_TOLERANCE:
+        if not MIN_TOLERANCE <= self.tolerance <= MAX_TOLERANCE:
             raise ValueError(
-                f"tolerance must lie in (0, {MAX_TOLERANCE}], got {self.tolerance!r}"
+                f"tolerance must lie in [{MIN_TOLERANCE}, {MAX_TOLERANCE}], "
+                f"got {self.tolerance!r}"
             )
         if self.n_versions < 2:
             raise ValueError(f"n_versions must be >= 2, got {self.n_versions}")
@@ -123,10 +128,30 @@ class ExperimentSpec:
         if not all(cmath.isfinite(c) for c in self.coefficients):
             raise ValueError(f"coefficients must be finite, got {self.coefficients!r}")
         total = sum(abs(c) ** 2 for c in self.coefficients)
-        if abs(total - 1.0) > self.tolerance:
+        if not is_normalized(total):
             raise ValueError(
-                f"squared moduli of coefficients sum to {total!r}, expected 1"
+                f"squared moduli of coefficients sum to {total!r}, expected 1 "
+                f"within {TOLERANCE}"
             )
+
+    def require_live_negative_control(self) -> None:
+        """``ValueError`` if a negative control of this spec could not fail.
+
+        The control rewires the first version's message onto the mixed
+        level, so a first coefficient of modulus at most the tolerance puts
+        a weight there no larger than the squared tolerance it is held to.
+        """
+        if abs(self.coefficients[0]) <= self.tolerance:
+            raise ValueError(
+                f"negative control needs a first coefficient of modulus above the "
+                f"tolerance {self.tolerance}, got {self.coefficients[0]!r}"
+            )
+
+
+def is_normalized(total: float) -> bool:
+    """Whether squared moduli summing to ``total`` are normalized: within
+    ``TOLERANCE`` of 1, as ``DensityMatrix.validate`` holds every trace."""
+    return abs(total - 1.0) <= TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -375,7 +400,10 @@ def compile_chain(
 def _compiled(
     spec: ExperimentSpec, negative_control: bool, chain: CompiledChain | None
 ) -> CompiledChain:
-    """``chain`` after checking it matches the spec, or a new one."""
+    """``chain`` after checking it matches the spec, or a new one; a
+    negative control that could not fail raises ``ValueError``."""
+    if negative_control:
+        spec.require_live_negative_control()
     wanted = (spec.n_versions, spec.observers, spec.photon_model, negative_control)
     if chain is None:
         return compile_chain(*wanted)
@@ -760,12 +788,7 @@ def record_cycle_perturbation(
     digit = (indices // stride) % reg.dimension
     perm = np.arange(layout.total_dimension)
     perm[indices] += ((digit + 1) % reg.dimension - digit) * stride
-    return UnitaryOp(
-        layout.total_dimension,
-        f"record-cycle[version {version + 1}]",
-        perm=perm,
-        phases=np.ones(layout.total_dimension, dtype=complex),
-    )
+    return UnitaryOp.permutation(f"record-cycle[version {version + 1}]", perm)
 
 
 def _version_configuration_indices(layout: SubsystemLayout, version: int) -> np.ndarray:
@@ -819,15 +842,9 @@ def no_signaling_check(
 
 
 def _require_identity_on(op: UnitaryOp, indices: np.ndarray) -> None:
-    if op.is_permutation:
-        clean = np.all(op.perm[indices] == indices) and np.all(
-            np.abs(op.phases[indices] - 1.0) <= TOLERANCE
-        )
-    else:
-        columns = op.matrix[:, indices]
-        target = np.zeros_like(columns)
-        target[indices, np.arange(len(indices))] = 1.0
-        clean = np.max(np.abs(columns - target)) <= TOLERANCE
+    clean = np.all(op.perm[indices] == indices) and np.all(
+        np.abs(op.phases[indices] - 1.0) <= TOLERANCE
+    )
     if not clean:
         raise InvalidPerturbationError(
             f"perturbation {op.provenance!r} is not the identity on the "
@@ -856,13 +873,7 @@ def _canonical_no_signaling(
         ),
         key=lambda result: result.residual,
     )
-    return CheckResult(
-        "no_signaling",
-        worst.passed,
-        worst.residual,
-        worst.tolerance,
-        detail="phase flip and record cycle on version 2",
-    )
+    return replace(worst, detail="phase flip and record cycle on version 2")
 
 
 # ---------------------------------------------------------------------------
@@ -889,16 +900,10 @@ def primed_coefficients(a1: complex, a2: complex, theta: float) -> tuple[complex
     return (a1 * c - a2 * s, a2 * c + a1 * s)
 
 
-def _version_span(layout: SubsystemLayout) -> tuple[dict[str, int], dict[str, int]]:
-    non_observer = lambda labels: {
-        k: v
-        for k, v in labels.items()
-        if layout.register(k).role != ROLE_OBSERVER
-    }
-    return (
-        non_observer(version_labels(layout, 0, detected=True)),
-        non_observer(version_labels(layout, 1, detected=True)),
-    )
+def _version_span(layout: SubsystemLayout) -> tuple[dict[str, int], ...]:
+    observers = {r.name for r in layout.by_role(ROLE_OBSERVER)}
+    labels = [version_labels(layout, j, detected=True) for j in (0, 1)]
+    return tuple({k: v for k, v in l.items() if k not in observers} for l in labels)
 
 
 def run_appendix_rotation(

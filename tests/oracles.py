@@ -157,3 +157,31 @@ def naive_disagreement_weight(layout, amplitudes):
         if len(records) > 1:
             weight += abs(amplitudes[naive_encode(dims, labels)]) ** 2
     return weight
+
+
+def naive_rotation_matrix(layout, span, theta):
+    """Dense matrix of the basis rotation, built basis state by basis state.
+
+    A state whose non-observer labels read ``span[0]`` maps to cos of itself
+    plus sin of its partner reading ``span[1]`` (same observer labels); the
+    partner maps to -sin of the first plus cos of itself; every other state
+    is fixed.
+    """
+    dims = [r.dimension for r in layout.registers]
+    names = [r.name for r in layout.registers]
+    observers = {r.name for r in layout.registers if r.role == "observer"}
+    c, s = math.cos(theta), math.sin(theta)
+    matrix = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
+    for labels in _label_space(layout):
+        state = _named(layout, labels)
+        column = naive_encode(dims, labels)
+        config = {n: v for n, v in state.items() if n not in observers}
+        for here, there, sign in ((span[0], span[1], 1.0), (span[1], span[0], -1.0)):
+            if config == dict(here):
+                partner = {**state, **there}
+                matrix[column, column] = c
+                matrix[naive_encode(dims, [partner[n] for n in names]), column] = sign * s
+                break
+        else:
+            matrix[column, column] = 1.0
+    return matrix

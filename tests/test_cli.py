@@ -299,6 +299,79 @@ def test_non_finite_coefficients_and_angles_exit_two(tmp_path, bad):
     assert main(["run", str(sweep)]) == 2
 
 
+def test_tolerance_below_the_rounding_floor_exits_two(tmp_path):
+    # Sound runs leave rounding residuals near 1e-16, which a tighter
+    # tolerance would report as failed checks.
+    path = write_config(tmp_path, tolerance=1e-15)
+    with pytest.raises(ConfigError, match="tolerance"):
+        parse_config(str(path))
+    assert main(["run", str(write_config(tmp_path, name="ok.json")), "--tolerance", "1e-15"]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "appendix_rotation", "thetas": [math.pi / 2]}],
+    ids=["stern_gerlach", "appendix_rotation"],
+)
+def test_negative_control_that_cannot_fail_exits_two(tmp_path, overrides):
+    # All weight on the second version leaves the rewired first message
+    # unwritten, so the control would pass; it is refused instead.
+    path = write_config(tmp_path, coefficients=[[0, 0], [1, 0]], **overrides)
+    assert main(["run", str(path), "--out", str(tmp_path / "plain.json")]) == 0
+    out = tmp_path / "control.json"
+    assert main(["run", str(path), "--negative-control", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Norm off by 3e-9, inside the check tolerance.
+        {
+            "experiment": "generalized",
+            "n_versions": 3,
+            "tolerance": 1e-3,
+            "coefficients": [[0.0005, 0], [0.6, 0], [0.79999984, 0]],
+        },
+        # Squared moduli sum off by 5e-11, inside the check tolerance.
+        {
+            "tolerance": 1e-10,
+            "coefficients": [
+                [0.6 * math.sqrt(1 - 5e-11), 0],
+                [0.8 * math.sqrt(1 - 5e-11), 0],
+            ],
+        },
+    ],
+    ids=["norm-3e-9", "sum-5e-11"],
+)
+def test_coefficients_normalized_only_within_the_tolerance_exit_two(tmp_path, overrides):
+    # The state validators hold the norm to 1e-12 whatever the tolerance;
+    # these configs used to pass the gate and crash inside a run (exit 4).
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match="coefficients"):
+        parse_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_rotation_past_the_dense_cap_runs(tmp_path):
+    # 2 versions, 4 observers and photons: dimension 8,192.
+    path = write_config(
+        tmp_path,
+        experiment="appendix_rotation",
+        observers=4,
+        photon_model=True,
+        thetas=[0.0, 0.7, math.pi / 2],
+    )
+    out = tmp_path / "wide.json"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    report = load_report(out)
+    assert report["summary"]["all_passed"] is True
+    assert {run["final_state"]["dimension"] for run in report["runs"]} == {8192}
+    assert all(
+        check["status"] == "pass" for run in report["runs"] for check in run["checks"]
+    )
+
+
 # -- the error contract -------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from branchsim import (
     BasisRotation,
     CapacityError,
+    PairedRotation,
     StateVector,
     UnitaryOp,
     apply_unitary,
@@ -13,6 +14,7 @@ from branchsim import (
     build_detection_unitary,
     build_perception_unitary,
     build_photon_emission_unitary,
+    chain_layout,
     compose,
     identity,
     level_cycle,
@@ -21,11 +23,13 @@ from branchsim import (
     standard_classical_configs,
     superpose,
     verify_unitary,
+    version_labels,
 )
 from oracles import (
     naive_detection_matrix,
     naive_emission_matrix,
     naive_perception_matrix,
+    naive_rotation_matrix,
 )
 
 SG = [("P", 2, "particle-path"), ("DH", 2, "detector"), ("DV", 2, "detector"),
@@ -249,7 +253,9 @@ def version_span():
 def test_rotation_at_zero_is_identity():
     layout = sg_layout()
     rotation = build_basis_rotation(layout, BasisRotation(0.0, version_span()))
-    assert np.array_equal(rotation.matrix, np.eye(32))
+    assert np.array_equal(rotation.to_matrix(), identity(32).to_matrix())
+    state = random_state(layout, 11)
+    assert np.array_equal(apply_unitary(rotation, state).amplitudes, state.amplitudes)
 
 
 def test_rotation_composes_and_inverts():
@@ -258,13 +264,20 @@ def test_rotation_composes_and_inverts():
     span = version_span()
     forward = build_basis_rotation(layout, BasisRotation(theta, span))
     backward = build_basis_rotation(layout, BasisRotation(-theta, span))
-    assert np.max(np.abs(compose(backward, forward).matrix - np.eye(32))) <= 1e-12
+    eye = identity(32).to_matrix()
+    assert np.max(np.abs(backward.to_matrix() @ forward.to_matrix() - eye)) <= 1e-12
 
-    chained = compose(
-        build_basis_rotation(layout, BasisRotation(theta2, span)), forward
-    )
+    second = build_basis_rotation(layout, BasisRotation(theta2, span))
     direct = build_basis_rotation(layout, BasisRotation(theta + theta2, span))
-    assert np.max(np.abs(chained.matrix - direct.matrix)) <= 1e-12
+    chained = second.to_matrix() @ forward.to_matrix()
+    assert np.max(np.abs(chained - direct.to_matrix())) <= 1e-12
+
+    # The same, applied to states rather than multiplied out.
+    state = random_state(layout, 12)
+    there_and_back = apply_unitary(backward, apply_unitary(forward, state))
+    assert np.max(np.abs(there_and_back.amplitudes - state.amplitudes)) <= 1e-12
+    both = apply_unitary(second, apply_unitary(forward, state))
+    assert np.max(np.abs(both.amplitudes - apply_unitary(direct, state).amplitudes)) <= 1e-12
 
 
 def test_rotation_coefficient_transform():
@@ -318,18 +331,40 @@ def test_rotation_rejects_degenerate_or_incomplete_spans():
 
 
 def test_rotation_capacity_cap():
+    # The rotation itself has no dimension cap: it is built and applied as
+    # index pairs.  Only its dense view is capped.
     big = make_layout([(f"D{i}", 2, "detector") for i in range(13)])
+    span = ({f"D{i}": 0 for i in range(13)}, {f"D{i}": 1 for i in range(13)})
+    rotation = build_basis_rotation(big, BasisRotation(0.3, span))
+    assert rotation.dimension == 8192
+    assert verify_unitary(rotation).passed
+    state = random_state(big, 4)
+    moved = apply_unitary(rotation, state)
+    a, b = state.amplitudes[0], state.amplitudes[-1]
+    c, s = np.cos(0.3), np.sin(0.3)
+    assert moved.amplitudes[0] == c * a - s * b
+    assert moved.amplitudes[-1] == s * a + c * b
+    assert np.array_equal(moved.amplitudes[1:-1], state.amplitudes[1:-1])
     with pytest.raises(CapacityError):
-        build_basis_rotation(
-            big,
-            BasisRotation(
-                0.3,
-                (
-                    {f"D{i}": 0 for i in range(13)},
-                    {f"D{i}": 1 for i in range(13)},
-                ),
-            ),
-        )
+        rotation.to_matrix()
+
+
+@pytest.mark.parametrize("observers", [1, 2])
+@pytest.mark.parametrize("photon_model", [False, True])
+def test_rotation_matches_brute_force_oracle(observers, photon_model):
+    layout = chain_layout(2, observers, photon_model)
+    non_observer = lambda labels: {
+        k: v for k, v in labels.items() if layout.register(k).role != "observer"
+    }
+    span = tuple(non_observer(version_labels(layout, j, detected=True)) for j in (0, 1))
+    for theta in (0.0, 0.77, -2.3):
+        rotation = build_basis_rotation(layout, BasisRotation(theta, span))
+        oracle = naive_rotation_matrix(layout, span, theta)
+        assert np.max(np.abs(rotation.to_matrix() - oracle)) <= 1e-15
+        for seed in range(3):
+            state = random_state(layout, seed)
+            fast = apply_unitary(rotation, state).amplitudes
+            assert np.max(np.abs(fast - oracle @ state.amplitudes)) <= 1e-15
 
 
 # -- apply / compose / verify ------------------------------------------------
@@ -385,12 +420,17 @@ def test_compose_with_adjoint_gives_identity():
     assert np.array_equal(round_trip.perm, np.arange(32))
 
     rotation = build_basis_rotation(layout, BasisRotation(0.9, version_span()))
-    dense_round_trip = compose(rotation.adjoint(), rotation)
-    assert np.max(np.abs(dense_round_trip.matrix - np.eye(32))) <= 1e-12
+    adjoint = rotation.adjoint()
+    assert adjoint.theta == -0.9
+    round_trip = adjoint.to_matrix() @ rotation.to_matrix()
+    assert np.max(np.abs(round_trip - identity(32).to_matrix())) <= 1e-12
+    assert np.array_equal(adjoint.to_matrix(), rotation.to_matrix().conj().T)
 
-    # Mixed representations densify.
-    mixed = compose(rotation, perception)
-    assert not mixed.is_permutation
+    # Only permutations compose; a rotation is applied on its own.
+    with pytest.raises(TypeError, match="permutation"):
+        compose(rotation, perception)
+    with pytest.raises(TypeError, match="permutation"):
+        compose(perception, rotation)
     with pytest.raises(ValueError, match="compose"):
         compose(identity(8), identity(4))
 
@@ -406,9 +446,12 @@ def test_verify_unitary_accepts_builders_and_rejects_defects():
         result = verify_unitary(op)
         assert result.passed and result.residual <= 1e-12
 
-    zeroed = np.eye(32, dtype=complex)
-    zeroed[5, :] = 0.0
-    assert not verify_unitary(UnitaryOp(32, "broken", matrix=zeroed)).passed
+    # Overlapping pairs (index 5 in two planes) or an index off the space
+    # describe no unitary.
+    for first, second in (([1, 5], [5, 9]), ([1, 5], [2, 32])):
+        broken = PairedRotation(32, "broken", np.array(first), np.array(second), 0.4)
+        result = verify_unitary(broken)
+        assert not result.passed and result.residual >= 1.0
 
     shrunk = identity(32)
     lossy = UnitaryOp(32, "lossy", perm=shrunk.perm, phases=shrunk.phases * 0.5)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchsim import (
+    MAX_TOLERANCE,
+    MIN_TOLERANCE,
     ExperimentSpec,
     InvalidPerturbationError,
     RunReport,
@@ -425,3 +427,31 @@ def test_spec_rejects_non_finite_and_out_of_range_inputs():
     for bad in (float("nan"), complex(0.6, float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             ExperimentSpec(2, (bad, 0.8))
+
+
+def test_tolerance_floor_and_fixed_normalization_bound():
+    for tolerance in (MIN_TOLERANCE / 2, 1e-300):
+        with pytest.raises(ValueError, match="tolerance"):
+            ExperimentSpec(2, (0.6, 0.8), tolerance=tolerance)
+    ExperimentSpec(2, (0.6, 0.8), tolerance=MIN_TOLERANCE)
+    # Normalization is held to the state validators' bound, not the
+    # (looser) check tolerance.
+    off = (1 - 5e-11) ** 0.5
+    with pytest.raises(ValueError, match="squared moduli"):
+        ExperimentSpec(2, (0.6 * off, 0.8 * off), tolerance=MAX_TOLERANCE)
+
+
+def test_negative_control_that_cannot_fail_is_rejected():
+    spec = ExperimentSpec(2, (0.0, 1.0))
+    assert run_measurement_chain(spec).all_passed
+    with pytest.raises(ValueError, match="negative control"):
+        run_measurement_chain(spec, negative_control=True)
+    with pytest.raises(ValueError, match="negative control"):
+        run_appendix_rotation(spec, np.pi / 2, negative_control=True)
+    with pytest.raises(ValueError, match="negative control"):
+        coefficient_independence_check(spec, negative_control=True)
+    # A first coefficient just above the tolerance is kept, and fails.
+    tiny = 1e-6
+    live = ExperimentSpec(2, (tiny, (1 - tiny**2) ** 0.5), tolerance=tiny / 2)
+    report = run_measurement_chain(live, checks=("mixed_record",), negative_control=True)
+    assert not report.checks[0].passed
