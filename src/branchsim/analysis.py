@@ -4,6 +4,10 @@ These quantities (reduced density matrices, von Neumann entropy, record
 coherence, system-fragment mutual information) are not needed to establish
 the branch structure -- linearity alone does that -- but they let a run
 show what an environment/redundancy analysis of the same state sees.
+
+A reduced density matrix is accumulated from the state's support, so only
+the kept registers' dimension is dense, and it is capped at
+``DENSE_TRACE_CAP``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .state import (
     StateVector,
     TOLERANCE,
     mixed_record_level,
+    norm,
+    union_rows,
 )
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -26,22 +32,31 @@ DENSE_TRACE_CAP = 2**12
 
 
 def reduced_density_matrix(state: StateVector, keep: Sequence[str]) -> DensityMatrix:
-    """Partial trace onto the named registers (layout order preserved)."""
+    """Partial trace onto the named registers (layout order preserved).
+
+    Writing the support as a matrix with one row per kept label and one
+    column per distinct traced label, rho is that matrix times its adjoint.
+    ``CapacityError`` if the kept dimension exceeds ``DENSE_TRACE_CAP``.
+    """
     layout = state.layout
     keep_set = set(keep)
     if not keep_set:
         raise ValueError("keep set must name at least one register")
     positions = sorted(layout.position(name) for name in keep_set)
-    total = float(np.linalg.norm(state.amplitudes))
+    total = norm(state)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"reduced_density_matrix expects a unit state, norm is {total!r}")
+    kept = layout.drop([n for n in layout.names() if n not in keep_set])
+    if kept.total_dimension > DENSE_TRACE_CAP:
+        raise CapacityError(
+            f"kept dimension {kept.total_dimension} exceeds dense cap {DENSE_TRACE_CAP}"
+        )
 
-    dims = layout.dimensions()
-    psi = state.amplitudes.reshape(dims)
-    traced = [i for i in range(len(dims)) if i not in positions]
-    rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
-    kept_dimension = int(np.prod([dims[i] for i in positions]))
-    matrix = DensityMatrix(kept_dimension, rho.reshape(kept_dimension, kept_dimension))
+    traced = [i for i in range(len(layout.registers)) if i not in positions]
+    environments, column = union_rows(state.labels[:, traced])
+    psi = np.zeros((kept.total_dimension, len(environments)), dtype=complex)
+    psi[kept.flat_indices(state.labels[:, positions]), column] = state.values
+    matrix = DensityMatrix(kept.total_dimension, psi @ psi.conj().T)
     matrix.validate()
     return matrix
 

@@ -2,19 +2,27 @@
 
 Every step of the measurement chain is a controlled permutation of the
 computational basis (detection toggles a detector conditioned on the path,
-perception transposes an observer level conditioned on the record), stored
-as a permutation with phases (``UnitaryOp``).  The mixed-basis rotation
-turns disjoint pairs of basis states within their planes and is stored as
-the index pairs and one angle (``PairedRotation``).  Neither is ever dense;
-``to_matrix`` serves small oracle comparisons.
+perception transposes an observer level conditioned on the record).  Each is
+defined once, as a vectorized rule that rewrites label rows: a ``UnitaryOp``
+maps every row of a (k x registers) label array to its image row and phase,
+so applying it to a state touches only the state's support.  The mixed-basis
+rotation turns disjoint pairs of basis states within their planes; a
+``PairedRotation`` stores the two configurations of the registers it fixes
+and one angle, and acts on the rows that read either configuration.
+
+``UnitaryOp.perm``/``phases`` and ``to_matrix()`` are dense views for oracle
+comparisons: the same rule evaluated on the label row of every basis state,
+refused above ``state.DENSE_VIEW_CAP`` (``DENSE_DIMENSION_CAP`` for
+matrices).  Nothing on the run path builds them.
 
 Permutation convention: ``U e_i = phases[i] * e_perm[i]``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +39,15 @@ from .state import (
     TOLERANCE,
     message_level,
     mixed_record_level,
+    union_rows,
 )
 
 # Dense matrices only below this dimension, for oracle comparisons.
 DENSE_DIMENSION_CAP = 4096
+
+# A label rule maps a (k x registers) label array to the image rows and the
+# k phases; it never writes to its argument.
+LabelRule = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -59,53 +72,62 @@ class CheckResult:
         return cls(name, True, 0.0, 0.0, True, detail)
 
 
+def unit_phases(labels: np.ndarray) -> np.ndarray:
+    return np.ones(len(labels), dtype=complex)
+
+
 @dataclass(frozen=True)
 class UnitaryOp:
-    """Basis permutation with phases on the composite space.
+    """Basis permutation with phases, defined by a rule on label rows.
 
-    ``U e_i = phases[i] * e_perm[i]``.  Operators are immutable once built
-    and application is a pure function, so one operator may be applied from
+    ``rule`` sends each row x to ``(perm(x), phase(x))``, meaning
+    ``U e_x = phase(x) e_perm(x)``; ``inverse`` is the rule of the adjoint,
+    or None when unknown.  Operators are immutable once built and
+    application is a pure function, so one operator may be applied from
     many threads at once.
     """
 
-    dimension: int
+    layout: SubsystemLayout
     provenance: str
-    perm: np.ndarray = field(repr=False)
-    phases: np.ndarray = field(repr=False)
+    rule: LabelRule = field(repr=False)
+    inverse: LabelRule | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.perm.shape != (self.dimension,) or self.phases.shape != (self.dimension,):
-            raise ValueError("perm/phases length must equal dimension")
+    @property
+    def dimension(self) -> int:
+        return self.layout.total_dimension
 
-    @classmethod
-    def permutation(cls, provenance: str, perm: np.ndarray) -> "UnitaryOp":
-        """Basis permutation with unit phases."""
-        return cls(perm.size, provenance, perm=perm, phases=np.ones(perm.size, dtype=complex))
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        rows, phases = self.rule(self.layout.basis_labels())
+        return self.layout.flat_indices(rows), phases
+
+    @property
+    def perm(self) -> np.ndarray:
+        """Dense view: the image flat index of every flat index."""
+        return self._dense[0]
+
+    @property
+    def phases(self) -> np.ndarray:
+        """Dense view: the phase picked up by every flat index."""
+        return self._dense[1]
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix of the operator (capped at DENSE_DIMENSION_CAP)."""
-        if self.dimension > DENSE_DIMENSION_CAP:
-            raise CapacityError(
-                f"refusing dense {self.dimension}x{self.dimension} matrix "
-                f"(cap {DENSE_DIMENSION_CAP})"
-            )
+        _require_dense_matrix(self.dimension)
         m = np.zeros((self.dimension, self.dimension), dtype=complex)
         m[self.perm, np.arange(self.dimension)] = self.phases
         return m
 
     def adjoint(self) -> "UnitaryOp":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.dimension)
-        inv_phases = np.empty_like(self.phases)
-        inv_phases[self.perm] = np.conj(self.phases)
+        if self.inverse is None:
+            raise ValueError(f"operator {self.provenance!r} has no known inverse rule")
         return UnitaryOp(
-            self.dimension, f"adjoint({self.provenance})", perm=inv, phases=inv_phases
+            self.layout, f"adjoint({self.provenance})", self.inverse, self.rule
         )
 
-    def _apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amplitudes)
-        out[self.perm] = self.phases * amplitudes
-        return out
+    def _apply(self, labels: np.ndarray, values: np.ndarray):
+        rows, phases = self.rule(labels)
+        return rows, phases * values
 
     def _unitarity_residual(self) -> float:
         residual = float(np.max(np.abs(np.abs(self.phases) ** 2 - 1.0)))
@@ -118,56 +140,103 @@ class UnitaryOp:
         return residual
 
 
+def _require_dense_matrix(dimension: int) -> None:
+    if dimension > DENSE_DIMENSION_CAP:
+        raise CapacityError(
+            f"refusing dense {dimension}x{dimension} matrix (cap {DENSE_DIMENSION_CAP})"
+        )
+
+
 @dataclass(frozen=True)
 class PairedRotation:
-    """Rotation by ``theta`` in each plane ``(e_first[k], e_second[k])``.
+    """Rotation by ``theta`` in each plane ``(e_x1, e_x2)``.
 
-    ``U e_first[k] = cos e_first[k] + sin e_second[k]`` and
-    ``U e_second[k] = -sin e_first[k] + cos e_second[k]``; every other basis
-    state is fixed.  Unitary when the pairs are disjoint and in range.
+    ``fixed`` names register positions; x1 reads ``first`` there and x2
+    reads ``second``, and the two agree everywhere else.  Then
+    ``U e_x1 = cos e_x1 + sin e_x2`` and ``U e_x2 = -sin e_x1 + cos e_x2``;
+    every other basis state is fixed.  Unitary when the configurations
+    differ and every label is in range.
     """
 
-    dimension: int
+    layout: SubsystemLayout
     provenance: str
-    first: np.ndarray = field(repr=False)
-    second: np.ndarray = field(repr=False)
+    fixed: tuple[int, ...]
+    first: tuple[int, ...]
+    second: tuple[int, ...]
     theta: float
+
+    @property
+    def dimension(self) -> int:
+        return self.layout.total_dimension
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix of the operator (capped at DENSE_DIMENSION_CAP)."""
-        return self._apply(identity(self.dimension).to_matrix())
+        _require_dense_matrix(self.dimension)
+        rows, columns = self._apply(
+            self.layout.basis_labels(), np.eye(self.dimension, dtype=complex)
+        )
+        m = np.zeros((self.dimension, self.dimension), dtype=complex)
+        m[self.layout.flat_indices(rows)] = columns
+        return m
 
     def adjoint(self) -> "PairedRotation":
         return replace(self, provenance=f"adjoint({self.provenance})", theta=-self.theta)
 
-    def _apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Rotate the paired entries (rows, for a matrix) in closed form."""
+    def _apply(self, labels: np.ndarray, values: np.ndarray):
+        """Rotate the amplitudes (rows of amplitudes, for a matrix) on each
+        plane in closed form; a missing partner row has amplitude zero."""
+        fixed = list(self.fixed)
+        key = labels[:, fixed]
+        in_first = (key == self.first).all(axis=1)
+        in_second = (key == self.second).all(axis=1)
+        moving = in_first | in_second
+        planes = labels[moving]
+        planes[:, fixed] = self.first
+        planes, position = union_rows(planes)
+        a = np.zeros((len(planes),) + values.shape[1:], dtype=complex)
+        b = np.zeros_like(a)
+        a[position[in_first[moving]]] = values[in_first]
+        b[position[in_second[moving]]] = values[in_second]
         c, s = np.cos(self.theta), np.sin(self.theta)
-        a, b = amplitudes[self.first], amplitudes[self.second]
-        out = amplitudes.copy()
-        out[self.first] = c * a - s * b
-        out[self.second] = s * a + c * b
-        return out
+        partners = planes.copy()
+        partners[:, fixed] = self.second
+        rows = np.concatenate([labels[~moving], planes, partners])
+        return rows, np.concatenate([values[~moving], c * a - s * b, s * a + c * b])
 
     def _unitarity_residual(self) -> float:
-        paired = np.concatenate([self.first, self.second])
-        in_range = np.all((paired >= 0) & (paired < self.dimension))
-        if not in_range or np.unique(paired).size != paired.size:
+        dims = np.array(self.layout.dimensions())[list(self.fixed)]
+        configurations = np.array([self.first, self.second])
+        if (
+            len(set(self.fixed)) != len(self.fixed)
+            or configurations.shape != (2, dims.size)
+            or np.any((configurations < 0) | (configurations >= dims))
+            or tuple(self.first) == tuple(self.second)
+        ):
             return 1.0
         return float(abs(np.cos(self.theta) ** 2 + np.sin(self.theta) ** 2 - 1.0))
 
 
-def identity(dimension: int) -> UnitaryOp:
-    return UnitaryOp.permutation("identity", np.arange(dimension))
+def identity(layout: SubsystemLayout) -> UnitaryOp:
+    rule = lambda labels: (labels, unit_phases(labels))
+    return UnitaryOp(layout, "identity", rule, rule)
 
 
 def apply_unitary(op: UnitaryOp | PairedRotation, x: StateVector) -> StateVector:
-    if op.dimension != x.layout.total_dimension:
+    if op.layout != x.layout:
         raise ValueError(
-            f"operator dimension {op.dimension} does not match "
-            f"state dimension {x.layout.total_dimension}"
+            f"operator on registers of dimensions {op.layout.dimensions()} does not "
+            f"match state registers of dimensions {x.layout.dimensions()}"
         )
-    return StateVector(x.layout, op._apply(x.amplitudes))
+    return StateVector(x.layout, *op._apply(x.labels, x.values))
+
+
+def _chain(first: LabelRule, second: LabelRule) -> LabelRule:
+    def rule(labels):
+        middle, phases = first(labels)
+        rows, more = second(middle)
+        return rows, phases * more
+
+    return rule
 
 
 def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
@@ -175,14 +244,20 @@ def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
     for op in (second, first):
         if not isinstance(op, UnitaryOp):
             raise TypeError(f"compose takes permutation operators only, got {op!r}")
-    if second.dimension != first.dimension:
+    if second.layout != first.layout:
         raise ValueError(
-            f"cannot compose dimensions {second.dimension} and {first.dimension}"
+            f"cannot compose operators on dimensions {second.layout.dimensions()} "
+            f"and {first.layout.dimensions()}"
         )
-    provenance = f"{second.provenance} . {first.provenance}"
-    perm = second.perm[first.perm]
-    phases = first.phases * second.phases[first.perm]
-    return UnitaryOp(first.dimension, provenance, perm=perm, phases=phases)
+    inverse = None
+    if first.inverse is not None and second.inverse is not None:
+        inverse = _chain(second.inverse, first.inverse)
+    return UnitaryOp(
+        first.layout,
+        f"{second.provenance} . {first.provenance}",
+        _chain(first.rule, second.rule),
+        inverse,
+    )
 
 
 def verify_unitary(
@@ -190,8 +265,9 @@ def verify_unitary(
 ) -> CheckResult:
     """Check ``U^dagger U = I``; the residual is ``max |U^dagger U - I|``.
 
-    It is computed structurally, so there is no dimension limit; a rotation
-    whose pairs overlap or leave the space has residual 1.
+    It is computed structurally: a permutation through its dense view, a
+    rotation from its configurations, which have residual 1 when they
+    coincide or leave the space.
     """
     return CheckResult.from_residual(
         f"unitary[{op.provenance}]", op._unitarity_residual(), tolerance
@@ -226,14 +302,16 @@ def build_detection_unitary(layout: SubsystemLayout) -> UnitaryOp:
         )
     _require_two_level(layout, detectors, "detector")
 
-    path_digit = layout.digit_values(paths[0])
-    perm = np.arange(layout.total_dimension)
-    for j, det in enumerate(detectors):
-        mask = path_digit == j
-        digit = layout.digit_values(det)
-        stride = layout.strides[layout.position(det)]
-        perm[mask] += (1 - 2 * digit[mask]) * stride
-    return UnitaryOp.permutation("detection", perm)
+    path = layout.position(paths[0])
+    detector_at = np.array([layout.position(name) for name in detectors])
+
+    def detect(labels):
+        rows = labels.copy()
+        hit = (np.arange(len(rows)), detector_at[labels[:, path]])
+        rows[hit] = 1 - rows[hit]
+        return rows, unit_phases(labels)
+
+    return UnitaryOp(layout, "detection", detect, detect)
 
 
 def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
@@ -251,13 +329,16 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
         )
     _require_two_level(layout, photons, "photon")
 
-    perm = np.arange(layout.total_dimension)
-    for det, ph in zip(detectors, photons):
-        mask = layout.digit_values(det) == DETECTOR_YES
-        digit = layout.digit_values(ph)
-        stride = layout.strides[layout.position(ph)]
-        perm[mask] += (1 - 2 * digit[mask]) * stride
-    return UnitaryOp.permutation("photon-emission", perm)
+    detector_at = [layout.position(name) for name in detectors]
+    photon_at = [layout.position(name) for name in photons]
+
+    def emit(labels):
+        rows = labels.copy()
+        fired = labels[:, detector_at] == DETECTOR_YES
+        rows[:, photon_at] = np.where(fired, 1 - labels[:, photon_at], labels[:, photon_at])
+        return rows, unit_phases(labels)
+
+    return UnitaryOp(layout, "photon-emission", emit, emit)
 
 
 def standard_classical_configs(n_versions: int) -> dict[tuple[int, ...], int]:
@@ -323,18 +404,25 @@ def build_perception_unitary(
     if len(set(classical_configs.keys())) != n:
         raise ValueError("classical configurations must be distinct")
 
-    obs_digit = layout.digit_values(observer_register)
-    obs_stride = layout.strides[layout.position(observer_register)]
-    condition_digits = [layout.digit_values(name) for name in condition_registers]
+    observer = layout.position(observer_register)
+    condition_at = [layout.position(name) for name in condition_registers]
+    configs = np.array(list(classical_configs), dtype=np.int64)
+    messages = np.array(list(classical_configs.values()), dtype=np.int64)
 
-    perm = np.arange(layout.total_dimension)
-    for config, message in classical_configs.items():
-        mask = np.ones(layout.total_dimension, dtype=bool)
-        for digits, wanted in zip(condition_digits, config):
-            mask &= digits == wanted
-        perm[mask & (obs_digit == OBSERVER_BLANK)] += message * obs_stride
-        perm[mask & (obs_digit == message)] -= message * obs_stride
-    return UnitaryOp.permutation(f"perception[{observer_register}]", perm)
+    def perceive(labels):
+        hits = (labels[:, None, condition_at] == configs[None]).all(axis=2)
+        recorded = hits.any(axis=1)
+        message = messages[hits.argmax(axis=1)]
+        level = labels[:, observer]
+        rows = labels.copy()
+        rows[:, observer] = np.where(
+            recorded & (level == OBSERVER_BLANK),
+            message,
+            np.where(recorded & (level == message), OBSERVER_BLANK, level),
+        )
+        return rows, unit_phases(labels)
+
+    return UnitaryOp(layout, f"perception[{observer_register}]", perceive, perceive)
 
 
 @dataclass(frozen=True)
@@ -364,34 +452,43 @@ def build_basis_rotation(
     ``(a1 cos - a2 sin, a2 cos + a1 sin)`` on the plane, and the inverse is
     the rotation by ``-theta``.
     """
-    observers = [r.name for r in layout.by_role(ROLE_OBSERVER)]
-    expected = set(layout.names()) - set(observers)
-    offsets = []
+    observers = {r.name for r in layout.by_role(ROLE_OBSERVER)}
+    fixed = [name for name in layout.names() if name not in observers]
+    configurations = []
     for tag, labels in zip(("first", "second"), rotation.span):
-        if set(labels) != expected:
+        if set(labels) != set(fixed):
             raise ValueError(
                 f"{tag} span labels must cover exactly the non-observer registers "
-                f"{sorted(expected)}, got {sorted(labels)}"
+                f"{sorted(fixed)}, got {sorted(labels)}"
             )
-        offsets.append(layout.encode({**labels, **dict.fromkeys(observers, OBSERVER_BLANK)}))
-    if offsets[0] == offsets[1]:
+        row = layout.row({**labels, **dict.fromkeys(observers, OBSERVER_BLANK)})
+        configurations.append(tuple(int(row[layout.position(name)]) for name in fixed))
+    if configurations[0] == configurations[1]:
         raise ValueError("span labels must name two distinct configurations")
 
-    obs_offsets = layout.label_offsets(observers)
     return PairedRotation(
-        layout.total_dimension,
+        layout,
         f"basis-rotation[theta={rotation.theta:g}]",
-        first=offsets[0] + obs_offsets,
-        second=offsets[1] + obs_offsets,
+        fixed=tuple(layout.position(name) for name in fixed),
+        first=configurations[0],
+        second=configurations[1],
         theta=rotation.theta,
     )
 
 
 def level_cycle(layout: SubsystemLayout, register: str, shift: int = 1) -> UnitaryOp:
     """Cyclically shift one register's levels; identity on all others."""
-    reg = layout.register(register)
-    digit = layout.digit_values(register)
-    stride = layout.strides[layout.position(register)]
-    new_digit = (digit + shift) % reg.dimension
-    perm = np.arange(layout.total_dimension) + (new_digit - digit) * stride
-    return UnitaryOp.permutation(f"level-cycle[{register}+{shift}]", perm)
+    pos = layout.position(register)
+    levels = layout.register(register).dimension
+
+    def cycle_by(step):
+        def rule(labels):
+            rows = labels.copy()
+            rows[:, pos] = (labels[:, pos] + step) % levels
+            return rows, unit_phases(labels)
+
+        return rule
+
+    return UnitaryOp(
+        layout, f"level-cycle[{register}+{shift}]", cycle_by(shift), cycle_by(-shift)
+    )

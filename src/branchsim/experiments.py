@@ -12,19 +12,24 @@ evolution, and perturbing one branch cannot signal another.
 
 The step operator is compiled once per chain configuration
 (``compile_chain``): the layout, the record stages (detection, then photon
-emission) composed into one permutation, and every observer's perception
+emission) composed into one label rule, and every observer's perception
 stage composed into another.  Every run, coefficient draw, rotation angle
 and check of one configuration shares that ``CompiledChain``.  A run
 evolves its initial state once; the independence check reuses the final
-state and reads each standalone version's evolution off the permutations
-as a single basis state; the no-signaling probes reuse the post-detection
-state.  Functions called without a compiled chain build their own.
+state and replays each standalone version as one label row; the
+no-signaling probes reuse the post-detection state.  Functions called
+without a compiled chain build their own.
+
+Everything is support arithmetic on label rows: a run's states hold N rows,
+branches group rows by their record labels, and the record weights, probes
+and residuals read rows and amplitudes, never flat indices, so a run costs
+O(support) whatever the dimension.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +46,7 @@ from .dynamics import (
     build_photon_emission_unitary,
     compose,
     standard_classical_configs,
+    unit_phases,
 )
 from .errors import InvalidPerturbationError
 from .state import (
@@ -52,6 +58,7 @@ from .state import (
     StateVector,
     SubsystemLayout,
     TOLERANCE,
+    aligned,
     inner_product,
     make_layout,
     message_level,
@@ -61,6 +68,7 @@ from .state import (
     observer_dimension,
     product_state,
     superpose,
+    vector_norm,
 )
 
 # The loosest tolerance a run accepts.  Weights are compared against the
@@ -192,7 +200,7 @@ class RunReport:
     def to_dict(self) -> dict:
         """JSON-ready view; byte-identical across reruns of the same
         configuration."""
-        amps = self.final_state.amplitudes
+        values = self.final_state.values
         return {
             "experiment": self.experiment,
             "n_versions": self.spec.n_versions,
@@ -202,8 +210,8 @@ class RunReport:
             "theta": self.theta,
             "final_state": {
                 "dimension": self.layout.total_dimension,
-                "norm": float(np.linalg.norm(amps)),
-                "support": int(np.count_nonzero(np.abs(amps) > self.spec.tolerance)),
+                "norm": norm(self.final_state),
+                "support": int(np.count_nonzero(np.abs(values) > self.spec.tolerance)),
             },
             "branches": [
                 {
@@ -284,39 +292,26 @@ def version_labels(
     return labels
 
 
-def _version_index(layout: SubsystemLayout, version: int, **kwargs) -> int:
-    """Flat index of ``version_labels(layout, version, **kwargs)``."""
-    return layout.encode(version_labels(layout, version, **kwargs))
-
-
-def _basis_superposition(
-    layout: SubsystemLayout, indices: Sequence[int], coefficients: Sequence[complex]
-) -> StateVector:
-    """``sum_j c_j e_{i_j}`` over distinct indices, written by index.
-
-    Adding onto zeros, as ``superpose`` does, leaves the same amplitudes
-    down to the sign of zero parts.
-    """
-    amps = np.zeros(layout.total_dimension, dtype=complex)
-    amps[np.asarray(indices, dtype=int)] += np.asarray(coefficients, dtype=complex)
-    return StateVector(layout, amps)
+def _version_row(layout: SubsystemLayout, version: int, **kwargs) -> np.ndarray:
+    """Label row of ``version_labels(layout, version, **kwargs)``."""
+    return layout.row(version_labels(layout, version, **kwargs))
 
 
 def initial_state(layout: SubsystemLayout, coefficients: Sequence[complex]) -> StateVector:
     """Path superposition in front of armed detectors, observers blank."""
-    indices = [_version_index(layout, j, detected=False) for j in range(len(coefficients))]
-    return _basis_superposition(layout, indices, coefficients)
+    rows = [_version_row(layout, j, detected=False) for j in range(len(coefficients))]
+    return StateVector(layout, np.array(rows), coefficients)
 
 
 def expected_final_state(
     layout: SubsystemLayout, coefficients: Sequence[complex]
 ) -> StateVector:
     """The branch-table target: each version tagged with its own message."""
-    indices = [
-        _version_index(layout, j, detected=True, message=message_level(j))
+    rows = [
+        _version_row(layout, j, detected=True, message=message_level(j))
         for j in range(len(coefficients))
     ]
-    return _basis_superposition(layout, indices, coefficients)
+    return StateVector(layout, np.array(rows), coefficients)
 
 
 @dataclass(frozen=True)
@@ -324,7 +319,7 @@ class CompiledChain:
     """Layout and step operator of one chain configuration, built once.
 
     ``record`` is detection followed, with the photon model, by photon
-    emission, composed into one permutation; ``perception`` composes every
+    emission, composed into one label rule; ``perception`` composes every
     observer's perception stage in layout order.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so runs
     that differ in coefficients, angle or checks share one.
@@ -348,15 +343,10 @@ class CompiledChain:
         post_detection = apply_unitary(self.record, state)
         return post_detection, apply_unitary(self.perception, post_detection)
 
-    def evolve_basis(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Image index and phase of each basis state under the step.
-
-        ``U e_i = phases[i] e_perm[i]``, so a single basis state evolves by
-        reading one entry of each permutation, as ``compose`` combines them.
-        """
-        mid = self.record.perm[indices]
-        phases = self.record.phases[indices] * self.perception.phases[mid]
-        return self.perception.perm[mid], phases
+    def evolve_basis(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Image row and phase of each basis state (one label row each)
+        under the step, in the order given."""
+        return self.step.rule(labels)
 
 
 def compile_chain(
@@ -426,15 +416,6 @@ def _record_names(record_register: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(record_register)
 
 
-def _record_embedding(
-    layout: SubsystemLayout, names: tuple[str, ...]
-) -> tuple[SubsystemLayout, np.ndarray]:
-    """Sub-layout without the record registers and the index map embedding
-    each relative flat index at record label zero."""
-    relative = layout.drop(names)
-    return relative, layout.label_offsets(relative.names())
-
-
 def decompose_branches(
     state: StateVector,
     record_register: str | Sequence[str],
@@ -446,33 +427,40 @@ def decompose_branches(
     convention puts the largest relative amplitude on the positive real
     axis, so for record-tagged product states the branch coefficient is
     exactly the amplitude attached to that label.  The weighted branches
-    reconstruct the input exactly.
+    reconstruct the input exactly.  Branches come in increasing record label
+    order, and each one's rows keep their flat-index order.
     """
     layout = state.layout
     total = norm(state)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"decompose_branches expects a unit state, norm is {total!r}")
     names = _record_names(record_register)
-    relative_layout, rel_to_full = _record_embedding(layout, names)
-    strides = [layout.strides[layout.position(n)] for n in names]
-    dims = [layout.register(n).dimension for n in names]
+    record_at = [layout.position(n) for n in names]
+    relative_layout = layout.drop(names)
+    relative_at = [layout.position(n) for n in relative_layout.names()]
+
+    # The state's rows are in flat-index order, and so is each section.
+    sections: dict[tuple[int, ...], list[int]] = {}
+    for index, record in enumerate(state.labels[:, record_at].tolist()):
+        sections.setdefault(tuple(record), []).append(index)
 
     branches: list[Branch] = []
-    for raw_label in np.ndindex(*dims):
-        offset = sum(d * s for d, s in zip(raw_label, strides))
-        section = state.amplitudes[rel_to_full + offset]
-        section_norm = float(np.linalg.norm(section))
+    for record in sorted(sections):
+        rows = sections[record]
+        section = state.values[rows]
+        section_norm = vector_norm(section)
         weight = section_norm**2
         if weight <= tolerance**2:
             continue
         anchor = section[int(np.argmax(np.abs(section)))]
         coefficient = complex(section_norm * anchor / abs(anchor))
-        label = raw_label[0] if len(names) == 1 else tuple(int(x) for x in raw_label)
         branches.append(
             Branch(
-                record_label=label,
+                record_label=record[0] if len(names) == 1 else record,
                 coefficient=coefficient,
-                relative_state=StateVector(relative_layout, section / coefficient),
+                relative_state=StateVector(
+                    relative_layout, state.labels[rows][:, relative_at], section / coefficient
+                ),
                 record_register=record_register if isinstance(record_register, str) else names,
             )
         )
@@ -483,16 +471,17 @@ def reconstruct_branches(
     layout: SubsystemLayout, branches: Sequence[Branch]
 ) -> StateVector:
     """Reassemble ``sum_j a(j) * (relative_j (x) |label_j>)``."""
-    amps = np.zeros(layout.total_dimension, dtype=complex)
+    rows, values = [np.zeros((0, len(layout.registers)), dtype=np.int64)], [np.zeros(0)]
     for branch in branches:
         names = _record_names(branch.record_register)
-        _, rel_to_full = _record_embedding(layout, names)
+        relative = branch.relative_state
         label = branch.record_label if isinstance(branch.record_label, tuple) else (branch.record_label,)
-        offset = sum(
-            d * layout.strides[layout.position(n)] for d, n in zip(label, names)
-        )
-        amps[rel_to_full + offset] += branch.coefficient * branch.relative_state.amplitudes
-    return StateVector(layout, amps)
+        full = np.empty((len(relative.values), len(layout.registers)), dtype=np.int64)
+        full[:, [layout.position(n) for n in relative.layout.names()]] = relative.labels
+        full[:, [layout.position(n) for n in names]] = label
+        rows.append(full)
+        values.append(branch.coefficient * relative.values)
+    return StateVector(layout, np.concatenate(rows), np.concatenate(values))
 
 
 def _label_text(layout, record_register, label) -> str:
@@ -581,8 +570,7 @@ def _state_checks(
     observer_names = [r.name for r in layout.by_role(ROLE_OBSERVER)]
 
     if "structure" in enabled:
-        target = expected_final_state(layout, spec.coefficients)
-        residual = float(np.linalg.norm(final.amplitudes - target.amplitudes))
+        residual = _distance(final, expected_final_state(layout, spec.coefficients))
         results.append(
             CheckResult.from_residual("structure", residual, spec.tolerance)
         )
@@ -665,26 +653,36 @@ def _born_weight_drift(
     return drift
 
 
+def _distance(x: StateVector, y: StateVector) -> float:
+    """Euclidean distance between two states, over their joint support."""
+    _, (xs, ys) = aligned(x, y)
+    return vector_norm(xs - ys)
+
+
+def _observer_columns(state: StateVector) -> tuple[list[int], np.ndarray]:
+    """Dimensions and label columns of the observer registers."""
+    observers = state.layout.by_role(ROLE_OBSERVER)
+    at = [state.layout.position(r.name) for r in observers]
+    return [r.dimension for r in observers], state.labels[:, at]
+
+
+def _weight_where(state: StateVector, rows: np.ndarray) -> float:
+    return float(np.sum(np.abs(state.values[rows]) ** 2))
+
+
 def mixed_record_weight(state: StateVector) -> float:
     """Total squared amplitude sitting on any observer's mixed level."""
-    layout = state.layout
-    mask = np.zeros(layout.total_dimension, dtype=bool)
-    for reg in layout.by_role(ROLE_OBSERVER):
-        mask |= layout.digit_values(reg.name) == mixed_record_level(reg.dimension)
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    dims, levels = _observer_columns(state)
+    mixed = [mixed_record_level(d) for d in dims]
+    return _weight_where(state, (levels == mixed).any(axis=1))
 
 
 def disagreement_weight(state: StateVector) -> float:
     """Squared amplitude on basis states where observers' records differ."""
-    layout = state.layout
-    observers = [r.name for r in layout.by_role(ROLE_OBSERVER)]
-    if len(observers) < 2:
+    _, levels = _observer_columns(state)
+    if levels.shape[1] < 2:
         return 0.0
-    first = layout.digit_values(observers[0])
-    mask = np.zeros(layout.total_dimension, dtype=bool)
-    for name in observers[1:]:
-        mask |= layout.digit_values(name) != first
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    return _weight_where(state, (levels[:, 1:] != levels[:, :1]).any(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -714,16 +712,13 @@ def coefficient_independence_check(
     chain = _compiled(spec, negative_control, chain)
     layout = chain.layout
     if version_states is None:
-        starts = np.array(
-            [_version_index(layout, j, detected=False) for j in range(spec.n_versions)]
-        )
+        starts = [_version_row(layout, j, detected=False) for j in range(spec.n_versions)]
         if final_state is None:
             _, final_state = chain.evolve(initial_state(layout, spec.coefficients))
-        ends, phases = chain.evolve_basis(starts)
-        # Every vector compared below vanishes off this support.
-        support = np.union1d(np.flatnonzero(final_state.amplitudes), ends)
-        singles = np.zeros((spec.n_versions, support.size), dtype=complex)
-        singles[np.arange(spec.n_versions), np.searchsorted(support, ends)] = phases
+        ends, phases = chain.evolve_basis(np.array(starts))
+        singles = [
+            StateVector(layout, end[None, :], [phase]) for end, phase in zip(ends, phases)
+        ]
     else:
         if len(version_states) != spec.n_versions:
             raise ValueError(
@@ -733,9 +728,9 @@ def coefficient_independence_check(
             _, final_state = chain.evolve(
                 superpose(list(zip(spec.coefficients, version_states)))
             )
-        support = np.arange(layout.total_dimension)
-        singles = np.array([chain.evolve(v)[1].amplitudes for v in version_states])
-    whole = final_state.amplitudes[support]
+        singles = [chain.evolve(v)[1] for v in version_states]
+    # Every vector compared below vanishes off this joint support.
+    _, (whole, *singles) = aligned(final_state, *singles)
 
     skipped: list[int] = []
     residual = 0.0
@@ -761,14 +756,12 @@ def coefficient_independence_check(
 
 def phase_flip_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
     """Flip the sign of every basis state in one version's configuration."""
-    phases = np.ones(layout.total_dimension, dtype=complex)
-    phases[_version_configuration_indices(layout, version)] = -1.0
-    return UnitaryOp(
-        layout.total_dimension,
-        f"phase-flip[version {version + 1}]",
-        perm=np.arange(layout.total_dimension),
-        phases=phases,
-    )
+    inside = _in_version_configuration(layout, version)
+
+    def flip(labels):
+        return labels, np.where(inside(labels), -1.0 + 0j, 1.0 + 0j)
+
+    return UnitaryOp(layout, f"phase-flip[version {version + 1}]", flip, flip)
 
 
 def record_cycle_perturbation(
@@ -782,20 +775,46 @@ def record_cycle_perturbation(
     """
     if observer_register is None:
         observer_register = layout.by_role(ROLE_OBSERVER)[0].name
-    reg = layout.register(observer_register)
-    indices = _version_configuration_indices(layout, version)
-    stride = layout.strides[layout.position(observer_register)]
-    digit = (indices // stride) % reg.dimension
-    perm = np.arange(layout.total_dimension)
-    perm[indices] += ((digit + 1) % reg.dimension - digit) * stride
-    return UnitaryOp.permutation(f"record-cycle[version {version + 1}]", perm)
+    observer = layout.position(observer_register)
+    levels = layout.register(observer_register).dimension
+    inside = _in_version_configuration(layout, version)
+
+    def cycle_by(step):
+        def rule(labels):
+            rows = labels.copy()
+            moved = inside(labels)
+            rows[moved, observer] = (labels[moved, observer] + step) % levels
+            return rows, unit_phases(labels)
+
+        return rule
+
+    return UnitaryOp(
+        layout, f"record-cycle[version {version + 1}]", cycle_by(1), cycle_by(-1)
+    )
 
 
-def _version_configuration_indices(layout: SubsystemLayout, version: int) -> np.ndarray:
-    """Basis states whose non-observer registers read version's record,
-    in increasing order."""
-    base = _version_index(layout, version, detected=True)
-    return base + layout.label_offsets([r.name for r in layout.by_role(ROLE_OBSERVER)])
+def _in_version_configuration(
+    layout: SubsystemLayout, version: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Row predicate: the non-observer registers read version's record."""
+    recorded = version_labels(layout, version, detected=True)
+    names = [r.name for r in layout.registers if r.role != ROLE_OBSERVER]
+    at = [layout.position(name) for name in names]
+    wanted = np.array([recorded[name] for name in names])
+    return lambda labels: (labels[:, at] == wanted).all(axis=1)
+
+
+def _version_configuration_rows(layout: SubsystemLayout, version: int) -> np.ndarray:
+    """Every basis state whose non-observer registers read version's record."""
+    observers = [r.name for r in layout.by_role(ROLE_OBSERVER)]
+    grid = layout.label_grid(observers)
+    rows = np.repeat(_version_row(layout, version, detected=True)[None, :], len(grid), axis=0)
+    rows[:, [layout.position(name) for name in observers]] = grid
+    return rows
+
+
+def _restricted(state: StateVector, rows: np.ndarray) -> StateVector:
+    return StateVector(state.layout, state.labels[rows], state.values[rows])
 
 
 def no_signaling_check(
@@ -816,35 +835,33 @@ def no_signaling_check(
     """
     chain = _compiled(spec, negative_control, chain)
     layout = chain.layout
-    if perturbation.dimension != layout.total_dimension:
+    if perturbation.layout != layout:
         raise ValueError(
-            f"perturbation dimension {perturbation.dimension} does not match "
-            f"layout dimension {layout.total_dimension}"
+            f"perturbation on dimensions {perturbation.layout.dimensions()} does not "
+            f"match layout dimensions {layout.dimensions()}"
         )
     # Branch 1 is everything living on version 1's configuration, observer
     # included; a perturbed version 2 may do anything, even display the
     # first version's message, without touching that subspace.
-    first_branch = _version_configuration_indices(layout, 0)
-    _require_identity_on(perturbation, first_branch)
+    _require_identity_on(perturbation, _version_configuration_rows(layout, 0))
+    inside = _in_version_configuration(layout, 0)
 
     if post_detection is None:
         post_detection, _ = chain.evolve(initial_state(layout, spec.coefficients))
     baseline = apply_unitary(chain.perception, post_detection)
     perturbed = apply_unitary(chain.perception, apply_unitary(perturbation, post_detection))
-    residual = float(
-        np.linalg.norm(
-            baseline.amplitudes[first_branch] - perturbed.amplitudes[first_branch]
-        )
+    residual = _distance(
+        _restricted(baseline, inside(baseline.labels)),
+        _restricted(perturbed, inside(perturbed.labels)),
     )
     return CheckResult.from_residual(
         "no_signaling", residual, spec.tolerance, detail=perturbation.provenance
     )
 
 
-def _require_identity_on(op: UnitaryOp, indices: np.ndarray) -> None:
-    clean = np.all(op.perm[indices] == indices) and np.all(
-        np.abs(op.phases[indices] - 1.0) <= TOLERANCE
-    )
+def _require_identity_on(op: UnitaryOp, rows: np.ndarray) -> None:
+    image, phases = op.rule(rows)
+    clean = np.array_equal(image, rows) and np.all(np.abs(phases - 1.0) <= TOLERANCE)
     if not clean:
         raise InvalidPerturbationError(
             f"perturbation {op.provenance!r} is not the identity on the "
@@ -930,9 +947,8 @@ def run_appendix_rotation(
     layout = chain.layout
 
     a1, a2 = spec.coefficients
-    i1 = _version_index(layout, 0, detected=True)
-    i2 = _version_index(layout, 1, detected=True)
-    post_detection = _basis_superposition(layout, [i1, i2], [a1, a2])
+    versions = np.array([_version_row(layout, j, detected=True) for j in (0, 1)])
+    post_detection = StateVector(layout, versions, [a1, a2])
     final = apply_unitary(chain.perception, post_detection)
     branches = decompose_branches(final, "Obs1", spec.tolerance)
 
@@ -943,7 +959,7 @@ def run_appendix_rotation(
 
     if "primed_coefficients" in enabled:
         rotated = apply_unitary(rotation, post_detection)
-        computed = (rotated.amplitudes[i1], rotated.amplitudes[i2])
+        computed = [_amplitude_at(rotated, row) for row in versions]
         formula = primed_coefficients(a1, a2, theta)
         residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
         results.append(
@@ -958,15 +974,11 @@ def run_appendix_rotation(
         primed_evolved = apply_unitary(chain.perception, primed_first)
 
     if "primed_evolution" in enabled:
-        target = _basis_superposition(
-            layout,
-            [
-                _version_index(layout, j, detected=True, message=message_level(j))
-                for j in (0, 1)
-            ],
-            [np.cos(theta), np.sin(theta)],
+        recorded = np.array(
+            [_version_row(layout, j, detected=True, message=message_level(j)) for j in (0, 1)]
         )
-        residual = float(np.linalg.norm(primed_evolved.amplitudes - target.amplitudes))
+        target = StateVector(layout, recorded, [np.cos(theta), np.sin(theta)])
+        residual = _distance(primed_evolved, target)
         results.append(
             CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
         )
@@ -988,7 +1000,9 @@ def run_appendix_rotation(
         ]
 
     if "record_invariance" in enabled:
-        results.append(_record_invariance(layout, final, rotation, spec.tolerance))
+        results.append(
+            _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
+        )
 
     return RunReport(
         experiment="appendix_rotation",
@@ -1001,25 +1015,28 @@ def run_appendix_rotation(
     )
 
 
+def _amplitude_at(state: StateVector, row: np.ndarray) -> complex:
+    """The state's amplitude on the basis state with label row ``row``."""
+    hit = (state.labels == row).all(axis=1)
+    return state.values[hit][0] if hit.any() else 0j
+
+
 def _non_message_weight(state: StateVector) -> float:
     """Weight on observer levels outside the plain messages 1..N."""
-    layout = state.layout
-    mask = np.zeros(layout.total_dimension, dtype=bool)
-    for reg in layout.by_role(ROLE_OBSERVER):
-        digit = layout.digit_values(reg.name)
-        mask |= (digit == OBSERVER_BLANK) | (digit == mixed_record_level(reg.dimension))
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    dims, levels = _observer_columns(state)
+    mixed = [mixed_record_level(d) for d in dims]
+    return _weight_where(
+        state, ((levels == OBSERVER_BLANK) | (levels == mixed)).any(axis=1)
+    )
 
 
 def _record_invariance(
-    layout: SubsystemLayout,
-    final: StateVector,
-    rotation: UnitaryOp,
-    tolerance: float,
+    plain: Sequence[Branch], rotated_final: StateVector, tolerance: float
 ) -> CheckResult:
-    """Same message table whether or not the state is re-expressed."""
-    plain = decompose_branches(final, "Obs1", tolerance)
-    rotated = decompose_branches(apply_unitary(rotation, final), "Obs1", tolerance)
+    """Same message table whether or not the state is re-expressed:
+    ``plain`` is the run's decomposition by the first observer's record,
+    ``rotated_final`` the final state with the basis rotation applied."""
+    rotated = decompose_branches(rotated_final, "Obs1", tolerance)
     labels_plain = {b.record_label: b.weight for b in plain}
     labels_rotated = {b.record_label: b.weight for b in rotated}
     if set(labels_plain) != set(labels_rotated):

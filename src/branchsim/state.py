@@ -1,16 +1,27 @@
-"""Composite state vectors over named registers.
+"""Composite states over named registers, stored as their support.
 
 A layout names the subsystems (particle path, detectors, photons, observer
-memories) and fixes the index arithmetic between flat amplitude indices and
-per-register basis labels.  Flat indices are mixed-radix numbers with the
-first register as the most significant digit, so index arithmetic is
-deterministic and easy to check by hand.
+memories) and fixes their order.  A basis state is a row of per-register
+labels.  A ``StateVector`` keeps only its support: a (k x registers) label
+array whose rows are distinct and sorted in flat-index order, plus the k
+amplitudes.  Every state of a measurement chain has support N (one basis
+state per version) whatever the dimension, so states cost O(support).
+
+The flat index of a label row is its mixed-radix number, first register most
+significant; sorting rows lexicographically sorts them by flat index without
+computing it.  Flat indices appear only in the dense views --
+``StateVector.amplitudes``, ``SubsystemLayout.digit_values`` and
+``basis_labels`` -- which serve oracle comparisons and refuse layouts above
+``DENSE_VIEW_CAP``.  A dense vector becomes a state as
+``StateVector(layout, layout.basis_labels(), amplitudes)``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +48,8 @@ PHOTON_EMITTED = 1
 OBSERVER_BLANK = 0
 
 DEFAULT_DIMENSION_CAP = 2**24
+# Largest dimension a dense view (one entry per basis state) is built for.
+DENSE_VIEW_CAP = DEFAULT_DIMENSION_CAP
 TOLERANCE = 1e-12
 
 
@@ -85,6 +98,11 @@ class SubsystemLayout:
     strides: tuple[int, ...]
     _positions: dict = field(repr=False, compare=False)
 
+    @cached_property
+    def dimension_array(self) -> np.ndarray:
+        """Register dimensions as an array, to compare label rows against."""
+        return np.array(self.dimensions())
+
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.registers)
 
@@ -118,8 +136,44 @@ class SubsystemLayout:
             (flat_index // s) % r.dimension for r, s in zip(self.registers, self.strides)
         )
 
+    def row(self, labels: Sequence[int] | Mapping[str, int]) -> np.ndarray:
+        """Label row of the basis state with the given per-register labels."""
+        return np.array(self._labels_to_digits(labels), dtype=np.int64)
+
+    def label_grid(self, names: Sequence[str]) -> np.ndarray:
+        """Every joint label of the named registers, one row each.
+
+        Columns follow layout order and rows mixed-radix order, last named
+        register fastest.
+        """
+        grid = np.zeros((1, 0), dtype=np.int64)
+        for pos in sorted(self.position(name) for name in names):
+            levels = np.arange(self.registers[pos].dimension, dtype=np.int64)
+            grid = np.hstack(
+                [np.repeat(grid, levels.size, axis=0), np.tile(levels, len(grid))[:, None]]
+            )
+        return grid
+
+    def label_offsets(self, names: Sequence[str]) -> np.ndarray:
+        """Flat offsets of every joint label of the named registers.
+
+        Every other register reads zero.  The offsets increase, so entry k
+        belongs to row k of ``label_grid(names)``.
+        """
+        strides = [self.strides[pos] for pos in sorted(self.position(n) for n in names)]
+        return self.label_grid(names) @ np.array(strides, dtype=np.int64)
+
+    def require_dense_view(self) -> None:
+        """``CapacityError`` unless an array over every basis state fits."""
+        if self.total_dimension > DENSE_VIEW_CAP:
+            raise CapacityError(
+                f"refusing a dense view of dimension {self.total_dimension} "
+                f"(cap {DENSE_VIEW_CAP})"
+            )
+
     def digit_values(self, name: str) -> np.ndarray:
-        """Vector of this register's digit for every flat index."""
+        """Dense view: this register's digit at every flat index."""
+        self.require_dense_view()
         pos = self.position(name)
         shape = [1] * len(self.registers)
         shape[pos] = self.registers[pos].dimension
@@ -128,18 +182,14 @@ class SubsystemLayout:
         # so no integer division is needed.
         return np.broadcast_to(levels, self.dimensions()).flatten()
 
-    def label_offsets(self, names: Sequence[str]) -> np.ndarray:
-        """Flat offsets of every joint label of the named registers.
+    def basis_labels(self) -> np.ndarray:
+        """Dense view: the label row of every flat index, in order."""
+        return np.stack([self.digit_values(name) for name in self.names()], axis=1)
 
-        Every other register reads zero.  The offsets increase, so entry k
-        belongs to the k-th joint label in mixed-radix order (registers in
-        layout order).
-        """
-        offsets = np.zeros(1, dtype=int)
-        for pos in sorted(self.position(name) for name in names):
-            steps = np.arange(self.registers[pos].dimension) * self.strides[pos]
-            offsets = (offsets[:, None] + steps[None, :]).ravel()
-        return offsets
+    def flat_indices(self, labels: np.ndarray) -> np.ndarray:
+        """The flat index of each label row (exact while the layout cap
+        keeps the dimension within int64)."""
+        return labels @ np.array(self.strides, dtype=np.int64)
 
     def drop(self, names: Sequence[str]) -> "SubsystemLayout":
         """Layout with the named registers removed (order preserved)."""
@@ -224,31 +274,89 @@ def make_layout(
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over the composite computational basis.
+    """A state stored as its support: label rows and their amplitudes.
 
-    Treat instances as immutable: every operation returns a fresh vector.
+    ``labels`` is a (k x registers) integer array and ``values`` the k
+    amplitudes.  Construction puts the rows in flat-index order and adds the
+    amplitudes of repeated rows, so equal states have equal arrays.  Treat
+    instances as immutable: every operation returns a fresh state.
     """
 
     layout: SubsystemLayout
-    amplitudes: np.ndarray
+    labels: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] != self.layout.total_dimension:
+        labels = np.asarray(self.labels, dtype=np.int64)
+        values = np.asarray(self.values, dtype=complex)
+        registers = len(self.layout.registers)
+        if labels.ndim != 2 or labels.shape[1] != registers or values.shape != labels.shape[:1]:
             raise ValueError(
-                f"amplitude array of length {amps.shape} does not match "
-                f"layout dimension {self.layout.total_dimension}"
+                f"{labels.shape} label array with {values.shape} amplitudes does not "
+                f"describe rows of {registers} registers"
             )
-        object.__setattr__(self, "amplitudes", amps)
+        if (labels < 0).any() or (labels >= self.layout.dimension_array).any():
+            raise ValueError(f"label out of range for layout {self.layout.names()}")
+        rows, position = union_rows(labels)
+        if rows is not labels:
+            summed = np.zeros(len(rows), dtype=complex)
+            np.add.at(summed, position, values)
+            object.__setattr__(self, "labels", rows)
+            values = summed
+        object.__setattr__(self, "values", values)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Dense view: the amplitude at every flat index."""
+        self.layout.require_dense_view()
+        dense = np.zeros(self.layout.total_dimension, dtype=complex)
+        dense[self.layout.flat_indices(self.labels)] = self.values
+        return dense
+
+
+def union_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a label array in flat-index order, and the position
+    of each input row among them.
+
+    Sorting rows as tuples (first register first) orders them by flat index
+    without computing one; supports are small, so Python's sort is the
+    cheapest way to do it.
+    """
+    rows = labels.tolist()
+    position = [0] * len(rows)
+    distinct: list[int] = []
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        if not distinct or rows[i] != rows[distinct[-1]]:
+            distinct.append(i)
+        position[i] = len(distinct) - 1
+    if distinct == list(range(len(rows))):
+        return labels, np.arange(len(rows))  # already distinct and in order
+    return labels[distinct], np.array(position, dtype=np.intp)
+
+
+def aligned(*states: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the states' supports and their amplitudes on it.
+
+    Returns the union's label rows in flat-index order and a (states x rows)
+    array holding each state's amplitude there, zero off its support.
+    """
+    layout = states[0].layout
+    if any(state.layout != layout for state in states):
+        raise ValueError("aligned states must share one layout")
+    rows, position = union_rows(np.concatenate([state.labels for state in states]))
+    table = np.zeros((len(states), len(rows)), dtype=complex)
+    start = 0
+    for index, state in enumerate(states):
+        table[index, position[start : start + len(state.values)]] = state.values
+        start += len(state.values)
+    return rows, table
 
 
 def product_state(
     layout: SubsystemLayout, labels: Sequence[int] | Mapping[str, int]
 ) -> StateVector:
     """Unit basis vector with every register in a definite level."""
-    amps = np.zeros(layout.total_dimension, dtype=complex)
-    amps[layout.encode(labels)] = 1.0
-    return StateVector(layout, amps)
+    return StateVector(layout, layout.row(labels)[None, :], np.ones(1, dtype=complex))
 
 
 def superpose(terms: Sequence[tuple[complex, StateVector]]) -> StateVector:
@@ -256,30 +364,44 @@ def superpose(terms: Sequence[tuple[complex, StateVector]]) -> StateVector:
     if not terms:
         raise ValueError("superpose needs at least one term")
     layout = terms[0][1].layout
-    amps = np.zeros(layout.total_dimension, dtype=complex)
-    for coefficient, state in terms:
+    for _, state in terms:
         if state.layout != layout:
             raise ValueError("superpose terms must share one layout")
-        amps += complex(coefficient) * state.amplitudes
-    return StateVector(layout, amps)
+    return StateVector(
+        layout,
+        np.concatenate([state.labels for _, state in terms]),
+        np.concatenate([complex(c) * state.values for c, state in terms]),
+    )
 
 
 def inner_product(x: StateVector, y: StateVector) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
     if x.layout != y.layout:
         raise ValueError("inner product requires states on the same layout")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
+    _, (xs, ys) = aligned(x, y)
+    return complex(np.vdot(xs, ys))
 
 
 def norm(x: StateVector) -> float:
-    return float(np.linalg.norm(x.amplitudes))
+    return vector_norm(x.values)
+
+
+def vector_norm(values: np.ndarray) -> float:
+    """Euclidean norm of complex amplitudes.
+
+    The squared real parts and the squared imaginary parts are each summed
+    exactly (``math.fsum``), so the result does not depend on the order of
+    the amplitudes or on zeros between them.
+    """
+    real = math.fsum(np.square(values.real).tolist())
+    return math.sqrt(real + math.fsum(np.square(values.imag).tolist()))
 
 
 def normalize(x: StateVector) -> StateVector:
     n = norm(x)
     if n <= 1e-14:
         raise DegenerateStateError(f"cannot normalize state with norm {n}")
-    return StateVector(x.layout, x.amplitudes / n)
+    return StateVector(x.layout, x.labels, x.values / n)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ def test_entropy_bounds_on_random_reductions():
         amps = rng.standard_normal(layout.total_dimension) + 1j * rng.standard_normal(
             layout.total_dimension
         )
-        state = StateVector(layout, amps / np.linalg.norm(amps))
+        state = StateVector(layout, layout.basis_labels(), amps / np.linalg.norm(amps))
         for keep in (["path"], ["Obs1"], ["DH", "DV"], ["path", "Obs2"]):
             rho = reduced_density_matrix(state, keep)
             entropy = von_neumann_entropy(rho)
@@ -218,7 +218,7 @@ def test_mutual_information_capacity_cap():
     layout = make_layout([(f"D{i}", 2, "detector") for i in range(13)])
     amps = np.zeros(layout.total_dimension, dtype=complex)
     amps[0] = 1.0
-    state = StateVector(layout, amps)
+    state = StateVector(layout, layout.basis_labels(), amps)
     with pytest.raises(CapacityError):
         fragment_mutual_information(
             state, [f"D{i}" for i in range(1, 13)], ["D0"]

@@ -7,6 +7,7 @@ import pytest
 
 from branchsim import (
     ExperimentSpec,
+    StateVector,
     coefficient_independence_check,
     compile_chain,
     mixed_record_level,
@@ -66,15 +67,11 @@ def test_single_basis_state_replay_matches_the_oracle(
     chain = compile_chain(n, observers, photon_model, negative_control)
     layout = chain.layout
     names, configs, condition = oracle_rules(chain)
-    starts = np.array(
-        [layout.encode(version_labels(layout, j, detected=False)) for j in range(n)]
-    )
+    starts = np.array([layout.row(version_labels(layout, j, detected=False)) for j in range(n)])
     ends, phases = chain.evolve_basis(starts)
     for start, end, phase in zip(starts, ends, phases):
-        psi = np.zeros(layout.total_dimension, dtype=complex)
-        psi[start] = 1.0
-        replayed = np.zeros(layout.total_dimension, dtype=complex)
-        replayed[end] = phase
+        psi = StateVector(layout, start[None, :], [1.0]).amplitudes
+        replayed = StateVector(layout, end[None, :], [phase]).amplitudes
         oracle = naive_evolve(layout, names, configs, condition, psi, photon_model)
         assert np.array_equal(replayed, oracle)
 
@@ -90,7 +87,7 @@ def test_independence_check_fails_on_a_perturbed_branch():
     branch = layout.encode(version_labels(layout, 1, detected=True, message=2))
     amplitudes = final.amplitudes.copy()
     amplitudes[branch] += 1e-9
-    tampered = type(final)(layout, amplitudes)
+    tampered = type(final)(layout, layout.basis_labels(), amplitudes)
     result = coefficient_independence_check(spec, chain=chain, final_state=tampered)
     assert not result.passed
     assert result.residual == pytest.approx(1e-9 / 0.48, rel=1e-6)

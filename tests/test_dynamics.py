@@ -58,7 +58,7 @@ def random_state(layout, seed):
     amps = rng.standard_normal(layout.total_dimension) + 1j * rng.standard_normal(
         layout.total_dimension
     )
-    return StateVector(layout, amps / np.linalg.norm(amps))
+    return StateVector(layout, layout.basis_labels(), amps / np.linalg.norm(amps))
 
 
 # -- detection ---------------------------------------------------------------
@@ -253,7 +253,7 @@ def version_span():
 def test_rotation_at_zero_is_identity():
     layout = sg_layout()
     rotation = build_basis_rotation(layout, BasisRotation(0.0, version_span()))
-    assert np.array_equal(rotation.to_matrix(), identity(32).to_matrix())
+    assert np.array_equal(rotation.to_matrix(), identity(sg_layout()).to_matrix())
     state = random_state(layout, 11)
     assert np.array_equal(apply_unitary(rotation, state).amplitudes, state.amplitudes)
 
@@ -264,7 +264,7 @@ def test_rotation_composes_and_inverts():
     span = version_span()
     forward = build_basis_rotation(layout, BasisRotation(theta, span))
     backward = build_basis_rotation(layout, BasisRotation(-theta, span))
-    eye = identity(32).to_matrix()
+    eye = identity(sg_layout()).to_matrix()
     assert np.max(np.abs(backward.to_matrix() @ forward.to_matrix() - eye)) <= 1e-12
 
     second = build_basis_rotation(layout, BasisRotation(theta2, span))
@@ -373,10 +373,10 @@ def test_rotation_matches_brute_force_oracle(observers, photon_model):
 def test_apply_identity_and_dimension_mismatch():
     layout = sg_layout()
     state = random_state(layout, 3)
-    same = apply_unitary(identity(32), state)
+    same = apply_unitary(identity(sg_layout()), state)
     assert np.array_equal(same.amplitudes, state.amplitudes)
     with pytest.raises(ValueError, match="dimension"):
-        apply_unitary(identity(16), state)
+        apply_unitary(identity(make_layout([("P", 16, "particle-path")])), state)
 
 
 def test_full_chain_reaches_the_recorded_state():
@@ -423,7 +423,7 @@ def test_compose_with_adjoint_gives_identity():
     adjoint = rotation.adjoint()
     assert adjoint.theta == -0.9
     round_trip = adjoint.to_matrix() @ rotation.to_matrix()
-    assert np.max(np.abs(round_trip - identity(32).to_matrix())) <= 1e-12
+    assert np.max(np.abs(round_trip - identity(sg_layout()).to_matrix())) <= 1e-12
     assert np.array_equal(adjoint.to_matrix(), rotation.to_matrix().conj().T)
 
     # Only permutations compose; a rotation is applied on its own.
@@ -432,7 +432,10 @@ def test_compose_with_adjoint_gives_identity():
     with pytest.raises(TypeError, match="permutation"):
         compose(perception, rotation)
     with pytest.raises(ValueError, match="compose"):
-        compose(identity(8), identity(4))
+        compose(
+            identity(make_layout([("P", 8, "particle-path")])),
+            identity(make_layout([("P", 4, "particle-path")])),
+        )
 
 
 def test_verify_unitary_accepts_builders_and_rejects_defects():
@@ -446,19 +449,22 @@ def test_verify_unitary_accepts_builders_and_rejects_defects():
         result = verify_unitary(op)
         assert result.passed and result.residual <= 1e-12
 
-    # Overlapping pairs (index 5 in two planes) or an index off the space
-    # describe no unitary.
-    for first, second in (([1, 5], [5, 9]), ([1, 5], [2, 32])):
-        broken = PairedRotation(32, "broken", np.array(first), np.array(second), 0.4)
+    # Overlapping pairs (the same configuration on both sides) or a label
+    # off the space describe no unitary.
+    for first, second in (((0, 1, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 2))):
+        broken = PairedRotation(layout, "broken", (0, 1, 2), first, second, 0.4)
         result = verify_unitary(broken)
         assert not result.passed and result.residual >= 1.0
 
-    shrunk = identity(32)
-    lossy = UnitaryOp(32, "lossy", perm=shrunk.perm, phases=shrunk.phases * 0.5)
+    lossy = UnitaryOp(
+        layout, "lossy", lambda labels: (labels, np.full(len(labels), 0.5, dtype=complex))
+    )
     assert not verify_unitary(lossy).passed
 
     clash = UnitaryOp(
-        32, "clash", perm=np.zeros(32, dtype=int), phases=np.ones(32, dtype=complex)
+        layout,
+        "clash",
+        lambda labels: (np.zeros_like(labels), np.ones(len(labels), dtype=complex)),
     )
     result = verify_unitary(clash)
     assert not result.passed and result.residual >= 1.0
@@ -474,7 +480,7 @@ def test_every_builder_is_linear(alpha, beta, seed):
     layout = sg_layout()
     x = random_state(layout, seed)
     z = random_state(layout, seed + 1)
-    mix = StateVector(layout, alpha * x.amplitudes + beta * z.amplitudes)
+    mix = StateVector(layout, layout.basis_labels(), alpha * x.amplitudes + beta * z.amplitudes)
     for op in (
         build_detection_unitary(layout),
         build_perception_unitary(layout, "Obs", standard_classical_configs(2)),

@@ -265,7 +265,7 @@ def test_no_signaling_record_cycle():
 def test_no_signaling_identity_trivially_passes():
     spec = ExperimentSpec(2, (0.6, 0.8))
     layout = chain_layout(2, 1)
-    result = no_signaling_check(spec, identity(layout.total_dimension))
+    result = no_signaling_check(spec, identity(layout))
     assert result.passed and result.residual == 0.0
 
 
@@ -417,6 +417,15 @@ def test_mixed_record_weight_helper():
     assert mixed_record_weight(poisoned) == pytest.approx(1.0)
     clean = initial_state(layout, (0.6, 0.8))
     assert mixed_record_weight(clean) == 0.0
+
+
+def test_mixed_record_weight_counts_any_observer_on_the_mixed_level():
+    layout = chain_layout(2, 3)
+    labels = version_labels(layout, 1, detected=True, message=2)
+    for name in ("Obs1", "Obs2", "Obs3"):
+        poisoned = product_state(layout, {**labels, name: 3})
+        assert mixed_record_weight(poisoned) == 1.0
+    assert mixed_record_weight(product_state(layout, labels)) == 0.0
 
 
 def test_spec_rejects_non_finite_and_out_of_range_inputs():

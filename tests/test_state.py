@@ -176,8 +176,8 @@ def test_cauchy_schwarz_on_random_vectors():
     layout = make_layout(SG)
     rng = np.random.default_rng(20260810)
     for _ in range(200):
-        vx = StateVector(layout, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        vy = StateVector(layout, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        vx = StateVector(layout, layout.basis_labels(), rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        vy = StateVector(layout, layout.basis_labels(), rng.standard_normal(32) + 1j * rng.standard_normal(32))
         assert abs(inner_product(vx, vy)) <= norm(vx) * norm(vy) + 1e-12
 
 
@@ -185,15 +185,15 @@ def test_norm_and_normalize():
     layout = make_layout([("P", 2, "particle-path")])
     from branchsim import StateVector
 
-    state = StateVector(layout, np.array([0.6, 0.8j]))
+    state = StateVector(layout, layout.basis_labels(), np.array([0.6, 0.8j]))
     assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
-    stretched = StateVector(layout, np.array([2.0, 0.0]))
+    stretched = StateVector(layout, layout.basis_labels(), np.array([2.0, 0.0]))
     unit = normalize(stretched)
     assert np.allclose(unit.amplitudes, [1.0, 0.0])
 
     with pytest.raises(DegenerateStateError):
-        normalize(StateVector(layout, np.zeros(2)))
+        normalize(StateVector(layout, layout.basis_labels(), np.zeros(2)))
 
 
 def test_state_vector_length_must_match_layout():
@@ -201,7 +201,7 @@ def test_state_vector_length_must_match_layout():
     from branchsim import StateVector
 
     with pytest.raises(ValueError):
-        StateVector(layout, np.zeros(31))
+        StateVector(layout, layout.basis_labels(), np.zeros(31))
 
 
 def test_density_matrix_validation():
