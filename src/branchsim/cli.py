@@ -25,7 +25,6 @@ from .experiments import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     ExperimentSpec,
-    compile_chain,
     is_normalized,
     run_appendix_rotation,
     run_measurement_chain,
@@ -66,7 +65,7 @@ class ConfigFile:
     photon_model: bool = False
     thetas: list[float] = field(default_factory=list)
     seed: int | None = None
-    tolerance: float = 1e-12
+    tolerance: float = TOLERANCE
     checks: list[str] | None = None
     output_path: str | None = None
     output_format: str = "json"
@@ -100,7 +99,7 @@ def parse_config(path: str) -> ConfigFile:
     config.n_versions = _expect_int(raw, "n_versions", default=2, minimum=2)
     config.observers = _expect_int(raw, "observers", default=1, minimum=1)
     config.photon_model = _expect_bool(raw, "photon_model", default=False)
-    config.tolerance = _check_tolerance(_expect_float(raw, "tolerance", default=1e-12))
+    config.tolerance = _check_tolerance(_expect_float(raw, "tolerance", default=TOLERANCE))
     if "seed" in raw:
         config.seed = _expect_int(raw, "seed", default=None, minimum=0)
 
@@ -276,7 +275,7 @@ def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
 def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[int, dict]:
     """Execute every run the config asks for and assemble the report.
 
-    The chain is compiled once and shared by every draw and angle.
+    Every draw and angle shares the one memoized compiled chain.
     """
     started = time.perf_counter()
     try:
@@ -296,24 +295,17 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    chain = compile_chain(
-        config.n_versions, config.observers, config.photon_model, negative_control
-    )
     runs = []
     for draw_index, spec in enumerate(specs):
         if config.experiment == "appendix_rotation":
             for theta in config.thetas:
                 report = run_appendix_rotation(
-                    spec,
-                    theta,
-                    checks=config.checks,
-                    negative_control=negative_control,
-                    chain=chain,
+                    spec, theta, checks=config.checks, negative_control=negative_control
                 )
                 runs.append((draw_index, report))
         else:
             report = run_measurement_chain(
-                spec, checks=config.checks, negative_control=negative_control, chain=chain
+                spec, checks=config.checks, negative_control=negative_control
             )
             runs.append((draw_index, report))
 

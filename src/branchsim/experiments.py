@@ -10,15 +10,15 @@ are mutually orthogonal, no observer register ever holds the mixed-record
 level, observers agree, removing other branches does not change a branch's
 evolution, and perturbing one branch cannot signal another.
 
-The step operator is compiled once per chain configuration
-(``compile_chain``): the layout, the record stages (detection, then photon
-emission) composed into one label rule, and every observer's perception
-stage composed into another.  Every run, coefficient draw, rotation angle
-and check of one configuration shares that ``CompiledChain``.  A run
-evolves its initial state once; the independence check reuses the final
-state and replays each standalone version as one label row; the
-no-signaling probes reuse the post-detection state.  Functions called
-without a compiled chain build their own.
+The step operator is compiled once per chain configuration by the
+memoized ``compile_chain``: the layout, the record stages (detection, then
+photon emission) composed into one label rule, and every observer's
+perception stage composed into another.  Every run, coefficient draw,
+rotation angle and check of one configuration shares that
+``CompiledChain``.  A run evolves its initial state once; the independence
+check reuses the final state and replays every standalone version through
+one call of the step's rule; the no-signaling probes reuse the
+post-detection state.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -217,7 +218,7 @@ class RunReport:
                 {
                     "label": _label_text(self.layout, b.record_register, b.record_label),
                     "weight": b.weight,
-                    "message": _message_text(self.layout, b.record_register, b.record_label),
+                    "message": _label_text(self.layout, b.record_register, b.record_label),
                     "coefficient": [b.coefficient.real, b.coefficient.imag],
                 }
                 for b in self.branches
@@ -322,7 +323,8 @@ class CompiledChain:
     emission, composed into one label rule; ``perception`` composes every
     observer's perception stage in layout order.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so runs
-    that differ in coefficients, angle or checks share one.
+    that differ in coefficients, angle or checks share one (see
+    ``compile_chain``).
     """
 
     n_versions: int
@@ -343,12 +345,8 @@ class CompiledChain:
         post_detection = apply_unitary(self.record, state)
         return post_detection, apply_unitary(self.perception, post_detection)
 
-    def evolve_basis(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Image row and phase of each basis state (one label row each)
-        under the step, in the order given."""
-        return self.step.rule(labels)
 
-
+@lru_cache(maxsize=None)
 def compile_chain(
     n_versions: int,
     observers: int = 1,
@@ -357,8 +355,10 @@ def compile_chain(
 ) -> CompiledChain:
     """Build the layout and every stage once and compose the stages.
 
-    ``negative_control`` rewires version 1's message onto the reserved
-    mixed-record level, so tests can prove the mixed-record checks can fail.
+    Memoized: every caller in the process that asks for one configuration
+    shares one frozen chain.  ``negative_control`` rewires version 1's
+    message onto the reserved mixed-record level, so tests can prove the
+    mixed-record checks can fail.
     """
     layout = chain_layout(n_versions, observers, photon_model)
     record = build_detection_unitary(layout)
@@ -387,23 +387,12 @@ def compile_chain(
     )
 
 
-def _compiled(
-    spec: ExperimentSpec, negative_control: bool, chain: CompiledChain | None
-) -> CompiledChain:
-    """``chain`` after checking it matches the spec, or a new one; a
-    negative control that could not fail raises ``ValueError``."""
+def _compiled(spec: ExperimentSpec, negative_control: bool) -> CompiledChain:
+    """The spec's compiled chain; a negative control that could not fail
+    raises ``ValueError``."""
     if negative_control:
         spec.require_live_negative_control()
-    wanted = (spec.n_versions, spec.observers, spec.photon_model, negative_control)
-    if chain is None:
-        return compile_chain(*wanted)
-    have = (chain.n_versions, chain.observers, chain.photon_model, chain.negative_control)
-    if have != wanted:
-        raise ValueError(
-            f"compiled chain for (n_versions, observers, photon_model, "
-            f"negative_control) = {have} does not match {wanted}"
-        )
-    return chain
+    return compile_chain(spec.n_versions, spec.observers, spec.photon_model, negative_control)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +484,6 @@ def _label_text(layout, record_register, label) -> str:
     return ",".join(f"{n}={d}" for n, d in zip(names, labels))
 
 
-def _message_text(layout, record_register, label) -> str:
-    names = _record_names(record_register)
-    if len(names) == 1 and layout.register(names[0]).role == ROLE_OBSERVER:
-        return message_name(label, layout.register(names[0]).dimension)
-    return _label_text(layout, record_register, label)
-
-
 # ---------------------------------------------------------------------------
 # The main experiment
 
@@ -510,26 +492,24 @@ def run_measurement_chain(
     spec: ExperimentSpec,
     checks: Sequence[str] | None = None,
     negative_control: bool = False,
-    chain: CompiledChain | None = None,
 ) -> RunReport:
     """Run detection then perception and certify the branch structure.
 
     ``checks`` selects by name from ``CHAIN_CHECKS``; None runs all of
     them.  ``negative_control`` corrupts the perception step so that the
     first version's message lands on the reserved mixed-record level,
-    proving the mixed-record check can fail.  ``chain`` is the compiled
-    chain to share with other runs of the same configuration.
+    proving the mixed-record check can fail.
     """
     enabled = _select_checks(checks, CHAIN_CHECKS)
-    chain = _compiled(spec, negative_control, chain)
+    chain = _compiled(spec, negative_control)
     post_detection, final = chain.evolve(initial_state(chain.layout, spec.coefficients))
 
     branches = decompose_branches(final, "Obs1", spec.tolerance)
-    results = _state_checks(spec, post_detection, final, branches, enabled)
+    results = _state_checks(spec, post_detection, [final], branches, enabled)
     if "coefficient_independence" in enabled:
         results.append(
             coefficient_independence_check(
-                spec, negative_control=negative_control, chain=chain, final_state=final
+                spec, negative_control=negative_control, final_state=final
             )
         )
     if "no_signaling" in enabled:
@@ -558,13 +538,18 @@ def _select_checks(requested: Sequence[str] | None, available: Sequence[str]) ->
 def _state_checks(
     spec: ExperimentSpec,
     post_detection: StateVector,
-    final: StateVector,
+    perceived: Sequence[StateVector],
     obs_branches: Sequence[Branch],
     enabled: Sequence[str],
 ) -> list[CheckResult]:
-    """The checks evaluated directly on the run's states; ``obs_branches``
-    is the decomposition of ``final`` by the first observer's record."""
+    """The checks evaluated directly on the run's states.
+
+    ``perceived`` lists the states every observer has looked at, the run's
+    final state first; ``obs_branches`` is the decomposition of that final
+    state by the first observer's record.
+    """
     results: list[CheckResult] = []
+    final = perceived[0]
     layout = final.layout
     detector_names = tuple(r.name for r in layout.by_role(ROLE_DETECTOR))
     observer_names = [r.name for r in layout.by_role(ROLE_OBSERVER)]
@@ -594,7 +579,12 @@ def _state_checks(
         )
 
     if "mixed_record" in enabled:
-        weight = max(mixed_record_weight(final), mixed_record_weight(post_detection))
+        # Once every observer has looked, any level outside the plain
+        # messages counts, blank included.
+        weight = max(
+            mixed_record_weight(post_detection),
+            *(_non_message_weight(state) for state in perceived),
+        )
         results.append(
             CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
         )
@@ -677,6 +667,15 @@ def mixed_record_weight(state: StateVector) -> float:
     return _weight_where(state, (levels == mixed).any(axis=1))
 
 
+def _non_message_weight(state: StateVector) -> float:
+    """Weight on observer levels outside the plain messages 1..N."""
+    dims, levels = _observer_columns(state)
+    mixed = [mixed_record_level(d) for d in dims]
+    return _weight_where(
+        state, ((levels == OBSERVER_BLANK) | (levels == mixed)).any(axis=1)
+    )
+
+
 def disagreement_weight(state: StateVector) -> float:
     """Squared amplitude on basis states where observers' records differ."""
     _, levels = _observer_columns(state)
@@ -694,7 +693,6 @@ def coefficient_independence_check(
     version_states: Sequence[StateVector] | None = None,
     negative_control: bool = False,
     *,
-    chain: CompiledChain | None = None,
     final_state: StateVector | None = None,
 ) -> CheckResult:
     """Compare each branch of the full run against its standalone run.
@@ -702,33 +700,32 @@ def coefficient_independence_check(
     The versions are the armed single-path configurations, or
     ``version_states`` when given (they may be non-orthogonal, in which
     case record projection could not separate them).  Version j's
-    standalone run evolves it alone; for a configuration that is a single
-    basis state, read off the compiled step.  From the full run's final
-    state the check subtracts every other version's standalone run,
-    rescales by ``1 / a_j`` and compares with version j's.  ``final_state``
-    is that full run's final state when the caller already has it.
-    Versions with zero coefficient are skipped and noted.
+    standalone run evolves it alone; every version's rows go through one
+    call of the compiled step's rule.  From the full run's final state the
+    check subtracts every other version's standalone run, rescales by
+    ``1 / a_j`` and compares with version j's.  ``final_state`` is that full
+    run's final state when the caller already has it.  Versions with zero
+    coefficient are skipped and noted.
     """
-    chain = _compiled(spec, negative_control, chain)
+    chain = _compiled(spec, negative_control)
     layout = chain.layout
     if version_states is None:
-        starts = [_version_row(layout, j, detected=False) for j in range(spec.n_versions)]
-        if final_state is None:
-            _, final_state = chain.evolve(initial_state(layout, spec.coefficients))
-        ends, phases = chain.evolve_basis(np.array(starts))
-        singles = [
-            StateVector(layout, end[None, :], [phase]) for end, phase in zip(ends, phases)
+        version_states = [
+            product_state(layout, version_labels(layout, j, detected=False))
+            for j in range(spec.n_versions)
         ]
-    else:
-        if len(version_states) != spec.n_versions:
-            raise ValueError(
-                f"{len(version_states)} version states for {spec.n_versions} versions"
-            )
-        if final_state is None:
-            _, final_state = chain.evolve(
-                superpose(list(zip(spec.coefficients, version_states)))
-            )
-        singles = [chain.evolve(v)[1] for v in version_states]
+    elif len(version_states) != spec.n_versions:
+        raise ValueError(
+            f"{len(version_states)} version states for {spec.n_versions} versions"
+        )
+    if final_state is None:
+        _, final_state = chain.evolve(superpose(list(zip(spec.coefficients, version_states))))
+    rows, phases = chain.step.rule(np.concatenate([v.labels for v in version_states]))
+    ends = np.cumsum([len(v.values) for v in version_states])[:-1]
+    singles = [
+        StateVector(layout, image, phase * v.values)
+        for image, phase, v in zip(np.split(rows, ends), np.split(phases, ends), version_states)
+    ]
     # Every vector compared below vanishes off this joint support.
     _, (whole, *singles) = aligned(final_state, *singles)
 
@@ -822,7 +819,6 @@ def no_signaling_check(
     perturbation: UnitaryOp,
     negative_control: bool = False,
     *,
-    chain: CompiledChain | None = None,
     post_detection: StateVector | None = None,
 ) -> CheckResult:
     """Perturb the second version mid-run; the first branch must not move.
@@ -833,7 +829,7 @@ def no_signaling_check(
     ``post_detection`` is the run's state at that point when the caller
     already has it.
     """
-    chain = _compiled(spec, negative_control, chain)
+    chain = _compiled(spec, negative_control)
     layout = chain.layout
     if perturbation.layout != layout:
         raise ValueError(
@@ -880,11 +876,7 @@ def _canonical_no_signaling(
     worst = max(
         (
             no_signaling_check(
-                spec,
-                probe,
-                chain.negative_control,
-                chain=chain,
-                post_detection=post_detection,
+                spec, probe, chain.negative_control, post_detection=post_detection
             )
             for probe in probes
         ),
@@ -928,7 +920,6 @@ def run_appendix_rotation(
     theta: float,
     checks: Sequence[str] | None = None,
     negative_control: bool = False,
-    chain: CompiledChain | None = None,
 ) -> RunReport:
     """Rerun perception in a deliberately mixed basis.
 
@@ -937,13 +928,12 @@ def run_appendix_rotation(
     closed-form coefficient transform, (b) the rotated first basis vector
     evolves into the expected two-message expansion, and (c) no observer
     level outside the plain messages is ever populated -- the records are
-    properties of the state, not of the basis used to display it.  ``chain``
-    is the compiled chain to share with the other angles.
+    properties of the state, not of the basis used to display it.
     """
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
     enabled = _select_checks(checks, APPENDIX_CHECKS)
-    chain = _compiled(spec, negative_control, chain)
+    chain = _compiled(spec, negative_control)
     layout = chain.layout
 
     a1, a2 = spec.coefficients
@@ -954,8 +944,14 @@ def run_appendix_rotation(
 
     span = _version_span(layout)
     rotation = build_basis_rotation(layout, BasisRotation(theta, span))
+    primed_first = apply_unitary(
+        rotation, product_state(layout, version_labels(layout, 0, detected=True))
+    )
+    primed_evolved = apply_unitary(chain.perception, primed_first)
 
-    results = _state_checks(spec, post_detection, final, branches, enabled)
+    # The rotated-basis run is perceived too, so the mixed-record verdict
+    # covers it alongside the plain run.
+    results = _state_checks(spec, post_detection, [final, primed_evolved], branches, enabled)
 
     if "primed_coefficients" in enabled:
         rotated = apply_unitary(rotation, post_detection)
@@ -966,13 +962,6 @@ def run_appendix_rotation(
             CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
         )
 
-    primed_evolved = None
-    if "primed_evolution" in enabled or "mixed_record" in enabled:
-        primed_first = apply_unitary(
-            rotation, product_state(layout, version_labels(layout, 0, detected=True))
-        )
-        primed_evolved = apply_unitary(chain.perception, primed_first)
-
     if "primed_evolution" in enabled:
         recorded = np.array(
             [_version_row(layout, j, detected=True, message=message_level(j)) for j in (0, 1)]
@@ -982,22 +971,6 @@ def run_appendix_rotation(
         results.append(
             CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
         )
-
-    if "mixed_record" in enabled:
-        # Tighten the verdict beyond the chain version: after perception,
-        # weight on any level outside the plain messages (blank included)
-        # counts, for the plain run and the rotated-basis run alike.
-        weight = max(
-            mixed_record_weight(post_detection),
-            _non_message_weight(final),
-            _non_message_weight(primed_evolved),
-        )
-        results = [
-            r
-            if r.name != "mixed_record"
-            else CheckResult.from_residual("mixed_record", max(r.residual, weight), r.tolerance)
-            for r in results
-        ]
 
     if "record_invariance" in enabled:
         results.append(
@@ -1019,15 +992,6 @@ def _amplitude_at(state: StateVector, row: np.ndarray) -> complex:
     """The state's amplitude on the basis state with label row ``row``."""
     hit = (state.labels == row).all(axis=1)
     return state.values[hit][0] if hit.any() else 0j
-
-
-def _non_message_weight(state: StateVector) -> float:
-    """Weight on observer levels outside the plain messages 1..N."""
-    dims, levels = _observer_columns(state)
-    mixed = [mixed_record_level(d) for d in dims]
-    return _weight_where(
-        state, ((levels == OBSERVER_BLANK) | (levels == mixed)).any(axis=1)
-    )
 
 
 def _record_invariance(

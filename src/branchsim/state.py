@@ -154,15 +154,6 @@ class SubsystemLayout:
             )
         return grid
 
-    def label_offsets(self, names: Sequence[str]) -> np.ndarray:
-        """Flat offsets of every joint label of the named registers.
-
-        Every other register reads zero.  The offsets increase, so entry k
-        belongs to row k of ``label_grid(names)``.
-        """
-        strides = [self.strides[pos] for pos in sorted(self.position(n) for n in names)]
-        return self.label_grid(names) @ np.array(strides, dtype=np.int64)
-
     def require_dense_view(self) -> None:
         """``CapacityError`` unless an array over every basis state fits."""
         if self.total_dimension > DENSE_VIEW_CAP:
@@ -171,20 +162,14 @@ class SubsystemLayout:
                 f"(cap {DENSE_VIEW_CAP})"
             )
 
-    def digit_values(self, name: str) -> np.ndarray:
-        """Dense view: this register's digit at every flat index."""
-        self.require_dense_view()
-        pos = self.position(name)
-        shape = [1] * len(self.registers)
-        shape[pos] = self.registers[pos].dimension
-        levels = np.arange(shape[pos]).reshape(shape)
-        # Flattening the broadcast in C order enumerates the flat indices,
-        # so no integer division is needed.
-        return np.broadcast_to(levels, self.dimensions()).flatten()
-
     def basis_labels(self) -> np.ndarray:
         """Dense view: the label row of every flat index, in order."""
-        return np.stack([self.digit_values(name) for name in self.names()], axis=1)
+        self.require_dense_view()
+        return self.label_grid(self.names())
+
+    def digit_values(self, name: str) -> np.ndarray:
+        """Dense view: this register's digit at every flat index."""
+        return self.basis_labels()[:, self.position(name)]
 
     def flat_indices(self, labels: np.ndarray) -> np.ndarray:
         """The flat index of each label row (exact while the layout cap

@@ -8,13 +8,13 @@ import pytest
 from branchsim import (
     ExperimentSpec,
     StateVector,
+    chain_layout,
     coefficient_independence_check,
     compile_chain,
     mixed_record_level,
     no_signaling_check,
     observer_dimension,
     phase_flip_perturbation,
-    run_appendix_rotation,
     run_measurement_chain,
     version_labels,
 )
@@ -68,7 +68,7 @@ def test_single_basis_state_replay_matches_the_oracle(
     layout = chain.layout
     names, configs, condition = oracle_rules(chain)
     starts = np.array([layout.row(version_labels(layout, j, detected=False)) for j in range(n)])
-    ends, phases = chain.evolve_basis(starts)
+    ends, phases = chain.step.rule(starts)
     for start, end, phase in zip(starts, ends, phases):
         psi = StateVector(layout, start[None, :], [1.0]).amplitudes
         replayed = StateVector(layout, end[None, :], [phase]).amplitudes
@@ -78,30 +78,18 @@ def test_single_basis_state_replay_matches_the_oracle(
 
 def test_independence_check_fails_on_a_perturbed_branch():
     spec = ExperimentSpec(3, (0.6, 0.48, 0.64))
-    chain = compile_chain(3)
-    final = run_measurement_chain(spec, checks=(), chain=chain).final_state
-    clean = coefficient_independence_check(spec, chain=chain, final_state=final)
+    final = run_measurement_chain(spec, checks=()).final_state
+    clean = coefficient_independence_check(spec, final_state=final)
     assert clean.passed
 
-    layout = chain.layout
+    layout = final.layout
     branch = layout.encode(version_labels(layout, 1, detected=True, message=2))
     amplitudes = final.amplitudes.copy()
     amplitudes[branch] += 1e-9
     tampered = type(final)(layout, layout.basis_labels(), amplitudes)
-    result = coefficient_independence_check(spec, chain=chain, final_state=tampered)
+    result = coefficient_independence_check(spec, final_state=tampered)
     assert not result.passed
     assert result.residual == pytest.approx(1e-9 / 0.48, rel=1e-6)
-
-
-def test_compiled_chain_must_match_the_spec():
-    chain = compile_chain(2, observers=2)
-    spec = ExperimentSpec(2, (0.6, 0.8))
-    with pytest.raises(ValueError, match="does not match"):
-        run_measurement_chain(spec, chain=chain)
-    with pytest.raises(ValueError, match="does not match"):
-        no_signaling_check(spec, phase_flip_perturbation(chain.layout, 1), chain=chain)
-    with pytest.raises(ValueError, match="does not match"):
-        run_appendix_rotation(spec, 0.3, negative_control=True, chain=compile_chain(2))
 
 
 # -- build counts -----------------------------------------------------------------
@@ -116,7 +104,12 @@ BUILDERS = (
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Builder name -> list of the registers or angle of each build."""
+    """Builder name -> list of the registers or angle of each build.
+
+    The compiled-chain cache is cleared before and after, so chains built
+    by other tests do not hide builds and counted builders do not leak.
+    """
+    compile_chain.cache_clear()
     calls = {name: [] for name in BUILDERS}
     for name in BUILDERS:
         original = getattr(experiments, name)
@@ -126,7 +119,8 @@ def builds(monkeypatch):
             return _original(layout, *args, **kwargs)
 
         monkeypatch.setattr(experiments, name, counted)
-    return calls
+    yield calls
+    compile_chain.cache_clear()
 
 
 def test_one_run_builds_each_stage_once(builds):
@@ -136,6 +130,24 @@ def test_one_run_builds_each_stage_once(builds):
     assert builds["build_photon_emission_unitary"] == [None]
     assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
     assert builds["build_basis_rotation"] == []
+
+
+def test_library_calls_share_one_build_per_configuration(builds):
+    spec = ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2, photon_model=True)
+    probe = phase_flip_perturbation(chain_layout(3, 2, True), 1)
+    assert run_measurement_chain(spec).all_passed
+    assert run_measurement_chain(spec).all_passed
+    assert coefficient_independence_check(spec).passed
+    assert no_signaling_check(spec, probe).passed
+    assert builds["build_detection_unitary"] == [None]
+    assert builds["build_photon_emission_unitary"] == [None]
+    assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
+
+    assert not run_measurement_chain(spec, negative_control=True).all_passed
+    assert not run_measurement_chain(spec, negative_control=True).all_passed
+    assert builds["build_detection_unitary"] == [None, None]
+    assert builds["build_photon_emission_unitary"] == [None, None]
+    assert builds["build_perception_unitary"] == ["Obs1", "Obs2", "Obs1", "Obs2"]
 
 
 def write_config(tmp_path, **config):

@@ -11,6 +11,7 @@ from branchsim import (
     RunReport,
     chain_layout,
     coefficient_independence_check,
+    compile_chain,
     decompose_branches,
     disagreement_weight,
     expected_final_state,
@@ -27,9 +28,11 @@ from branchsim import (
     record_cycle_perturbation,
     run_appendix_rotation,
     run_measurement_chain,
+    standard_classical_configs,
     superpose,
     version_labels,
 )
+from branchsim import experiments
 from oracles import (
     naive_decode,
     naive_disagreement_weight,
@@ -245,6 +248,22 @@ def test_coefficient_independence_non_orthogonal_versions():
     assert result.passed and result.residual <= 1e-12
 
 
+def test_coefficient_independence_splits_uneven_version_states():
+    # Versions of 1, 3 and 2 rows: a split into equal parts, or at the
+    # wrong boundaries, pairs rows with the wrong version.
+    spec = ExperimentSpec(3, (0.6, 0.48, 0.64))
+    layout = chain_layout(3, 1)
+    armed = [product_state(layout, version_labels(layout, j, detected=False)) for j in range(3)]
+    versions = [
+        armed[0],
+        normalize(superpose([(1.0, v) for v in armed])),
+        normalize(superpose([(1.0, armed[1]), (1j, armed[2])])),
+    ]
+    assert [len(v.values) for v in versions] == [1, 3, 2]
+    result = coefficient_independence_check(spec, version_states=versions)
+    assert result.passed and result.residual <= 1e-12
+
+
 # -- no signaling ---------------------------------------------------------------
 
 
@@ -426,6 +445,26 @@ def test_mixed_record_weight_counts_any_observer_on_the_mixed_level():
         poisoned = product_state(layout, {**labels, name: 3})
         assert mixed_record_weight(poisoned) == 1.0
     assert mixed_record_weight(product_state(layout, labels)) == 0.0
+
+
+def test_mixed_record_fails_when_an_observer_never_looks(monkeypatch):
+    # Without version 2's record configuration, perception leaves the
+    # observer blank on that branch: not a plain message once it has looked.
+    def without_second(n_versions):
+        configs = standard_classical_configs(n_versions)
+        del configs[tuple(1 if k == 1 else 0 for k in range(n_versions))]
+        return configs
+
+    monkeypatch.setattr(experiments, "standard_classical_configs", without_second)
+    compile_chain.cache_clear()
+    try:
+        report = run_measurement_chain(
+            ExperimentSpec(3, (0.6, 0.48, 0.64)), checks=("mixed_record",)
+        )
+    finally:
+        compile_chain.cache_clear()
+    assert not report.checks[0].passed
+    assert report.checks[0].residual == pytest.approx(0.48**2)
 
 
 def test_spec_rejects_non_finite_and_out_of_range_inputs():

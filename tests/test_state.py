@@ -68,18 +68,22 @@ def test_index_round_trip(dims):
     st.data(),
 )
 @settings(max_examples=40)
-def test_digit_tables_and_label_offsets_match_naive_indexing(dims, data):
+def test_digit_tables_and_label_grid_match_naive_indexing(dims, data):
     layout = make_layout([(f"r{i}", d, "detector") for i, d in enumerate(dims)])
     labels = [naive_decode(dims, flat) for flat in range(layout.total_dimension)]
+    assert layout.basis_labels().tolist() == [list(lab) for lab in labels]
     for pos, name in enumerate(layout.names()):
         assert layout.digit_values(name).tolist() == [lab[pos] for lab in labels]
     chosen = data.draw(st.lists(st.sampled_from(layout.names()), unique=True))
+    kept = [p for p, n in enumerate(layout.names()) if n in chosen]
+    # The chosen registers' labels, in flat-index order of the basis states
+    # where every other register reads zero.
     others_zero = [
-        naive_encode(dims, lab)
+        [lab[p] for p in kept]
         for lab in labels
-        if all(lab[p] == 0 for p, n in enumerate(layout.names()) if n not in chosen)
+        if all(lab[p] == 0 for p in range(len(dims)) if p not in kept)
     ]
-    assert layout.label_offsets(chosen).tolist() == sorted(others_zero)
+    assert layout.label_grid(chosen).tolist() == others_zero
 
 
 def test_decode_out_of_range():
