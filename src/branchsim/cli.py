@@ -275,7 +275,8 @@ def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
 def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[int, dict]:
     """Execute every run the config asks for and assemble the report.
 
-    Every draw and angle shares the one memoized compiled chain.
+    Every draw and angle shares the one memoized compiled chain; a rotation
+    sweep makes one call per draw, which runs the plain run once.
     """
     started = time.perf_counter()
     try:
@@ -298,16 +299,16 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     runs = []
     for draw_index, spec in enumerate(specs):
         if config.experiment == "appendix_rotation":
-            for theta in config.thetas:
-                report = run_appendix_rotation(
-                    spec, theta, checks=config.checks, negative_control=negative_control
-                )
-                runs.append((draw_index, report))
-        else:
-            report = run_measurement_chain(
-                spec, checks=config.checks, negative_control=negative_control
+            reports = run_appendix_rotation(
+                spec, config.thetas, checks=config.checks, negative_control=negative_control
             )
-            runs.append((draw_index, report))
+        else:
+            reports = [
+                run_measurement_chain(
+                    spec, checks=config.checks, negative_control=negative_control
+                )
+            ]
+        runs.extend((draw_index, report) for report in reports)
 
     checks_total = sum(len(r.checks) for _, r in runs)
     checks_failed = sum(1 for _, r in runs for c in r.checks if not c.passed)

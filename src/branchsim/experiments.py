@@ -18,7 +18,9 @@ rotation angle and check of one configuration shares that
 ``CompiledChain``.  A run evolves its initial state once; the independence
 check reuses the final state and replays every standalone version through
 one call of the step's rule; the no-signaling probes reuse the
-post-detection state.
+post-detection state and take the final state as their baseline.  A
+rotation sweep runs the plain run once per coefficient draw and builds only
+the rotation and the rotated first vector per angle.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -346,7 +348,6 @@ class CompiledChain:
         return post_detection, apply_unitary(self.perception, post_detection)
 
 
-@lru_cache(maxsize=None)
 def compile_chain(
     n_versions: int,
     observers: int = 1,
@@ -355,11 +356,20 @@ def compile_chain(
 ) -> CompiledChain:
     """Build the layout and every stage once and compose the stages.
 
-    Memoized: every caller in the process that asks for one configuration
-    shares one frozen chain.  ``negative_control`` rewires version 1's
+    Memoized on the full argument list, defaults filled in: every caller in
+    the process that asks for one configuration, positionally or by
+    keyword, shares one frozen chain (``cache_info`` and ``cache_clear`` as
+    for ``functools.lru_cache``).  ``negative_control`` rewires version 1's
     message onto the reserved mixed-record level, so tests can prove the
     mixed-record checks can fail.
     """
+    return _build_chain(n_versions, observers, photon_model, negative_control)
+
+
+@lru_cache(maxsize=None)
+def _build_chain(
+    n_versions: int, observers: int, photon_model: bool, negative_control: bool
+) -> CompiledChain:
     layout = chain_layout(n_versions, observers, photon_model)
     record = build_detection_unitary(layout)
     condition = [r.name for r in layout.by_role(ROLE_DETECTOR)]
@@ -385,6 +395,10 @@ def compile_chain(
     return CompiledChain(
         n_versions, observers, photon_model, negative_control, layout, record, perception
     )
+
+
+compile_chain.cache_info = _build_chain.cache_info
+compile_chain.cache_clear = _build_chain.cache_clear
 
 
 def _compiled(spec: ExperimentSpec, negative_control: bool) -> CompiledChain:
@@ -513,7 +527,7 @@ def run_measurement_chain(
             )
         )
     if "no_signaling" in enabled:
-        results.append(_canonical_no_signaling(spec, chain, post_detection))
+        results.append(_canonical_no_signaling(spec, chain, (post_detection, final)))
 
     return RunReport(
         experiment="measurement_chain",
@@ -819,15 +833,16 @@ def no_signaling_check(
     perturbation: UnitaryOp,
     negative_control: bool = False,
     *,
-    post_detection: StateVector | None = None,
+    states: tuple[StateVector, StateVector] | None = None,
 ) -> CheckResult:
     """Perturb the second version mid-run; the first branch must not move.
 
     The perturbation is applied after the records form but before any
     observer looks.  It must be the identity on the first version's
-    configuration subspace, else ``InvalidPerturbationError``.
-    ``post_detection`` is the run's state at that point when the caller
-    already has it.
+    configuration subspace, else ``InvalidPerturbationError``.  The
+    unperturbed run is the baseline: ``states`` is its post-detection and
+    final state when the caller already has them, as ``CompiledChain.evolve``
+    returns them.
     """
     chain = _compiled(spec, negative_control)
     layout = chain.layout
@@ -842,9 +857,9 @@ def no_signaling_check(
     _require_identity_on(perturbation, _version_configuration_rows(layout, 0))
     inside = _in_version_configuration(layout, 0)
 
-    if post_detection is None:
-        post_detection, _ = chain.evolve(initial_state(layout, spec.coefficients))
-    baseline = apply_unitary(chain.perception, post_detection)
+    if states is None:
+        states = chain.evolve(initial_state(layout, spec.coefficients))
+    post_detection, baseline = states
     perturbed = apply_unitary(chain.perception, apply_unitary(perturbation, post_detection))
     residual = _distance(
         _restricted(baseline, inside(baseline.labels)),
@@ -866,7 +881,7 @@ def _require_identity_on(op: UnitaryOp, rows: np.ndarray) -> None:
 
 
 def _canonical_no_signaling(
-    spec: ExperimentSpec, chain: CompiledChain, post_detection: StateVector
+    spec: ExperimentSpec, chain: CompiledChain, states: tuple[StateVector, StateVector]
 ) -> CheckResult:
     """Worst residual over the stock phase-flip and record-cycle probes."""
     probes = [
@@ -875,9 +890,7 @@ def _canonical_no_signaling(
     ]
     worst = max(
         (
-            no_signaling_check(
-                spec, probe, chain.negative_control, post_detection=post_detection
-            )
+            no_signaling_check(spec, probe, chain.negative_control, states=states)
             for probe in probes
         ),
         key=lambda result: result.residual,
@@ -917,18 +930,24 @@ def _version_span(layout: SubsystemLayout) -> tuple[dict[str, int], ...]:
 
 def run_appendix_rotation(
     spec: ExperimentSpec,
-    theta: float,
+    thetas: Sequence[float],
     checks: Sequence[str] | None = None,
     negative_control: bool = False,
-) -> RunReport:
-    """Rerun perception in a deliberately mixed basis.
+) -> list[RunReport]:
+    """Rerun perception in a deliberately mixed basis, one report per angle.
 
     Starts from the post-detection state, rotates the two-version plane by
-    ``theta``, and certifies that (a) the rotated amplitudes follow the
-    closed-form coefficient transform, (b) the rotated first basis vector
-    evolves into the expected two-message expansion, and (c) no observer
-    level outside the plain messages is ever populated -- the records are
-    properties of the state, not of the basis used to display it.
+    each angle of ``thetas`` in turn, and certifies that (a) the rotated
+    amplitudes follow the closed-form coefficient transform, (b) the rotated
+    first basis vector evolves into the expected two-message expansion, and
+    (c) no observer level outside the plain messages is ever populated --
+    the records are properties of the state, not of the basis used to
+    display it.
+
+    The plain run does not depend on the angle, so its states, branches and
+    state checks are computed once and shared by every report.  Each angle
+    builds only its rotation, the rotated first vector and that vector's
+    perceived image, and evaluates only the checks that read them.
     """
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
@@ -938,54 +957,64 @@ def run_appendix_rotation(
 
     a1, a2 = spec.coefficients
     versions = np.array([_version_row(layout, j, detected=True) for j in (0, 1)])
+    recorded = np.array(
+        [_version_row(layout, j, detected=True, message=message_level(j)) for j in (0, 1)]
+    )
     post_detection = StateVector(layout, versions, [a1, a2])
     final = apply_unitary(chain.perception, post_detection)
     branches = decompose_branches(final, "Obs1", spec.tolerance)
+    plain = _state_checks(spec, post_detection, [final], branches, enabled)
 
     span = _version_span(layout)
-    rotation = build_basis_rotation(layout, BasisRotation(theta, span))
-    primed_first = apply_unitary(
-        rotation, product_state(layout, version_labels(layout, 0, detected=True))
-    )
-    primed_evolved = apply_unitary(chain.perception, primed_first)
+    first = product_state(layout, version_labels(layout, 0, detected=True))
+    reports = []
+    for theta in thetas:
+        rotation = build_basis_rotation(layout, BasisRotation(theta, span))
+        primed_evolved = apply_unitary(chain.perception, apply_unitary(rotation, first))
+        results = list(plain)
 
-    # The rotated-basis run is perceived too, so the mixed-record verdict
-    # covers it alongside the plain run.
-    results = _state_checks(spec, post_detection, [final, primed_evolved], branches, enabled)
+        if "mixed_record" in enabled:
+            # The rotated-basis run is perceived too: the verdict is the
+            # worse of it and the plain run.
+            (primed,) = _state_checks(
+                spec, post_detection, [primed_evolved], branches, ["mixed_record"]
+            )
+            at = [r.name for r in results].index("mixed_record")
+            results[at] = max(results[at], primed, key=lambda r: r.residual)
 
-    if "primed_coefficients" in enabled:
-        rotated = apply_unitary(rotation, post_detection)
-        computed = [_amplitude_at(rotated, row) for row in versions]
-        formula = primed_coefficients(a1, a2, theta)
-        residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
-        results.append(
-            CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
+        if "primed_coefficients" in enabled:
+            rotated = apply_unitary(rotation, post_detection)
+            computed = [_amplitude_at(rotated, row) for row in versions]
+            formula = primed_coefficients(a1, a2, theta)
+            residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
+            results.append(
+                CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
+            )
+
+        if "primed_evolution" in enabled:
+            target = StateVector(layout, recorded, [np.cos(theta), np.sin(theta)])
+            residual = _distance(primed_evolved, target)
+            results.append(
+                CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
+            )
+
+        if "record_invariance" in enabled:
+            results.append(
+                _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
+            )
+
+        reports.append(
+            RunReport(
+                experiment="appendix_rotation",
+                spec=spec,
+                theta=theta,
+                layout=layout,
+                final_state=final,
+                branches=list(branches),
+                checks=results,
+            )
         )
-
-    if "primed_evolution" in enabled:
-        recorded = np.array(
-            [_version_row(layout, j, detected=True, message=message_level(j)) for j in (0, 1)]
-        )
-        target = StateVector(layout, recorded, [np.cos(theta), np.sin(theta)])
-        residual = _distance(primed_evolved, target)
-        results.append(
-            CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
-        )
-
-    if "record_invariance" in enabled:
-        results.append(
-            _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
-        )
-
-    return RunReport(
-        experiment="appendix_rotation",
-        spec=spec,
-        theta=theta,
-        layout=layout,
-        final_state=final,
-        branches=branches,
-        checks=results,
-    )
+    return reports
 
 
 def _amplitude_at(state: StateVector, row: np.ndarray) -> complex:

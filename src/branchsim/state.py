@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,14 +177,12 @@ class SubsystemLayout:
         return labels @ np.array(self.strides, dtype=np.int64)
 
     def drop(self, names: Sequence[str]) -> "SubsystemLayout":
-        """Layout with the named registers removed (order preserved)."""
-        dropped = set(names)
-        for name in dropped:
-            self.position(name)  # raise on unknown names
-        remaining = [r for r in self.registers if r.name not in dropped]
-        if not remaining:
-            raise ValueError("cannot drop every register from a layout")
-        return make_layout([(r.name, r.dimension, r.role) for r in remaining])
+        """Layout with the named registers removed (order preserved).
+
+        Memoized over the 256 most recent requests: equal layouts dropping
+        one set of names, in any order, get the same layout object.
+        """
+        return _dropped(self, frozenset(names))
 
     def _labels_to_digits(self, labels: Sequence[int] | Mapping[str, int]) -> tuple[int, ...]:
         if isinstance(labels, Mapping):
@@ -255,6 +253,16 @@ def make_layout(
         strides=tuple(strides),
         _positions={r.name: i for i, r in enumerate(regs)},
     )
+
+
+@lru_cache(maxsize=256)
+def _dropped(layout: SubsystemLayout, names: frozenset[str]) -> SubsystemLayout:
+    for name in names:
+        layout.position(name)  # raise on unknown names
+    remaining = [r for r in layout.registers if r.name not in names]
+    if not remaining:
+        raise ValueError("cannot drop every register from a layout")
+    return make_layout([(r.name, r.dimension, r.role) for r in remaining])
 
 
 @dataclass(frozen=True)

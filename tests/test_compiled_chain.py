@@ -150,6 +150,21 @@ def test_library_calls_share_one_build_per_configuration(builds):
     assert builds["build_perception_unitary"] == ["Obs1", "Obs2", "Obs1", "Obs2"]
 
 
+def test_every_call_form_of_one_configuration_shares_one_chain():
+    compile_chain.cache_clear()
+    try:
+        chains = [
+            compile_chain(2),
+            compile_chain(2, 1, False, False),
+            compile_chain(n_versions=2),
+        ]
+        info = compile_chain.cache_info()
+    finally:
+        compile_chain.cache_clear()
+    assert (info.misses, info.hits) == (1, 2)
+    assert chains[0] is chains[1] is chains[2]
+
+
 def write_config(tmp_path, **config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")

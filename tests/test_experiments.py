@@ -202,6 +202,17 @@ def test_decompose_requires_unit_state_and_known_register():
         decompose_branches(state, "Obs9")
 
 
+def test_decompositions_of_one_state_share_one_relative_layout():
+    _, state = recorded_state(0.6, 0.8)
+    first = decompose_branches(state, "Obs1")
+    second = decompose_branches(state, "Obs1")
+    relative = first[0].relative_state.layout
+    assert all(b.relative_state.layout is relative for b in first + second)
+    assert relative == state.layout.drop(["Obs1"])
+    joint = decompose_branches(state, ("DH", "DV"))
+    assert joint[0].relative_state.layout is state.layout.drop(["DV", "DH"])
+
+
 def test_branch_weights_sum_to_one():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5):
@@ -312,6 +323,26 @@ def test_probes_act_on_exactly_one_version_configuration():
         assert (cycle.perm[flat] != flat) == inside
 
 
+def test_run_probes_take_the_final_state_as_their_baseline(monkeypatch):
+    applied = []
+    original = experiments.apply_unitary
+
+    def counted(op, state):
+        applied.append(op.provenance)
+        return original(op, state)
+
+    monkeypatch.setattr(experiments, "apply_unitary", counted)
+    spec = ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2)
+    report = run_measurement_chain(spec, checks=("no_signaling",))
+    assert report.all_passed
+    # The run's record and perception steps, then per probe only the
+    # perturbation and the perturbed state's perception.
+    assert len(applied) == 2 + 2 * 2
+    applied.clear()
+    standalone = no_signaling_check(spec, phase_flip_perturbation(report.layout, 1))
+    assert standalone.passed and len(applied) == 2 + 2
+
+
 def test_no_signaling_with_photons():
     spec = ExperimentSpec(2, (0.6, 0.8), photon_model=True)
     layout = chain_layout(2, 1, photon_model=True)
@@ -349,7 +380,7 @@ def test_agreement_three_observers_three_versions():
 
 def test_rotation_at_zero_reduces_to_plain_perception():
     spec = ExperimentSpec(2, (0.6, 0.8))
-    report = run_appendix_rotation(spec, 0.0)
+    (report,) = run_appendix_rotation(spec, [0.0])
     assert report.all_passed
     target = expected_final_state(report.layout, spec.coefficients)
     assert np.linalg.norm(report.final_state.amplitudes - target.amplitudes) <= 1e-12
@@ -359,31 +390,46 @@ def test_primed_coefficients_at_quarter_turn():
     b1, b2 = primed_coefficients(1.0, 0.0, np.pi / 4)
     assert abs(b1 - 0.7071067811865476) <= 1e-12
     assert abs(b2 - 0.7071067811865476) <= 1e-12
-    report = run_appendix_rotation(ExperimentSpec(2, (1.0, 0.0)), np.pi / 4)
+    (report,) = run_appendix_rotation(ExperimentSpec(2, (1.0, 0.0)), [np.pi / 4])
     assert check_by_name(report, "primed_coefficients").passed
 
 
 def test_theta_sweep_never_populates_the_mixed_level():
     spec = ExperimentSpec(2, (0.6, 0.8))
     for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
-        report = run_appendix_rotation(spec, float(theta))
+        (report,) = run_appendix_rotation(spec, [float(theta)])
         assert report.all_passed
         assert check_by_name(report, "mixed_record").residual <= 1e-24
 
 
+@pytest.mark.parametrize("negative_control", [False, True])
+def test_rotation_sweep_matches_one_angle_calls(negative_control):
+    # Shuffled angles with one repeated: a report must not depend on the
+    # angles swept before it.  Under the negative control the mixed-record
+    # residual is max(0.36, cos(theta)**2), so it varies with the angle.
+    spec = ExperimentSpec(2, (0.6, 0.8j), observers=2, photon_model=True)
+    thetas = [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]
+    reports = run_appendix_rotation(spec, thetas, negative_control=negative_control)
+    assert [r.theta for r in reports] == thetas
+    for theta, report in zip(thetas, reports):
+        (alone,) = run_appendix_rotation(spec, [theta], negative_control=negative_control)
+        assert report.to_dict() == alone.to_dict()
+    assert run_appendix_rotation(spec, []) == []
+
+
 def test_appendix_rejects_more_than_two_versions():
     with pytest.raises(ValueError, match="two versions"):
-        run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), 0.3)
+        run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), [0.3])
 
 
 def test_appendix_negative_control_fails_mixed_record():
-    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), 0.7, negative_control=True)
+    (report,) = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), [0.7], negative_control=True)
     assert not check_by_name(report, "mixed_record").passed
     assert not report.all_passed
 
 
 def test_record_invariance_check_present_and_passing():
-    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), 1.2)
+    (report,) = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), [1.2])
     invariance = check_by_name(report, "record_invariance")
     assert invariance.passed and invariance.residual <= 1e-12
 
@@ -495,7 +541,7 @@ def test_negative_control_that_cannot_fail_is_rejected():
     with pytest.raises(ValueError, match="negative control"):
         run_measurement_chain(spec, negative_control=True)
     with pytest.raises(ValueError, match="negative control"):
-        run_appendix_rotation(spec, np.pi / 2, negative_control=True)
+        run_appendix_rotation(spec, [np.pi / 2], negative_control=True)
     with pytest.raises(ValueError, match="negative control"):
         coefficient_independence_check(spec, negative_control=True)
     # A first coefficient just above the tolerance is kept, and fails.
