@@ -44,6 +44,7 @@ from .experiments import (
     Branch,
     CompiledChain,
     ExperimentSpec,
+    PlainRotationRun,
     RunReport,
     chain_layout,
     coefficient_independence_check,
@@ -56,6 +57,7 @@ from .experiments import (
     multi_observer_agreement,
     no_signaling_check,
     phase_flip_perturbation,
+    plain_rotation_run,
     primed_coefficients,
     reconstruct_branches,
     record_cycle_perturbation,

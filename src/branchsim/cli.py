@@ -26,6 +26,7 @@ from .experiments import (
     MIN_TOLERANCE,
     ExperimentSpec,
     is_normalized,
+    plain_rotation_run,
     run_appendix_rotation,
     run_measurement_chain,
 )
@@ -276,7 +277,8 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     """Execute every run the config asks for and assemble the report.
 
     Every draw and angle shares the one memoized compiled chain; a rotation
-    sweep makes one call per draw, which runs the plain run once.
+    sweep certifies each draw's unrotated run once and shares it across the
+    angles.
     """
     started = time.perf_counter()
     try:
@@ -299,16 +301,17 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     runs = []
     for draw_index, spec in enumerate(specs):
         if config.experiment == "appendix_rotation":
-            reports = run_appendix_rotation(
-                spec, config.thetas, checks=config.checks, negative_control=negative_control
-            )
-        else:
-            reports = [
-                run_measurement_chain(
-                    spec, checks=config.checks, negative_control=negative_control
+            plain = plain_rotation_run(spec, config.checks, negative_control)
+            for theta in config.thetas:
+                report = run_appendix_rotation(
+                    spec, theta, config.checks, negative_control, plain=plain
                 )
-            ]
-        runs.extend((draw_index, report) for report in reports)
+                runs.append((draw_index, report))
+        else:
+            report = run_measurement_chain(
+                spec, checks=config.checks, negative_control=negative_control
+            )
+            runs.append((draw_index, report))
 
     checks_total = sum(len(r.checks) for _, r in runs)
     checks_failed = sum(1 for _, r in runs for c in r.checks if not c.passed)

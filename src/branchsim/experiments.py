@@ -19,8 +19,10 @@ rotation angle and check of one configuration shares that
 check reuses the final state and replays every standalone version through
 one call of the step's rule; the no-signaling probes reuse the
 post-detection state and take the final state as their baseline.  A
-rotation sweep runs the plain run once per coefficient draw and builds only
-the rotation and the rotated first vector per angle.
+rotation sweep evolves and certifies the unrotated run once per coefficient
+draw (``plain_rotation_run``) and passes it to each angle's
+``run_appendix_rotation``, which builds only the rotation, the rotated first
+vector and that vector's perceived image.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -356,12 +358,14 @@ def compile_chain(
 ) -> CompiledChain:
     """Build the layout and every stage once and compose the stages.
 
-    Memoized on the full argument list, defaults filled in: every caller in
-    the process that asks for one configuration, positionally or by
-    keyword, shares one frozen chain (``cache_info`` and ``cache_clear`` as
-    for ``functools.lru_cache``).  ``negative_control`` rewires version 1's
-    message onto the reserved mixed-record level, so tests can prove the
-    mixed-record checks can fail.
+    Memoized on the full argument list, defaults filled in, so that every
+    caller in the process that asks for one configuration gets the same
+    frozen chain and its stages are built once; ``lru_cache`` alone keys on
+    how the call is spelled, and ``compile_chain(2)`` and
+    ``compile_chain(n_versions=2)`` would each build one.  ``cache_info``
+    and ``cache_clear`` are those of the cache.  ``negative_control``
+    rewires version 1's message onto the reserved mixed-record level, so
+    tests can prove the mixed-record checks can fail.
     """
     return _build_chain(n_versions, observers, photon_model, negative_control)
 
@@ -928,93 +932,133 @@ def _version_span(layout: SubsystemLayout) -> tuple[dict[str, int], ...]:
     return tuple({k: v for k, v in l.items() if k not in observers} for l in labels)
 
 
-def run_appendix_rotation(
+@dataclass(frozen=True)
+class PlainRotationRun:
+    """The angle-free half of the rotation experiment for one coefficient draw.
+
+    The plain run's post-detection and final states, its branches by the
+    first observer's record and the checks that read only those states do
+    not depend on the rotation angle.  A sweep computes them once with
+    ``plain_rotation_run`` and passes them to every angle's
+    ``run_appendix_rotation``.
+    """
+
+    spec: ExperimentSpec
+    enabled: tuple[str, ...]
+    chain: CompiledChain
+    post_detection: StateVector
+    final: StateVector
+    branches: tuple[Branch, ...]
+    checks: tuple[CheckResult, ...]
+
+
+def plain_rotation_run(
     spec: ExperimentSpec,
-    thetas: Sequence[float],
     checks: Sequence[str] | None = None,
     negative_control: bool = False,
-) -> list[RunReport]:
-    """Rerun perception in a deliberately mixed basis, one report per angle.
-
-    Starts from the post-detection state, rotates the two-version plane by
-    each angle of ``thetas`` in turn, and certifies that (a) the rotated
-    amplitudes follow the closed-form coefficient transform, (b) the rotated
-    first basis vector evolves into the expected two-message expansion, and
-    (c) no observer level outside the plain messages is ever populated --
-    the records are properties of the state, not of the basis used to
-    display it.
-
-    The plain run does not depend on the angle, so its states, branches and
-    state checks are computed once and shared by every report.  Each angle
-    builds only its rotation, the rotated first vector and that vector's
-    perceived image, and evaluates only the checks that read them.
-    """
+) -> PlainRotationRun:
+    """Evolve and certify the unrotated run of the rotation experiment."""
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
-    enabled = _select_checks(checks, APPENDIX_CHECKS)
+    enabled = tuple(_select_checks(checks, APPENDIX_CHECKS))
     chain = _compiled(spec, negative_control)
     layout = chain.layout
-
-    a1, a2 = spec.coefficients
     versions = np.array([_version_row(layout, j, detected=True) for j in (0, 1)])
-    recorded = np.array(
-        [_version_row(layout, j, detected=True, message=message_level(j)) for j in (0, 1)]
-    )
-    post_detection = StateVector(layout, versions, [a1, a2])
+    post_detection = StateVector(layout, versions, spec.coefficients)
     final = apply_unitary(chain.perception, post_detection)
     branches = decompose_branches(final, "Obs1", spec.tolerance)
-    plain = _state_checks(spec, post_detection, [final], branches, enabled)
+    results = _state_checks(spec, post_detection, [final], branches, enabled)
+    return PlainRotationRun(
+        spec, enabled, chain, post_detection, final, tuple(branches), tuple(results)
+    )
 
-    span = _version_span(layout)
-    first = product_state(layout, version_labels(layout, 0, detected=True))
-    reports = []
-    for theta in thetas:
-        rotation = build_basis_rotation(layout, BasisRotation(theta, span))
-        primed_evolved = apply_unitary(chain.perception, apply_unitary(rotation, first))
-        results = list(plain)
 
-        if "mixed_record" in enabled:
-            # The rotated-basis run is perceived too: the verdict is the
-            # worse of it and the plain run.
-            (primed,) = _state_checks(
-                spec, post_detection, [primed_evolved], branches, ["mixed_record"]
-            )
-            at = [r.name for r in results].index("mixed_record")
-            results[at] = max(results[at], primed, key=lambda r: r.residual)
+def run_appendix_rotation(
+    spec: ExperimentSpec,
+    theta: float,
+    checks: Sequence[str] | None = None,
+    negative_control: bool = False,
+    *,
+    plain: PlainRotationRun | None = None,
+) -> RunReport:
+    """Rerun perception in a deliberately mixed basis.
 
-        if "primed_coefficients" in enabled:
-            rotated = apply_unitary(rotation, post_detection)
-            computed = [_amplitude_at(rotated, row) for row in versions]
-            formula = primed_coefficients(a1, a2, theta)
-            residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
-            results.append(
-                CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
-            )
+    Starts from the post-detection state, rotates the two-version plane by
+    ``theta``, and certifies that (a) the rotated amplitudes follow the
+    closed-form coefficient transform, (b) the rotated first basis vector
+    evolves into the expected two-message expansion, and (c) no observer
+    level outside the plain messages is ever populated -- the records are
+    properties of the state, not of the basis used to display it.
 
-        if "primed_evolution" in enabled:
-            target = StateVector(layout, recorded, [np.cos(theta), np.sin(theta)])
-            residual = _distance(primed_evolved, target)
-            results.append(
-                CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
-            )
+    ``plain`` is ``plain_rotation_run`` of the same spec, checks and
+    negative control; a sweep over angles passes it so that the plain run
+    is evolved and certified once per draw.  Without it the call computes
+    it.  Per angle only the rotation, the rotated first vector and its
+    perceived image are built.
+    """
+    if plain is None:
+        plain = plain_rotation_run(spec, checks, negative_control)
+    elif (plain.spec, plain.enabled, plain.chain.negative_control) != (
+        spec,
+        tuple(_select_checks(checks, APPENDIX_CHECKS)),
+        negative_control,
+    ):
+        raise ValueError("plain run was made for another spec, check list or control")
+    enabled = plain.enabled
+    chain = plain.chain
+    layout = chain.layout
+    post_detection, final, branches = plain.post_detection, plain.final, plain.branches
 
-        if "record_invariance" in enabled:
-            results.append(
-                _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
-            )
+    rotation = build_basis_rotation(layout, BasisRotation(theta, _version_span(layout)))
+    primed_first = apply_unitary(
+        rotation, product_state(layout, version_labels(layout, 0, detected=True))
+    )
+    primed_evolved = apply_unitary(chain.perception, primed_first)
 
-        reports.append(
-            RunReport(
-                experiment="appendix_rotation",
-                spec=spec,
-                theta=theta,
-                layout=layout,
-                final_state=final,
-                branches=list(branches),
-                checks=results,
-            )
+    results = list(plain.checks)
+    if "mixed_record" in enabled:
+        # The rotated-basis run is perceived too: the verdict is the worse
+        # of it and the plain run.
+        (primed,) = _state_checks(
+            spec, post_detection, [primed_evolved], branches, ["mixed_record"]
         )
-    return reports
+        at = [r.name for r in results].index("mixed_record")
+        results[at] = max(results[at], primed, key=lambda r: r.residual)
+
+    if "primed_coefficients" in enabled:
+        rotated = apply_unitary(rotation, post_detection)
+        versions = [_version_row(layout, j, detected=True) for j in (0, 1)]
+        computed = [_amplitude_at(rotated, row) for row in versions]
+        formula = primed_coefficients(*spec.coefficients, theta)
+        residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
+        results.append(
+            CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
+        )
+
+    if "primed_evolution" in enabled:
+        recorded = np.array(
+            [_version_row(layout, j, detected=True, message=message_level(j)) for j in (0, 1)]
+        )
+        target = StateVector(layout, recorded, [np.cos(theta), np.sin(theta)])
+        residual = _distance(primed_evolved, target)
+        results.append(
+            CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
+        )
+
+    if "record_invariance" in enabled:
+        results.append(
+            _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
+        )
+
+    return RunReport(
+        experiment="appendix_rotation",
+        spec=spec,
+        theta=theta,
+        layout=layout,
+        final_state=final,
+        branches=list(branches),
+        checks=results,
+    )
 
 
 def _amplitude_at(state: StateVector, row: np.ndarray) -> complex:

@@ -179,8 +179,9 @@ class SubsystemLayout:
     def drop(self, names: Sequence[str]) -> "SubsystemLayout":
         """Layout with the named registers removed (order preserved).
 
-        Memoized over the 256 most recent requests: equal layouts dropping
-        one set of names, in any order, get the same layout object.
+        Memoized: equal layouts dropping one set of names, in any order, get
+        the same layout object, so the branch decompositions and reduced
+        density matrices of a run build each relative layout once.
         """
         return _dropped(self, frozenset(names))
 
@@ -255,7 +256,7 @@ def make_layout(
     )
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _dropped(layout: SubsystemLayout, names: frozenset[str]) -> SubsystemLayout:
     for name in names:
         layout.position(name)  # raise on unknown names

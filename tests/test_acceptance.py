@@ -125,7 +125,7 @@ def test_criterion_4_rotated_basis_and_negative_control(tmp_path):
     for coefficients in pairs:
         spec = ExperimentSpec(2, coefficients)
         for theta in thetas:
-            (report,) = run_appendix_rotation(spec, [theta], checks=wanted)
+            report = run_appendix_rotation(spec, theta, checks=wanted)
             worst_a = max(worst_a, check(report, "primed_coefficients").residual)
             worst_b = max(worst_b, check(report, "primed_evolution").residual)
             worst_c = max(worst_c, check(report, "mixed_record").residual)

@@ -22,6 +22,7 @@ from branchsim import (
     no_signaling_check,
     normalize,
     phase_flip_perturbation,
+    plain_rotation_run,
     primed_coefficients,
     product_state,
     reconstruct_branches,
@@ -380,7 +381,7 @@ def test_agreement_three_observers_three_versions():
 
 def test_rotation_at_zero_reduces_to_plain_perception():
     spec = ExperimentSpec(2, (0.6, 0.8))
-    (report,) = run_appendix_rotation(spec, [0.0])
+    report = run_appendix_rotation(spec, 0.0)
     assert report.all_passed
     target = expected_final_state(report.layout, spec.coefficients)
     assert np.linalg.norm(report.final_state.amplitudes - target.amplitudes) <= 1e-12
@@ -390,46 +391,58 @@ def test_primed_coefficients_at_quarter_turn():
     b1, b2 = primed_coefficients(1.0, 0.0, np.pi / 4)
     assert abs(b1 - 0.7071067811865476) <= 1e-12
     assert abs(b2 - 0.7071067811865476) <= 1e-12
-    (report,) = run_appendix_rotation(ExperimentSpec(2, (1.0, 0.0)), [np.pi / 4])
+    report = run_appendix_rotation(ExperimentSpec(2, (1.0, 0.0)), np.pi / 4)
     assert check_by_name(report, "primed_coefficients").passed
 
 
 def test_theta_sweep_never_populates_the_mixed_level():
     spec = ExperimentSpec(2, (0.6, 0.8))
     for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
-        (report,) = run_appendix_rotation(spec, [float(theta)])
+        report = run_appendix_rotation(spec, float(theta))
         assert report.all_passed
         assert check_by_name(report, "mixed_record").residual <= 1e-24
 
 
 @pytest.mark.parametrize("negative_control", [False, True])
 def test_rotation_sweep_matches_one_angle_calls(negative_control):
-    # Shuffled angles with one repeated: a report must not depend on the
-    # angles swept before it.  Under the negative control the mixed-record
-    # residual is max(0.36, cos(theta)**2), so it varies with the angle.
+    # One plain run shared over shuffled angles with one repeated: a report
+    # must not depend on the angles swept before it.  Under the negative
+    # control the mixed-record residual is max(0.36, cos(theta)**2), so it
+    # varies with the angle.
     spec = ExperimentSpec(2, (0.6, 0.8j), observers=2, photon_model=True)
-    thetas = [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]
-    reports = run_appendix_rotation(spec, thetas, negative_control=negative_control)
-    assert [r.theta for r in reports] == thetas
-    for theta, report in zip(thetas, reports):
-        (alone,) = run_appendix_rotation(spec, [theta], negative_control=negative_control)
-        assert report.to_dict() == alone.to_dict()
-    assert run_appendix_rotation(spec, []) == []
+    plain = plain_rotation_run(spec, negative_control=negative_control)
+    for theta in [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]:
+        swept = run_appendix_rotation(spec, theta, negative_control=negative_control, plain=plain)
+        alone = run_appendix_rotation(spec, theta, negative_control=negative_control)
+        assert swept.to_dict() == alone.to_dict()
+
+
+def test_rotation_rejects_a_plain_run_of_another_configuration():
+    spec = ExperimentSpec(2, (0.6, 0.8))
+    plain = plain_rotation_run(spec)
+    mismatched = [
+        (ExperimentSpec(2, (0.8, 0.6)), {}),
+        (spec, {"checks": ("mixed_record",)}),
+        (spec, {"negative_control": True}),
+    ]
+    for other, options in mismatched:
+        with pytest.raises(ValueError, match="plain run"):
+            run_appendix_rotation(other, 0.3, plain=plain, **options)
 
 
 def test_appendix_rejects_more_than_two_versions():
     with pytest.raises(ValueError, match="two versions"):
-        run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), [0.3])
+        run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), 0.3)
 
 
 def test_appendix_negative_control_fails_mixed_record():
-    (report,) = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), [0.7], negative_control=True)
+    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), 0.7, negative_control=True)
     assert not check_by_name(report, "mixed_record").passed
     assert not report.all_passed
 
 
 def test_record_invariance_check_present_and_passing():
-    (report,) = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), [1.2])
+    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), 1.2)
     invariance = check_by_name(report, "record_invariance")
     assert invariance.passed and invariance.residual <= 1e-12
 
@@ -541,7 +554,7 @@ def test_negative_control_that_cannot_fail_is_rejected():
     with pytest.raises(ValueError, match="negative control"):
         run_measurement_chain(spec, negative_control=True)
     with pytest.raises(ValueError, match="negative control"):
-        run_appendix_rotation(spec, [np.pi / 2], negative_control=True)
+        run_appendix_rotation(spec, np.pi / 2, negative_control=True)
     with pytest.raises(ValueError, match="negative control"):
         coefficient_independence_check(spec, negative_control=True)
     # A first coefficient just above the tolerance is kept, and fails.

@@ -66,7 +66,7 @@ def test_full_chain_suite_runs_on_the_support(
 def test_rotation_suite_runs_on_the_support(no_dense_views):
     spec = ExperimentSpec(2, (0.6, 0.8j), observers=4, photon_model=True)
     for theta in (0.0, 0.7, -2.3):
-        (report,) = run_appendix_rotation(spec, [theta])
+        report = run_appendix_rotation(spec, theta)
         assert sorted(c.name for c in report.checks) == sorted(branchsim.APPENDIX_CHECKS)
         assert report.all_passed
 
