@@ -1,12 +1,13 @@
 """Walk a two-path measurement chain one unitary step at a time.
 
 A particle split across a horizontal and a vertical path hits a detector
-bank; an observer then reads off the detectors.  Printing the composite
-state after each step shows the superposition never collapsing -- it
-grows into two fully-recorded branches that share no basis state.
+bank; an observer then reads off the detectors.  Each step is a table of
+controlled rewrites (path j flips detector j; record j writes message j),
+and ``verify_unitary`` proves it unitary from that table alone.  Printing
+the composite state after each step shows the superposition never
+collapsing -- it grows into two fully-recorded branches that share no
+basis state.
 """
-
-import numpy as np
 
 from branchsim import (
     ExperimentSpec,
@@ -26,13 +27,14 @@ A1, A2 = 0.6, 0.8j
 
 
 def show(title, state):
+    """Print the state's support: one row of register labels per basis state
+    it occupies, in flat-index order."""
     print(f"\n{title}")
-    layout = state.layout
-    names = layout.names()
-    for flat in np.flatnonzero(np.abs(state.amplitudes) > 1e-12):
-        labels = layout.decode(int(flat))
-        ket = " ".join(f"{n}={v}" for n, v in zip(names, labels))
-        print(f"  {state.amplitudes[flat]:+.4f}  |{ket}>")
+    names = state.layout.names()
+    for labels, amplitude in zip(state.labels.tolist(), state.values):
+        if abs(amplitude) > 1e-12:
+            ket = " ".join(f"{n}={v}" for n, v in zip(names, labels))
+            print(f"  {amplitude:+.4f}  |{ket}>")
 
 
 layout = chain_layout(n_versions=2, observers=1)

@@ -17,6 +17,7 @@ from .analysis import (
 from .dynamics import (
     BasisRotation,
     CheckResult,
+    ControlledRewrite,
     PairedRotation,
     UnitaryOp,
     apply_unitary,

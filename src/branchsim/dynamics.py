@@ -1,32 +1,37 @@
 """Construction and application of the evolution operators.
 
-Every step of the measurement chain is a controlled permutation of the
-computational basis (detection toggles a detector conditioned on the path,
-perception transposes an observer level conditioned on the record).  Each is
-defined once, as a vectorized rule that rewrites label rows: a ``UnitaryOp``
-maps every row of a (k x registers) label array to its image row and phase,
-so applying it to a state touches only the state's support.  The mixed-basis
-rotation turns disjoint pairs of basis states within their planes; a
-``PairedRotation`` stores the two configurations of the registers it fixes
-and one angle, and acts on the rows that read either configuration.
+Every step of the measurement chain acts on one version's configuration at a
+time: a control configuration selects a permutation, with phases, of one
+target register that the control does not read.  Each step is therefore
+defined once, as a ``ControlledRewrite`` table: control register positions,
+the control rows (``when``) it acts on and, for each row, the target
+position (or none), the image of each target level and the phase picked up
+there.  A ``UnitaryOp`` is a sequence of such tables applied in order to the
+(k x registers) label rows of a state, so applying it touches only the
+state's support.  ``compose`` concatenates the tables and ``adjoint``
+inverts each one.
 
-``UnitaryOp.perm``/``phases`` and ``to_matrix()`` are dense views for oracle
-comparisons: the same rule evaluated on the label row of every basis state,
-refused above ``state.DENSE_VIEW_CAP`` (``DENSE_DIMENSION_CAP`` for
-matrices).  Nothing on the run path builds them.
+A table is unitary when its control positions are distinct and exclude
+the target, its ``when`` rows are distinct and in range, every image is a
+permutation and every phase has modulus 1: each control row then permutes,
+with phases, the basis states it selects, and they stay selected.
+``verify_unitary`` proves those conditions from the table alone, in
+O(entries x levels) whatever the dimension.
 
-Permutation convention: ``U e_i = phases[i] * e_perm[i]``.
+The mixed-basis rotation turns disjoint pairs of basis states within their
+planes; a ``PairedRotation`` stores the two configurations of the registers
+it fixes and one angle, and acts on the rows that read either configuration.
+
+Convention: ``U e_x = phase(x) e_image(x)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError
 from .state import (
     DETECTOR_YES,
     OBSERVER_BLANK,
@@ -42,12 +47,8 @@ from .state import (
     union_rows,
 )
 
-# Dense matrices only below this dimension, for oracle comparisons.
-DENSE_DIMENSION_CAP = 4096
-
-# A label rule maps a (k x registers) label array to the image rows and the
-# k phases; it never writes to its argument.
-LabelRule = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# Image of a two-level register that a rewrite flips.
+FLIP = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -72,78 +73,117 @@ class CheckResult:
         return cls(name, True, 0.0, 0.0, True, detail)
 
 
-def unit_phases(labels: np.ndarray) -> np.ndarray:
-    return np.ones(len(labels), dtype=complex)
+@dataclass(frozen=True, eq=False)
+class ControlledRewrite:
+    """One controlled rewrite of label rows.
+
+    Entry e applies to the rows whose registers at ``control`` read
+    ``when[e]``: it sends level l of register ``target[e]`` to
+    ``image[e, l]`` and multiplies the amplitude by ``phase[e, l]``.  A
+    target of -1 names no register; such an entry reads level 0 and only
+    multiplies by its phase.  Rows that match no entry are left alone.
+    ``target``, ``image`` and ``phase`` broadcast over the entries.  Every
+    entry's target has ``image.shape[1]`` levels, counting a missing target
+    as one level.
+    """
+
+    control: tuple[int, ...]
+    when: np.ndarray
+    target: np.ndarray
+    image: np.ndarray
+    phase: np.ndarray = 1.0
+
+    def __post_init__(self):
+        when = np.asarray(self.when, dtype=np.int64)
+        image = np.asarray(self.image, dtype=np.int64)
+        if when.ndim != 2 or when.shape[1] != len(self.control) or image.ndim != 2:
+            raise ValueError(
+                f"{when.shape} control rows and {image.shape} images do not describe a "
+                f"table over {len(self.control)} control registers"
+            )
+        shape = (len(when), image.shape[1])
+        for name, value in (
+            ("control", tuple(int(c) for c in self.control)),
+            ("when", when),
+            ("target", np.broadcast_to(np.asarray(self.target, dtype=np.int64), shape[:1])),
+            ("image", np.broadcast_to(image, shape)),
+            ("phase", np.broadcast_to(np.asarray(self.phase, dtype=complex), shape)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def inverse(self) -> "ControlledRewrite":
+        """The adjoint table: the same control rows, each image inverted and
+        each phase conjugated at the level it now leaves from."""
+        inverse = np.argsort(self.image, axis=1)
+        phase = np.take_along_axis(self.phase, inverse, axis=1).conj()
+        return ControlledRewrite(self.control, self.when, self.target, inverse, phase)
+
+    def _apply(self, labels: np.ndarray, values: np.ndarray):
+        # At most one entry matches a row, since the ``when`` rows are distinct.
+        row, entry = np.nonzero(
+            (labels[:, None, list(self.control)] == self.when).all(axis=2)
+        )
+        target = self.target[entry]
+        moved = target >= 0
+        level = np.where(moved, labels[row, target], 0)
+        rows = labels.copy()
+        rows[row[moved], target[moved]] = self.image[entry, level][moved]
+        phases = np.ones(len(labels), dtype=complex)
+        phases[row] = self.phase[entry, level]
+        return rows, values * phases
+
+    def _unitarity_residual(self, dimensions: np.ndarray) -> float:
+        """1 unless the table is well formed; else the worst ``||phase|^2 - 1|``."""
+        control = np.array(self.control, dtype=np.int64)
+        entries, levels = self.image.shape
+        registers = len(dimensions)
+        if not (
+            ((control >= 0) & (control < registers)).all()
+            and ((self.target >= -1) & (self.target < registers)).all()
+        ):
+            return 1.0
+        target_levels = np.append(dimensions, 1)[self.target]
+        if (
+            len(set(self.control)) != len(self.control)
+            or set(self.target.tolist()) & set(self.control)
+            or ((self.when < 0) | (self.when >= dimensions[control])).any()
+            or len(union_rows(self.when)[0]) != entries
+            or (target_levels != levels).any()
+            or not (np.sort(self.image, axis=1) == np.arange(levels)).all()
+        ):
+            return 1.0
+        return float(np.max(np.abs(np.abs(self.phase) ** 2 - 1.0), initial=0.0))
 
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """Basis permutation with phases, defined by a rule on label rows.
+    """Basis permutation with phases: controlled rewrites applied in order.
 
-    ``rule`` sends each row x to ``(perm(x), phase(x))``, meaning
-    ``U e_x = phase(x) e_perm(x)``; ``inverse`` is the rule of the adjoint,
-    or None when unknown.  Operators are immutable once built and
-    application is a pure function, so one operator may be applied from
-    many threads at once.
+    ``U e_x = phase(x) e_image(x)``, where each stage rewrites the label row
+    x in turn.  Operators are immutable once built and application is a pure
+    function, so one operator may be applied from many threads at once.
     """
 
     layout: SubsystemLayout
     provenance: str
-    rule: LabelRule = field(repr=False)
-    inverse: LabelRule | None = field(default=None, repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.total_dimension
-
-    @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        rows, phases = self.rule(self.layout.basis_labels())
-        return self.layout.flat_indices(rows), phases
-
-    @property
-    def perm(self) -> np.ndarray:
-        """Dense view: the image flat index of every flat index."""
-        return self._dense[0]
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Dense view: the phase picked up by every flat index."""
-        return self._dense[1]
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix of the operator (capped at DENSE_DIMENSION_CAP)."""
-        _require_dense_matrix(self.dimension)
-        m = np.zeros((self.dimension, self.dimension), dtype=complex)
-        m[self.perm, np.arange(self.dimension)] = self.phases
-        return m
+    stages: tuple[ControlledRewrite, ...] = field(repr=False)
 
     def adjoint(self) -> "UnitaryOp":
-        if self.inverse is None:
-            raise ValueError(f"operator {self.provenance!r} has no known inverse rule")
         return UnitaryOp(
-            self.layout, f"adjoint({self.provenance})", self.inverse, self.rule
+            self.layout,
+            f"adjoint({self.provenance})",
+            tuple(stage.inverse() for stage in reversed(self.stages)),
         )
 
     def _apply(self, labels: np.ndarray, values: np.ndarray):
-        rows, phases = self.rule(labels)
-        return rows, phases * values
+        for stage in self.stages:
+            labels, values = stage._apply(labels, values)
+        return labels, values
 
     def _unitarity_residual(self) -> float:
-        residual = float(np.max(np.abs(np.abs(self.phases) ** 2 - 1.0)))
-        counts = np.bincount(self.perm, minlength=self.dimension)
-        if np.any(counts != 1):
-            # Colliding columns i, j give |(U^dagger U)[i, j]| = |p_i p_j|.
-            for target in np.flatnonzero(counts > 1):
-                mags = np.sort(np.abs(self.phases[self.perm == target]))
-                residual = max(residual, float(mags[-1] * mags[-2]))
-        return residual
-
-
-def _require_dense_matrix(dimension: int) -> None:
-    if dimension > DENSE_DIMENSION_CAP:
-        raise CapacityError(
-            f"refusing dense {dimension}x{dimension} matrix (cap {DENSE_DIMENSION_CAP})"
+        dimensions = self.layout.dimension_array
+        return max(
+            (stage._unitarity_residual(dimensions) for stage in self.stages), default=0.0
         )
 
 
@@ -168,16 +208,6 @@ class PairedRotation:
     @property
     def dimension(self) -> int:
         return self.layout.total_dimension
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix of the operator (capped at DENSE_DIMENSION_CAP)."""
-        _require_dense_matrix(self.dimension)
-        rows, columns = self._apply(
-            self.layout.basis_labels(), np.eye(self.dimension, dtype=complex)
-        )
-        m = np.zeros((self.dimension, self.dimension), dtype=complex)
-        m[self.layout.flat_indices(rows)] = columns
-        return m
 
     def adjoint(self) -> "PairedRotation":
         return replace(self, provenance=f"adjoint({self.provenance})", theta=-self.theta)
@@ -217,8 +247,10 @@ class PairedRotation:
 
 
 def identity(layout: SubsystemLayout) -> UnitaryOp:
-    rule = lambda labels: (labels, unit_phases(labels))
-    return UnitaryOp(layout, "identity", rule, rule)
+    """The empty table: every row matches no entry."""
+    return UnitaryOp(
+        layout, "identity", (ControlledRewrite((), np.zeros((0, 0)), -1, [[0]]),)
+    )
 
 
 def apply_unitary(op: UnitaryOp | PairedRotation, x: StateVector) -> StateVector:
@@ -228,15 +260,6 @@ def apply_unitary(op: UnitaryOp | PairedRotation, x: StateVector) -> StateVector
             f"match state registers of dimensions {x.layout.dimensions()}"
         )
     return StateVector(x.layout, *op._apply(x.labels, x.values))
-
-
-def _chain(first: LabelRule, second: LabelRule) -> LabelRule:
-    def rule(labels):
-        middle, phases = first(labels)
-        rows, more = second(middle)
-        return rows, phases * more
-
-    return rule
 
 
 def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
@@ -249,14 +272,8 @@ def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
             f"cannot compose operators on dimensions {second.layout.dimensions()} "
             f"and {first.layout.dimensions()}"
         )
-    inverse = None
-    if first.inverse is not None and second.inverse is not None:
-        inverse = _chain(second.inverse, first.inverse)
     return UnitaryOp(
-        first.layout,
-        f"{second.provenance} . {first.provenance}",
-        _chain(first.rule, second.rule),
-        inverse,
+        first.layout, f"{second.provenance} . {first.provenance}", first.stages + second.stages
     )
 
 
@@ -265,9 +282,11 @@ def verify_unitary(
 ) -> CheckResult:
     """Check ``U^dagger U = I``; the residual is ``max |U^dagger U - I|``.
 
-    It is computed structurally: a permutation through its dense view, a
-    rotation from its configurations, which have residual 1 when they
-    coincide or leave the space.
+    It is computed structurally: a permutation from its tables, a rotation
+    from its configurations.  Either has residual 1 when its structure
+    describes no unitary (a table rewriting its own control, repeating or
+    leaving the space with a control row, or merging two levels; rotation
+    configurations that coincide or leave the space).
     """
     return CheckResult.from_residual(
         f"unitary[{op.provenance}]", op._unitarity_residual(), tolerance
@@ -302,16 +321,13 @@ def build_detection_unitary(layout: SubsystemLayout) -> UnitaryOp:
         )
     _require_two_level(layout, detectors, "detector")
 
-    path = layout.position(paths[0])
-    detector_at = np.array([layout.position(name) for name in detectors])
-
-    def detect(labels):
-        rows = labels.copy()
-        hit = (np.arange(len(rows)), detector_at[labels[:, path]])
-        rows[hit] = 1 - rows[hit]
-        return rows, unit_phases(labels)
-
-    return UnitaryOp(layout, "detection", detect, detect)
+    when = np.arange(n)[:, None]
+    detector_at = [layout.position(name) for name in detectors]
+    return UnitaryOp(
+        layout,
+        "detection",
+        (ControlledRewrite((layout.position(paths[0]),), when, detector_at, [FLIP]),),
+    )
 
 
 def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
@@ -329,16 +345,13 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
         )
     _require_two_level(layout, photons, "photon")
 
-    detector_at = [layout.position(name) for name in detectors]
-    photon_at = [layout.position(name) for name in photons]
-
-    def emit(labels):
-        rows = labels.copy()
-        fired = labels[:, detector_at] == DETECTOR_YES
-        rows[:, photon_at] = np.where(fired, 1 - labels[:, photon_at], labels[:, photon_at])
-        return rows, unit_phases(labels)
-
-    return UnitaryOp(layout, "photon-emission", emit, emit)
+    stages = tuple(
+        ControlledRewrite(
+            (layout.position(detector),), [[DETECTOR_YES]], layout.position(photon), [FLIP]
+        )
+        for detector, photon in zip(detectors, photons)
+    )
+    return UnitaryOp(layout, "photon-emission", stages)
 
 
 def standard_classical_configs(n_versions: int) -> dict[tuple[int, ...], int]:
@@ -401,28 +414,17 @@ def build_perception_unitary(
             raise ValueError(
                 f"message level {message} out of writable range [1, {top_message}]"
             )
-    if len(set(classical_configs.keys())) != n:
-        raise ValueError("classical configurations must be distinct")
 
-    observer = layout.position(observer_register)
     condition_at = [layout.position(name) for name in condition_registers]
-    configs = np.array(list(classical_configs), dtype=np.int64)
     messages = np.array(list(classical_configs.values()), dtype=np.int64)
-
-    def perceive(labels):
-        hits = (labels[:, None, condition_at] == configs[None]).all(axis=2)
-        recorded = hits.any(axis=1)
-        message = messages[hits.argmax(axis=1)]
-        level = labels[:, observer]
-        rows = labels.copy()
-        rows[:, observer] = np.where(
-            recorded & (level == OBSERVER_BLANK),
-            message,
-            np.where(recorded & (level == message), OBSERVER_BLANK, level),
-        )
-        return rows, unit_phases(labels)
-
-    return UnitaryOp(layout, f"perception[{observer_register}]", perceive, perceive)
+    # Each entry transposes blank with its message and fixes every other level.
+    image = np.tile(np.arange(obs.dimension), (n, 1))
+    image[:, OBSERVER_BLANK] = messages
+    image[np.arange(n), messages] = OBSERVER_BLANK
+    table = ControlledRewrite(
+        condition_at, list(classical_configs), layout.position(observer_register), image
+    )
+    return UnitaryOp(layout, f"perception[{observer_register}]", (table,))
 
 
 @dataclass(frozen=True)
@@ -478,17 +480,8 @@ def build_basis_rotation(
 
 def level_cycle(layout: SubsystemLayout, register: str, shift: int = 1) -> UnitaryOp:
     """Cyclically shift one register's levels; identity on all others."""
-    pos = layout.position(register)
-    levels = layout.register(register).dimension
-
-    def cycle_by(step):
-        def rule(labels):
-            rows = labels.copy()
-            rows[:, pos] = (labels[:, pos] + step) % levels
-            return rows, unit_phases(labels)
-
-        return rule
-
-    return UnitaryOp(
-        layout, f"level-cycle[{register}+{shift}]", cycle_by(shift), cycle_by(-shift)
+    levels = np.arange(layout.register(register).dimension)
+    table = ControlledRewrite(
+        (), [[]], layout.position(register), [(levels + shift) % levels.size]
     )
+    return UnitaryOp(layout, f"level-cycle[{register}+{shift}]", (table,))

@@ -12,13 +12,14 @@ evolution, and perturbing one branch cannot signal another.
 
 The step operator is compiled once per chain configuration by the
 memoized ``compile_chain``: the layout, the record stages (detection, then
-photon emission) composed into one label rule, and every observer's
-perception stage composed into another.  Every run, coefficient draw,
-rotation angle and check of one configuration shares that
-``CompiledChain``.  A run evolves its initial state once; the independence
-check reuses the final state and replays every standalone version through
-one call of the step's rule; the no-signaling probes reuse the
-post-detection state and take the final state as their baseline.  A
+photon emission) composed into one operator, and every observer's
+perception stage composed into another, each stage a controlled-rewrite
+table proved unitary from the table before the chain is returned.  Every
+run, coefficient draw, rotation angle and check of one configuration shares
+that ``CompiledChain``.  A run evolves its initial state once; the
+independence check reuses the final state and replays every standalone
+version through one application of the step; the no-signaling probes reuse
+the post-detection state and take the final state as their baseline.  A
 rotation sweep evolves and certifies the unrotated run once per coefficient
 draw (``plain_rotation_run``) and passes it to each angle's
 ``run_appendix_rotation``, which builds only the rotation, the rotated first
@@ -27,13 +28,16 @@ vector and that vector's perceived image.
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
 and residuals read rows and amplitudes, never flat indices, so a run costs
-O(support) whatever the dimension.
+O(support) whatever the dimension.  The probes are tables too, so
+``no_signaling_check`` proves that a probe leaves the first branch alone by
+looking its control rows up against that branch's configuration, without
+enumerating the observer levels the branch spans.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -43,6 +47,7 @@ from . import analysis
 from .dynamics import (
     BasisRotation,
     CheckResult,
+    ControlledRewrite,
     UnitaryOp,
     apply_unitary,
     build_basis_rotation,
@@ -51,7 +56,7 @@ from .dynamics import (
     build_photon_emission_unitary,
     compose,
     standard_classical_configs,
-    unit_phases,
+    verify_unitary,
 )
 from .errors import InvalidPerturbationError
 from .state import (
@@ -64,7 +69,6 @@ from .state import (
     SubsystemLayout,
     TOLERANCE,
     aligned,
-    inner_product,
     make_layout,
     message_level,
     message_name,
@@ -280,43 +284,47 @@ def version_labels(
     record for ``version``.  ``message`` fills every observer register, or
     blank when None.
     """
-    labels: dict[str, int] = {}
-    detector_index = 0
-    photon_index = 0
-    for reg in layout.registers:
-        if reg.role == ROLE_PATH:
-            labels[reg.name] = version
-        elif reg.role == ROLE_DETECTOR:
-            labels[reg.name] = int(detected and detector_index == version)
-            detector_index += 1
-        elif reg.role == ROLE_PHOTON:
-            labels[reg.name] = int(detected and photon_index == version)
-            photon_index += 1
-        else:
-            labels[reg.name] = OBSERVER_BLANK if message is None else message
-    return labels
+    row = _version_rows(layout, [version], detected=detected, message=message)[0]
+    return dict(zip(layout.names(), row.tolist()))
 
 
-def _version_row(layout: SubsystemLayout, version: int, **kwargs) -> np.ndarray:
-    """Label row of ``version_labels(layout, version, **kwargs)``."""
-    return layout.row(version_labels(layout, version, **kwargs))
+def _version_rows(
+    layout: SubsystemLayout,
+    versions: Sequence[int],
+    *,
+    detected: bool,
+    message: int | Sequence[int] | None = None,
+) -> np.ndarray:
+    """The label rows of ``version_labels`` for every entry of ``versions``
+    at once, as a (versions x registers) array; ``message`` is one level or
+    one per version."""
+    roles = [r.role for r in layout.registers]
+    at = lambda role: [i for i, r in enumerate(roles) if r == role]
+    versions = np.asarray(versions, dtype=np.int64)[:, None]
+    rows = np.zeros((len(versions), len(roles)), dtype=np.int64)
+    rows[:, at(ROLE_PATH)] = versions
+    if detected:
+        for role in (ROLE_DETECTOR, ROLE_PHOTON):
+            columns = at(role)
+            rows[:, columns] = versions == np.arange(len(columns))
+    if message is not None:
+        rows[:, at(ROLE_OBSERVER)] = np.asarray(message)[..., None]
+    return rows
 
 
 def initial_state(layout: SubsystemLayout, coefficients: Sequence[complex]) -> StateVector:
     """Path superposition in front of armed detectors, observers blank."""
-    rows = [_version_row(layout, j, detected=False) for j in range(len(coefficients))]
-    return StateVector(layout, np.array(rows), coefficients)
+    rows = _version_rows(layout, range(len(coefficients)), detected=False)
+    return StateVector(layout, rows, coefficients)
 
 
 def expected_final_state(
     layout: SubsystemLayout, coefficients: Sequence[complex]
 ) -> StateVector:
     """The branch-table target: each version tagged with its own message."""
-    rows = [
-        _version_row(layout, j, detected=True, message=message_level(j))
-        for j in range(len(coefficients))
-    ]
-    return StateVector(layout, np.array(rows), coefficients)
+    versions = np.arange(len(coefficients))
+    rows = _version_rows(layout, versions, detected=True, message=message_level(versions))
+    return StateVector(layout, rows, coefficients)
 
 
 @dataclass(frozen=True)
@@ -324,7 +332,7 @@ class CompiledChain:
     """Layout and step operator of one chain configuration, built once.
 
     ``record`` is detection followed, with the photon model, by photon
-    emission, composed into one label rule; ``perception`` composes every
+    emission, composed into one operator; ``perception`` composes every
     observer's perception stage in layout order.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so runs
     that differ in coefficients, angle or checks share one (see
@@ -366,6 +374,10 @@ def compile_chain(
     and ``cache_clear`` are those of the cache.  ``negative_control``
     rewires version 1's message onto the reserved mixed-record level, so
     tests can prove the mixed-record checks can fail.
+
+    Every stage's table is proved unitary (``verify_unitary``) before the
+    chain is returned; a stage that fails its proof is a bug in a builder,
+    so it raises ``RuntimeError`` rather than failing a check.
     """
     return _build_chain(n_versions, observers, photon_model, negative_control)
 
@@ -396,6 +408,10 @@ def _build_chain(
             allow_mixed_message=negative_control,
         )
         perception = stage if perception is None else compose(stage, perception)
+    for op in (record, perception):
+        proof = verify_unitary(op)
+        if not proof.passed:
+            raise RuntimeError(f"{proof.name} failed: residual {proof.residual:.3e}")
     return CompiledChain(
         n_versions, observers, photon_model, negative_control, layout, record, perception
     )
@@ -631,14 +647,13 @@ def _state_checks(
 
 
 def _max_pairwise_overlap(branches: Sequence[Branch]) -> float:
-    worst = 0.0
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            overlap = abs(
-                inner_product(branches[i].relative_state, branches[j].relative_state)
-            )
-            worst = max(worst, overlap)
-    return worst
+    """Largest off-diagonal modulus of the relative states' Gram matrix."""
+    if len(branches) < 2:
+        return 0.0
+    _, table = aligned(*(b.relative_state for b in branches))
+    gram = np.abs(table.conj() @ table.T)
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
 
 
 def _born_weight_drift(
@@ -719,7 +734,7 @@ def coefficient_independence_check(
     ``version_states`` when given (they may be non-orthogonal, in which
     case record projection could not separate them).  Version j's
     standalone run evolves it alone; every version's rows go through one
-    call of the compiled step's rule.  From the full run's final state the
+    application of the compiled step.  From the full run's final state the
     check subtracts every other version's standalone run, rescales by
     ``1 / a_j`` and compares with version j's.  ``final_state`` is that full
     run's final state when the caller already has it.  Versions with zero
@@ -729,8 +744,8 @@ def coefficient_independence_check(
     layout = chain.layout
     if version_states is None:
         version_states = [
-            product_state(layout, version_labels(layout, j, detected=False))
-            for j in range(spec.n_versions)
+            StateVector(layout, row[None, :], [1.0])
+            for row in _version_rows(layout, range(spec.n_versions), detected=False)
         ]
     elif len(version_states) != spec.n_versions:
         raise ValueError(
@@ -738,11 +753,14 @@ def coefficient_independence_check(
         )
     if final_state is None:
         _, final_state = chain.evolve(superpose(list(zip(spec.coefficients, version_states))))
-    rows, phases = chain.step.rule(np.concatenate([v.labels for v in version_states]))
+    rows, values = chain.step._apply(
+        np.concatenate([v.labels for v in version_states]),
+        np.concatenate([v.values for v in version_states]),
+    )
     ends = np.cumsum([len(v.values) for v in version_states])[:-1]
     singles = [
-        StateVector(layout, image, phase * v.values)
-        for image, phase, v in zip(np.split(rows, ends), np.split(phases, ends), version_states)
+        StateVector(layout, image, amplitudes)
+        for image, amplitudes in zip(np.split(rows, ends), np.split(values, ends))
     ]
     # Every vector compared below vanishes off this joint support.
     _, (whole, *singles) = aligned(final_state, *singles)
@@ -771,12 +789,9 @@ def coefficient_independence_check(
 
 def phase_flip_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
     """Flip the sign of every basis state in one version's configuration."""
-    inside = _in_version_configuration(layout, version)
-
-    def flip(labels):
-        return labels, np.where(inside(labels), -1.0 + 0j, 1.0 + 0j)
-
-    return UnitaryOp(layout, f"phase-flip[version {version + 1}]", flip, flip)
+    at, recorded = _version_configuration(layout, version)
+    table = ControlledRewrite(at, [recorded], -1, [[0]], [[-1.0]])
+    return UnitaryOp(layout, f"phase-flip[version {version + 1}]", (table,))
 
 
 def record_cycle_perturbation(
@@ -790,45 +805,26 @@ def record_cycle_perturbation(
     """
     if observer_register is None:
         observer_register = layout.by_role(ROLE_OBSERVER)[0].name
-    observer = layout.position(observer_register)
-    levels = layout.register(observer_register).dimension
-    inside = _in_version_configuration(layout, version)
-
-    def cycle_by(step):
-        def rule(labels):
-            rows = labels.copy()
-            moved = inside(labels)
-            rows[moved, observer] = (labels[moved, observer] + step) % levels
-            return rows, unit_phases(labels)
-
-        return rule
-
-    return UnitaryOp(
-        layout, f"record-cycle[version {version + 1}]", cycle_by(1), cycle_by(-1)
+    at, recorded = _version_configuration(layout, version)
+    levels = np.arange(layout.register(observer_register).dimension)
+    table = ControlledRewrite(
+        at, [recorded], layout.position(observer_register), [np.roll(levels, -1)]
     )
+    return UnitaryOp(layout, f"record-cycle[version {version + 1}]", (table,))
 
 
-def _in_version_configuration(
+def _version_configuration(
     layout: SubsystemLayout, version: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Row predicate: the non-observer registers read version's record."""
-    recorded = version_labels(layout, version, detected=True)
-    names = [r.name for r in layout.registers if r.role != ROLE_OBSERVER]
-    at = [layout.position(name) for name in names]
-    wanted = np.array([recorded[name] for name in names])
-    return lambda labels: (labels[:, at] == wanted).all(axis=1)
+) -> tuple[list[int], np.ndarray]:
+    """Positions of the non-observer registers and the labels they read in
+    ``version``'s recorded configuration."""
+    at = [i for i, r in enumerate(layout.registers) if r.role != ROLE_OBSERVER]
+    return at, _version_rows(layout, [version], detected=True)[0, at]
 
 
-def _version_configuration_rows(layout: SubsystemLayout, version: int) -> np.ndarray:
-    """Every basis state whose non-observer registers read version's record."""
-    observers = [r.name for r in layout.by_role(ROLE_OBSERVER)]
-    grid = layout.label_grid(observers)
-    rows = np.repeat(_version_row(layout, version, detected=True)[None, :], len(grid), axis=0)
-    rows[:, [layout.position(name) for name in observers]] = grid
-    return rows
-
-
-def _restricted(state: StateVector, rows: np.ndarray) -> StateVector:
+def _restricted(state: StateVector, at: list[int], labels: np.ndarray) -> StateVector:
+    """The part of ``state`` whose registers at ``at`` read ``labels``."""
+    rows = (state.labels[:, at] == labels).all(axis=1)
     return StateVector(state.layout, state.labels[rows], state.values[rows])
 
 
@@ -858,30 +854,42 @@ def no_signaling_check(
     # Branch 1 is everything living on version 1's configuration, observer
     # included; a perturbed version 2 may do anything, even display the
     # first version's message, without touching that subspace.
-    _require_identity_on(perturbation, _version_configuration_rows(layout, 0))
-    inside = _in_version_configuration(layout, 0)
+    at, recorded = _version_configuration(layout, 0)
+    _require_protected(perturbation, at, recorded)
 
     if states is None:
         states = chain.evolve(initial_state(layout, spec.coefficients))
     post_detection, baseline = states
     perturbed = apply_unitary(chain.perception, apply_unitary(perturbation, post_detection))
     residual = _distance(
-        _restricted(baseline, inside(baseline.labels)),
-        _restricted(perturbed, inside(perturbed.labels)),
+        _restricted(baseline, at, recorded), _restricted(perturbed, at, recorded)
     )
     return CheckResult.from_residual(
         "no_signaling", residual, spec.tolerance, detail=perturbation.provenance
     )
 
 
-def _require_identity_on(op: UnitaryOp, rows: np.ndarray) -> None:
-    image, phases = op.rule(rows)
-    clean = np.array_equal(image, rows) and np.all(np.abs(phases - 1.0) <= TOLERANCE)
-    if not clean:
-        raise InvalidPerturbationError(
-            f"perturbation {op.provenance!r} is not the identity on the "
-            f"protected branch subspace"
-        )
+def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None:
+    """``InvalidPerturbationError`` unless ``op`` is the identity wherever
+    the registers at ``at`` read ``labels``.
+
+    Every other register is free there, so a table entry can fire there
+    exactly when its control row agrees with ``labels`` on the control
+    registers among ``at``; each such entry must fix every level with phase
+    1.  A lookup in each table, whatever the number of free levels.
+    """
+    fixed = dict(zip(at, labels.tolist()))
+    for stage in op.stages:
+        columns = [i for i, c in enumerate(stage.control) if c in fixed]
+        wanted = [fixed[stage.control[i]] for i in columns]
+        fires = (stage.when[:, columns] == wanted).all(axis=1)
+        fixes = (stage.image == np.arange(stage.image.shape[1])).all(axis=1)
+        fixes &= (np.abs(stage.phase - 1.0) <= TOLERANCE).all(axis=1)
+        if (fires & ~fixes).any():
+            raise InvalidPerturbationError(
+                f"perturbation {op.provenance!r} is not the identity on the "
+                f"protected branch subspace"
+            )
 
 
 def _canonical_no_signaling(
@@ -926,10 +934,10 @@ def primed_coefficients(a1: complex, a2: complex, theta: float) -> tuple[complex
     return (a1 * c - a2 * s, a2 * c + a1 * s)
 
 
-def _version_span(layout: SubsystemLayout) -> tuple[dict[str, int], ...]:
-    observers = {r.name for r in layout.by_role(ROLE_OBSERVER)}
-    labels = [version_labels(layout, j, detected=True) for j in (0, 1)]
-    return tuple({k: v for k, v in l.items() if k not in observers} for l in labels)
+def _version_span(layout: SubsystemLayout, versions: np.ndarray) -> tuple[dict[str, int], ...]:
+    """The non-observer labels of each version row, by register name."""
+    fixed = [(i, r.name) for i, r in enumerate(layout.registers) if r.role != ROLE_OBSERVER]
+    return tuple({name: row[i] for i, name in fixed} for row in versions.tolist())
 
 
 @dataclass(frozen=True)
@@ -963,8 +971,9 @@ def plain_rotation_run(
     enabled = tuple(_select_checks(checks, APPENDIX_CHECKS))
     chain = _compiled(spec, negative_control)
     layout = chain.layout
-    versions = np.array([_version_row(layout, j, detected=True) for j in (0, 1)])
-    post_detection = StateVector(layout, versions, spec.coefficients)
+    post_detection = StateVector(
+        layout, _version_rows(layout, [0, 1], detected=True), spec.coefficients
+    )
     final = apply_unitary(chain.perception, post_detection)
     branches = decompose_branches(final, "Obs1", spec.tolerance)
     results = _state_checks(spec, post_detection, [final], branches, enabled)
@@ -1009,10 +1018,10 @@ def run_appendix_rotation(
     layout = chain.layout
     post_detection, final, branches = plain.post_detection, plain.final, plain.branches
 
-    rotation = build_basis_rotation(layout, BasisRotation(theta, _version_span(layout)))
-    primed_first = apply_unitary(
-        rotation, product_state(layout, version_labels(layout, 0, detected=True))
-    )
+    versions = _version_rows(layout, [0, 1], detected=True)
+    span = _version_span(layout, versions)
+    rotation = build_basis_rotation(layout, BasisRotation(theta, span))
+    primed_first = apply_unitary(rotation, product_state(layout, versions[0].tolist()))
     primed_evolved = apply_unitary(chain.perception, primed_first)
 
     results = list(plain.checks)
@@ -1027,7 +1036,6 @@ def run_appendix_rotation(
 
     if "primed_coefficients" in enabled:
         rotated = apply_unitary(rotation, post_detection)
-        versions = [_version_row(layout, j, detected=True) for j in (0, 1)]
         computed = [_amplitude_at(rotated, row) for row in versions]
         formula = primed_coefficients(*spec.coefficients, theta)
         residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
@@ -1036,10 +1044,7 @@ def run_appendix_rotation(
         )
 
     if "primed_evolution" in enabled:
-        recorded = np.array(
-            [_version_row(layout, j, detected=True, message=message_level(j)) for j in (0, 1)]
-        )
-        target = StateVector(layout, recorded, [np.cos(theta), np.sin(theta)])
+        target = expected_final_state(layout, [np.cos(theta), np.sin(theta)])
         residual = _distance(primed_evolved, target)
         results.append(
             CheckResult.from_residual("primed_evolution", residual, spec.tolerance)

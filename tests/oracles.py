@@ -3,12 +3,20 @@
 Everything here is written with explicit loops over per-register label
 tuples and dense matrices, independent of the library's vectorized index
 arithmetic and permutation representations, so agreement is meaningful.
+The dense views of library operators (``permutation_view``,
+``dense_matrix``) evaluate the library's own application on every basis
+state; they exist only to be compared against the loop-built matrices.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from branchsim import CapacityError, PairedRotation
+
+# Dense matrices only below this dimension.
+DENSE_DIMENSION_CAP = 4096
 
 
 def naive_encode(dims, labels):
@@ -33,6 +41,72 @@ def _label_space(layout):
 
 def _named(layout, labels):
     return dict(zip((r.name for r in layout.registers), labels))
+
+
+def permutation_view(op):
+    """The image flat index and the phase of every flat index under a
+    permutation operator: the library's own application evaluated on the
+    label row of every basis state (refused above ``state.DENSE_VIEW_CAP``)."""
+    layout = op.layout
+    rows, phases = op._apply(
+        layout.basis_labels(), np.ones(layout.total_dimension, dtype=complex)
+    )
+    return layout.flat_indices(rows), phases
+
+
+def dense_matrix(op):
+    """Dense matrix of a permutation operator or a paired rotation, from the
+    library's own application (refused above ``DENSE_DIMENSION_CAP``)."""
+    dimension = op.layout.total_dimension
+    if dimension > DENSE_DIMENSION_CAP:
+        raise CapacityError(
+            f"refusing dense {dimension}x{dimension} matrix (cap {DENSE_DIMENSION_CAP})"
+        )
+    matrix = np.zeros((dimension, dimension), dtype=complex)
+    if isinstance(op, PairedRotation):
+        # Row i of the identity is basis state i's amplitudes, so the rotated
+        # rows are the rows of the matrix.
+        rows, columns = op._apply(op.layout.basis_labels(), np.eye(dimension, dtype=complex))
+        matrix[op.layout.flat_indices(rows)] = columns
+    else:
+        image, phases = permutation_view(op)
+        matrix[image, np.arange(dimension)] = phases
+    return matrix
+
+
+def unitarity_residual(matrix):
+    """max |U^dagger U - I| of a dense matrix."""
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix)))))
+
+
+def naive_rewrite_matrix(layout, control, when, target, image, phase):
+    """Dense matrix of one controlled-rewrite table, built state by state.
+
+    Every entry whose control row basis state x reads adds
+    ``phase[e][l] e_x'`` to column x, where l is x's level of ``target[e]``
+    (0 for a target of -1) and x' is x with that level replaced by
+    ``image[e][l]``; a state that no entry reads maps to itself.  A table
+    whose control rows repeat therefore sums several images into one
+    column, as the controlled operator it writes down would.
+    """
+    dims = [r.dimension for r in layout.registers]
+    matrix = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
+    for labels in _label_space(layout):
+        column = naive_encode(dims, labels)
+        hits = [
+            e for e, row in enumerate(when)
+            if all(labels[c] == w for c, w in zip(control, row))
+        ]
+        if not hits:
+            matrix[column, column] += 1.0
+        for e in hits:
+            moved = list(labels)
+            level = 0
+            if target[e] >= 0:
+                level = labels[target[e]]
+                moved[target[e]] = image[e][level]
+            matrix[naive_encode(dims, moved), column] += phase[e][level]
+    return matrix
 
 
 def naive_detection_matrix(layout):

@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from branchsim import UnitaryOp, compile_chain, experiments
 from branchsim.cli import main, parse_config, run_and_report
 from branchsim.errors import ConfigError
 
@@ -390,3 +392,25 @@ def test_internal_error_exits_four_not_two(tmp_path, monkeypatch, capsys):
 def test_unwritable_report_path_exits_two(tmp_path):
     out = tmp_path / "missing-directory" / "report.json"
     assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
+
+
+def test_a_stage_that_fails_its_unitarity_proof_exits_four(tmp_path, monkeypatch, capsys):
+    # A detection table that sends both detector levels to "fired" merges two
+    # target levels: compile_chain must refuse it as a bug (exit 4), never
+    # report it as a failed check (1) or a bad config (2).
+    original = experiments.build_detection_unitary
+
+    def merged(layout):
+        (table,) = original(layout).stages
+        broken = replace(table, image=[[1, 1]])
+        return UnitaryOp(layout, "detection", (broken,))
+
+    monkeypatch.setattr(experiments, "build_detection_unitary", merged)
+    compile_chain.cache_clear()
+    try:
+        code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "r.json")])
+    finally:
+        compile_chain.cache_clear()
+    assert code == 4
+    assert "unitary[detection] failed" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

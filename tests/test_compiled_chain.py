@@ -20,7 +20,7 @@ from branchsim import (
 )
 from branchsim import experiments
 from branchsim.cli import main
-from oracles import naive_chain_matrix, naive_evolve
+from oracles import dense_matrix, naive_chain_matrix, naive_evolve
 
 # (n_versions, observers, photon_model); N=3 with two observers and photons
 # (dimension 4,800) is past the dense-matrix cap, so the grid stops short.
@@ -56,7 +56,7 @@ def test_compiled_step_matches_the_dense_oracle(n, observers, photon_model, nega
     chain = compile_chain(n, observers, photon_model, negative_control)
     names, configs, condition = oracle_rules(chain)
     oracle = naive_chain_matrix(chain.layout, names, configs, condition, photon_model)
-    assert np.array_equal(chain.step.to_matrix(), oracle)
+    assert np.array_equal(dense_matrix(chain.step), oracle)
 
 
 @pytest.mark.parametrize("negative_control", [False, True])
@@ -68,7 +68,7 @@ def test_single_basis_state_replay_matches_the_oracle(
     layout = chain.layout
     names, configs, condition = oracle_rules(chain)
     starts = np.array([layout.row(version_labels(layout, j, detected=False)) for j in range(n)])
-    ends, phases = chain.step.rule(starts)
+    ends, phases = chain.step._apply(starts, np.ones(n, dtype=complex))
     for start, end, phase in zip(starts, ends, phases):
         psi = StateVector(layout, start[None, :], [1.0]).amplitudes
         replayed = StateVector(layout, end[None, :], [phase]).amplitudes

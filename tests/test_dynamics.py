@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from branchsim import (
     BasisRotation,
     CapacityError,
+    ControlledRewrite,
     PairedRotation,
     StateVector,
     UnitaryOp,
@@ -19,13 +20,16 @@ from branchsim import (
     identity,
     level_cycle,
     make_layout,
+    phase_flip_perturbation,
     product_state,
+    record_cycle_perturbation,
     standard_classical_configs,
     superpose,
     verify_unitary,
     version_labels,
 )
 from oracles import (
+    dense_matrix,
     naive_detection_matrix,
     naive_emission_matrix,
     naive_perception_matrix,
@@ -66,7 +70,7 @@ def random_state(layout, seed):
 
 def test_detection_matches_brute_force_matrix():
     for layout in (sg_layout(), photon_layout()):
-        built = build_detection_unitary(layout).to_matrix()
+        built = dense_matrix(build_detection_unitary(layout))
         assert np.array_equal(built, naive_detection_matrix(layout))
 
 
@@ -101,8 +105,7 @@ def test_detection_is_an_involution():
     layout = sg_layout()
     detection = build_detection_unitary(layout)
     twice = compose(detection, detection)
-    assert np.array_equal(twice.perm, np.arange(layout.total_dimension))
-    assert np.all(twice.phases == 1.0)
+    assert np.array_equal(dense_matrix(twice), np.eye(layout.total_dimension))
 
 
 def test_detection_requires_matching_registers():
@@ -125,7 +128,7 @@ def test_detection_requires_matching_registers():
 
 def test_emission_matches_brute_force_matrix():
     layout = photon_layout()
-    built = build_photon_emission_unitary(layout).to_matrix()
+    built = dense_matrix(build_photon_emission_unitary(layout))
     assert np.array_equal(built, naive_emission_matrix(layout))
 
 
@@ -137,7 +140,7 @@ def test_emission_copies_detector_into_photon():
     target = layout.encode({"P": 0, "DH": 1, "DV": 0, "phH": 1, "phV": 0, "Obs": 0})
     assert lit.amplitudes[target] == 1.0
     assert np.array_equal(
-        compose(emission, emission).perm, np.arange(layout.total_dimension)
+        dense_matrix(compose(emission, emission)), np.eye(layout.total_dimension)
     )
 
 
@@ -152,7 +155,7 @@ def test_emission_requires_paired_photons():
 def test_perception_matches_brute_force_matrix():
     layout = sg_layout()
     configs = standard_classical_configs(2)
-    built = build_perception_unitary(layout, "Obs", configs).to_matrix()
+    built = dense_matrix(build_perception_unitary(layout, "Obs", configs))
     oracle = naive_perception_matrix(layout, "Obs", configs, ["DH", "DV"])
     assert np.array_equal(built, oracle)
 
@@ -253,7 +256,7 @@ def version_span():
 def test_rotation_at_zero_is_identity():
     layout = sg_layout()
     rotation = build_basis_rotation(layout, BasisRotation(0.0, version_span()))
-    assert np.array_equal(rotation.to_matrix(), identity(sg_layout()).to_matrix())
+    assert np.array_equal(dense_matrix(rotation), dense_matrix(identity(sg_layout())))
     state = random_state(layout, 11)
     assert np.array_equal(apply_unitary(rotation, state).amplitudes, state.amplitudes)
 
@@ -264,13 +267,13 @@ def test_rotation_composes_and_inverts():
     span = version_span()
     forward = build_basis_rotation(layout, BasisRotation(theta, span))
     backward = build_basis_rotation(layout, BasisRotation(-theta, span))
-    eye = identity(sg_layout()).to_matrix()
-    assert np.max(np.abs(backward.to_matrix() @ forward.to_matrix() - eye)) <= 1e-12
+    eye = dense_matrix(identity(sg_layout()))
+    assert np.max(np.abs(dense_matrix(backward) @ dense_matrix(forward) - eye)) <= 1e-12
 
     second = build_basis_rotation(layout, BasisRotation(theta2, span))
     direct = build_basis_rotation(layout, BasisRotation(theta + theta2, span))
-    chained = second.to_matrix() @ forward.to_matrix()
-    assert np.max(np.abs(chained - direct.to_matrix())) <= 1e-12
+    chained = dense_matrix(second) @ dense_matrix(forward)
+    assert np.max(np.abs(chained - dense_matrix(direct))) <= 1e-12
 
     # The same, applied to states rather than multiplied out.
     state = random_state(layout, 12)
@@ -346,7 +349,7 @@ def test_rotation_capacity_cap():
     assert moved.amplitudes[-1] == s * a + c * b
     assert np.array_equal(moved.amplitudes[1:-1], state.amplitudes[1:-1])
     with pytest.raises(CapacityError):
-        rotation.to_matrix()
+        dense_matrix(rotation)
 
 
 @pytest.mark.parametrize("observers", [1, 2])
@@ -360,7 +363,7 @@ def test_rotation_matches_brute_force_oracle(observers, photon_model):
     for theta in (0.0, 0.77, -2.3):
         rotation = build_basis_rotation(layout, BasisRotation(theta, span))
         oracle = naive_rotation_matrix(layout, span, theta)
-        assert np.max(np.abs(rotation.to_matrix() - oracle)) <= 1e-15
+        assert np.max(np.abs(dense_matrix(rotation) - oracle)) <= 1e-15
         for seed in range(3):
             state = random_state(layout, seed)
             fast = apply_unitary(rotation, state).amplitudes
@@ -417,14 +420,14 @@ def test_compose_with_adjoint_gives_identity():
     layout = sg_layout()
     perception = build_perception_unitary(layout, "Obs", standard_classical_configs(2))
     round_trip = compose(perception.adjoint(), perception)
-    assert np.array_equal(round_trip.perm, np.arange(32))
+    assert np.array_equal(dense_matrix(round_trip), np.eye(32))
 
     rotation = build_basis_rotation(layout, BasisRotation(0.9, version_span()))
     adjoint = rotation.adjoint()
     assert adjoint.theta == -0.9
-    round_trip = adjoint.to_matrix() @ rotation.to_matrix()
-    assert np.max(np.abs(round_trip - identity(sg_layout()).to_matrix())) <= 1e-12
-    assert np.array_equal(adjoint.to_matrix(), rotation.to_matrix().conj().T)
+    round_trip = dense_matrix(adjoint) @ dense_matrix(rotation)
+    assert np.max(np.abs(round_trip - dense_matrix(identity(sg_layout())))) <= 1e-12
+    assert np.array_equal(dense_matrix(adjoint), dense_matrix(rotation).conj().T)
 
     # Only permutations compose; a rotation is applied on its own.
     with pytest.raises(TypeError, match="permutation"):
@@ -456,16 +459,12 @@ def test_verify_unitary_accepts_builders_and_rejects_defects():
         result = verify_unitary(broken)
         assert not result.passed and result.residual >= 1.0
 
-    lossy = UnitaryOp(
-        layout, "lossy", lambda labels: (labels, np.full(len(labels), 0.5, dtype=complex))
-    )
+    # A table that scales every row by 0.5, and one that sends every level
+    # of the observer register to blank.
+    lossy = UnitaryOp(layout, "lossy", (ControlledRewrite((), [[]], -1, [[0]], [[0.5]]),))
     assert not verify_unitary(lossy).passed
 
-    clash = UnitaryOp(
-        layout,
-        "clash",
-        lambda labels: (np.zeros_like(labels), np.ones(len(labels), dtype=complex)),
-    )
+    clash = UnitaryOp(layout, "clash", (ControlledRewrite((), [[]], 3, [[0, 0, 0, 0]]),))
     result = verify_unitary(clash)
     assert not result.passed and result.residual >= 1.0
 
@@ -513,9 +512,44 @@ def test_stages_commute_with_untouched_registers():
     # Detection never reads or writes the observer register.
     ab = compose(detection, observer_shuffle)
     ba = compose(observer_shuffle, detection)
-    assert np.array_equal(ab.perm, ba.perm)
+    assert np.array_equal(dense_matrix(ab), dense_matrix(ba))
 
     # Perception never reads or writes the path register.
     ab = compose(perception, path_shuffle)
     ba = compose(path_shuffle, perception)
-    assert np.array_equal(ab.perm, ba.perm)
+    assert np.array_equal(dense_matrix(ab), dense_matrix(ba))
+
+
+def test_every_stage_proves_unitary_on_an_uncapped_layout():
+    # N=64 with photons and three observers: about 2^152 basis states, far
+    # past any dense view.  The proofs read only the tables.
+    n = 64
+    registers = [("path", n, "particle-path")]
+    registers += [(f"D{j + 1}", 2, "detector") for j in range(n)]
+    registers += [(f"ph{j + 1}", 2, "photon") for j in range(n)]
+    registers += [(f"Obs{k + 1}", n + 2, "observer") for k in range(3)]
+    layout = make_layout(registers, dimension_cap=2**200)
+    assert layout.total_dimension > 2**151
+    photons = [f"ph{j + 1}" for j in range(n)]
+    stages = [
+        build_detection_unitary(layout),
+        build_photon_emission_unitary(layout),
+        phase_flip_perturbation(layout, 1),
+        record_cycle_perturbation(layout, 1),
+        level_cycle(layout, "Obs3", shift=5),
+        level_cycle(layout, "path", shift=n - 1),
+        identity(layout),
+    ]
+    for negative_control in (False, True):
+        configs = standard_classical_configs(n)
+        if negative_control:
+            configs[tuple(1 if k == 0 else 0 for k in range(n))] = n + 1
+        for observer in ("Obs1", "Obs2", "Obs3"):
+            stages.append(
+                build_perception_unitary(
+                    layout, observer, configs, photons, allow_mixed_message=negative_control
+                )
+            )
+    for op in stages + [op.adjoint() for op in stages]:
+        result = verify_unitary(op)
+        assert result.passed and result.residual == 0.0, op.provenance

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
+    ControlledRewrite,
     ExperimentSpec,
     InvalidPerturbationError,
     RunReport,
@@ -21,6 +22,7 @@ from branchsim import (
     multi_observer_agreement,
     no_signaling_check,
     normalize,
+    observer_dimension,
     phase_flip_perturbation,
     plain_rotation_run,
     primed_coefficients,
@@ -31,11 +33,13 @@ from branchsim import (
     run_measurement_chain,
     standard_classical_configs,
     superpose,
+    UnitaryOp,
     version_labels,
 )
 from branchsim import experiments
 from oracles import (
     naive_decode,
+    permutation_view,
     naive_disagreement_weight,
     naive_encode,
     naive_evolve,
@@ -307,12 +311,82 @@ def test_no_signaling_rejects_overlapping_perturbation():
         no_signaling_check(spec, phase_flip_perturbation(layout, 0))
 
 
+def moves_branch_one(op):
+    """Brute force: whether ``op`` moves or rephases any basis state whose
+    non-observer registers read version 1's record, by the oracle's view of
+    every basis state."""
+    layout = op.layout
+    image, phases = permutation_view(op)
+    recorded = version_labels(layout, 0, detected=True)
+    inside = [
+        flat
+        for flat, labels in enumerate(layout.basis_labels().tolist())
+        if all(
+            labels[i] == recorded[r.name]
+            for i, r in enumerate(layout.registers)
+            if r.role != "observer"
+        )
+    ]
+    return bool((image[inside] != inside).any() or (phases[inside] != 1.0).any())
+
+
+def assert_protection_matches_the_oracle(spec, probe):
+    if moves_branch_one(probe):
+        with pytest.raises(InvalidPerturbationError):
+            no_signaling_check(spec, probe)
+    else:
+        assert no_signaling_check(spec, probe).passed
+
+
+def test_protection_is_a_lookup_over_observer_controls():
+    # Branch 1 spans every observer level, so a probe entry that agrees with
+    # version 1 on its non-observer controls fires inside it whatever Obs1
+    # level it asks for; one that reads version 2 never does.
+    spec = ExperimentSpec(2, (0.6, 0.8), observers=2)
+    layout = chain_layout(2, 2)
+    at = [i for i, r in enumerate(layout.registers) if r.role != "observer"]
+    control = at + [layout.position("Obs1")]
+
+    def probe(version, level, phase):
+        recorded = layout.row(version_labels(layout, version, detected=True))[at]
+        table = ControlledRewrite(control, [[*recorded, level]], -1, [[0]], [[phase]])
+        return UnitaryOp(layout, f"probe[version {version + 1}, Obs1={level}]", (table,))
+
+    for level in range(observer_dimension(2)):
+        with pytest.raises(InvalidPerturbationError):
+            no_signaling_check(spec, probe(0, level, -1.0))
+        assert no_signaling_check(spec, probe(0, level, 1.0)).residual == 0.0
+        assert no_signaling_check(spec, probe(1, level, -1.0)).passed
+        for version in (0, 1):
+            for phase in (-1.0, 1.0):
+                assert_protection_matches_the_oracle(spec, probe(version, level, phase))
+
+
+def test_protection_rejects_a_control_that_reads_version_one():
+    spec = ExperimentSpec(2, (0.6, 0.8), observers=2)
+    layout = chain_layout(2, 2)
+    cycle = [np.roll(np.arange(observer_dimension(2)), -1)]
+
+    def path_probe(path):
+        table = ControlledRewrite(
+            [layout.position("path")], [[path]], layout.position("Obs2"), cycle
+        )
+        return UnitaryOp(layout, f"cycle Obs2 on path={path}", (table,))
+
+    # path=0 is version 1's configuration there; the observers are free.
+    assert moves_branch_one(path_probe(0))
+    with pytest.raises(InvalidPerturbationError):
+        no_signaling_check(spec, path_probe(0))
+    assert not moves_branch_one(path_probe(1))
+    assert no_signaling_check(spec, path_probe(1)).passed
+
+
 def test_probes_act_on_exactly_one_version_configuration():
     layout = chain_layout(3, 2, photon_model=True)
     dims = [r.dimension for r in layout.registers]
     target = version_labels(layout, 1, detected=True)
-    flip = phase_flip_perturbation(layout, 1)
-    cycle = record_cycle_perturbation(layout, 1)
+    _, flip = permutation_view(phase_flip_perturbation(layout, 1))
+    cycle, _ = permutation_view(record_cycle_perturbation(layout, 1))
     for flat in range(layout.total_dimension):
         labels = dict(zip(layout.names(), naive_decode(dims, flat)))
         inside = all(
@@ -320,8 +394,8 @@ def test_probes_act_on_exactly_one_version_configuration():
             for r in layout.registers
             if r.role != "observer"
         )
-        assert flip.phases[flat] == (-1.0 if inside else 1.0)
-        assert (cycle.perm[flat] != flat) == inside
+        assert flip[flat] == (-1.0 if inside else 1.0)
+        assert (cycle[flat] != flat) == inside
 
 
 def test_run_probes_take_the_final_state_as_their_baseline(monkeypatch):

@@ -7,8 +7,12 @@ are skipped to keep the suite fast; the acceptance tests cover larger ones.
 
 The engine cross-checks draw smaller shapes (N in [2, 4], one or two
 observers, photons and the negative control on or off) and random sparse
-states, and compare the support arithmetic with the dense oracles.
+states, and compare the support arithmetic with the dense oracles.  The
+table-proof property draws small controlled-rewrite tables, sound or broken
+in one way, and compares ``verify_unitary`` with a loop-built dense matrix.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,9 +23,11 @@ from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     BasisRotation,
+    ControlledRewrite,
     ExperimentSpec,
     RunReport,
     StateVector,
+    UnitaryOp,
     apply_unitary,
     build_basis_rotation,
     build_detection_unitary,
@@ -31,6 +37,7 @@ from branchsim import (
     compose,
     decompose_branches,
     level_cycle,
+    make_layout,
     mixed_record_level,
     norm,
     normalize,
@@ -41,14 +48,18 @@ from branchsim import (
     reduced_density_matrix,
     run_measurement_chain,
     standard_classical_configs,
+    verify_unitary,
     version_labels,
 )
 from oracles import (
+    dense_matrix,
     naive_detection_matrix,
     naive_emission_matrix,
     naive_partial_trace,
     naive_perception_matrix,
+    naive_rewrite_matrix,
     naive_rotation_matrix,
+    unitarity_residual,
 )
 
 MAX_DIMENSION = 40_000
@@ -194,15 +205,15 @@ def test_support_engine_matches_the_dense_oracles(drawn, theta):
     dense = state.amplitudes
     operators = chain_operators(chain)
     for op, oracle in operators:
-        matrix = op.to_matrix()
+        matrix = dense_matrix(op)
         if oracle is not None:
             assert np.array_equal(matrix, oracle)
         assert np.array_equal(apply_unitary(op, state).amplitudes, matrix @ dense)
-        assert np.array_equal(op.adjoint().to_matrix(), matrix.conj().T)
+        assert np.array_equal(dense_matrix(op.adjoint()), matrix.conj().T)
 
     span = version_span(chain.layout)
     rotation = build_basis_rotation(chain.layout, BasisRotation(theta, span))
-    matrix = rotation.to_matrix()
+    matrix = dense_matrix(rotation)
     assert np.max(np.abs(matrix - naive_rotation_matrix(chain.layout, span, theta))) <= 1e-15
     moved = apply_unitary(rotation, state).amplitudes
     assert np.max(np.abs(moved - matrix @ dense)) <= 1e-15
@@ -214,8 +225,8 @@ def test_support_engine_matches_the_dense_oracles(drawn, theta):
         composed = compose(op, composed)
     expected = dense
     for op in ops:
-        expected = op.to_matrix() @ expected
-    assert np.array_equal(composed.to_matrix() @ dense, expected)
+        expected = dense_matrix(op) @ expected
+    assert np.array_equal(dense_matrix(composed) @ dense, expected)
     step_then_turn = apply_unitary(rotation, apply_unitary(composed, state))
     assert np.max(np.abs(step_then_turn.amplitudes - matrix @ expected)) <= 1e-15
 
@@ -253,3 +264,68 @@ def test_a_basis_permutation_leaves_the_reported_norm_bit_identical(drawn):
     assert reference == norm(state)
     for op, _ in chain_operators(chain):
         assert reported_norm(apply_unitary(op, state)) == reference
+
+
+# -- the table proof against the dense oracle ----------------------------------
+
+DEFECTS = (None, "merged levels", "phase modulus", "target in control", "repeated row")
+
+# Sums of two fourth roots of unity never have modulus 1, so a repeated
+# control row can never add up to a unitary column by accident.
+ROOTS = (1.0, -1.0, 1j, -1j)
+
+
+@st.composite
+def rewrite_tables(draw):
+    """A small layout and one controlled-rewrite table on it, sound or broken
+    in exactly one way (``defect``) that makes its dense matrix non-unitary."""
+    defect = draw(st.sampled_from(DEFECTS))
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    order = draw(st.permutations(range(len(dims))))
+    k = draw(st.integers(1 if defect == "target in control" else 0, len(dims) - 1))
+    control = order[:k]
+    if defect == "target in control":
+        targets = [control[0]]
+    elif defect != "merged levels" and draw(st.booleans()):
+        targets = [-1]
+    else:
+        targets = [p for p in order[k:] if dims[p] == dims[order[k]]]
+    levels = 1 if targets == [-1] else dims[targets[0]]
+    rows = list(itertools.product(*(range(dims[c]) for c in control)))
+    when = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4, unique=True))
+    target = [draw(st.sampled_from(targets)) for _ in when]
+    image = [list(draw(st.permutations(range(levels)))) for _ in when]
+    phase = [[draw(st.sampled_from(ROOTS)) for _ in range(levels)] for _ in when]
+
+    if defect == "merged levels":
+        image[0][1] = image[0][0]
+    elif defect == "phase modulus":
+        phase[0][draw(st.integers(0, levels - 1))] *= draw(st.sampled_from((0.5, 2.0)))
+    elif defect == "target in control":
+        # One entry that moves the level it is controlled on: its image row
+        # then matches no entry and is hit twice.
+        when, target, phase = when[:1], target[:1], phase[:1]
+        image = [[(level + 1) % levels for level in range(levels)]]
+    elif defect == "repeated row":
+        when.append(when[0])
+        target.append(target[0])
+        image.append(list(draw(st.permutations(range(levels)))))
+        phase.append([draw(st.sampled_from(ROOTS)) for _ in range(levels)])
+
+    layout = make_layout([(f"R{i}", d, "detector") for i, d in enumerate(dims)])
+    table = ControlledRewrite(control, np.reshape(when, (len(when), k)), target, image, phase)
+    oracle = naive_rewrite_matrix(layout, control, when, target, image, phase)
+    return defect, UnitaryOp(layout, f"drawn[{defect}]", (table,)), oracle
+
+
+@given(rewrite_tables())
+@settings(max_examples=150, deadline=None)
+def test_the_table_proof_agrees_with_the_dense_oracle(drawn):
+    defect, op, oracle = drawn
+    unitary = unitarity_residual(oracle) <= 1e-12
+    assert unitary == (defect is None)
+    assert verify_unitary(op).passed == unitary
+    if unitary:
+        # A sound table is applied, and inverted, as the oracle writes it.
+        assert np.array_equal(dense_matrix(op), oracle)
+        assert np.array_equal(dense_matrix(op.adjoint()), oracle.conj().T)

@@ -17,14 +17,16 @@ from branchsim import (
     run_appendix_rotation,
     run_measurement_chain,
 )
-from branchsim import dynamics, state
+from branchsim import state
+import oracles
+from oracles import dense_matrix, permutation_view
 
 
 @pytest.fixture
 def no_dense_views(monkeypatch):
     """Every dense view raises ``CapacityError`` while the fixture is live."""
     monkeypatch.setattr(state, "DENSE_VIEW_CAP", 0)
-    monkeypatch.setattr(dynamics, "DENSE_DIMENSION_CAP", 0)
+    monkeypatch.setattr(oracles, "DENSE_DIMENSION_CAP", 0)
 
 
 def test_dense_views_are_refused_under_the_fixture(no_dense_views):
@@ -33,9 +35,8 @@ def test_dense_views_are_refused_under_the_fixture(no_dense_views):
     detection = build_detection_unitary(layout)
     for view in (
         lambda: report.final_state.amplitudes,
-        lambda: detection.perm,
-        lambda: detection.phases,
-        lambda: detection.to_matrix(),
+        lambda: permutation_view(detection),
+        lambda: dense_matrix(detection),
         lambda: layout.digit_values("path"),
     ):
         with pytest.raises(CapacityError):
