@@ -43,9 +43,9 @@ from .experiments import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     Branch,
+    CertifiedRun,
     CompiledChain,
     ExperimentSpec,
-    PlainRotationRun,
     RunReport,
     chain_layout,
     coefficient_independence_check,
@@ -55,7 +55,6 @@ from .experiments import (
     expected_final_state,
     initial_state,
     mixed_record_weight,
-    multi_observer_agreement,
     no_signaling_check,
     phase_flip_perturbation,
     plain_rotation_run,

@@ -289,29 +289,22 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
                 observers=config.observers,
                 photon_model=config.photon_model,
                 tolerance=config.tolerance,
+                negative_control=negative_control,
             )
             for coefficients in _coefficient_draws(config)
         ]
-        if negative_control:
-            for spec in specs:
-                spec.require_live_negative_control()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     runs = []
     for draw_index, spec in enumerate(specs):
         if config.experiment == "appendix_rotation":
-            plain = plain_rotation_run(spec, config.checks, negative_control)
+            plain = plain_rotation_run(spec, config.checks)
             for theta in config.thetas:
-                report = run_appendix_rotation(
-                    spec, theta, config.checks, negative_control, plain=plain
-                )
+                report = run_appendix_rotation(spec, theta, config.checks, plain=plain)
                 runs.append((draw_index, report))
         else:
-            report = run_measurement_chain(
-                spec, checks=config.checks, negative_control=negative_control
-            )
-            runs.append((draw_index, report))
+            runs.append((draw_index, run_measurement_chain(spec, config.checks)))
 
     checks_total = sum(len(r.checks) for _, r in runs)
     checks_failed = sum(1 for _, r in runs for c in r.checks if not c.passed)

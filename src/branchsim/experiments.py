@@ -10,18 +10,25 @@ are mutually orthogonal, no observer register ever holds the mixed-record
 level, observers agree, removing other branches does not change a branch's
 evolution, and perturbing one branch cannot signal another.
 
+An ``ExperimentSpec`` is the whole input of a run, negative control
+included; a control that could not fail is refused when the spec is built.
 The step operator is compiled once per chain configuration by the
 memoized ``compile_chain``: the layout, the record stages (detection, then
 photon emission) composed into one operator, and every observer's
 perception stage composed into another, each stage a controlled-rewrite
 table proved unitary from the table before the chain is returned.  Every
 run, coefficient draw, rotation angle and check of one configuration shares
-that ``CompiledChain``.  A run evolves its initial state once; the
-independence check reuses the final state and replays every standalone
-version through one application of the step; the no-signaling probes reuse
-the post-detection state and take the final state as their baseline.  A
-rotation sweep evolves and certifies the unrotated run once per coefficient
-draw (``plain_rotation_run``) and passes it to each angle's
+that ``CompiledChain``.
+
+Both experiments evolve and certify a spec through one path: the initial
+state goes through the record stages, then perception, the final state is
+decomposed by the first observer's record, and the state checks read the
+result, a ``CertifiedRun``.  The measurement chain adds the independence
+check, which reuses the final state and replays every standalone version
+through one application of the step, and the no-signaling probes, which
+reuse the post-detection state and take the final state as their baseline.
+A rotation sweep certifies the unrotated run once per coefficient draw
+(``plain_rotation_run``) and passes it to each angle's
 ``run_appendix_rotation``, which builds only the rotation, the rotated first
 vector and that vector's perceived image.
 
@@ -114,10 +121,15 @@ APPENDIX_CHECKS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parameters of one experiment family.
+    """Parameters of one run, the whole input of the experiments.
 
     ``tolerance`` must lie in ``[MIN_TOLERANCE, MAX_TOLERANCE]``; the
     coefficients must be finite, with ``is_normalized`` squared moduli.
+    ``negative_control`` corrupts the perception step so that the first
+    version's message lands on the reserved mixed-record level, proving the
+    checks can fail; it needs a first coefficient of modulus above the
+    tolerance, since a smaller one puts a weight on that level no larger
+    than the squared tolerance it is held to.
     """
 
     n_versions: int
@@ -125,6 +137,7 @@ class ExperimentSpec:
     observers: int = 1
     photon_model: bool = False
     tolerance: float = TOLERANCE
+    negative_control: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
@@ -150,15 +163,7 @@ class ExperimentSpec:
                 f"squared moduli of coefficients sum to {total!r}, expected 1 "
                 f"within {TOLERANCE}"
             )
-
-    def require_live_negative_control(self) -> None:
-        """``ValueError`` if a negative control of this spec could not fail.
-
-        The control rewires the first version's message onto the mixed
-        level, so a first coefficient of modulus at most the tolerance puts
-        a weight there no larger than the squared tolerance it is held to.
-        """
-        if abs(self.coefficients[0]) <= self.tolerance:
+        if self.negative_control and abs(self.coefficients[0]) <= self.tolerance:
             raise ValueError(
                 f"negative control needs a first coefficient of modulus above the "
                 f"tolerance {self.tolerance}, got {self.coefficients[0]!r}"
@@ -421,12 +426,11 @@ compile_chain.cache_info = _build_chain.cache_info
 compile_chain.cache_clear = _build_chain.cache_clear
 
 
-def _compiled(spec: ExperimentSpec, negative_control: bool) -> CompiledChain:
-    """The spec's compiled chain; a negative control that could not fail
-    raises ``ValueError``."""
-    if negative_control:
-        spec.require_live_negative_control()
-    return compile_chain(spec.n_versions, spec.observers, spec.photon_model, negative_control)
+def _compiled(spec: ExperimentSpec) -> CompiledChain:
+    """The spec's compiled chain."""
+    return compile_chain(
+        spec.n_versions, spec.observers, spec.photon_model, spec.negative_control
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,40 +526,64 @@ def _label_text(layout, record_register, label) -> str:
 # The main experiment
 
 
+@dataclass(frozen=True)
+class CertifiedRun:
+    """One evolved and certified run of a spec.
+
+    The post-detection and final states, the branches by the first
+    observer's record and the checks that read only those states.  A
+    rotation sweep computes it once per coefficient draw with
+    ``plain_rotation_run`` and passes it to every angle's
+    ``run_appendix_rotation``.
+    """
+
+    spec: ExperimentSpec
+    enabled: tuple[str, ...]
+    chain: CompiledChain
+    post_detection: StateVector
+    final: StateVector
+    branches: tuple[Branch, ...]
+    checks: tuple[CheckResult, ...]
+
+
+def _certified_run(
+    spec: ExperimentSpec, checks: Sequence[str] | None, available: Sequence[str]
+) -> CertifiedRun:
+    """Evolve the spec's initial state through the record stages, then
+    perception, decompose the result by ``Obs1`` and run the state checks
+    among ``checks`` (all of ``available`` when None)."""
+    enabled = tuple(_select_checks(checks, available))
+    chain = _compiled(spec)
+    post_detection, final = chain.evolve(initial_state(chain.layout, spec.coefficients))
+    branches = decompose_branches(final, "Obs1", spec.tolerance)
+    results = _state_checks(spec, post_detection, [final], branches, enabled)
+    return CertifiedRun(
+        spec, enabled, chain, post_detection, final, tuple(branches), tuple(results)
+    )
+
+
 def run_measurement_chain(
-    spec: ExperimentSpec,
-    checks: Sequence[str] | None = None,
-    negative_control: bool = False,
+    spec: ExperimentSpec, checks: Sequence[str] | None = None
 ) -> RunReport:
     """Run detection then perception and certify the branch structure.
 
     ``checks`` selects by name from ``CHAIN_CHECKS``; None runs all of
-    them.  ``negative_control`` corrupts the perception step so that the
-    first version's message lands on the reserved mixed-record level,
-    proving the mixed-record check can fail.
+    them.
     """
-    enabled = _select_checks(checks, CHAIN_CHECKS)
-    chain = _compiled(spec, negative_control)
-    post_detection, final = chain.evolve(initial_state(chain.layout, spec.coefficients))
-
-    branches = decompose_branches(final, "Obs1", spec.tolerance)
-    results = _state_checks(spec, post_detection, [final], branches, enabled)
-    if "coefficient_independence" in enabled:
-        results.append(
-            coefficient_independence_check(
-                spec, negative_control=negative_control, final_state=final
-            )
-        )
-    if "no_signaling" in enabled:
-        results.append(_canonical_no_signaling(spec, chain, (post_detection, final)))
+    run = _certified_run(spec, checks, CHAIN_CHECKS)
+    results = list(run.checks)
+    if "coefficient_independence" in run.enabled:
+        results.append(coefficient_independence_check(spec, final_state=run.final))
+    if "no_signaling" in run.enabled:
+        results.append(_canonical_no_signaling(run))
 
     return RunReport(
         experiment="measurement_chain",
         spec=spec,
         theta=None,
-        layout=chain.layout,
-        final_state=final,
-        branches=branches,
+        layout=run.chain.layout,
+        final_state=run.final,
+        branches=list(run.branches),
         checks=results,
     )
 
@@ -724,7 +752,6 @@ def disagreement_weight(state: StateVector) -> float:
 def coefficient_independence_check(
     spec: ExperimentSpec,
     version_states: Sequence[StateVector] | None = None,
-    negative_control: bool = False,
     *,
     final_state: StateVector | None = None,
 ) -> CheckResult:
@@ -740,7 +767,7 @@ def coefficient_independence_check(
     run's final state when the caller already has it.  Versions with zero
     coefficient are skipped and noted.
     """
-    chain = _compiled(spec, negative_control)
+    chain = _compiled(spec)
     layout = chain.layout
     if version_states is None:
         version_states = [
@@ -765,17 +792,19 @@ def coefficient_independence_check(
     # Every vector compared below vanishes off this joint support.
     _, (whole, *singles) = aligned(final_state, *singles)
 
+    # Row j of ``rest`` is the full run less every other version's run,
+    # subtracted in version order.
+    n = spec.n_versions
+    rest = np.repeat(whole[None, :], n, axis=0)
+    for k, b in enumerate(spec.coefficients):
+        rest[np.arange(n) != k] -= b * singles[k]
     skipped: list[int] = []
     residual = 0.0
     for j, a in enumerate(spec.coefficients):
         if abs(a) <= spec.tolerance:
             skipped.append(j)
             continue
-        rest = whole.copy()
-        for k, b in enumerate(spec.coefficients):
-            if k != j:
-                rest -= b * singles[k]
-        residual = max(residual, float(np.linalg.norm(rest / a - singles[j])))
+        residual = max(residual, float(np.linalg.norm(rest[j] / a - singles[j])))
 
     detail = f"skipped zero-coefficient versions {skipped}" if skipped else ""
     return CheckResult.from_residual(
@@ -831,7 +860,6 @@ def _restricted(state: StateVector, at: list[int], labels: np.ndarray) -> StateV
 def no_signaling_check(
     spec: ExperimentSpec,
     perturbation: UnitaryOp,
-    negative_control: bool = False,
     *,
     states: tuple[StateVector, StateVector] | None = None,
 ) -> CheckResult:
@@ -844,7 +872,7 @@ def no_signaling_check(
     final state when the caller already has them, as ``CompiledChain.evolve``
     returns them.
     """
-    chain = _compiled(spec, negative_control)
+    chain = _compiled(spec)
     layout = chain.layout
     if perturbation.layout != layout:
         raise ValueError(
@@ -892,36 +920,18 @@ def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None
             )
 
 
-def _canonical_no_signaling(
-    spec: ExperimentSpec, chain: CompiledChain, states: tuple[StateVector, StateVector]
-) -> CheckResult:
+def _canonical_no_signaling(run: CertifiedRun) -> CheckResult:
     """Worst residual over the stock phase-flip and record-cycle probes."""
-    probes = [
-        phase_flip_perturbation(chain.layout, 1),
-        record_cycle_perturbation(chain.layout, 1),
-    ]
+    layout = run.chain.layout
+    probes = [phase_flip_perturbation(layout, 1), record_cycle_perturbation(layout, 1)]
     worst = max(
         (
-            no_signaling_check(spec, probe, chain.negative_control, states=states)
+            no_signaling_check(run.spec, probe, states=(run.post_detection, run.final))
             for probe in probes
         ),
         key=lambda result: result.residual,
     )
     return replace(worst, detail="phase flip and record cycle on version 2")
-
-
-# ---------------------------------------------------------------------------
-# Multi-observer agreement
-
-
-def multi_observer_agreement(
-    spec: ExperimentSpec, negative_control: bool = False
-) -> CheckResult:
-    """Weight on any inter-observer disagreement after the full chain."""
-    report = run_measurement_chain(
-        spec, checks=("observer_agreement",), negative_control=negative_control
-    )
-    return report.checks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -940,55 +950,21 @@ def _version_span(layout: SubsystemLayout, versions: np.ndarray) -> tuple[dict[s
     return tuple({name: row[i] for i, name in fixed} for row in versions.tolist())
 
 
-@dataclass(frozen=True)
-class PlainRotationRun:
-    """The angle-free half of the rotation experiment for one coefficient draw.
-
-    The plain run's post-detection and final states, its branches by the
-    first observer's record and the checks that read only those states do
-    not depend on the rotation angle.  A sweep computes them once with
-    ``plain_rotation_run`` and passes them to every angle's
-    ``run_appendix_rotation``.
-    """
-
-    spec: ExperimentSpec
-    enabled: tuple[str, ...]
-    chain: CompiledChain
-    post_detection: StateVector
-    final: StateVector
-    branches: tuple[Branch, ...]
-    checks: tuple[CheckResult, ...]
-
-
 def plain_rotation_run(
-    spec: ExperimentSpec,
-    checks: Sequence[str] | None = None,
-    negative_control: bool = False,
-) -> PlainRotationRun:
+    spec: ExperimentSpec, checks: Sequence[str] | None = None
+) -> CertifiedRun:
     """Evolve and certify the unrotated run of the rotation experiment."""
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
-    enabled = tuple(_select_checks(checks, APPENDIX_CHECKS))
-    chain = _compiled(spec, negative_control)
-    layout = chain.layout
-    post_detection = StateVector(
-        layout, _version_rows(layout, [0, 1], detected=True), spec.coefficients
-    )
-    final = apply_unitary(chain.perception, post_detection)
-    branches = decompose_branches(final, "Obs1", spec.tolerance)
-    results = _state_checks(spec, post_detection, [final], branches, enabled)
-    return PlainRotationRun(
-        spec, enabled, chain, post_detection, final, tuple(branches), tuple(results)
-    )
+    return _certified_run(spec, checks, APPENDIX_CHECKS)
 
 
 def run_appendix_rotation(
     spec: ExperimentSpec,
     theta: float,
     checks: Sequence[str] | None = None,
-    negative_control: bool = False,
     *,
-    plain: PlainRotationRun | None = None,
+    plain: CertifiedRun | None = None,
 ) -> RunReport:
     """Rerun perception in a deliberately mixed basis.
 
@@ -999,20 +975,16 @@ def run_appendix_rotation(
     level outside the plain messages is ever populated -- the records are
     properties of the state, not of the basis used to display it.
 
-    ``plain`` is ``plain_rotation_run`` of the same spec, checks and
-    negative control; a sweep over angles passes it so that the plain run
-    is evolved and certified once per draw.  Without it the call computes
-    it.  Per angle only the rotation, the rotated first vector and its
-    perceived image are built.
+    ``plain`` is ``plain_rotation_run`` of the same spec and checks; a
+    sweep over angles passes it so that the plain run is evolved and
+    certified once per draw.  Without it the call computes it.  Per angle
+    only the rotation, the rotated first vector and its perceived image are
+    built.
     """
     if plain is None:
-        plain = plain_rotation_run(spec, checks, negative_control)
-    elif (plain.spec, plain.enabled, plain.chain.negative_control) != (
-        spec,
-        tuple(_select_checks(checks, APPENDIX_CHECKS)),
-        negative_control,
-    ):
-        raise ValueError("plain run was made for another spec, check list or control")
+        plain = plain_rotation_run(spec, checks)
+    elif (plain.spec, plain.enabled) != (spec, tuple(_select_checks(checks, APPENDIX_CHECKS))):
+        raise ValueError("plain run was made for another spec or check list")
     enabled = plain.enabled
     chain = plain.chain
     layout = chain.layout

@@ -259,3 +259,24 @@ def naive_rotation_matrix(layout, span, theta):
         else:
             matrix[column, column] = 1.0
     return matrix
+
+
+def naive_independence_residual(coefficients, tolerance, whole, singles):
+    """The independence residual by the per-version loop.
+
+    ``whole`` is the full run and ``singles[k]`` version k's standalone run,
+    as amplitude arrays on one joint support.  For each version j whose
+    coefficient exceeds ``tolerance`` in modulus, every other version's run
+    is subtracted from the full run in version order, and the difference,
+    rescaled by 1/a_j, is compared with version j's run.
+    """
+    residual = 0.0
+    for j, a in enumerate(coefficients):
+        if abs(a) <= tolerance:
+            continue
+        rest = whole.copy()
+        for k, b in enumerate(coefficients):
+            if k != j:
+                rest -= b * singles[k]
+        residual = max(residual, float(np.linalg.norm(rest / a - singles[j])))
+    return residual

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from branchsim import (
     identity,
     initial_state,
     mixed_record_weight,
-    multi_observer_agreement,
     no_signaling_check,
     normalize,
     observer_dimension,
@@ -34,15 +35,18 @@ from branchsim import (
     standard_classical_configs,
     superpose,
     UnitaryOp,
+    apply_unitary,
     version_labels,
 )
 from branchsim import experiments
+from branchsim.state import aligned
 from oracles import (
     naive_decode,
     permutation_view,
     naive_disagreement_weight,
     naive_encode,
     naive_evolve,
+    naive_independence_residual,
 )
 
 
@@ -136,8 +140,8 @@ def test_photon_model_runs_clean():
 
 
 def test_negative_control_fails_mixed_record():
-    spec = ExperimentSpec(2, (0.6, 0.8))
-    report = run_measurement_chain(spec, negative_control=True)
+    spec = ExperimentSpec(2, (0.6, 0.8), negative_control=True)
+    report = run_measurement_chain(spec)
     mixed = check_by_name(report, "mixed_record")
     assert not mixed.passed
     assert mixed.residual == pytest.approx(0.36, abs=1e-12)
@@ -278,6 +282,52 @@ def test_coefficient_independence_splits_uneven_version_states():
     assert [len(v.values) for v in versions] == [1, 3, 2]
     result = coefficient_independence_check(spec, version_states=versions)
     assert result.passed and result.residual <= 1e-12
+
+
+def test_coefficient_independence_matches_the_loop_oracle_bit_for_bit():
+    # Against the per-version loop, on the true final state (rounding-level
+    # residuals) and on another draw's (residuals of order one), with zero
+    # and sub-tolerance coefficients among the draws.  The armed versions'
+    # runs are disjoint; versions mixing up to three paths overlap, so the
+    # order of the subtractions shows in the rounding.
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 16))
+        raw = np.array(unit_coefficients(rng, n))
+        raw[rng.random(n) < 0.25] = 0.0
+        raw[rng.random(n) < 0.1] *= 1e-12
+        if not raw.any():
+            raw[0] = 1.0
+        spec = ExperimentSpec(n, tuple(raw / np.linalg.norm(raw)))
+        chain = compile_chain(n)
+        armed = [
+            product_state(chain.layout, version_labels(chain.layout, j, detected=False))
+            for j in range(n)
+        ]
+        mixed = [
+            normalize(
+                superpose(
+                    [
+                        (complex(*rng.standard_normal(2)), armed[k])
+                        for k in rng.choice(n, size=min(n, 3), replace=False)
+                    ]
+                )
+            )
+            for _ in range(n)
+        ]
+        other = run_measurement_chain(
+            replace(spec, coefficients=spec.coefficients[::-1]), checks=()
+        )
+        for versions in (armed, mixed):
+            singles = [apply_unitary(chain.step, v) for v in versions]
+            _, full = chain.evolve(superpose(list(zip(spec.coefficients, versions))))
+            for final in (full, other.final_state):
+                _, (whole, *on_support) = aligned(final, *singles)
+                oracle = naive_independence_residual(
+                    spec.coefficients, spec.tolerance, whole, on_support
+                )
+                result = coefficient_independence_check(spec, versions, final_state=final)
+                assert result.residual == oracle
 
 
 # -- no signaling ---------------------------------------------------------------
@@ -428,20 +478,25 @@ def test_no_signaling_with_photons():
 # -- observer agreement ----------------------------------------------------------
 
 
+def agreement(spec):
+    (result,) = run_measurement_chain(spec, checks=("observer_agreement",)).checks
+    return result
+
+
 def test_agreement_two_observers():
-    result = multi_observer_agreement(ExperimentSpec(2, (2**-0.5, 2**-0.5), observers=2))
+    result = agreement(ExperimentSpec(2, (2**-0.5, 2**-0.5), observers=2))
     assert result.passed and result.residual <= 1e-24
 
 
 def test_agreement_single_observer_skipped():
-    result = multi_observer_agreement(ExperimentSpec(2, (0.6, 0.8)))
+    result = agreement(ExperimentSpec(2, (0.6, 0.8)))
     assert result.skipped
 
 
 def test_agreement_three_observers_three_versions():
     rng = np.random.default_rng(33)
     spec = ExperimentSpec(3, unit_coefficients(rng, 3), observers=3)
-    result = multi_observer_agreement(spec)
+    result = agreement(spec)
     assert result.passed and result.residual <= 1e-24
     # And against the label-loop oracle on the library's final state.
     report = run_measurement_chain(spec, checks=())
@@ -483,11 +538,13 @@ def test_rotation_sweep_matches_one_angle_calls(negative_control):
     # must not depend on the angles swept before it.  Under the negative
     # control the mixed-record residual is max(0.36, cos(theta)**2), so it
     # varies with the angle.
-    spec = ExperimentSpec(2, (0.6, 0.8j), observers=2, photon_model=True)
-    plain = plain_rotation_run(spec, negative_control=negative_control)
+    spec = ExperimentSpec(
+        2, (0.6, 0.8j), observers=2, photon_model=True, negative_control=negative_control
+    )
+    plain = plain_rotation_run(spec)
     for theta in [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]:
-        swept = run_appendix_rotation(spec, theta, negative_control=negative_control, plain=plain)
-        alone = run_appendix_rotation(spec, theta, negative_control=negative_control)
+        swept = run_appendix_rotation(spec, theta, plain=plain)
+        alone = run_appendix_rotation(spec, theta)
         assert swept.to_dict() == alone.to_dict()
 
 
@@ -497,7 +554,7 @@ def test_rotation_rejects_a_plain_run_of_another_configuration():
     mismatched = [
         (ExperimentSpec(2, (0.8, 0.6)), {}),
         (spec, {"checks": ("mixed_record",)}),
-        (spec, {"negative_control": True}),
+        (ExperimentSpec(2, (0.6, 0.8), negative_control=True), {}),
     ]
     for other, options in mismatched:
         with pytest.raises(ValueError, match="plain run"):
@@ -509,8 +566,31 @@ def test_appendix_rejects_more_than_two_versions():
         run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), 0.3)
 
 
+def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
+    # Path j flips detector j + 1: a valid table that proves unitary, but
+    # not the detection the branch table describes.  Both experiments evolve
+    # their runs through it, so both must fail the branch structure.
+    def crossed(layout, _build=experiments.build_detection_unitary):
+        (table,) = _build(layout).stages
+        target = np.roll(table.target, 1)
+        table = ControlledRewrite(table.control, table.when, target, table.image)
+        return UnitaryOp(layout, "crossed detection", (table,))
+
+    compile_chain.cache_clear()
+    monkeypatch.setattr(experiments, "build_detection_unitary", crossed)
+    try:
+        spec = ExperimentSpec(2, (0.6, 0.8))
+        chain_run = run_measurement_chain(spec)
+        rotation = run_appendix_rotation(spec, 0.7)
+    finally:
+        compile_chain.cache_clear()
+    assert not check_by_name(chain_run, "structure").passed
+    assert not check_by_name(rotation, "structure").passed
+    assert not check_by_name(rotation, "primed_coefficients").passed
+
+
 def test_appendix_negative_control_fails_mixed_record():
-    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), 0.7, negative_control=True)
+    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8), negative_control=True), 0.7)
     assert not check_by_name(report, "mixed_record").passed
     assert not report.all_passed
 
@@ -626,13 +706,16 @@ def test_negative_control_that_cannot_fail_is_rejected():
     spec = ExperimentSpec(2, (0.0, 1.0))
     assert run_measurement_chain(spec).all_passed
     with pytest.raises(ValueError, match="negative control"):
-        run_measurement_chain(spec, negative_control=True)
+        ExperimentSpec(2, (0.0, 1.0), negative_control=True)
     with pytest.raises(ValueError, match="negative control"):
-        run_appendix_rotation(spec, np.pi / 2, negative_control=True)
-    with pytest.raises(ValueError, match="negative control"):
-        coefficient_independence_check(spec, negative_control=True)
-    # A first coefficient just above the tolerance is kept, and fails.
+        replace(spec, negative_control=True)
+    # A first coefficient just above the tolerance is kept, and fails; at a
+    # tolerance as large as its modulus the control is refused.
     tiny = 1e-6
     live = ExperimentSpec(2, (tiny, (1 - tiny**2) ** 0.5), tolerance=tiny / 2)
-    report = run_measurement_chain(live, checks=("mixed_record",), negative_control=True)
-    assert not report.checks[0].passed
+    control = replace(live, negative_control=True)
+    assert not run_measurement_chain(control, checks=("mixed_record",)).all_passed
+    with pytest.raises(ValueError, match="negative control"):
+        replace(live, negative_control=True, tolerance=tiny)
+    with pytest.raises(ValueError, match="negative control"):
+        replace(control, tolerance=tiny)

@@ -13,6 +13,7 @@ in one way, and compares ``verify_unitary`` with a loop-built dense matrix.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,9 +114,10 @@ def test_every_check_passes(spec):
 def test_negative_control_fails_or_is_rejected(spec):
     if abs(spec.coefficients[0]) <= spec.tolerance:
         with pytest.raises(ValueError, match="negative control"):
-            run_measurement_chain(spec, checks=("mixed_record",), negative_control=True)
+            replace(spec, negative_control=True)
         return
-    report = run_measurement_chain(spec, checks=("mixed_record",), negative_control=True)
+    control = replace(spec, negative_control=True)
+    report = run_measurement_chain(control, checks=("mixed_record",))
     assert not report.checks[0].passed
 
 

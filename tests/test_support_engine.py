@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,9 @@ def test_full_chain_suite_runs_on_the_support(
     assert sorted(c.name for c in report.checks) == sorted(branchsim.CHAIN_CHECKS)
     assert report.all_passed
     assert report.to_dict()["final_state"]["support"] == n
-    control = run_measurement_chain(spec, checks=("mixed_record",), negative_control=True)
+    control = run_measurement_chain(
+        replace(spec, negative_control=True), checks=("mixed_record",)
+    )
     assert not control.all_passed
 
 
