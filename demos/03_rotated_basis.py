@@ -29,7 +29,7 @@ print(f"{'theta':>8}  {'blended c1':>11}  {'blended c2':>11}  "
 
 worst_mixed = 0.0
 for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
-    report = run_appendix_rotation(spec, float(theta), plain=plain)
+    report = run_appendix_rotation(plain, float(theta))
     c1, c2 = primed_coefficients(A1, A2, theta)
     coeff = next(c for c in report.checks if c.name == "primed_coefficients")
     evolve = next(c for c in report.checks if c.name == "primed_evolution")

@@ -15,7 +15,6 @@ from .analysis import (
     von_neumann_entropy,
 )
 from .dynamics import (
-    BasisRotation,
     CheckResult,
     ControlledRewrite,
     PairedRotation,

@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .state import TOLERANCE
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXPERIMENTS = {
     "stern_gerlach": CHAIN_CHECKS,
@@ -208,7 +208,10 @@ def _parse_thetas(raw: dict, config: ConfigFile) -> None:
         end = _expect_float(value, "end", default=2 * np.pi)
         # Uniform grid over [start, end); the endpoint is excluded so a full
         # turn does not duplicate theta = 0.
-        config.thetas = [start + (end - start) * k / count for k in range(count)]
+        thetas = [start + (end - start) * k / count for k in range(count)]
+        if not all(map(math.isfinite, thetas)):
+            raise ConfigError(f"thetas: the sweep from {start!r} to {end!r} overflows")
+        config.thetas = thetas
         return
     if not isinstance(value, list) or not all(map(_is_finite_number, value)):
         raise ConfigError("thetas: expected a list of finite angles or {count, start, end}")
@@ -301,7 +304,7 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
         if config.experiment == "appendix_rotation":
             plain = plain_rotation_run(spec, config.checks)
             for theta in config.thetas:
-                report = run_appendix_rotation(spec, theta, config.checks, plain=plain)
+                report = run_appendix_rotation(plain, theta)
                 runs.append((draw_index, report))
         else:
             runs.append((draw_index, run_measurement_chain(spec, config.checks)))
@@ -355,11 +358,9 @@ def render_text(report: dict) -> str:
         theta_text = "-" if theta is None else f"{theta:.6f}"
         coeffs = ", ".join(f"{re:+.4f}{im:+.4f}i" for re, im in run["coefficients"])
         lines.append(f"run {run['run_index']}  theta {theta_text}  coefficients [{coeffs}]")
-        lines.append(f"  {'label':<12} {'weight':<22} message")
+        lines.append(f"  {'label':<12} weight")
         for branch in run["branches"]:
-            lines.append(
-                f"  {branch['label']:<12} {branch['weight']:<22.16f} {branch['message']}"
-            )
+            lines.append(f"  {branch['label']:<12} {branch['weight']:.16f}")
         for check in run["checks"]:
             lines.append(
                 f"  check {check['name']:<26} {check['status']:<5} "
@@ -378,7 +379,9 @@ def _jsonify(value):
 
 def write_report(report: dict, path: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify) + "\n"
+        # NaN and Infinity are not JSON: a report holding one is a bug (exit 4).
+        text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify, allow_nan=False)
+        text += "\n"
     else:
         text = render_text(report)
     if path is None:

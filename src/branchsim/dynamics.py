@@ -19,8 +19,8 @@ with phases, the basis states it selects, and they stay selected.
 O(entries x levels) whatever the dimension.
 
 The mixed-basis rotation turns disjoint pairs of basis states within their
-planes; a ``PairedRotation`` stores the two configurations of the registers
-it fixes and one angle, and acts on the rows that read either configuration.
+planes; a ``PairedRotation`` stores the non-observer columns of two label
+rows and one angle, and acts on the rows that read either configuration.
 
 Convention: ``U e_x = phase(x) e_image(x)``.
 """
@@ -427,25 +427,15 @@ def build_perception_unitary(
     return UnitaryOp(layout, f"perception[{observer_register}]", (table,))
 
 
-@dataclass(frozen=True)
-class BasisRotation:
-    """Planar rotation bridging two product configurations.
-
-    ``span`` gives the two configurations (labels for every non-observer
-    register) whose plane is rotated by ``theta``; observer registers ride
-    along untouched, so the rotation never relabels any written record.
-    """
-
-    theta: float
-    span: tuple[Mapping[str, int], Mapping[str, int]]
-
-
 def build_basis_rotation(
-    layout: SubsystemLayout, rotation: BasisRotation
+    layout: SubsystemLayout, theta: float, first: Sequence[int], second: Sequence[int]
 ) -> PairedRotation:
-    """Rotate the two-dimensional span for every fixed observer label.
+    """Rotate the plane of two configurations for every fixed observer label.
 
-    Writing ``|1>``, ``|2>`` for the span configurations, the images are
+    The label rows ``first`` and ``second`` name the configurations by their
+    non-observer labels; observer registers ride along untouched, so their
+    labels are ignored and no written record is ever relabeled.  Writing
+    ``|1>``, ``|2>`` for the two configurations, the images are
 
         ``U |1> = cos(theta) |1> + sin(theta) |2>``
         ``U |2> = -sin(theta) |1> + cos(theta) |2>``
@@ -454,27 +444,13 @@ def build_basis_rotation(
     ``(a1 cos - a2 sin, a2 cos + a1 sin)`` on the plane, and the inverse is
     the rotation by ``-theta``.
     """
-    observers = {r.name for r in layout.by_role(ROLE_OBSERVER)}
-    fixed = [name for name in layout.names() if name not in observers]
-    configurations = []
-    for tag, labels in zip(("first", "second"), rotation.span):
-        if set(labels) != set(fixed):
-            raise ValueError(
-                f"{tag} span labels must cover exactly the non-observer registers "
-                f"{sorted(fixed)}, got {sorted(labels)}"
-            )
-        row = layout.row({**labels, **dict.fromkeys(observers, OBSERVER_BLANK)})
-        configurations.append(tuple(int(row[layout.position(name)]) for name in fixed))
+    fixed = [i for i, r in enumerate(layout.registers) if r.role != ROLE_OBSERVER]
+    configurations = [tuple(layout.row(row)[fixed].tolist()) for row in (first, second)]
     if configurations[0] == configurations[1]:
-        raise ValueError("span labels must name two distinct configurations")
+        raise ValueError("the rows must name two distinct non-observer configurations")
 
     return PairedRotation(
-        layout,
-        f"basis-rotation[theta={rotation.theta:g}]",
-        fixed=tuple(layout.position(name) for name in fixed),
-        first=configurations[0],
-        second=configurations[1],
-        theta=rotation.theta,
+        layout, f"basis-rotation[theta={theta:g}]", tuple(fixed), *configurations, theta
     )
 
 

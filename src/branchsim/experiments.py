@@ -28,9 +28,10 @@ check, which reuses the final state and replays every standalone version
 through one application of the step, and the no-signaling probes, which
 reuse the post-detection state and take the final state as their baseline.
 A rotation sweep certifies the unrotated run once per coefficient draw
-(``plain_rotation_run``) and passes it to each angle's
-``run_appendix_rotation``, which builds only the rotation, the rotated first
-vector and that vector's perceived image.
+(``plain_rotation_run``); that run is the only input of each angle's
+``run_appendix_rotation(plain, theta)``, which builds only the rotation from
+the two version rows, the rotated first vector and that vector's perceived
+image.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -44,6 +45,7 @@ enumerating the observer levels the branch spans.
 from __future__ import annotations
 
 import cmath
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -52,7 +54,6 @@ import numpy as np
 
 from . import analysis
 from .dynamics import (
-    BasisRotation,
     CheckResult,
     ControlledRewrite,
     UnitaryOp,
@@ -231,7 +232,6 @@ class RunReport:
                 {
                     "label": _label_text(self.layout, b.record_register, b.record_label),
                     "weight": b.weight,
-                    "message": _label_text(self.layout, b.record_register, b.record_label),
                     "coefficient": [b.coefficient.real, b.coefficient.imag],
                 }
                 for b in self.branches
@@ -556,7 +556,7 @@ def _certified_run(
     chain = _compiled(spec)
     post_detection, final = chain.evolve(initial_state(chain.layout, spec.coefficients))
     branches = decompose_branches(final, "Obs1", spec.tolerance)
-    results = _state_checks(spec, post_detection, [final], branches, enabled)
+    results = _state_checks(spec, post_detection, final, branches, enabled)
     return CertifiedRun(
         spec, enabled, chain, post_detection, final, tuple(branches), tuple(results)
     )
@@ -600,18 +600,16 @@ def _select_checks(requested: Sequence[str] | None, available: Sequence[str]) ->
 def _state_checks(
     spec: ExperimentSpec,
     post_detection: StateVector,
-    perceived: Sequence[StateVector],
+    final: StateVector,
     obs_branches: Sequence[Branch],
     enabled: Sequence[str],
 ) -> list[CheckResult]:
     """The checks evaluated directly on the run's states.
 
-    ``perceived`` lists the states every observer has looked at, the run's
-    final state first; ``obs_branches`` is the decomposition of that final
-    state by the first observer's record.
+    ``final`` is the state every observer has looked at; ``obs_branches`` is
+    its decomposition by the first observer's record.
     """
     results: list[CheckResult] = []
-    final = perceived[0]
     layout = final.layout
     detector_names = tuple(r.name for r in layout.by_role(ROLE_DETECTOR))
     observer_names = [r.name for r in layout.by_role(ROLE_OBSERVER)]
@@ -643,10 +641,7 @@ def _state_checks(
     if "mixed_record" in enabled:
         # Once every observer has looked, any level outside the plain
         # messages counts, blank included.
-        weight = max(
-            mixed_record_weight(post_detection),
-            *(_non_message_weight(state) for state in perceived),
-        )
+        weight = max(mixed_record_weight(post_detection), _non_message_weight(final))
         results.append(
             CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
         )
@@ -944,12 +939,6 @@ def primed_coefficients(a1: complex, a2: complex, theta: float) -> tuple[complex
     return (a1 * c - a2 * s, a2 * c + a1 * s)
 
 
-def _version_span(layout: SubsystemLayout, versions: np.ndarray) -> tuple[dict[str, int], ...]:
-    """The non-observer labels of each version row, by register name."""
-    fixed = [(i, r.name) for i, r in enumerate(layout.registers) if r.role != ROLE_OBSERVER]
-    return tuple({name: row[i] for i, name in fixed} for row in versions.tolist())
-
-
 def plain_rotation_run(
     spec: ExperimentSpec, checks: Sequence[str] | None = None
 ) -> CertifiedRun:
@@ -959,13 +948,7 @@ def plain_rotation_run(
     return _certified_run(spec, checks, APPENDIX_CHECKS)
 
 
-def run_appendix_rotation(
-    spec: ExperimentSpec,
-    theta: float,
-    checks: Sequence[str] | None = None,
-    *,
-    plain: CertifiedRun | None = None,
-) -> RunReport:
+def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
     """Rerun perception in a deliberately mixed basis.
 
     Starts from the post-detection state, rotates the two-version plane by
@@ -975,24 +958,20 @@ def run_appendix_rotation(
     level outside the plain messages is ever populated -- the records are
     properties of the state, not of the basis used to display it.
 
-    ``plain`` is ``plain_rotation_run`` of the same spec and checks; a
-    sweep over angles passes it so that the plain run is evolved and
-    certified once per draw.  Without it the call computes it.  Per angle
-    only the rotation, the rotated first vector and its perceived image are
-    built.
+    ``plain`` is ``plain_rotation_run`` of a spec and check list, and gives
+    the spec, the enabled checks, the chain and the unrotated run; a sweep
+    over angles passes one per draw.  Per angle only the rotation, the
+    rotated first vector and its perceived image are built.  A non-finite
+    ``theta`` raises ``ValueError``.
     """
-    if plain is None:
-        plain = plain_rotation_run(spec, checks)
-    elif (plain.spec, plain.enabled) != (spec, tuple(_select_checks(checks, APPENDIX_CHECKS))):
-        raise ValueError("plain run was made for another spec or check list")
-    enabled = plain.enabled
-    chain = plain.chain
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    spec, enabled, chain = plain.spec, plain.enabled, plain.chain
     layout = chain.layout
     post_detection, final, branches = plain.post_detection, plain.final, plain.branches
 
     versions = _version_rows(layout, [0, 1], detected=True)
-    span = _version_span(layout, versions)
-    rotation = build_basis_rotation(layout, BasisRotation(theta, span))
+    rotation = build_basis_rotation(layout, theta, *versions)
     primed_first = apply_unitary(rotation, product_state(layout, versions[0].tolist()))
     primed_evolved = apply_unitary(chain.perception, primed_first)
 
@@ -1000,9 +979,7 @@ def run_appendix_rotation(
     if "mixed_record" in enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
         # of it and the plain run.
-        (primed,) = _state_checks(
-            spec, post_detection, [primed_evolved], branches, ["mixed_record"]
-        )
+        (primed,) = _state_checks(spec, post_detection, primed_evolved, branches, ["mixed_record"])
         at = [r.name for r in results].index("mixed_record")
         results[at] = max(results[at], primed, key=lambda r: r.residual)
 

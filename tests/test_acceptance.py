@@ -21,6 +21,7 @@ from branchsim import (
     normalize,
     observer_coherence,
     phase_flip_perturbation,
+    plain_rotation_run,
     product_state,
     record_cycle_perturbation,
     reduced_density_matrix,
@@ -123,9 +124,9 @@ def test_criterion_4_rotated_basis_and_negative_control(tmp_path):
     worst_a = worst_b = worst_c = 0.0
     wanted = ("primed_coefficients", "primed_evolution", "mixed_record")
     for coefficients in pairs:
-        spec = ExperimentSpec(2, coefficients)
+        plain = plain_rotation_run(ExperimentSpec(2, coefficients), wanted)
         for theta in thetas:
-            report = run_appendix_rotation(spec, theta, checks=wanted)
+            report = run_appendix_rotation(plain, theta)
             worst_a = max(worst_a, check(report, "primed_coefficients").residual)
             worst_b = max(worst_b, check(report, "primed_evolution").residual)
             worst_c = max(worst_c, check(report, "mixed_record").residual)

@@ -89,11 +89,12 @@ def test_run_and_report_passes(tmp_path):
     config = parse_config(str(write_config(tmp_path)))
     exit_code, report = run_and_report(config)
     assert exit_code == 0
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["summary"]["all_passed"] is True
     assert len(report["runs"]) == 1
     run = report["runs"][0]
     assert {b["label"] for b in run["branches"]} == {"M1", "M2"}
+    assert all(set(b) == {"label", "weight", "coefficient"} for b in run["branches"])
     statuses = {c["name"]: c["status"] for c in run["checks"]}
     assert statuses["structure"] == "pass"
     assert statuses["observer_agreement"] == "skip"
@@ -155,7 +156,7 @@ def test_text_format(tmp_path, capsys):
     code = main(["run", str(write_config(tmp_path)), "--format", "text"])
     assert code == 0
     text = capsys.readouterr().out
-    assert "label" in text and "weight" in text and "message" in text
+    assert "label" in text and "weight" in text and "message" not in text
     assert "M1" in text and "M2" in text
     assert "all passed yes" in text
 
@@ -299,6 +300,30 @@ def test_non_finite_coefficients_and_angles_exit_two(tmp_path, bad):
         thetas={"count": 4, "end": bad},
     )
     assert main(["run", str(sweep)]) == 2
+
+
+def test_an_overflowing_theta_sweep_exits_two(tmp_path):
+    # Both ends are finite, but end - start overflows, which would sweep
+    # the angles [nan, inf].
+    path = write_config(
+        tmp_path,
+        experiment="appendix_rotation",
+        thetas={"count": 2, "start": -1e308, "end": 1e308},
+    )
+    with pytest.raises(ConfigError, match="thetas"):
+        parse_config(str(path))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_non_finite_residual_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # NaN has no JSON spelling, so a report holding one is never written.
+    monkeypatch.setattr(experiments, "mixed_record_weight", lambda state: math.nan)
+    out = tmp_path / "report.json"
+    assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_tolerance_below_the_rounding_floor_exits_two(tmp_path):

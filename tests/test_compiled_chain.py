@@ -200,4 +200,4 @@ def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
     assert main(["run", config, "--out", str(tmp_path / "report.json")]) == 0
     assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
     assert builds["build_detection_unitary"] == [None]
-    assert [r.theta for r in builds["build_basis_rotation"]] == [0.0, 0.5, 1.0, 1.5]
+    assert builds["build_basis_rotation"] == [0.0, 0.5, 1.0, 1.5]

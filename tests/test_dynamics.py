@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchsim import (
-    BasisRotation,
     CapacityError,
     ControlledRewrite,
     PairedRotation,
@@ -253,9 +252,14 @@ def version_span():
     )
 
 
+def version_rows(layout):
+    """The two span configurations as label rows, observer blank."""
+    return [layout.row({**span, "Obs": 0}) for span in version_span()]
+
+
 def test_rotation_at_zero_is_identity():
     layout = sg_layout()
-    rotation = build_basis_rotation(layout, BasisRotation(0.0, version_span()))
+    rotation = build_basis_rotation(layout, 0.0, *version_rows(layout))
     assert np.array_equal(dense_matrix(rotation), dense_matrix(identity(sg_layout())))
     state = random_state(layout, 11)
     assert np.array_equal(apply_unitary(rotation, state).amplitudes, state.amplitudes)
@@ -264,14 +268,14 @@ def test_rotation_at_zero_is_identity():
 def test_rotation_composes_and_inverts():
     layout = sg_layout()
     theta, theta2 = 0.41, 1.13
-    span = version_span()
-    forward = build_basis_rotation(layout, BasisRotation(theta, span))
-    backward = build_basis_rotation(layout, BasisRotation(-theta, span))
+    rows = version_rows(layout)
+    forward = build_basis_rotation(layout, theta, *rows)
+    backward = build_basis_rotation(layout, -theta, *rows)
     eye = dense_matrix(identity(sg_layout()))
     assert np.max(np.abs(dense_matrix(backward) @ dense_matrix(forward) - eye)) <= 1e-12
 
-    second = build_basis_rotation(layout, BasisRotation(theta2, span))
-    direct = build_basis_rotation(layout, BasisRotation(theta + theta2, span))
+    second = build_basis_rotation(layout, theta2, *rows)
+    direct = build_basis_rotation(layout, theta + theta2, *rows)
     chained = dense_matrix(second) @ dense_matrix(forward)
     assert np.max(np.abs(chained - dense_matrix(direct))) <= 1e-12
 
@@ -289,7 +293,7 @@ def test_rotation_coefficient_transform():
     layout = sg_layout()
     theta = 0.77
     a1, a2 = 0.6, 0.8j
-    rotation = build_basis_rotation(layout, BasisRotation(theta, version_span()))
+    rotation = build_basis_rotation(layout, theta, *version_rows(layout))
     span1, span2 = version_span()
     state = superpose(
         [
@@ -310,7 +314,7 @@ def test_rotation_basis_vector_images():
     # the "mixed" configuration fed to the perception step.
     layout = sg_layout()
     theta = 1.0
-    rotation = build_basis_rotation(layout, BasisRotation(theta, version_span()))
+    rotation = build_basis_rotation(layout, theta, *version_rows(layout))
     span1, span2 = version_span()
     image = apply_unitary(rotation, product_state(layout, {**span1, "Obs": 0}))
     i1 = layout.encode({**span1, "Obs": 0})
@@ -321,24 +325,24 @@ def test_rotation_basis_vector_images():
 
 def test_rotation_rejects_degenerate_or_incomplete_spans():
     layout = sg_layout()
-    span1, _ = version_span()
+    first, second = version_rows(layout)
     with pytest.raises(ValueError, match="distinct"):
-        build_basis_rotation(layout, BasisRotation(0.3, (span1, dict(span1))))
-    with pytest.raises(ValueError, match="non-observer"):
-        build_basis_rotation(
-            layout, BasisRotation(0.3, ({"P": 0, "DH": 1}, {"P": 1, "DH": 0}))
-        )
-    with pytest.raises(ValueError, match="non-observer"):
-        bad = ({"P": 0, "DH": 1, "DV": 0, "Obs": 0}, {"P": 1, "DH": 0, "DV": 1, "Obs": 0})
-        build_basis_rotation(layout, BasisRotation(0.3, bad))
+        build_basis_rotation(layout, 0.3, first, first.copy())
+    # Observer labels ride along: rows that differ only there name one
+    # configuration.
+    with pytest.raises(ValueError, match="distinct"):
+        build_basis_rotation(layout, 0.3, first, layout.row({**version_span()[0], "Obs": 2}))
+    with pytest.raises(ValueError, match="expected 4 labels"):
+        build_basis_rotation(layout, 0.3, first, second[:3])
+    with pytest.raises(ValueError, match="out of range"):
+        build_basis_rotation(layout, 0.3, first, [1, 0, 2, 0])
 
 
 def test_rotation_capacity_cap():
     # The rotation itself has no dimension cap: it is built and applied as
     # index pairs.  Only its dense view is capped.
     big = make_layout([(f"D{i}", 2, "detector") for i in range(13)])
-    span = ({f"D{i}": 0 for i in range(13)}, {f"D{i}": 1 for i in range(13)})
-    rotation = build_basis_rotation(big, BasisRotation(0.3, span))
+    rotation = build_basis_rotation(big, 0.3, [0] * 13, [1] * 13)
     assert rotation.dimension == 8192
     assert verify_unitary(rotation).passed
     state = random_state(big, 4)
@@ -359,9 +363,10 @@ def test_rotation_matches_brute_force_oracle(observers, photon_model):
     non_observer = lambda labels: {
         k: v for k, v in labels.items() if layout.register(k).role != "observer"
     }
-    span = tuple(non_observer(version_labels(layout, j, detected=True)) for j in (0, 1))
+    labels = [version_labels(layout, j, detected=True) for j in (0, 1)]
+    span = tuple(non_observer(version) for version in labels)
     for theta in (0.0, 0.77, -2.3):
-        rotation = build_basis_rotation(layout, BasisRotation(theta, span))
+        rotation = build_basis_rotation(layout, theta, *map(layout.row, labels))
         oracle = naive_rotation_matrix(layout, span, theta)
         assert np.max(np.abs(dense_matrix(rotation) - oracle)) <= 1e-15
         for seed in range(3):
@@ -422,7 +427,7 @@ def test_compose_with_adjoint_gives_identity():
     round_trip = compose(perception.adjoint(), perception)
     assert np.array_equal(dense_matrix(round_trip), np.eye(32))
 
-    rotation = build_basis_rotation(layout, BasisRotation(0.9, version_span()))
+    rotation = build_basis_rotation(layout, 0.9, *version_rows(layout))
     adjoint = rotation.adjoint()
     assert adjoint.theta == -0.9
     round_trip = dense_matrix(adjoint) @ dense_matrix(rotation)
@@ -446,7 +451,7 @@ def test_verify_unitary_accepts_builders_and_rejects_defects():
     for op in (
         build_detection_unitary(layout),
         build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
-        build_basis_rotation(layout, BasisRotation(0.37, version_span())),
+        build_basis_rotation(layout, 0.37, *version_rows(layout)),
         level_cycle(layout, "Obs"),
     ):
         result = verify_unitary(op)
@@ -483,7 +488,7 @@ def test_every_builder_is_linear(alpha, beta, seed):
     for op in (
         build_detection_unitary(layout),
         build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
-        build_basis_rotation(layout, BasisRotation(0.83, version_span())),
+        build_basis_rotation(layout, 0.83, *version_rows(layout)),
     ):
         left = apply_unitary(op, mix).amplitudes
         right = alpha * apply_unitary(op, x).amplitudes + beta * apply_unitary(op, z).amplitudes
@@ -495,7 +500,7 @@ def test_norm_preserved_by_every_builder():
     ops = (
         build_detection_unitary(layout),
         build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
-        build_basis_rotation(layout, BasisRotation(2.2, version_span())),
+        build_basis_rotation(layout, 2.2, *version_rows(layout)),
     )
     for seed, op in enumerate(ops):
         moved = apply_unitary(op, random_state(layout, 100 + seed))

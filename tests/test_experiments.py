@@ -510,7 +510,7 @@ def test_agreement_three_observers_three_versions():
 
 def test_rotation_at_zero_reduces_to_plain_perception():
     spec = ExperimentSpec(2, (0.6, 0.8))
-    report = run_appendix_rotation(spec, 0.0)
+    report = run_appendix_rotation(plain_rotation_run(spec), 0.0)
     assert report.all_passed
     target = expected_final_state(report.layout, spec.coefficients)
     assert np.linalg.norm(report.final_state.amplitudes - target.amplitudes) <= 1e-12
@@ -520,14 +520,14 @@ def test_primed_coefficients_at_quarter_turn():
     b1, b2 = primed_coefficients(1.0, 0.0, np.pi / 4)
     assert abs(b1 - 0.7071067811865476) <= 1e-12
     assert abs(b2 - 0.7071067811865476) <= 1e-12
-    report = run_appendix_rotation(ExperimentSpec(2, (1.0, 0.0)), np.pi / 4)
+    report = run_appendix_rotation(plain_rotation_run(ExperimentSpec(2, (1.0, 0.0))), np.pi / 4)
     assert check_by_name(report, "primed_coefficients").passed
 
 
 def test_theta_sweep_never_populates_the_mixed_level():
-    spec = ExperimentSpec(2, (0.6, 0.8))
+    plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8)))
     for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
-        report = run_appendix_rotation(spec, float(theta))
+        report = run_appendix_rotation(plain, float(theta))
         assert report.all_passed
         assert check_by_name(report, "mixed_record").residual <= 1e-24
 
@@ -543,27 +543,23 @@ def test_rotation_sweep_matches_one_angle_calls(negative_control):
     )
     plain = plain_rotation_run(spec)
     for theta in [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]:
-        swept = run_appendix_rotation(spec, theta, plain=plain)
-        alone = run_appendix_rotation(spec, theta)
+        swept = run_appendix_rotation(plain, theta)
+        alone = run_appendix_rotation(plain_rotation_run(spec), theta)
         assert swept.to_dict() == alone.to_dict()
 
 
-def test_rotation_rejects_a_plain_run_of_another_configuration():
-    spec = ExperimentSpec(2, (0.6, 0.8))
-    plain = plain_rotation_run(spec)
-    mismatched = [
-        (ExperimentSpec(2, (0.8, 0.6)), {}),
-        (spec, {"checks": ("mixed_record",)}),
-        (ExperimentSpec(2, (0.6, 0.8), negative_control=True), {}),
-    ]
-    for other, options in mismatched:
-        with pytest.raises(ValueError, match="plain run"):
-            run_appendix_rotation(other, 0.3, plain=plain, **options)
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_rotation_refuses_a_non_finite_angle(theta):
+    # At NaN every residual of the rotated half is NaN, which no comparison
+    # with the plain half's would ever pick.
+    plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8)))
+    with pytest.raises(ValueError, match="finite"):
+        run_appendix_rotation(plain, theta)
 
 
 def test_appendix_rejects_more_than_two_versions():
     with pytest.raises(ValueError, match="two versions"):
-        run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), 0.3)
+        plain_rotation_run(ExperimentSpec(3, (1.0, 0.0, 0.0)))
 
 
 def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
@@ -581,7 +577,7 @@ def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
     try:
         spec = ExperimentSpec(2, (0.6, 0.8))
         chain_run = run_measurement_chain(spec)
-        rotation = run_appendix_rotation(spec, 0.7)
+        rotation = run_appendix_rotation(plain_rotation_run(spec), 0.7)
     finally:
         compile_chain.cache_clear()
     assert not check_by_name(chain_run, "structure").passed
@@ -590,13 +586,14 @@ def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
 
 
 def test_appendix_negative_control_fails_mixed_record():
-    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8), negative_control=True), 0.7)
+    spec = ExperimentSpec(2, (0.6, 0.8), negative_control=True)
+    report = run_appendix_rotation(plain_rotation_run(spec), 0.7)
     assert not check_by_name(report, "mixed_record").passed
     assert not report.all_passed
 
 
 def test_record_invariance_check_present_and_passing():
-    report = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), 1.2)
+    report = run_appendix_rotation(plain_rotation_run(ExperimentSpec(2, (0.6, 0.8))), 1.2)
     invariance = check_by_name(report, "record_invariance")
     assert invariance.passed and invariance.residual <= 1e-12
 

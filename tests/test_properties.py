@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
-    BasisRotation,
     ControlledRewrite,
     ExperimentSpec,
     RunReport,
@@ -214,7 +213,12 @@ def test_support_engine_matches_the_dense_oracles(drawn, theta):
         assert np.array_equal(dense_matrix(op.adjoint()), matrix.conj().T)
 
     span = version_span(chain.layout)
-    rotation = build_basis_rotation(chain.layout, BasisRotation(theta, span))
+    # The builder ignores observer labels: give each row a message.
+    rows = [
+        chain.layout.row(version_labels(chain.layout, j, detected=True, message=j + 1))
+        for j in (0, 1)
+    ]
+    rotation = build_basis_rotation(chain.layout, theta, *rows)
     matrix = dense_matrix(rotation)
     assert np.max(np.abs(matrix - naive_rotation_matrix(chain.layout, span, theta))) <= 1e-15
     moved = apply_unitary(rotation, state).amplitudes
