@@ -11,6 +11,15 @@ there.  A ``UnitaryOp`` is a sequence of such tables applied in order to the
 state's support.  ``compose`` concatenates the tables and ``adjoint``
 inverts each one.
 
+Applying an operator is two parts run in turn.  The label part
+(``relabel``) reads only label rows: it gives the rows after the operator
+and, per row, what its amplitude needs -- the phase picked up at each stage
+of a permutation (``PermutedRows``), or the plane a rotated row shares with
+its partner (``RotatedRows``).  The amplitude part (``amplitudes``)
+multiplies by those phases in stage order, or mixes each plane in closed
+form.  ``apply_unitary`` runs both; a caller that applies one operator to
+the same rows with many amplitudes or angles runs the label part once.
+
 A table is unitary when its control positions are distinct and exclude
 the target, its ``when`` rows are distinct and in range, every image is a
 permutation and every phase has modulus 1: each control row then permutes,
@@ -44,6 +53,7 @@ from .state import (
     TOLERANCE,
     message_level,
     mixed_record_level,
+    read_only,
     union_rows,
 )
 
@@ -118,7 +128,8 @@ class ControlledRewrite:
         phase = np.take_along_axis(self.phase, inverse, axis=1).conj()
         return ControlledRewrite(self.control, self.when, self.target, inverse, phase)
 
-    def _apply(self, labels: np.ndarray, values: np.ndarray):
+    def _relabel(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows after the table and the phase each row picks up."""
         # At most one entry matches a row, since the ``when`` rows are distinct.
         row, entry = np.nonzero(
             (labels[:, None, list(self.control)] == self.when).all(axis=2)
@@ -130,7 +141,7 @@ class ControlledRewrite:
         rows[row[moved], target[moved]] = self.image[entry, level][moved]
         phases = np.ones(len(labels), dtype=complex)
         phases[row] = self.phase[entry, level]
-        return rows, values * phases
+        return rows, phases
 
     def _unitarity_residual(self, dimensions: np.ndarray) -> float:
         """1 unless the table is well formed; else the worst ``||phase|^2 - 1|``."""
@@ -175,10 +186,17 @@ class UnitaryOp:
             tuple(stage.inverse() for stage in reversed(self.stages)),
         )
 
-    def _apply(self, labels: np.ndarray, values: np.ndarray):
+    def relabel(self, labels: np.ndarray) -> "PermutedRows":
+        """Label part: every stage's rewrite of ``labels``, and its phases."""
+        phases = []
         for stage in self.stages:
-            labels, values = stage._apply(labels, values)
-        return labels, values
+            labels, phase = stage._relabel(labels)
+            phases.append(phase)
+        return PermutedRows(labels, tuple(phases))
+
+    def _apply(self, labels: np.ndarray, values: np.ndarray):
+        moved = self.relabel(labels)
+        return moved.rows, moved.amplitudes(values)
 
     def _unitarity_residual(self) -> float:
         dimensions = self.layout.dimension_array
@@ -196,6 +214,10 @@ class PairedRotation:
     ``U e_x1 = cos e_x1 + sin e_x2`` and ``U e_x2 = -sin e_x1 + cos e_x2``;
     every other basis state is fixed.  Unitary when the configurations
     differ and every label is in range.
+
+    The label part ``relabel`` never reads ``theta``: rows rotated at one
+    angle land on the rows of every angle, and only the amplitude part,
+    ``RotatedRows.amplitudes``, takes the angle's cosine and sine.
     """
 
     layout: SubsystemLayout
@@ -212,9 +234,8 @@ class PairedRotation:
     def adjoint(self) -> "PairedRotation":
         return replace(self, provenance=f"adjoint({self.provenance})", theta=-self.theta)
 
-    def _apply(self, labels: np.ndarray, values: np.ndarray):
-        """Rotate the amplitudes (rows of amplitudes, for a matrix) on each
-        plane in closed form; a missing partner row has amplitude zero."""
+    def relabel(self, labels: np.ndarray) -> "RotatedRows":
+        """Label part: the rows after the rotation, whatever the angle."""
         fixed = list(self.fixed)
         key = labels[:, fixed]
         in_first = (key == self.first).all(axis=1)
@@ -223,15 +244,18 @@ class PairedRotation:
         planes = labels[moving]
         planes[:, fixed] = self.first
         planes, position = union_rows(planes)
-        a = np.zeros((len(planes),) + values.shape[1:], dtype=complex)
-        b = np.zeros_like(a)
-        a[position[in_first[moving]]] = values[in_first]
-        b[position[in_second[moving]]] = values[in_second]
-        c, s = np.cos(self.theta), np.sin(self.theta)
         partners = planes.copy()
         partners[:, fixed] = self.second
-        rows = np.concatenate([labels[~moving], planes, partners])
-        return rows, np.concatenate([values[~moving], c * a - s * b, s * a + c * b])
+        members = np.full((len(planes), 2), -1)
+        members[position[in_first[moving]], 0] = np.flatnonzero(in_first)
+        members[position[in_second[moving]], 1] = np.flatnonzero(in_second)
+        return RotatedRows(
+            np.concatenate([labels[~moving], planes, partners]), np.flatnonzero(~moving), members
+        )
+
+    def _apply(self, labels: np.ndarray, values: np.ndarray):
+        turn = self.relabel(labels)
+        return turn.rows, turn.amplitudes(values, np.cos(self.theta), np.sin(self.theta))
 
     def _unitarity_residual(self) -> float:
         dims = np.array(self.layout.dimensions())[list(self.fixed)]
@@ -244,6 +268,58 @@ class PairedRotation:
         ):
             return 1.0
         return float(abs(np.cos(self.theta) ** 2 + np.sin(self.theta) ** 2 - 1.0))
+
+
+@dataclass(frozen=True, eq=False)
+class PermutedRows:
+    """Label part of a permutation applied to some rows.
+
+    ``rows`` are the rows after every stage, in input order, and
+    ``phases[i]`` holds the phase each row picks up at stage i.  The arrays
+    are read-only views, so one label part can serve many amplitude parts.
+    """
+
+    rows: np.ndarray
+    phases: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", read_only(self.rows))
+        object.__setattr__(self, "phases", tuple(map(read_only, self.phases)))
+
+    def amplitudes(self, values: np.ndarray) -> np.ndarray:
+        """Amplitude part: ``values`` times each stage's phases, in stage order."""
+        for phase in self.phases:
+            values = values * phase
+        return values
+
+
+@dataclass(frozen=True, eq=False)
+class RotatedRows:
+    """Label part of a paired rotation applied to some rows.
+
+    ``rows`` are the input rows at ``kept``, which read neither
+    configuration, then one row per plane reading the first configuration,
+    then its partner reading the second.  ``members[p]`` names the input
+    rows on plane p that read the first and the second configuration, -1
+    where the state has no such row.  The arrays are read-only views.
+    """
+
+    rows: np.ndarray
+    kept: np.ndarray
+    members: np.ndarray
+
+    def __post_init__(self):
+        for name in ("rows", "kept", "members"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+
+    def amplitudes(self, values: np.ndarray, c: float, s: float) -> np.ndarray:
+        """Amplitude part: rotate the amplitudes (rows of amplitudes, for a
+        matrix) on each plane by the angle of cosine ``c`` and sine ``s``;
+        a missing member has amplitude zero."""
+        padded = np.zeros((len(values) + 1,) + values.shape[1:], dtype=complex)
+        padded[:-1] = values
+        a, b = padded[self.members[:, 0]], padded[self.members[:, 1]]
+        return np.concatenate([values[self.kept], c * a - s * b, s * a + c * b])
 
 
 def identity(layout: SubsystemLayout) -> UnitaryOp:

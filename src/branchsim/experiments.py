@@ -29,9 +29,11 @@ through one application of the step, and the no-signaling probes, which
 reuse the post-detection state and take the final state as their baseline.
 A rotation sweep certifies the unrotated run once per coefficient draw
 (``plain_rotation_run``); that run is the only input of each angle's
-``run_appendix_rotation(plain, theta)``, which builds only the rotation from
-the two version rows, the rotated first vector and that vector's perceived
-image.
+``run_appendix_rotation(plain, theta)``.  Every state an angle touches has
+the same label rows at every angle, so the plain run also carries the label
+parts (see ``dynamics``) of the rotation and of perception on those rows,
+computed once per draw; an angle computes only its amplitudes and then
+builds, validates and checks each state as a run does.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -56,6 +58,8 @@ from . import analysis
 from .dynamics import (
     CheckResult,
     ControlledRewrite,
+    PermutedRows,
+    RotatedRows,
     UnitaryOp,
     apply_unitary,
     build_basis_rotation,
@@ -84,7 +88,9 @@ from .state import (
     norm,
     observer_dimension,
     product_state,
+    read_only,
     superpose,
+    union_rows,
     vector_norm,
 )
 
@@ -327,9 +333,13 @@ def expected_final_state(
     layout: SubsystemLayout, coefficients: Sequence[complex]
 ) -> StateVector:
     """The branch-table target: each version tagged with its own message."""
-    versions = np.arange(len(coefficients))
-    rows = _version_rows(layout, versions, detected=True, message=message_level(versions))
-    return StateVector(layout, rows, coefficients)
+    return StateVector(layout, _expected_rows(layout, len(coefficients)), coefficients)
+
+
+def _expected_rows(layout: SubsystemLayout, n_versions: int) -> np.ndarray:
+    """The label rows of ``expected_final_state``, in version order."""
+    versions = np.arange(n_versions)
+    return _version_rows(layout, versions, detected=True, message=message_level(versions))
 
 
 @dataclass(frozen=True)
@@ -526,6 +536,29 @@ def _label_text(layout, record_register, label) -> str:
 # The main experiment
 
 
+@dataclass(frozen=True, eq=False)
+class RotationRows:
+    """The label parts of one draw's rotated runs, the same at every angle.
+
+    ``versions`` are the two recorded version rows whose plane the rotation
+    turns (observers blank, as after detection) and ``basis`` the first
+    version's basis vector.  ``first``, ``post_detection`` and ``final``
+    are the rotation's label parts on the rows of ``basis`` and of the
+    plain run's two states; ``perceived`` is perception's label part on the
+    rows the rotated first vector is stored on, and ``target`` holds the
+    rows of the ``primed_evolution`` target, in version order.  The arrays
+    are read-only.
+    """
+
+    versions: np.ndarray
+    basis: StateVector
+    first: RotatedRows
+    perceived: PermutedRows
+    post_detection: RotatedRows
+    final: RotatedRows
+    target: np.ndarray
+
+
 @dataclass(frozen=True)
 class CertifiedRun:
     """One evolved and certified run of a spec.
@@ -533,8 +566,8 @@ class CertifiedRun:
     The post-detection and final states, the branches by the first
     observer's record and the checks that read only those states.  A
     rotation sweep computes it once per coefficient draw with
-    ``plain_rotation_run`` and passes it to every angle's
-    ``run_appendix_rotation``.
+    ``plain_rotation_run``, which adds ``rotation``, and passes it to every
+    angle's ``run_appendix_rotation``.
     """
 
     spec: ExperimentSpec
@@ -544,6 +577,7 @@ class CertifiedRun:
     final: StateVector
     branches: tuple[Branch, ...]
     checks: tuple[CheckResult, ...]
+    rotation: RotationRows | None = None
 
 
 def _certified_run(
@@ -942,10 +976,31 @@ def primed_coefficients(a1: complex, a2: complex, theta: float) -> tuple[complex
 def plain_rotation_run(
     spec: ExperimentSpec, checks: Sequence[str] | None = None
 ) -> CertifiedRun:
-    """Evolve and certify the unrotated run of the rotation experiment."""
+    """Evolve and certify the unrotated run of the rotation experiment.
+
+    The run also carries, as ``rotation``, the label parts every angle
+    shares: the version rows and their rotation plane, checked once here,
+    and the rows of each state an angle rotates or perceives.
+    """
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
-    return _certified_run(spec, checks, APPENDIX_CHECKS)
+    run = _certified_run(spec, checks, APPENDIX_CHECKS)
+    layout, perception = run.chain.layout, run.chain.perception
+    versions = _version_rows(layout, [0, 1], detected=True)
+    # The label parts do not read the angle; build the rotation at zero.
+    rotation = build_basis_rotation(layout, 0.0, *versions)
+    basis = product_state(layout, versions[0].tolist())
+    first = rotation.relabel(basis.labels)
+    rows = RotationRows(
+        versions=read_only(versions),
+        basis=basis,
+        first=first,
+        perceived=perception.relabel(union_rows(first.rows)[0]),
+        post_detection=rotation.relabel(run.post_detection.labels),
+        final=rotation.relabel(run.final.labels),
+        target=read_only(_expected_rows(layout, 2)),
+    )
+    return replace(run, rotation=rows)
 
 
 def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
@@ -959,33 +1014,40 @@ def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
     properties of the state, not of the basis used to display it.
 
     ``plain`` is ``plain_rotation_run`` of a spec and check list, and gives
-    the spec, the enabled checks, the chain and the unrotated run; a sweep
-    over angles passes one per draw.  Per angle only the rotation, the
-    rotated first vector and its perceived image are built.  A non-finite
-    ``theta`` raises ``ValueError``.
+    the spec, the enabled checks, the chain, the unrotated run and the
+    label parts of every state below; a sweep over angles passes one per
+    draw.  Per angle only the amplitudes are computed: the cosine and sine,
+    the rotation's plane mixes of the first basis vector, the post-detection
+    and the final state, and perception's phases on the rotated first
+    vector.  Each state is then built and validated, and checked, as in any
+    run.  A non-finite ``theta`` raises ``ValueError``.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    spec, enabled, chain = plain.spec, plain.enabled, plain.chain
-    layout = chain.layout
-    post_detection, final, branches = plain.post_detection, plain.final, plain.branches
+    spec, enabled, layout, rows = plain.spec, plain.enabled, plain.chain.layout, plain.rotation
+    c, s = np.cos(theta), np.sin(theta)
 
-    versions = _version_rows(layout, [0, 1], detected=True)
-    rotation = build_basis_rotation(layout, theta, *versions)
-    primed_first = apply_unitary(rotation, product_state(layout, versions[0].tolist()))
-    primed_evolved = apply_unitary(chain.perception, primed_first)
+    def rotated(turn: RotatedRows, state: StateVector) -> StateVector:
+        return StateVector(layout, turn.rows, turn.amplitudes(state.values, c, s))
+
+    primed_first = rotated(rows.first, rows.basis)
+    primed_evolved = StateVector(
+        layout, rows.perceived.rows, rows.perceived.amplitudes(primed_first.values)
+    )
 
     results = list(plain.checks)
     if "mixed_record" in enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
-        # of it and the plain run.
-        (primed,) = _state_checks(spec, post_detection, primed_evolved, branches, ["mixed_record"])
+        # of it and the plain run, whose weight on the post-detection state
+        # the plain verdict already holds.
+        weight = _non_message_weight(primed_evolved)
+        primed = CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
         at = [r.name for r in results].index("mixed_record")
         results[at] = max(results[at], primed, key=lambda r: r.residual)
 
     if "primed_coefficients" in enabled:
-        rotated = apply_unitary(rotation, post_detection)
-        computed = [_amplitude_at(rotated, row) for row in versions]
+        turned = rotated(rows.post_detection, plain.post_detection)
+        computed = [_amplitude_at(turned, row) for row in rows.versions]
         formula = primed_coefficients(*spec.coefficients, theta)
         residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
         results.append(
@@ -993,15 +1055,16 @@ def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
         )
 
     if "primed_evolution" in enabled:
-        target = expected_final_state(layout, [np.cos(theta), np.sin(theta)])
-        residual = _distance(primed_evolved, target)
+        residual = _distance(primed_evolved, StateVector(layout, rows.target, [c, s]))
         results.append(
             CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
         )
 
     if "record_invariance" in enabled:
         results.append(
-            _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
+            _record_invariance(
+                plain.branches, rotated(rows.final, plain.final), spec.tolerance
+            )
         )
 
     return RunReport(
@@ -1009,8 +1072,8 @@ def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
         spec=spec,
         theta=theta,
         layout=layout,
-        final_state=final,
-        branches=list(branches),
+        final_state=plain.final,
+        branches=list(plain.branches),
         checks=results,
     )
 

@@ -328,6 +328,13 @@ def union_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels[distinct], np.array(position, dtype=np.intp)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that cannot be written through."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 def aligned(*states: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """The union of the states' supports and their amplitudes on it.
 

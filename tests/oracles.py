@@ -6,6 +6,9 @@ arithmetic and permutation representations, so agreement is meaningful.
 The dense views of library operators (``permutation_view``,
 ``dense_matrix``) evaluate the library's own application on every basis
 state; they exist only to be compared against the loop-built matrices.
+``reference_appendix_rotation`` evolves every state of one rotation angle
+afresh with ``apply_unitary``, the reference for the experiment's label
+parts shared across angles.
 """
 
 import itertools
@@ -13,7 +16,18 @@ import math
 
 import numpy as np
 
-from branchsim import CapacityError, PairedRotation
+from branchsim import (
+    CapacityError,
+    CheckResult,
+    PairedRotation,
+    RunReport,
+    apply_unitary,
+    build_basis_rotation,
+    expected_final_state,
+    primed_coefficients,
+    product_state,
+)
+from branchsim import experiments
 
 # Dense matrices only below this dimension.
 DENSE_DIMENSION_CAP = 4096
@@ -280,3 +294,63 @@ def naive_independence_residual(coefficients, tolerance, whole, singles):
                 rest -= b * singles[k]
         residual = max(residual, float(np.linalg.norm(rest / a - singles[j])))
     return residual
+
+
+def reference_appendix_rotation(plain, theta):
+    """One angle of the rotation experiment, every state evolved afresh.
+
+    The rotation is built at ``theta`` and ``apply_unitary`` sends the
+    first version's basis vector, the post-detection state and the final
+    state through it, and the rotated first vector through perception; the
+    rotated half of ``mixed_record`` runs the state check on the
+    post-detection state and the perceived rotated vector.  The library
+    runs the label parts of those applications once per draw, so its
+    reports must equal these bit for bit.
+    """
+    spec, enabled, chain = plain.spec, plain.enabled, plain.chain
+    layout = chain.layout
+    post_detection, final, branches = plain.post_detection, plain.final, plain.branches
+
+    versions = experiments._version_rows(layout, [0, 1], detected=True)
+    rotation = build_basis_rotation(layout, theta, *versions)
+    primed_first = apply_unitary(rotation, product_state(layout, versions[0].tolist()))
+    primed_evolved = apply_unitary(chain.perception, primed_first)
+
+    results = list(plain.checks)
+    if "mixed_record" in enabled:
+        (primed,) = experiments._state_checks(
+            spec, post_detection, primed_evolved, branches, ["mixed_record"]
+        )
+        at = [r.name for r in results].index("mixed_record")
+        results[at] = max(results[at], primed, key=lambda r: r.residual)
+
+    if "primed_coefficients" in enabled:
+        rotated = apply_unitary(rotation, post_detection)
+        computed = [experiments._amplitude_at(rotated, row) for row in versions]
+        formula = primed_coefficients(*spec.coefficients, theta)
+        residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
+        results.append(
+            CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
+        )
+
+    if "primed_evolution" in enabled:
+        target = expected_final_state(layout, [np.cos(theta), np.sin(theta)])
+        residual = experiments._distance(primed_evolved, target)
+        results.append(CheckResult.from_residual("primed_evolution", residual, spec.tolerance))
+
+    if "record_invariance" in enabled:
+        results.append(
+            experiments._record_invariance(
+                branches, apply_unitary(rotation, final), spec.tolerance
+            )
+        )
+
+    return RunReport(
+        experiment="appendix_rotation",
+        spec=spec,
+        theta=theta,
+        layout=layout,
+        final_state=final,
+        branches=list(branches),
+        checks=results,
+    )

@@ -190,14 +190,17 @@ def test_random_draws_share_one_build(builds, tmp_path):
 
 
 def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
+    # The rotation's label part does not read the angle, so each draw
+    # builds it once, at angle zero, for all its angles.
     config = write_config(
         tmp_path,
         experiment="appendix_rotation",
         observers=2,
-        coefficients=[[0.6, 0.0], [0.8, 0.0]],
+        coefficients={"random": 2},
+        seed=5,
         thetas=[0.0, 0.5, 1.0, 1.5],
     )
     assert main(["run", config, "--out", str(tmp_path / "report.json")]) == 0
     assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
     assert builds["build_detection_unitary"] == [None]
-    assert builds["build_basis_rotation"] == [0.0, 0.5, 1.0, 1.5]
+    assert builds["build_basis_rotation"] == [0.0, 0.0]

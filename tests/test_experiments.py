@@ -1,3 +1,5 @@
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +49,7 @@ from oracles import (
     naive_encode,
     naive_evolve,
     naive_independence_residual,
+    reference_appendix_rotation,
 )
 
 
@@ -546,6 +549,47 @@ def test_rotation_sweep_matches_one_angle_calls(negative_control):
         swept = run_appendix_rotation(plain, theta)
         alone = run_appendix_rotation(plain_rotation_run(spec), theta)
         assert swept.to_dict() == alone.to_dict()
+
+
+ORACLE_ANGLES = [0.0, math.pi / 2, math.pi, -0.4, 1e6] + [
+    2 * math.pi * k / 64 for k in range(64)
+]
+
+
+@pytest.mark.parametrize("negative_control", [False, True])
+@pytest.mark.parametrize("photon_model", [False, True])
+@pytest.mark.parametrize("observers", [1, 2, 3, 4])
+def test_rotation_reports_match_the_per_angle_reference(observers, photon_model, negative_control):
+    # Bit for bit, as JSON: the shared label parts change no amplitude,
+    # residual or sign of zero.
+    for coefficients in [(0.6, 0.8), (0.36 + 0.48j, -0.64 + 0.48j)]:
+        spec = ExperimentSpec(
+            2, coefficients, observers, photon_model, negative_control=negative_control
+        )
+        plain = plain_rotation_run(spec)
+        for theta in ORACLE_ANGLES:
+            fast = json.dumps(run_appendix_rotation(plain, theta).to_dict(), sort_keys=True)
+            reference = reference_appendix_rotation(plain, theta).to_dict()
+            assert fast == json.dumps(reference, sort_keys=True)
+
+
+def test_rotation_label_parts_are_read_only():
+    rows = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8), observers=2)).rotation
+    arrays = (rows.versions, rows.target, rows.first.rows, rows.final.members, rows.perceived.rows)
+    for array in arrays + rows.perceived.phases:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_negative_control_residual_is_the_worse_half_at_every_angle():
+    # Version 1's message lands on the mixed level: the plain run puts
+    # |a1|^2 = 0.36 there, and the perceived rotated first vector cos^2.
+    spec = ExperimentSpec(2, (0.6, 0.8), observers=3, photon_model=True, negative_control=True)
+    plain = plain_rotation_run(spec)
+    for theta in np.linspace(-np.pi, np.pi, 97):
+        result = check_by_name(run_appendix_rotation(plain, float(theta)), "mixed_record")
+        assert not result.passed
+        assert result.residual == pytest.approx(max(0.36, np.cos(theta) ** 2), rel=1e-15)
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])

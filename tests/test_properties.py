@@ -7,9 +7,12 @@ are skipped to keep the suite fast; the acceptance tests cover larger ones.
 
 The engine cross-checks draw smaller shapes (N in [2, 4], one or two
 observers, photons and the negative control on or off) and random sparse
-states, and compare the support arithmetic with the dense oracles.  The
-table-proof property draws small controlled-rewrite tables, sound or broken
-in one way, and compares ``verify_unitary`` with a loop-built dense matrix.
+states, and compare the support arithmetic with the dense oracles; on the
+same draws, each operator's label part applied once must give, with every
+set of amplitudes and any rotation angle, the states ``apply_unitary``
+gives, bit for bit.  The table-proof property draws small controlled-rewrite
+tables, sound or broken in one way, and compares ``verify_unitary`` with a
+loop-built dense matrix.
 """
 
 import itertools
@@ -235,6 +238,45 @@ def test_support_engine_matches_the_dense_oracles(drawn, theta):
     assert np.array_equal(dense_matrix(composed) @ dense, expected)
     step_then_turn = apply_unitary(rotation, apply_unitary(composed, state))
     assert np.max(np.abs(step_then_turn.amplitudes - matrix @ expected)) <= 1e-15
+
+
+def bits(state):
+    """A state's rows and the bytes of its amplitudes, signs of zero included."""
+    return state.labels.tolist(), state.values.tobytes()
+
+
+@given(
+    sparse_states(),
+    st.data(),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+@settings(max_examples=30, deadline=None)
+def test_label_and_amplitude_parts_are_the_application(drawn, data, built_at, theta):
+    # One label part per operator and support serves other amplitudes on
+    # that support and, for the rotation, any other angle.
+    chain, state = drawn
+    layout = chain.layout
+    parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    values = [complex(data.draw(parts), data.draw(parts)) for _ in state.values]
+    other = StateVector(layout, state.labels, values)
+    operators = [op for op, _ in chain_operators(chain)]
+    operators += [UnitaryOp(layout, "stage", (stage,)) for op in operators for stage in op.stages]
+    for op in operators:
+        moved = op.relabel(state.labels)
+        for x in (state, other):
+            split = StateVector(layout, moved.rows, moved.amplitudes(x.values))
+            assert bits(split) == bits(apply_unitary(op, x))
+
+    rows = [
+        layout.row(version_labels(layout, j, detected=True, message=j + 1)) for j in (0, 1)
+    ]
+    turn = build_basis_rotation(layout, built_at, *rows).relabel(state.labels)
+    rotation = build_basis_rotation(layout, theta, *rows)
+    c, s = np.cos(theta), np.sin(theta)
+    for x in (state, other):
+        split = StateVector(layout, turn.rows, turn.amplitudes(x.values, c, s))
+        assert bits(split) == bits(apply_unitary(rotation, x))
 
 
 @given(sparse_states())
