@@ -79,10 +79,14 @@ def parse_config(path: str) -> ConfigFile:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path!r} is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path!r} nests too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
 

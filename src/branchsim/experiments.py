@@ -32,8 +32,8 @@ A rotation sweep certifies the unrotated run once per coefficient draw
 ``run_appendix_rotation(plain, theta)``.  Every state an angle touches has
 the same label rows at every angle, so the plain run also carries the label
 parts (see ``dynamics``) of the rotation and of perception on those rows,
-computed once per draw; an angle computes only its amplitudes and then
-builds, validates and checks each state as a run does.
+and where each check reads their amplitudes, computed once per draw; an
+angle computes only its amplitudes and reads them there.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -87,6 +87,7 @@ from .state import (
     mixed_record_level,
     norm,
     observer_dimension,
+    on_union,
     product_state,
     read_only,
     superpose,
@@ -468,29 +469,18 @@ def decompose_branches(
     order, and each one's rows keep their flat-index order.
     """
     layout = state.layout
-    total = norm(state)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"decompose_branches expects a unit state, norm is {total!r}")
+    _require_unit(state.values, "decompose_branches")
     names = _record_names(record_register)
-    record_at = [layout.position(n) for n in names]
     relative_layout = layout.drop(names)
     relative_at = [layout.position(n) for n in relative_layout.names()]
 
-    # The state's rows are in flat-index order, and so is each section.
-    sections: dict[tuple[int, ...], list[int]] = {}
-    for index, record in enumerate(state.labels[:, record_at].tolist()):
-        sections.setdefault(tuple(record), []).append(index)
-
     branches: list[Branch] = []
-    for record in sorted(sections):
-        rows = sections[record]
+    # The state's rows are in flat-index order, and so is each section.
+    for record, rows in _sections(state.labels, [layout.position(n) for n in names]):
         section = state.values[rows]
-        section_norm = vector_norm(section)
-        weight = section_norm**2
-        if weight <= tolerance**2:
+        coefficient = _branch_coefficient(section, tolerance)
+        if coefficient is None:
             continue
-        anchor = section[int(np.argmax(np.abs(section)))]
-        coefficient = complex(section_norm * anchor / abs(anchor))
         branches.append(
             Branch(
                 record_label=record[0] if len(names) == 1 else record,
@@ -502,6 +492,37 @@ def decompose_branches(
             )
         )
     return branches
+
+
+def _require_unit(values: np.ndarray, caller: str) -> None:
+    """``ValueError`` unless the amplitudes ``values`` have norm 1 within 1e-9."""
+    total = vector_norm(values)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{caller} expects a unit state, norm is {total!r}")
+
+
+def _sections(
+    labels: np.ndarray, record_at: list[int]
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The rows of ``labels`` grouped by their labels at ``record_at``, in
+    increasing record order; each group keeps the rows' order."""
+    sections: dict[tuple[int, ...], list[int]] = {}
+    for index, record in enumerate(labels[:, record_at].tolist()):
+        sections.setdefault(tuple(record), []).append(index)
+    return sorted(sections.items())
+
+
+def _branch_coefficient(section: np.ndarray, tolerance: float) -> complex | None:
+    """The coefficient of the branch whose amplitudes are ``section``, in
+    flat-index order, or None when its weight ``||section||**2`` is at most
+    ``tolerance**2``: the section's norm, with the phase of its largest
+    amplitude (the first of equal ones).  The branch weight is its squared
+    modulus (``Branch.weight``)."""
+    section_norm = vector_norm(section)
+    if section_norm**2 <= tolerance**2:
+        return None
+    anchor = section[int(np.argmax(np.abs(section)))]
+    return complex(section_norm * anchor / abs(anchor))
 
 
 def reconstruct_branches(
@@ -538,25 +559,42 @@ def _label_text(layout, record_register, label) -> str:
 
 @dataclass(frozen=True, eq=False)
 class RotationRows:
-    """The label parts of one draw's rotated runs, the same at every angle.
+    """What every angle of one draw reads, the same at every angle.
 
-    ``versions`` are the two recorded version rows whose plane the rotation
-    turns (observers blank, as after detection) and ``basis`` the first
-    version's basis vector.  ``first``, ``post_detection`` and ``final``
-    are the rotation's label parts on the rows of ``basis`` and of the
-    plain run's two states; ``perceived`` is perception's label part on the
-    rows the rotated first vector is stored on, and ``target`` holds the
-    rows of the ``primed_evolution`` target, in version order.  The arrays
-    are read-only.
+    ``basis`` is the first version's basis vector.  ``first``,
+    ``post_detection`` and ``final`` are the rotation's label parts on the
+    rows of ``basis`` and of the plain run's two states, and ``perceived``
+    is perception's label part on the rows of ``first``.  The other fields
+    say where each check reads the amplitudes those label parts give, as
+    positions among their rows; a list of positions comes in the rows'
+    flat-index order, the order a state on them stores them in, since a sum
+    over them rounds by that order:
+
+    - ``non_message``: the perceived rows that put an observer outside the
+      plain messages (``mixed_record``);
+    - ``versions``: the two recorded version rows (observers blank, as after
+      detection) among the rotated post-detection rows, -1 for a missing
+      one (``primed_coefficients``);
+    - ``joint``: the positions of the perceived rows, then of the two rows
+      of the ``primed_evolution`` target in version order, in the union of
+      both (``joint_size`` rows);
+    - ``sections``: each first-observer level of the rotated final rows, in
+      increasing order, with the rows that read it (``record_invariance``).
+
+    Every row was checked once, as a state's rows are; the arrays are
+    read-only.
     """
 
-    versions: np.ndarray
     basis: StateVector
     first: RotatedRows
     perceived: PermutedRows
+    non_message: np.ndarray
+    joint: np.ndarray
+    joint_size: int
     post_detection: RotatedRows
+    versions: np.ndarray
     final: RotatedRows
-    target: np.ndarray
+    sections: tuple[tuple[int, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -739,39 +777,46 @@ def _distance(x: StateVector, y: StateVector) -> float:
     return vector_norm(xs - ys)
 
 
-def _observer_columns(state: StateVector) -> tuple[list[int], np.ndarray]:
+def _observer_columns(
+    layout: SubsystemLayout, labels: np.ndarray
+) -> tuple[list[int], np.ndarray]:
     """Dimensions and label columns of the observer registers."""
-    observers = state.layout.by_role(ROLE_OBSERVER)
-    at = [state.layout.position(r.name) for r in observers]
-    return [r.dimension for r in observers], state.labels[:, at]
+    observers = layout.by_role(ROLE_OBSERVER)
+    at = [layout.position(r.name) for r in observers]
+    return [r.dimension for r in observers], labels[:, at]
 
 
-def _weight_where(state: StateVector, rows: np.ndarray) -> float:
-    return float(np.sum(np.abs(state.values[rows]) ** 2))
+def _weight_where(values: np.ndarray, rows: np.ndarray) -> float:
+    """Summed squared moduli of ``values[rows]``, in the order ``rows`` lists
+    them (the sum's rounding depends on it)."""
+    return float(np.sum(np.abs(values[rows]) ** 2))
 
 
 def mixed_record_weight(state: StateVector) -> float:
     """Total squared amplitude sitting on any observer's mixed level."""
-    dims, levels = _observer_columns(state)
+    dims, levels = _observer_columns(state.layout, state.labels)
     mixed = [mixed_record_level(d) for d in dims]
-    return _weight_where(state, (levels == mixed).any(axis=1))
+    return _weight_where(state.values, (levels == mixed).any(axis=1))
 
 
 def _non_message_weight(state: StateVector) -> float:
     """Weight on observer levels outside the plain messages 1..N."""
-    dims, levels = _observer_columns(state)
+    return _weight_where(state.values, _non_message_rows(state.layout, state.labels))
+
+
+def _non_message_rows(layout: SubsystemLayout, labels: np.ndarray) -> np.ndarray:
+    """Which label rows put some observer outside the plain messages 1..N."""
+    dims, levels = _observer_columns(layout, labels)
     mixed = [mixed_record_level(d) for d in dims]
-    return _weight_where(
-        state, ((levels == OBSERVER_BLANK) | (levels == mixed)).any(axis=1)
-    )
+    return ((levels == OBSERVER_BLANK) | (levels == mixed)).any(axis=1)
 
 
 def disagreement_weight(state: StateVector) -> float:
     """Squared amplitude on basis states where observers' records differ."""
-    _, levels = _observer_columns(state)
+    _, levels = _observer_columns(state.layout, state.labels)
     if levels.shape[1] < 2:
         return 0.0
-    return _weight_where(state, (levels[:, 1:] != levels[:, :1]).any(axis=1))
+    return _weight_where(state.values, (levels[:, 1:] != levels[:, :1]).any(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -978,9 +1023,10 @@ def plain_rotation_run(
 ) -> CertifiedRun:
     """Evolve and certify the unrotated run of the rotation experiment.
 
-    The run also carries, as ``rotation``, the label parts every angle
-    shares: the version rows and their rotation plane, checked once here,
-    and the rows of each state an angle rotates or perceives.
+    The run also carries, as ``rotation``, everything an angle's checks look
+    up (see ``RotationRows``): the version rows and their rotation plane,
+    checked once here, the label parts of each state an angle rotates or
+    perceives, and where each check reads their amplitudes.
     """
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
@@ -991,16 +1037,40 @@ def plain_rotation_run(
     rotation = build_basis_rotation(layout, 0.0, *versions)
     basis = product_state(layout, versions[0].tolist())
     first = rotation.relabel(basis.labels)
+    # Perception rewrites only observer levels, and only within range, so
+    # checking its rows checks the rotated first vector's too.
+    perceived = perception.relabel(first.rows)
+    post_detection = rotation.relabel(run.post_detection.labels)
+    final = rotation.relabel(run.final.labels)
+
+    perceived_order = _flat_order(layout, perceived.rows)
+    non_message = _non_message_rows(layout, perceived.rows[perceived_order])
+    union, joint = union_rows(np.concatenate([perceived.rows, _expected_rows(layout, 2)]))
+    post_order = _flat_order(layout, post_detection.rows)
+    stored = post_detection.rows[post_order]
+    hits = [np.flatnonzero((stored == row).all(axis=1)) for row in versions]
+    final_order = _flat_order(layout, final.rows)
+    sections = _sections(final.rows[final_order], [layout.position("Obs1")])
     rows = RotationRows(
-        versions=read_only(versions),
         basis=basis,
         first=first,
-        perceived=perception.relabel(union_rows(first.rows)[0]),
-        post_detection=rotation.relabel(run.post_detection.labels),
-        final=rotation.relabel(run.final.labels),
-        target=read_only(_expected_rows(layout, 2)),
+        perceived=perceived,
+        non_message=read_only(perceived_order[non_message]),
+        joint=read_only(joint),
+        joint_size=len(union),
+        post_detection=post_detection,
+        versions=read_only(np.array([post_order[hit[0]] if hit.size else -1 for hit in hits])),
+        final=final,
+        sections=tuple((record, read_only(final_order[at])) for (record,), at in sections),
     )
     return replace(run, rotation=rows)
+
+
+def _flat_order(layout: SubsystemLayout, rows: np.ndarray) -> np.ndarray:
+    """The order in which a state on the distinct label rows ``rows``
+    stores them, flat-index order, after checking them as a state's rows."""
+    StateVector(layout, rows, np.zeros(len(rows)))
+    return np.argsort(union_rows(rows)[1])
 
 
 def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
@@ -1014,40 +1084,37 @@ def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
     properties of the state, not of the basis used to display it.
 
     ``plain`` is ``plain_rotation_run`` of a spec and check list, and gives
-    the spec, the enabled checks, the chain, the unrotated run and the
-    label parts of every state below; a sweep over angles passes one per
-    draw.  Per angle only the amplitudes are computed: the cosine and sine,
-    the rotation's plane mixes of the first basis vector, the post-detection
-    and the final state, and perception's phases on the rotated first
-    vector.  Each state is then built and validated, and checked, as in any
-    run.  A non-finite ``theta`` raises ``ValueError``.
+    the spec, the enabled checks, the chain, the unrotated run and
+    everything the checks below look up (``RotationRows``); a sweep over
+    angles passes one per draw.  Per angle only the amplitudes are
+    computed -- the cosine and sine, the rotation's plane mixes of the first
+    basis vector, the post-detection and the final state, and perception's
+    phases on the rotated first vector -- and each check reads them at the
+    positions fixed per draw, in the order a state would store them: no
+    state is built and nothing is decomposed.  A non-finite ``theta``
+    raises ``ValueError``, and so does a rotated final state that is not a
+    unit state when ``record_invariance`` is enabled, as its decomposition
+    would.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    spec, enabled, layout, rows = plain.spec, plain.enabled, plain.chain.layout, plain.rotation
+    spec, enabled, rows = plain.spec, plain.enabled, plain.rotation
     c, s = np.cos(theta), np.sin(theta)
-
-    def rotated(turn: RotatedRows, state: StateVector) -> StateVector:
-        return StateVector(layout, turn.rows, turn.amplitudes(state.values, c, s))
-
-    primed_first = rotated(rows.first, rows.basis)
-    primed_evolved = StateVector(
-        layout, rows.perceived.rows, rows.perceived.amplitudes(primed_first.values)
-    )
+    primed_evolved = rows.perceived.amplitudes(rows.first.amplitudes(rows.basis.values, c, s))
 
     results = list(plain.checks)
     if "mixed_record" in enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
         # of it and the plain run, whose weight on the post-detection state
         # the plain verdict already holds.
-        weight = _non_message_weight(primed_evolved)
+        weight = _weight_where(primed_evolved, rows.non_message)
         primed = CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
         at = [r.name for r in results].index("mixed_record")
         results[at] = max(results[at], primed, key=lambda r: r.residual)
 
     if "primed_coefficients" in enabled:
-        turned = rotated(rows.post_detection, plain.post_detection)
-        computed = [_amplitude_at(turned, row) for row in rows.versions]
+        turned = rows.post_detection.amplitudes(plain.post_detection.values, c, s)
+        computed = [turned[at] if at >= 0 else 0j for at in rows.versions]
         formula = primed_coefficients(*spec.coefficients, theta)
         residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
         results.append(
@@ -1055,44 +1122,47 @@ def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
         )
 
     if "primed_evolution" in enabled:
-        residual = _distance(primed_evolved, StateVector(layout, rows.target, [c, s]))
+        xs, ys = on_union(rows.joint_size, rows.joint, primed_evolved, (c, s))
         results.append(
-            CheckResult.from_residual("primed_evolution", residual, spec.tolerance)
+            CheckResult.from_residual("primed_evolution", vector_norm(xs - ys), spec.tolerance)
         )
 
     if "record_invariance" in enabled:
+        final = rows.final.amplitudes(plain.final.values, c, s)
         results.append(
-            _record_invariance(
-                plain.branches, rotated(rows.final, plain.final), spec.tolerance
-            )
+            _record_invariance(plain.branches, final, rows.sections, spec.tolerance)
         )
 
     return RunReport(
         experiment="appendix_rotation",
         spec=spec,
         theta=theta,
-        layout=layout,
+        layout=plain.chain.layout,
         final_state=plain.final,
         branches=list(plain.branches),
         checks=results,
     )
 
 
-def _amplitude_at(state: StateVector, row: np.ndarray) -> complex:
-    """The state's amplitude on the basis state with label row ``row``."""
-    hit = (state.labels == row).all(axis=1)
-    return state.values[hit][0] if hit.any() else 0j
-
-
 def _record_invariance(
-    plain: Sequence[Branch], rotated_final: StateVector, tolerance: float
+    plain: Sequence[Branch],
+    rotated_final: np.ndarray,
+    sections: Sequence[tuple[int, np.ndarray]],
+    tolerance: float,
 ) -> CheckResult:
     """Same message table whether or not the state is re-expressed:
     ``plain`` is the run's decomposition by the first observer's record,
-    ``rotated_final`` the final state with the basis rotation applied."""
-    rotated = decompose_branches(rotated_final, "Obs1", tolerance)
+    ``rotated_final`` the amplitudes of the final state with the basis
+    rotation applied and ``sections`` its rows by first-observer level
+    (``RotationRows.sections``).  Each level's branch weight is the one its
+    decomposition would give."""
+    _require_unit(rotated_final, "record_invariance")
     labels_plain = {b.record_label: b.weight for b in plain}
-    labels_rotated = {b.record_label: b.weight for b in rotated}
+    labels_rotated = {}
+    for label, at in sections:
+        coefficient = _branch_coefficient(rotated_final[at], tolerance)
+        if coefficient is not None:
+            labels_rotated[label] = abs(coefficient) ** 2
     if set(labels_plain) != set(labels_rotated):
         return CheckResult(
             "record_invariance",

@@ -345,12 +345,19 @@ def aligned(*states: StateVector) -> tuple[np.ndarray, np.ndarray]:
     if any(state.layout != layout for state in states):
         raise ValueError("aligned states must share one layout")
     rows, position = union_rows(np.concatenate([state.labels for state in states]))
-    table = np.zeros((len(states), len(rows)), dtype=complex)
+    return rows, on_union(len(rows), position, *(state.values for state in states))
+
+
+def on_union(size: int, position: np.ndarray, *values: Sequence[complex]) -> np.ndarray:
+    """The (vectors x ``size``) table of ``aligned``: each amplitude vector
+    at ``position``, the union positions of every vector's rows in turn,
+    and zero elsewhere."""
+    table = np.zeros((len(values), size), dtype=complex)
     start = 0
-    for index, state in enumerate(states):
-        table[index, position[start : start + len(state.values)]] = state.values
-        start += len(state.values)
-    return rows, table
+    for index, part in enumerate(values):
+        table[index, position[start : start + len(part)]] = part
+        start += len(part)
+    return table
 
 
 def product_state(

@@ -23,6 +23,7 @@ from branchsim import (
     RunReport,
     apply_unitary,
     build_basis_rotation,
+    decompose_branches,
     expected_final_state,
     primed_coefficients,
     product_state,
@@ -303,9 +304,11 @@ def reference_appendix_rotation(plain, theta):
     first version's basis vector, the post-detection state and the final
     state through it, and the rotated first vector through perception; the
     rotated half of ``mixed_record`` runs the state check on the
-    post-detection state and the perceived rotated vector.  The library
-    runs the label parts of those applications once per draw, so its
-    reports must equal these bit for bit.
+    post-detection state and the perceived rotated vector, and
+    ``record_invariance`` decomposes the rotated final state.  The library
+    runs the label parts of those applications once per draw, builds no
+    state per angle and decomposes nothing, so its reports must equal
+    these bit for bit.
     """
     spec, enabled, chain = plain.spec, plain.enabled, plain.chain
     layout = chain.layout
@@ -326,7 +329,7 @@ def reference_appendix_rotation(plain, theta):
 
     if "primed_coefficients" in enabled:
         rotated = apply_unitary(rotation, post_detection)
-        computed = [experiments._amplitude_at(rotated, row) for row in versions]
+        computed = [_amplitude_at(rotated, row) for row in versions]
         formula = primed_coefficients(*spec.coefficients, theta)
         residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
         results.append(
@@ -340,9 +343,7 @@ def reference_appendix_rotation(plain, theta):
 
     if "record_invariance" in enabled:
         results.append(
-            experiments._record_invariance(
-                branches, apply_unitary(rotation, final), spec.tolerance
-            )
+            _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
         )
 
     return RunReport(
@@ -354,3 +355,30 @@ def reference_appendix_rotation(plain, theta):
         branches=list(branches),
         checks=results,
     )
+
+
+def _amplitude_at(state, row):
+    """The state's amplitude on the basis state with label row ``row``."""
+    hit = (state.labels == row).all(axis=1)
+    return state.values[hit][0] if hit.any() else 0j
+
+
+def _record_invariance(plain, rotated_final, tolerance):
+    """``record_invariance`` by decomposing the rotated final state: the
+    message sets and the branch weights of ``plain`` and of the decomposition
+    of ``rotated_final`` by ``Obs1`` must agree."""
+    rotated = decompose_branches(rotated_final, "Obs1", tolerance)
+    labels_plain = {b.record_label: b.weight for b in plain}
+    labels_rotated = {b.record_label: b.weight for b in rotated}
+    if set(labels_plain) != set(labels_rotated):
+        return CheckResult(
+            "record_invariance",
+            False,
+            1.0,
+            tolerance,
+            detail=f"message sets differ: {sorted(labels_plain)} vs {sorted(labels_rotated)}",
+        )
+    residual = max(
+        (abs(labels_plain[k] - labels_rotated[k]) for k in labels_plain), default=0.0
+    )
+    return CheckResult.from_residual("record_invariance", residual, tolerance)

@@ -414,6 +414,26 @@ def test_internal_error_exits_four_not_two(tmp_path, monkeypatch, capsys):
     assert "config error" not in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'\xff\xfe{"experiment": "stern_gerlach"}', "not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+    ],
+    ids=["not_utf8", "nested_100000_deep"],
+)
+def test_an_unreadable_config_exits_two_without_a_traceback(tmp_path, capsys, content, message):
+    # Both used to escape parse_config as UnicodeDecodeError and
+    # RecursionError, exit 4 with a traceback.
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_unwritable_report_path_exits_two(tmp_path):
     out = tmp_path / "missing-directory" / "report.json"
     assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2

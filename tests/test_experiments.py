@@ -14,6 +14,7 @@ from branchsim import (
     ExperimentSpec,
     InvalidPerturbationError,
     RunReport,
+    StateVector,
     chain_layout,
     coefficient_independence_check,
     compile_chain,
@@ -561,8 +562,9 @@ ORACLE_ANGLES = [0.0, math.pi / 2, math.pi, -0.4, 1e6] + [
 @pytest.mark.parametrize("observers", [1, 2, 3, 4])
 def test_rotation_reports_match_the_per_angle_reference(observers, photon_model, negative_control):
     # Bit for bit, as JSON: the shared label parts change no amplitude,
-    # residual or sign of zero.
-    for coefficients in [(0.6, 0.8), (0.36 + 0.48j, -0.64 + 0.48j)]:
+    # residual or sign of zero.  At (1, 0) the second branch has weight
+    # zero, and record_invariance must prune it on both paths.
+    for coefficients in [(0.6, 0.8), (0.36 + 0.48j, -0.64 + 0.48j), (1.0, 0.0)]:
         spec = ExperimentSpec(
             2, coefficients, observers, photon_model, negative_control=negative_control
         )
@@ -573,10 +575,50 @@ def test_rotation_reports_match_the_per_angle_reference(observers, photon_model,
             assert fast == json.dumps(reference, sort_keys=True)
 
 
+def test_rotation_refuses_a_final_state_that_is_not_a_unit_state():
+    # record_invariance decomposes the rotated final state, which must be a
+    # unit state; the shared rows must not let a scaled one through.
+    plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8), observers=2, photon_model=True))
+    final = plain.final
+    scaled = replace(plain, final=StateVector(final.layout, final.labels, 1.1 * final.values))
+    for run in (run_appendix_rotation, reference_appendix_rotation):
+        with pytest.raises(ValueError, match="unit state"):
+            run(scaled, 0.7)
+
+
+@pytest.mark.parametrize("photon_model", [False, True])
+@pytest.mark.parametrize("observers", [1, 2, 3, 4])
+def test_negative_control_fails_primed_evolution_by_root_two_cos(observers, photon_model):
+    # The control sends the rotated first vector's cos-part to the mixed
+    # level instead of message 1, so it misses the target by sqrt(2)|cos|.
+    spec = ExperimentSpec(2, (0.6, 0.8), observers, photon_model, negative_control=True)
+    plain = plain_rotation_run(spec)
+    always = {"structure", "born_weights", "mixed_record"}
+    passing_angles = []
+    for theta in ORACLE_ANGLES:
+        report = run_appendix_rotation(plain, theta)
+        expected = math.sqrt(2) * abs(math.cos(theta))
+        evolution = check_by_name(report, "primed_evolution")
+        assert evolution.residual == pytest.approx(expected, rel=0, abs=1e-15)
+        failing = {c.name for c in report.checks if not c.passed}
+        assert failing == always | ({"primed_evolution"} if expected > spec.tolerance else set())
+        if evolution.passed:
+            passing_angles.append(theta)
+    # The listed pi/2, then the grid's pi/2 and 3pi/2.
+    assert passing_angles == [math.pi / 2, 2 * math.pi * 16 / 64, 2 * math.pi * 48 / 64]
+
+
 def test_rotation_label_parts_are_read_only():
     rows = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8), observers=2)).rotation
-    arrays = (rows.versions, rows.target, rows.first.rows, rows.final.members, rows.perceived.rows)
-    for array in arrays + rows.perceived.phases:
+    arrays = (
+        rows.versions,
+        rows.non_message,
+        rows.joint,
+        rows.first.rows,
+        rows.final.members,
+        rows.perceived.rows,
+    )
+    for array in arrays + rows.perceived.phases + tuple(at for _, at in rows.sections):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
