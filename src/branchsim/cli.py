@@ -9,12 +9,14 @@ standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .experiments import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     ExperimentSpec,
+    compile_chain,
     is_normalized,
     plain_rotation_run,
     run_appendix_rotation,
@@ -85,6 +88,9 @@ def parse_config(path: str) -> ConfigFile:
         raise ConfigError(
             f"config {path!r} is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # Python's limit on the digits of an integer literal (3.11 and later).
+        raise ConfigError(f"config {path!r} holds a number too long to read: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path!r} nests too deeply to parse") from exc
     if not isinstance(raw, dict):
@@ -146,12 +152,14 @@ def _expect_float(raw, key, default):
 
 
 def _is_finite_number(value) -> bool:
-    """JSON numbers only; Python's json also reads NaN and Infinity."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """JSON numbers that fit a float; Python's json also reads NaN and
+    Infinity, and integers of any size."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _check_tolerance(value: float) -> float:
@@ -288,6 +296,9 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     angles.
     """
     started = time.perf_counter()
+    # Memoized, so the runs reuse it; compiled first so that a chain over the
+    # dimension cap is refused before n_versions coefficients are drawn.
+    compile_chain(config.n_versions, config.observers, config.photon_model, negative_control)
     try:
         specs = [
             ExperimentSpec(
@@ -382,20 +393,74 @@ def _jsonify(value):
 
 
 def write_report(report: dict, path: str | None, fmt: str) -> None:
+    """Write ``report`` to ``path`` (standard output when None).
+
+    The JSON form is exactly ``json.dumps(report, indent=2, sort_keys=True)``
+    plus a newline, built by ``_indented_json`` before the file is opened: a
+    non-finite number raises ``ValueError`` (an internal error, exit 4) and
+    leaves no file.
+    """
     if fmt == "json":
-        # NaN and Infinity are not JSON: a report holding one is a bug (exit 4).
-        text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify, allow_nan=False)
-        text += "\n"
+        # The newline is written on its own: appending it would copy the text.
+        pieces = (_indented_json(report, 0), "\n")
     else:
-        text = render_text(report)
+        pieces = (render_text(report),)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The stdlib's C encoder, writing a container whose brackets sit at
+    ``depth`` with each item on its own line, as ``indent=2`` does."""
+    return c_make_encoder(
+        None, _jsonify, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * (depth + 1), True, False, False,
+    )
+
+
+def _indented_json(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=_jsonify,
+    allow_nan=False)`` for a ``value`` at nesting ``depth``; dict keys must
+    be strings where the dict holds a container.
+
+    A container without container children is one C-encoder call whose
+    separators already break the lines (an encoded string never holds a raw
+    newline), so only its brackets move onto their own lines; the children
+    of any other container are joined here.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return "".join(_flat_encoder(depth)(value, 0))  # a scalar, [] or {}
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    children = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(child, _CONTAINERS) for child in children):
+        text = "".join(_flat_encoder(depth)(value, 0))
+        return "".join((text[0], inner, text[1:-1], outer, text[-1]))
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = (
+            (encode_basestring_ascii(key) + ": ", child) for key, child in sorted(value.items())
+        )
+    else:
+        opening, closing = "[", "]"
+        items = (("", child) for child in value)
+    # One join over every piece, so no child's text is copied twice.
+    pieces = []
+    for prefix, child in items:
+        pieces += (",", inner, prefix, _indented_json(child, depth + 1))
+    pieces[0] = opening
+    pieces += (outer, closing)
+    return "".join(pieces)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -264,22 +264,27 @@ def chain_layout(
     n_versions: int, observers: int = 1, photon_model: bool = False
 ) -> SubsystemLayout:
     """Canonical layout: path, one detector per version, optional photons,
-    then the observer registers."""
-    regs: list[tuple[str, int, str]] = [("path", n_versions, ROLE_PATH)]
-    for name in _detector_names(n_versions):
-        regs.append((name, 2, ROLE_DETECTOR))
+    then the observer registers.
+
+    The registers are generated one at a time, so a chain over the
+    dimension cap raises ``CapacityError`` before anything per register or
+    per version is built.
+    """
+    return make_layout(_chain_registers(n_versions, observers, photon_model))
+
+
+def _chain_registers(
+    n_versions: int, observers: int, photon_model: bool
+) -> Iterator[tuple[str, int, str]]:
+    yield ("path", n_versions, ROLE_PATH)
+    detectors = ("DH", "DV") if n_versions == 2 else (f"D{j + 1}" for j in range(n_versions))
+    for name in detectors:
+        yield (name, 2, ROLE_DETECTOR)
     if photon_model:
         for j in range(n_versions):
-            regs.append((f"ph{j + 1}", 2, ROLE_PHOTON))
+            yield (f"ph{j + 1}", 2, ROLE_PHOTON)
     for k in range(observers):
-        regs.append((f"Obs{k + 1}", observer_dimension(n_versions), ROLE_OBSERVER))
-    return make_layout(regs)
-
-
-def _detector_names(n_versions: int) -> list[str]:
-    if n_versions == 2:
-        return ["DH", "DV"]
-    return [f"D{j + 1}" for j in range(n_versions)]
+        yield (f"Obs{k + 1}", observer_dimension(n_versions), ROLE_OBSERVER)
 
 
 def version_labels(

@@ -19,7 +19,7 @@ computing it.  Flat indices appear only in the dense views --
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -211,19 +211,20 @@ class SubsystemLayout:
 
 
 def make_layout(
-    registers: Sequence[tuple[str, int, str]],
+    registers: Iterable[tuple[str, int, str]],
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> SubsystemLayout:
     """Build a layout from ``(name, dimension, role)`` triples.
 
     Raises ``ValueError`` on duplicate names, dimensions below 2 or unknown
     roles, and ``CapacityError`` when the product of dimensions exceeds
-    ``dimension_cap``.
+    ``dimension_cap``.  The cap is checked as each register is consumed, so
+    a generator of registers over the cap is refused at the register that
+    crosses it, however many follow.
     """
-    if not registers:
-        raise ValueError("layout needs at least one register")
     regs = []
     seen: set[str] = set()
+    total = 1
     for name, dimension, role in registers:
         if name in seen:
             raise ValueError(f"duplicate register name {name!r}")
@@ -233,15 +234,14 @@ def make_layout(
         if role not in ROLES:
             raise ValueError(f"register {name!r} has unknown role {role!r}")
         regs.append(Register(name, dimension, role))
-
-    total = 1
-    for r in regs:
-        total *= r.dimension
+        total *= dimension
         if total > dimension_cap:
             raise CapacityError(
                 f"total dimension exceeds cap {dimension_cap} "
-                f"(at register {r.name!r})"
+                f"(at register {name!r})"
             )
+    if not regs:
+        raise ValueError("layout needs at least one register")
 
     # First register most significant: stride[i] = product of later dims.
     strides = [1] * len(regs)

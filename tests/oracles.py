@@ -8,10 +8,12 @@ The dense views of library operators (``permutation_view``,
 state; they exist only to be compared against the loop-built matrices.
 ``reference_appendix_rotation`` evolves every state of one rotation angle
 afresh with ``apply_unitary``, the reference for the experiment's label
-parts shared across angles.
+parts shared across angles.  ``reference_report_json`` is the stdlib's
+pure-Python ``indent=2`` encoding, the reference for the report writer.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -29,6 +31,7 @@ from branchsim import (
     product_state,
 )
 from branchsim import experiments
+from branchsim.cli import _jsonify
 
 # Dense matrices only below this dimension.
 DENSE_DIMENSION_CAP = 4096
@@ -87,6 +90,12 @@ def dense_matrix(op):
         image, phases = permutation_view(op)
         matrix[image, np.arange(dimension)] = phases
     return matrix
+
+
+def reference_report_json(report):
+    """A report's JSON text as the stdlib writes it with ``indent=2``, in
+    pure Python, one small piece per token (without the final newline)."""
+    return json.dumps(report, indent=2, sort_keys=True, default=_jsonify, allow_nan=False)
 
 
 def unitarity_residual(matrix):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from branchsim import UnitaryOp, compile_chain, experiments
 from branchsim.cli import main, parse_config, run_and_report
 from branchsim.errors import ConfigError
+from oracles import reference_report_json
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -106,6 +110,8 @@ def test_main_writes_json_report(tmp_path):
     assert code == 0
     report = load_report(out)
     assert report["summary"]["all_passed"] is True
+    # The format contract: the stdlib's indent=2 text plus a newline.
+    assert out.read_text(encoding="utf-8") == reference_report_json(report) + "\n"
 
 
 def test_main_exit_codes(tmp_path):
@@ -459,3 +465,88 @@ def test_a_stage_that_fails_its_unitarity_proof_exits_four(tmp_path, monkeypatch
     assert code == 4
     assert "unitary[detection] failed" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+BEYOND_FLOAT = 10**400
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"experiment": "appendix_rotation", "thetas": [0.5, BEYOND_FLOAT]}, "thetas"),
+        ({"experiment": "appendix_rotation", "thetas": {"count": 2, "start": BEYOND_FLOAT}},
+         "start"),
+        ({"experiment": "appendix_rotation", "thetas": {"count": 2, "end": BEYOND_FLOAT}},
+         "end"),
+        ({"tolerance": BEYOND_FLOAT}, "tolerance"),
+        ({"coefficients": [[0.6, BEYOND_FLOAT], [0.8, 0.0]]}, "coefficients[0]"),
+    ],
+    ids=["thetas", "thetas.start", "thetas.end", "tolerance", "coefficients"],
+)
+def test_a_config_number_beyond_the_float_range_exits_two(tmp_path, capsys, overrides, key):
+    # An integer literal too large for a float used to raise OverflowError
+    # inside the finiteness check: exit 4 with a traceback.
+    path = write_config(tmp_path, **overrides)
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python reads integer literals of any length",
+)
+def test_an_integer_literal_past_the_digit_limit_exits_two(tmp_path, capsys):
+    # json.load raises a plain ValueError here, not a JSONDecodeError.
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"experiment": "stern_gerlach", "coefficients": [[0.6, 0.0], [0.8, 0.0]], '
+        '"seed": 1' + "0" * 5000 + "}",
+        encoding="utf-8",
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "number too long" in err and "config.json" in err
+    assert "Traceback" not in err
+
+
+# Runs one CLI call in a child process whose address space is capped, so a
+# refusal that comes too late fails the test instead of exhausting memory.
+_CAPPED_RUN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+from branchsim.cli import main
+started = time.perf_counter()
+code = main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(time.perf_counter() - started)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"observers": 10**9},
+        {
+            "experiment": "generalized",
+            "n_versions": 10**9,
+            "coefficients": {"random": 1},
+            "seed": 1,
+        },
+    ],
+    ids=["observers", "n_versions_random"],
+)
+def test_an_over_cap_chain_is_refused_before_it_allocates(tmp_path, overrides):
+    # The register list (observers) and the coefficient draw (n_versions)
+    # were both built in full before the dimension cap was checked.
+    path = write_config(tmp_path, **overrides)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, str(path), str(tmp_path / "r.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "capacity error: total dimension exceeds cap" in done.stderr
+    assert float(done.stdout) < 1.0

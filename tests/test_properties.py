@@ -12,17 +12,22 @@ same draws, each operator's label part applied once must give, with every
 set of amplitudes and any rotation angle, the states ``apply_unitary``
 gives, bit for bit.  The table-proof property draws small controlled-rewrite
 tables, sound or broken in one way, and compares ``verify_unitary`` with a
-loop-built dense matrix.
+loop-built dense matrix.  The report writer is compared with the stdlib's
+``indent=2`` encoder on random JSON trees.
 """
 
+import contextlib
+import io
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from branchsim import cli
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
@@ -62,6 +67,7 @@ from oracles import (
     naive_perception_matrix,
     naive_rewrite_matrix,
     naive_rotation_matrix,
+    reference_report_json,
     unitarity_residual,
 )
 
@@ -377,3 +383,76 @@ def test_the_table_proof_agrees_with_the_dense_oracle(drawn):
         # A sound table is applied, and inverted, as the oracle writes it.
         assert np.array_equal(dense_matrix(op), oracle)
         assert np.array_equal(dense_matrix(op.adjoint()), oracle.conj().T)
+
+
+# -- the report writer against the stdlib encoder ------------------------------
+
+# Keys and strings hold what JSON must escape, and text beyond ASCII.
+json_text = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "a\tb", "é", "\U0001f600", ""])
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | json_text
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def poisoned_trees(draw):
+    """A JSON tree with NaN or an infinity put into one of its lists or dicts."""
+    tree = draw(json_trees)
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]))
+    containers, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (list, dict)):
+            containers.append(node)
+        if isinstance(node, (list, tuple, dict)):
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    if not containers:
+        return (tree, bad)
+    target = draw(st.sampled_from(containers))
+    if isinstance(target, list):
+        target.insert(draw(st.integers(0, len(target))), bad)
+    else:
+        target[draw(json_text)] = bad
+    return tree
+
+
+def written_json(tree):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_report(tree, None, "json")
+    return out.getvalue()
+
+
+@given(json_trees)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [[], {"c": ()}], "d": [{}]})
+@example(([1, 2],))
+@settings(max_examples=300, deadline=None)
+def test_the_report_writer_is_the_stdlib_indent_2_encoder(tree):
+    assert written_json(tree) == reference_report_json(tree) + "\n"
+
+
+@given(poisoned_trees())
+@settings(max_examples=100, deadline=None)
+def test_the_report_writer_refuses_nan_and_infinity_as_the_stdlib_does(tree):
+    with pytest.raises(ValueError):
+        reference_report_json(tree)
+    with pytest.raises(ValueError):
+        written_json(tree)
