@@ -24,9 +24,10 @@ Both experiments evolve and certify a spec through one path: the initial
 state goes through the record stages, then perception, the final state is
 decomposed by the first observer's record, and the state checks read the
 result, a ``CertifiedRun``.  The measurement chain adds the independence
-check, which reuses the final state and replays every standalone version
-through one application of the step, and the no-signaling probes, which
-reuse the post-detection state and take the final state as their baseline.
+check, which reuses the final state, replays every standalone version
+through one application of the step and takes one linearity difference
+against their weighted sum, and the no-signaling probes, which reuse the
+post-detection state and take the final state as their baseline.
 A rotation sweep certifies the unrotated run once per coefficient draw
 (``plain_rotation_run``); that run is the only input of each angle's
 ``run_appendix_rotation(plain, theta)``.  Every state an angle touches has
@@ -834,57 +835,46 @@ def coefficient_independence_check(
     *,
     final_state: StateVector | None = None,
 ) -> CheckResult:
-    """Compare each branch of the full run against its standalone run.
+    """Compare the full run with the weighted sum of standalone runs.
 
-    The versions are the armed single-path configurations, or
+    The versions v_k are the armed single-path configurations, or
     ``version_states`` when given (they may be non-orthogonal, in which
-    case record projection could not separate them).  Version j's
-    standalone run evolves it alone; every version's rows go through one
-    application of the compiled step.  From the full run's final state the
-    check subtracts every other version's standalone run, rescales by
-    ``1 / a_j`` and compares with version j's.  ``final_state`` is that full
-    run's final state when the caller already has it.  Versions with zero
-    coefficient are skipped and noted.
+    case record projection could not separate them).  Every version's rows
+    go through one application of the compiled step, giving its standalone
+    run s_k.  Version j's residual -- the full run less every other
+    version's weighted run, rescaled by ``1 / a_j``, against s_j -- is
+    ``||D|| / |a_j|`` for ``D = final - sum_k a_k s_k``, so the check
+    reports ``||D||`` over the smallest such ``|a_j|``.  ``final_state`` is
+    the full run's final state when the caller already has it.  Versions
+    with a coefficient of modulus at most the tolerance are skipped and
+    noted; with none left the residual is 0.
     """
     chain = _compiled(spec)
     layout = chain.layout
     if version_states is None:
-        version_states = [
-            StateVector(layout, row[None, :], [1.0])
-            for row in _version_rows(layout, range(spec.n_versions), detected=False)
-        ]
+        labels = _version_rows(layout, range(spec.n_versions), detected=False)
+        values, sizes = np.ones(spec.n_versions, dtype=complex), 1
     elif len(version_states) != spec.n_versions:
         raise ValueError(
             f"{len(version_states)} version states for {spec.n_versions} versions"
         )
+    else:
+        labels = np.concatenate([v.labels for v in version_states])
+        values = np.concatenate([v.values for v in version_states])
+        sizes = [len(v.values) for v in version_states]
     if final_state is None:
-        _, final_state = chain.evolve(superpose(list(zip(spec.coefficients, version_states))))
-    rows, values = chain.step._apply(
-        np.concatenate([v.labels for v in version_states]),
-        np.concatenate([v.values for v in version_states]),
-    )
-    ends = np.cumsum([len(v.values) for v in version_states])[:-1]
-    singles = [
-        StateVector(layout, image, amplitudes)
-        for image, amplitudes in zip(np.split(rows, ends), np.split(values, ends))
-    ]
-    # Every vector compared below vanishes off this joint support.
-    _, (whole, *singles) = aligned(final_state, *singles)
+        _, final_state = chain.evolve(
+            initial_state(layout, spec.coefficients)
+            if version_states is None
+            else superpose(list(zip(spec.coefficients, version_states)))
+        )
+    rows, images = chain.step._apply(labels, values)
+    # a_k (U v_k); the state adds, in version order, the rows runs share.
+    linear = StateVector(layout, rows, np.repeat(spec.coefficients, sizes) * images)
 
-    # Row j of ``rest`` is the full run less every other version's run,
-    # subtracted in version order.
-    n = spec.n_versions
-    rest = np.repeat(whole[None, :], n, axis=0)
-    for k, b in enumerate(spec.coefficients):
-        rest[np.arange(n) != k] -= b * singles[k]
-    skipped: list[int] = []
-    residual = 0.0
-    for j, a in enumerate(spec.coefficients):
-        if abs(a) <= spec.tolerance:
-            skipped.append(j)
-            continue
-        residual = max(residual, float(np.linalg.norm(rest[j] / a - singles[j])))
-
+    live = [abs(a) for a in spec.coefficients if abs(a) > spec.tolerance]
+    residual = _distance(final_state, linear) / min(live) if live else 0.0
+    skipped = [j for j, a in enumerate(spec.coefficients) if abs(a) <= spec.tolerance]
     detail = f"skipped zero-coefficient versions {skipped}" if skipped else ""
     return CheckResult.from_residual(
         "coefficient_independence", residual, spec.tolerance, detail

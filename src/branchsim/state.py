@@ -180,8 +180,8 @@ class SubsystemLayout:
         """Layout with the named registers removed (order preserved).
 
         Memoized: equal layouts dropping one set of names, in any order, get
-        the same layout object, so the branch decompositions and reduced
-        density matrices of a run build each relative layout once.
+        the same layout object, so the branch decompositions of a run build
+        each relative layout once.
         """
         return _dropped(self, frozenset(names))
 

@@ -31,6 +31,7 @@ from branchsim import (
     product_state,
 )
 from branchsim import experiments
+from branchsim.state import vector_norm
 from branchsim.cli import _jsonify
 
 # Dense matrices only below this dimension.
@@ -235,6 +236,19 @@ def naive_partial_trace(amplitudes, dims, keep_positions):
     return rho
 
 
+def naive_observer_coherence(rho):
+    """Largest modulus among the entries of an observer's reduced density
+    matrix ``rho`` between two distinct message levels (every level but the
+    first, blank, and the last, mixed), by a loop over every pair."""
+    worst = 0.0
+    messages = range(1, len(rho) - 1)
+    for m in messages:
+        for m2 in messages:
+            if m2 > m:
+                worst = max(worst, abs(rho[m, m2]))
+    return float(worst)
+
+
 def naive_entropy_bits(rho):
     """Shannon entropy of the eigenvalue spectrum, in bits."""
     eigenvalues = np.linalg.eigvalsh(rho)
@@ -283,6 +297,22 @@ def naive_rotation_matrix(layout, span, theta):
         else:
             matrix[column, column] = 1.0
     return matrix
+
+
+def linearity_residual(coefficients, tolerance, whole, singles):
+    """The independence residual as one linearity difference.
+
+    ``whole`` is the full run and ``singles[k]`` version k's standalone run,
+    as amplitude arrays on one joint support.  The weighted runs a_k s_k are
+    added in version order, and the norm of the full run's difference from
+    their sum is divided by the smallest modulus among the coefficients
+    above ``tolerance`` (0 when there is none).
+    """
+    linear = np.zeros_like(whole)
+    for a, single in zip(coefficients, singles):
+        linear += a * single
+    live = [abs(a) for a in coefficients if abs(a) > tolerance]
+    return vector_norm(whole - linear) / min(live) if live else 0.0
 
 
 def naive_independence_residual(coefficients, tolerance, whole, singles):

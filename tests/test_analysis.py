@@ -17,7 +17,7 @@ from branchsim import (
     version_labels,
     von_neumann_entropy,
 )
-from oracles import naive_entropy_bits, naive_partial_trace
+from oracles import naive_entropy_bits, naive_observer_coherence, naive_partial_trace
 
 # Oracle-computed constants for the recorded two-branch state with
 # coefficients (0.6, 0.8): see oracles.naive_partial_trace and
@@ -145,6 +145,27 @@ def test_blank_observer_has_no_message_coherence():
         ]
     )
     assert observer_coherence(state, "Obs1") == 0.0
+
+
+def test_coherence_is_the_pairwise_loop_bit_for_bit():
+    # Random superpositions over every observer level, blank and mixed
+    # included, in one unentangled configuration of the other registers.
+    rng = np.random.default_rng(31)
+    for n in range(2, 9):
+        layout = chain_layout(n, 1)
+        dimension = layout.register("Obs1").dimension
+        for _ in range(5):
+            amplitudes = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
+            state = superpose(
+                [
+                    (a, product_state(layout, version_labels(layout, 0, detected=True, message=m)))
+                    for m, a in enumerate(amplitudes / np.linalg.norm(amplitudes))
+                ]
+            )
+            rho = reduced_density_matrix(state, ["Obs1"]).entries
+            coherence = observer_coherence(state, "Obs1")
+            assert coherence == naive_observer_coherence(rho)
+            assert coherence > 0.0
 
 
 def test_coherence_requires_an_observer_register():

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
 from branchsim import UnitaryOp, compile_chain, experiments
-from branchsim.cli import main, parse_config, run_and_report
+from branchsim.cli import MAX_THETAS, main, parse_config, run_and_report
 from branchsim.errors import ConfigError
 from oracles import reference_report_json
 
@@ -306,6 +307,30 @@ def test_non_finite_coefficients_and_angles_exit_two(tmp_path, bad):
         thetas={"count": 4, "end": bad},
     )
     assert main(["run", str(sweep)]) == 2
+
+
+def test_a_sweep_over_the_angle_bound_exits_two_before_building_it(tmp_path):
+    path = write_config(
+        tmp_path, experiment="appendix_rotation", thetas={"count": 10**9}
+    )
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="thetas.count"):
+        parse_config(str(path))
+    listed = write_config(
+        tmp_path, name="list.json", experiment="appendix_rotation", thetas=[0.5] * (MAX_THETAS + 1)
+    )
+    with pytest.raises(ConfigError, match="thetas"):
+        parse_config(str(listed))
+
+
+def test_a_sweep_of_exactly_the_angle_bound_parses(tmp_path):
+    for thetas in ({"count": MAX_THETAS}, [0.5] * MAX_THETAS):
+        path = write_config(tmp_path, experiment="appendix_rotation", thetas=thetas)
+        assert len(parse_config(str(path)).thetas) == MAX_THETAS
 
 
 def test_an_overflowing_theta_sweep_exits_two(tmp_path):

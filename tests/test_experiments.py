@@ -49,6 +49,7 @@ from oracles import (
     naive_disagreement_weight,
     naive_encode,
     naive_evolve,
+    linearity_residual,
     naive_independence_residual,
     reference_appendix_rotation,
 )
@@ -289,11 +290,12 @@ def test_coefficient_independence_splits_uneven_version_states():
 
 
 def test_coefficient_independence_matches_the_loop_oracle_bit_for_bit():
-    # Against the per-version loop, on the true final state (rounding-level
-    # residuals) and on another draw's (residuals of order one), with zero
-    # and sub-tolerance coefficients among the draws.  The armed versions'
-    # runs are disjoint; versions mixing up to three paths overlap, so the
-    # order of the subtractions shows in the rounding.
+    # Against the linearity oracle bit for bit, and against the per-version
+    # loop within rounding, on the true final state (residual exactly 0) and
+    # on another draw's (residuals of order one), with zero and
+    # sub-tolerance coefficients among the draws.  The armed versions' runs
+    # are disjoint; versions mixing up to three paths overlap, so the order
+    # of the additions shows in the rounding.
     rng = np.random.default_rng(12)
     for _ in range(40):
         n = int(rng.integers(2, 16))
@@ -303,6 +305,7 @@ def test_coefficient_independence_matches_the_loop_oracle_bit_for_bit():
         if not raw.any():
             raw[0] = 1.0
         spec = ExperimentSpec(n, tuple(raw / np.linalg.norm(raw)))
+        smallest = min(abs(a) for a in spec.coefficients if abs(a) > spec.tolerance)
         chain = compile_chain(n)
         armed = [
             product_state(chain.layout, version_labels(chain.layout, j, detected=False))
@@ -327,11 +330,25 @@ def test_coefficient_independence_matches_the_loop_oracle_bit_for_bit():
             _, full = chain.evolve(superpose(list(zip(spec.coefficients, versions))))
             for final in (full, other.final_state):
                 _, (whole, *on_support) = aligned(final, *singles)
-                oracle = naive_independence_residual(
+                oracle = linearity_residual(
+                    spec.coefficients, spec.tolerance, whole, on_support
+                )
+                loop = naive_independence_residual(
                     spec.coefficients, spec.tolerance, whole, on_support
                 )
                 result = coefficient_independence_check(spec, versions, final_state=final)
                 assert result.residual == oracle
+                if final is full:
+                    # Both sides add a_k v_k in version order: exactly linear.
+                    assert result.residual == 0.0
+                gap = 1e-15 / smallest
+                assert abs(result.residual - loop) <= gap
+                # Verdicts agree wherever rounding cannot carry the loop
+                # across the tolerance.  A live coefficient barely above it
+                # (1.01e-12 in one draw here) scales the loop's rounding
+                # past it on the exact run, which the difference passes.
+                if abs(loop - spec.tolerance) > gap:
+                    assert result.passed == (loop <= spec.tolerance)
 
 
 # -- no signaling ---------------------------------------------------------------

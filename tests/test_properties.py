@@ -131,6 +131,18 @@ def test_negative_control_fails_or_is_rejected(spec):
 
 @given(specs())
 @settings(max_examples=30, deadline=None)
+def test_the_default_versions_are_exactly_linear(spec):
+    # Every stage phase is exactly 1, so the full run and the weighted
+    # standalone runs hold the same amplitudes, corrupted chain included.
+    controls = [False] if abs(spec.coefficients[0]) <= spec.tolerance else [False, True]
+    for negative_control in controls:
+        checked = replace(spec, negative_control=negative_control)
+        report = run_measurement_chain(checked, checks=("coefficient_independence",))
+        assert report.checks[0].residual == 0.0
+
+
+@given(specs())
+@settings(max_examples=30, deadline=None)
 def test_decompose_then_reconstruct_round_trips(spec):
     final = run_measurement_chain(spec, checks=()).final_state
     for record in ("Obs1", [r.name for r in final.layout.by_role("detector")]):
