@@ -25,8 +25,6 @@ from .dynamics import (
     build_perception_unitary,
     build_photon_emission_unitary,
     compose,
-    identity,
-    level_cycle,
     standard_classical_configs,
     verify_unitary,
 )
@@ -39,6 +37,7 @@ from .errors import (
 from .experiments import (
     APPENDIX_CHECKS,
     CHAIN_CHECKS,
+    MAX_REGISTERS,
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     Branch,
@@ -58,18 +57,15 @@ from .experiments import (
     phase_flip_perturbation,
     plain_rotation_run,
     primed_coefficients,
-    reconstruct_branches,
     record_cycle_perturbation,
     run_appendix_rotation,
     run_measurement_chain,
-    version_labels,
 )
 from .state import (
     DensityMatrix,
     Register,
     StateVector,
     SubsystemLayout,
-    inner_product,
     make_layout,
     message_level,
     message_name,

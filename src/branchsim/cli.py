@@ -301,11 +301,11 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
 
     Every draw and angle shares the one memoized compiled chain; a rotation
     sweep certifies each draw's unrotated run once and shares it across the
-    angles.
+    angles.  The chain is compiled first, so a chain over
+    ``MAX_REGISTERS`` raises ``CapacityError`` before any coefficients are
+    drawn.
     """
     started = time.perf_counter()
-    # Memoized, so the runs reuse it; compiled first so that a chain over the
-    # dimension cap is refused before n_versions coefficients are drawn.
     compile_chain(config.n_versions, config.observers, config.photon_model, negative_control)
     try:
         specs = [

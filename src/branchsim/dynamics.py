@@ -322,13 +322,6 @@ class RotatedRows:
         return np.concatenate([values[self.kept], c * a - s * b, s * a + c * b])
 
 
-def identity(layout: SubsystemLayout) -> UnitaryOp:
-    """The empty table: every row matches no entry."""
-    return UnitaryOp(
-        layout, "identity", (ControlledRewrite((), np.zeros((0, 0)), -1, [[0]]),)
-    )
-
-
 def apply_unitary(op: UnitaryOp | PairedRotation, x: StateVector) -> StateVector:
     if op.layout != x.layout:
         raise ValueError(
@@ -528,12 +521,3 @@ def build_basis_rotation(
     return PairedRotation(
         layout, f"basis-rotation[theta={theta:g}]", tuple(fixed), *configurations, theta
     )
-
-
-def level_cycle(layout: SubsystemLayout, register: str, shift: int = 1) -> UnitaryOp:
-    """Cyclically shift one register's levels; identity on all others."""
-    levels = np.arange(layout.register(register).dimension)
-    table = ControlledRewrite(
-        (), [[]], layout.position(register), [(levels + shift) % levels.size]
-    )
-    return UnitaryOp(layout, f"level-cycle[{register}+{shift}]", (table,))

@@ -2,7 +2,9 @@
 
 
 class CapacityError(RuntimeError):
-    """Requested object exceeds the configured dimension cap."""
+    """Requested object exceeds a size bound: a chain over
+    ``MAX_REGISTERS`` registers, or a dense view or dense trace over its
+    cap."""
 
 
 class DegenerateStateError(ValueError):

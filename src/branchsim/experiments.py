@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -71,7 +71,7 @@ from .dynamics import (
     standard_classical_configs,
     verify_unitary,
 )
-from .errors import InvalidPerturbationError
+from .errors import CapacityError, InvalidPerturbationError
 from .state import (
     OBSERVER_BLANK,
     ROLE_DETECTOR,
@@ -103,6 +103,13 @@ MAX_TOLERANCE = 1e-3
 # The tightest tolerance a run accepts: sound runs leave rounding residuals
 # of up to a few 1e-16, which a tighter setting would report as failures.
 MIN_TOLERANCE = 1e-14
+
+# The most registers a chain may have, the one bound on the size of a run
+# (checked by ``chain_layout``).  A run's time grows with support x
+# registers whatever its dimension, but its peak memory grows as N^3
+# through the perception tables' match cube; the README lists the measured
+# worst shapes at this bound.
+MAX_REGISTERS = 512
 
 CHAIN_CHECKS = (
     "structure",
@@ -267,43 +274,21 @@ def chain_layout(
     """Canonical layout: path, one detector per version, optional photons,
     then the observer registers.
 
-    The registers are generated one at a time, so a chain over the
-    dimension cap raises ``CapacityError`` before anything per register or
-    per version is built.
+    ``CapacityError`` when the chain has more than ``MAX_REGISTERS``
+    registers, counted before any register is built.
     """
-    return make_layout(_chain_registers(n_versions, observers, photon_model))
-
-
-def _chain_registers(
-    n_versions: int, observers: int, photon_model: bool
-) -> Iterator[tuple[str, int, str]]:
-    yield ("path", n_versions, ROLE_PATH)
-    detectors = ("DH", "DV") if n_versions == 2 else (f"D{j + 1}" for j in range(n_versions))
-    for name in detectors:
-        yield (name, 2, ROLE_DETECTOR)
+    count = 1 + n_versions * (2 if photon_model else 1) + observers
+    if count > MAX_REGISTERS:
+        raise CapacityError(
+            f"a chain of {count} registers exceeds MAX_REGISTERS = {MAX_REGISTERS}"
+        )
+    detectors = ["DH", "DV"] if n_versions == 2 else [f"D{j + 1}" for j in range(n_versions)]
+    registers = [("path", n_versions, ROLE_PATH)] + [(d, 2, ROLE_DETECTOR) for d in detectors]
     if photon_model:
-        for j in range(n_versions):
-            yield (f"ph{j + 1}", 2, ROLE_PHOTON)
-    for k in range(observers):
-        yield (f"Obs{k + 1}", observer_dimension(n_versions), ROLE_OBSERVER)
-
-
-def version_labels(
-    layout: SubsystemLayout,
-    version: int,
-    *,
-    detected: bool,
-    message: int | None = None,
-) -> dict[str, int]:
-    """Basis labels of the single-version configuration.
-
-    ``detected=False`` is the armed pre-measurement configuration (all
-    detectors idle, photons in vacuum); ``detected=True`` sets the one-hot
-    record for ``version``.  ``message`` fills every observer register, or
-    blank when None.
-    """
-    row = _version_rows(layout, [version], detected=detected, message=message)[0]
-    return dict(zip(layout.names(), row.tolist()))
+        registers += [(f"ph{j + 1}", 2, ROLE_PHOTON) for j in range(n_versions)]
+    dimension = observer_dimension(n_versions)
+    registers += [(f"Obs{k + 1}", dimension, ROLE_OBSERVER) for k in range(observers)]
+    return make_layout(registers)
 
 
 def _version_rows(
@@ -313,9 +298,14 @@ def _version_rows(
     detected: bool,
     message: int | Sequence[int] | None = None,
 ) -> np.ndarray:
-    """The label rows of ``version_labels`` for every entry of ``versions``
-    at once, as a (versions x registers) array; ``message`` is one level or
-    one per version."""
+    """The label rows of each version's single-version configuration, as a
+    (versions x registers) array.
+
+    ``detected=False`` is the armed pre-measurement configuration (all
+    detectors idle, photons in vacuum); ``detected=True`` sets the one-hot
+    record of each version.  ``message`` fills every observer register, as
+    one level or one per version, or leaves it blank when None.
+    """
     roles = [r.role for r in layout.registers]
     at = lambda role: [i for i, r in enumerate(roles) if r == role]
     versions = np.asarray(versions, dtype=np.int64)[:, None]
@@ -399,7 +389,9 @@ def compile_chain(
 
     Every stage's table is proved unitary (``verify_unitary``) before the
     chain is returned; a stage that fails its proof is a bug in a builder,
-    so it raises ``RuntimeError`` rather than failing a check.
+    so it raises ``RuntimeError`` rather than failing a check.  A chain
+    over ``MAX_REGISTERS`` raises ``CapacityError`` (``chain_layout``)
+    before anything is built.
     """
     return _build_chain(n_versions, observers, photon_model, negative_control)
 
@@ -529,23 +521,6 @@ def _branch_coefficient(section: np.ndarray, tolerance: float) -> complex | None
         return None
     anchor = section[int(np.argmax(np.abs(section)))]
     return complex(section_norm * anchor / abs(anchor))
-
-
-def reconstruct_branches(
-    layout: SubsystemLayout, branches: Sequence[Branch]
-) -> StateVector:
-    """Reassemble ``sum_j a(j) * (relative_j (x) |label_j>)``."""
-    rows, values = [np.zeros((0, len(layout.registers)), dtype=np.int64)], [np.zeros(0)]
-    for branch in branches:
-        names = _record_names(branch.record_register)
-        relative = branch.relative_state
-        label = branch.record_label if isinstance(branch.record_label, tuple) else (branch.record_label,)
-        full = np.empty((len(relative.values), len(layout.registers)), dtype=np.int64)
-        full[:, [layout.position(n) for n in relative.layout.names()]] = relative.labels
-        full[:, [layout.position(n) for n in names]] = label
-        rows.append(full)
-        values.append(branch.coefficient * relative.values)
-    return StateVector(layout, np.concatenate(rows), np.concatenate(values))
 
 
 def _label_text(layout, record_register, label) -> str:

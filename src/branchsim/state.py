@@ -10,10 +10,12 @@ state per version) whatever the dimension, so states cost O(support).
 The flat index of a label row is its mixed-radix number, first register most
 significant; sorting rows lexicographically sorts them by flat index without
 computing it.  Flat indices appear only in the dense views --
-``StateVector.amplitudes``, ``SubsystemLayout.digit_values`` and
-``basis_labels`` -- which serve oracle comparisons and refuse layouts above
-``DENSE_VIEW_CAP``.  A dense vector becomes a state as
-``StateVector(layout, layout.basis_labels(), amplitudes)``.
+``StateVector.amplitudes``, ``SubsystemLayout.digit_values``,
+``basis_labels`` and ``flat_indices`` -- which serve oracle comparisons and
+refuse layouts above ``DENSE_VIEW_CAP``.  A dense vector becomes a state as
+``StateVector(layout, layout.basis_labels(), amplitudes)``.  A layout has no
+size bound of its own (its dimension is a Python integer); a chain run is
+bounded by its register count, ``experiments.MAX_REGISTERS``.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ PHOTON_EMITTED = 1
 # probe.
 OBSERVER_BLANK = 0
 
-DEFAULT_DIMENSION_CAP = 2**24
 # Largest dimension a dense view (one entry per basis state) is built for.
-DENSE_VIEW_CAP = DEFAULT_DIMENSION_CAP
+DENSE_VIEW_CAP = 2**24
 TOLERANCE = 1e-12
 
 
@@ -172,8 +173,9 @@ class SubsystemLayout:
         return self.basis_labels()[:, self.position(name)]
 
     def flat_indices(self, labels: np.ndarray) -> np.ndarray:
-        """The flat index of each label row (exact while the layout cap
-        keeps the dimension within int64)."""
+        """Dense view: the flat index of each label row.  Refused above
+        ``DENSE_VIEW_CAP``, which keeps the int64 arithmetic exact."""
+        self.require_dense_view()
         return labels @ np.array(self.strides, dtype=np.int64)
 
     def drop(self, names: Sequence[str]) -> "SubsystemLayout":
@@ -210,17 +212,11 @@ class SubsystemLayout:
         return digits
 
 
-def make_layout(
-    registers: Iterable[tuple[str, int, str]],
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
-) -> SubsystemLayout:
+def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
     """Build a layout from ``(name, dimension, role)`` triples.
 
     Raises ``ValueError`` on duplicate names, dimensions below 2 or unknown
-    roles, and ``CapacityError`` when the product of dimensions exceeds
-    ``dimension_cap``.  The cap is checked as each register is consumed, so
-    a generator of registers over the cap is refused at the register that
-    crosses it, however many follow.
+    roles.
     """
     regs = []
     seen: set[str] = set()
@@ -235,11 +231,6 @@ def make_layout(
             raise ValueError(f"register {name!r} has unknown role {role!r}")
         regs.append(Register(name, dimension, role))
         total *= dimension
-        if total > dimension_cap:
-            raise CapacityError(
-                f"total dimension exceeds cap {dimension_cap} "
-                f"(at register {name!r})"
-            )
     if not regs:
         raise ValueError("layout needs at least one register")
 
@@ -302,9 +293,9 @@ class StateVector:
     @property
     def amplitudes(self) -> np.ndarray:
         """Dense view: the amplitude at every flat index."""
-        self.layout.require_dense_view()
+        indices = self.layout.flat_indices(self.labels)
         dense = np.zeros(self.layout.total_dimension, dtype=complex)
-        dense[self.layout.flat_indices(self.labels)] = self.values
+        dense[indices] = self.values
         return dense
 
 
@@ -380,14 +371,6 @@ def superpose(terms: Sequence[tuple[complex, StateVector]]) -> StateVector:
         np.concatenate([state.labels for _, state in terms]),
         np.concatenate([complex(c) * state.values for c, state in terms]),
     )
-
-
-def inner_product(x: StateVector, y: StateVector) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    if x.layout != y.layout:
-        raise ValueError("inner product requires states on the same layout")
-    _, (xs, ys) = aligned(x, y)
-    return complex(np.vdot(xs, ys))
 
 
 def norm(x: StateVector) -> float:

@@ -10,6 +10,12 @@ state; they exist only to be compared against the loop-built matrices.
 afresh with ``apply_unitary``, the reference for the experiment's label
 parts shared across angles.  ``reference_report_json`` is the stdlib's
 pure-Python ``indent=2`` encoding, the reference for the report writer.
+
+The library's run path needs none of the helpers below; tests use them to
+build states and operators by hand: ``version_labels`` (one version's
+configuration, register by register), ``reconstruct_branches`` (the inverse
+of ``decompose_branches``), ``inner_product``, and the operators
+``identity`` and ``level_cycle``.
 """
 
 import itertools
@@ -21,8 +27,11 @@ import numpy as np
 from branchsim import (
     CapacityError,
     CheckResult,
+    ControlledRewrite,
     PairedRotation,
     RunReport,
+    StateVector,
+    UnitaryOp,
     apply_unitary,
     build_basis_rotation,
     decompose_branches,
@@ -60,6 +69,75 @@ def _label_space(layout):
 
 def _named(layout, labels):
     return dict(zip((r.name for r in layout.registers), labels))
+
+
+def version_labels(layout, version, *, detected, message=None):
+    """Basis labels of one version's configuration, register by register.
+
+    The path reads ``version``.  ``detected=False`` is the armed
+    configuration (every detector idle, every photon in vacuum);
+    ``detected=True`` fires the version's detector and emits its photon,
+    counting each role's registers in layout order.  ``message`` fills every
+    observer register, blank (0) when None.
+    """
+    labels, seen = {}, {"detector": 0, "photon": 0}
+    for reg in layout.registers:
+        if reg.role == "particle-path":
+            labels[reg.name] = version
+        elif reg.role == "observer":
+            labels[reg.name] = 0 if message is None else message
+        else:
+            labels[reg.name] = int(detected and seen[reg.role] == version)
+            seen[reg.role] += 1
+    return labels
+
+
+def reconstruct_branches(layout, branches):
+    """Reassemble ``sum_j a(j) * (relative_j (x) |label_j>)`` row by row."""
+    rows, values = [], []
+    for branch in branches:
+        names = branch.record_register
+        names = (names,) if isinstance(names, str) else tuple(names)
+        label = branch.record_label
+        label = label if isinstance(label, tuple) else (label,)
+        relative = branch.relative_state
+        for row, value in zip(relative.labels.tolist(), relative.values.tolist()):
+            named = {**dict(zip(relative.layout.names(), row)), **dict(zip(names, label))}
+            rows.append([named[name] for name in layout.names()])
+            values.append(branch.coefficient * value)
+    shape = (len(rows), len(layout.registers))
+    return StateVector(layout, np.array(rows, dtype=np.int64).reshape(shape), values)
+
+
+def inner_product(x, y):
+    """Hermitian inner product, conjugate-linear in the first argument,
+    summed over the rows both supports hold."""
+    if x.layout != y.layout:
+        raise ValueError("inner product requires states on the same layout")
+    at = {tuple(row): value for row, value in zip(y.labels.tolist(), y.values.tolist())}
+    return complex(
+        sum(
+            value.conjugate() * at[tuple(row)]
+            for row, value in zip(x.labels.tolist(), x.values.tolist())
+            if tuple(row) in at
+        )
+    )
+
+
+def identity(layout):
+    """The empty table: every row matches no entry."""
+    return UnitaryOp(
+        layout, "identity", (ControlledRewrite((), np.zeros((0, 0)), -1, [[0]]),)
+    )
+
+
+def level_cycle(layout, register, shift=1):
+    """Cyclically shift one register's levels; identity on all others."""
+    levels = np.arange(layout.register(register).dimension)
+    table = ControlledRewrite(
+        (), [[]], layout.position(register), [(levels + shift) % levels.size]
+    )
+    return UnitaryOp(layout, f"level-cycle[{register}+{shift}]", (table,))
 
 
 def permutation_view(op):

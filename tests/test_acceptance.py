@@ -28,11 +28,10 @@ from branchsim import (
     run_appendix_rotation,
     run_measurement_chain,
     superpose,
-    version_labels,
     von_neumann_entropy,
 )
 from branchsim.cli import main
-from oracles import naive_entropy_bits, naive_partial_trace
+from oracles import naive_entropy_bits, naive_partial_trace, version_labels
 
 RNG_SEED = 20260810
 

@@ -14,10 +14,14 @@ from branchsim import (
     reduced_density_matrix,
     run_measurement_chain,
     superpose,
-    version_labels,
     von_neumann_entropy,
 )
-from oracles import naive_entropy_bits, naive_observer_coherence, naive_partial_trace
+from oracles import (
+    naive_entropy_bits,
+    naive_observer_coherence,
+    naive_partial_trace,
+    version_labels,
+)
 
 # Oracle-computed constants for the recorded two-branch state with
 # coefficients (0.6, 0.8): see oracles.naive_partial_trace and

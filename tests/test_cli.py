@@ -119,14 +119,9 @@ def test_main_exit_codes(tmp_path):
     # Config error -> 2.
     bad = write_config(tmp_path, name="bad.json", coefficients=[[1.0, 0.0], [1.0, 0.0]])
     assert main(["run", str(bad)]) == 2
-    # Capacity error -> 3 (16 * 2^16 * 18^1 basis states exceed the cap).
-    big = write_config(
-        tmp_path,
-        name="big.json",
-        experiment="generalized",
-        n_versions=16,
-        coefficients=[[0.25, 0.0]] * 16,
-    )
+    # Capacity error -> 3 (path, two detectors and 510 observers: 513
+    # registers, one over MAX_REGISTERS).
+    big = write_config(tmp_path, name="big.json", observers=510)
     assert main(["run", str(big), "--out", str(tmp_path / "x.json")]) == 3
 
 
@@ -565,7 +560,7 @@ sys.exit(code)
 )
 def test_an_over_cap_chain_is_refused_before_it_allocates(tmp_path, overrides):
     # The register list (observers) and the coefficient draw (n_versions)
-    # were both built in full before the dimension cap was checked.
+    # were both built in full before the size of the chain was checked.
     path = write_config(tmp_path, **overrides)
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     done = subprocess.run(
@@ -573,5 +568,6 @@ def test_an_over_cap_chain_is_refused_before_it_allocates(tmp_path, overrides):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert done.returncode == 3, done.stderr
-    assert "capacity error: total dimension exceeds cap" in done.stderr
+    assert "capacity error: a chain of" in done.stderr
+    assert "registers exceeds MAX_REGISTERS = 512" in done.stderr
     assert float(done.stdout) < 1.0

@@ -17,11 +17,10 @@ from branchsim import (
     observer_dimension,
     phase_flip_perturbation,
     run_measurement_chain,
-    version_labels,
 )
 from branchsim import experiments
 from branchsim.cli import main
-from oracles import dense_matrix, naive_chain_matrix, naive_evolve
+from oracles import dense_matrix, naive_chain_matrix, naive_evolve, version_labels
 
 # (n_versions, observers, photon_model); N=3 with two observers and photons
 # (dimension 4,800) is past the dense-matrix cap, so the grid stops short.

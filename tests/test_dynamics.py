@@ -16,8 +16,6 @@ from branchsim import (
     build_photon_emission_unitary,
     chain_layout,
     compose,
-    identity,
-    level_cycle,
     make_layout,
     phase_flip_perturbation,
     product_state,
@@ -25,14 +23,16 @@ from branchsim import (
     standard_classical_configs,
     superpose,
     verify_unitary,
-    version_labels,
 )
 from oracles import (
     dense_matrix,
+    identity,
+    level_cycle,
     naive_detection_matrix,
     naive_emission_matrix,
     naive_perception_matrix,
     naive_rotation_matrix,
+    version_labels,
 )
 
 SG = [("P", 2, "particle-path"), ("DH", 2, "detector"), ("DV", 2, "detector"),
@@ -533,7 +533,7 @@ def test_every_stage_proves_unitary_on_an_uncapped_layout():
     registers += [(f"D{j + 1}", 2, "detector") for j in range(n)]
     registers += [(f"ph{j + 1}", 2, "photon") for j in range(n)]
     registers += [(f"Obs{k + 1}", n + 2, "observer") for k in range(3)]
-    layout = make_layout(registers, dimension_cap=2**200)
+    layout = make_layout(registers)
     assert layout.total_dimension > 2**151
     photons = [f"ph{j + 1}" for j in range(n)]
     stages = [

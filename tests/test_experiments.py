@@ -21,7 +21,6 @@ from branchsim import (
     decompose_branches,
     disagreement_weight,
     expected_final_state,
-    identity,
     initial_state,
     mixed_record_weight,
     no_signaling_check,
@@ -31,7 +30,6 @@ from branchsim import (
     plain_rotation_run,
     primed_coefficients,
     product_state,
-    reconstruct_branches,
     record_cycle_perturbation,
     run_appendix_rotation,
     run_measurement_chain,
@@ -39,11 +37,11 @@ from branchsim import (
     superpose,
     UnitaryOp,
     apply_unitary,
-    version_labels,
 )
 from branchsim import experiments
 from branchsim.state import aligned
 from oracles import (
+    identity,
     naive_decode,
     permutation_view,
     naive_disagreement_weight,
@@ -51,7 +49,9 @@ from oracles import (
     naive_evolve,
     linearity_residual,
     naive_independence_residual,
+    reconstruct_branches,
     reference_appendix_rotation,
+    version_labels,
 )
 
 

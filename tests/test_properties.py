@@ -4,6 +4,8 @@ Each example draws N in [2, 6], one to three observers, photons on or off,
 random normalized coefficients and any tolerance the gate accepts, in
 [MIN_TOLERANCE, MAX_TOLERANCE].  Shapes past ``MAX_DIMENSION`` basis states
 are skipped to keep the suite fast; the acceptance tests cover larger ones.
+A large stratum draws N in [16, 64] with no dimension limit, far past any
+dense view, for a few examples.
 
 The engine cross-checks draw smaller shapes (N in [2, 4], one or two
 observers, photons and the negative control on or off) and random sparse
@@ -44,31 +46,31 @@ from branchsim import (
     compile_chain,
     compose,
     decompose_branches,
-    level_cycle,
     make_layout,
     mixed_record_level,
     norm,
     normalize,
     observer_dimension,
     phase_flip_perturbation,
-    reconstruct_branches,
     record_cycle_perturbation,
     reduced_density_matrix,
     run_measurement_chain,
     standard_classical_configs,
     verify_unitary,
-    version_labels,
 )
 from oracles import (
     dense_matrix,
+    level_cycle,
     naive_detection_matrix,
     naive_emission_matrix,
     naive_partial_trace,
     naive_perception_matrix,
     naive_rewrite_matrix,
     naive_rotation_matrix,
+    reconstruct_branches,
     reference_report_json,
     unitarity_residual,
+    version_labels,
 )
 
 MAX_DIMENSION = 40_000
@@ -84,11 +86,12 @@ def chain_dimension(n_versions, observers, photon_model):
 
 
 @st.composite
-def specs(draw):
-    n_versions = draw(st.integers(min_value=2, max_value=6))
+def specs(draw, min_versions=2, max_versions=6, max_dimension=MAX_DIMENSION):
+    n_versions = draw(st.integers(min_value=min_versions, max_value=max_versions))
     observers = draw(st.integers(min_value=1, max_value=3))
     photon_model = draw(st.booleans())
-    assume(chain_dimension(n_versions, observers, photon_model) <= MAX_DIMENSION)
+    if max_dimension is not None:
+        assume(chain_dimension(n_versions, observers, photon_model) <= max_dimension)
     parts = draw(
         st.lists(
             st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
@@ -139,6 +142,21 @@ def test_the_default_versions_are_exactly_linear(spec):
         checked = replace(spec, negative_control=negative_control)
         report = run_measurement_chain(checked, checks=("coefficient_independence",))
         assert report.checks[0].residual == 0.0
+
+
+@given(specs(min_versions=16, max_versions=64, max_dimension=None))
+@settings(max_examples=4, deadline=None)
+def test_large_chains_are_exactly_linear_and_their_control_fails(spec):
+    report = run_measurement_chain(spec)
+    assert report.layout.total_dimension == chain_dimension(
+        spec.n_versions, spec.observers, spec.photon_model
+    )
+    assert report.all_passed
+    (independence,) = [c for c in report.checks if c.name == "coefficient_independence"]
+    assert independence.residual == 0.0
+    if abs(spec.coefficients[0]) > spec.tolerance:
+        control = replace(spec, negative_control=True)
+        assert not run_measurement_chain(control, checks=("mixed_record",)).all_passed
 
 
 @given(specs())

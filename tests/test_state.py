@@ -4,17 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchsim import (
+    MAX_REGISTERS,
     CapacityError,
     DegenerateStateError,
     DensityMatrix,
-    inner_product,
+    chain_layout,
     make_layout,
     norm,
     normalize,
     product_state,
     superpose,
 )
-from oracles import naive_decode, naive_encode
+from oracles import inner_product, naive_decode, naive_encode
 
 SG = [("P", 2, "particle-path"), ("DH", 2, "detector"), ("DV", 2, "detector"),
       ("Obs", 4, "observer")]
@@ -36,13 +37,28 @@ def test_layout_rejects_duplicates_and_bad_dimensions():
         make_layout([])
 
 
-def test_layout_capacity_cap():
-    regs = [(f"D{i}", 2, "detector") for i in range(8)]
-    with pytest.raises(CapacityError):
-        make_layout(regs, dimension_cap=100)
-    # Default cap of 2^24 rejects 25 two-level registers.
-    with pytest.raises(CapacityError):
-        make_layout([(f"D{i}", 2, "detector") for i in range(25)])
+@pytest.mark.parametrize(
+    "n, observers, photon_model",
+    [(510, 1, False), (255, 1, True), (2, 509, False), (2, 507, True)],
+)
+def test_chain_layout_register_bound(n, observers, photon_model):
+    # Each shape has exactly MAX_REGISTERS registers; one more observer is
+    # one register over the bound, whatever the dimension.
+    layout = chain_layout(n, observers, photon_model)
+    assert len(layout.registers) == MAX_REGISTERS == 512
+    with pytest.raises(CapacityError, match="a chain of 513 registers exceeds MAX_REGISTERS"):
+        chain_layout(n, observers + 1, photon_model)
+
+
+@pytest.mark.parametrize("dims", [(3, 2**62), (4, 2**70)])
+def test_flat_indices_refuse_layouts_past_the_dense_view_cap(dims):
+    # (3, 2^62) would wrap round in int64 and (4, 2^70) overflow it.
+    layout = make_layout([("P", dims[0], "particle-path"), ("D", dims[1], "detector")])
+    with pytest.raises(CapacityError, match="dense view"):
+        layout.flat_indices(np.array([[2, 5]]))
+    state = product_state(layout, [2, 5])
+    with pytest.raises(CapacityError, match="dense view"):
+        state.amplitudes
 
 
 def test_strides_first_register_most_significant():

@@ -47,7 +47,12 @@ def test_dense_views_are_refused_under_the_fixture(no_dense_views):
 
 @pytest.mark.parametrize(
     "n, observers, photon_model, dimension",
-    [(15, 1, False, 8_355_840), (4, 3, True, 221_184)],
+    [
+        (15, 1, False, 8_355_840),
+        (4, 3, True, 221_184),
+        pytest.param(64, 3, True, 64 * 2**128 * 66**3, id="64-3-True"),
+        pytest.param(255, 1, True, 255 * 2**510 * 257, id="255-1-True"),
+    ],
 )
 def test_full_chain_suite_runs_on_the_support(
     no_dense_views, n, observers, photon_model, dimension
