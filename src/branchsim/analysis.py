@@ -52,8 +52,9 @@ def reduced_density_matrix(state: StateVector, keep: Sequence[str]) -> DensityMa
     if kept > DENSE_TRACE_CAP:
         raise CapacityError(f"kept dimension {kept} exceeds dense cap {DENSE_TRACE_CAP}")
 
-    traced = [i for i in range(len(layout.registers)) if i not in positions]
-    environments, column = union_rows(state.labels[:, traced])
+    traced = np.ones(len(layout.registers), dtype=bool)
+    traced[positions] = False
+    environments, column = union_rows(state.labels.compress(traced, axis=1))
     psi = np.zeros((kept, len(environments)), dtype=complex)
     psi[np.ravel_multi_index(state.labels[:, positions].T, dims), column] = state.values
     matrix = DensityMatrix(kept, psi @ psi.conj().T)

@@ -470,29 +470,33 @@ def build_perception_unitary(
     top_message = mixed_record_level(obs.dimension) - 1
     if allow_mixed_message:
         top_message = mixed_record_level(obs.dimension)
-    for config, message in classical_configs.items():
+    for config in classical_configs:
         if len(config) != len(condition_registers):
             raise ValueError(
                 f"configuration {config} has {len(config)} digits for "
                 f"{len(condition_registers)} condition registers"
             )
-        for name, digit in zip(condition_registers, config):
-            if not 0 <= digit < layout.register(name).dimension:
-                raise ValueError(f"configuration digit {digit} out of range for {name!r}")
-        if not 1 <= message <= top_message:
-            raise ValueError(
-                f"message level {message} out of writable range [1, {top_message}]"
-            )
-
     condition_at = [layout.position(name) for name in condition_registers]
-    messages = np.array(list(classical_configs.values()), dtype=np.int64)
+    when = np.array(list(classical_configs)).reshape(n, len(condition_at))
+    outside = (when < 0) | (when >= layout.dimension_array[condition_at])
+    if outside.any():
+        entry, column = np.argwhere(outside)[0]
+        raise ValueError(
+            f"configuration digit {when[entry, column]} out of range for "
+            f"{condition_registers[column]!r}"
+        )
+    messages = np.array(list(classical_configs.values()))
+    unwritable = (messages < 1) | (messages > top_message)
+    if unwritable.any():
+        raise ValueError(
+            f"message level {messages[unwritable][0]} out of writable range [1, {top_message}]"
+        )
+
     # Each entry transposes blank with its message and fixes every other level.
     image = np.tile(np.arange(obs.dimension), (n, 1))
     image[:, OBSERVER_BLANK] = messages
     image[np.arange(n), messages] = OBSERVER_BLANK
-    table = ControlledRewrite(
-        condition_at, list(classical_configs), layout.position(observer_register), image
-    )
+    table = ControlledRewrite(condition_at, when, layout.position(observer_register), image)
     return UnitaryOp(layout, f"perception[{observer_register}]", (table,))
 
 

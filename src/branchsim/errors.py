@@ -3,8 +3,9 @@
 
 class CapacityError(RuntimeError):
     """Requested object exceeds a size bound: a chain over
-    ``MAX_REGISTERS`` registers, or a dense view or dense trace over its
-    cap."""
+    ``MAX_REGISTERS`` registers, a reduced density matrix over
+    ``DENSE_TRACE_CAP``, or ``SubsystemLayout.digit_values`` over
+    ``DENSE_VIEW_CAP``."""
 
 
 class DegenerateStateError(ValueError):

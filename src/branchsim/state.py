@@ -3,19 +3,14 @@
 A layout names the subsystems (particle path, detectors, photons, observer
 memories) and fixes their order.  A basis state is a row of per-register
 labels.  A ``StateVector`` keeps only its support: a (k x registers) label
-array whose rows are distinct and sorted in flat-index order, plus the k
-amplitudes.  Every state of a measurement chain has support N (one basis
-state per version) whatever the dimension, so states cost O(support).
-
-The flat index of a label row is its mixed-radix number, first register most
-significant; sorting rows lexicographically sorts them by flat index without
-computing it.  Flat indices appear only in the dense views --
-``StateVector.amplitudes``, ``SubsystemLayout.digit_values``,
-``basis_labels`` and ``flat_indices`` -- which serve oracle comparisons and
-refuse layouts above ``DENSE_VIEW_CAP``.  A dense vector becomes a state as
-``StateVector(layout, layout.basis_labels(), amplitudes)``.  A layout has no
-size bound of its own (its dimension is a Python integer); a chain run is
-bounded by its register count, ``experiments.MAX_REGISTERS``.
+array whose rows are distinct and sorted lexicographically, first register
+first, plus the k amplitudes.  That order is called flat-index order: it is
+the order of the rows' mixed-radix numbers, first register most
+significant, though the package never computes one.  Every state of a
+measurement chain has support N (one basis state per version) whatever the
+dimension, so states cost O(support), and no state has a dense view here.
+A layout has no size bound of its own (its dimension is a Python integer);
+a chain run is bounded by its register count, ``experiments.MAX_REGISTERS``.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ PHOTON_EMITTED = 1
 # probe.
 OBSERVER_BLANK = 0
 
-# Largest dimension a dense view (one entry per basis state) is built for.
+# Largest dimension ``SubsystemLayout.digit_values`` is built for.
 DENSE_VIEW_CAP = 2**24
 TOLERANCE = 1e-12
 
@@ -87,16 +82,11 @@ class Register:
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered registers of a composite space plus index arithmetic.
-
-    The flat index of a basis state is the mixed-radix encoding of its
-    per-register labels, first register most significant.  Layouts are
-    immutable; all methods are pure.
-    """
+    """Ordered registers of a composite space.  Layouts are immutable; all
+    methods are pure."""
 
     registers: tuple[Register, ...]
     total_dimension: int
-    strides: tuple[int, ...]
     _positions: dict = field(repr=False, compare=False)
 
     @cached_property
@@ -122,61 +112,21 @@ class SubsystemLayout:
     def by_role(self, role: str) -> tuple[Register, ...]:
         return tuple(r for r in self.registers if r.role == role)
 
-    def encode(self, labels: Sequence[int] | Mapping[str, int]) -> int:
-        """Flat index of the basis state with the given per-register labels."""
-        digits = self._labels_to_digits(labels)
-        return int(sum(d * s for d, s in zip(digits, self.strides)))
+    def digit_values(self, name: str) -> np.ndarray:
+        """Dense view: this register's digit at every flat index, refused
+        above ``DENSE_VIEW_CAP``.
 
-    def decode(self, flat_index: int) -> tuple[int, ...]:
-        """Per-register labels of the basis state at ``flat_index``."""
-        if not 0 <= flat_index < self.total_dimension:
-            raise ValueError(
-                f"flat index {flat_index} out of range [0, {self.total_dimension})"
-            )
-        return tuple(
-            (flat_index // s) % r.dimension for r, s in zip(self.registers, self.strides)
-        )
-
-    def row(self, labels: Sequence[int] | Mapping[str, int]) -> np.ndarray:
-        """Label row of the basis state with the given per-register labels."""
-        return np.array(self._labels_to_digits(labels), dtype=np.int64)
-
-    def label_grid(self, names: Sequence[str]) -> np.ndarray:
-        """Every joint label of the named registers, one row each.
-
-        Columns follow layout order and rows mixed-radix order, last named
-        register fastest.
+        No run path calls it.  It stays only because the benchmark's tracer
+        hooks it, and goes when the benchmark drops that hook.
         """
-        grid = np.zeros((1, 0), dtype=np.int64)
-        for pos in sorted(self.position(name) for name in names):
-            levels = np.arange(self.registers[pos].dimension, dtype=np.int64)
-            grid = np.hstack(
-                [np.repeat(grid, levels.size, axis=0), np.tile(levels, len(grid))[:, None]]
-            )
-        return grid
-
-    def require_dense_view(self) -> None:
-        """``CapacityError`` unless an array over every basis state fits."""
         if self.total_dimension > DENSE_VIEW_CAP:
             raise CapacityError(
                 f"refusing a dense view of dimension {self.total_dimension} "
                 f"(cap {DENSE_VIEW_CAP})"
             )
-
-    def basis_labels(self) -> np.ndarray:
-        """Dense view: the label row of every flat index, in order."""
-        self.require_dense_view()
-        return self.label_grid(self.names())
-
-    def digit_values(self, name: str) -> np.ndarray:
-        """Dense view: this register's digit at every flat index."""
-        return self.basis_labels()[:, self.position(name)]
-
-    def flat_indices(self, labels: np.ndarray) -> np.ndarray:
-        """Dense view: the flat index of each label row.  Refused above
-        ``DENSE_VIEW_CAP``, which keeps the int64 arithmetic exact."""
-        self.require_dense_view()
-        return labels @ np.array(self.strides, dtype=np.int64)
+        position = self.position(name)
+        stride = math.prod(self.dimensions()[position + 1 :])
+        return np.arange(self.total_dimension) // stride % self.registers[position].dimension
 
     def drop(self, names: Sequence[str]) -> "SubsystemLayout":
         """Layout with the named registers removed (order preserved).
@@ -187,7 +137,8 @@ class SubsystemLayout:
         """
         return _dropped(self, frozenset(names))
 
-    def _labels_to_digits(self, labels: Sequence[int] | Mapping[str, int]) -> tuple[int, ...]:
+    def row(self, labels: Sequence[int] | Mapping[str, int]) -> np.ndarray:
+        """Label row of the basis state with the given per-register labels."""
         if isinstance(labels, Mapping):
             missing = set(self.names()) - set(labels)
             extra = set(labels) - set(self.names())
@@ -209,7 +160,7 @@ class SubsystemLayout:
                     f"label {d} out of range for register {reg.name!r} "
                     f"(dimension {reg.dimension})"
                 )
-        return digits
+        return np.array(digits, dtype=np.int64)
 
 
 def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
@@ -233,16 +184,9 @@ def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
         total *= dimension
     if not regs:
         raise ValueError("layout needs at least one register")
-
-    # First register most significant: stride[i] = product of later dims.
-    strides = [1] * len(regs)
-    for i in range(len(regs) - 2, -1, -1):
-        strides[i] = strides[i + 1] * regs[i + 1].dimension
-
     return SubsystemLayout(
         registers=tuple(regs),
         total_dimension=total,
-        strides=tuple(strides),
         _positions={r.name: i for i, r in enumerate(regs)},
     )
 
@@ -289,14 +233,6 @@ class StateVector:
             object.__setattr__(self, "labels", rows)
             values = summed
         object.__setattr__(self, "values", values)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Dense view: the amplitude at every flat index."""
-        indices = self.layout.flat_indices(self.labels)
-        dense = np.zeros(self.layout.total_dimension, dtype=complex)
-        dense[indices] = self.values
-        return dense
 
 
 def union_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

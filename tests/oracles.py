@@ -1,11 +1,19 @@
 """Brute-force reference implementations for the test suite.
 
 Everything here is written with explicit loops over per-register label
-tuples and dense matrices, independent of the library's vectorized index
-arithmetic and permutation representations, so agreement is meaningful.
-The dense views of library operators (``permutation_view``,
-``dense_matrix``) evaluate the library's own application on every basis
-state; they exist only to be compared against the loop-built matrices.
+tuples and dense matrices, independent of the library's support-based
+states and permutation representations, so agreement is meaningful.
+
+The library stores a state as its support and never computes a flat
+index.  The flat-index arithmetic lives here: ``encode`` and ``decode``
+(the mixed-radix number of a label row, first register most significant),
+``basis_labels`` (every label row in flat-index order, so that
+``StateVector(layout, basis_labels(layout), amplitudes)`` turns a dense
+vector into a state), ``flat_indices`` and ``dense_amplitudes`` (a state's
+amplitude at every flat index).  The dense views of library operators
+(``permutation_view``, ``dense_matrix``) evaluate the library's own
+application on every basis state; they exist only to be compared against
+the loop-built matrices.  Every dense view is refused above its cap.
 ``reference_appendix_rotation`` evolves every state of one rotation angle
 afresh with ``apply_unitary``, the reference for the experiment's label
 parts shared across angles.  ``reference_report_json`` is the stdlib's
@@ -45,6 +53,9 @@ from branchsim.cli import _jsonify
 
 # Dense matrices only below this dimension.
 DENSE_DIMENSION_CAP = 4096
+# Dense state views (one entry per basis state) only below this dimension,
+# which also keeps flat indices exact in int64.
+DENSE_VIEW_CAP = 2**24
 
 
 def naive_encode(dims, labels):
@@ -61,6 +72,48 @@ def naive_decode(dims, flat):
         labels.append(flat % dim)
         flat //= dim
     return tuple(reversed(labels))
+
+
+def require_dense_view(layout):
+    """``CapacityError`` unless an array over every basis state fits."""
+    if layout.total_dimension > DENSE_VIEW_CAP:
+        raise CapacityError(
+            f"refusing a dense view of dimension {layout.total_dimension} "
+            f"(cap {DENSE_VIEW_CAP})"
+        )
+
+
+def encode(layout, labels):
+    """Flat index of the basis state with the given labels (a sequence in
+    layout order, or a mapping from register names)."""
+    return naive_encode(layout.dimensions(), layout.row(labels).tolist())
+
+
+def decode(layout, flat):
+    """Per-register labels of the basis state at flat index ``flat``."""
+    if not 0 <= flat < layout.total_dimension:
+        raise ValueError(f"flat index {flat} out of range [0, {layout.total_dimension})")
+    return naive_decode(layout.dimensions(), flat)
+
+
+def basis_labels(layout):
+    """Dense view: the label row of every flat index, in order."""
+    require_dense_view(layout)
+    return np.indices(layout.dimensions()).reshape(len(layout.registers), -1).T
+
+
+def flat_indices(layout, labels):
+    """Dense view: the flat index of each label row."""
+    require_dense_view(layout)
+    return np.ravel_multi_index(np.asarray(labels).T, layout.dimensions())
+
+
+def dense_amplitudes(state):
+    """Dense view: the state's amplitude at every flat index."""
+    indices = flat_indices(state.layout, state.labels)
+    dense = np.zeros(state.layout.total_dimension, dtype=complex)
+    dense[indices] = state.values
+    return dense
 
 
 def _label_space(layout):
@@ -142,18 +195,18 @@ def level_cycle(layout, register, shift=1):
 
 def permutation_view(op):
     """The image flat index and the phase of every flat index under a
-    permutation operator: the library's own application evaluated on the
-    label row of every basis state (refused above ``state.DENSE_VIEW_CAP``)."""
+    permutation operator: the library's own application evaluated on
+    ``basis_labels`` and read back with ``flat_indices`` (refused above
+    ``DENSE_VIEW_CAP``)."""
     layout = op.layout
-    rows, phases = op._apply(
-        layout.basis_labels(), np.ones(layout.total_dimension, dtype=complex)
-    )
-    return layout.flat_indices(rows), phases
+    rows, phases = op._apply(basis_labels(layout), np.ones(layout.total_dimension, dtype=complex))
+    return flat_indices(layout, rows), phases
 
 
 def dense_matrix(op):
     """Dense matrix of a permutation operator or a paired rotation, from the
-    library's own application (refused above ``DENSE_DIMENSION_CAP``)."""
+    library's own application on ``basis_labels`` (refused above
+    ``DENSE_DIMENSION_CAP``)."""
     dimension = op.layout.total_dimension
     if dimension > DENSE_DIMENSION_CAP:
         raise CapacityError(
@@ -163,8 +216,8 @@ def dense_matrix(op):
     if isinstance(op, PairedRotation):
         # Row i of the identity is basis state i's amplitudes, so the rotated
         # rows are the rows of the matrix.
-        rows, columns = op._apply(op.layout.basis_labels(), np.eye(dimension, dtype=complex))
-        matrix[op.layout.flat_indices(rows)] = columns
+        rows, columns = op._apply(basis_labels(op.layout), np.eye(dimension, dtype=complex))
+        matrix[flat_indices(op.layout, rows)] = columns
     else:
         image, phases = permutation_view(op)
         matrix[image, np.arange(dimension)] = phases

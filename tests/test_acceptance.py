@@ -31,7 +31,7 @@ from branchsim import (
     von_neumann_entropy,
 )
 from branchsim.cli import main
-from oracles import naive_entropy_bits, naive_partial_trace, version_labels
+from oracles import dense_amplitudes, naive_entropy_bits, naive_partial_trace, version_labels
 
 RNG_SEED = 20260810
 
@@ -237,7 +237,7 @@ def test_criterion_8_analysis_oracle_equivalence():
     layout = report.layout
     dims = [r.dimension for r in layout.registers]
     oracle_rho = naive_partial_trace(
-        report.final_state.amplitudes, dims, [layout.position("Obs1")]
+        dense_amplitudes(report.final_state), dims, [layout.position("Obs1")]
     )
     oracle_entropy = naive_entropy_bits(oracle_rho)
 

@@ -20,7 +20,15 @@ from branchsim import (
 )
 from branchsim import experiments
 from branchsim.cli import main
-from oracles import dense_matrix, naive_chain_matrix, naive_evolve, version_labels
+from oracles import (
+    basis_labels,
+    dense_amplitudes,
+    dense_matrix,
+    encode,
+    naive_chain_matrix,
+    naive_evolve,
+    version_labels,
+)
 
 # (n_versions, observers, photon_model); N=3 with two observers and photons
 # (dimension 4,800) is past the dense-matrix cap, so the grid stops short.
@@ -70,8 +78,8 @@ def test_single_basis_state_replay_matches_the_oracle(
     starts = np.array([layout.row(version_labels(layout, j, detected=False)) for j in range(n)])
     ends, phases = chain.step._apply(starts, np.ones(n, dtype=complex))
     for start, end, phase in zip(starts, ends, phases):
-        psi = StateVector(layout, start[None, :], [1.0]).amplitudes
-        replayed = StateVector(layout, end[None, :], [phase]).amplitudes
+        psi = dense_amplitudes(StateVector(layout, start[None, :], [1.0]))
+        replayed = dense_amplitudes(StateVector(layout, end[None, :], [phase]))
         oracle = naive_evolve(layout, names, configs, condition, psi, photon_model)
         assert np.array_equal(replayed, oracle)
 
@@ -83,10 +91,10 @@ def test_independence_check_fails_on_a_perturbed_branch():
     assert clean.passed
 
     layout = final.layout
-    branch = layout.encode(version_labels(layout, 1, detected=True, message=2))
-    amplitudes = final.amplitudes.copy()
+    branch = encode(layout, version_labels(layout, 1, detected=True, message=2))
+    amplitudes = dense_amplitudes(final).copy()
     amplitudes[branch] += 1e-9
-    tampered = type(final)(layout, layout.basis_labels(), amplitudes)
+    tampered = type(final)(layout, basis_labels(layout), amplitudes)
     result = coefficient_independence_check(spec, final_state=tampered)
     assert not result.passed
     assert result.residual == pytest.approx(1e-9 / 0.48, rel=1e-6)

@@ -8,6 +8,7 @@ from branchsim import (
     CapacityError,
     DegenerateStateError,
     DensityMatrix,
+    StateVector,
     chain_layout,
     make_layout,
     norm,
@@ -15,7 +16,17 @@ from branchsim import (
     product_state,
     superpose,
 )
-from oracles import inner_product, naive_decode, naive_encode
+from branchsim.state import union_rows
+from oracles import (
+    basis_labels,
+    decode,
+    dense_amplitudes,
+    encode,
+    flat_indices,
+    inner_product,
+    naive_decode,
+    naive_encode,
+)
 
 SG = [("P", 2, "particle-path"), ("DH", 2, "detector"), ("DV", 2, "detector"),
       ("Obs", 4, "observer")]
@@ -55,57 +66,77 @@ def test_flat_indices_refuse_layouts_past_the_dense_view_cap(dims):
     # (3, 2^62) would wrap round in int64 and (4, 2^70) overflow it.
     layout = make_layout([("P", dims[0], "particle-path"), ("D", dims[1], "detector")])
     with pytest.raises(CapacityError, match="dense view"):
-        layout.flat_indices(np.array([[2, 5]]))
+        flat_indices(layout, np.array([[2, 5]]))
     state = product_state(layout, [2, 5])
     with pytest.raises(CapacityError, match="dense view"):
-        state.amplitudes
+        dense_amplitudes(state)
+    with pytest.raises(CapacityError, match="dense view"):
+        layout.digit_values("P")
 
 
-def test_strides_first_register_most_significant():
+def test_encode_first_register_most_significant():
     layout = make_layout(SG)
-    assert layout.strides == (16, 8, 4, 1)
-    assert layout.encode({"P": 1, "DH": 1, "DV": 0, "Obs": 0}) == 16 + 8
+    assert encode(layout, {"P": 1, "DH": 1, "DV": 0, "Obs": 0}) == 16 + 8
+    assert encode(layout, [0, 0, 1, 3]) == 4 + 3
 
 
 @given(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=4))
 @settings(max_examples=40)
 def test_index_round_trip(dims):
+    # The oracle's loop-built encode and decode against its array-built
+    # basis_labels and flat_indices.
     layout = make_layout([(f"r{i}", d, "detector") for i, d in enumerate(dims)])
+    rows = basis_labels(layout)
+    assert flat_indices(layout, rows).tolist() == list(range(layout.total_dimension))
     for flat in range(layout.total_dimension):
-        labels = layout.decode(flat)
-        assert layout.encode(labels) == flat
-        # Against the independent mixed-radix oracle.
-        assert labels == naive_decode(dims, flat)
-        assert naive_encode(dims, labels) == flat
+        labels = decode(layout, flat)
+        assert encode(layout, labels) == flat
+        assert list(labels) == rows[flat].tolist()
 
 
-@given(
-    st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4),
-    st.data(),
-)
+@given(st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4))
 @settings(max_examples=40)
-def test_digit_tables_and_label_grid_match_naive_indexing(dims, data):
+def test_digit_values_match_naive_decode(dims):
     layout = make_layout([(f"r{i}", d, "detector") for i, d in enumerate(dims)])
     labels = [naive_decode(dims, flat) for flat in range(layout.total_dimension)]
-    assert layout.basis_labels().tolist() == [list(lab) for lab in labels]
     for pos, name in enumerate(layout.names()):
         assert layout.digit_values(name).tolist() == [lab[pos] for lab in labels]
-    chosen = data.draw(st.lists(st.sampled_from(layout.names()), unique=True))
-    kept = [p for p, n in enumerate(layout.names()) if n in chosen]
-    # The chosen registers' labels, in flat-index order of the basis states
-    # where every other register reads zero.
-    others_zero = [
-        [lab[p] for p in kept]
-        for lab in labels
-        if all(lab[p] == 0 for p in range(len(dims)) if p not in kept)
-    ]
-    assert layout.label_grid(chosen).tolist() == others_zero
+
+
+@st.composite
+def layouts_and_repeated_rows(draw):
+    """Register dimensions and label rows on them, a third of them repeats,
+    in random order."""
+    dims = draw(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=5))
+    labels = st.tuples(*(st.integers(min_value=0, max_value=d - 1) for d in dims))
+    rows = draw(st.lists(labels, min_size=1, max_size=12))
+    return dims, draw(st.permutations(rows + rows[: len(rows) // 2]))
+
+
+@given(layouts_and_repeated_rows())
+@settings(max_examples=80)
+def test_states_and_union_rows_keep_strictly_increasing_flat_order(case):
+    # The one ordering fact the package relies on: sorting label rows as
+    # tuples sorts them by their mixed-radix flat index, first register most
+    # significant.  The rows repeat, so duplicates are merged.
+    dims, rows = case
+    layout = make_layout([(f"r{i}", d, "detector") for i, d in enumerate(dims)])
+    labels = np.array(rows, dtype=np.int64).reshape(len(rows), len(dims))
+    distinct, position = union_rows(labels)
+    flats = [encode(layout, row) for row in distinct.tolist()]
+    assert flats == sorted(set(flats)) == sorted({encode(layout, row) for row in rows})
+    assert distinct[position].tolist() == labels.tolist()
+    state = StateVector(layout, labels, np.arange(1, len(rows) + 1))
+    assert state.labels.tolist() == distinct.tolist()
+    expected = np.zeros(layout.total_dimension, dtype=complex)
+    np.add.at(expected, [encode(layout, row) for row in rows], np.arange(1, len(rows) + 1))
+    assert np.array_equal(dense_amplitudes(state), expected)
 
 
 def test_decode_out_of_range():
     layout = make_layout(SG)
     with pytest.raises(ValueError):
-        layout.decode(32)
+        decode(layout, 32)
 
 
 def test_product_state_places_single_amplitude():
@@ -114,11 +145,11 @@ def test_product_state_places_single_amplitude():
     labels = {"P": 0, "DH": 1, "DV": 0, "Obs": 0}
     state = product_state(layout, labels)
     expected_index = naive_encode([2, 2, 2, 4], [0, 1, 0, 0])
-    assert state.amplitudes[expected_index] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
+    assert dense_amplitudes(state)[expected_index] == 1.0
+    assert np.count_nonzero(dense_amplitudes(state)) == 1
 
     origin = product_state(layout, [0, 0, 0, 0])
-    assert origin.amplitudes[0] == 1.0
+    assert dense_amplitudes(origin)[0] == 1.0
 
 
 def test_product_state_label_out_of_range():
@@ -146,7 +177,7 @@ def test_superpose_weights_and_identity():
     assert norm(combined) == pytest.approx(1.0, abs=1e-12)
 
     same = superpose([(1.0, one)])
-    assert np.array_equal(same.amplitudes, one.amplitudes)
+    assert np.array_equal(dense_amplitudes(same), dense_amplitudes(one))
 
     # Not auto-normalized: the same state twice at 1/sqrt(2) has norm sqrt(2).
     doubled = superpose([(2**-0.5, one), (2**-0.5, one)])
@@ -170,7 +201,7 @@ def test_superpose_is_linear(alpha, beta):
     x = product_state(layout, [1, 1, 0, 2])
     merged = superpose([(alpha + beta, x)])
     split = superpose([(alpha, x), (beta, x)])
-    assert np.max(np.abs(merged.amplitudes - split.amplitudes)) <= 1e-12
+    assert np.max(np.abs(dense_amplitudes(merged) - dense_amplitudes(split))) <= 1e-12
 
 
 def test_inner_product_conventions():
@@ -196,8 +227,8 @@ def test_cauchy_schwarz_on_random_vectors():
     layout = make_layout(SG)
     rng = np.random.default_rng(20260810)
     for _ in range(200):
-        vx = StateVector(layout, layout.basis_labels(), rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        vy = StateVector(layout, layout.basis_labels(), rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        vx = StateVector(layout, basis_labels(layout), rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        vy = StateVector(layout, basis_labels(layout), rng.standard_normal(32) + 1j * rng.standard_normal(32))
         assert abs(inner_product(vx, vy)) <= norm(vx) * norm(vy) + 1e-12
 
 
@@ -205,15 +236,15 @@ def test_norm_and_normalize():
     layout = make_layout([("P", 2, "particle-path")])
     from branchsim import StateVector
 
-    state = StateVector(layout, layout.basis_labels(), np.array([0.6, 0.8j]))
+    state = StateVector(layout, basis_labels(layout), np.array([0.6, 0.8j]))
     assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
-    stretched = StateVector(layout, layout.basis_labels(), np.array([2.0, 0.0]))
+    stretched = StateVector(layout, basis_labels(layout), np.array([2.0, 0.0]))
     unit = normalize(stretched)
-    assert np.allclose(unit.amplitudes, [1.0, 0.0])
+    assert np.allclose(dense_amplitudes(unit), [1.0, 0.0])
 
     with pytest.raises(DegenerateStateError):
-        normalize(StateVector(layout, layout.basis_labels(), np.zeros(2)))
+        normalize(StateVector(layout, basis_labels(layout), np.zeros(2)))
 
 
 def test_state_vector_length_must_match_layout():
@@ -221,7 +252,7 @@ def test_state_vector_length_must_match_layout():
     from branchsim import StateVector
 
     with pytest.raises(ValueError):
-        StateVector(layout, layout.basis_labels(), np.zeros(31))
+        StateVector(layout, basis_labels(layout), np.zeros(31))
 
 
 def test_density_matrix_validation():

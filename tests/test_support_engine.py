@@ -21,13 +21,14 @@ from branchsim import (
 )
 from branchsim import state
 import oracles
-from oracles import dense_matrix, permutation_view
+from oracles import basis_labels, dense_amplitudes, dense_matrix, permutation_view
 
 
 @pytest.fixture
 def no_dense_views(monkeypatch):
     """Every dense view raises ``CapacityError`` while the fixture is live."""
     monkeypatch.setattr(state, "DENSE_VIEW_CAP", 0)
+    monkeypatch.setattr(oracles, "DENSE_VIEW_CAP", 0)
     monkeypatch.setattr(oracles, "DENSE_DIMENSION_CAP", 0)
 
 
@@ -36,7 +37,8 @@ def test_dense_views_are_refused_under_the_fixture(no_dense_views):
     report = run_measurement_chain(ExperimentSpec(2, (0.6, 0.8)), checks=())
     detection = build_detection_unitary(layout)
     for view in (
-        lambda: report.final_state.amplitudes,
+        lambda: dense_amplitudes(report.final_state),
+        lambda: basis_labels(layout),
         lambda: permutation_view(detection),
         lambda: dense_matrix(detection),
         lambda: layout.digit_values("path"),
