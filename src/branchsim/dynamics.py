@@ -8,8 +8,7 @@ the control rows (``when``) it acts on and, for each row, the target
 position (or none), the image of each target level and the phase picked up
 there.  A ``UnitaryOp`` is a sequence of such tables applied in order to the
 (k x registers) label rows of a state, so applying it touches only the
-state's support.  ``compose`` concatenates the tables and ``adjoint``
-inverts each one.
+state's support; ``compose`` concatenates the tables.
 
 Applying an operator is two parts run in turn.  The label part
 (``relabel``) reads only label rows: it gives the rows after the operator
@@ -37,7 +36,7 @@ Convention: ``U e_x = phase(x) e_image(x)``.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,13 +120,6 @@ class ControlledRewrite:
         ):
             object.__setattr__(self, name, value)
 
-    def inverse(self) -> "ControlledRewrite":
-        """The adjoint table: the same control rows, each image inverted and
-        each phase conjugated at the level it now leaves from."""
-        inverse = np.argsort(self.image, axis=1)
-        phase = np.take_along_axis(self.phase, inverse, axis=1).conj()
-        return ControlledRewrite(self.control, self.when, self.target, inverse, phase)
-
     def _relabel(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows after the table and the phase each row picks up."""
         # At most one entry matches a row, since the ``when`` rows are distinct.
@@ -179,13 +171,6 @@ class UnitaryOp:
     provenance: str
     stages: tuple[ControlledRewrite, ...] = field(repr=False)
 
-    def adjoint(self) -> "UnitaryOp":
-        return UnitaryOp(
-            self.layout,
-            f"adjoint({self.provenance})",
-            tuple(stage.inverse() for stage in reversed(self.stages)),
-        )
-
     def relabel(self, labels: np.ndarray) -> "PermutedRows":
         """Label part: every stage's rewrite of ``labels``, and its phases."""
         phases = []
@@ -226,13 +211,6 @@ class PairedRotation:
     first: tuple[int, ...]
     second: tuple[int, ...]
     theta: float
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.total_dimension
-
-    def adjoint(self) -> "PairedRotation":
-        return replace(self, provenance=f"adjoint({self.provenance})", theta=-self.theta)
 
     def relabel(self, labels: np.ndarray) -> "RotatedRows":
         """Label part: the rows after the rotation, whatever the angle."""

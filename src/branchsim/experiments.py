@@ -3,7 +3,7 @@
 A run prepares a path superposition in front of an armed detector bank,
 evolves it through the step operator (detection, optional photon emission,
 one perception step per observer) and decomposes the result into branches:
-one coefficient and one relative state per record label.  The checks
+the sections of its rows by record label, each with a coefficient.  The checks
 certify the package's core claims on the finished state -- the branch
 structure is exactly the weighted sum of single-version outcomes, branches
 are mutually orthogonal, no observer register ever holds the mixed-record
@@ -50,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -194,12 +194,13 @@ def is_normalized(total: float) -> bool:
 
 @dataclass(frozen=True)
 class Branch:
-    """One version of reality: record label, weight and relative state."""
+    """One version of reality, a section of the state it was decomposed from:
+    record label, coefficient and the read-only positions of its rows there,
+    in flat-index order (its relative state is their amplitudes / coefficient)."""
 
     record_label: int | tuple[int, ...]
     coefficient: complex
-    relative_state: StateVector
-    record_register: str | tuple[str, ...]
+    rows: np.ndarray = field(compare=False, repr=False)
 
     @property
     def weight(self) -> float:
@@ -231,6 +232,8 @@ class RunReport:
         """JSON-ready view; byte-identical across reruns of the same
         configuration."""
         values = self.final_state.values
+        # A report's branches are by the first observer's record.
+        dimension = observer_dimension(self.spec.n_versions)
         return {
             "experiment": self.experiment,
             "n_versions": self.spec.n_versions,
@@ -245,7 +248,7 @@ class RunReport:
             },
             "branches": [
                 {
-                    "label": _label_text(self.layout, b.record_register, b.record_label),
+                    "label": message_name(b.record_label, dimension),
                     "weight": b.weight,
                     "coefficient": [b.coefficient.real, b.coefficient.imag],
                 }
@@ -446,18 +449,14 @@ def _compiled(spec: ExperimentSpec) -> CompiledChain:
 # Branch decomposition
 
 
-def _record_names(record_register: str | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(record_register, str):
-        return (record_register,)
-    return tuple(record_register)
-
-
 def decompose_branches(
     state: StateVector,
     record_register: str | Sequence[str],
     tolerance: float = TOLERANCE,
 ) -> list[Branch]:
-    """Split a unit state into branches labeled by the record register.
+    """Split a unit state into branches labeled by the record register: one
+    label (an int for one register, a tuple for several) per section of the
+    state's rows.
 
     Labels whose weight is below ``tolerance**2`` are pruned.  The phase
     convention puts the largest relative amplitude on the positive real
@@ -466,30 +465,10 @@ def decompose_branches(
     reconstruct the input exactly.  Branches come in increasing record label
     order, and each one's rows keep their flat-index order.
     """
-    layout = state.layout
     _require_unit(state.values, "decompose_branches")
-    names = _record_names(record_register)
-    relative_layout = layout.drop(names)
-    relative_at = [layout.position(n) for n in relative_layout.names()]
-
-    branches: list[Branch] = []
-    # The state's rows are in flat-index order, and so is each section.
-    for record, rows in _sections(state.labels, [layout.position(n) for n in names]):
-        section = state.values[rows]
-        coefficient = _branch_coefficient(section, tolerance)
-        if coefficient is None:
-            continue
-        branches.append(
-            Branch(
-                record_label=record[0] if len(names) == 1 else record,
-                coefficient=coefficient,
-                relative_state=StateVector(
-                    relative_layout, state.labels[rows][:, relative_at], section / coefficient
-                ),
-                record_register=record_register if isinstance(record_register, str) else names,
-            )
-        )
-    return branches
+    names = [record_register] if isinstance(record_register, str) else record_register
+    record_at = [state.layout.position(n) for n in names]
+    return _branches(_sections(state.labels, record_at), state.values, tolerance)
 
 
 def _require_unit(values: np.ndarray, caller: str) -> None:
@@ -501,13 +480,30 @@ def _require_unit(values: np.ndarray, caller: str) -> None:
 
 def _sections(
     labels: np.ndarray, record_at: list[int]
-) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The rows of ``labels`` grouped by their labels at ``record_at``, in
-    increasing record order; each group keeps the rows' order."""
-    sections: dict[tuple[int, ...], list[int]] = {}
-    for index, record in enumerate(labels[:, record_at].tolist()):
-        sections.setdefault(tuple(record), []).append(index)
-    return sorted(sections.items())
+) -> list[tuple[int | tuple[int, ...], np.ndarray]]:
+    """The rows of ``labels`` grouped by their labels at ``record_at`` (an int
+    for one position, a tuple for several), in increasing record order, each
+    group the read-only positions of its rows, in order."""
+    records, position = union_rows(labels[:, record_at])
+    order = np.argsort(position, kind="stable")
+    bounds = np.cumsum(np.bincount(position, minlength=len(records)))[:-1]
+    keys = [r[0] if len(record_at) == 1 else tuple(r) for r in records.tolist()]
+    return [(key, read_only(at)) for key, at in zip(keys, np.split(order, bounds))]
+
+
+def _branches(
+    sections: Sequence[tuple[int | tuple[int, ...], np.ndarray]],
+    values: np.ndarray,
+    tolerance: float,
+) -> list[Branch]:
+    """The branches of the amplitudes ``values`` on ``sections``: those
+    whose coefficient survives pruning (``_branch_coefficient``)."""
+    branches = []
+    for label, rows in sections:
+        coefficient = _branch_coefficient(values[rows], tolerance)
+        if coefficient is not None:
+            branches.append(Branch(label, coefficient, rows))
+    return branches
 
 
 def _branch_coefficient(section: np.ndarray, tolerance: float) -> complex | None:
@@ -521,17 +517,6 @@ def _branch_coefficient(section: np.ndarray, tolerance: float) -> complex | None
         return None
     anchor = section[int(np.argmax(np.abs(section)))]
     return complex(section_norm * anchor / abs(anchor))
-
-
-def _label_text(layout, record_register, label) -> str:
-    names = _record_names(record_register)
-    if len(names) == 1:
-        reg = layout.register(names[0])
-        if reg.role == ROLE_OBSERVER:
-            return message_name(label, reg.dimension)
-        return f"{names[0]}={label}"
-    labels = label if isinstance(label, tuple) else (label,)
-    return ",".join(f"{n}={d}" for n, d in zip(names, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +658,15 @@ def _state_checks(
             CheckResult.from_residual("structure", residual, spec.tolerance)
         )
 
+    detector_at = [layout.position(n) for n in detector_names]
     det_branches: list[Branch] = []
     if "branch_orthogonality" in enabled or "born_weights" in enabled:
         det_branches = decompose_branches(post_detection, detector_names, spec.tolerance)
 
     if "branch_orthogonality" in enabled:
         residual = max(
-            _max_pairwise_overlap(det_branches), _max_pairwise_overlap(obs_branches)
+            _max_pairwise_overlap(post_detection, detector_at, det_branches),
+            _max_pairwise_overlap(final, [layout.position("Obs1")], obs_branches),
         )
         results.append(
             CheckResult.from_residual("branch_orthogonality", residual, spec.tolerance)
@@ -722,11 +709,20 @@ def _state_checks(
     return results
 
 
-def _max_pairwise_overlap(branches: Sequence[Branch]) -> float:
-    """Largest off-diagonal modulus of the relative states' Gram matrix."""
+def _max_pairwise_overlap(
+    state: StateVector, record_at: list[int], branches: Sequence[Branch]
+) -> float:
+    """Largest off-diagonal modulus of the Gram matrix of the relative
+    states of ``branches``, sections of ``state`` by the registers at
+    ``record_at``: each branch's amplitudes over its coefficient, on its
+    rows without those registers."""
     if len(branches) < 2:
         return 0.0
-    _, table = aligned(*(b.relative_state for b in branches))
+    relative = np.delete(state.labels, record_at, axis=1)
+    union, position = union_rows(np.concatenate([relative[b.rows] for b in branches]))
+    table = on_union(
+        len(union), position, *(state.values[b.rows] / b.coefficient for b in branches)
+    )
     gram = np.abs(table.conj() @ table.T)
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
@@ -1031,7 +1027,7 @@ def plain_rotation_run(
         post_detection=post_detection,
         versions=read_only(np.array([post_order[hit[0]] if hit.size else -1 for hit in hits])),
         final=final,
-        sections=tuple((record, read_only(final_order[at])) for (record,), at in sections),
+        sections=tuple((record, read_only(final_order[at])) for record, at in sections),
     )
     return replace(run, rotation=rows)
 
@@ -1128,11 +1124,8 @@ def _record_invariance(
     decomposition would give."""
     _require_unit(rotated_final, "record_invariance")
     labels_plain = {b.record_label: b.weight for b in plain}
-    labels_rotated = {}
-    for label, at in sections:
-        coefficient = _branch_coefficient(rotated_final[at], tolerance)
-        if coefficient is not None:
-            labels_rotated[label] = abs(coefficient) ** 2
+    rotated = _branches(sections, rotated_final, tolerance)
+    labels_rotated = {b.record_label: b.weight for b in rotated}
     if set(labels_plain) != set(labels_rotated):
         return CheckResult(
             "record_invariance",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -128,15 +128,6 @@ class SubsystemLayout:
         stride = math.prod(self.dimensions()[position + 1 :])
         return np.arange(self.total_dimension) // stride % self.registers[position].dimension
 
-    def drop(self, names: Sequence[str]) -> "SubsystemLayout":
-        """Layout with the named registers removed (order preserved).
-
-        Memoized: equal layouts dropping one set of names, in any order, get
-        the same layout object, so the branch decompositions of a run build
-        each relative layout once.
-        """
-        return _dropped(self, frozenset(names))
-
     def row(self, labels: Sequence[int] | Mapping[str, int]) -> np.ndarray:
         """Label row of the basis state with the given per-register labels."""
         if isinstance(labels, Mapping):
@@ -189,16 +180,6 @@ def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
         total_dimension=total,
         _positions={r.name: i for i, r in enumerate(regs)},
     )
-
-
-@lru_cache(maxsize=None)
-def _dropped(layout: SubsystemLayout, names: frozenset[str]) -> SubsystemLayout:
-    for name in names:
-        layout.position(name)  # raise on unknown names
-    remaining = [r for r in layout.registers if r.name not in names]
-    if not remaining:
-        raise ValueError("cannot drop every register from a layout")
-    return make_layout([(r.name, r.dimension, r.role) for r in remaining])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ amplitude at every flat index).  The dense views of library operators
 (``permutation_view``, ``dense_matrix``) evaluate the library's own
 application on every basis state; they exist only to be compared against
 the loop-built matrices.  Every dense view is refused above its cap.
+``reference_branches`` decomposes a state into relative ``StateVector``s
+on a relative layout, and ``reference_overlap`` takes their Gram matrix:
+the reference for the library's branches, which are only sections of the
+state's rows.
 ``reference_appendix_rotation`` evolves every state of one rotation angle
 afresh with ``apply_unitary``, the reference for the experiment's label
 parts shared across angles.  ``reference_report_json`` is the stdlib's
@@ -22,13 +26,15 @@ pure-Python ``indent=2`` encoding, the reference for the report writer.
 The library's run path needs none of the helpers below; tests use them to
 build states and operators by hand: ``version_labels`` (one version's
 configuration, register by register), ``reconstruct_branches`` (the inverse
-of ``decompose_branches``), ``inner_product``, and the operators
-``identity`` and ``level_cycle``.
+of ``decompose_branches``), ``inner_product``, the operators ``identity``
+and ``level_cycle``, and the inverses ``inverse`` (of one table) and
+``adjoint`` (of an operator).
 """
 
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,11 +50,12 @@ from branchsim import (
     build_basis_rotation,
     decompose_branches,
     expected_final_state,
+    make_layout,
     primed_coefficients,
     product_state,
 )
 from branchsim import experiments
-from branchsim.state import vector_norm
+from branchsim.state import aligned, vector_norm
 from branchsim.cli import _jsonify
 
 # Dense matrices only below this dimension.
@@ -145,17 +152,74 @@ def version_labels(layout, version, *, detected, message=None):
     return labels
 
 
-def reconstruct_branches(layout, branches):
-    """Reassemble ``sum_j a(j) * (relative_j (x) |label_j>)`` row by row."""
+def _record_names(record_register):
+    if isinstance(record_register, str):
+        return (record_register,)
+    return tuple(record_register)
+
+
+def reference_branches(state, record_register, tolerance):
+    """The decomposition as relative states: ``(label, coefficient,
+    relative)`` per record label in increasing order, ``relative`` the
+    label's rows without the record registers, on a layout of the other
+    registers, with their amplitudes divided by the coefficient.
+
+    The rows are grouped by a dict of label tuples; a label is an int for
+    one record register and a tuple for several.  The coefficient and the
+    pruning are the library's (``experiments._branch_coefficient``).
+    """
+    layout = state.layout
+    names = _record_names(record_register)
+    relative_layout = make_layout(
+        [(r.name, r.dimension, r.role) for r in layout.registers if r.name not in names]
+    )
+    relative_at = [layout.position(n) for n in relative_layout.names()]
+    record_at = [layout.position(n) for n in names]
+    sections = {}
+    for index, record in enumerate(state.labels[:, record_at].tolist()):
+        sections.setdefault(tuple(record), []).append(index)
+    branches = []
+    for record, rows in sorted(sections.items()):
+        section = state.values[rows]
+        coefficient = experiments._branch_coefficient(section, tolerance)
+        if coefficient is None:
+            continue
+        relative = StateVector(
+            relative_layout, state.labels[rows][:, relative_at], section / coefficient
+        )
+        branches.append((record[0] if len(names) == 1 else record, coefficient, relative))
+    return branches
+
+
+def reference_overlap(relatives):
+    """Largest off-diagonal modulus of the Gram matrix of the relative
+    states, aligned on the union of their supports (0 for fewer than two)."""
+    if len(relatives) < 2:
+        return 0.0
+    _, table = aligned(*relatives)
+    gram = np.abs(table.conj() @ table.T)
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
+
+
+def reconstruct_branches(state, record_register, branches):
+    """Reassemble ``sum_j a(j) * (relative_j (x) |label_j>)`` row by row from
+    the branches ``decompose_branches(state, record_register)`` gives: each
+    branch's relative rows are the state's rows at ``rows`` read off every
+    other register, with its record label written into the record
+    registers."""
+    layout = state.layout
+    names = _record_names(record_register)
     rows, values = [], []
     for branch in branches:
-        names = branch.record_register
-        names = (names,) if isinstance(names, str) else tuple(names)
         label = branch.record_label
         label = label if isinstance(label, tuple) else (label,)
-        relative = branch.relative_state
-        for row, value in zip(relative.labels.tolist(), relative.values.tolist()):
-            named = {**dict(zip(relative.layout.names(), row)), **dict(zip(names, label))}
+        relative = state.values[branch.rows] / branch.coefficient
+        for row, value in zip(state.labels[branch.rows].tolist(), relative.tolist()):
+            named = {
+                **{n: d for n, d in zip(layout.names(), row) if n not in names},
+                **dict(zip(names, label)),
+            }
             rows.append([named[name] for name in layout.names()])
             values.append(branch.coefficient * value)
     shape = (len(rows), len(layout.registers))
@@ -191,6 +255,24 @@ def level_cycle(layout, register, shift=1):
         (), [[]], layout.position(register), [(levels + shift) % levels.size]
     )
     return UnitaryOp(layout, f"level-cycle[{register}+{shift}]", (table,))
+
+
+def inverse(stage):
+    """The adjoint of one controlled-rewrite table: the same control rows,
+    each image inverted and each phase conjugated at the level it now
+    leaves from."""
+    image = np.argsort(stage.image, axis=1)
+    phase = np.take_along_axis(stage.phase, image, axis=1).conj()
+    return ControlledRewrite(stage.control, stage.when, stage.target, image, phase)
+
+
+def adjoint(op):
+    """The adjoint of a permutation operator (every table inverted, in
+    reverse order) or of a paired rotation (the angle negated)."""
+    provenance = f"adjoint({op.provenance})"
+    if isinstance(op, PairedRotation):
+        return replace(op, provenance=provenance, theta=-op.theta)
+    return UnitaryOp(op.layout, provenance, tuple(map(inverse, reversed(op.stages))))
 
 
 def permutation_view(op):

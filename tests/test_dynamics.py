@@ -25,6 +25,7 @@ from branchsim import (
     verify_unitary,
 )
 from oracles import (
+    adjoint,
     basis_labels,
     dense_amplitudes,
     encode,
@@ -348,7 +349,7 @@ def test_rotation_capacity_cap():
     # index pairs.  Only its dense view is capped.
     big = make_layout([(f"D{i}", 2, "detector") for i in range(13)])
     rotation = build_basis_rotation(big, 0.3, [0] * 13, [1] * 13)
-    assert rotation.dimension == 8192
+    assert rotation.layout.total_dimension == 8192
     assert verify_unitary(rotation).passed
     state = random_state(big, 4)
     moved = apply_unitary(rotation, state)
@@ -429,15 +430,15 @@ def test_permutation_apply_agrees_with_dense_oracle():
 def test_compose_with_adjoint_gives_identity():
     layout = sg_layout()
     perception = build_perception_unitary(layout, "Obs", standard_classical_configs(2))
-    round_trip = compose(perception.adjoint(), perception)
+    round_trip = compose(adjoint(perception), perception)
     assert np.array_equal(dense_matrix(round_trip), np.eye(32))
 
     rotation = build_basis_rotation(layout, 0.9, *version_rows(layout))
-    adjoint = rotation.adjoint()
-    assert adjoint.theta == -0.9
-    round_trip = dense_matrix(adjoint) @ dense_matrix(rotation)
+    back = adjoint(rotation)
+    assert back.theta == -0.9
+    round_trip = dense_matrix(back) @ dense_matrix(rotation)
     assert np.max(np.abs(round_trip - dense_matrix(identity(sg_layout())))) <= 1e-12
-    assert np.array_equal(dense_matrix(adjoint), dense_matrix(rotation).conj().T)
+    assert np.array_equal(dense_matrix(back), dense_matrix(rotation).conj().T)
 
     # Only permutations compose; a rotation is applied on its own.
     with pytest.raises(TypeError, match="permutation"):
@@ -562,6 +563,6 @@ def test_every_stage_proves_unitary_on_an_uncapped_layout():
                     layout, observer, configs, photons, allow_mixed_message=negative_control
                 )
             )
-    for op in stages + [op.adjoint() for op in stages]:
+    for op in stages + [adjoint(op) for op in stages]:
         result = verify_unitary(op)
         assert result.passed and result.residual == 0.0, op.provenance

@@ -39,7 +39,7 @@ from branchsim import (
     apply_unitary,
 )
 from branchsim import experiments
-from branchsim.state import aligned
+from branchsim.state import aligned, vector_norm
 from oracles import (
     basis_labels,
     dense_amplitudes,
@@ -175,15 +175,18 @@ def recorded_state(a1, a2):
 
 def test_decompose_recovers_the_coefficients():
     a1, a2 = 0.6j, -0.8
-    layout, state = recorded_state(a1, a2)
+    _, state = recorded_state(a1, a2)
     branches = decompose_branches(state, "Obs1")
     assert [b.record_label for b in branches] == [1, 2]
     assert abs(branches[0].coefficient - a1) <= 1e-12
     assert abs(branches[1].coefficient - a2) <= 1e-12
     for b in branches:
-        assert np.linalg.norm(dense_amplitudes(b.relative_state)) == pytest.approx(1.0, abs=1e-12)
+        assert vector_norm(state.values[b.rows] / b.coefficient) == pytest.approx(1.0, abs=1e-12)
+        assert not b.rows.flags.writeable
+    # The sections partition the support.
+    assert sorted(np.concatenate([b.rows for b in branches]).tolist()) == [0, 1]
 
-    rebuilt = reconstruct_branches(layout, branches)
+    rebuilt = reconstruct_branches(state, "Obs1", branches)
     assert np.linalg.norm(dense_amplitudes(rebuilt) - dense_amplitudes(state)) <= 1e-12
 
 
@@ -202,12 +205,14 @@ def test_decompose_prunes_zero_branches():
 
 
 def test_decompose_joint_record_register():
-    layout, state = recorded_state(0.6, 0.8)
+    _, state = recorded_state(0.6, 0.8)
     branches = decompose_branches(state, ("DH", "DV"))
     assert [b.record_label for b in branches] == [(0, 1), (1, 0)]
     weights = sorted(b.weight for b in branches)
     assert weights == pytest.approx([0.36, 0.64], abs=1e-12)
-    rebuilt = reconstruct_branches(layout, branches)
+    for b in branches:
+        assert vector_norm(state.values[b.rows] / b.coefficient) == pytest.approx(1.0, abs=1e-12)
+    rebuilt = reconstruct_branches(state, ("DH", "DV"), branches)
     assert np.linalg.norm(dense_amplitudes(rebuilt) - dense_amplitudes(state)) <= 1e-12
 
 
@@ -217,17 +222,6 @@ def test_decompose_requires_unit_state_and_known_register():
         decompose_branches(superpose([(2.0, state)]), "Obs1")
     with pytest.raises(KeyError):
         decompose_branches(state, "Obs9")
-
-
-def test_decompositions_of_one_state_share_one_relative_layout():
-    _, state = recorded_state(0.6, 0.8)
-    first = decompose_branches(state, "Obs1")
-    second = decompose_branches(state, "Obs1")
-    relative = first[0].relative_state.layout
-    assert all(b.relative_state.layout is relative for b in first + second)
-    assert relative == state.layout.drop(["Obs1"])
-    joint = decompose_branches(state, ("DH", "DV"))
-    assert joint[0].relative_state.layout is state.layout.drop(["DV", "DH"])
 
 
 def test_branch_weights_sum_to_one():
@@ -689,6 +683,77 @@ def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
     assert not check_by_name(chain_run, "structure").passed
     assert not check_by_name(rotation, "structure").passed
     assert not check_by_name(rotation, "primed_coefficients").passed
+
+
+def failing(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+@pytest.mark.parametrize("n_versions", [2, 3, 8, 64])
+def test_a_path_erasing_detection_fails_orthogonality_and_structure(monkeypatch, n_versions):
+    # Detection then swaps path levels 0 and 1 wherever detector 1 fired, so
+    # versions 1 and 2 leave it on one path: their detector branches share
+    # their relative rows, unless photons tell them apart.
+    def path_erasing(layout, _build=experiments.build_detection_unitary):
+        swap = np.arange(n_versions)
+        swap[[0, 1]] = [1, 0]
+        first = layout.by_role("detector")[0].name
+        table = ControlledRewrite(
+            (layout.position(first),), [[1]], layout.position("path"), [swap]
+        )
+        return UnitaryOp(layout, "path-erasing detection", _build(layout).stages + (table,))
+
+    rng = np.random.default_rng(n_versions)
+    compile_chain.cache_clear()
+    monkeypatch.setattr(experiments, "build_detection_unitary", path_erasing)
+    try:
+        for observers in (1, 2, 3):
+            for photon_model in (False, True):
+                spec = ExperimentSpec(
+                    n_versions,
+                    unit_coefficients(rng, n_versions),
+                    observers=observers,
+                    photon_model=photon_model,
+                )
+                expected = {"structure"} if photon_model else {"branch_orthogonality", "structure"}
+                assert failing(run_measurement_chain(spec)) == expected, (observers, photon_model)
+    finally:
+        compile_chain.cache_clear()
+
+
+@pytest.mark.parametrize("n_versions", [2, 3, 8])
+def test_crossed_messages_fail_born_weights_unless_the_moduli_agree(monkeypatch, n_versions):
+    # Versions 1 and 2 are each perceived as the other: the observer's
+    # branch weights are the detectors' with the first two swapped.
+    def crossed(n, _configs=experiments.standard_classical_configs):
+        configs = _configs(n)
+        first, second = list(configs)[:2]
+        configs[first], configs[second] = configs[second], configs[first]
+        return configs
+
+    rng = np.random.default_rng(n_versions)
+    compile_chain.cache_clear()
+    monkeypatch.setattr(experiments, "standard_classical_configs", crossed)
+    try:
+        for observers in (1, 2):
+            for photon_model in (False, True):
+                for equal in (False, True):
+                    v = rng.standard_normal(n_versions) + 1j * rng.standard_normal(n_versions)
+                    v[1] = abs(v[0]) * (1j if equal else 2.0)
+                    spec = ExperimentSpec(
+                        n_versions,
+                        tuple(v / np.linalg.norm(v)),
+                        observers=observers,
+                        photon_model=photon_model,
+                    )
+                    expected = {"structure"} if equal else {"born_weights", "structure"}
+                    assert failing(run_measurement_chain(spec)) == expected, (
+                        observers,
+                        photon_model,
+                        equal,
+                    )
+    finally:
+        compile_chain.cache_clear()
 
 
 def test_appendix_negative_control_fails_mixed_record():

@@ -12,10 +12,12 @@ observers, photons and the negative control on or off) and random sparse
 states, and compare the support arithmetic with the dense oracles; on the
 same draws, each operator's label part applied once must give, with every
 set of amplitudes and any rotation angle, the states ``apply_unitary``
-gives, bit for bit.  The table-proof property draws small controlled-rewrite
-tables, sound or broken in one way, and compares ``verify_unitary`` with a
-loop-built dense matrix.  The report writer is compared with the stdlib's
-``indent=2`` encoder on random JSON trees.
+gives, bit for bit, and the branches, with and without copied rows
+relabelled at the record so that branches share relative rows, must equal
+the relative-state oracle bit for bit.  The table-proof property draws
+small controlled-rewrite tables, sound or broken in one way, and compares
+``verify_unitary`` with a loop-built dense matrix.  The report writer is
+compared with the stdlib's ``indent=2`` encoder on random JSON trees.
 """
 
 import contextlib
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from branchsim import cli
+from branchsim import cli, experiments
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
@@ -59,6 +61,7 @@ from branchsim import (
     verify_unitary,
 )
 from oracles import (
+    adjoint,
     basis_labels,
     dense_amplitudes,
     dense_matrix,
@@ -70,6 +73,8 @@ from oracles import (
     naive_rewrite_matrix,
     naive_rotation_matrix,
     reconstruct_branches,
+    reference_branches,
+    reference_overlap,
     reference_report_json,
     unitarity_residual,
     version_labels,
@@ -167,7 +172,7 @@ def test_decompose_then_reconstruct_round_trips(spec):
     final = run_measurement_chain(spec, checks=()).final_state
     for record in ("Obs1", [r.name for r in final.layout.by_role("detector")]):
         branches = decompose_branches(final, record, spec.tolerance)
-        rebuilt = reconstruct_branches(final.layout, branches)
+        rebuilt = reconstruct_branches(final, record, branches)
         # Only branches of weight at most tolerance**2 are pruned.
         gap = np.max(np.abs(dense_amplitudes(rebuilt) - dense_amplitudes(final)))
         assert gap <= spec.tolerance + 1e-15
@@ -251,7 +256,7 @@ def test_support_engine_matches_the_dense_oracles(drawn, theta):
         if oracle is not None:
             assert np.array_equal(matrix, oracle)
         assert np.array_equal(dense_amplitudes(apply_unitary(op, state)), matrix @ dense)
-        assert np.array_equal(dense_matrix(op.adjoint()), matrix.conj().T)
+        assert np.array_equal(dense_matrix(adjoint(op)), matrix.conj().T)
 
     span = version_span(chain.layout)
     # The builder ignores observer labels: give each row a message.
@@ -325,7 +330,7 @@ def test_support_decomposition_and_trace_match_the_dense_oracles(drawn):
     detectors = [r.name for r in layout.registers if r.role == "detector"]
     for record in ("Obs1", detectors):
         branches = decompose_branches(state, record, tolerance=0.0)
-        rebuilt = reconstruct_branches(layout, branches)
+        rebuilt = reconstruct_branches(state, record, branches)
         assert np.max(np.abs(dense_amplitudes(rebuilt) - dense_amplitudes(state))) <= 1e-15
 
     dims = [r.dimension for r in layout.registers]
@@ -334,6 +339,55 @@ def test_support_decomposition_and_trace_match_the_dense_oracles(drawn):
         positions = [layout.position(name) for name in keep]
         oracle = naive_partial_trace(dense_amplitudes(state), dims, positions)
         assert np.max(np.abs(rho.entries - oracle)) <= 1e-15
+
+
+def with_shared_relative_rows(data, state, record_at):
+    """``state`` plus copies of some of its rows with other labels at
+    ``record_at``, normalized: a copy and its row share their relative rows,
+    so their branches overlap."""
+    layout = state.layout
+    copies = data.draw(st.lists(st.integers(0, len(state.values) - 1), max_size=4))
+    levels = st.tuples(
+        *(st.integers(0, layout.registers[i].dimension - 1) for i in record_at)
+    )
+    labels = state.labels[copies]
+    labels[:, record_at] = np.array(
+        [data.draw(levels) for _ in copies], dtype=np.int64
+    ).reshape(len(copies), len(record_at))
+    parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    values = [complex(data.draw(parts), data.draw(parts)) for _ in copies]
+    shared = StateVector(
+        layout,
+        np.concatenate([state.labels, labels]),
+        np.concatenate([state.values, values]),
+    )
+    assume(norm(shared) > 1e-3)
+    return normalize(shared)
+
+
+@given(sparse_states(), st.data(), st.sampled_from([0.0, MIN_TOLERANCE, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_branches_are_the_relative_state_oracle_bit_for_bit(drawn, data, tolerance):
+    # Labels, coefficients, relative states and the orthogonality residual
+    # of the sections equal those of relative StateVectors on a relative
+    # layout, bit for bit, whether or not branches share relative rows.
+    chain, state = drawn
+    layout = chain.layout
+    detectors = [r.name for r in layout.registers if r.role == "detector"]
+    for record in ("Obs1", detectors):
+        at = [layout.position(n) for n in ([record] if record == "Obs1" else record)]
+        for x in (state, with_shared_relative_rows(data, state, at)):
+            branches = decompose_branches(x, record, tolerance)
+            reference = reference_branches(x, record, tolerance)
+            assert [b.record_label for b in branches] == [label for label, _, _ in reference]
+            coefficients = np.array([b.coefficient for b in branches], dtype=complex)
+            expected = np.array([c for _, c, _ in reference], dtype=complex)
+            assert coefficients.tobytes() == expected.tobytes()
+            for b, (_, _, relative) in zip(branches, reference):
+                assert np.array_equal(np.delete(x.labels[b.rows], at, axis=1), relative.labels)
+                assert (x.values[b.rows] / b.coefficient).tobytes() == relative.values.tobytes()
+            residual = experiments._max_pairwise_overlap(x, at, branches)
+            assert residual == reference_overlap([r for _, _, r in reference])
 
 
 @given(sparse_states())
@@ -414,7 +468,7 @@ def test_the_table_proof_agrees_with_the_dense_oracle(drawn):
     if unitary:
         # A sound table is applied, and inverted, as the oracle writes it.
         assert np.array_equal(dense_matrix(op), oracle)
-        assert np.array_equal(dense_matrix(op.adjoint()), oracle.conj().T)
+        assert np.array_equal(dense_matrix(adjoint(op)), oracle.conj().T)
 
 
 # -- the report writer against the stdlib encoder ------------------------------
