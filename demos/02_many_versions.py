@@ -37,7 +37,7 @@ report = run_measurement_chain(
 )
 
 print(f"{N} versions, 3 observers, photons carrying the records")
-print(f"composite dimension: {report.layout.total_dimension}")
+print(f"composite dimension: {report.final_state.layout.total_dimension}")
 
 print("\nbranch table (weights are the squared draw amplitudes):")
 for branch, amp in zip(report.branches, amplitudes):

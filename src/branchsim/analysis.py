@@ -24,7 +24,7 @@ from .state import (
     StateVector,
     TOLERANCE,
     mixed_record_level,
-    norm,
+    require_unit,
     union_rows,
 )
 
@@ -44,9 +44,7 @@ def reduced_density_matrix(state: StateVector, keep: Sequence[str]) -> DensityMa
     if not keep_set:
         raise ValueError("keep set must name at least one register")
     positions = sorted(layout.position(name) for name in keep_set)
-    total = norm(state)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"reduced_density_matrix expects a unit state, norm is {total!r}")
+    require_unit(state.values, "reduced_density_matrix")
     dims = [layout.registers[i].dimension for i in positions]
     kept = math.prod(dims)
     if kept > DENSE_TRACE_CAP:

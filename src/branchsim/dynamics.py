@@ -27,15 +27,17 @@ with phases, the basis states it selects, and they stay selected.
 O(entries x levels) whatever the dimension.
 
 The mixed-basis rotation turns disjoint pairs of basis states within their
-planes; a ``PairedRotation`` stores the non-observer columns of two label
-rows and one angle, and acts on the rows that read either configuration.
+planes; a ``PairedRotation`` is those planes, the same at every angle, and
+only its amplitude part takes the angle's cosine and sine.  It is unitary at
+every angle by construction, so only permutations go through
+``apply_unitary``, ``compose`` and ``verify_unitary``.
 
 Convention: ``U e_x = phase(x) e_image(x)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,38 +181,36 @@ class UnitaryOp:
             phases.append(phase)
         return PermutedRows(labels, tuple(phases))
 
-    def _apply(self, labels: np.ndarray, values: np.ndarray):
-        moved = self.relabel(labels)
-        return moved.rows, moved.amplitudes(values)
-
-    def _unitarity_residual(self) -> float:
-        dimensions = self.layout.dimension_array
-        return max(
-            (stage._unitarity_residual(dimensions) for stage in self.stages), default=0.0
-        )
-
 
 @dataclass(frozen=True)
 class PairedRotation:
-    """Rotation by ``theta`` in each plane ``(e_x1, e_x2)``.
+    """The planes ``(e_x1, e_x2)`` of a rotation, the same at every angle.
 
     ``fixed`` names register positions; x1 reads ``first`` there and x2
-    reads ``second``, and the two agree everywhere else.  Then
-    ``U e_x1 = cos e_x1 + sin e_x2`` and ``U e_x2 = -sin e_x1 + cos e_x2``;
-    every other basis state is fixed.  Unitary when the configurations
-    differ and every label is in range.
-
-    The label part ``relabel`` never reads ``theta``: rows rotated at one
-    angle land on the rows of every angle, and only the amplitude part,
-    ``RotatedRows.amplitudes``, takes the angle's cosine and sine.
+    reads ``second``, and the two agree everywhere else.  The rotation by
+    the angle of cosine c and sine s (``RotatedRows.amplitudes``) sends
+    ``e_x1`` to ``c e_x1 + s e_x2`` and ``e_x2`` to ``-s e_x1 + c e_x2``
+    and fixes every other basis state.  Construction refuses any structure
+    for which that is not unitary at every angle: repeated or out-of-range
+    positions, labels out of range, or configurations that coincide.
     """
 
     layout: SubsystemLayout
-    provenance: str
     fixed: tuple[int, ...]
     first: tuple[int, ...]
     second: tuple[int, ...]
-    theta: float
+
+    def __post_init__(self):
+        fixed, registers = list(self.fixed), len(self.layout.registers)
+        if len(set(fixed)) != len(fixed) or not all(0 <= p < registers for p in fixed):
+            raise ValueError(f"fixed positions {self.fixed} must be distinct registers")
+        if not len(self.first) == len(self.second) == len(fixed):
+            raise ValueError(f"{self.first} and {self.second} must read {len(fixed)} positions")
+        configurations = np.array([self.first, self.second])
+        if ((configurations < 0) | (configurations >= self.layout.dimension_array[fixed])).any():
+            raise ValueError(f"configuration label out of range in {configurations.tolist()}")
+        if tuple(self.first) == tuple(self.second):
+            raise ValueError(f"{self.first} twice: a plane needs two distinct configurations")
 
     def relabel(self, labels: np.ndarray) -> "RotatedRows":
         """Label part: the rows after the rotation, whatever the angle."""
@@ -230,22 +230,6 @@ class PairedRotation:
         return RotatedRows(
             np.concatenate([labels[~moving], planes, partners]), np.flatnonzero(~moving), members
         )
-
-    def _apply(self, labels: np.ndarray, values: np.ndarray):
-        turn = self.relabel(labels)
-        return turn.rows, turn.amplitudes(values, np.cos(self.theta), np.sin(self.theta))
-
-    def _unitarity_residual(self) -> float:
-        dims = np.array(self.layout.dimensions())[list(self.fixed)]
-        configurations = np.array([self.first, self.second])
-        if (
-            len(set(self.fixed)) != len(self.fixed)
-            or configurations.shape != (2, dims.size)
-            or np.any((configurations < 0) | (configurations >= dims))
-            or tuple(self.first) == tuple(self.second)
-        ):
-            return 1.0
-        return float(abs(np.cos(self.theta) ** 2 + np.sin(self.theta) ** 2 - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,13 +284,14 @@ class RotatedRows:
         return np.concatenate([values[self.kept], c * a - s * b, s * a + c * b])
 
 
-def apply_unitary(op: UnitaryOp | PairedRotation, x: StateVector) -> StateVector:
+def apply_unitary(op: UnitaryOp, x: StateVector) -> StateVector:
     if op.layout != x.layout:
         raise ValueError(
             f"operator on registers of dimensions {op.layout.dimensions()} does not "
             f"match state registers of dimensions {x.layout.dimensions()}"
         )
-    return StateVector(x.layout, *op._apply(x.labels, x.values))
+    moved = op.relabel(x.labels)
+    return StateVector(x.layout, moved.rows, moved.amplitudes(x.values))
 
 
 def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
@@ -324,20 +309,16 @@ def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
     )
 
 
-def verify_unitary(
-    op: UnitaryOp | PairedRotation, tolerance: float = TOLERANCE
-) -> CheckResult:
+def verify_unitary(op: UnitaryOp, tolerance: float = TOLERANCE) -> CheckResult:
     """Check ``U^dagger U = I``; the residual is ``max |U^dagger U - I|``.
 
-    It is computed structurally: a permutation from its tables, a rotation
-    from its configurations.  Either has residual 1 when its structure
-    describes no unitary (a table rewriting its own control, repeating or
-    leaving the space with a control row, or merging two levels; rotation
-    configurations that coincide or leave the space).
+    It is computed from the tables, and is 1 when a table describes no
+    unitary (it rewrites its own control, repeats or leaves the space with
+    a control row, or merges two levels).
     """
-    return CheckResult.from_residual(
-        f"unitary[{op.provenance}]", op._unitarity_residual(), tolerance
-    )
+    dimensions = op.layout.dimension_array
+    residual = max((stage._unitarity_residual(dimensions) for stage in op.stages), default=0.0)
+    return CheckResult.from_residual(f"unitary[{op.provenance}]", residual, tolerance)
 
 
 def _role_registers(layout: SubsystemLayout, role: str) -> list[str]:
@@ -401,29 +382,28 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
     return UnitaryOp(layout, "photon-emission", stages)
 
 
-def standard_classical_configs(n_versions: int) -> dict[tuple[int, ...], int]:
-    """One-hot record configurations mapped to their message levels."""
-    configs = {}
-    for j in range(n_versions):
-        key = tuple(1 if k == j else 0 for k in range(n_versions))
-        configs[key] = message_level(j)
-    return configs
+def standard_classical_configs(n_versions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-hot record configurations, one row per version, and their
+    message levels."""
+    return np.eye(n_versions, dtype=np.int64), message_level(np.arange(n_versions))
 
 
 def build_perception_unitary(
     layout: SubsystemLayout,
     observer_register: str,
-    classical_configs: Mapping[tuple[int, ...], int],
+    classical_configs: tuple[np.ndarray, np.ndarray],
     condition_registers: Sequence[str] | None = None,
     allow_mixed_message: bool = False,
 ) -> UnitaryOp:
     """Write a message conditioned on the record configuration.
 
-    For each entry ``config -> m`` the operator transposes the observer
-    levels blank and m on basis states whose condition registers (detectors
-    by default, photons when a photon model conditions on them) read exactly
-    ``config``; it is the identity on every other configuration and on every
-    other observer level, in particular on the reserved mixed-record level.
+    ``classical_configs`` holds two arrays: record configurations, one row
+    each, and their messages.  For configuration row c with message m the
+    operator transposes the observer levels blank and m on basis states
+    whose condition registers (detectors by default, photons when a photon
+    model conditions on them) read exactly c; it is the identity on every
+    other configuration and on every other observer level, in particular on
+    the reserved mixed-record level.
 
     ``allow_mixed_message`` is the negative-control hook: it lifts the
     validation that no message may target the mixed-record level, so tests
@@ -436,9 +416,15 @@ def build_perception_unitary(
         condition_registers = _role_registers(layout, ROLE_DETECTOR)
     if not condition_registers:
         raise ValueError("no condition registers for perception")
-    if not classical_configs:
+    when, messages = (np.array(part, dtype=np.int64) for part in classical_configs)
+    if messages.ndim != 1 or when.shape != (messages.size, len(condition_registers)):
+        raise ValueError(
+            f"{when.shape} configuration digits for {messages.shape} messages: need one row "
+            f"of {len(condition_registers)} digits per message, one per condition register"
+        )
+    n = messages.size
+    if not n:
         raise ValueError("classical_configs is empty")
-    n = len(classical_configs)
     if obs.dimension < n + 2:
         raise ValueError(
             f"observer register {observer_register!r} has {obs.dimension} levels, "
@@ -448,14 +434,7 @@ def build_perception_unitary(
     top_message = mixed_record_level(obs.dimension) - 1
     if allow_mixed_message:
         top_message = mixed_record_level(obs.dimension)
-    for config in classical_configs:
-        if len(config) != len(condition_registers):
-            raise ValueError(
-                f"configuration {config} has {len(config)} digits for "
-                f"{len(condition_registers)} condition registers"
-            )
     condition_at = [layout.position(name) for name in condition_registers]
-    when = np.array(list(classical_configs)).reshape(n, len(condition_at))
     outside = (when < 0) | (when >= layout.dimension_array[condition_at])
     if outside.any():
         entry, column = np.argwhere(outside)[0]
@@ -463,7 +442,6 @@ def build_perception_unitary(
             f"configuration digit {when[entry, column]} out of range for "
             f"{condition_registers[column]!r}"
         )
-    messages = np.array(list(classical_configs.values()))
     unwritable = (messages < 1) | (messages > top_message)
     if unwritable.any():
         raise ValueError(
@@ -479,27 +457,22 @@ def build_perception_unitary(
 
 
 def build_basis_rotation(
-    layout: SubsystemLayout, theta: float, first: Sequence[int], second: Sequence[int]
+    layout: SubsystemLayout, first: Sequence[int], second: Sequence[int]
 ) -> PairedRotation:
-    """Rotate the plane of two configurations for every fixed observer label.
+    """The planes of two configurations, one for every fixed observer label.
 
     The label rows ``first`` and ``second`` name the configurations by their
     non-observer labels; observer registers ride along untouched, so their
     labels are ignored and no written record is ever relabeled.  Writing
-    ``|1>``, ``|2>`` for the two configurations, the images are
+    ``|1>``, ``|2>`` for the two configurations and c, s for the cosine and
+    sine of an angle, the rotation by that angle sends
 
-        ``U |1> = cos(theta) |1> + sin(theta) |2>``
-        ``U |2> = -sin(theta) |1> + cos(theta) |2>``
+        ``|1>`` to ``c |1> + s |2>`` and ``|2>`` to ``-s |1> + c |2>``,
 
-    so applying U to ``a1 |1> + a2 |2>`` leaves amplitudes
-    ``(a1 cos - a2 sin, a2 cos + a1 sin)`` on the plane, and the inverse is
-    the rotation by ``-theta``.
+    so it leaves amplitudes ``(a1 c - a2 s, a2 c + a1 s)`` on the plane of
+    ``a1 |1> + a2 |2>``, and the rotation by the opposite angle undoes it.
+    The planes are the same at every angle (see ``PairedRotation``).
     """
     fixed = [i for i, r in enumerate(layout.registers) if r.role != ROLE_OBSERVER]
     configurations = [tuple(layout.row(row)[fixed].tolist()) for row in (first, second)]
-    if configurations[0] == configurations[1]:
-        raise ValueError("the rows must name two distinct non-observer configurations")
-
-    return PairedRotation(
-        layout, f"basis-rotation[theta={theta:g}]", tuple(fixed), *configurations, theta
-    )
+    return PairedRotation(layout, tuple(fixed), *configurations)

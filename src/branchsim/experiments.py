@@ -91,6 +91,7 @@ from .state import (
     on_union,
     product_state,
     read_only,
+    require_unit,
     superpose,
     union_rows,
     vector_norm,
@@ -214,7 +215,6 @@ class RunReport:
     experiment: str
     spec: ExperimentSpec
     theta: float | None
-    layout: SubsystemLayout
     final_state: StateVector
     branches: list[Branch]
     checks: list[CheckResult]
@@ -242,7 +242,7 @@ class RunReport:
             "coefficients": [[c.real, c.imag] for c in self.spec.coefficients],
             "theta": self.theta,
             "final_state": {
-                "dimension": self.layout.total_dimension,
+                "dimension": self.final_state.layout.total_dimension,
                 "norm": norm(self.final_state),
                 "support": int(np.count_nonzero(np.abs(values) > self.spec.tolerance)),
             },
@@ -410,17 +410,16 @@ def _build_chain(
         record = compose(build_photon_emission_unitary(layout), record)
         condition = [r.name for r in layout.by_role(ROLE_PHOTON)]
 
-    configs = standard_classical_configs(n_versions)
+    configs, messages = standard_classical_configs(n_versions)
     if negative_control:
-        one_hot_first = tuple(1 if k == 0 else 0 for k in range(n_versions))
-        configs[one_hot_first] = mixed_record_level(observer_dimension(n_versions))
+        messages[0] = mixed_record_level(observer_dimension(n_versions))
 
     perception = None
     for reg in layout.by_role(ROLE_OBSERVER):
         stage = build_perception_unitary(
             layout,
             reg.name,
-            configs,
+            (configs, messages),
             condition_registers=condition,
             allow_mixed_message=negative_control,
         )
@@ -465,17 +464,10 @@ def decompose_branches(
     reconstruct the input exactly.  Branches come in increasing record label
     order, and each one's rows keep their flat-index order.
     """
-    _require_unit(state.values, "decompose_branches")
+    require_unit(state.values, "decompose_branches")
     names = [record_register] if isinstance(record_register, str) else record_register
     record_at = [state.layout.position(n) for n in names]
     return _branches(_sections(state.labels, record_at), state.values, tolerance)
-
-
-def _require_unit(values: np.ndarray, caller: str) -> None:
-    """``ValueError`` unless the amplitudes ``values`` have norm 1 within 1e-9."""
-    total = vector_norm(values)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{caller} expects a unit state, norm is {total!r}")
 
 
 def _sections(
@@ -619,7 +611,6 @@ def run_measurement_chain(
         experiment="measurement_chain",
         spec=spec,
         theta=None,
-        layout=run.chain.layout,
         final_state=run.final,
         branches=list(run.branches),
         checks=results,
@@ -839,9 +830,10 @@ def coefficient_independence_check(
             if version_states is None
             else superpose(list(zip(spec.coefficients, version_states)))
         )
-    rows, images = chain.step._apply(labels, values)
+    moved = chain.step.relabel(labels)
     # a_k (U v_k); the state adds, in version order, the rows runs share.
-    linear = StateVector(layout, rows, np.repeat(spec.coefficients, sizes) * images)
+    weighted = np.repeat(spec.coefficients, sizes) * moved.amplitudes(values)
+    linear = StateVector(layout, moved.rows, weighted)
 
     live = [abs(a) for a in spec.coefficients if abs(a) > spec.tolerance]
     residual = _distance(final_state, linear) / min(live) if live else 0.0
@@ -999,8 +991,7 @@ def plain_rotation_run(
     run = _certified_run(spec, checks, APPENDIX_CHECKS)
     layout, perception = run.chain.layout, run.chain.perception
     versions = _version_rows(layout, [0, 1], detected=True)
-    # The label parts do not read the angle; build the rotation at zero.
-    rotation = build_basis_rotation(layout, 0.0, *versions)
+    rotation = build_basis_rotation(layout, *versions)
     basis = product_state(layout, versions[0].tolist())
     first = rotation.relabel(basis.labels)
     # Perception rewrites only observer levels, and only within range, so
@@ -1103,7 +1094,6 @@ def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
         experiment="appendix_rotation",
         spec=spec,
         theta=theta,
-        layout=plain.chain.layout,
         final_state=plain.final,
         branches=list(plain.branches),
         checks=results,
@@ -1122,7 +1112,7 @@ def _record_invariance(
     rotation applied and ``sections`` its rows by first-observer level
     (``RotationRows.sections``).  Each level's branch weight is the one its
     decomposition would give."""
-    _require_unit(rotated_final, "record_invariance")
+    require_unit(rotated_final, "record_invariance")
     labels_plain = {b.record_label: b.weight for b in plain}
     rotated = _branches(sections, rotated_final, tolerance)
     labels_rotated = {b.record_label: b.weight for b in rotated}

@@ -32,10 +32,7 @@ ROLE_OBSERVER = "observer"
 ROLES = frozenset({ROLE_PATH, ROLE_DETECTOR, ROLE_PHOTON, ROLE_OBSERVER})
 
 # Basis-label conventions.  Detectors and photons are two-level registers.
-DETECTOR_NO = 0
 DETECTOR_YES = 1
-PHOTON_VACUUM = 0
-PHOTON_EMITTED = 1
 
 # Observer registers have levels {blank, message 1..N, mixed-record}.
 # Level 0 is the "has not looked yet" state; the top level is reserved for
@@ -303,6 +300,13 @@ def vector_norm(values: np.ndarray) -> float:
     """
     real = math.fsum(np.square(values.real).tolist())
     return math.sqrt(real + math.fsum(np.square(values.imag).tolist()))
+
+
+def require_unit(values: np.ndarray, caller: str) -> None:
+    """``ValueError`` unless the amplitudes ``values`` have norm 1 within 1e-9."""
+    total = vector_norm(values)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{caller} expects a unit state, norm is {total!r}")
 
 
 def normalize(x: StateVector) -> StateVector:

@@ -18,10 +18,13 @@ the loop-built matrices.  Every dense view is refused above its cap.
 on a relative layout, and ``reference_overlap`` takes their Gram matrix:
 the reference for the library's branches, which are only sections of the
 state's rows.
+``rotate`` turns a state by an angle on the planes of a ``PairedRotation``
+(the library's label part, then its amplitude part at that angle), and
 ``reference_appendix_rotation`` evolves every state of one rotation angle
-afresh with ``apply_unitary``, the reference for the experiment's label
-parts shared across angles.  ``reference_report_json`` is the stdlib's
-pure-Python ``indent=2`` encoding, the reference for the report writer.
+afresh with ``rotate`` and ``apply_unitary``, the reference for the
+experiment's label parts shared across angles.  ``reference_report_json``
+is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
+report writer.
 
 The library's run path needs none of the helpers below; tests use them to
 build states and operators by hand: ``version_labels`` (one version's
@@ -34,7 +37,6 @@ and ``level_cycle``, and the inverses ``inverse`` (of one table) and
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -267,12 +269,19 @@ def inverse(stage):
 
 
 def adjoint(op):
-    """The adjoint of a permutation operator (every table inverted, in
-    reverse order) or of a paired rotation (the angle negated)."""
+    """The adjoint of a permutation operator: every table inverted, in
+    reverse order."""
     provenance = f"adjoint({op.provenance})"
-    if isinstance(op, PairedRotation):
-        return replace(op, provenance=provenance, theta=-op.theta)
     return UnitaryOp(op.layout, provenance, tuple(map(inverse, reversed(op.stages))))
+
+
+def rotate(plane, state, theta):
+    """``state`` turned by ``theta`` on the planes of ``plane``: the
+    library's label part on the state's rows, then its amplitude part at the
+    angle's cosine and sine."""
+    turn = plane.relabel(state.labels)
+    values = turn.amplitudes(state.values, np.cos(theta), np.sin(theta))
+    return StateVector(state.layout, turn.rows, values)
 
 
 def permutation_view(op):
@@ -281,14 +290,15 @@ def permutation_view(op):
     ``basis_labels`` and read back with ``flat_indices`` (refused above
     ``DENSE_VIEW_CAP``)."""
     layout = op.layout
-    rows, phases = op._apply(basis_labels(layout), np.ones(layout.total_dimension, dtype=complex))
-    return flat_indices(layout, rows), phases
+    moved = op.relabel(basis_labels(layout))
+    phases = moved.amplitudes(np.ones(layout.total_dimension, dtype=complex))
+    return flat_indices(layout, moved.rows), phases
 
 
-def dense_matrix(op):
-    """Dense matrix of a permutation operator or a paired rotation, from the
-    library's own application on ``basis_labels`` (refused above
-    ``DENSE_DIMENSION_CAP``)."""
+def dense_matrix(op, theta=None):
+    """Dense matrix of a permutation operator, or of the rotation by
+    ``theta`` on the planes of a ``PairedRotation``, from the library's own
+    application on ``basis_labels`` (refused above ``DENSE_DIMENSION_CAP``)."""
     dimension = op.layout.total_dimension
     if dimension > DENSE_DIMENSION_CAP:
         raise CapacityError(
@@ -298,8 +308,11 @@ def dense_matrix(op):
     if isinstance(op, PairedRotation):
         # Row i of the identity is basis state i's amplitudes, so the rotated
         # rows are the rows of the matrix.
-        rows, columns = op._apply(basis_labels(op.layout), np.eye(dimension, dtype=complex))
-        matrix[flat_indices(op.layout, rows)] = columns
+        turn = op.relabel(basis_labels(op.layout))
+        identity_rows = np.eye(dimension, dtype=complex)
+        matrix[flat_indices(op.layout, turn.rows)] = turn.amplitudes(
+            identity_rows, np.cos(theta), np.sin(theta)
+        )
     else:
         image, phases = permutation_view(op)
         matrix[image, np.arange(dimension)] = phases
@@ -379,8 +392,13 @@ def naive_emission_matrix(layout):
     return matrix
 
 
-def naive_perception_matrix(layout, observer, configs, condition):
-    """Dense matrix of one observer's perception rule."""
+def naive_perception_matrix(layout, observer, rules, condition):
+    """Dense matrix of one observer's perception rule; ``rules`` pairs the
+    record configurations (one row each) with their messages."""
+    configs = {
+        tuple(config): message
+        for config, message in zip(np.asarray(rules[0]).tolist(), np.asarray(rules[1]).tolist())
+    }
     dims = [r.dimension for r in layout.registers]
     names = [r.name for r in layout.registers]
     matrix = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
@@ -552,11 +570,11 @@ def naive_independence_residual(coefficients, tolerance, whole, singles):
 def reference_appendix_rotation(plain, theta):
     """One angle of the rotation experiment, every state evolved afresh.
 
-    The rotation is built at ``theta`` and ``apply_unitary`` sends the
-    first version's basis vector, the post-detection state and the final
-    state through it, and the rotated first vector through perception; the
-    rotated half of ``mixed_record`` runs the state check on the
-    post-detection state and the perceived rotated vector, and
+    ``rotate`` turns the first version's basis vector, the post-detection
+    state and the final state by ``theta`` on the version plane, building
+    each state afresh, and ``apply_unitary`` sends the rotated first vector
+    through perception; the rotated half of ``mixed_record`` runs the state
+    check on the post-detection state and the perceived rotated vector, and
     ``record_invariance`` decomposes the rotated final state.  The library
     runs the label parts of those applications once per draw, builds no
     state per angle and decomposes nothing, so its reports must equal
@@ -567,8 +585,8 @@ def reference_appendix_rotation(plain, theta):
     post_detection, final, branches = plain.post_detection, plain.final, plain.branches
 
     versions = experiments._version_rows(layout, [0, 1], detected=True)
-    rotation = build_basis_rotation(layout, theta, *versions)
-    primed_first = apply_unitary(rotation, product_state(layout, versions[0].tolist()))
+    plane = build_basis_rotation(layout, *versions)
+    primed_first = rotate(plane, product_state(layout, versions[0].tolist()), theta)
     primed_evolved = apply_unitary(chain.perception, primed_first)
 
     results = list(plain.checks)
@@ -580,7 +598,7 @@ def reference_appendix_rotation(plain, theta):
         results[at] = max(results[at], primed, key=lambda r: r.residual)
 
     if "primed_coefficients" in enabled:
-        rotated = apply_unitary(rotation, post_detection)
+        rotated = rotate(plane, post_detection, theta)
         computed = [_amplitude_at(rotated, row) for row in versions]
         formula = primed_coefficients(*spec.coefficients, theta)
         residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
@@ -595,14 +613,13 @@ def reference_appendix_rotation(plain, theta):
 
     if "record_invariance" in enabled:
         results.append(
-            _record_invariance(branches, apply_unitary(rotation, final), spec.tolerance)
+            _record_invariance(branches, rotate(plane, final, theta), spec.tolerance)
         )
 
     return RunReport(
         experiment="appendix_rotation",
         spec=spec,
         theta=theta,
-        layout=layout,
         final_state=final,
         branches=list(branches),
         checks=results,

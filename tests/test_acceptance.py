@@ -172,7 +172,7 @@ def test_criterion_5_orthogonality_and_no_interference():
             worst_overlap = max(worst_overlap, check(report, "branch_orthogonality").residual)
             worst_coherence = max(worst_coherence, check(report, "observer_coherence").residual)
             # Post-detection coherence, recomputed from the midpoint state.
-            layout = report.layout
+            layout = report.final_state.layout
             midpoint = apply_unitary(
                 build_detection_unitary(layout), initial_state(layout, spec.coefficients)
             )
@@ -234,7 +234,7 @@ def test_criterion_8_analysis_oracle_equivalence():
     rho = reduced_density_matrix(report.final_state, ["Obs1"])
     entropy = von_neumann_entropy(rho)
 
-    layout = report.layout
+    layout = report.final_state.layout
     dims = [r.dimension for r in layout.registers]
     oracle_rho = naive_partial_trace(
         dense_amplitudes(report.final_state), dims, [layout.position("Obs1")]

@@ -47,15 +47,13 @@ def oracle_rules(chain):
     """Observer names, record configurations and condition registers."""
     layout = chain.layout
     n = chain.n_versions
-    configs = {tuple(1 if k == j else 0 for k in range(n)): j + 1 for j in range(n)}
+    configs, messages = np.eye(n, dtype=np.int64), np.arange(1, n + 1)
     if chain.negative_control:
-        configs[tuple(1 if k == 0 else 0 for k in range(n))] = mixed_record_level(
-            observer_dimension(n)
-        )
+        messages[0] = mixed_record_level(observer_dimension(n))
     role = "photon" if chain.photon_model else "detector"
     condition = [r.name for r in layout.registers if r.role == role]
     observers = [r.name for r in layout.registers if r.role == "observer"]
-    return observers, configs, condition
+    return observers, (configs, messages), condition
 
 
 @pytest.mark.parametrize("negative_control", [False, True])
@@ -76,8 +74,9 @@ def test_single_basis_state_replay_matches_the_oracle(
     layout = chain.layout
     names, configs, condition = oracle_rules(chain)
     starts = np.array([layout.row(version_labels(layout, j, detected=False)) for j in range(n)])
-    ends, phases = chain.step._apply(starts, np.ones(n, dtype=complex))
-    for start, end, phase in zip(starts, ends, phases):
+    moved = chain.step.relabel(starts)
+    phases = moved.amplitudes(np.ones(n, dtype=complex))
+    for start, end, phase in zip(starts, moved.rows, phases):
         psi = dense_amplitudes(StateVector(layout, start[None, :], [1.0]))
         replayed = dense_amplitudes(StateVector(layout, end[None, :], [phase]))
         oracle = naive_evolve(layout, names, configs, condition, psi, photon_model)
@@ -112,7 +111,8 @@ BUILDERS = (
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Builder name -> list of the registers or angle of each build.
+    """Builder name -> list of the first argument after the layout (the
+    register, or the first row of a plane) of each build.
 
     The compiled-chain cache is cleared before and after, so chains built
     by other tests do not hide builds and counted builders do not leak.
@@ -197,8 +197,8 @@ def test_random_draws_share_one_build(builds, tmp_path):
 
 
 def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
-    # The rotation's label part does not read the angle, so each draw
-    # builds it once, at angle zero, for all its angles.
+    # The rotation's planes hold no angle, so each draw builds them once,
+    # for all its angles.
     config = write_config(
         tmp_path,
         experiment="appendix_rotation",
@@ -210,4 +210,4 @@ def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
     assert main(["run", config, "--out", str(tmp_path / "report.json")]) == 0
     assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
     assert builds["build_detection_unitary"] == [None]
-    assert builds["build_basis_rotation"] == [0.0, 0.0]
+    assert len(builds["build_basis_rotation"]) == 2

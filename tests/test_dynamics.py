@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from oracles import (
     naive_emission_matrix,
     naive_perception_matrix,
     naive_rotation_matrix,
+    rotate,
     version_labels,
 )
 
@@ -223,13 +226,15 @@ def test_perception_validation():
         )
         build_perception_unitary(small, "Obs", standard_classical_configs(3))
     with pytest.raises(ValueError, match="digits"):
-        build_perception_unitary(layout, "Obs", {(1, 0, 0): 1})
+        build_perception_unitary(layout, "Obs", (np.array([[1, 0, 0]]), np.array([1])))
+    with pytest.raises(ValueError, match="digits"):
+        build_perception_unitary(layout, "Obs", (np.eye(2), np.array([1])))
     with pytest.raises(ValueError, match="digit 2 out of range for 'DV'"):
-        build_perception_unitary(layout, "Obs", {(1, 0): 1, (0, 2): 2})
+        build_perception_unitary(layout, "Obs", (np.array([[1, 0], [0, 2]]), np.array([1, 2])))
     # Messages may only target the mixed level through the explicit hook.
     with pytest.raises(ValueError, match="writable range"):
-        build_perception_unitary(layout, "Obs", {(1, 0): 3, (0, 1): 2})
-    build_perception_unitary(layout, "Obs", {(1, 0): 3, (0, 1): 2},
+        build_perception_unitary(layout, "Obs", (np.eye(2), np.array([3, 2])))
+    build_perception_unitary(layout, "Obs", (np.eye(2), np.array([3, 2])),
                              allow_mixed_message=True)
 
 
@@ -264,32 +269,29 @@ def version_rows(layout):
 
 def test_rotation_at_zero_is_identity():
     layout = sg_layout()
-    rotation = build_basis_rotation(layout, 0.0, *version_rows(layout))
-    assert np.array_equal(dense_matrix(rotation), dense_matrix(identity(sg_layout())))
+    plane = build_basis_rotation(layout, *version_rows(layout))
+    assert np.array_equal(dense_matrix(plane, 0.0), dense_matrix(identity(sg_layout())))
     state = random_state(layout, 11)
-    assert np.array_equal(dense_amplitudes(apply_unitary(rotation, state)), dense_amplitudes(state))
+    assert np.array_equal(dense_amplitudes(rotate(plane, state, 0.0)), dense_amplitudes(state))
 
 
 def test_rotation_composes_and_inverts():
     layout = sg_layout()
     theta, theta2 = 0.41, 1.13
-    rows = version_rows(layout)
-    forward = build_basis_rotation(layout, theta, *rows)
-    backward = build_basis_rotation(layout, -theta, *rows)
+    plane = build_basis_rotation(layout, *version_rows(layout))
+    forward = dense_matrix(plane, theta)
     eye = dense_matrix(identity(sg_layout()))
-    assert np.max(np.abs(dense_matrix(backward) @ dense_matrix(forward) - eye)) <= 1e-12
+    assert np.max(np.abs(dense_matrix(plane, -theta) @ forward - eye)) <= 1e-12
 
-    second = build_basis_rotation(layout, theta2, *rows)
-    direct = build_basis_rotation(layout, theta + theta2, *rows)
-    chained = dense_matrix(second) @ dense_matrix(forward)
-    assert np.max(np.abs(chained - dense_matrix(direct))) <= 1e-12
+    chained = dense_matrix(plane, theta2) @ forward
+    assert np.max(np.abs(chained - dense_matrix(plane, theta + theta2))) <= 1e-12
 
     # The same, applied to states rather than multiplied out.
     state = random_state(layout, 12)
-    there_and_back = apply_unitary(backward, apply_unitary(forward, state))
+    there_and_back = rotate(plane, rotate(plane, state, theta), -theta)
     assert np.max(np.abs(dense_amplitudes(there_and_back) - dense_amplitudes(state))) <= 1e-12
-    both = apply_unitary(second, apply_unitary(forward, state))
-    once = apply_unitary(direct, state)
+    both = rotate(plane, rotate(plane, state, theta), theta2)
+    once = rotate(plane, state, theta + theta2)
     assert np.max(np.abs(dense_amplitudes(both) - dense_amplitudes(once))) <= 1e-12
 
 
@@ -299,7 +301,7 @@ def test_rotation_coefficient_transform():
     layout = sg_layout()
     theta = 0.77
     a1, a2 = 0.6, 0.8j
-    rotation = build_basis_rotation(layout, theta, *version_rows(layout))
+    plane = build_basis_rotation(layout, *version_rows(layout))
     span1, span2 = version_span()
     state = superpose(
         [
@@ -307,7 +309,7 @@ def test_rotation_coefficient_transform():
             (a2, product_state(layout, {**span2, "Obs": 0})),
         ]
     )
-    rotated = apply_unitary(rotation, state)
+    rotated = rotate(plane, state, theta)
     c, s = np.cos(theta), np.sin(theta)
     i1 = encode(layout, {**span1, "Obs": 0})
     i2 = encode(layout, {**span2, "Obs": 0})
@@ -320,9 +322,9 @@ def test_rotation_basis_vector_images():
     # the "mixed" configuration fed to the perception step.
     layout = sg_layout()
     theta = 1.0
-    rotation = build_basis_rotation(layout, theta, *version_rows(layout))
+    plane = build_basis_rotation(layout, *version_rows(layout))
     span1, span2 = version_span()
-    image = apply_unitary(rotation, product_state(layout, {**span1, "Obs": 0}))
+    image = rotate(plane, product_state(layout, {**span1, "Obs": 0}), theta)
     i1 = encode(layout, {**span1, "Obs": 0})
     i2 = encode(layout, {**span2, "Obs": 0})
     assert abs(dense_amplitudes(image)[i1] - np.cos(theta)) <= 1e-12
@@ -333,33 +335,34 @@ def test_rotation_rejects_degenerate_or_incomplete_spans():
     layout = sg_layout()
     first, second = version_rows(layout)
     with pytest.raises(ValueError, match="distinct"):
-        build_basis_rotation(layout, 0.3, first, first.copy())
+        build_basis_rotation(layout, first, first.copy())
     # Observer labels ride along: rows that differ only there name one
     # configuration.
     with pytest.raises(ValueError, match="distinct"):
-        build_basis_rotation(layout, 0.3, first, layout.row({**version_span()[0], "Obs": 2}))
+        build_basis_rotation(layout, first, layout.row({**version_span()[0], "Obs": 2}))
     with pytest.raises(ValueError, match="expected 4 labels"):
-        build_basis_rotation(layout, 0.3, first, second[:3])
+        build_basis_rotation(layout, first, second[:3])
     with pytest.raises(ValueError, match="out of range"):
-        build_basis_rotation(layout, 0.3, first, [1, 0, 2, 0])
+        build_basis_rotation(layout, first, [1, 0, 2, 0])
 
 
 def test_rotation_capacity_cap():
     # The rotation itself has no dimension cap: it is built and applied as
-    # index pairs.  Only its dense view is capped.
+    # index pairs.  Only its dense view is capped.  A plane that constructs
+    # is sound, unitary at every angle.
     big = make_layout([(f"D{i}", 2, "detector") for i in range(13)])
-    rotation = build_basis_rotation(big, 0.3, [0] * 13, [1] * 13)
-    assert rotation.layout.total_dimension == 8192
-    assert verify_unitary(rotation).passed
+    plane = build_basis_rotation(big, [0] * 13, [1] * 13)
+    assert plane.layout.total_dimension == 8192
+    assert (plane.fixed, plane.first, plane.second) == (tuple(range(13)), (0,) * 13, (1,) * 13)
     state = random_state(big, 4)
-    moved = apply_unitary(rotation, state)
+    moved = rotate(plane, state, 0.3)
     a, b = dense_amplitudes(state)[0], dense_amplitudes(state)[-1]
     c, s = np.cos(0.3), np.sin(0.3)
     assert dense_amplitudes(moved)[0] == c * a - s * b
     assert dense_amplitudes(moved)[-1] == s * a + c * b
     assert np.array_equal(dense_amplitudes(moved)[1:-1], dense_amplitudes(state)[1:-1])
     with pytest.raises(CapacityError):
-        dense_matrix(rotation)
+        dense_matrix(plane, 0.3)
 
 
 @pytest.mark.parametrize("observers", [1, 2])
@@ -371,13 +374,13 @@ def test_rotation_matches_brute_force_oracle(observers, photon_model):
     }
     labels = [version_labels(layout, j, detected=True) for j in (0, 1)]
     span = tuple(non_observer(version) for version in labels)
+    plane = build_basis_rotation(layout, *map(layout.row, labels))
     for theta in (0.0, 0.77, -2.3):
-        rotation = build_basis_rotation(layout, theta, *map(layout.row, labels))
         oracle = naive_rotation_matrix(layout, span, theta)
-        assert np.max(np.abs(dense_matrix(rotation) - oracle)) <= 1e-15
+        assert np.max(np.abs(dense_matrix(plane, theta) - oracle)) <= 1e-15
         for seed in range(3):
             state = random_state(layout, seed)
-            fast = dense_amplitudes(apply_unitary(rotation, state))
+            fast = dense_amplitudes(rotate(plane, state, theta))
             assert np.max(np.abs(fast - oracle @ dense_amplitudes(state))) <= 1e-15
 
 
@@ -433,18 +436,18 @@ def test_compose_with_adjoint_gives_identity():
     round_trip = compose(adjoint(perception), perception)
     assert np.array_equal(dense_matrix(round_trip), np.eye(32))
 
-    rotation = build_basis_rotation(layout, 0.9, *version_rows(layout))
-    back = adjoint(rotation)
-    assert back.theta == -0.9
-    round_trip = dense_matrix(back) @ dense_matrix(rotation)
+    # A rotation's adjoint is the rotation by the opposite angle.
+    plane = build_basis_rotation(layout, *version_rows(layout))
+    rotation, back = dense_matrix(plane, 0.9), dense_matrix(plane, -0.9)
+    round_trip = back @ rotation
     assert np.max(np.abs(round_trip - dense_matrix(identity(sg_layout())))) <= 1e-12
-    assert np.array_equal(dense_matrix(back), dense_matrix(rotation).conj().T)
+    assert np.array_equal(back, rotation.conj().T)
 
     # Only permutations compose; a rotation is applied on its own.
     with pytest.raises(TypeError, match="permutation"):
-        compose(rotation, perception)
+        compose(plane, perception)
     with pytest.raises(TypeError, match="permutation"):
-        compose(perception, rotation)
+        compose(perception, plane)
     with pytest.raises(ValueError, match="compose"):
         compose(
             identity(make_layout([("P", 8, "particle-path")])),
@@ -457,18 +460,29 @@ def test_verify_unitary_accepts_builders_and_rejects_defects():
     for op in (
         build_detection_unitary(layout),
         build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
-        build_basis_rotation(layout, 0.37, *version_rows(layout)),
         level_cycle(layout, "Obs"),
     ):
         result = verify_unitary(op)
         assert result.passed and result.residual <= 1e-12
 
-    # Overlapping pairs (the same configuration on both sides) or a label
-    # off the space describe no unitary.
-    for first, second in (((0, 1, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 2))):
-        broken = PairedRotation(layout, "broken", (0, 1, 2), first, second, 0.4)
-        result = verify_unitary(broken)
-        assert not result.passed and result.residual >= 1.0
+    # A plane is sound once built: the builder's planes construct, and no
+    # plane with a structure that describes no unitary can be built.
+    assert build_basis_rotation(layout, *version_rows(layout)).fixed == (0, 1, 2)
+    PairedRotation(layout, (0, 1, 2), (0, 1, 0), (1, 0, 1))
+    for fixed, first, second, match in (
+        # The same configuration on both sides: overlapping pairs.
+        ((0, 1, 2), (0, 1, 0), (0, 1, 0), "distinct configurations"),
+        # A label off the space, above or below it.
+        ((0, 1, 2), (0, 1, 0), (1, 0, 2), "out of range"),
+        ((0, 1, 2), (0, 1, 0), (1, 0, -1), "out of range"),
+        # A repeated fixed position, or one past the registers.
+        ((0, 1, 1), (0, 1, 0), (1, 0, 1), "distinct registers"),
+        ((0, 1, 4), (0, 1, 0), (1, 0, 1), "distinct registers"),
+        # Configurations that do not read every fixed position.
+        ((0, 1, 2), (0, 1), (1, 0, 1), "must read 3 positions"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            PairedRotation(layout, fixed, first, second)
 
     # A table that scales every row by 0.5, and one that sends every level
     # of the observer register to blank.
@@ -492,26 +506,34 @@ def test_every_builder_is_linear(alpha, beta, seed):
     z = random_state(layout, seed + 1)
     mixed = alpha * dense_amplitudes(x) + beta * dense_amplitudes(z)
     mix = StateVector(layout, basis_labels(layout), mixed)
-    for op in (
-        build_detection_unitary(layout),
-        build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
-        build_basis_rotation(layout, 0.83, *version_rows(layout)),
+    plane = build_basis_rotation(layout, *version_rows(layout))
+    for move in (
+        partial(apply_unitary, build_detection_unitary(layout)),
+        partial(
+            apply_unitary,
+            build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+        ),
+        lambda state: rotate(plane, state, 0.83),
     ):
-        left = dense_amplitudes(apply_unitary(op, mix))
-        right = alpha * dense_amplitudes(apply_unitary(op, x))
-        right = right + beta * dense_amplitudes(apply_unitary(op, z))
+        left = dense_amplitudes(move(mix))
+        right = alpha * dense_amplitudes(move(x))
+        right = right + beta * dense_amplitudes(move(z))
         assert np.linalg.norm(left - right) <= 1e-12 * max(1.0, abs(alpha) + abs(beta))
 
 
 def test_norm_preserved_by_every_builder():
     layout = sg_layout()
-    ops = (
-        build_detection_unitary(layout),
-        build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
-        build_basis_rotation(layout, 2.2, *version_rows(layout)),
+    plane = build_basis_rotation(layout, *version_rows(layout))
+    moves = (
+        partial(apply_unitary, build_detection_unitary(layout)),
+        partial(
+            apply_unitary,
+            build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+        ),
+        lambda state: rotate(plane, state, 2.2),
     )
-    for seed, op in enumerate(ops):
-        moved = apply_unitary(op, random_state(layout, 100 + seed))
+    for seed, move in enumerate(moves):
+        moved = move(random_state(layout, 100 + seed))
         assert np.linalg.norm(dense_amplitudes(moved)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -554,13 +576,17 @@ def test_every_stage_proves_unitary_on_an_uncapped_layout():
         identity(layout),
     ]
     for negative_control in (False, True):
-        configs = standard_classical_configs(n)
+        configs, messages = standard_classical_configs(n)
         if negative_control:
-            configs[tuple(1 if k == 0 else 0 for k in range(n))] = n + 1
+            messages[0] = n + 1
         for observer in ("Obs1", "Obs2", "Obs3"):
             stages.append(
                 build_perception_unitary(
-                    layout, observer, configs, photons, allow_mixed_message=negative_control
+                    layout,
+                    observer,
+                    (configs, messages),
+                    photons,
+                    allow_mixed_message=negative_control,
                 )
             )
     for op in stages + [adjoint(op) for op in stages]:

@@ -91,7 +91,6 @@ def test_report_rejects_duplicate_checks():
             experiment=report.experiment,
             spec=spec,
             theta=None,
-            layout=report.layout,
             final_state=report.final_state,
             branches=report.branches,
             checks=report.checks * 2,
@@ -125,11 +124,9 @@ def test_five_versions_two_observers_against_dense_oracle():
     assert report.all_passed
     assert len(report.branches) == n
 
-    layout = report.layout
+    layout = report.final_state.layout
     dims = [r.dimension for r in layout.registers]
-    configs = {
-        tuple(1 if k == j else 0 for k in range(n)): j + 1 for j in range(n)
-    }
+    configs = (np.eye(n, dtype=np.int64), np.arange(1, n + 1))
     detectors = [r.name for r in layout.registers if r.role == "detector"]
     psi0 = np.zeros(layout.total_dimension, dtype=complex)
     for j in range(n):
@@ -482,7 +479,8 @@ def test_run_probes_take_the_final_state_as_their_baseline(monkeypatch):
     # perturbation and the perturbed state's perception.
     assert len(applied) == 2 + 2 * 2
     applied.clear()
-    standalone = no_signaling_check(spec, phase_flip_perturbation(report.layout, 1))
+    probe = phase_flip_perturbation(report.final_state.layout, 1)
+    standalone = no_signaling_check(spec, probe)
     assert standalone.passed and len(applied) == 2 + 2
 
 
@@ -518,7 +516,8 @@ def test_agreement_three_observers_three_versions():
     assert result.passed and result.residual <= 1e-24
     # And against the label-loop oracle on the library's final state.
     report = run_measurement_chain(spec, checks=())
-    oracle = naive_disagreement_weight(report.layout, dense_amplitudes(report.final_state))
+    final = report.final_state
+    oracle = naive_disagreement_weight(final.layout, dense_amplitudes(final))
     assert oracle == pytest.approx(result.residual, abs=1e-24)
     assert disagreement_weight(report.final_state) == pytest.approx(oracle, abs=1e-24)
 
@@ -530,7 +529,7 @@ def test_rotation_at_zero_reduces_to_plain_perception():
     spec = ExperimentSpec(2, (0.6, 0.8))
     report = run_appendix_rotation(plain_rotation_run(spec), 0.0)
     assert report.all_passed
-    target = expected_final_state(report.layout, spec.coefficients)
+    target = expected_final_state(report.final_state.layout, spec.coefficients)
     assert np.linalg.norm(dense_amplitudes(report.final_state) - dense_amplitudes(target)) <= 1e-12
 
 
@@ -726,10 +725,9 @@ def test_crossed_messages_fail_born_weights_unless_the_moduli_agree(monkeypatch,
     # Versions 1 and 2 are each perceived as the other: the observer's
     # branch weights are the detectors' with the first two swapped.
     def crossed(n, _configs=experiments.standard_classical_configs):
-        configs = _configs(n)
-        first, second = list(configs)[:2]
-        configs[first], configs[second] = configs[second], configs[first]
-        return configs
+        configs, messages = _configs(n)
+        messages[[0, 1]] = messages[[1, 0]]
+        return configs, messages
 
     rng = np.random.default_rng(n_versions)
     compile_chain.cache_clear()
@@ -752,6 +750,48 @@ def test_crossed_messages_fail_born_weights_unless_the_moduli_agree(monkeypatch,
                         photon_model,
                         equal,
                     )
+    finally:
+        compile_chain.cache_clear()
+
+
+@pytest.mark.parametrize("n_versions", [2, 3, 8, 64])
+def test_crossed_messages_of_one_observer_fail_observer_agreement(monkeypatch, n_versions):
+    # Only Obs2 perceives versions 1 and 2 each as the other, so on those
+    # two branches the observers disagree; Obs1's record, and with it every
+    # branch weight, is untouched.
+    build = experiments.build_perception_unitary
+
+    def crossed(layout, observer, rules, *args, **kwargs):
+        configs, messages = rules
+        if observer == "Obs2":
+            messages = messages.copy()
+            messages[[0, 1]] = messages[[1, 0]]
+        return build(layout, observer, (configs, messages), *args, **kwargs)
+
+    rng = np.random.default_rng(n_versions)
+    compile_chain.cache_clear()
+    monkeypatch.setattr(experiments, "build_perception_unitary", crossed)
+    try:
+        for observers in (2, 3):
+            for photon_model in (False, True):
+                spec = ExperimentSpec(
+                    n_versions,
+                    unit_coefficients(rng, n_versions),
+                    observers=observers,
+                    photon_model=photon_model,
+                )
+                report = run_measurement_chain(spec)
+                assert failing(report) == {"observer_agreement", "structure"}, (
+                    observers,
+                    photon_model,
+                )
+                weight = abs(spec.coefficients[0]) ** 2 + abs(spec.coefficients[1]) ** 2
+                residual = check_by_name(report, "observer_agreement").residual
+                assert residual == pytest.approx(weight, rel=1e-12)
+        (result,) = run_measurement_chain(
+            ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2), checks=("observer_agreement",)
+        ).checks
+        assert not result.passed and result.residual == pytest.approx(0.5904, rel=1e-12)
     finally:
         compile_chain.cache_clear()
 
@@ -792,7 +832,7 @@ def test_final_state_supported_only_on_the_two_records(coefficients):
     spec = ExperimentSpec(2, coefficients)
     report = run_measurement_chain(spec, checks=("structure",))
     assert report.checks[0].passed
-    layout = report.layout
+    layout = report.final_state.layout
     i1 = encode(layout, version_labels(layout, 0, detected=True, message=1))
     i2 = encode(layout, version_labels(layout, 1, detected=True, message=2))
     amplitudes = dense_amplitudes(report.final_state).copy()
@@ -832,9 +872,8 @@ def test_mixed_record_fails_when_an_observer_never_looks(monkeypatch):
     # Without version 2's record configuration, perception leaves the
     # observer blank on that branch: not a plain message once it has looked.
     def without_second(n_versions):
-        configs = standard_classical_configs(n_versions)
-        del configs[tuple(1 if k == 1 else 0 for k in range(n_versions))]
-        return configs
+        configs, messages = standard_classical_configs(n_versions)
+        return np.delete(configs, 1, axis=0), np.delete(messages, 1)
 
     monkeypatch.setattr(experiments, "standard_classical_configs", without_second)
     compile_chain.cache_clear()

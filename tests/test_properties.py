@@ -11,10 +11,11 @@ The engine cross-checks draw smaller shapes (N in [2, 4], one or two
 observers, photons and the negative control on or off) and random sparse
 states, and compare the support arithmetic with the dense oracles; on the
 same draws, each operator's label part applied once must give, with every
-set of amplitudes and any rotation angle, the states ``apply_unitary``
-gives, bit for bit, and the branches, with and without copied rows
-relabelled at the record so that branches share relative rows, must equal
-the relative-state oracle bit for bit.  The table-proof property draws
+set of amplitudes and any rotation angle, the states ``apply_unitary`` (or,
+for the rotation, the oracle's ``rotate``) gives, bit for bit, and the
+branches, with and without copied rows relabelled at the record so that
+branches share relative rows, must equal the relative-state oracle bit for
+bit.  The table-proof property draws
 small controlled-rewrite tables, sound or broken in one way, and compares
 ``verify_unitary`` with a loop-built dense matrix.  The report writer is
 compared with the stdlib's ``indent=2`` encoder on random JSON trees.
@@ -76,6 +77,7 @@ from oracles import (
     reference_branches,
     reference_overlap,
     reference_report_json,
+    rotate,
     unitarity_residual,
     version_labels,
 )
@@ -155,7 +157,7 @@ def test_the_default_versions_are_exactly_linear(spec):
 @settings(max_examples=4, deadline=None)
 def test_large_chains_are_exactly_linear_and_their_control_fails(spec):
     report = run_measurement_chain(spec)
-    assert report.layout.total_dimension == chain_dimension(
+    assert report.final_state.layout.total_dimension == chain_dimension(
         spec.n_versions, spec.observers, spec.photon_model
     )
     assert report.all_passed
@@ -208,11 +210,10 @@ def chain_operators(chain):
     where the oracle is the operator's own dense view)."""
     layout = chain.layout
     n = chain.n_versions
-    configs = standard_classical_configs(n)
+    configs, messages = standard_classical_configs(n)
     if chain.negative_control:
-        configs[tuple(1 if k == 0 else 0 for k in range(n))] = mixed_record_level(
-            observer_dimension(n)
-        )
+        messages[0] = mixed_record_level(observer_dimension(n))
+    rules = (configs, messages)
     role = "photon" if chain.photon_model else "detector"
     condition = [r.name for r in layout.registers if r.role == role]
     observers = [r.name for r in layout.registers if r.role == "observer"]
@@ -221,9 +222,9 @@ def chain_operators(chain):
         operators.append((build_photon_emission_unitary(layout), naive_emission_matrix(layout)))
     for name in observers:
         stage = build_perception_unitary(
-            layout, name, configs, condition, allow_mixed_message=chain.negative_control
+            layout, name, rules, condition, allow_mixed_message=chain.negative_control
         )
-        operators.append((stage, naive_perception_matrix(layout, name, configs, condition)))
+        operators.append((stage, naive_perception_matrix(layout, name, rules, condition)))
     operators += [
         (chain.step, None),
         (phase_flip_perturbation(layout, 1), None),
@@ -264,10 +265,10 @@ def test_support_engine_matches_the_dense_oracles(drawn, theta):
         chain.layout.row(version_labels(chain.layout, j, detected=True, message=j + 1))
         for j in (0, 1)
     ]
-    rotation = build_basis_rotation(chain.layout, theta, *rows)
-    matrix = dense_matrix(rotation)
+    plane = build_basis_rotation(chain.layout, *rows)
+    matrix = dense_matrix(plane, theta)
     assert np.max(np.abs(matrix - naive_rotation_matrix(chain.layout, span, theta))) <= 1e-15
-    moved = dense_amplitudes(apply_unitary(rotation, state))
+    moved = dense_amplitudes(rotate(plane, state, theta))
     assert np.max(np.abs(moved - matrix @ dense)) <= 1e-15
 
     # Composed: every permutation in one operator, then the rotation.
@@ -279,7 +280,7 @@ def test_support_engine_matches_the_dense_oracles(drawn, theta):
     for op in ops:
         expected = dense_matrix(op) @ expected
     assert np.array_equal(dense_matrix(composed) @ dense, expected)
-    step_then_turn = apply_unitary(rotation, apply_unitary(composed, state))
+    step_then_turn = rotate(plane, apply_unitary(composed, state), theta)
     assert np.max(np.abs(dense_amplitudes(step_then_turn) - matrix @ expected)) <= 1e-15
 
 
@@ -295,9 +296,9 @@ def bits(state):
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
 @settings(max_examples=30, deadline=None)
-def test_label_and_amplitude_parts_are_the_application(drawn, data, built_at, theta):
+def test_label_and_amplitude_parts_are_the_application(drawn, data, theta2, theta):
     # One label part per operator and support serves other amplitudes on
-    # that support and, for the rotation, any other angle.
+    # that support and, for the rotation, every angle.
     chain, state = drawn
     layout = chain.layout
     parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -314,12 +315,13 @@ def test_label_and_amplitude_parts_are_the_application(drawn, data, built_at, th
     rows = [
         layout.row(version_labels(layout, j, detected=True, message=j + 1)) for j in (0, 1)
     ]
-    turn = build_basis_rotation(layout, built_at, *rows).relabel(state.labels)
-    rotation = build_basis_rotation(layout, theta, *rows)
-    c, s = np.cos(theta), np.sin(theta)
-    for x in (state, other):
-        split = StateVector(layout, turn.rows, turn.amplitudes(x.values, c, s))
-        assert bits(split) == bits(apply_unitary(rotation, x))
+    plane = build_basis_rotation(layout, *rows)
+    turn = plane.relabel(state.labels)
+    for angle in (theta2, theta):
+        c, s = np.cos(angle), np.sin(angle)
+        for x in (state, other):
+            split = StateVector(layout, turn.rows, turn.amplitudes(x.values, c, s))
+            assert bits(split) == bits(rotate(plane, x, angle))
 
 
 @given(sparse_states())
@@ -397,7 +399,7 @@ def test_a_basis_permutation_leaves_the_reported_norm_bit_identical(drawn):
     spec = ExperimentSpec(chain.n_versions, (1.0,) + (0.0,) * (chain.n_versions - 1))
 
     def reported_norm(final):
-        report = RunReport("probe", spec, None, chain.layout, final, [], [])
+        report = RunReport("probe", spec, None, final, [], [])
         return report.to_dict()["final_state"]["norm"]
 
     reference = reported_norm(state)

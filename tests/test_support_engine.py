@@ -65,7 +65,7 @@ def test_full_chain_suite_runs_on_the_support(
         n, tuple(vector / np.linalg.norm(vector)), observers=observers, photon_model=photon_model
     )
     report = run_measurement_chain(spec)
-    assert report.layout.total_dimension == dimension
+    assert report.final_state.layout.total_dimension == dimension
     assert sorted(c.name for c in report.checks) == sorted(branchsim.CHAIN_CHECKS)
     assert report.all_passed
     assert report.to_dict()["final_state"]["support"] == n
