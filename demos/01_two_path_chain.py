@@ -2,11 +2,10 @@
 
 A particle split across a horizontal and a vertical path hits a detector
 bank; an observer then reads off the detectors.  Each step is a table of
-controlled rewrites (path j flips detector j; record j writes message j),
-and ``verify_unitary`` proves it unitary from that table alone.  Printing
-the composite state after each step shows the superposition never
-collapsing -- it grows into two fully-recorded branches that share no
-basis state.
+controlled rewrites (path j flips detector j; record j writes message j).
+Printing the composite state after each step shows the superposition never
+collapsing -- it grows into two fully-recorded branches that share no basis
+state.
 """
 
 from branchsim import (
@@ -20,7 +19,6 @@ from branchsim import (
     message_name,
     run_measurement_chain,
     standard_classical_configs,
-    verify_unitary,
 )
 
 A1, A2 = 0.6, 0.8j
@@ -42,8 +40,6 @@ print("registers:", ", ".join(f"{r.name}({r.dimension})" for r in layout.registe
 
 detection = build_detection_unitary(layout)
 perception = build_perception_unitary(layout, "Obs1", standard_classical_configs(2))
-for op in (detection, perception):
-    print(f"verify {op.provenance}: residual {verify_unitary(op).residual:.1e}")
 
 state = initial_state(layout, (A1, A2))
 show("before anything happens (detectors idle, observer blank):", state)

@@ -15,7 +15,6 @@ from .analysis import (
     von_neumann_entropy,
 )
 from .dynamics import (
-    CheckResult,
     ControlledRewrite,
     PairedRotation,
     UnitaryOp,
@@ -26,7 +25,6 @@ from .dynamics import (
     build_photon_emission_unitary,
     compose,
     standard_classical_configs,
-    verify_unitary,
 )
 from .errors import (
     CapacityError,
@@ -42,6 +40,7 @@ from .experiments import (
     MIN_TOLERANCE,
     Branch,
     CertifiedRun,
+    CheckResult,
     CompiledChain,
     ExperimentSpec,
     RunReport,

@@ -22,7 +22,6 @@ from .state import (
     DensityMatrix,
     ROLE_OBSERVER,
     StateVector,
-    TOLERANCE,
     mixed_record_level,
     require_unit,
     union_rows,
@@ -55,16 +54,11 @@ def reduced_density_matrix(state: StateVector, keep: Sequence[str]) -> DensityMa
     environments, column = union_rows(state.labels.compress(traced, axis=1))
     psi = np.zeros((kept, len(environments)), dtype=complex)
     psi[np.ravel_multi_index(state.labels[:, positions].T, dims), column] = state.values
-    matrix = DensityMatrix(kept, psi @ psi.conj().T)
-    matrix.validate()
-    return matrix
+    return DensityMatrix(kept, psi @ psi.conj().T)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy in bits; eigenvalues below the floor contribute zero."""
-    defect = np.max(np.abs(rho.entries - rho.entries.conj().T))
-    if defect > TOLERANCE:
-        raise ValueError(f"entropy of a non-Hermitian matrix (defect {defect:.3e})")
     eigenvalues = np.linalg.eigvalsh(rho.entries)
     positive = eigenvalues[eigenvalues >= ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(positive * np.log2(positive)))

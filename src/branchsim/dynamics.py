@@ -22,15 +22,15 @@ the same rows with many amplitudes or angles runs the label part once.
 A table is unitary when its control positions are distinct and exclude
 the target, its ``when`` rows are distinct and in range, every image is a
 permutation and every phase has modulus 1: each control row then permutes,
-with phases, the basis states it selects, and they stay selected.
-``verify_unitary`` proves those conditions from the table alone, in
-O(entries x levels) whatever the dimension.
+with phases, the basis states it selects, and they stay selected.  Building
+a table and an operator checks exactly that, in O(entries x levels)
+whatever the dimension, so an operator that exists is unitary.
 
 The mixed-basis rotation turns disjoint pairs of basis states within their
 planes; a ``PairedRotation`` is those planes, the same at every angle, and
 only its amplitude part takes the angle's cosine and sine.  It is unitary at
 every angle by construction, so only permutations go through
-``apply_unitary``, ``compose`` and ``verify_unitary``.
+``apply_unitary`` and ``compose``.
 
 Convention: ``U e_x = phase(x) e_image(x)``.
 """
@@ -62,28 +62,6 @@ from .state import (
 FLIP = (1, 0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one verification: residual against a tolerance."""
-
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    skipped: bool = False
-    detail: str = ""
-
-    @classmethod
-    def from_residual(
-        cls, name: str, residual: float, tolerance: float, detail: str = ""
-    ) -> "CheckResult":
-        return cls(name, residual <= tolerance, float(residual), tolerance, False, detail)
-
-    @classmethod
-    def skip(cls, name: str, detail: str) -> "CheckResult":
-        return cls(name, True, 0.0, 0.0, True, detail)
-
-
 @dataclass(frozen=True, eq=False)
 class ControlledRewrite:
     """One controlled rewrite of label rows.
@@ -95,7 +73,10 @@ class ControlledRewrite:
     multiplies by its phase.  Rows that match no entry are left alone.
     ``target``, ``image`` and ``phase`` broadcast over the entries.  Every
     entry's target has ``image.shape[1]`` levels, counting a missing target
-    as one level.
+    as one level.  Construction keeps read-only copies of the arrays and
+    refuses (``ValueError``) repeated control positions, a target among
+    them, repeated ``when`` rows, images that are not permutations and
+    phases whose modulus is off 1 by more than ``TOLERANCE``.
     """
 
     control: tuple[int, ...]
@@ -105,22 +86,36 @@ class ControlledRewrite:
     phase: np.ndarray = 1.0
 
     def __post_init__(self):
-        when = np.asarray(self.when, dtype=np.int64)
-        image = np.asarray(self.image, dtype=np.int64)
-        if when.ndim != 2 or when.shape[1] != len(self.control) or image.ndim != 2:
+        control = tuple(int(c) for c in self.control)
+        when, image = (np.array(a, dtype=np.int64) for a in (self.when, self.image))
+        phase = np.array(self.phase, dtype=complex)
+        if when.ndim != 2 or when.shape[1] != len(control) or image.ndim != 2:
             raise ValueError(
                 f"{when.shape} control rows and {image.shape} images do not describe a "
-                f"table over {len(self.control)} control registers"
+                f"table over {len(control)} control registers"
             )
         shape = (len(when), image.shape[1])
+        when.flags.writeable = image.flags.writeable = False
+        # Broadcast views are read-only, so every array is a read-only copy.
         for name, value in (
-            ("control", tuple(int(c) for c in self.control)),
+            ("control", control),
             ("when", when),
-            ("target", np.broadcast_to(np.asarray(self.target, dtype=np.int64), shape[:1])),
-            ("image", np.broadcast_to(image, shape)),
-            ("phase", np.broadcast_to(np.asarray(self.phase, dtype=complex), shape)),
+            ("target", np.broadcast_to(np.array(self.target, dtype=np.int64), shape[:1])),
+            ("image", image if image.shape == shape else np.broadcast_to(image, shape)),
+            ("phase", np.broadcast_to(phase, shape)),
         ):
             object.__setattr__(self, name, value)
+        if len(set(control)) != len(control):
+            raise ValueError(f"control positions {control} repeat a register")
+        if not set(control).isdisjoint(self.target.tolist()):
+            raise ValueError(f"a target in {self.target.tolist()} is among the controls {control}")
+        if len(set(map(tuple, when.tolist()))) != len(when):
+            raise ValueError(f"control rows repeat in a table over {control}")
+        permutes = (np.sort(image, axis=1) == np.arange(shape[1])).all(axis=1)
+        if not permutes.all():
+            raise ValueError(f"image {image[~permutes][0].tolist()} is not a permutation")
+        if (np.abs(np.abs(phase) - 1.0) > TOLERANCE).any():
+            raise ValueError(f"a phase in a table over {control} has modulus other than 1")
 
     def _relabel(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows after the table and the phase each row picks up."""
@@ -137,28 +132,6 @@ class ControlledRewrite:
         phases[row] = self.phase[entry, level]
         return rows, phases
 
-    def _unitarity_residual(self, dimensions: np.ndarray) -> float:
-        """1 unless the table is well formed; else the worst ``||phase|^2 - 1|``."""
-        control = np.array(self.control, dtype=np.int64)
-        entries, levels = self.image.shape
-        registers = len(dimensions)
-        if not (
-            ((control >= 0) & (control < registers)).all()
-            and ((self.target >= -1) & (self.target < registers)).all()
-        ):
-            return 1.0
-        target_levels = np.append(dimensions, 1)[self.target]
-        if (
-            len(set(self.control)) != len(self.control)
-            or set(self.target.tolist()) & set(self.control)
-            or ((self.when < 0) | (self.when >= dimensions[control])).any()
-            or len(union_rows(self.when)[0]) != entries
-            or (target_levels != levels).any()
-            or not (np.sort(self.image, axis=1) == np.arange(levels)).all()
-        ):
-            return 1.0
-        return float(np.max(np.abs(np.abs(self.phase) ** 2 - 1.0), initial=0.0))
-
 
 @dataclass(frozen=True)
 class UnitaryOp:
@@ -167,11 +140,32 @@ class UnitaryOp:
     ``U e_x = phase(x) e_image(x)``, where each stage rewrites the label row
     x in turn.  Operators are immutable once built and application is a pure
     function, so one operator may be applied from many threads at once.
+    Construction refuses (``ValueError``) a stage with a position off the
+    layout, a ``when`` digit out of range or images of the wrong width.
     """
 
     layout: SubsystemLayout
     provenance: str
     stages: tuple[ControlledRewrite, ...] = field(repr=False)
+
+    def __post_init__(self):
+        dimensions, n = self.layout.dimension_array, len(self.layout.registers)
+        for stage in self.stages:
+            control, targets = list(stage.control), stage.target.tolist()
+            off = [p for p in control if not 0 <= p < n]
+            off += [t for t in targets if not -1 <= t < n]
+            if off:
+                raise ValueError(f"position {off[0]} is off the layout's {n} registers")
+            outside = (stage.when < 0) | (stage.when >= dimensions[control])
+            if outside.any():
+                entry, column = np.argwhere(outside)[0]
+                name = self.layout.registers[control[column]].name
+                raise ValueError(f"digit {stage.when[entry, column]} out of range for {name!r}")
+            # A missing target (-1) has one level.
+            levels = [int(dimensions[t]) if t >= 0 else 1 for t in targets]
+            width = stage.image.shape[1]
+            if any(level != width for level in levels):
+                raise ValueError(f"{width}-level images for targets of {levels} levels")
 
     def relabel(self, labels: np.ndarray) -> "PermutedRows":
         """Label part: every stage's rewrite of ``labels``, and its phases."""
@@ -309,18 +303,6 @@ def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
     )
 
 
-def verify_unitary(op: UnitaryOp, tolerance: float = TOLERANCE) -> CheckResult:
-    """Check ``U^dagger U = I``; the residual is ``max |U^dagger U - I|``.
-
-    It is computed from the tables, and is 1 when a table describes no
-    unitary (it rewrites its own control, repeats or leaves the space with
-    a control row, or merges two levels).
-    """
-    dimensions = op.layout.dimension_array
-    residual = max((stage._unitarity_residual(dimensions) for stage in op.stages), default=0.0)
-    return CheckResult.from_residual(f"unitary[{op.provenance}]", residual, tolerance)
-
-
 def _role_registers(layout: SubsystemLayout, role: str) -> list[str]:
     return [r.name for r in layout.by_role(role)]
 
@@ -434,14 +416,6 @@ def build_perception_unitary(
     top_message = mixed_record_level(obs.dimension) - 1
     if allow_mixed_message:
         top_message = mixed_record_level(obs.dimension)
-    condition_at = [layout.position(name) for name in condition_registers]
-    outside = (when < 0) | (when >= layout.dimension_array[condition_at])
-    if outside.any():
-        entry, column = np.argwhere(outside)[0]
-        raise ValueError(
-            f"configuration digit {when[entry, column]} out of range for "
-            f"{condition_registers[column]!r}"
-        )
     unwritable = (messages < 1) | (messages > top_message)
     if unwritable.any():
         raise ValueError(
@@ -452,6 +426,7 @@ def build_perception_unitary(
     image = np.tile(np.arange(obs.dimension), (n, 1))
     image[:, OBSERVER_BLANK] = messages
     image[np.arange(n), messages] = OBSERVER_BLANK
+    condition_at = [layout.position(name) for name in condition_registers]
     table = ControlledRewrite(condition_at, when, layout.position(observer_register), image)
     return UnitaryOp(layout, f"perception[{observer_register}]", (table,))
 

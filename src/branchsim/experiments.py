@@ -14,11 +14,11 @@ An ``ExperimentSpec`` is the whole input of a run, negative control
 included; a control that could not fail is refused when the spec is built.
 The step operator is compiled once per chain configuration by the
 memoized ``compile_chain``: the layout, the record stages (detection, then
-photon emission) composed into one operator, and every observer's
-perception stage composed into another, each stage a controlled-rewrite
-table proved unitary from the table before the chain is returned.  Every
-run, coefficient draw, rotation angle and check of one configuration shares
-that ``CompiledChain``.
+photon emission) composed into one operator, every observer's perception
+stage built into another, their composition and the stock no-signaling
+probes, each stage a controlled-rewrite table that is unitary because it
+could be built (see ``dynamics``).  Every run, coefficient draw, rotation
+angle and check of one configuration shares that ``CompiledChain``.
 
 Both experiments evolve and certify a spec through one path: the initial
 state goes through the record stages, then perception, the final state is
@@ -57,7 +57,6 @@ import numpy as np
 
 from . import analysis
 from .dynamics import (
-    CheckResult,
     ControlledRewrite,
     PermutedRows,
     RotatedRows,
@@ -69,7 +68,6 @@ from .dynamics import (
     build_photon_emission_unitary,
     compose,
     standard_classical_configs,
-    verify_unitary,
 )
 from .errors import CapacityError, InvalidPerturbationError
 from .state import (
@@ -137,6 +135,28 @@ APPENDIX_CHECKS = (
 
 
 @dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one verification: residual against a tolerance."""
+
+    name: str
+    passed: bool
+    residual: float
+    tolerance: float
+    skipped: bool = False
+    detail: str = ""
+
+    @classmethod
+    def from_residual(
+        cls, name: str, residual: float, tolerance: float, detail: str = ""
+    ) -> "CheckResult":
+        return cls(name, residual <= tolerance, float(residual), tolerance, False, detail)
+
+    @classmethod
+    def skip(cls, name: str, detail: str) -> "CheckResult":
+        return cls(name, True, 0.0, 0.0, True, detail)
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
     """Parameters of one run, the whole input of the experiments.
 
@@ -189,7 +209,7 @@ class ExperimentSpec:
 
 def is_normalized(total: float) -> bool:
     """Whether squared moduli summing to ``total`` are normalized: within
-    ``TOLERANCE`` of 1, as ``DensityMatrix.validate`` holds every trace."""
+    ``TOLERANCE`` of 1, as a ``DensityMatrix`` holds its trace when built."""
     return abs(total - 1.0) <= TOLERANCE
 
 
@@ -347,8 +367,9 @@ class CompiledChain:
     """Layout and step operator of one chain configuration, built once.
 
     ``record`` is detection followed, with the photon model, by photon
-    emission, composed into one operator; ``perception`` composes every
-    observer's perception stage in layout order.  It depends only on
+    emission, composed into one operator; ``perception`` holds every
+    observer's perception stage in layout order; ``step`` is both, and
+    ``probes`` the stock no-signaling probes of version 2.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so runs
     that differ in coefficients, angle or checks share one (see
     ``compile_chain``).
@@ -361,11 +382,8 @@ class CompiledChain:
     layout: SubsystemLayout
     record: UnitaryOp
     perception: UnitaryOp
-
-    @property
-    def step(self) -> UnitaryOp:
-        """The whole step operator: record stages, then perception."""
-        return compose(self.perception, self.record)
+    step: UnitaryOp
+    probes: tuple[UnitaryOp, ...]
 
     def evolve(self, state: StateVector) -> tuple[StateVector, StateVector]:
         """The post-detection and final states reached from ``state``."""
@@ -390,11 +408,11 @@ def compile_chain(
     rewires version 1's message onto the reserved mixed-record level, so
     tests can prove the mixed-record checks can fail.
 
-    Every stage's table is proved unitary (``verify_unitary``) before the
-    chain is returned; a stage that fails its proof is a bug in a builder,
-    so it raises ``RuntimeError`` rather than failing a check.  A chain
-    over ``MAX_REGISTERS`` raises ``CapacityError`` (``chain_layout``)
-    before anything is built.
+    Every operator is unitary because it was built: a stage whose table
+    describes no unitary is a bug in a builder, and its construction raises
+    ``ValueError`` rather than failing a check.  A chain over
+    ``MAX_REGISTERS`` raises ``CapacityError`` (``chain_layout``) before
+    anything is built.
     """
     return _build_chain(n_versions, observers, photon_model, negative_control)
 
@@ -414,22 +432,18 @@ def _build_chain(
     if negative_control:
         messages[0] = mixed_record_level(observer_dimension(n_versions))
 
-    perception = None
-    for reg in layout.by_role(ROLE_OBSERVER):
-        stage = build_perception_unitary(
-            layout,
-            reg.name,
-            (configs, messages),
-            condition_registers=condition,
-            allow_mixed_message=negative_control,
-        )
-        perception = stage if perception is None else compose(stage, perception)
-    for op in (record, perception):
-        proof = verify_unitary(op)
-        if not proof.passed:
-            raise RuntimeError(f"{proof.name} failed: residual {proof.residual:.3e}")
+    stages = [
+        build_perception_unitary(layout, r.name, (configs, messages), condition, negative_control)
+        for r in layout.by_role(ROLE_OBSERVER)
+    ]
+    # One operator over every observer's tables: composing them one at a
+    # time would check the earlier tables again at every step.
+    tables = tuple(table for op in stages for table in op.stages)
+    perception = UnitaryOp(layout, " . ".join(op.provenance for op in stages[::-1]), tables)
+    probes = (phase_flip_perturbation(layout, 1), record_cycle_perturbation(layout, 1))
     return CompiledChain(
-        n_versions, observers, photon_model, negative_control, layout, record, perception
+        n_versions, observers, photon_model, negative_control, layout, record, perception,
+        compose(perception, record), probes,
     )
 
 
@@ -954,15 +968,9 @@ def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None
 
 def _canonical_no_signaling(run: CertifiedRun) -> CheckResult:
     """Worst residual over the stock phase-flip and record-cycle probes."""
-    layout = run.chain.layout
-    probes = [phase_flip_perturbation(layout, 1), record_cycle_perturbation(layout, 1)]
-    worst = max(
-        (
-            no_signaling_check(run.spec, probe, states=(run.post_detection, run.final))
-            for probe in probes
-        ),
-        key=lambda result: result.residual,
-    )
+    states = (run.post_detection, run.final)
+    results = [no_signaling_check(run.spec, probe, states=states) for probe in run.chain.probes]
+    worst = max(results, key=lambda result: result.residual)
     return replace(worst, detail="phase flip and record cycle on version 2")
 
 

@@ -318,27 +318,26 @@ def normalize(x: StateVector) -> StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense density matrix with construction-time sanity checks."""
+    """Dense density matrix: Hermitian, of unit trace and positive
+    semidefinite within ``TOLERANCE`` once built; it owns a read-only copy
+    of its entries, so it stays so."""
 
     dimension: int
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = read_only(np.array(self.entries, dtype=complex))
         if entries.shape != (self.dimension, self.dimension):
             raise ValueError(
                 f"entries shape {entries.shape} does not match dimension {self.dimension}"
             )
-        object.__setattr__(self, "entries", entries)
-
-    def validate(self, tolerance: float = TOLERANCE) -> None:
-        """Raise unless Hermitian, unit trace and PSD within tolerance."""
-        hermitian_defect = np.max(np.abs(self.entries - self.entries.conj().T))
-        if hermitian_defect > tolerance:
+        hermitian_defect = np.max(np.abs(entries - entries.conj().T))
+        if hermitian_defect > TOLERANCE:
             raise ValueError(f"density matrix not Hermitian (defect {hermitian_defect:.3e})")
-        trace_defect = abs(np.trace(self.entries) - 1.0)
-        if trace_defect > tolerance:
+        trace_defect = abs(np.trace(entries) - 1.0)
+        if trace_defect > TOLERANCE:
             raise ValueError(f"density matrix trace off by {trace_defect:.3e}")
-        lowest = float(np.min(np.linalg.eigvalsh(self.entries)))
-        if lowest < -tolerance:
+        lowest = float(np.min(np.linalg.eigvalsh(entries)))
+        if lowest < -TOLERANCE:
             raise ValueError(f"density matrix has eigenvalue {lowest:.3e} < 0")
+        object.__setattr__(self, "entries", entries)

@@ -467,8 +467,9 @@ def test_unwritable_report_path_exits_two(tmp_path):
 
 def test_a_stage_that_fails_its_unitarity_proof_exits_four(tmp_path, monkeypatch, capsys):
     # A detection table that sends both detector levels to "fired" merges two
-    # target levels: compile_chain must refuse it as a bug (exit 4), never
-    # report it as a failed check (1) or a bad config (2).
+    # target levels: its construction refuses it, and compile_chain must
+    # report that as a bug (exit 4), never as a failed check (1) or a bad
+    # config (2).
     original = experiments.build_detection_unitary
 
     def merged(layout):
@@ -483,7 +484,7 @@ def test_a_stage_that_fails_its_unitarity_proof_exits_four(tmp_path, monkeypatch
     finally:
         compile_chain.cache_clear()
     assert code == 4
-    assert "unitary[detection] failed" in capsys.readouterr().err
+    assert "ValueError: image [1, 1] is not a permutation" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

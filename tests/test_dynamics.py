@@ -24,7 +24,6 @@ from branchsim import (
     record_cycle_perturbation,
     standard_classical_configs,
     superpose,
-    verify_unitary,
 )
 from oracles import (
     adjoint,
@@ -39,6 +38,7 @@ from oracles import (
     naive_perception_matrix,
     naive_rotation_matrix,
     rotate,
+    unitarity_residual,
     version_labels,
 )
 
@@ -455,15 +455,16 @@ def test_compose_with_adjoint_gives_identity():
         )
 
 
-def test_verify_unitary_accepts_builders_and_rejects_defects():
+def test_construction_accepts_builders_and_rejects_defects():
+    # Building is the proof: every builder's tables construct, and the
+    # operator they make is unitary.
     layout = sg_layout()
     for op in (
         build_detection_unitary(layout),
         build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
         level_cycle(layout, "Obs"),
     ):
-        result = verify_unitary(op)
-        assert result.passed and result.residual <= 1e-12
+        assert unitarity_residual(dense_matrix(op)) <= 1e-12
 
     # A plane is sound once built: the builder's planes construct, and no
     # plane with a structure that describes no unitary can be built.
@@ -484,14 +485,53 @@ def test_verify_unitary_accepts_builders_and_rejects_defects():
         with pytest.raises(ValueError, match=match):
             PairedRotation(layout, fixed, first, second)
 
-    # A table that scales every row by 0.5, and one that sends every level
-    # of the observer register to blank.
-    lossy = UnitaryOp(layout, "lossy", (ControlledRewrite((), [[]], -1, [[0]], [[0.5]]),))
-    assert not verify_unitary(lossy).passed
+    # No table that describes no unitary can be built.  Each case breaks one
+    # condition a table can judge alone: a table that scales every row by
+    # 0.5, one that sends every observer level to blank, a repeated control
+    # position, a target among the controls, and a repeated control row.
+    for arguments, match in (
+        (((), [[]], -1, [[0]], [[0.5]]), "modulus"),
+        (((), [[]], 3, [[0, 0, 0, 0]]), "not a permutation"),
+        (((0, 0), [[0, 0]], 1, [[1, 0]]), "repeat a register"),
+        (((0, 1), [[0, 1]], 1, [[1, 0]]), "among the controls"),
+        (((0,), [[1], [1]], 1, [[1, 0]]), "control rows repeat"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ControlledRewrite(*arguments)
 
-    clash = UnitaryOp(layout, "clash", (ControlledRewrite((), [[]], 3, [[0, 0, 0, 0]]),))
-    result = verify_unitary(clash)
-    assert not result.passed and result.residual >= 1.0
+    # Nor any operator whose tables do not fit its layout: a control or
+    # target position off the four registers, a control digit out of its
+    # register's range, or images that do not cover the target's levels.
+    for table, match in (
+        (ControlledRewrite((4,), [[0]], 3, [[1, 2, 3, 0]]), "position 4 is off"),
+        (ControlledRewrite((-1,), [[0]], 3, [[1, 2, 3, 0]]), "position -1 is off"),
+        (ControlledRewrite((0,), [[1]], 4, [[1, 0]]), "position 4 is off"),
+        (ControlledRewrite((0,), [[1]], -2, [[0]]), "position -2 is off"),
+        (ControlledRewrite((0, 1), [[0, 1], [2, 0]], 3, [[1, 0, 2, 3]]),
+         "digit 2 out of range for 'P'"),
+        (ControlledRewrite((0,), [[-1]], 3, [[1, 0, 2, 3]]), "digit -1 out of range for 'P'"),
+        (ControlledRewrite((0,), [[1]], 1, [[1, 0, 2, 3]]), r"4-level images for targets of \[2\]"),
+        (ControlledRewrite((0,), [[1]], -1, [[1, 0]]), r"2-level images for targets of \[1\]"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            UnitaryOp(layout, "misfit", (table,))
+
+
+def test_a_built_table_owns_read_only_copies_of_its_arrays():
+    # Changing the caller's arrays after a build leaves the table as built.
+    when, image, phase = np.array([[1]]), np.array([[1, 0]]), np.array([[1.0, -1.0]])
+    table = ControlledRewrite((0,), when, 1, image, phase)
+    op = UnitaryOp(sg_layout(), "flip", (table,))
+    before = dense_matrix(op)
+    when[0, 0], image[0, 1], phase[0, 0] = 0, 1, 0.0
+    assert table.when.tolist() == [[1]]
+    assert table.image.tolist() == [[1, 0]]
+    assert table.phase.tolist() == [[1.0, -1.0]]
+    assert np.array_equal(dense_matrix(op), before)
+    # And the stored arrays cannot be written through.
+    for stored in (table.when, table.target, table.image, table.phase):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = stored[0]
 
 
 @given(
@@ -557,7 +597,7 @@ def test_stages_commute_with_untouched_registers():
 
 def test_every_stage_proves_unitary_on_an_uncapped_layout():
     # N=64 with photons and three observers: about 2^152 basis states, far
-    # past any dense view.  The proofs read only the tables.
+    # past any dense view.  Construction reads only the tables.
     n = 64
     registers = [("path", n, "particle-path")]
     registers += [(f"D{j + 1}", 2, "detector") for j in range(n)]
@@ -589,6 +629,7 @@ def test_every_stage_proves_unitary_on_an_uncapped_layout():
                     allow_mixed_message=negative_control,
                 )
             )
+    # Building each stage, and its adjoint, is the proof; every phase is
+    # exactly of modulus 1.
     for op in stages + [adjoint(op) for op in stages]:
-        result = verify_unitary(op)
-        assert result.passed and result.residual == 0.0, op.provenance
+        assert all((np.abs(stage.phase) == 1.0).all() for stage in op.stages), op.provenance

@@ -446,6 +446,21 @@ def test_protection_rejects_a_control_that_reads_version_one():
     assert no_signaling_check(spec, path_probe(1)).passed
 
 
+def test_a_probe_that_is_not_unitary_cannot_be_built():
+    # A probe on version 2 that zeroes its amplitude, or that merges every
+    # observer level into blank, touches no row of branch 1, so the
+    # protection lookup alone would let no_signaling_check pass it with
+    # residual 0.  Neither is unitary, and neither can be built.
+    layout = chain_layout(2, 2)
+    at = [i for i, r in enumerate(layout.registers) if r.role != "observer"]
+    recorded = layout.row(version_labels(layout, 1, detected=True))[at]
+    with pytest.raises(ValueError, match="modulus"):
+        ControlledRewrite(at, [recorded], -1, [[0]], [[0.0]])
+    merged = [np.zeros(observer_dimension(2), dtype=int)]
+    with pytest.raises(ValueError, match="not a permutation"):
+        ControlledRewrite(at, [recorded], layout.position("Obs1"), merged)
+
+
 def test_probes_act_on_exactly_one_version_configuration():
     layout = chain_layout(3, 2, photon_model=True)
     dims = [r.dimension for r in layout.registers]

@@ -256,11 +256,17 @@ def test_state_vector_length_must_match_layout():
 
 
 def test_density_matrix_validation():
-    good = DensityMatrix(2, np.diag([0.5, 0.5]).astype(complex))
-    good.validate()
+    # A density matrix is valid by construction, or not built, and stays
+    # valid: it keeps a read-only copy of the caller's entries.
+    entries = np.diag([0.5, 0.5]).astype(complex)
+    good = DensityMatrix(2, entries)
+    entries[0, 1] = 1.0
+    assert np.array_equal(good.entries, np.diag([0.5, 0.5]))
+    with pytest.raises(ValueError, match="read-only"):
+        good.entries[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(2, np.array([[0.5, 1.0], [0.0, 0.5]])).validate()
+        DensityMatrix(2, np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(2, np.diag([0.9, 0.5]).astype(complex)).validate()
+        DensityMatrix(2, np.diag([0.9, 0.5]).astype(complex))
     with pytest.raises(ValueError, match="eigenvalue"):
-        DensityMatrix(2, np.diag([1.5, -0.5]).astype(complex)).validate()
+        DensityMatrix(2, np.diag([1.5, -0.5]).astype(complex))
