@@ -300,8 +300,8 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     """Execute every run the config asks for and assemble the report.
 
     Every draw and angle shares the one memoized compiled chain; a rotation
-    sweep certifies each draw's unrotated run once and shares it across the
-    angles.  The chain is compiled first, so a chain over
+    sweep certifies each draw's unrotated run once and evaluates all its
+    angles in one call.  The chain is compiled first, so a chain over
     ``MAX_REGISTERS`` raises ``CapacityError`` before any coefficients are
     drawn.
     """
@@ -326,9 +326,7 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     for draw_index, spec in enumerate(specs):
         if config.experiment == "appendix_rotation":
             plain = plain_rotation_run(spec, config.checks)
-            for theta in config.thetas:
-                report = run_appendix_rotation(plain, theta)
-                runs.append((draw_index, report))
+            runs += [(draw_index, r) for r in run_appendix_rotation(plain, config.thetas)]
         else:
             runs.append((draw_index, run_measurement_chain(spec, config.checks)))
 

@@ -268,14 +268,15 @@ class RotatedRows:
         for name in ("rows", "kept", "members"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
-    def amplitudes(self, values: np.ndarray, c: float, s: float) -> np.ndarray:
-        """Amplitude part: rotate the amplitudes (rows of amplitudes, for a
-        matrix) on each plane by the angle of cosine ``c`` and sine ``s``;
-        a missing member has amplitude zero."""
-        padded = np.zeros((len(values) + 1,) + values.shape[1:], dtype=complex)
-        padded[:-1] = values
-        a, b = padded[self.members[:, 0]], padded[self.members[:, 1]]
-        return np.concatenate([values[self.kept], c * a - s * b, s * a + c * b])
+    def amplitudes(self, values: np.ndarray, c, s) -> np.ndarray:
+        """Amplitude part: rotate the amplitudes along the last axis of
+        ``values`` on each plane by the angle of cosine ``c`` and sine ``s``
+        (a missing member has amplitude zero).  All three broadcast: a column
+        of cosines and sines gives one row of amplitudes per angle."""
+        a, b = (np.where(at >= 0, values[..., at], 0) for at in self.members.T)
+        turned = (c * a - s * b, s * a + c * b)
+        kept = np.broadcast_to(values[..., self.kept], turned[0].shape[:-1] + self.kept.shape)
+        return np.concatenate([kept, *turned], axis=-1)
 
 
 def apply_unitary(op: UnitaryOp, x: StateVector) -> StateVector:

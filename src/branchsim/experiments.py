@@ -15,26 +15,27 @@ included; a control that could not fail is refused when the spec is built.
 The step operator is compiled once per chain configuration by the
 memoized ``compile_chain``: the layout, the record stages (detection, then
 photon emission) composed into one operator, every observer's perception
-stage built into another, their composition and the stock no-signaling
-probes, each stage a controlled-rewrite table that is unitary because it
-could be built (see ``dynamics``).  Every run, coefficient draw, rotation
-angle and check of one configuration shares that ``CompiledChain``.
+stage built into another, and the stock no-signaling probes, each stage a
+controlled-rewrite table that is unitary because it could be built (see
+``dynamics``).  Every run, coefficient draw, rotation angle and check of
+one configuration shares that ``CompiledChain``.
 
 Both experiments evolve and certify a spec through one path: the initial
 state goes through the record stages, then perception, the final state is
 decomposed by the first observer's record, and the state checks read the
 result, a ``CertifiedRun``.  The measurement chain adds the independence
-check, which reuses the final state, replays every standalone version
-through one application of the step and takes one linearity difference
-against their weighted sum, and the no-signaling probes, which reuse the
-post-detection state and take the final state as their baseline.
+check, which reuses the final state, replays every standalone version's
+rows through the record stages and then perception and takes one linearity
+difference against their weighted sum, and the no-signaling probes, which
+reuse the post-detection state and take the final state as their baseline.
 A rotation sweep certifies the unrotated run once per coefficient draw
-(``plain_rotation_run``); that run is the only input of each angle's
-``run_appendix_rotation(plain, theta)``.  Every state an angle touches has
-the same label rows at every angle, so the plain run also carries the label
-parts (see ``dynamics``) of the rotation and of perception on those rows,
-and where each check reads their amplitudes, computed once per draw; an
-angle computes only its amplitudes and reads them there.
+(``plain_rotation_run``); that run and the draw's angles are the only
+inputs of ``run_appendix_rotation(plain, thetas)``, one call per draw.
+Every state an angle touches has the same label rows at every angle, so the
+plain run also carries the label parts (see ``dynamics``) of the rotation
+and of perception on those rows, and where each check reads their
+amplitudes, computed once per draw; the call computes the amplitudes of
+every angle at once, one row per angle, and each check reads them there.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -51,7 +52,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,6 +94,7 @@ from .state import (
     superpose,
     union_rows,
     vector_norm,
+    vector_norms,
 )
 
 # The loosest tolerance a run accepts.  Weights are compared against the
@@ -154,6 +156,18 @@ class CheckResult:
     @classmethod
     def skip(cls, name: str, detail: str) -> "CheckResult":
         return cls(name, True, 0.0, 0.0, True, detail)
+
+    @cached_property
+    def entry(self) -> dict:
+        """The check's report entry, built once and shared by every report
+        that holds the check."""
+        return {
+            "name": self.name,
+            "status": "skip" if self.skipped else ("pass" if self.passed else "fail"),
+            "residual": self.residual,
+            "tolerance": self.tolerance,
+            "detail": self.detail,
+        }
 
 
 @dataclass(frozen=True)
@@ -230,7 +244,9 @@ class Branch:
 
 @dataclass
 class RunReport:
-    """Result of one run: branch table and check results."""
+    """Result of one run: branch table and check results.  ``draw`` holds
+    the report entries that only the spec, the final state and the branches
+    decide, built when not given; the runs of one draw share one."""
 
     experiment: str
     spec: ExperimentSpec
@@ -238,11 +254,35 @@ class RunReport:
     final_state: StateVector
     branches: list[Branch]
     checks: list[CheckResult]
+    draw: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         names = [c.name for c in self.checks]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate check names in report: {names}")
+        if self.draw is None:
+            # A report's branches are by the first observer's record.
+            dimension = observer_dimension(self.spec.n_versions)
+            values = self.final_state.values
+            self.draw = {
+                "n_versions": self.spec.n_versions,
+                "observers": self.spec.observers,
+                "photon_model": self.spec.photon_model,
+                "coefficients": [[c.real, c.imag] for c in self.spec.coefficients],
+                "final_state": {
+                    "dimension": self.final_state.layout.total_dimension,
+                    "norm": norm(self.final_state),
+                    "support": int(np.count_nonzero(np.abs(values) > self.spec.tolerance)),
+                },
+                "branches": [
+                    {
+                        "label": message_name(b.record_label, dimension),
+                        "weight": b.weight,
+                        "coefficient": [b.coefficient.real, b.coefficient.imag],
+                    }
+                    for b in self.branches
+                ],
+            }
 
     @property
     def all_passed(self) -> bool:
@@ -250,40 +290,13 @@ class RunReport:
 
     def to_dict(self) -> dict:
         """JSON-ready view; byte-identical across reruns of the same
-        configuration."""
-        values = self.final_state.values
-        # A report's branches are by the first observer's record.
-        dimension = observer_dimension(self.spec.n_versions)
+        configuration.  Other reports may share its containers: do not
+        change them."""
         return {
+            **self.draw,
             "experiment": self.experiment,
-            "n_versions": self.spec.n_versions,
-            "observers": self.spec.observers,
-            "photon_model": self.spec.photon_model,
-            "coefficients": [[c.real, c.imag] for c in self.spec.coefficients],
             "theta": self.theta,
-            "final_state": {
-                "dimension": self.final_state.layout.total_dimension,
-                "norm": norm(self.final_state),
-                "support": int(np.count_nonzero(np.abs(values) > self.spec.tolerance)),
-            },
-            "branches": [
-                {
-                    "label": message_name(b.record_label, dimension),
-                    "weight": b.weight,
-                    "coefficient": [b.coefficient.real, b.coefficient.imag],
-                }
-                for b in self.branches
-            ],
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": "skip" if c.skipped else ("pass" if c.passed else "fail"),
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.entry for c in self.checks],
         }
 
 
@@ -368,8 +381,8 @@ class CompiledChain:
 
     ``record`` is detection followed, with the photon model, by photon
     emission, composed into one operator; ``perception`` holds every
-    observer's perception stage in layout order; ``step`` is both, and
-    ``probes`` the stock no-signaling probes of version 2.  It depends only on
+    observer's perception stage in layout order, and ``probes`` the stock
+    no-signaling probes of version 2.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so runs
     that differ in coefficients, angle or checks share one (see
     ``compile_chain``).
@@ -382,7 +395,6 @@ class CompiledChain:
     layout: SubsystemLayout
     record: UnitaryOp
     perception: UnitaryOp
-    step: UnitaryOp
     probes: tuple[UnitaryOp, ...]
 
     def evolve(self, state: StateVector) -> tuple[StateVector, StateVector]:
@@ -442,8 +454,7 @@ def _build_chain(
     perception = UnitaryOp(layout, " . ".join(op.provenance for op in stages[::-1]), tables)
     probes = (phase_flip_perturbation(layout, 1), record_cycle_perturbation(layout, 1))
     return CompiledChain(
-        n_versions, observers, photon_model, negative_control, layout, record, perception,
-        compose(perception, record), probes,
+        n_versions, observers, photon_model, negative_control, layout, record, perception, probes
     )
 
 
@@ -481,7 +492,7 @@ def decompose_branches(
     require_unit(state.values, "decompose_branches")
     names = [record_register] if isinstance(record_register, str) else record_register
     record_at = [state.layout.position(n) for n in names]
-    return _branches(_sections(state.labels, record_at), state.values, tolerance)
+    return _branches(_sections(state.labels, record_at), state.values[None], tolerance)[0]
 
 
 def _sections(
@@ -501,28 +512,19 @@ def _branches(
     sections: Sequence[tuple[int | tuple[int, ...], np.ndarray]],
     values: np.ndarray,
     tolerance: float,
-) -> list[Branch]:
-    """The branches of the amplitudes ``values`` on ``sections``: those
-    whose coefficient survives pruning (``_branch_coefficient``)."""
-    branches = []
+) -> list[list[Branch]]:
+    """The branches on ``sections`` of each row of amplitudes, in flat-index
+    order, of the 2-D ``values``.  A section's coefficient is its norm with
+    the phase of its largest amplitude (the first of equal ones); a section
+    of weight ``||section||**2`` at most ``tolerance**2`` has no branch."""
+    per_row: list[list[Branch]] = [[] for _ in values]
     for label, rows in sections:
-        coefficient = _branch_coefficient(values[rows], tolerance)
-        if coefficient is not None:
-            branches.append(Branch(label, coefficient, rows))
-    return branches
-
-
-def _branch_coefficient(section: np.ndarray, tolerance: float) -> complex | None:
-    """The coefficient of the branch whose amplitudes are ``section``, in
-    flat-index order, or None when its weight ``||section||**2`` is at most
-    ``tolerance**2``: the section's norm, with the phase of its largest
-    amplitude (the first of equal ones).  The branch weight is its squared
-    modulus (``Branch.weight``)."""
-    section_norm = vector_norm(section)
-    if section_norm**2 <= tolerance**2:
-        return None
-    anchor = section[int(np.argmax(np.abs(section)))]
-    return complex(section_norm * anchor / abs(anchor))
+        section = values[:, rows]
+        anchors = section[np.arange(len(section)), np.argmax(np.abs(section), axis=1)]
+        for branches, section_norm, anchor in zip(per_row, vector_norms(section), anchors):
+            if section_norm**2 > tolerance**2:
+                branches.append(Branch(label, complex(section_norm * anchor / abs(anchor)), rows))
+    return per_row
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +578,8 @@ class CertifiedRun:
     The post-detection and final states, the branches by the first
     observer's record and the checks that read only those states.  A
     rotation sweep computes it once per coefficient draw with
-    ``plain_rotation_run``, which adds ``rotation``, and passes it to every
-    angle's ``run_appendix_rotation``.
+    ``plain_rotation_run``, which adds ``rotation``, and passes it with all
+    the draw's angles to one ``run_appendix_rotation`` call.
     """
 
     spec: ExperimentSpec
@@ -768,22 +770,22 @@ def _observer_columns(
     return [r.dimension for r in observers], labels[:, at]
 
 
-def _weight_where(values: np.ndarray, rows: np.ndarray) -> float:
-    """Summed squared moduli of ``values[rows]``, in the order ``rows`` lists
-    them (the sum's rounding depends on it)."""
-    return float(np.sum(np.abs(values[rows]) ** 2))
+def _weight_where(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Summed squared moduli of ``values[..., rows]`` along the last axis,
+    in the order ``rows`` lists them (the sum's rounding depends on it)."""
+    return np.sum(np.abs(values[..., rows]) ** 2, axis=-1)
 
 
 def mixed_record_weight(state: StateVector) -> float:
     """Total squared amplitude sitting on any observer's mixed level."""
     dims, levels = _observer_columns(state.layout, state.labels)
     mixed = [mixed_record_level(d) for d in dims]
-    return _weight_where(state.values, (levels == mixed).any(axis=1))
+    return float(_weight_where(state.values, (levels == mixed).any(axis=1)))
 
 
 def _non_message_weight(state: StateVector) -> float:
     """Weight on observer levels outside the plain messages 1..N."""
-    return _weight_where(state.values, _non_message_rows(state.layout, state.labels))
+    return float(_weight_where(state.values, _non_message_rows(state.layout, state.labels)))
 
 
 def _non_message_rows(layout: SubsystemLayout, labels: np.ndarray) -> np.ndarray:
@@ -798,7 +800,7 @@ def disagreement_weight(state: StateVector) -> float:
     _, levels = _observer_columns(state.layout, state.labels)
     if levels.shape[1] < 2:
         return 0.0
-    return _weight_where(state.values, (levels[:, 1:] != levels[:, :1]).any(axis=1))
+    return float(_weight_where(state.values, (levels[:, 1:] != levels[:, :1]).any(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -816,14 +818,15 @@ def coefficient_independence_check(
     The versions v_k are the armed single-path configurations, or
     ``version_states`` when given (they may be non-orthogonal, in which
     case record projection could not separate them).  Every version's rows
-    go through one application of the compiled step, giving its standalone
-    run s_k.  Version j's residual -- the full run less every other
-    version's weighted run, rescaled by ``1 / a_j``, against s_j -- is
-    ``||D|| / |a_j|`` for ``D = final - sum_k a_k s_k``, so the check
-    reports ``||D||`` over the smallest such ``|a_j|``.  ``final_state`` is
-    the full run's final state when the caller already has it.  Versions
-    with a coefficient of modulus at most the tolerance are skipped and
-    noted; with none left the residual is 0.
+    go through the compiled record stages and then perception, with no
+    state built in between, giving its standalone run s_k.  Version j's
+    residual -- the full run less every other version's weighted run,
+    rescaled by ``1 / a_j``, against s_j -- is ``||D|| / |a_j|`` for
+    ``D = final - sum_k a_k s_k``, so the check reports ``||D||`` over the
+    smallest such ``|a_j|``.  ``final_state`` is the full run's final state
+    when the caller already has it.  Versions with a coefficient of modulus
+    at most the tolerance are skipped and noted; with none left the
+    residual is 0.
     """
     chain = _compiled(spec)
     layout = chain.layout
@@ -844,9 +847,10 @@ def coefficient_independence_check(
             if version_states is None
             else superpose(list(zip(spec.coefficients, version_states)))
         )
-    moved = chain.step.relabel(labels)
+    recorded = chain.record.relabel(labels)
+    moved = chain.perception.relabel(recorded.rows)
     # a_k (U v_k); the state adds, in version order, the rows runs share.
-    weighted = np.repeat(spec.coefficients, sizes) * moved.amplitudes(values)
+    weighted = np.repeat(spec.coefficients, sizes) * moved.amplitudes(recorded.amplitudes(values))
     linear = StateVector(layout, moved.rows, weighted)
 
     live = [abs(a) for a in spec.coefficients if abs(a) > spec.tolerance]
@@ -1038,91 +1042,98 @@ def _flat_order(layout: SubsystemLayout, rows: np.ndarray) -> np.ndarray:
     return np.argsort(union_rows(rows)[1])
 
 
-def run_appendix_rotation(plain: CertifiedRun, theta: float) -> RunReport:
-    """Rerun perception in a deliberately mixed basis.
+def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[RunReport]:
+    """Rerun perception in a deliberately mixed basis, once per angle.
 
     Starts from the post-detection state, rotates the two-version plane by
-    ``theta``, and certifies that (a) the rotated amplitudes follow the
-    closed-form coefficient transform, (b) the rotated first basis vector
-    evolves into the expected two-message expansion, and (c) no observer
-    level outside the plain messages is ever populated -- the records are
-    properties of the state, not of the basis used to display it.
+    each angle of ``thetas``, and certifies that (a) the rotated amplitudes
+    follow the closed-form coefficient transform, (b) the rotated first
+    basis vector evolves into the expected two-message expansion, and (c)
+    no observer level outside the plain messages is ever populated -- the
+    records are properties of the state, not of the basis used to display
+    it.  Returns one ``RunReport`` per angle, in order.
 
     ``plain`` is ``plain_rotation_run`` of a spec and check list, and gives
     the spec, the enabled checks, the chain, the unrotated run and
-    everything the checks below look up (``RotationRows``); a sweep over
-    angles passes one per draw.  Per angle only the amplitudes are
-    computed -- the cosine and sine, the rotation's plane mixes of the first
-    basis vector, the post-detection and the final state, and perception's
-    phases on the rotated first vector -- and each check reads them at the
-    positions fixed per draw, in the order a state would store them: no
-    state is built and nothing is decomposed.  A non-finite ``theta``
-    raises ``ValueError``, and so does a rotated final state that is not a
-    unit state when ``record_invariance`` is enabled, as its decomposition
-    would.
+    everything the checks below look up (``RotationRows``); a sweep passes
+    one per draw with all its angles.  Only the amplitudes depend on the
+    angle: each angle's cosine and sine, and from them, one row per angle,
+    the rotation's plane mixes of the first basis vector, the
+    post-detection and the final state, and perception's phases on the
+    rotated first vector.  Each check reads those rows at the positions
+    fixed per draw, in the order a state would store them: no state is
+    built and nothing is decomposed.  A non-finite angle anywhere in
+    ``thetas`` raises ``ValueError`` before any check runs; so does a
+    rotated final state that is not a unit state, when ``record_invariance``
+    is enabled, as its decomposition would.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
     spec, enabled, rows = plain.spec, plain.enabled, plain.rotation
-    c, s = np.cos(theta), np.sin(theta)
+    # Columns of the scalar cosines and sines primed_coefficients takes: an
+    # array call may take another loop and round differently.
+    c = np.array([np.cos(theta) for theta in thetas]).reshape(-1, 1)
+    s = np.array([np.sin(theta) for theta in thetas]).reshape(-1, 1)
     primed_evolved = rows.perceived.amplitudes(rows.first.amplitudes(rows.basis.values, c, s))
+    per_angle = [list(plain.checks) for _ in thetas]
 
-    results = list(plain.checks)
     if "mixed_record" in enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
         # of it and the plain run, whose weight on the post-detection state
         # the plain verdict already holds.
-        weight = _weight_where(primed_evolved, rows.non_message)
-        primed = CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
-        at = [r.name for r in results].index("mixed_record")
-        results[at] = max(results[at], primed, key=lambda r: r.residual)
+        at = [r.name for r in plain.checks].index("mixed_record")
+        weights = _weight_where(primed_evolved, rows.non_message).tolist()
+        for results, weight in zip(per_angle, weights):
+            primed = CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
+            results[at] = max(results[at], primed, key=lambda r: r.residual)
 
     if "primed_coefficients" in enabled:
         turned = rows.post_detection.amplitudes(plain.post_detection.values, c, s)
-        computed = [turned[at] if at >= 0 else 0j for at in rows.versions]
-        formula = primed_coefficients(*spec.coefficients, theta)
-        residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
-        results.append(
-            CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
-        )
+        for results, theta, amplitudes in zip(per_angle, thetas, turned):
+            computed = [amplitudes[at] if at >= 0 else 0j for at in rows.versions]
+            formula = primed_coefficients(*spec.coefficients, theta)
+            residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
+            results.append(
+                CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
+            )
 
     if "primed_evolution" in enabled:
-        xs, ys = on_union(rows.joint_size, rows.joint, primed_evolved, (c, s))
-        results.append(
-            CheckResult.from_residual("primed_evolution", vector_norm(xs - ys), spec.tolerance)
-        )
+        # The perceived amplitudes less the target's (cos, sin), on the
+        # union of their rows.
+        perceived = len(rows.perceived.rows)
+        difference = np.zeros((len(thetas), rows.joint_size), dtype=complex)
+        difference[:, rows.joint[:perceived]] = primed_evolved
+        difference[:, rows.joint[perceived:]] -= np.hstack([c, s])
+        for results, residual in zip(per_angle, vector_norms(difference)):
+            results.append(CheckResult.from_residual("primed_evolution", residual, spec.tolerance))
 
     if "record_invariance" in enabled:
         final = rows.final.amplitudes(plain.final.values, c, s)
-        results.append(
-            _record_invariance(plain.branches, final, rows.sections, spec.tolerance)
-        )
+        require_unit(final, "record_invariance")
+        rotated = _branches(rows.sections, final, spec.tolerance)
+        for results, branches in zip(per_angle, rotated):
+            results.append(_record_invariance(plain.branches, branches, spec.tolerance))
 
-    return RunReport(
-        experiment="appendix_rotation",
-        spec=spec,
-        theta=theta,
-        final_state=plain.final,
-        branches=list(plain.branches),
-        checks=results,
-    )
+    reports: list[RunReport] = []
+    for theta, results in zip(thetas, per_angle):
+        draw = reports[0].draw if reports else None
+        reports.append(
+            RunReport(
+                "appendix_rotation", spec, theta, plain.final, [*plain.branches], results, draw
+            )
+        )
+    return reports
 
 
 def _record_invariance(
-    plain: Sequence[Branch],
-    rotated_final: np.ndarray,
-    sections: Sequence[tuple[int, np.ndarray]],
-    tolerance: float,
+    plain: Sequence[Branch], rotated: Sequence[Branch], tolerance: float
 ) -> CheckResult:
     """Same message table whether or not the state is re-expressed:
-    ``plain`` is the run's decomposition by the first observer's record,
-    ``rotated_final`` the amplitudes of the final state with the basis
-    rotation applied and ``sections`` its rows by first-observer level
-    (``RotationRows.sections``).  Each level's branch weight is the one its
-    decomposition would give."""
-    require_unit(rotated_final, "record_invariance")
+    ``plain`` is the run's decomposition by the first observer's record and
+    ``rotated`` that of the final state with the basis rotation applied;
+    the message sets and each message's branch weight must agree."""
     labels_plain = {b.record_label: b.weight for b in plain}
-    rotated = _branches(sections, rotated_final, tolerance)
     labels_rotated = {b.record_label: b.weight for b in rotated}
     if set(labels_plain) != set(labels_rotated):
         return CheckResult(

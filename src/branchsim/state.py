@@ -298,15 +298,21 @@ def vector_norm(values: np.ndarray) -> float:
     exactly (``math.fsum``), so the result does not depend on the order of
     the amplitudes or on zeros between them.
     """
-    real = math.fsum(np.square(values.real).tolist())
-    return math.sqrt(real + math.fsum(np.square(values.imag).tolist()))
+    return vector_norms(values[None])[0]
+
+
+def vector_norms(values: np.ndarray) -> list[float]:
+    """``vector_norm`` of each row of a 2-D array of amplitudes."""
+    real, imag = np.square(values.real).tolist(), np.square(values.imag).tolist()
+    return [math.sqrt(math.fsum(r) + math.fsum(i)) for r, i in zip(real, imag)]
 
 
 def require_unit(values: np.ndarray, caller: str) -> None:
-    """``ValueError`` unless the amplitudes ``values`` have norm 1 within 1e-9."""
-    total = vector_norm(values)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{caller} expects a unit state, norm is {total!r}")
+    """``ValueError`` unless the amplitudes ``values`` (each row of them, for
+    a 2-D array) have norm 1 within 1e-9."""
+    for total in vector_norms(np.atleast_2d(values)):
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"{caller} expects a unit state, norm is {total!r}")
 
 
 def normalize(x: StateVector) -> StateVector:

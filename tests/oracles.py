@@ -22,7 +22,8 @@ state's rows.
 (the library's label part, then its amplitude part at that angle), and
 ``reference_appendix_rotation`` evolves every state of one rotation angle
 afresh with ``rotate`` and ``apply_unitary``, the reference for the
-experiment's label parts shared across angles.  ``reference_report_json``
+experiment's label parts shared across angles and its amplitudes computed
+for a whole batch of angles at once.  ``reference_report_json``
 is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
 report writer.
 
@@ -167,8 +168,10 @@ def reference_branches(state, record_register, tolerance):
     registers, with their amplitudes divided by the coefficient.
 
     The rows are grouped by a dict of label tuples; a label is an int for
-    one record register and a tuple for several.  The coefficient and the
-    pruning are the library's (``experiments._branch_coefficient``).
+    one record register and a tuple for several.  Each section's
+    coefficient is its norm with the phase of its largest amplitude (the
+    first of equal ones), one section at a time, and a section of weight at
+    most ``tolerance**2`` is pruned.
     """
     layout = state.layout
     names = _record_names(record_register)
@@ -183,9 +186,11 @@ def reference_branches(state, record_register, tolerance):
     branches = []
     for record, rows in sorted(sections.items()):
         section = state.values[rows]
-        coefficient = experiments._branch_coefficient(section, tolerance)
-        if coefficient is None:
+        section_norm = vector_norm(section)
+        if section_norm**2 <= tolerance**2:
             continue
+        anchor = section[int(np.argmax(np.abs(section)))]
+        coefficient = complex(section_norm * anchor / abs(anchor))
         relative = StateVector(
             relative_layout, state.labels[rows][:, relative_at], section / coefficient
         )
@@ -306,13 +311,13 @@ def dense_matrix(op, theta=None):
         )
     matrix = np.zeros((dimension, dimension), dtype=complex)
     if isinstance(op, PairedRotation):
-        # Row i of the identity is basis state i's amplitudes, so the rotated
-        # rows are the rows of the matrix.
+        # Row i of the identity is basis state i's amplitudes, so row i of
+        # the rotated rows is the matrix's column i.
         turn = op.relabel(basis_labels(op.layout))
         identity_rows = np.eye(dimension, dtype=complex)
         matrix[flat_indices(op.layout, turn.rows)] = turn.amplitudes(
             identity_rows, np.cos(theta), np.sin(theta)
-        )
+        ).T
     else:
         image, phases = permutation_view(op)
         matrix[image, np.arange(dimension)] = phases
@@ -576,9 +581,10 @@ def reference_appendix_rotation(plain, theta):
     through perception; the rotated half of ``mixed_record`` runs the state
     check on the post-detection state and the perceived rotated vector, and
     ``record_invariance`` decomposes the rotated final state.  The library
-    runs the label parts of those applications once per draw, builds no
-    state per angle and decomposes nothing, so its reports must equal
-    these bit for bit.
+    runs the label parts of those applications once per draw, computes the
+    amplitudes of a whole batch of angles at once, builds no state per
+    angle and decomposes nothing, so each of its reports must equal these
+    bit for bit.
     """
     spec, enabled, chain = plain.spec, plain.enabled, plain.chain
     layout = chain.layout

@@ -124,8 +124,7 @@ def test_criterion_4_rotated_basis_and_negative_control(tmp_path):
     wanted = ("primed_coefficients", "primed_evolution", "mixed_record")
     for coefficients in pairs:
         plain = plain_rotation_run(ExperimentSpec(2, coefficients), wanted)
-        for theta in thetas:
-            report = run_appendix_rotation(plain, theta)
+        for report in run_appendix_rotation(plain, thetas):
             worst_a = max(worst_a, check(report, "primed_coefficients").residual)
             worst_b = max(worst_b, check(report, "primed_evolution").residual)
             worst_c = max(worst_c, check(report, "mixed_record").residual)

@@ -12,6 +12,7 @@ from branchsim import (
     chain_layout,
     coefficient_independence_check,
     compile_chain,
+    compose,
     mixed_record_level,
     no_signaling_check,
     observer_dimension,
@@ -62,7 +63,7 @@ def test_compiled_step_matches_the_dense_oracle(n, observers, photon_model, nega
     chain = compile_chain(n, observers, photon_model, negative_control)
     names, configs, condition = oracle_rules(chain)
     oracle = naive_chain_matrix(chain.layout, names, configs, condition, photon_model)
-    assert np.array_equal(dense_matrix(chain.step), oracle)
+    assert np.array_equal(dense_matrix(compose(chain.perception, chain.record)), oracle)
 
 
 @pytest.mark.parametrize("negative_control", [False, True])
@@ -74,7 +75,7 @@ def test_single_basis_state_replay_matches_the_oracle(
     layout = chain.layout
     names, configs, condition = oracle_rules(chain)
     starts = np.array([layout.row(version_labels(layout, j, detected=False)) for j in range(n)])
-    moved = chain.step.relabel(starts)
+    moved = compose(chain.perception, chain.record).relabel(starts)
     phases = moved.amplitudes(np.ones(n, dtype=complex))
     for start, end, phase in zip(starts, moved.rows, phases):
         psi = dense_amplitudes(StateVector(layout, start[None, :], [1.0]))

@@ -37,6 +37,7 @@ from branchsim import (
     superpose,
     UnitaryOp,
     apply_unitary,
+    compose,
 )
 from branchsim import experiments
 from branchsim.state import aligned, vector_norm
@@ -301,6 +302,7 @@ def test_coefficient_independence_matches_the_loop_oracle_bit_for_bit():
         spec = ExperimentSpec(n, tuple(raw / np.linalg.norm(raw)))
         smallest = min(abs(a) for a in spec.coefficients if abs(a) > spec.tolerance)
         chain = compile_chain(n)
+        step = compose(chain.perception, chain.record)
         armed = [
             product_state(chain.layout, version_labels(chain.layout, j, detected=False))
             for j in range(n)
@@ -320,7 +322,7 @@ def test_coefficient_independence_matches_the_loop_oracle_bit_for_bit():
             replace(spec, coefficients=spec.coefficients[::-1]), checks=()
         )
         for versions in (armed, mixed):
-            singles = [apply_unitary(chain.step, v) for v in versions]
+            singles = [apply_unitary(step, v) for v in versions]
             _, full = chain.evolve(superpose(list(zip(spec.coefficients, versions))))
             for final in (full, other.final_state):
                 _, (whole, *on_support) = aligned(final, *singles)
@@ -542,7 +544,7 @@ def test_agreement_three_observers_three_versions():
 
 def test_rotation_at_zero_reduces_to_plain_perception():
     spec = ExperimentSpec(2, (0.6, 0.8))
-    report = run_appendix_rotation(plain_rotation_run(spec), 0.0)
+    (report,) = run_appendix_rotation(plain_rotation_run(spec), [0.0])
     assert report.all_passed
     target = expected_final_state(report.final_state.layout, spec.coefficients)
     assert np.linalg.norm(dense_amplitudes(report.final_state) - dense_amplitudes(target)) <= 1e-12
@@ -552,14 +554,15 @@ def test_primed_coefficients_at_quarter_turn():
     b1, b2 = primed_coefficients(1.0, 0.0, np.pi / 4)
     assert abs(b1 - 0.7071067811865476) <= 1e-12
     assert abs(b2 - 0.7071067811865476) <= 1e-12
-    report = run_appendix_rotation(plain_rotation_run(ExperimentSpec(2, (1.0, 0.0))), np.pi / 4)
+    plain = plain_rotation_run(ExperimentSpec(2, (1.0, 0.0)))
+    (report,) = run_appendix_rotation(plain, [np.pi / 4])
     assert check_by_name(report, "primed_coefficients").passed
 
 
 def test_theta_sweep_never_populates_the_mixed_level():
     plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8)))
-    for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
-        report = run_appendix_rotation(plain, float(theta))
+    thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False).tolist()
+    for report in run_appendix_rotation(plain, thetas):
         assert report.all_passed
         assert check_by_name(report, "mixed_record").residual <= 1e-24
 
@@ -574,10 +577,14 @@ def test_rotation_sweep_matches_one_angle_calls(negative_control):
         2, (0.6, 0.8j), observers=2, photon_model=True, negative_control=negative_control
     )
     plain = plain_rotation_run(spec)
-    for theta in [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]:
-        swept = run_appendix_rotation(plain, theta)
-        alone = run_appendix_rotation(plain_rotation_run(spec), theta)
-        assert swept.to_dict() == alone.to_dict()
+    thetas = [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]
+    swept = run_appendix_rotation(plain, thetas)
+    assert [report.theta for report in swept] == thetas
+    for theta, report in zip(thetas, swept):
+        (alone,) = run_appendix_rotation(plain_rotation_run(spec), [theta])
+        assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
+        reference = reference_appendix_rotation(plain, theta).to_dict()
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
 ORACLE_ANGLES = [0.0, math.pi / 2, math.pi, -0.4, 1e6] + [
@@ -597,8 +604,10 @@ def test_rotation_reports_match_the_per_angle_reference(observers, photon_model,
             2, coefficients, observers, photon_model, negative_control=negative_control
         )
         plain = plain_rotation_run(spec)
-        for theta in ORACLE_ANGLES:
-            fast = json.dumps(run_appendix_rotation(plain, theta).to_dict(), sort_keys=True)
+        reports = run_appendix_rotation(plain, ORACLE_ANGLES)
+        assert len(reports) == len(ORACLE_ANGLES)
+        for theta, report in zip(ORACLE_ANGLES, reports):
+            fast = json.dumps(report.to_dict(), sort_keys=True)
             reference = reference_appendix_rotation(plain, theta).to_dict()
             assert fast == json.dumps(reference, sort_keys=True)
 
@@ -609,9 +618,11 @@ def test_rotation_refuses_a_final_state_that_is_not_a_unit_state():
     plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8), observers=2, photon_model=True))
     final = plain.final
     scaled = replace(plain, final=StateVector(final.layout, final.labels, 1.1 * final.values))
-    for run in (run_appendix_rotation, reference_appendix_rotation):
+    with pytest.raises(ValueError, match="unit state"):
+        reference_appendix_rotation(scaled, 0.7)
+    for thetas in ([0.7], [0.0, 0.7, -2.3]):
         with pytest.raises(ValueError, match="unit state"):
-            run(scaled, 0.7)
+            run_appendix_rotation(scaled, thetas)
 
 
 @pytest.mark.parametrize("photon_model", [False, True])
@@ -623,8 +634,7 @@ def test_negative_control_fails_primed_evolution_by_root_two_cos(observers, phot
     plain = plain_rotation_run(spec)
     always = {"structure", "born_weights", "mixed_record"}
     passing_angles = []
-    for theta in ORACLE_ANGLES:
-        report = run_appendix_rotation(plain, theta)
+    for theta, report in zip(ORACLE_ANGLES, run_appendix_rotation(plain, ORACLE_ANGLES)):
         expected = math.sqrt(2) * abs(math.cos(theta))
         evolution = check_by_name(report, "primed_evolution")
         assert evolution.residual == pytest.approx(expected, rel=0, abs=1e-15)
@@ -656,19 +666,31 @@ def test_negative_control_residual_is_the_worse_half_at_every_angle():
     # |a1|^2 = 0.36 there, and the perceived rotated first vector cos^2.
     spec = ExperimentSpec(2, (0.6, 0.8), observers=3, photon_model=True, negative_control=True)
     plain = plain_rotation_run(spec)
-    for theta in np.linspace(-np.pi, np.pi, 97):
-        result = check_by_name(run_appendix_rotation(plain, float(theta)), "mixed_record")
+    thetas = np.linspace(-np.pi, np.pi, 97).tolist()
+    for theta, report in zip(thetas, run_appendix_rotation(plain, thetas)):
+        result = check_by_name(report, "mixed_record")
         assert not result.passed
         assert result.residual == pytest.approx(max(0.36, np.cos(theta) ** 2), rel=1e-15)
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
-def test_rotation_refuses_a_non_finite_angle(theta):
+def test_rotation_refuses_a_non_finite_angle(theta, monkeypatch):
     # At NaN every residual of the rotated half is NaN, which no comparison
-    # with the plain half's would ever pick.
+    # with the plain half's would ever pick.  One such angle anywhere in the
+    # batch refuses the whole batch before any report is built.
     plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8)))
-    with pytest.raises(ValueError, match="finite"):
-        run_appendix_rotation(plain, theta)
+    built = []
+    monkeypatch.setattr(experiments, "RunReport", lambda *args: built.append(args))
+    for thetas in ([theta], [theta, 0.7], [0.0, theta, 1.2], [0.3, -0.4, theta]):
+        with pytest.raises(ValueError, match=f"finite, got {theta!r}"):
+            run_appendix_rotation(plain, thetas)
+    assert built == []
+
+
+def test_rotation_of_no_angles_is_no_report():
+    for negative_control in (False, True):
+        spec = ExperimentSpec(2, (0.6, 0.8), 2, True, negative_control=negative_control)
+        assert run_appendix_rotation(plain_rotation_run(spec), []) == []
 
 
 def test_appendix_rejects_more_than_two_versions():
@@ -691,7 +713,7 @@ def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
     try:
         spec = ExperimentSpec(2, (0.6, 0.8))
         chain_run = run_measurement_chain(spec)
-        rotation = run_appendix_rotation(plain_rotation_run(spec), 0.7)
+        (rotation,) = run_appendix_rotation(plain_rotation_run(spec), [0.7])
     finally:
         compile_chain.cache_clear()
     assert not check_by_name(chain_run, "structure").passed
@@ -813,13 +835,13 @@ def test_crossed_messages_of_one_observer_fail_observer_agreement(monkeypatch, n
 
 def test_appendix_negative_control_fails_mixed_record():
     spec = ExperimentSpec(2, (0.6, 0.8), negative_control=True)
-    report = run_appendix_rotation(plain_rotation_run(spec), 0.7)
+    (report,) = run_appendix_rotation(plain_rotation_run(spec), [0.7])
     assert not check_by_name(report, "mixed_record").passed
     assert not report.all_passed
 
 
 def test_record_invariance_check_present_and_passing():
-    report = run_appendix_rotation(plain_rotation_run(ExperimentSpec(2, (0.6, 0.8))), 1.2)
+    (report,) = run_appendix_rotation(plain_rotation_run(ExperimentSpec(2, (0.6, 0.8))), [1.2])
     invariance = check_by_name(report, "record_invariance")
     assert invariance.passed and invariance.residual <= 1e-12
 

@@ -15,7 +15,9 @@ set of amplitudes and any rotation angle, the states ``apply_unitary`` (or,
 for the rotation, the oracle's ``rotate``) gives, bit for bit, and the
 branches, with and without copied rows relabelled at the record so that
 branches share relative rows, must equal the relative-state oracle bit for
-bit.  The table-proof property draws
+bit.  A rotation sweep's batch of angles, drawn with signed zeros,
+subnormals, multiples of pi/2 and angles up to 1e6, must give each angle
+the per-angle oracle's report, byte for byte.  The table-proof property draws
 the arguments of small controlled-rewrite tables, sound or broken in one
 way, and requires construction to succeed exactly when a loop-built dense
 matrix is unitary.  The report writer is
@@ -25,6 +27,7 @@ compared with the stdlib's ``indent=2`` encoder on random JSON trees.
 import contextlib
 import io
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -56,8 +59,10 @@ from branchsim import (
     normalize,
     observer_dimension,
     phase_flip_perturbation,
+    plain_rotation_run,
     record_cycle_perturbation,
     reduced_density_matrix,
+    run_appendix_rotation,
     run_measurement_chain,
     standard_classical_configs,
 )
@@ -76,6 +81,7 @@ from oracles import (
     reconstruct_branches,
     reference_branches,
     reference_overlap,
+    reference_appendix_rotation,
     reference_report_json,
     rotate,
     unitarity_residual,
@@ -226,7 +232,7 @@ def chain_operators(chain):
         )
         operators.append((stage, naive_perception_matrix(layout, name, rules, condition)))
     operators += [
-        (chain.step, None),
+        (compose(chain.perception, chain.record), None),
         (phase_flip_perturbation(layout, 1), None),
         (record_cycle_perturbation(layout, 1), None),
         (level_cycle(layout, observers[-1]), None),
@@ -390,6 +396,29 @@ def test_branches_are_the_relative_state_oracle_bit_for_bit(drawn, data, toleran
                 assert (x.values[b.rows] / b.coefficient).tobytes() == relative.values.tobytes()
             residual = experiments._max_pairwise_overlap(x, at, branches)
             assert residual == reference_overlap([r for _, _, r in reference])
+
+
+angles = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([0.0, -0.0, 1e6, -1e6, 5e-324, -5e-324, 1e-310, -2.2e-308]),
+    st.integers(min_value=-9, max_value=9).map(lambda k: k * math.pi / 2),
+)
+
+
+@given(specs(max_versions=2), st.booleans(), st.lists(angles, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_a_batch_of_angles_is_the_per_angle_oracle_byte_for_byte(spec, control, thetas):
+    # The batch computes every angle's amplitudes as one row of an array;
+    # the oracle builds each angle's states alone.  JSON tells signed zeros
+    # apart.
+    if control and abs(spec.coefficients[0]) > spec.tolerance:
+        spec = replace(spec, negative_control=True)
+    plain = plain_rotation_run(spec)
+    reports = run_appendix_rotation(plain, thetas)
+    assert len(reports) == len(thetas)
+    for theta, report in zip(thetas, reports):
+        reference = reference_appendix_rotation(plain, theta).to_dict()
+        assert json.dumps(report.to_dict()) == json.dumps(reference)
 
 
 @given(sparse_states())
