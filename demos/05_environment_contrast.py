@@ -20,7 +20,7 @@ from branchsim import (
 )
 
 spec = ExperimentSpec(2, (0.6, 0.8))
-report = run_measurement_chain(spec, checks=())
+report = run_measurement_chain(spec, checks=["structure"])
 final = report.final_state
 
 rho = reduced_density_matrix(final, ["Obs1"])

@@ -242,8 +242,8 @@ def _parse_checks(raw: dict, config: ConfigFile) -> None:
     if "checks" not in raw:
         return
     value = raw["checks"]
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ConfigError("checks: expected a list of check names")
+    if not isinstance(value, list) or not value or not all(isinstance(x, str) for x in value):
+        raise ConfigError("checks: expected a non-empty list of check names")
     config.checks = list(value)
 
 
@@ -508,6 +508,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             config.output_path = args.out
         _cross_validate(config)
+        blind = config.checks is not None and "mixed_record" not in config.checks
+        if args.negative_control and blind:
+            raise ConfigError("--negative-control needs the mixed_record check, which it must fail")
         exit_code, report = run_and_report(config, negative_control=args.negative_control)
         write_report(report, config.output_path, config.output_format)
         return exit_code

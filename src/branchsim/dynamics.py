@@ -16,8 +16,9 @@ and, per row, what its amplitude needs -- the phase picked up at each stage
 of a permutation (``PermutedRows``), or the plane a rotated row shares with
 its partner (``RotatedRows``).  The amplitude part (``amplitudes``)
 multiplies by those phases in stage order, or mixes each plane in closed
-form.  ``apply_unitary`` runs both; a caller that applies one operator to
-the same rows with many amplitudes or angles runs the label part once.
+form, along the last axis of the amplitudes.  ``apply_unitary`` runs both,
+so one label part moves every row of a batched state (see ``StateVector``),
+and one plane turns a state by many angles at once.
 
 A table is unitary when its control positions are distinct and exclude
 the target, its ``when`` rows are distinct and in range, every image is a

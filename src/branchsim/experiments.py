@@ -31,11 +31,9 @@ reuse the post-detection state and take the final state as their baseline.
 A rotation sweep certifies the unrotated run once per coefficient draw
 (``plain_rotation_run``); that run and the draw's angles are the only
 inputs of ``run_appendix_rotation(plain, thetas)``, one call per draw.
-Every state an angle touches has the same label rows at every angle, so the
-plain run also carries the label parts (see ``dynamics``) of the rotation
-and of perception on those rows, and where each check reads their
-amplitudes, computed once per draw; the call computes the amplitudes of
-every angle at once, one row per angle, and each check reads them there.
+Every state an angle touches has the same label rows at every angle, so
+the call builds each rotated state once, as a batched state with one row
+of amplitudes per angle, and certifies it with the chain's own state code.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -59,8 +57,6 @@ import numpy as np
 from . import analysis
 from .dynamics import (
     ControlledRewrite,
-    PermutedRows,
-    RotatedRows,
     UnitaryOp,
     apply_unitary,
     build_basis_rotation,
@@ -531,46 +527,6 @@ def _branches(
 # The main experiment
 
 
-@dataclass(frozen=True, eq=False)
-class RotationRows:
-    """What every angle of one draw reads, the same at every angle.
-
-    ``basis`` is the first version's basis vector.  ``first``,
-    ``post_detection`` and ``final`` are the rotation's label parts on the
-    rows of ``basis`` and of the plain run's two states, and ``perceived``
-    is perception's label part on the rows of ``first``.  The other fields
-    say where each check reads the amplitudes those label parts give, as
-    positions among their rows; a list of positions comes in the rows'
-    flat-index order, the order a state on them stores them in, since a sum
-    over them rounds by that order:
-
-    - ``non_message``: the perceived rows that put an observer outside the
-      plain messages (``mixed_record``);
-    - ``versions``: the two recorded version rows (observers blank, as after
-      detection) among the rotated post-detection rows, -1 for a missing
-      one (``primed_coefficients``);
-    - ``joint``: the positions of the perceived rows, then of the two rows
-      of the ``primed_evolution`` target in version order, in the union of
-      both (``joint_size`` rows);
-    - ``sections``: each first-observer level of the rotated final rows, in
-      increasing order, with the rows that read it (``record_invariance``).
-
-    Every row was checked once, as a state's rows are; the arrays are
-    read-only.
-    """
-
-    basis: StateVector
-    first: RotatedRows
-    perceived: PermutedRows
-    non_message: np.ndarray
-    joint: np.ndarray
-    joint_size: int
-    post_detection: RotatedRows
-    versions: np.ndarray
-    final: RotatedRows
-    sections: tuple[tuple[int, np.ndarray], ...]
-
-
 @dataclass(frozen=True)
 class CertifiedRun:
     """One evolved and certified run of a spec.
@@ -578,8 +534,8 @@ class CertifiedRun:
     The post-detection and final states, the branches by the first
     observer's record and the checks that read only those states.  A
     rotation sweep computes it once per coefficient draw with
-    ``plain_rotation_run``, which adds ``rotation``, and passes it with all
-    the draw's angles to one ``run_appendix_rotation`` call.
+    ``plain_rotation_run`` and passes it with all the draw's angles to one
+    ``run_appendix_rotation`` call.
     """
 
     spec: ExperimentSpec
@@ -589,7 +545,6 @@ class CertifiedRun:
     final: StateVector
     branches: tuple[Branch, ...]
     checks: tuple[CheckResult, ...]
-    rotation: RotationRows | None = None
 
 
 def _certified_run(
@@ -614,7 +569,7 @@ def run_measurement_chain(
     """Run detection then perception and certify the branch structure.
 
     ``checks`` selects by name from ``CHAIN_CHECKS``; None runs all of
-    them.
+    them, and an empty selection raises ``ValueError``.
     """
     run = _certified_run(spec, checks, CHAIN_CHECKS)
     results = list(run.checks)
@@ -639,6 +594,8 @@ def _select_checks(requested: Sequence[str] | None, available: Sequence[str]) ->
     unknown = set(requested) - set(available)
     if unknown:
         raise ValueError(f"unknown checks {sorted(unknown)}; available: {list(available)}")
+    if not requested:
+        raise ValueError("an empty check selection certifies nothing")
     return [name for name in available if name in set(requested)]
 
 
@@ -755,10 +712,11 @@ def _born_weight_drift(
     return drift
 
 
-def _distance(x: StateVector, y: StateVector) -> float:
-    """Euclidean distance between two states, over their joint support."""
+def _distance(x: StateVector, y: StateVector) -> float | list[float]:
+    """Euclidean distance between two states, over their joint support; for
+    batched states, one per row of amplitudes."""
     _, (xs, ys) = aligned(x, y)
-    return vector_norm(xs - ys)
+    return vector_norm(xs - ys) if xs.ndim == 1 else vector_norms(xs - ys)
 
 
 def _observer_columns(
@@ -991,55 +949,10 @@ def primed_coefficients(a1: complex, a2: complex, theta: float) -> tuple[complex
 def plain_rotation_run(
     spec: ExperimentSpec, checks: Sequence[str] | None = None
 ) -> CertifiedRun:
-    """Evolve and certify the unrotated run of the rotation experiment.
-
-    The run also carries, as ``rotation``, everything an angle's checks look
-    up (see ``RotationRows``): the version rows and their rotation plane,
-    checked once here, the label parts of each state an angle rotates or
-    perceives, and where each check reads their amplitudes.
-    """
+    """Evolve and certify the unrotated run of the rotation experiment."""
     if spec.n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
-    run = _certified_run(spec, checks, APPENDIX_CHECKS)
-    layout, perception = run.chain.layout, run.chain.perception
-    versions = _version_rows(layout, [0, 1], detected=True)
-    rotation = build_basis_rotation(layout, *versions)
-    basis = product_state(layout, versions[0].tolist())
-    first = rotation.relabel(basis.labels)
-    # Perception rewrites only observer levels, and only within range, so
-    # checking its rows checks the rotated first vector's too.
-    perceived = perception.relabel(first.rows)
-    post_detection = rotation.relabel(run.post_detection.labels)
-    final = rotation.relabel(run.final.labels)
-
-    perceived_order = _flat_order(layout, perceived.rows)
-    non_message = _non_message_rows(layout, perceived.rows[perceived_order])
-    union, joint = union_rows(np.concatenate([perceived.rows, _expected_rows(layout, 2)]))
-    post_order = _flat_order(layout, post_detection.rows)
-    stored = post_detection.rows[post_order]
-    hits = [np.flatnonzero((stored == row).all(axis=1)) for row in versions]
-    final_order = _flat_order(layout, final.rows)
-    sections = _sections(final.rows[final_order], [layout.position("Obs1")])
-    rows = RotationRows(
-        basis=basis,
-        first=first,
-        perceived=perceived,
-        non_message=read_only(perceived_order[non_message]),
-        joint=read_only(joint),
-        joint_size=len(union),
-        post_detection=post_detection,
-        versions=read_only(np.array([post_order[hit[0]] if hit.size else -1 for hit in hits])),
-        final=final,
-        sections=tuple((record, read_only(final_order[at])) for record, at in sections),
-    )
-    return replace(run, rotation=rows)
-
-
-def _flat_order(layout: SubsystemLayout, rows: np.ndarray) -> np.ndarray:
-    """The order in which a state on the distinct label rows ``rows``
-    stores them, flat-index order, after checking them as a state's rows."""
-    StateVector(layout, rows, np.zeros(len(rows)))
-    return np.argsort(union_rows(rows)[1])
+    return _certified_run(spec, checks, APPENDIX_CHECKS)
 
 
 def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[RunReport]:
@@ -1054,28 +967,33 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
     it.  Returns one ``RunReport`` per angle, in order.
 
     ``plain`` is ``plain_rotation_run`` of a spec and check list, and gives
-    the spec, the enabled checks, the chain, the unrotated run and
-    everything the checks below look up (``RotationRows``); a sweep passes
-    one per draw with all its angles.  Only the amplitudes depend on the
-    angle: each angle's cosine and sine, and from them, one row per angle,
-    the rotation's plane mixes of the first basis vector, the
-    post-detection and the final state, and perception's phases on the
-    rotated first vector.  Each check reads those rows at the positions
-    fixed per draw, in the order a state would store them: no state is
-    built and nothing is decomposed.  A non-finite angle anywhere in
-    ``thetas`` raises ``ValueError`` before any check runs; so does a
-    rotated final state that is not a unit state, when ``record_invariance``
-    is enabled, as its decomposition would.
+    the spec, the enabled checks, the chain and the unrotated run; a sweep
+    passes one per draw with all its angles.  The plane is built once per
+    call, and every rotated state is a batched state (see ``StateVector``)
+    with one row of amplitudes per angle, so the checks run the chain's own
+    state code on all the angles at once and each angle's report is the
+    one it gets alone.  A non-finite angle anywhere in ``thetas`` raises
+    ``ValueError`` before any check runs; so does a rotated final state
+    that is not a unit state, when ``record_invariance`` is enabled, as its
+    decomposition would.
     """
     for theta in thetas:
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta!r}")
-    spec, enabled, rows = plain.spec, plain.enabled, plain.rotation
+    spec, enabled, layout = plain.spec, plain.enabled, plain.chain.layout
     # Columns of the scalar cosines and sines primed_coefficients takes: an
     # array call may take another loop and round differently.
     c = np.array([np.cos(theta) for theta in thetas]).reshape(-1, 1)
     s = np.array([np.sin(theta) for theta in thetas]).reshape(-1, 1)
-    primed_evolved = rows.perceived.amplitudes(rows.first.amplitudes(rows.basis.values, c, s))
+    versions = _version_rows(layout, [0, 1], detected=True)
+    plane = build_basis_rotation(layout, *versions)
+
+    def turned(state: StateVector) -> StateVector:
+        moved = plane.relabel(state.labels)
+        return StateVector(layout, moved.rows, moved.amplitudes(state.values, c, s))
+
+    basis = product_state(layout, versions[0].tolist())
+    primed_evolved = apply_unitary(plain.chain.perception, turned(basis))
     per_angle = [list(plain.checks) for _ in thetas]
 
     if "mixed_record" in enabled:
@@ -1083,15 +1001,17 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
         # of it and the plain run, whose weight on the post-detection state
         # the plain verdict already holds.
         at = [r.name for r in plain.checks].index("mixed_record")
-        weights = _weight_where(primed_evolved, rows.non_message).tolist()
+        non_message = _non_message_rows(layout, primed_evolved.labels)
+        weights = _weight_where(primed_evolved.values, non_message).tolist()
         for results, weight in zip(per_angle, weights):
             primed = CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
             results[at] = max(results[at], primed, key=lambda r: r.residual)
 
     if "primed_coefficients" in enabled:
-        turned = rows.post_detection.amplitudes(plain.post_detection.values, c, s)
-        for results, theta, amplitudes in zip(per_angle, thetas, turned):
-            computed = [amplitudes[at] if at >= 0 else 0j for at in rows.versions]
+        rotated = turned(plain.post_detection)
+        hits = [(rotated.labels == row).all(axis=1) for row in versions]
+        for results, theta, amplitudes in zip(per_angle, thetas, rotated.values):
+            computed = [amplitudes[hit][0] if hit.any() else 0j for hit in hits]
             formula = primed_coefficients(*spec.coefficients, theta)
             residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
             results.append(
@@ -1099,20 +1019,15 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
             )
 
     if "primed_evolution" in enabled:
-        # The perceived amplitudes less the target's (cos, sin), on the
-        # union of their rows.
-        perceived = len(rows.perceived.rows)
-        difference = np.zeros((len(thetas), rows.joint_size), dtype=complex)
-        difference[:, rows.joint[:perceived]] = primed_evolved
-        difference[:, rows.joint[perceived:]] -= np.hstack([c, s])
-        for results, residual in zip(per_angle, vector_norms(difference)):
+        target = StateVector(layout, _expected_rows(layout, 2), np.hstack([c, s]))
+        for results, residual in zip(per_angle, _distance(primed_evolved, target)):
             results.append(CheckResult.from_residual("primed_evolution", residual, spec.tolerance))
 
     if "record_invariance" in enabled:
-        final = rows.final.amplitudes(plain.final.values, c, s)
-        require_unit(final, "record_invariance")
-        rotated = _branches(rows.sections, final, spec.tolerance)
-        for results, branches in zip(per_angle, rotated):
+        final = turned(plain.final)
+        require_unit(final.values, "record_invariance")
+        sections = _sections(final.labels, [layout.position("Obs1")])
+        for results, branches in zip(per_angle, _branches(sections, final.values, spec.tolerance)):
             results.append(_record_invariance(plain.branches, branches, spec.tolerance))
 
     reports: list[RunReport] = []

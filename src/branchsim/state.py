@@ -184,8 +184,11 @@ class StateVector:
     """A state stored as its support: label rows and their amplitudes.
 
     ``labels`` is a (k x registers) integer array and ``values`` the k
-    amplitudes.  Construction puts the rows in flat-index order and adds the
-    amplitudes of repeated rows, so equal states have equal arrays.  Treat
+    amplitudes, or a batch of states on those rows: one row of k amplitudes
+    per member, shape (members x k).  Construction puts the rows in
+    flat-index order and adds the amplitudes of repeated rows, along the
+    last axis of ``values``, so equal states have equal arrays and each
+    member of a batch equals the one-row state built from it.  Treat
     instances as immutable: every operation returns a fresh state.
     """
 
@@ -197,7 +200,8 @@ class StateVector:
         labels = np.asarray(self.labels, dtype=np.int64)
         values = np.asarray(self.values, dtype=complex)
         registers = len(self.layout.registers)
-        if labels.ndim != 2 or labels.shape[1] != registers or values.shape != labels.shape[:1]:
+        shaped = labels.ndim == 2 and labels.shape[1] == registers and values.ndim in (1, 2)
+        if not shaped or values.shape[-1:] != labels.shape[:1]:
             raise ValueError(
                 f"{labels.shape} label array with {values.shape} amplitudes does not "
                 f"describe rows of {registers} registers"
@@ -206,8 +210,8 @@ class StateVector:
             raise ValueError(f"label out of range for layout {self.layout.names()}")
         rows, position = union_rows(labels)
         if rows is not labels:
-            summed = np.zeros(len(rows), dtype=complex)
-            np.add.at(summed, position, values)
+            summed = np.zeros(values.shape[:-1] + (len(rows),), dtype=complex)
+            np.add.at(summed, (..., position), values)
             object.__setattr__(self, "labels", rows)
             values = summed
         object.__setattr__(self, "values", values)
@@ -244,7 +248,8 @@ def aligned(*states: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """The union of the states' supports and their amplitudes on it.
 
     Returns the union's label rows in flat-index order and a (states x rows)
-    array holding each state's amplitude there, zero off its support.
+    array holding each state's amplitude there, zero off its support; for
+    batched states, a (states x members x rows) array.
     """
     layout = states[0].layout
     if any(state.layout != layout for state in states):
@@ -253,15 +258,16 @@ def aligned(*states: StateVector) -> tuple[np.ndarray, np.ndarray]:
     return rows, on_union(len(rows), position, *(state.values for state in states))
 
 
-def on_union(size: int, position: np.ndarray, *values: Sequence[complex]) -> np.ndarray:
-    """The (vectors x ``size``) table of ``aligned``: each amplitude vector
-    at ``position``, the union positions of every vector's rows in turn,
-    and zero elsewhere."""
-    table = np.zeros((len(values), size), dtype=complex)
+def on_union(size: int, position: np.ndarray, *values: np.ndarray) -> np.ndarray:
+    """The (vectors x ... x ``size``) table of ``aligned``: each array of
+    amplitudes placed along its last axis at ``position``, the union
+    positions of every array's rows in turn, and zero elsewhere."""
+    leading = np.broadcast_shapes(*(part.shape[:-1] for part in values))
+    table = np.zeros((len(values), *leading, size), dtype=complex)
     start = 0
     for index, part in enumerate(values):
-        table[index, position[start : start + len(part)]] = part
-        start += len(part)
+        table[index][..., position[start : start + part.shape[-1]]] = part
+        start += part.shape[-1]
     return table
 
 

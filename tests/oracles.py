@@ -22,8 +22,7 @@ state's rows.
 (the library's label part, then its amplitude part at that angle), and
 ``reference_appendix_rotation`` evolves every state of one rotation angle
 afresh with ``rotate`` and ``apply_unitary``, the reference for the
-experiment's label parts shared across angles and its amplitudes computed
-for a whole batch of angles at once.  ``reference_report_json``
+experiment's batched states, which hold a whole batch of angles at once.  ``reference_report_json``
 is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
 report writer.
 
@@ -581,10 +580,9 @@ def reference_appendix_rotation(plain, theta):
     through perception; the rotated half of ``mixed_record`` runs the state
     check on the post-detection state and the perceived rotated vector, and
     ``record_invariance`` decomposes the rotated final state.  The library
-    runs the label parts of those applications once per draw, computes the
-    amplitudes of a whole batch of angles at once, builds no state per
-    angle and decomposes nothing, so each of its reports must equal these
-    bit for bit.
+    builds each of those states once for a whole batch of angles, one row
+    of amplitudes per angle, and runs the same state code on every row, so
+    each of its reports must equal these bit for bit.
     """
     spec, enabled, chain = plain.spec, plain.enabled, plain.chain
     layout = chain.layout

@@ -229,7 +229,7 @@ def test_criterion_8_analysis_oracle_equivalence():
     frozen = 0.9426831892554921
 
     spec = ExperimentSpec(2, (0.6, 0.8))
-    report = run_measurement_chain(spec, checks=())
+    report = run_measurement_chain(spec, checks=["structure"])
     rho = reduced_density_matrix(report.final_state, ["Obs1"])
     entropy = von_neumann_entropy(rho)
 
@@ -244,7 +244,7 @@ def test_criterion_8_analysis_oracle_equivalence():
     rng = np.random.default_rng(RNG_SEED + 7)
     for _ in range(10):
         coefficients = unit_coefficients(rng, 2)
-        rerun = run_measurement_chain(ExperimentSpec(2, coefficients), checks=())
+        rerun = run_measurement_chain(ExperimentSpec(2, coefficients), checks=["structure"])
         measured = von_neumann_entropy(
             reduced_density_matrix(rerun.final_state, ["Obs1"])
         )

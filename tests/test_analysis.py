@@ -185,7 +185,7 @@ def test_coherence_vanishes_after_every_suite_run():
     for n, observers in ((2, 1), (3, 2), (5, 1)):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         spec = ExperimentSpec(n, tuple(v / np.linalg.norm(v)), observers=observers)
-        report = run_measurement_chain(spec, checks=())
+        report = run_measurement_chain(spec, checks=["structure"])
         for k in range(observers):
             assert observer_coherence(report.final_state, f"Obs{k + 1}") <= 1e-12
 

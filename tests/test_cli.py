@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from branchsim import UnitaryOp, compile_chain, experiments
+from branchsim import UnitaryOp, cli, compile_chain, experiments
 from branchsim.cli import MAX_THETAS, main, parse_config, run_and_report
 from branchsim.errors import ConfigError
 from oracles import reference_report_json
@@ -359,6 +359,50 @@ def test_tolerance_below_the_rounding_floor_exits_two(tmp_path):
     with pytest.raises(ConfigError, match="tolerance"):
         parse_config(str(path))
     assert main(["run", str(write_config(tmp_path, name="ok.json")), "--tolerance", "1e-15"]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "appendix_rotation", "thetas": [0.7]}],
+    ids=["stern_gerlach", "appendix_rotation"],
+)
+def test_an_empty_check_list_exits_two(tmp_path, capsys, overrides):
+    # No check certifies nothing: the negative control used to exit 0 and
+    # print "all passed yes" beside a mixed branch of weight 0.36.
+    path = write_config(tmp_path, checks=[], **overrides)
+    for flags in ([], ["--negative-control"], ["--format", "text"]):
+        out = tmp_path / "report.json"
+        assert main(["run", str(path), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "non-empty list of check names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "appendix_rotation", "thetas": [0.7]}],
+    ids=["stern_gerlach", "appendix_rotation"],
+)
+def test_a_negative_control_blind_to_mixed_record_exits_two_before_any_run(
+    tmp_path, capsys, monkeypatch, overrides
+):
+    # mixed_record is the check the control is sure to fail; a selection
+    # without it could let the control pass.
+    path = write_config(tmp_path, **overrides)
+    out = str(tmp_path / "report.json")
+    assert main(["run", str(path), "--check", "observer_coherence", "--out", out]) == 0
+    assert main(["run", str(path), "--check", "mixed_record", "--negative-control"]) == 1
+    capsys.readouterr()
+    blind = write_config(tmp_path, name="blind.json", checks=["structure"], **overrides)
+    runs = []
+    monkeypatch.setattr(cli, "run_and_report", lambda *args, **kwargs: runs.append(args))
+    for argv in (
+        [str(path), "--check", "observer_coherence"],
+        [str(path), "--check", "structure", "--check", "born_weights"],
+        [str(blind)],
+    ):
+        assert main(["run", *argv, "--negative-control", "--out", out]) == 2
+        assert "needs the mixed_record check" in capsys.readouterr().err
+    assert runs == []
 
 
 @pytest.mark.parametrize(

@@ -86,7 +86,7 @@ def test_single_basis_state_replay_matches_the_oracle(
 
 def test_independence_check_fails_on_a_perturbed_branch():
     spec = ExperimentSpec(3, (0.6, 0.48, 0.64))
-    final = run_measurement_chain(spec, checks=()).final_state
+    final = run_measurement_chain(spec, checks=["structure"]).final_state
     clean = coefficient_independence_check(spec, final_state=final)
     assert clean.passed
 

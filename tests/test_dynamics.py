@@ -534,6 +534,23 @@ def test_a_built_table_owns_read_only_copies_of_its_arrays():
             stored[0] = stored[0]
 
 
+def test_label_parts_are_read_only():
+    # One label part serves many amplitude parts, so none of its arrays can
+    # be written through.
+    layout = sg_layout()
+    labels = basis_labels(layout)
+    step = compose(
+        build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+        build_detection_unitary(layout),
+    )
+    permuted = step.relabel(labels)
+    rotated = build_basis_rotation(layout, *version_rows(layout)).relabel(labels)
+    assert len(permuted.phases) == 2
+    for array in (permuted.rows, *permuted.phases, rotated.rows, rotated.kept, rotated.members):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 @given(
     st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
     st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),

@@ -11,6 +11,7 @@ from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     ControlledRewrite,
+    PairedRotation,
     ExperimentSpec,
     InvalidPerturbationError,
     RunReport,
@@ -22,6 +23,7 @@ from branchsim import (
     disagreement_weight,
     expected_final_state,
     initial_state,
+    message_level,
     mixed_record_weight,
     no_signaling_check,
     normalize,
@@ -226,7 +228,7 @@ def test_branch_weights_sum_to_one():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5):
         spec = ExperimentSpec(n, unit_coefficients(rng, n))
-        report = run_measurement_chain(spec, checks=())
+        report = run_measurement_chain(spec, checks=["structure"])
         assert sum(b.weight for b in report.branches) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -319,7 +321,7 @@ def test_coefficient_independence_matches_the_loop_oracle_bit_for_bit():
             for _ in range(n)
         ]
         other = run_measurement_chain(
-            replace(spec, coefficients=spec.coefficients[::-1]), checks=()
+            replace(spec, coefficients=spec.coefficients[::-1]), checks=["structure"]
         )
         for versions in (armed, mixed):
             singles = [apply_unitary(step, v) for v in versions]
@@ -532,7 +534,7 @@ def test_agreement_three_observers_three_versions():
     result = agreement(spec)
     assert result.passed and result.residual <= 1e-24
     # And against the label-loop oracle on the library's final state.
-    report = run_measurement_chain(spec, checks=())
+    report = run_measurement_chain(spec, checks=["structure"])
     final = report.final_state
     oracle = naive_disagreement_weight(final.layout, dense_amplitudes(final))
     assert oracle == pytest.approx(result.residual, abs=1e-24)
@@ -646,21 +648,6 @@ def test_negative_control_fails_primed_evolution_by_root_two_cos(observers, phot
     assert passing_angles == [math.pi / 2, 2 * math.pi * 16 / 64, 2 * math.pi * 48 / 64]
 
 
-def test_rotation_label_parts_are_read_only():
-    rows = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8), observers=2)).rotation
-    arrays = (
-        rows.versions,
-        rows.non_message,
-        rows.joint,
-        rows.first.rows,
-        rows.final.members,
-        rows.perceived.rows,
-    )
-    for array in arrays + rows.perceived.phases + tuple(at for _, at in rows.sections):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-
-
 def test_negative_control_residual_is_the_worse_half_at_every_angle():
     # Version 1's message lands on the mixed level: the plain run puts
     # |a1|^2 = 0.36 there, and the perceived rotated first vector cos^2.
@@ -693,6 +680,17 @@ def test_rotation_of_no_angles_is_no_report():
         assert run_appendix_rotation(plain_rotation_run(spec), []) == []
 
 
+@pytest.mark.parametrize("checks", [(), []])
+def test_an_empty_check_selection_is_refused(checks):
+    # A run that certifies nothing would pass vacuously, even under the
+    # negative control.
+    for negative_control in (False, True):
+        spec = ExperimentSpec(2, (0.6, 0.8), negative_control=negative_control)
+        for run in (run_measurement_chain, plain_rotation_run):
+            with pytest.raises(ValueError, match="empty check selection"):
+                run(spec, checks)
+
+
 def test_appendix_rejects_more_than_two_versions():
     with pytest.raises(ValueError, match="two versions"):
         plain_rotation_run(ExperimentSpec(3, (1.0, 0.0, 0.0)))
@@ -723,6 +721,34 @@ def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
 
 def failing(report):
     return {c.name for c in report.checks if not c.passed}
+
+
+def test_a_rotation_plane_that_reads_a_record_fails_record_invariance(monkeypatch):
+    # The plane also reads Obs1: version 1 with message M1 against version 2
+    # with M2.  It is a valid plane, but it turns written records instead of
+    # the versions in front of the observers: the post-detection state and
+    # the first basis vector (observers blank) do not move, and the rotated
+    # final state puts the records' weights elsewhere.  At angle 0 it is the
+    # identity, as the true plane is, so nothing fails there.
+    def reading_obs1(layout, first, second, _build=experiments.build_basis_rotation):
+        plane = _build(layout, first, second)
+        return PairedRotation(
+            layout,
+            (*plane.fixed, layout.position("Obs1")),
+            (*plane.first, message_level(0)),
+            (*plane.second, message_level(1)),
+        )
+
+    monkeypatch.setattr(experiments, "build_basis_rotation", reading_obs1)
+    faults = {"primed_coefficients", "primed_evolution", "record_invariance"}
+    for coefficients in [(0.6, 0.8), (0.6, 0.8j)]:
+        for observers in (1, 2, 3):
+            for photon_model in (False, True):
+                spec = ExperimentSpec(2, coefficients, observers, photon_model)
+                plain = plain_rotation_run(spec)
+                at_zero, *turned = run_appendix_rotation(plain, [0.0, 0.7, math.pi / 2, 2.0, -1.1])
+                assert failing(at_zero) == set()
+                assert [failing(report) for report in turned] == [faults] * 4
 
 
 @pytest.mark.parametrize("n_versions", [2, 3, 8, 64])

@@ -177,7 +177,7 @@ def test_large_chains_are_exactly_linear_and_their_control_fails(spec):
 @given(specs())
 @settings(max_examples=30, deadline=None)
 def test_decompose_then_reconstruct_round_trips(spec):
-    final = run_measurement_chain(spec, checks=()).final_state
+    final = run_measurement_chain(spec, checks=["structure"]).final_state
     for record in ("Obs1", [r.name for r in final.layout.by_role("detector")]):
         branches = decompose_branches(final, record, spec.tolerance)
         rebuilt = reconstruct_branches(final, record, branches)

@@ -16,7 +16,7 @@ from branchsim import (
     product_state,
     superpose,
 )
-from branchsim.state import union_rows
+from branchsim.state import aligned, union_rows
 from oracles import (
     basis_labels,
     decode,
@@ -131,6 +131,56 @@ def test_states_and_union_rows_keep_strictly_increasing_flat_order(case):
     expected = np.zeros(layout.total_dimension, dtype=complex)
     np.add.at(expected, [encode(layout, row) for row in rows], np.arange(1, len(rows) + 1))
     assert np.array_equal(dense_amplitudes(state), expected)
+
+
+@given(
+    layouts_and_repeated_rows(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60)
+def test_a_batched_state_is_its_one_row_states_bit_for_bit(case, members, seed):
+    # The rows repeat and come out of order: a batch sorts and merges them
+    # once, along the last axis, and each member equals the state built from
+    # its own row of amplitudes, signed zeros included.
+    dims, rows = case
+    layout = make_layout([(f"r{i}", d, "detector") for i, d in enumerate(dims)])
+    labels = np.array(rows, dtype=np.int64).reshape(len(rows), len(dims))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((members, len(rows))) + 1j * rng.standard_normal(
+        (members, len(rows))
+    )
+    values[rng.random(values.shape) < 0.3] = -0.0
+    batch = StateVector(layout, labels, values)
+    assert batch.values.shape == (members, len(batch.labels))
+    for amplitudes, member in zip(values, batch.values):
+        alone = StateVector(layout, labels, amplitudes)
+        assert np.array_equal(batch.labels, alone.labels)
+        assert member.tobytes() == alone.values.tobytes()
+
+
+def test_aligned_batched_states_give_the_per_row_tables():
+    layout = make_layout(SG)
+    rng = np.random.default_rng(8)
+    x_rows = [[1, 0, 1, 3], [0, 0, 0, 0]]
+    y_rows = [[1, 0, 1, 3], [0, 1, 0, 2], [0, 0, 1, 1]]
+    x = StateVector(layout, x_rows, rng.standard_normal((3, 2)) + 1j)
+    y = StateVector(layout, y_rows, rng.standard_normal((3, 3)) - 1j)
+    rows, table = aligned(x, y)
+    assert table.shape == (2, 3, len(rows))
+    for m in range(3):
+        alone = aligned(*(StateVector(layout, s.labels, s.values[m]) for s in (x, y)))
+        assert np.array_equal(rows, alone[0])
+        assert np.array_equal(table[:, m], alone[1])
+
+
+def test_a_batch_must_run_along_the_last_axis():
+    layout = make_layout(SG)
+    labels = basis_labels(layout)[:3]
+    assert StateVector(layout, labels, np.ones((2, 3))).values.shape == (2, 3)
+    for shape in ((2, 4), (3, 2), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="does not describe rows"):
+            StateVector(layout, labels, np.ones(shape))
 
 
 def test_decode_out_of_range():

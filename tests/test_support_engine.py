@@ -34,7 +34,7 @@ def no_dense_views(monkeypatch):
 
 def test_dense_views_are_refused_under_the_fixture(no_dense_views):
     layout = chain_layout(2, 1)
-    report = run_measurement_chain(ExperimentSpec(2, (0.6, 0.8)), checks=())
+    report = run_measurement_chain(ExperimentSpec(2, (0.6, 0.8)), checks=["structure"])
     detection = build_detection_unitary(layout)
     for view in (
         lambda: dense_amplitudes(report.final_state),
