@@ -78,12 +78,12 @@ from .state import (
     TOLERANCE,
     aligned,
     make_layout,
+    max_pair_overlap,
     message_level,
     message_name,
     mixed_record_level,
     norm,
     observer_dimension,
-    on_union,
     product_state,
     read_only,
     require_unit,
@@ -629,8 +629,8 @@ def _state_checks(
 
     if "branch_orthogonality" in enabled:
         residual = max(
-            _max_pairwise_overlap(post_detection, detector_at, det_branches),
-            _max_pairwise_overlap(final, [layout.position("Obs1")], obs_branches),
+            _branch_overlap(post_detection, detector_at, det_branches),
+            _branch_overlap(final, [layout.position("Obs1")], obs_branches),
         )
         results.append(
             CheckResult.from_residual("branch_orthogonality", residual, spec.tolerance)
@@ -645,7 +645,8 @@ def _state_checks(
     if "mixed_record" in enabled:
         # Once every observer has looked, any level outside the plain
         # messages counts, blank included.
-        weight = max(mixed_record_weight(post_detection), _non_message_weight(final))
+        non_message = _weight_where(final.values, _non_message_rows(layout, final.labels))
+        weight = max(mixed_record_weight(post_detection), float(non_message))
         results.append(
             CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
         )
@@ -673,43 +674,37 @@ def _state_checks(
     return results
 
 
-def _max_pairwise_overlap(
+def _branch_overlap(
     state: StateVector, record_at: list[int], branches: Sequence[Branch]
 ) -> float:
-    """Largest off-diagonal modulus of the Gram matrix of the relative
-    states of ``branches``, sections of ``state`` by the registers at
-    ``record_at``: each branch's amplitudes over its coefficient, on its
-    rows without those registers."""
-    if len(branches) < 2:
-        return 0.0
-    relative = np.delete(state.labels, record_at, axis=1)
-    union, position = union_rows(np.concatenate([relative[b.rows] for b in branches]))
-    table = on_union(
-        len(union), position, *(state.values[b.rows] / b.coefficient for b in branches)
-    )
-    gram = np.abs(table.conj() @ table.T)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
+    """``max_pair_overlap`` of the relative states of ``branches``, sections
+    of ``state`` by the registers at ``record_at``: each branch owns its rows
+    without those registers, with its amplitudes over its coefficient."""
+    rows = np.concatenate([b.rows for b in branches])
+    owner = np.concatenate([np.full(len(b.rows), k) for k, b in enumerate(branches)])
+    values = np.concatenate([state.values[b.rows] / b.coefficient for b in branches])
+    return max_pair_overlap(np.delete(state.labels[rows], record_at, axis=1), owner, values)
 
 
 def _born_weight_drift(
     n_versions: int, det_branches: Sequence[Branch], obs_branches: Sequence[Branch]
 ) -> float:
     """Per-version weight difference between the two decompositions."""
-    det_weights = {b.record_label: b.weight for b in det_branches}
-    obs_weights = {b.record_label: b.weight for b in obs_branches}
-    drift = 0.0
-    for j in range(n_versions):
-        one_hot = tuple(1 if k == j else 0 for k in range(n_versions))
-        seen = det_weights.pop(one_hot, 0.0)
-        recorded = obs_weights.pop(message_level(j), 0.0)
-        drift = max(drift, abs(seen - recorded))
+    seen, recorded = np.zeros(n_versions), np.zeros(n_versions)
     # Weight on any other record label (non-one-hot configuration, blank or
     # mixed observer level) is itself a conservation failure.
-    leftovers = list(det_weights.values()) + list(obs_weights.values())
-    if leftovers:
-        drift = max(drift, max(leftovers))
-    return drift
+    leftovers = [0.0]
+    for b in det_branches:
+        if sum(b.record_label) == 1:
+            seen[b.record_label.index(1)] = b.weight
+        else:
+            leftovers.append(b.weight)
+    for b in obs_branches:
+        if 1 <= b.record_label <= n_versions:
+            recorded[b.record_label - 1] = b.weight
+        else:
+            leftovers.append(b.weight)
+    return float(max(np.abs(seen - recorded).max(), *leftovers))
 
 
 def _distance(x: StateVector, y: StateVector) -> float | list[float]:
@@ -739,11 +734,6 @@ def mixed_record_weight(state: StateVector) -> float:
     dims, levels = _observer_columns(state.layout, state.labels)
     mixed = [mixed_record_level(d) for d in dims]
     return float(_weight_where(state.values, (levels == mixed).any(axis=1)))
-
-
-def _non_message_weight(state: StateVector) -> float:
-    """Weight on observer levels outside the plain messages 1..N."""
-    return float(_weight_where(state.values, _non_message_rows(state.layout, state.labels)))
 
 
 def _non_message_rows(layout: SubsystemLayout, labels: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ a chain run is bounded by its register count, ``experiments.MAX_REGISTERS``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -237,6 +238,26 @@ def union_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels[distinct], np.array(position, dtype=np.intp)
 
 
+def max_pair_overlap(relative: np.ndarray, owner: np.ndarray, values: np.ndarray) -> float:
+    """Largest modulus, over owners a < b, of the sum of conj(v_i) * v_j over
+    their rows i and j with equal ``relative`` label rows (0.0 if none).
+    Only repeated relative rows are multiplied; each part is a ``math.fsum``
+    of rounded products and the modulus their ``math.hypot``, so the result
+    does not depend on row order."""
+    _, group = union_rows(relative)
+    owners, amplitudes, groups = owner.tolist(), values.tolist(), group.tolist()
+    shared = np.flatnonzero(np.bincount(group)[group] > 1).tolist()
+    sums: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
+    for _, rows in itertools.groupby(sorted(shared, key=groups.__getitem__), groups.__getitem__):
+        for i, j in itertools.combinations(sorted(rows, key=owners.__getitem__), 2):
+            if owners[i] != owners[j]:
+                p, q = amplitudes[i], amplitudes[j]
+                real, imag = sums.setdefault((owners[i], owners[j]), ([], []))
+                real += (p.real * q.real, p.imag * q.imag)
+                imag += (p.real * q.imag, -(p.imag * q.real))
+    return max((math.hypot(math.fsum(r), math.fsum(i)) for r, i in sums.values()), default=0.0)
+
+
 def read_only(array: np.ndarray) -> np.ndarray:
     """A view of ``array`` that cannot be written through."""
     view = array.view()
@@ -255,20 +276,13 @@ def aligned(*states: StateVector) -> tuple[np.ndarray, np.ndarray]:
     if any(state.layout != layout for state in states):
         raise ValueError("aligned states must share one layout")
     rows, position = union_rows(np.concatenate([state.labels for state in states]))
-    return rows, on_union(len(rows), position, *(state.values for state in states))
-
-
-def on_union(size: int, position: np.ndarray, *values: np.ndarray) -> np.ndarray:
-    """The (vectors x ... x ``size``) table of ``aligned``: each array of
-    amplitudes placed along its last axis at ``position``, the union
-    positions of every array's rows in turn, and zero elsewhere."""
-    leading = np.broadcast_shapes(*(part.shape[:-1] for part in values))
-    table = np.zeros((len(values), *leading, size), dtype=complex)
+    leading = np.broadcast_shapes(*(state.values.shape[:-1] for state in states))
+    table = np.zeros((len(states), *leading, len(rows)), dtype=complex)
     start = 0
-    for index, part in enumerate(values):
-        table[index][..., position[start : start + part.shape[-1]]] = part
-        start += part.shape[-1]
-    return table
+    for index, state in enumerate(states):
+        table[index][..., position[start : start + len(state.labels)]] = state.values
+        start += len(state.labels)
+    return rows, table
 
 
 def product_state(

@@ -15,9 +15,17 @@ amplitude at every flat index).  The dense views of library operators
 application on every basis state; they exist only to be compared against
 the loop-built matrices.  Every dense view is refused above its cap.
 ``reference_branches`` decomposes a state into relative ``StateVector``s
-on a relative layout, and ``reference_overlap`` takes their Gram matrix:
+on a relative layout, and ``reference_overlap`` takes their Gram matrix
+entry by entry over the whole aligned table, each entry exactly rounded:
 the reference for the library's branches, which are only sections of the
-state's rows.
+state's rows, and for its overlap engine, which multiplies only rows that
+share relative labels.  ``exact_partial_trace`` is the reduced density
+matrix with every entry exactly rounded, the reference for
+``observer_coherence`` through ``naive_observer_coherence``.
+``gram_overlap`` and ``dense_observer_coherence`` are the same residuals as
+one BLAS product, which rounds in its own order, and
+``reference_born_weight_drift`` is the Born-weight residual from dicts
+keyed by one-hot tuples and message levels.
 ``rotate`` turns a state by an angle on the planes of a ``PairedRotation``
 (the library's label part, then its amplitude part at that angle), and
 ``reference_appendix_rotation`` evolves every state of one rotation angle
@@ -53,8 +61,10 @@ from branchsim import (
     decompose_branches,
     expected_final_state,
     make_layout,
+    mixed_record_level,
     primed_coefficients,
     product_state,
+    reduced_density_matrix,
 )
 from branchsim import experiments
 from branchsim.state import aligned, vector_norm
@@ -197,15 +207,83 @@ def reference_branches(state, record_register, tolerance):
     return branches
 
 
+def _exact_product_sum(pairs):
+    """sum p * conj(q) over the pairs (p, q): its real and its imaginary
+    part each an exactly rounded sum (``math.fsum``) of rounded products."""
+    real, imag = [], []
+    for p, q in pairs:
+        real += (p.real * q.real, p.imag * q.imag)
+        imag += (p.imag * q.real, -(p.real * q.imag))
+    return complex(math.fsum(real), math.fsum(imag))
+
+
 def reference_overlap(relatives):
     """Largest off-diagonal modulus of the Gram matrix of the relative
-    states, aligned on the union of their supports (0 for fewer than two)."""
+    states, aligned on the union of their supports (0 for fewer than two):
+    every entry an exactly rounded sum over the whole table, zeros
+    included, and its modulus ``math.hypot`` of its parts."""
+    _, table = aligned(*relatives)
+    rows = table.tolist()
+    worst = 0.0
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        entry = _exact_product_sum(zip(rows[a], rows[b]))
+        worst = max(worst, math.hypot(entry.real, entry.imag))
+    return worst
+
+
+def gram_overlap(relatives):
+    """``reference_overlap`` as one BLAS product of the aligned table, in
+    whatever order BLAS sums (0 for fewer than two)."""
     if len(relatives) < 2:
         return 0.0
     _, table = aligned(*relatives)
     gram = np.abs(table.conj() @ table.T)
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
+
+
+def exact_partial_trace(state, keep):
+    """The reduced density matrix on the registers ``keep`` (in layout
+    order), rho[i, j] = sum_e psi[i, e] conj(psi[j, e]) over every traced
+    label e of the state's rows, zeros included, each entry exactly rounded
+    (``_exact_product_sum``)."""
+    layout = state.layout
+    at = sorted(layout.position(name) for name in keep)
+    dims = [layout.registers[p].dimension for p in at]
+    traced = [tuple(r) for r in np.delete(state.labels, at, axis=1).tolist()]
+    columns = {label: column for column, label in enumerate(sorted(set(traced)))}
+    psi = [[0j] * len(columns) for _ in range(math.prod(dims))]
+    for kept, label, value in zip(state.labels[:, at].tolist(), traced, state.values.tolist()):
+        psi[naive_encode(dims, kept)][columns[label]] = value
+    return np.array([[_exact_product_sum(zip(p, q)) for q in psi] for p in psi])
+
+
+def dense_observer_coherence(state, observer):
+    """Largest modulus of an entry of ``reduced_density_matrix`` (one BLAS
+    product) between two distinct message levels of ``observer``."""
+    rho = reduced_density_matrix(state, [observer]).entries
+    top = mixed_record_level(state.layout.register(observer).dimension)
+    upper = np.triu(rho[1:top, 1:top], 1)
+    return float(np.hypot(upper.real, upper.imag).max(initial=0.0))
+
+
+def reference_born_weight_drift(n_versions, det_branches, obs_branches):
+    """The largest per-version weight difference between the detector
+    branches, keyed by one-hot configuration tuples, and the observer
+    branches, keyed by message level; any other label's weight counts in
+    full."""
+    det_weights = {b.record_label: b.weight for b in det_branches}
+    obs_weights = {b.record_label: b.weight for b in obs_branches}
+    drift = 0.0
+    for j in range(n_versions):
+        one_hot = tuple(1 if k == j else 0 for k in range(n_versions))
+        seen = det_weights.pop(one_hot, 0.0)
+        recorded = obs_weights.pop(j + 1, 0.0)
+        drift = max(drift, abs(seen - recorded))
+    leftovers = list(det_weights.values()) + list(obs_weights.values())
+    if leftovers:
+        drift = max(drift, max(leftovers))
+    return drift
 
 
 def reconstruct_branches(state, record_register, branches):
@@ -472,15 +550,16 @@ def naive_partial_trace(amplitudes, dims, keep_positions):
 
 
 def naive_observer_coherence(rho):
-    """Largest modulus among the entries of an observer's reduced density
-    matrix ``rho`` between two distinct message levels (every level but the
-    first, blank, and the last, mixed), by a loop over every pair."""
+    """Largest modulus (``math.hypot`` of the parts) among the entries of an
+    observer's reduced density matrix ``rho`` between two distinct message
+    levels (every level but the first, blank, and the last, mixed), by a
+    loop over every pair."""
     worst = 0.0
     messages = range(1, len(rho) - 1)
     for m in messages:
         for m2 in messages:
             if m2 > m:
-                worst = max(worst, abs(rho[m, m2]))
+                worst = max(worst, math.hypot(rho[m, m2].real, rho[m, m2].imag))
     return float(worst)
 
 

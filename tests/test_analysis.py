@@ -19,6 +19,8 @@ from branchsim import (
 from oracles import (
     basis_labels,
     dense_amplitudes,
+    dense_observer_coherence,
+    exact_partial_trace,
     naive_entropy_bits,
     naive_observer_coherence,
     naive_partial_trace,
@@ -168,10 +170,11 @@ def test_coherence_is_the_pairwise_loop_bit_for_bit():
                     for m, a in enumerate(amplitudes / np.linalg.norm(amplitudes))
                 ]
             )
-            rho = reduced_density_matrix(state, ["Obs1"]).entries
+            rho = exact_partial_trace(state, ["Obs1"])
             coherence = observer_coherence(state, "Obs1")
             assert coherence == naive_observer_coherence(rho)
             assert coherence > 0.0
+            assert coherence == pytest.approx(dense_observer_coherence(state, "Obs1"), abs=1e-15)
 
 
 def test_coherence_requires_an_observer_register():

@@ -859,6 +859,57 @@ def test_crossed_messages_of_one_observer_fail_observer_agreement(monkeypatch, n
         compile_chain.cache_clear()
 
 
+@pytest.mark.parametrize("n_versions", [2, 3, 8])
+def test_a_perception_that_rewrites_the_record_fails_coherence_and_no_signaling(
+    monkeypatch, n_versions
+):
+    # Where Obs1 has just read M2, its stage also moves version 2's record
+    # into version 1's configuration: path 1 -> 0, and the first two detector
+    # bits (and photon bits) swapped.  Versions 1 and 2 then differ only in
+    # Obs1, so its two messages interfere, the probes on version 2 reach
+    # branch 1, and every later observer reads M1 on both.
+    build = experiments.build_perception_unitary
+
+    def rewriting(layout, observer, *args, **kwargs):
+        op = build(layout, observer, *args, **kwargs)
+        if observer != "Obs1":
+            return op
+        obs1, reads_m2 = layout.position("Obs1"), [[message_level(1)]]
+        swap = np.arange(n_versions)
+        swap[[0, 1]] = [1, 0]
+        tables = [ControlledRewrite((obs1,), reads_m2, layout.position("path"), [swap])]
+        for role in ("detector", "photon"):
+            # Three controlled flips swap the role's first two bits.
+            at = [layout.position(r.name) for r in layout.by_role(role)[:2]]
+            for source, target in (at, at[::-1], at) if at else ():
+                tables.append(
+                    ControlledRewrite((obs1, source), [[message_level(1), 1]], target, [[1, 0]])
+                )
+        return UnitaryOp(layout, "record-rewriting perception", op.stages + tuple(tables))
+
+    rng = np.random.default_rng(n_versions)
+    compile_chain.cache_clear()
+    monkeypatch.setattr(experiments, "build_perception_unitary", rewriting)
+    try:
+        for observers in (1, 2, 3):
+            for photon_model in (False, True):
+                spec = ExperimentSpec(
+                    n_versions,
+                    unit_coefficients(rng, n_versions),
+                    observers=observers,
+                    photon_model=photon_model,
+                )
+                report = run_measurement_chain(spec)
+                expected = {"structure", "branch_orthogonality", "observer_coherence"}
+                expected |= {"no_signaling"} | ({"observer_agreement"} if observers > 1 else set())
+                assert failing(report) == expected, (observers, photon_model)
+                interference = abs(spec.coefficients[0] * spec.coefficients[1])
+                residual = check_by_name(report, "observer_coherence").residual
+                assert residual == pytest.approx(interference, rel=1e-12)
+    finally:
+        compile_chain.cache_clear()
+
+
 def test_appendix_negative_control_fails_mixed_record():
     spec = ExperimentSpec(2, (0.6, 0.8), negative_control=True)
     (report,) = run_appendix_rotation(plain_rotation_run(spec), [0.7])
@@ -912,6 +963,18 @@ def test_born_weights_preserved_through_perception(coefficients):
     report = run_measurement_chain(spec, checks=("born_weights", "mixed_record"))
     for check in report.checks:
         assert check.passed
+
+
+def test_born_weights_count_a_configuration_that_is_not_one_hot_in_full():
+    # Both detectors fired on version 1's row: that weight belongs to no
+    # version, so M1's weight finds no detector branch to match.
+    layout = chain_layout(2, 1)
+    both = {**version_labels(layout, 0, detected=True, message=1), "DV": 1}
+    rows = [both, version_labels(layout, 1, detected=True, message=2)]
+    state = superpose([(a, product_state(layout, r)) for a, r in zip((0.6, 0.8), rows)])
+    det = decompose_branches(state, ("DH", "DV"))
+    drift = experiments._born_weight_drift(2, det, decompose_branches(state, "Obs1"))
+    assert drift == pytest.approx(0.36, rel=1e-12)
 
 
 def test_mixed_record_weight_helper():

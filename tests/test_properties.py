@@ -15,7 +15,12 @@ set of amplitudes and any rotation angle, the states ``apply_unitary`` (or,
 for the rotation, the oracle's ``rotate``) gives, bit for bit, and the
 branches, with and without copied rows relabelled at the record so that
 branches share relative rows, must equal the relative-state oracle bit for
-bit.  A rotation sweep's batch of angles, drawn with signed zeros,
+bit.  On such states every observer's coherence must equal the exactly
+rounded loop over its reduced density matrix bit for bit, the overlap
+engine must give the same bits in any row order, and both overlaps must
+stay within 1e-15 of one BLAS product; the Born-weight residual must equal
+the dict-based oracle, zero coefficients and foreign labels included.  A
+rotation sweep's batch of angles, drawn with signed zeros,
 subnormals, multiples of pi/2 and angles up to 1e6, must give each angle
 the per-angle oracle's report, byte for byte.  The table-proof property draws
 the arguments of small controlled-rewrite tables, sound or broken in one
@@ -37,6 +42,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from branchsim import cli, experiments
+from branchsim.state import max_pair_overlap, union_rows
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
@@ -57,6 +63,7 @@ from branchsim import (
     mixed_record_level,
     norm,
     normalize,
+    observer_coherence,
     observer_dimension,
     phase_flip_perturbation,
     plain_rotation_run,
@@ -71,15 +78,20 @@ from oracles import (
     basis_labels,
     dense_amplitudes,
     dense_matrix,
+    dense_observer_coherence,
+    exact_partial_trace,
+    gram_overlap,
     level_cycle,
     naive_detection_matrix,
     naive_emission_matrix,
+    naive_observer_coherence,
     naive_partial_trace,
     naive_perception_matrix,
     naive_rewrite_matrix,
     naive_rotation_matrix,
     reconstruct_branches,
     reference_branches,
+    reference_born_weight_drift,
     reference_overlap,
     reference_appendix_rotation,
     reference_report_json,
@@ -394,8 +406,64 @@ def test_branches_are_the_relative_state_oracle_bit_for_bit(drawn, data, toleran
             for b, (_, _, relative) in zip(branches, reference):
                 assert np.array_equal(np.delete(x.labels[b.rows], at, axis=1), relative.labels)
                 assert (x.values[b.rows] / b.coefficient).tobytes() == relative.values.tobytes()
-            residual = experiments._max_pairwise_overlap(x, at, branches)
-            assert residual == reference_overlap([r for _, _, r in reference])
+            residual = experiments._branch_overlap(x, at, branches)
+            relatives = [r for _, _, r in reference]
+            assert residual == reference_overlap(relatives)
+            assert residual == pytest.approx(gram_overlap(relatives), abs=1e-15)
+
+
+@given(sparse_states(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_overlaps_are_the_exact_oracle_in_any_row_order(drawn, data):
+    # Each observer's coherence equals the exactly rounded loop over the
+    # whole reduced density matrix, bit for bit, on states whose message
+    # sections share relative rows, and stays within 1e-15 of one BLAS
+    # product.  The overlap engine's inputs, read at any record, give the
+    # same bits in any row order.
+    chain, state = drawn
+    layout = chain.layout
+    detectors = [layout.position(r.name) for r in layout.by_role("detector")]
+    for observer in layout.by_role("observer"):
+        at = layout.position(observer.name)
+        x = with_shared_relative_rows(data, state, [at])
+        coherence = observer_coherence(x, observer.name)
+        assert coherence == naive_observer_coherence(exact_partial_trace(x, [observer.name]))
+        assert coherence == pytest.approx(dense_observer_coherence(x, observer.name), abs=1e-15)
+    for at in ([layout.position("Obs1")], detectors):
+        x = with_shared_relative_rows(data, state, at)
+        relative = np.delete(x.labels, at, axis=1)
+        _, owner = union_rows(x.labels[:, at])
+        overlap = max_pair_overlap(relative, owner, x.values)
+        order = data.draw(st.permutations(range(len(owner))))
+        assert max_pair_overlap(relative[order], owner[order], x.values[order]) == overlap
+
+
+@given(specs(max_versions=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_born_weight_drift_is_the_dict_oracle(spec, data):
+    # Versions with zero coefficients, pruned branches and, on random
+    # states, labels that are no version's give the dict-based drift.
+    zeros = data.draw(st.lists(st.booleans(), min_size=spec.n_versions, max_size=spec.n_versions))
+    coefficients = np.array(spec.coefficients) * ~np.array(zeros)
+    assume(np.linalg.norm(coefficients) > 1e-3)
+    coefficients /= np.linalg.norm(coefficients)
+    chain = compile_chain(spec.n_versions, spec.observers, spec.photon_model)
+    post, final = chain.evolve(experiments.initial_state(chain.layout, coefficients))
+    names = [r.name for r in chain.layout.by_role("detector")]
+    cases = [(post, final)]
+    if chain.layout.total_dimension <= MAX_ORACLE_DIMENSION:
+        labels = basis_labels(chain.layout)
+        rows = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=8))
+        parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+        values = [complex(data.draw(parts), data.draw(parts)) for _ in rows]
+        scattered = StateVector(chain.layout, labels[rows], values)
+        assume(norm(scattered) > 1e-3)
+        cases.append((normalize(scattered), normalize(scattered)))
+    for post_detection, observed in cases:
+        det = decompose_branches(post_detection, names, spec.tolerance)
+        obs = decompose_branches(observed, "Obs1", spec.tolerance)
+        drift = experiments._born_weight_drift(spec.n_versions, det, obs)
+        assert drift == reference_born_weight_drift(spec.n_versions, det, obs)
 
 
 angles = st.one_of(
