@@ -402,13 +402,14 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
     """Write ``report`` to ``path`` (standard output when None).
 
     The JSON form is exactly ``json.dumps(report, indent=2, sort_keys=True)``
-    plus a newline, built by ``_indented_json`` before the file is opened: a
-    non-finite number raises ``ValueError`` (an internal error, exit 4) and
-    leaves no file.
+    plus a newline, built as one list of pieces by ``_append_json`` before
+    the file is opened: a non-finite number raises ``ValueError`` (an
+    internal error, exit 4) and leaves no file.
     """
     if fmt == "json":
-        # The newline is written on its own: appending it would copy the text.
-        pieces = (_indented_json(report, 0), "\n")
+        pieces = []
+        _append_json(pieces, {}, report, 0)
+        pieces.append("\n")
     else:
         pieces = (render_text(report),)
     if path is None:
@@ -434,39 +435,48 @@ def _flat_encoder(depth: int):
     )
 
 
-def _indented_json(value, depth: int) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, default=_jsonify,
-    allow_nan=False)`` for a ``value`` at nesting ``depth``; dict keys must
-    be strings where the dict holds a container.
+def _append_json(pieces: list, written: dict, value, depth: int) -> None:
+    """Append ``json.dumps(value, indent=2, sort_keys=True, default=_jsonify,
+    allow_nan=False)`` for a ``value`` at nesting ``depth`` to ``pieces``;
+    dict keys must be strings where the dict holds a container.
 
     A container without container children is one C-encoder call whose
     separators already break the lines (an encoded string never holds a raw
-    newline), so only its brackets move onto their own lines; the children
-    of any other container are joined here.
-    """
+    newline), so only its brackets move onto their own lines.  A container
+    met again at the same depth (a report shares some) re-appends its slice
+    of ``pieces``, which ``written`` keeps by ``(id, depth)``."""
+    key = (id(value), depth)
+    if key in written:
+        pieces += pieces[slice(*written[key])]
+        return
+    start = len(pieces)
+    is_dict = isinstance(value, dict)
+    children = value.values() if is_dict else value
     if not isinstance(value, _CONTAINERS) or not value:
-        return "".join(_flat_encoder(depth)(value, 0))  # a scalar, [] or {}
-    inner = "\n" + "  " * (depth + 1)
-    outer = "\n" + "  " * depth
-    children = value.values() if isinstance(value, dict) else value
-    if not any(isinstance(child, _CONTAINERS) for child in children):
+        pieces += _flat_encoder(depth)(value, 0)  # a scalar, [] or {}
+    elif not any(isinstance(child, _CONTAINERS) for child in children):
         text = "".join(_flat_encoder(depth)(value, 0))
-        return "".join((text[0], inner, text[1:-1], outer, text[-1]))
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        items = (
-            (encode_basestring_ascii(key) + ": ", child) for key, child in sorted(value.items())
-        )
+        pieces += (_separator(text[0], depth + 1), text[1:-1], _separator("", depth), text[-1])
     else:
-        opening, closing = "[", "]"
-        items = (("", child) for child in value)
-    # One join over every piece, so no child's text is copied twice.
-    pieces = []
-    for prefix, child in items:
-        pieces += (",", inner, prefix, _indented_json(child, depth + 1))
-    pieces[0] = opening
-    pieces += (outer, closing)
-    return "".join(pieces)
+        items = sorted(value.items()) if is_dict else ((None, child) for child in value)
+        encode = _flat_encoder(depth + 1)
+        lead = "{" if is_dict else "["
+        for name, child in items:
+            pieces.append(_separator(lead, depth + 1, name))
+            lead = ","
+            if isinstance(child, _CONTAINERS):
+                _append_json(pieces, written, child, depth + 1)
+            else:
+                pieces += encode(child, 0)
+        pieces += (_separator("", depth), "}" if is_dict else "]")
+    written[key] = (start, len(pieces))
+
+
+@functools.lru_cache(maxsize=1024)
+def _separator(lead: str, depth: int, name: str | None = None) -> str:
+    """``lead``, a new line at ``depth`` and the dict key ``name``, if any."""
+    text = lead + "\n" + "  " * depth
+    return text if name is None else text + encode_basestring_ascii(name) + ": "
 
 
 def main(argv: list[str] | None = None) -> int:

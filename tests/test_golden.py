@@ -15,10 +15,11 @@ import hashlib
 import json
 import pathlib
 import tempfile
+import tracemalloc
 
 import pytest
 
-from branchsim.cli import main
+from branchsim.cli import main, parse_config, run_and_report, write_report
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 REPORTS = GOLDEN / "reports"
@@ -150,7 +151,7 @@ def test_a_report_is_its_golden_file(tmp_path, name, control):
     assert len(got["verdicts"]) == len(golden["verdicts"])
     if got["sha256"] != golden["sha256"]:
         moved = first_difference(report, load(REPORTS / f"{case_name(name, control)}.json"))
-        pytest.fail(f"{moved} moved: a residual, weight or coefficient changed")
+        pytest.fail(f"the report differs from its golden file first at {moved}")
 
 
 @pytest.mark.parametrize("name, control", CASES, ids=[case_name(*case) for case in CASES])
@@ -178,6 +179,23 @@ def test_the_first_difference_names_the_moved_path():
     assert first_difference({"a": 1, "b": 2}, {"a": 1.0}) == "report.a"
     assert first_difference({"b": [1]}, {"b": [1, 2]}) == "report.b[1]"
     assert first_difference({"b": True}, {"b": 1}) == "report.b"
+
+
+def test_writing_the_rotation_report_holds_it_about_once(tmp_path):
+    """The writer's memory peak stays under 1.5 times the report's length:
+    a shared container's text is held once, and the whole text is never
+    joined into one string."""
+    config = tmp_path / "rotation_sweep.json"
+    config.write_text(json.dumps(CONFIGS["rotation_sweep"]), encoding="utf-8")
+    _, report = run_and_report(parse_config(str(config)))
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_report(report, str(out), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(out.read_text(encoding="utf-8"))
 
 
 def test_every_golden_file_has_a_case():

@@ -26,7 +26,9 @@ the per-angle oracle's report, byte for byte.  The table-proof property draws
 the arguments of small controlled-rewrite tables, sound or broken in one
 way, and requires construction to succeed exactly when a loop-built dense
 matrix is unitary.  The report writer is
-compared with the stdlib's ``indent=2`` encoder on random JSON trees.
+compared with the stdlib's ``indent=2`` encoder on random JSON trees, and
+on trees that hold one list, tuple or dict object in several places, at the
+same depth and at different depths, as a report shares its containers.
 """
 
 import contextlib
@@ -34,6 +36,8 @@ import io
 import itertools
 import json
 import math
+import pathlib
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -647,3 +651,80 @@ def test_the_report_writer_refuses_nan_and_infinity_as_the_stdlib_does(tree):
         reference_report_json(tree)
     with pytest.raises(ValueError):
         written_json(tree)
+
+
+# Stand-ins for the shared containers in a drawn skeleton.
+INNER, OUTER = object(), object()
+json_containers = (
+    st.lists(json_trees, max_size=3)
+    | st.lists(json_trees, max_size=3).map(tuple)
+    | st.dictionaries(json_text, json_trees, max_size=3)
+)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")])
+
+
+def with_slots(*slots):
+    """JSON trees whose leaves may be any of ``slots``."""
+    return st.recursive(
+        json_scalars | st.sampled_from(slots),
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_text, children, max_size=4),
+        max_leaves=12,
+    )
+
+
+def fill(node, objects):
+    """``node`` with each stand-in replaced by the object ``objects`` maps
+    it to, the same object at every place."""
+    for slot, value in objects.items():
+        if node is slot:
+            return value
+    if isinstance(node, dict):
+        return {key: fill(child, objects) for key, child in node.items()}
+    if isinstance(node, (list, tuple)):
+        return type(node)(fill(child, objects) for child in node)
+    return node
+
+
+@st.composite
+def shared_trees(draw, poisoned=False):
+    """A tree that holds one container object (empty ones included) twice
+    at one depth and once deeper, and an outer container, itself in several
+    places at different depths, that may hold it too.  When ``poisoned``,
+    the shared inner container holds NaN or an infinity."""
+    inner = draw(json_containers)
+    if poisoned:
+        bad = draw(non_finite)
+        if isinstance(inner, dict):
+            inner[draw(json_text)] = bad
+        else:
+            at = draw(st.integers(0, len(inner)))
+            inner = type(inner)((*inner[:at], bad, *inner[at:]))
+    skeleton = with_slots(INNER)
+    outer = draw(st.lists(skeleton, max_size=3) | st.dictionaries(json_text, skeleton, max_size=3))
+    outer = fill(outer, {INNER: inner})
+    rest = fill(draw(with_slots(INNER, OUTER)), {INNER: inner, OUTER: outer})
+    return {"deeper": [[inner], {"outer": outer}], "rest": rest, "same": [inner, outer, inner]}
+
+
+EMPTY = []
+
+
+@given(shared_trees())
+@example({"a": [EMPTY], "b": EMPTY, "c": {"d": [[EMPTY], EMPTY]}})
+@settings(max_examples=100, deadline=None)
+def test_the_report_writer_encodes_shared_containers_where_they_stand(tree):
+    assert written_json(tree) == reference_report_json(tree) + "\n"
+
+
+@given(shared_trees(poisoned=True))
+@settings(max_examples=50, deadline=None)
+def test_a_poisoned_shared_container_raises_and_leaves_no_report(tree):
+    with pytest.raises(ValueError):
+        reference_report_json(tree)
+    with tempfile.TemporaryDirectory() as scratch:
+        out = pathlib.Path(scratch) / "report.json"
+        with pytest.raises(ValueError):
+            cli.write_report(tree, str(out), "json")
+        assert not out.exists()
