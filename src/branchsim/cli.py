@@ -9,9 +9,11 @@ standard error).
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
+import random
 import sys
 import time
 import traceback
@@ -115,8 +117,7 @@ def parse_config(path: str) -> ConfigFile:
     config.observers = _expect_int(raw, "observers", default=1, minimum=1)
     config.photon_model = _expect_bool(raw, "photon_model", default=False)
     config.tolerance = _check_tolerance(_expect_float(raw, "tolerance", default=TOLERANCE))
-    if "seed" in raw:
-        config.seed = _expect_int(raw, "seed", default=None, minimum=0)
+    config.seed = _expect_int(raw, "seed", default=None)
 
     _parse_coefficients(raw, config)
     _parse_thetas(raw, config)
@@ -264,6 +265,8 @@ def _parse_output(raw: dict, config: ConfigFile) -> None:
 
 
 def _cross_validate(config: ConfigFile) -> None:
+    if config.seed is not None and not 0 <= config.seed < 2**64:  # the U64 of --seed
+        raise ConfigError(f"seed: must lie in [0, 2**64 - 1], got {config.seed}")
     if config.experiment in ("stern_gerlach", "appendix_rotation") and config.n_versions != 2:
         raise ConfigError(f"n_versions: {config.experiment} requires exactly 2 versions")
     if config.random_draws is not None and config.seed is None:
@@ -283,16 +286,21 @@ def _cross_validate(config: ConfigFile) -> None:
 
 
 def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
+    """The config's coefficients, or Haar-uniform unit vectors: complex
+    Gaussians from ``random.Random(seed)``, each part divided by their exactly
+    rounded norm (``c / norm`` does so only from Python 3.14 on)."""
     if config.coefficients is not None:
         return [config.coefficients]
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     draws = []
     for _ in range(config.random_draws):
-        vector = rng.standard_normal(config.n_versions) + 1j * rng.standard_normal(
-            config.n_versions
-        )
-        vector /= np.linalg.norm(vector)
-        draws.append([complex(c) for c in vector])
+        # Polar Box-Muller; 1 - u lies in (0, 1], so the logarithm is finite.
+        vector = [
+            cmath.rect(math.sqrt(-2.0 * math.log(1.0 - rng.random())), 2.0 * math.pi * rng.random())
+            for _ in range(config.n_versions)
+        ]
+        norm = math.sqrt(math.fsum(abs(c) ** 2 for c in vector))
+        draws.append([complex(c.real / norm, c.imag / norm) for c in vector])
     return draws
 
 
@@ -411,15 +419,24 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
         _append_json(pieces, {}, report, 0)
         pieces.append("\n")
     else:
-        pieces = (render_text(report),)
+        pieces = [render_text(report)]
     if path is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(_batches(pieces))
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+            handle.writelines(_batches(pieces))
     except OSError as exc:
         raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
+
+
+def _batches(pieces: list):
+    """``pieces`` joined in runs of 128, since a write costs more than a join;
+    a run of over 4,096 characters is written piece by piece."""
+    for start in range(0, len(pieces), 128):
+        run = pieces[start:start + 128]
+        text = "".join(run)
+        yield from (run if len(text) > 4096 else (text,))
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -506,8 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed: must be non-negative")
             config.seed = args.seed
         if args.tolerance is not None:
             config.tolerance = _check_tolerance(args.tolerance)

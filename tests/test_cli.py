@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -235,6 +237,101 @@ def test_tolerance_override_must_be_positive(tmp_path):
 
 def test_seed_override_must_be_non_negative(tmp_path):
     assert main(["run", str(write_config(tmp_path)), "--seed", "-1"]) == 2
+
+
+def random_config(tmp_path, **overrides):
+    overrides = {"experiment": "generalized", "coefficients": {"random": 1}, "seed": 1, **overrides}
+    return write_config(tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2), (-1, 2)])
+def test_a_config_seed_is_an_unsigned_64_bit_integer(tmp_path, capsys, seed, code):
+    path = random_config(tmp_path, seed=seed)
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == code
+    if code:
+        assert "seed: must lie in [0, 2**64 - 1]" in capsys.readouterr().err
+    else:
+        assert load_report(tmp_path / "r.json")["spec"]["seed"] == seed
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
+def test_a_seed_flag_is_an_unsigned_64_bit_integer(tmp_path, capsys, seed, code):
+    out = tmp_path / "r.json"
+    assert main(["run", str(random_config(tmp_path)), "--seed", str(seed), "--out", str(out)]) == code
+    if code:
+        assert "seed: must lie in [0, 2**64 - 1]" in capsys.readouterr().err
+    else:
+        assert load_report(out)["spec"]["seed"] == seed
+
+
+# -- random coefficient draws -----------------------------------------------------------
+
+
+def draws(seed, count=1, n_versions=2):
+    config = cli.ConfigFile(
+        experiment="generalized", n_versions=n_versions, random_draws=count, seed=seed
+    )
+    return cli._coefficient_draws(config)
+
+
+def test_a_seed_gives_the_same_draws_and_its_neighbours_other_ones():
+    first = draws(41, count=5, n_versions=4)
+    again = draws(41, count=5, n_versions=4)
+    assert [[(c.real.hex(), c.imag.hex()) for c in d] for d in first] == [
+        [(c.real.hex(), c.imag.hex()) for c in d] for d in again
+    ]
+    for seed in (40, 42):
+        assert all(a != b for a, b in zip(first, draws(seed, count=5, n_versions=4)))
+
+
+@pytest.mark.parametrize("n_versions", [2, 3, 11, 64])
+def test_every_draw_is_a_unit_vector_within_four_ulp(n_versions):
+    for vector in draws(7, count=200, n_versions=n_versions):
+        total = math.fsum(abs(c) ** 2 for c in vector)
+        assert abs(total - 1.0) <= 4 * math.ulp(1.0)
+
+
+def test_the_first_draw_of_seed_zero_is_polar_box_muller_over_its_norm():
+    rng = random.Random(0)
+    gaussians = []
+    for _ in range(2):
+        u1, u2 = rng.random(), rng.random()
+        gaussians.append(cmath.rect(math.sqrt(-2.0 * math.log(1.0 - u1)), 2.0 * math.pi * u2))
+    norm = math.sqrt(math.fsum(abs(c) ** 2 for c in gaussians))
+    expected = [complex(c.real / norm, c.imag / norm) for c in gaussians]
+    assert draws(0) == [expected]
+
+
+def test_draws_are_haar_uniform_in_their_first_two_moments():
+    # Under the Haar measure on unit vectors of C^3, |c_k|^2 is Beta(1, 2):
+    # mean 1/3, variance 1/18; the phase of c_k is uniform, so cos(arg c_k)
+    # has mean 0 and variance 1/2.  Each mean of 2,000 draws lies within 5
+    # standard errors.
+    vectors = draws(2024, count=2000, n_versions=3)
+    for k in range(3):
+        weights = [abs(v[k]) ** 2 for v in vectors]
+        cosines = [math.cos(cmath.phase(v[k])) for v in vectors]
+        assert abs(math.fsum(weights) / 2000 - 1 / 3) < 5 * math.sqrt(1 / 18 / 2000)
+        assert abs(math.fsum(cosines) / 2000) < 5 * math.sqrt(1 / 2 / 2000)
+
+
+def test_a_random_chain_run_never_imports_numpy_random(tmp_path):
+    # A child process, since this test process (hypothesis, the tests'
+    # own draws) has imported numpy.random already.
+    path = random_config(tmp_path, n_versions=4, coefficients={"random": 3})
+    script = (
+        "import sys\n"
+        "from branchsim.cli import main\n"
+        "code = main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "r.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.stdout.split() == ["0", "False"], done.stderr
+    assert len(load_report(tmp_path / "r.json")["runs"]) == 3
 
 
 # -- non-finite and out-of-range inputs ---------------------------------------------

@@ -639,9 +639,18 @@ def written_json(tree):
 @example(())
 @example({"a": {}, "b": [[], {"c": ()}], "d": [{}]})
 @example(([1, 2],))
+@example({"long": ["x" * 5000, list(range(300))], "many": [[i] for i in range(200)]})
 @settings(max_examples=300, deadline=None)
 def test_the_report_writer_is_the_stdlib_indent_2_encoder(tree):
     assert written_json(tree) == reference_report_json(tree) + "\n"
+
+
+def test_the_report_writer_joins_its_pieces_into_batches_of_at_most_4096_characters():
+    pieces = [str(i) * (i % 7) for i in range(1000)] + ["x" * 5000] + ["y"] * 300
+    batches = list(cli._batches(pieces))
+    assert "".join(batches) == "".join(pieces)
+    assert all(len(batch) <= 4096 or batch in pieces for batch in batches)
+    assert len(batches) < len(pieces) / 5
 
 
 @given(poisoned_trees())
