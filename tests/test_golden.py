@@ -43,6 +43,23 @@ CONFIGS = {
         "coefficients": {"random": 3},
         "seed": 3943810277,
     },
+    # chain_observers at seeds 2 and 3.
+    "chain_observers_seed2": {
+        "experiment": "generalized",
+        "n_versions": 4,
+        "observers": 3,
+        "photon_model": True,
+        "coefficients": {"random": 3},
+        "seed": 3599753316,
+    },
+    "chain_observers_seed3": {
+        "experiment": "generalized",
+        "n_versions": 4,
+        "observers": 3,
+        "photon_model": True,
+        "coefficients": {"random": 3},
+        "seed": 4075832169,
+    },
     "rotation_sweep": {
         "experiment": "appendix_rotation",
         "n_versions": 2,
@@ -69,6 +86,15 @@ CONFIGS = {
         "photon_model": True,
         "coefficients": {"random": 1},
         "seed": 1,
+    },
+    # Sixteen draws on one small chain: every draw is one row of a batch.
+    "sixteen_draws": {
+        "experiment": "generalized",
+        "n_versions": 3,
+        "observers": 2,
+        "photon_model": True,
+        "coefficients": {"random": 16},
+        "seed": 2,
     },
 }
 
