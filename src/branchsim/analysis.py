@@ -65,13 +65,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(positive * np.log2(positive)))
 
 
-def observer_coherence(state: StateVector, observer_register: str) -> float:
+def observer_coherence(state: StateVector, observer_register: str) -> float | list[float]:
     """Largest interference term between two distinct written messages.
 
     Off-diagonal entries of the observer's reduced density matrix between
     message levels (blank and mixed excluded): ``max_pair_overlap`` of the
     rows at those levels, owned by their level.  After perception this must
     vanish: the rest of each branch is orthogonal to the rest of every other.
+    A batched state gets one result per member, in a list.
     """
     reg = state.layout.register(observer_register)
     if reg.role != ROLE_OBSERVER:
@@ -83,7 +84,7 @@ def observer_coherence(state: StateVector, observer_register: str) -> float:
     levels = state.labels[:, at]
     message = (levels > OBSERVER_BLANK) & (levels < mixed_record_level(reg.dimension))
     return max_pair_overlap(
-        np.delete(state.labels[message], at, axis=1), levels[message], state.values[message]
+        np.delete(state.labels[message], at, axis=1), levels[message], state.values[..., message]
     )
 
 

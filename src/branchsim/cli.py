@@ -307,11 +307,12 @@ def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
 def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[int, dict]:
     """Execute every run the config asks for and assemble the report.
 
-    Every draw and angle shares the one memoized compiled chain; a rotation
+    Every draw and angle shares the one memoized compiled chain.  A chain
+    config's draws run as one batch, in one ``run_measurement_chain`` call,
+    so its label work is done once whatever the number of draws; a rotation
     sweep certifies each draw's unrotated run once and evaluates all its
     angles in one call.  The chain is compiled first, so a chain over
-    ``MAX_REGISTERS`` raises ``CapacityError`` before any coefficients are
-    drawn.
+    ``MAX_REGISTERS`` raises ``CapacityError`` before any coefficients are drawn.
     """
     started = time.perf_counter()
     compile_chain(config.n_versions, config.observers, config.photon_model, negative_control)
@@ -330,13 +331,11 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    runs = []
-    for draw_index, spec in enumerate(specs):
-        if config.experiment == "appendix_rotation":
-            plain = plain_rotation_run(spec, config.checks)
-            runs += [(draw_index, r) for r in run_appendix_rotation(plain, config.thetas)]
-        else:
-            runs.append((draw_index, run_measurement_chain(spec, config.checks)))
+    if config.experiment == "appendix_rotation":
+        plains = enumerate(plain_rotation_run(spec, config.checks) for spec in specs)
+        runs = [(i, r) for i, plain in plains for r in run_appendix_rotation(plain, config.thetas)]
+    else:
+        runs = list(enumerate(run_measurement_chain(specs, config.checks)))
 
     checks_total = sum(len(r.checks) for _, r in runs)
     checks_failed = sum(1 for _, r in runs for c in r.checks if not c.passed)

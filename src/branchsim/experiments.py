@@ -20,7 +20,7 @@ controlled-rewrite table that is unitary because it could be built (see
 ``dynamics``).  Every run, coefficient draw, rotation angle and check of
 one configuration shares that ``CompiledChain``.
 
-Both experiments evolve and certify a spec through one path: the initial
+Both experiments evolve and certify specs through one path: the initial
 state goes through the record stages, then perception, the final state is
 decomposed by the first observer's record, and the state checks read the
 result, a ``CertifiedRun``.  The measurement chain adds the independence
@@ -28,6 +28,13 @@ check, which reuses the final state, replays every standalone version's
 rows through the record stages and then perception and takes one linearity
 difference against their weighted sum, and the no-signaling probes, which
 reuse the post-detection state and take the final state as their baseline.
+By linearity, the label rows a chain moves do not depend on the
+coefficients, only the amplitudes do.  So that path takes a batch: the
+coefficient draws of one configuration, as specs that differ only in
+their coefficients, and every state is a batched state (see
+``StateVector``) with one row of amplitudes per draw.  Every relabel,
+section, check mask and probe is then done once for all the draws, and
+each check gives one residual per row; one spec is the one-row case.
 A rotation sweep certifies the unrotated run once per coefficient draw
 (``plain_rotation_run``); that run and the draw's angles are the only
 inputs of ``run_appendix_rotation(plain, thetas)``, one call per draw.
@@ -89,7 +96,6 @@ from .state import (
     require_unit,
     superpose,
     union_rows,
-    vector_norm,
     vector_norms,
 )
 
@@ -353,8 +359,9 @@ def _version_rows(
 
 
 def initial_state(layout: SubsystemLayout, coefficients: Sequence[complex]) -> StateVector:
-    """Path superposition in front of armed detectors, observers blank."""
-    rows = _version_rows(layout, range(len(coefficients)), detected=False)
+    """Path superposition in front of armed detectors, observers blank; a
+    (draws x versions) array of coefficients gives a batched state."""
+    rows = _version_rows(layout, range(np.shape(coefficients)[-1]), detected=False)
     return StateVector(layout, rows, coefficients)
 
 
@@ -362,7 +369,7 @@ def expected_final_state(
     layout: SubsystemLayout, coefficients: Sequence[complex]
 ) -> StateVector:
     """The branch-table target: each version tagged with its own message."""
-    return StateVector(layout, _expected_rows(layout, len(coefficients)), coefficients)
+    return StateVector(layout, _expected_rows(layout, np.shape(coefficients)[-1]), coefficients)
 
 
 def _expected_rows(layout: SubsystemLayout, n_versions: int) -> np.ndarray:
@@ -483,12 +490,14 @@ def decompose_branches(
     axis, so for record-tagged product states the branch coefficient is
     exactly the amplitude attached to that label.  The weighted branches
     reconstruct the input exactly.  Branches come in increasing record label
-    order, and each one's rows keep their flat-index order.
+    order, and each one's rows keep their flat-index order.  A batched state
+    gets one list of branches per member, on sections found once.
     """
     require_unit(state.values, "decompose_branches")
     names = [record_register] if isinstance(record_register, str) else record_register
     record_at = [state.layout.position(n) for n in names]
-    return _branches(_sections(state.labels, record_at), state.values[None], tolerance)[0]
+    branches = _branches(_sections(state.labels, record_at), np.atleast_2d(state.values), tolerance)
+    return branches if state.values.ndim == 2 else branches[0]
 
 
 def _sections(
@@ -529,63 +538,76 @@ def _branches(
 
 @dataclass(frozen=True)
 class CertifiedRun:
-    """One evolved and certified run of a spec.
+    """The evolved and certified run of a batch of specs (see ``_batch``).
 
-    The post-detection and final states, the branches by the first
-    observer's record and the checks that read only those states.  A
-    rotation sweep computes it once per coefficient draw with
+    The post-detection and final states hold one row of amplitudes per spec;
+    ``branches`` holds each spec's branches by the first observer's record
+    and ``checks`` its results of the checks that read only those states.
+    A rotation sweep computes one per coefficient draw, a batch of one, with
     ``plain_rotation_run`` and passes it with all the draw's angles to one
     ``run_appendix_rotation`` call.
     """
 
-    spec: ExperimentSpec
+    specs: tuple[ExperimentSpec, ...]
     enabled: tuple[str, ...]
     chain: CompiledChain
     post_detection: StateVector
     final: StateVector
-    branches: tuple[Branch, ...]
-    checks: tuple[CheckResult, ...]
+    branches: tuple[list[Branch], ...]
+    checks: tuple[list[CheckResult], ...]
+
+
+def _batch(spec: ExperimentSpec | Sequence[ExperimentSpec]) -> tuple[list, np.ndarray]:
+    """The specs of a batch and their (specs x versions) coefficients.  A
+    batch is one spec, or specs that differ only in their coefficients."""
+    specs = [spec] if isinstance(spec, ExperimentSpec) else list(spec)
+    shared = {(s.n_versions, s.observers, s.photon_model, s.negative_control) for s in specs}
+    if len(shared) != 1 or len({s.tolerance for s in specs}) != 1:
+        raise ValueError("a batch holds specs that differ only in their coefficients")
+    return specs, np.array([s.coefficients for s in specs], dtype=complex)
 
 
 def _certified_run(
-    spec: ExperimentSpec, checks: Sequence[str] | None, available: Sequence[str]
+    spec: ExperimentSpec | Sequence[ExperimentSpec],
+    checks: Sequence[str] | None,
+    available: Sequence[str],
 ) -> CertifiedRun:
-    """Evolve the spec's initial state through the record stages, then
+    """Evolve the batch's initial state through the record stages, then
     perception, decompose the result by ``Obs1`` and run the state checks
-    among ``checks`` (all of ``available`` when None)."""
+    among ``checks`` (all of ``available`` when None) on every row."""
     enabled = tuple(_select_checks(checks, available))
-    chain = _compiled(spec)
-    post_detection, final = chain.evolve(initial_state(chain.layout, spec.coefficients))
-    branches = decompose_branches(final, "Obs1", spec.tolerance)
-    results = _state_checks(spec, post_detection, final, branches, enabled)
+    specs, coefficients = _batch(spec)
+    chain = _compiled(specs[0])
+    post_detection, final = chain.evolve(initial_state(chain.layout, coefficients))
+    branches = decompose_branches(final, "Obs1", specs[0].tolerance)
+    results = _state_checks(specs[0], coefficients, post_detection, final, branches, enabled)
     return CertifiedRun(
-        spec, enabled, chain, post_detection, final, tuple(branches), tuple(results)
+        tuple(specs), enabled, chain, post_detection, final, tuple(branches), tuple(results)
     )
 
 
 def run_measurement_chain(
-    spec: ExperimentSpec, checks: Sequence[str] | None = None
-) -> RunReport:
+    spec: ExperimentSpec | Sequence[ExperimentSpec], checks: Sequence[str] | None = None
+) -> RunReport | list[RunReport]:
     """Run detection then perception and certify the branch structure.
 
-    ``checks`` selects by name from ``CHAIN_CHECKS``; None runs all of
-    them, and an empty selection raises ``ValueError``.
+    A batch of specs (see ``_batch``), the draws of one configuration, runs
+    as one batched run and gives a list of reports, each the one its spec
+    gets alone.  ``checks`` selects by name from ``CHAIN_CHECKS``; None runs
+    all of them, and an empty selection raises ``ValueError``.
     """
     run = _certified_run(spec, checks, CHAIN_CHECKS)
-    results = list(run.checks)
+    extra = []
     if "coefficient_independence" in run.enabled:
-        results.append(coefficient_independence_check(spec, final_state=run.final))
+        extra.append(coefficient_independence_check(run.specs, final_state=run.final))
     if "no_signaling" in run.enabled:
-        results.append(_canonical_no_signaling(run))
-
-    return RunReport(
-        experiment="measurement_chain",
-        spec=spec,
-        theta=None,
-        final_state=run.final,
-        branches=list(run.branches),
-        checks=results,
-    )
+        extra.append(_canonical_no_signaling(run))
+    final = run.final
+    reports = [
+        RunReport("measurement_chain", s, None, replace(final, values=values), [*b], [*c, *more])
+        for s, values, b, c, *more in zip(run.specs, final.values, run.branches, run.checks, *extra)
+    ]
+    return reports[0] if isinstance(spec, ExperimentSpec) else reports
 
 
 def _select_checks(requested: Sequence[str] | None, available: Sequence[str]) -> list[str]:
@@ -601,88 +623,80 @@ def _select_checks(requested: Sequence[str] | None, available: Sequence[str]) ->
 
 def _state_checks(
     spec: ExperimentSpec,
+    coefficients: np.ndarray,
     post_detection: StateVector,
     final: StateVector,
-    obs_branches: Sequence[Branch],
+    obs_branches: Sequence[Sequence[Branch]],
     enabled: Sequence[str],
-) -> list[CheckResult]:
-    """The checks evaluated directly on the run's states.
+) -> list[list[CheckResult]]:
+    """The checks evaluated directly on the run's states, one list of
+    results per row of the batch's ``coefficients``.
 
-    ``final`` is the state every observer has looked at; ``obs_branches`` is
-    its decomposition by the first observer's record.
+    ``final`` is the state every observer has looked at; ``obs_branches``
+    holds each row's decomposition of it by the first observer's record.
     """
-    results: list[CheckResult] = []
+    per_row: list[list[CheckResult]] = [[] for _ in coefficients]
+
+    def add(name: str, residuals, tolerance: float = spec.tolerance) -> None:
+        for results, residual in zip(per_row, residuals):
+            results.append(CheckResult.from_residual(name, residual, tolerance))
+
     layout = final.layout
     detector_names = tuple(r.name for r in layout.by_role(ROLE_DETECTOR))
     observer_names = [r.name for r in layout.by_role(ROLE_OBSERVER)]
 
     if "structure" in enabled:
-        residual = _distance(final, expected_final_state(layout, spec.coefficients))
-        results.append(
-            CheckResult.from_residual("structure", residual, spec.tolerance)
-        )
+        add("structure", _distance(final, expected_final_state(layout, coefficients)))
 
     detector_at = [layout.position(n) for n in detector_names]
-    det_branches: list[Branch] = []
     if "branch_orthogonality" in enabled or "born_weights" in enabled:
         det_branches = decompose_branches(post_detection, detector_names, spec.tolerance)
 
     if "branch_orthogonality" in enabled:
-        residual = max(
+        residuals = np.maximum(
             _branch_overlap(post_detection, detector_at, det_branches),
             _branch_overlap(final, [layout.position("Obs1")], obs_branches),
         )
-        results.append(
-            CheckResult.from_residual("branch_orthogonality", residual, spec.tolerance)
-        )
+        add("branch_orthogonality", residuals)
 
     if "born_weights" in enabled:
-        residual = _born_weight_drift(spec.n_versions, det_branches, obs_branches)
-        results.append(
-            CheckResult.from_residual("born_weights", residual, spec.tolerance)
-        )
+        pairs = zip(det_branches, obs_branches)
+        add("born_weights", [_born_weight_drift(spec.n_versions, *pair) for pair in pairs])
 
     if "mixed_record" in enabled:
         # Once every observer has looked, any level outside the plain
         # messages counts, blank included.
         non_message = _weight_where(final.values, _non_message_rows(layout, final.labels))
-        weight = max(mixed_record_weight(post_detection), float(non_message))
-        results.append(
-            CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
-        )
+        weights = np.maximum(mixed_record_weight(post_detection), non_message)
+        add("mixed_record", weights, spec.tolerance**2)
 
     if "observer_coherence" in enabled:
-        residual = max(
-            analysis.observer_coherence(final, name) for name in observer_names
-        )
-        results.append(
-            CheckResult.from_residual("observer_coherence", residual, spec.tolerance)
-        )
+        residuals = [analysis.observer_coherence(final, name) for name in observer_names]
+        add("observer_coherence", np.max(residuals, axis=0))
 
     if "observer_agreement" in enabled:
         if spec.observers < 2:
-            results.append(
-                CheckResult.skip("observer_agreement", "needs at least two observers")
-            )
+            skip = CheckResult.skip("observer_agreement", "needs at least two observers")
+            per_row = [[*results, skip] for results in per_row]
         else:
-            weight = disagreement_weight(final)
-            results.append(
-                CheckResult.from_residual(
-                    "observer_agreement", weight, spec.tolerance**2
-                )
-            )
-    return results
+            add("observer_agreement", disagreement_weight(final), spec.tolerance**2)
+    return per_row
 
 
 def _branch_overlap(
-    state: StateVector, record_at: list[int], branches: Sequence[Branch]
-) -> float:
-    """``max_pair_overlap`` of the relative states of ``branches``, sections
-    of ``state`` by the registers at ``record_at``: each branch owns its rows
-    without those registers, with its amplitudes over its coefficient."""
-    rows = np.concatenate([b.rows for b in branches])
-    owner = np.concatenate([np.full(len(b.rows), k) for k, b in enumerate(branches)])
-    values = np.concatenate([state.values[b.rows] / b.coefficient for b in branches])
+    state: StateVector, record_at: list[int], branches: Sequence[Sequence[Branch]]
+) -> list[float]:
+    """``max_pair_overlap`` of the relative states of each row's branches,
+    sections of the batched ``state`` by the registers at ``record_at``: each
+    branch owns its rows without those registers, with its row's amplitudes
+    over its coefficient, and a section that is no branch of a row owns
+    zeros there."""
+    sections = {b.record_label: b.rows for row in branches for b in row}
+    rows = np.concatenate([*sections.values()])
+    owner = np.repeat(np.arange(len(sections)), [len(at) for at in sections.values()])
+    coefficients = [{b.record_label: b.coefficient for b in row} for row in branches]
+    scale = np.array([[row.get(label, 0j) for label in sections] for row in coefficients])[:, owner]
+    values = np.divide(state.values[:, rows], scale, out=np.zeros_like(scale), where=scale != 0)
     return max_pair_overlap(np.delete(state.labels[rows], record_at, axis=1), owner, values)
 
 
@@ -707,11 +721,11 @@ def _born_weight_drift(
     return float(max(np.abs(seen - recorded).max(), *leftovers))
 
 
-def _distance(x: StateVector, y: StateVector) -> float | list[float]:
-    """Euclidean distance between two states, over their joint support; for
-    batched states, one per row of amplitudes."""
+def _distance(x: StateVector, y: StateVector) -> list[float]:
+    """Euclidean distance between two states, over their joint support, one
+    per row of amplitudes (a state that is not batched is one row)."""
     _, (xs, ys) = aligned(x, y)
-    return vector_norm(xs - ys) if xs.ndim == 1 else vector_norms(xs - ys)
+    return vector_norms(np.atleast_2d(xs - ys))
 
 
 def _observer_columns(
@@ -729,11 +743,11 @@ def _weight_where(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(values[..., rows]) ** 2, axis=-1)
 
 
-def mixed_record_weight(state: StateVector) -> float:
-    """Total squared amplitude sitting on any observer's mixed level."""
+def mixed_record_weight(state: StateVector) -> float | list[float]:
+    """Total squared amplitude on any observer's mixed level, per batch member."""
     dims, levels = _observer_columns(state.layout, state.labels)
     mixed = [mixed_record_level(d) for d in dims]
-    return float(_weight_where(state.values, (levels == mixed).any(axis=1)))
+    return _weight_where(state.values, (levels == mixed).any(axis=1)).tolist()
 
 
 def _non_message_rows(layout: SubsystemLayout, labels: np.ndarray) -> np.ndarray:
@@ -743,12 +757,10 @@ def _non_message_rows(layout: SubsystemLayout, labels: np.ndarray) -> np.ndarray
     return ((levels == OBSERVER_BLANK) | (levels == mixed)).any(axis=1)
 
 
-def disagreement_weight(state: StateVector) -> float:
-    """Squared amplitude on basis states where observers' records differ."""
+def disagreement_weight(state: StateVector) -> float | list[float]:
+    """Squared amplitude where observers' records differ, per batch member."""
     _, levels = _observer_columns(state.layout, state.labels)
-    if levels.shape[1] < 2:
-        return 0.0
-    return float(_weight_where(state.values, (levels[:, 1:] != levels[:, :1]).any(axis=1)))
+    return _weight_where(state.values, (levels[:, 1:] != levels[:, :1]).any(axis=1)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +768,11 @@ def disagreement_weight(state: StateVector) -> float:
 
 
 def coefficient_independence_check(
-    spec: ExperimentSpec,
+    spec: ExperimentSpec | Sequence[ExperimentSpec],
     version_states: Sequence[StateVector] | None = None,
     *,
     final_state: StateVector | None = None,
-) -> CheckResult:
+) -> CheckResult | list[CheckResult]:
     """Compare the full run with the weighted sum of standalone runs.
 
     The versions v_k are the armed single-path configurations, or
@@ -775,7 +787,13 @@ def coefficient_independence_check(
     when the caller already has it.  Versions with a coefficient of modulus
     at most the tolerance are skipped and noted; with none left the
     residual is 0.
+
+    ``spec`` may be a batch (see ``_batch``), with ``final_state`` batched;
+    it gives a list of results, one per spec.
     """
+    single = isinstance(spec, ExperimentSpec)
+    specs, coefficients = _batch(spec)
+    spec = specs[0]
     chain = _compiled(spec)
     layout = chain.layout
     if version_states is None:
@@ -791,23 +809,27 @@ def coefficient_independence_check(
         sizes = [len(v.values) for v in version_states]
     if final_state is None:
         _, final_state = chain.evolve(
-            initial_state(layout, spec.coefficients)
+            initial_state(layout, coefficients)
             if version_states is None
-            else superpose(list(zip(spec.coefficients, version_states)))
+            else superpose(list(zip(coefficients.T, version_states)))
         )
     recorded = chain.record.relabel(labels)
     moved = chain.perception.relabel(recorded.rows)
     # a_k (U v_k); the state adds, in version order, the rows runs share.
-    weighted = np.repeat(spec.coefficients, sizes) * moved.amplitudes(recorded.amplitudes(values))
+    amplitudes = moved.amplitudes(recorded.amplitudes(values))
+    weighted = np.repeat(coefficients, sizes, axis=1) * amplitudes
     linear = StateVector(layout, moved.rows, weighted)
 
-    live = [abs(a) for a in spec.coefficients if abs(a) > spec.tolerance]
-    residual = _distance(final_state, linear) / min(live) if live else 0.0
-    skipped = [j for j, a in enumerate(spec.coefficients) if abs(a) <= spec.tolerance]
-    detail = f"skipped zero-coefficient versions {skipped}" if skipped else ""
-    return CheckResult.from_residual(
-        "coefficient_independence", residual, spec.tolerance, detail
-    )
+    results = []
+    for row, distance in zip(specs, _distance(final_state, linear)):
+        live = [abs(a) for a in row.coefficients if abs(a) > spec.tolerance]
+        residual = distance / min(live) if live else 0.0
+        skipped = [j for j, a in enumerate(row.coefficients) if abs(a) <= spec.tolerance]
+        detail = f"skipped zero-coefficient versions {skipped}" if skipped else ""
+        results.append(
+            CheckResult.from_residual("coefficient_independence", residual, spec.tolerance, detail)
+        )
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -852,15 +874,15 @@ def _version_configuration(
 def _restricted(state: StateVector, at: list[int], labels: np.ndarray) -> StateVector:
     """The part of ``state`` whose registers at ``at`` read ``labels``."""
     rows = (state.labels[:, at] == labels).all(axis=1)
-    return StateVector(state.layout, state.labels[rows], state.values[rows])
+    return StateVector(state.layout, state.labels[rows], state.values[..., rows])
 
 
 def no_signaling_check(
-    spec: ExperimentSpec,
+    spec: ExperimentSpec | Sequence[ExperimentSpec],
     perturbation: UnitaryOp,
     *,
     states: tuple[StateVector, StateVector] | None = None,
-) -> CheckResult:
+) -> CheckResult | list[CheckResult]:
     """Perturb the second version mid-run; the first branch must not move.
 
     The perturbation is applied after the records form but before any
@@ -868,8 +890,12 @@ def no_signaling_check(
     configuration subspace, else ``InvalidPerturbationError``.  The
     unperturbed run is the baseline: ``states`` is its post-detection and
     final state when the caller already has them, as ``CompiledChain.evolve``
-    returns them.
+    returns them.  ``spec`` may be a batch (see ``_batch``), with ``states``
+    batched; it gives a list of results, one per spec.
     """
+    single = isinstance(spec, ExperimentSpec)
+    specs, coefficients = _batch(spec)
+    spec = specs[0]
     chain = _compiled(spec)
     layout = chain.layout
     if perturbation.layout != layout:
@@ -884,15 +910,17 @@ def no_signaling_check(
     _require_protected(perturbation, at, recorded)
 
     if states is None:
-        states = chain.evolve(initial_state(layout, spec.coefficients))
+        states = chain.evolve(initial_state(layout, coefficients))
     post_detection, baseline = states
     perturbed = apply_unitary(chain.perception, apply_unitary(perturbation, post_detection))
-    residual = _distance(
+    residuals = _distance(
         _restricted(baseline, at, recorded), _restricted(perturbed, at, recorded)
     )
-    return CheckResult.from_residual(
-        "no_signaling", residual, spec.tolerance, detail=perturbation.provenance
-    )
+    results = [
+        CheckResult.from_residual("no_signaling", r, spec.tolerance, perturbation.provenance)
+        for r in residuals
+    ]
+    return results[0] if single else results
 
 
 def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None:
@@ -918,12 +946,13 @@ def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None
             )
 
 
-def _canonical_no_signaling(run: CertifiedRun) -> CheckResult:
-    """Worst residual over the stock phase-flip and record-cycle probes."""
+def _canonical_no_signaling(run: CertifiedRun) -> list[CheckResult]:
+    """Worst residual over the stock phase-flip and record-cycle probes, for
+    each row of the run."""
     states = (run.post_detection, run.final)
-    results = [no_signaling_check(run.spec, probe, states=states) for probe in run.chain.probes]
-    worst = max(results, key=lambda result: result.residual)
-    return replace(worst, detail="phase flip and record cycle on version 2")
+    results = [no_signaling_check(run.specs, probe, states=states) for probe in run.chain.probes]
+    detail = "phase flip and record cycle on version 2"
+    return [replace(max(row, key=lambda r: r.residual), detail=detail) for row in zip(*results)]
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +999,8 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
     for theta in thetas:
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta!r}")
-    spec, enabled, layout = plain.spec, plain.enabled, plain.chain.layout
+    (spec,), enabled, layout = plain.specs, plain.enabled, plain.chain.layout
+    (plain_checks,), (plain_branches,) = plain.checks, plain.branches
     # Columns of the scalar cosines and sines primed_coefficients takes: an
     # array call may take another loop and round differently.
     c = np.array([np.cos(theta) for theta in thetas]).reshape(-1, 1)
@@ -984,13 +1014,13 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
 
     basis = product_state(layout, versions[0].tolist())
     primed_evolved = apply_unitary(plain.chain.perception, turned(basis))
-    per_angle = [list(plain.checks) for _ in thetas]
+    per_angle = [list(plain_checks) for _ in thetas]
 
     if "mixed_record" in enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
         # of it and the plain run, whose weight on the post-detection state
         # the plain verdict already holds.
-        at = [r.name for r in plain.checks].index("mixed_record")
+        at = [r.name for r in plain_checks].index("mixed_record")
         non_message = _non_message_rows(layout, primed_evolved.labels)
         weights = _weight_where(primed_evolved.values, non_message).tolist()
         for results, weight in zip(per_angle, weights):
@@ -1018,15 +1048,14 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
         require_unit(final.values, "record_invariance")
         sections = _sections(final.labels, [layout.position("Obs1")])
         for results, branches in zip(per_angle, _branches(sections, final.values, spec.tolerance)):
-            results.append(_record_invariance(plain.branches, branches, spec.tolerance))
+            results.append(_record_invariance(plain_branches, branches, spec.tolerance))
 
+    unrotated = replace(plain.final, values=plain.final.values[0])
     reports: list[RunReport] = []
     for theta, results in zip(thetas, per_angle):
         draw = reports[0].draw if reports else None
         reports.append(
-            RunReport(
-                "appendix_rotation", spec, theta, plain.final, [*plain.branches], results, draw
-            )
+            RunReport("appendix_rotation", spec, theta, unrotated, [*plain_branches], results, draw)
         )
     return reports
 

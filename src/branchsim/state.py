@@ -238,24 +238,33 @@ def union_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels[distinct], np.array(position, dtype=np.intp)
 
 
-def max_pair_overlap(relative: np.ndarray, owner: np.ndarray, values: np.ndarray) -> float:
+def max_pair_overlap(
+    relative: np.ndarray, owner: np.ndarray, values: np.ndarray
+) -> float | list[float]:
     """Largest modulus, over owners a < b, of the sum of conj(v_i) * v_j over
     their rows i and j with equal ``relative`` label rows (0.0 if none).
     Only repeated relative rows are multiplied; each part is a ``math.fsum``
     of rounded products and the modulus their ``math.hypot``, so the result
-    does not depend on row order."""
+    does not depend on row order.  For 2-D ``values``, one row of amplitudes
+    per batch member, the pairs are found once and each row gets its own
+    result, in a list."""
     _, group = union_rows(relative)
-    owners, amplitudes, groups = owner.tolist(), values.tolist(), group.tolist()
+    owners, groups = owner.tolist(), group.tolist()
     shared = np.flatnonzero(np.bincount(group)[group] > 1).tolist()
-    sums: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
+    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for _, rows in itertools.groupby(sorted(shared, key=groups.__getitem__), groups.__getitem__):
         for i, j in itertools.combinations(sorted(rows, key=owners.__getitem__), 2):
             if owners[i] != owners[j]:
-                p, q = amplitudes[i], amplitudes[j]
-                real, imag = sums.setdefault((owners[i], owners[j]), ([], []))
-                real += (p.real * q.real, p.imag * q.imag)
-                imag += (p.real * q.imag, -(p.imag * q.real))
-    return max((math.hypot(math.fsum(r), math.fsum(i)) for r, i in sums.values()), default=0.0)
+                pairs.setdefault((owners[i], owners[j]), []).append((i, j))
+    batch = np.atleast_2d(values)
+    overlaps = [0.0] * len(batch)
+    for pair in pairs.values():
+        p, q = (batch[:, at] for at in np.array(pair).T)
+        real = np.hstack([p.real * q.real, p.imag * q.imag]).tolist()
+        imag = np.hstack([p.real * q.imag, -(p.imag * q.real)]).tolist()
+        moduli = [math.hypot(math.fsum(r), math.fsum(i)) for r, i in zip(real, imag)]
+        overlaps = list(map(max, overlaps, moduli))
+    return overlaps if values.ndim == 2 else overlaps[0]
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -293,7 +302,7 @@ def product_state(
 
 
 def superpose(terms: Sequence[tuple[complex, StateVector]]) -> StateVector:
-    """Componentwise linear combination.  Not normalized; callers decide."""
+    """Componentwise linear combination, batched by array coefficients.  Not normalized."""
     if not terms:
         raise ValueError("superpose needs at least one term")
     layout = terms[0][1].layout
@@ -303,7 +312,7 @@ def superpose(terms: Sequence[tuple[complex, StateVector]]) -> StateVector:
     return StateVector(
         layout,
         np.concatenate([state.labels for _, state in terms]),
-        np.concatenate([complex(c) * state.values for c, state in terms]),
+        np.concatenate([np.multiply.outer(c, state.values) for c, state in terms], axis=-1),
     )
 
 

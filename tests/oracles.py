@@ -30,7 +30,15 @@ keyed by one-hot tuples and message levels.
 (the library's label part, then its amplitude part at that angle), and
 ``reference_appendix_rotation`` evolves every state of one rotation angle
 afresh with ``rotate`` and ``apply_unitary``, the reference for the
-experiment's batched states, which hold a whole batch of angles at once.  ``reference_report_json``
+experiment's batched states, which hold a whole batch of angles at once.
+``reference_measurement_chain`` is the per-draw path of the measurement
+chain: one spec's run by itself, every state one state, its state checks
+(``reference_state_checks``) on ``reference_pair_overlap``, the overlap
+loop one row of amplitudes at a time, its independence check on each
+version evolved as its own state and its probes applied one by one; the
+library certifies all of a configuration's draws as the rows of one batch,
+and each draw's report must equal this one bit for bit.
+``reference_report_json``
 is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
 report writer.
 
@@ -42,6 +50,7 @@ and ``level_cycle``, and the inverses ``inverse`` (of one table) and
 ``adjoint`` (of an operator).
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -67,7 +76,7 @@ from branchsim import (
     reduced_density_matrix,
 )
 from branchsim import experiments
-from branchsim.state import aligned, vector_norm
+from branchsim.state import aligned, union_rows, vector_norm
 from branchsim.cli import _jsonify
 
 # Dense matrices only below this dimension.
@@ -650,6 +659,153 @@ def naive_independence_residual(coefficients, tolerance, whole, singles):
     return residual
 
 
+def reference_pair_overlap(relative, owner, values):
+    """``max_pair_overlap`` of one row of amplitudes, pair by pair: for each
+    two rows of different owners with equal ``relative`` label rows, the four
+    rounded products go into their owner pair's real and imaginary lists,
+    and each pair's modulus is ``math.hypot`` of the lists' ``math.fsum``."""
+    _, group = union_rows(relative)
+    owners, amplitudes, groups = owner.tolist(), values.tolist(), group.tolist()
+    shared = np.flatnonzero(np.bincount(group)[group] > 1).tolist()
+    sums = {}
+    for _, rows in itertools.groupby(sorted(shared, key=groups.__getitem__), groups.__getitem__):
+        for i, j in itertools.combinations(sorted(rows, key=owners.__getitem__), 2):
+            if owners[i] != owners[j]:
+                p, q = amplitudes[i], amplitudes[j]
+                real, imag = sums.setdefault((owners[i], owners[j]), ([], []))
+                real += (p.real * q.real, p.imag * q.imag)
+                imag += (p.real * q.imag, -(p.imag * q.real))
+    return max((math.hypot(math.fsum(r), math.fsum(i)) for r, i in sums.values()), default=0.0)
+
+
+def _reference_branch_overlap(state, record_at, branches):
+    """``reference_pair_overlap`` of the branches' relative states: each
+    branch owns its rows without the registers at ``record_at``, with its
+    amplitudes over its coefficient."""
+    rows = np.concatenate([b.rows for b in branches])
+    owner = np.concatenate([np.full(len(b.rows), k) for k, b in enumerate(branches)])
+    values = np.concatenate([state.values[b.rows] / b.coefficient for b in branches])
+    return reference_pair_overlap(np.delete(state.labels[rows], record_at, axis=1), owner, values)
+
+
+def _reference_coherence(state, observer):
+    """``observer_coherence`` of one state through ``reference_pair_overlap``."""
+    at = state.layout.position(observer)
+    levels = state.labels[:, at]
+    top = mixed_record_level(state.layout.register(observer).dimension)
+    message = (levels > 0) & (levels < top)
+    relative = np.delete(state.labels[message], at, axis=1)
+    return reference_pair_overlap(relative, levels[message], state.values[message])
+
+
+def _reference_distance(x, y):
+    _, (xs, ys) = aligned(x, y)
+    return vector_norm(xs - ys)
+
+
+def reference_state_checks(spec, post_detection, final, obs_branches, enabled):
+    """The state checks of one spec's run, on states that are not batched:
+    ``final`` is the state every observer has looked at, ``obs_branches``
+    its decomposition by the first observer's record."""
+    results = []
+    layout = final.layout
+    detector_names = tuple(r.name for r in layout.by_role("detector"))
+    observer_names = [r.name for r in layout.by_role("observer")]
+    check = lambda name, residual, tolerance=spec.tolerance: results.append(
+        CheckResult.from_residual(name, residual, tolerance)
+    )
+    if "structure" in enabled:
+        check("structure", _reference_distance(final, expected_final_state(layout, spec.coefficients)))
+    if "branch_orthogonality" in enabled or "born_weights" in enabled:
+        det_branches = decompose_branches(post_detection, detector_names, spec.tolerance)
+    if "branch_orthogonality" in enabled:
+        detector_at = [layout.position(n) for n in detector_names]
+        residual = max(
+            _reference_branch_overlap(post_detection, detector_at, det_branches),
+            _reference_branch_overlap(final, [layout.position("Obs1")], obs_branches),
+        )
+        check("branch_orthogonality", residual)
+    if "born_weights" in enabled:
+        check("born_weights", reference_born_weight_drift(spec.n_versions, det_branches, obs_branches))
+    if "mixed_record" in enabled:
+        rows = experiments._non_message_rows(layout, final.labels)
+        non_message = float(experiments._weight_where(final.values, rows))
+        weight = max(experiments.mixed_record_weight(post_detection), non_message)
+        check("mixed_record", weight, spec.tolerance**2)
+    if "observer_coherence" in enabled:
+        check("observer_coherence", max(_reference_coherence(final, n) for n in observer_names))
+    if "observer_agreement" in enabled:
+        if spec.observers < 2:
+            results.append(CheckResult.skip("observer_agreement", "needs at least two observers"))
+        else:
+            check("observer_agreement", experiments.disagreement_weight(final), spec.tolerance**2)
+    return results
+
+
+def reference_independence(spec, final):
+    """``coefficient_independence`` of one spec's run with final state
+    ``final``: each version's standalone run evolved as its own state, the
+    weighted runs added in version order, and the distance of the full run
+    from their sum over the smallest coefficient modulus above the
+    tolerance."""
+    chain = experiments.compile_chain(
+        spec.n_versions, spec.observers, spec.photon_model, spec.negative_control
+    )
+    rows = experiments._version_rows(chain.layout, range(spec.n_versions), detected=False)
+    singles = [chain.evolve(StateVector(chain.layout, row[None], [1.0]))[1] for row in rows]
+    linear = StateVector(
+        chain.layout,
+        np.concatenate([s.labels for s in singles]),
+        np.concatenate([a * s.values for a, s in zip(spec.coefficients, singles)]),
+    )
+    live = [abs(a) for a in spec.coefficients if abs(a) > spec.tolerance]
+    residual = _reference_distance(final, linear) / min(live) if live else 0.0
+    skipped = [j for j, a in enumerate(spec.coefficients) if abs(a) <= spec.tolerance]
+    detail = f"skipped zero-coefficient versions {skipped}" if skipped else ""
+    return CheckResult.from_residual("coefficient_independence", residual, spec.tolerance, detail)
+
+
+def reference_no_signaling(spec, chain, post_detection, final):
+    """The worst of the stock probes' ``no_signaling`` results for one
+    spec's run: each probe applied to the post-detection state, the result
+    perceived, and version 1's configuration compared with ``final``'s."""
+    at, recorded = experiments._version_configuration(chain.layout, 0)
+    results = []
+    for probe in chain.probes:
+        experiments._require_protected(probe, at, recorded)
+        perturbed = apply_unitary(chain.perception, apply_unitary(probe, post_detection))
+        residual = _reference_distance(
+            experiments._restricted(final, at, recorded),
+            experiments._restricted(perturbed, at, recorded),
+        )
+        results.append(
+            CheckResult.from_residual("no_signaling", residual, spec.tolerance, probe.provenance)
+        )
+    worst = max(results, key=lambda result: result.residual)
+    return dataclasses.replace(worst, detail="phase flip and record cycle on version 2")
+
+
+def reference_measurement_chain(spec, checks=None):
+    """One spec's measurement chain run by itself, every state one state:
+    the reference for the library's batched run, which certifies all of a
+    configuration's draws as the rows of one batch and must give each draw
+    this report bit for bit."""
+    enabled = experiments._select_checks(checks, experiments.CHAIN_CHECKS)
+    chain = experiments.compile_chain(
+        spec.n_versions, spec.observers, spec.photon_model, spec.negative_control
+    )
+    post_detection, final = chain.evolve(
+        experiments.initial_state(chain.layout, spec.coefficients)
+    )
+    branches = decompose_branches(final, "Obs1", spec.tolerance)
+    results = reference_state_checks(spec, post_detection, final, branches, enabled)
+    if "coefficient_independence" in enabled:
+        results.append(reference_independence(spec, final))
+    if "no_signaling" in enabled:
+        results.append(reference_no_signaling(spec, chain, post_detection, final))
+    return RunReport("measurement_chain", spec, None, final, list(branches), results)
+
+
 def reference_appendix_rotation(plain, theta):
     """One angle of the rotation experiment, every state evolved afresh.
 
@@ -663,18 +819,18 @@ def reference_appendix_rotation(plain, theta):
     of amplitudes per angle, and runs the same state code on every row, so
     each of its reports must equal these bit for bit.
     """
-    spec, enabled, chain = plain.spec, plain.enabled, plain.chain
+    (spec,), (branches,), enabled, chain = plain.specs, plain.branches, plain.enabled, plain.chain
     layout = chain.layout
-    post_detection, final, branches = plain.post_detection, plain.final, plain.branches
+    post_detection, final = (_row(state, 0) for state in (plain.post_detection, plain.final))
 
     versions = experiments._version_rows(layout, [0, 1], detected=True)
     plane = build_basis_rotation(layout, *versions)
     primed_first = rotate(plane, product_state(layout, versions[0].tolist()), theta)
     primed_evolved = apply_unitary(chain.perception, primed_first)
 
-    results = list(plain.checks)
+    results = list(plain.checks[0])
     if "mixed_record" in enabled:
-        (primed,) = experiments._state_checks(
+        (primed,) = reference_state_checks(
             spec, post_detection, primed_evolved, branches, ["mixed_record"]
         )
         at = [r.name for r in results].index("mixed_record")
@@ -691,7 +847,7 @@ def reference_appendix_rotation(plain, theta):
 
     if "primed_evolution" in enabled:
         target = expected_final_state(layout, [np.cos(theta), np.sin(theta)])
-        residual = experiments._distance(primed_evolved, target)
+        residual = _reference_distance(primed_evolved, target)
         results.append(CheckResult.from_residual("primed_evolution", residual, spec.tolerance))
 
     if "record_invariance" in enabled:
@@ -707,6 +863,11 @@ def reference_appendix_rotation(plain, theta):
         branches=list(branches),
         checks=results,
     )
+
+
+def _row(state, row):
+    """One row of a batched state, as a state that is not batched."""
+    return StateVector(state.layout, state.labels, state.values[row])
 
 
 def _amplitude_at(state, row):

@@ -244,6 +244,30 @@ def random_config(tmp_path, **overrides):
     return write_config(tmp_path, **overrides)
 
 
+@pytest.mark.parametrize("negative_control", [False, True])
+@pytest.mark.parametrize("photon_model", [False, True])
+def test_label_work_is_the_same_for_any_number_of_draws(
+    tmp_path, monkeypatch, photon_model, negative_control
+):
+    # A chain config's draws are the rows of one batched run, so every stage
+    # relabels the same label rows once per config, whatever the draw count.
+    relabel, calls = UnitaryOp.relabel, []
+    monkeypatch.setattr(
+        UnitaryOp, "relabel", lambda op, labels: calls.append(len(labels)) or relabel(op, labels)
+    )
+    work = []
+    for draws in (1, 1, 3, 8):  # the first run also compiles the chain
+        path = random_config(
+            tmp_path, n_versions=4, observers=2, photon_model=photon_model,
+            coefficients={"random": draws},
+        )
+        calls.clear()
+        code, report = run_and_report(parse_config(str(path)), negative_control)
+        assert (code, len(report["runs"])) == (int(negative_control), draws)
+        work.append(list(calls))
+    assert work[1] and work[1] == work[2] == work[3]
+
+
 @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2), (-1, 2)])
 def test_a_config_seed_is_an_unsigned_64_bit_integer(tmp_path, capsys, seed, code):
     path = random_config(tmp_path, seed=seed)

@@ -98,6 +98,7 @@ from oracles import (
     reference_born_weight_drift,
     reference_overlap,
     reference_appendix_rotation,
+    reference_measurement_chain,
     reference_report_json,
     rotate,
     unitarity_residual,
@@ -410,7 +411,8 @@ def test_branches_are_the_relative_state_oracle_bit_for_bit(drawn, data, toleran
             for b, (_, _, relative) in zip(branches, reference):
                 assert np.array_equal(np.delete(x.labels[b.rows], at, axis=1), relative.labels)
                 assert (x.values[b.rows] / b.coefficient).tobytes() == relative.values.tobytes()
-            residual = experiments._branch_overlap(x, at, branches)
+            one_row = StateVector(layout, x.labels, x.values[None])
+            (residual,) = experiments._branch_overlap(one_row, at, [branches])
             relatives = [r for _, _, r in reference]
             assert residual == reference_overlap(relatives)
             assert residual == pytest.approx(gram_overlap(relatives), abs=1e-15)
@@ -433,6 +435,12 @@ def test_overlaps_are_the_exact_oracle_in_any_row_order(drawn, data):
         coherence = observer_coherence(x, observer.name)
         assert coherence == naive_observer_coherence(exact_partial_trace(x, [observer.name]))
         assert coherence == pytest.approx(dense_observer_coherence(x, observer.name), abs=1e-15)
+        # A batch of unit states on x's rows: each member's own coherence.
+        order = data.draw(st.permutations(range(len(x.values))))
+        members = np.stack([x.values, 1j * x.values, x.values[order]])
+        batch = StateVector(layout, x.labels, members)
+        alone = [observer_coherence(StateVector(layout, x.labels, v), observer.name) for v in members]
+        assert observer_coherence(batch, observer.name) == alone
     for at in ([layout.position("Obs1")], detectors):
         x = with_shared_relative_rows(data, state, at)
         relative = np.delete(x.labels, at, axis=1)
@@ -440,6 +448,9 @@ def test_overlaps_are_the_exact_oracle_in_any_row_order(drawn, data):
         overlap = max_pair_overlap(relative, owner, x.values)
         order = data.draw(st.permutations(range(len(owner))))
         assert max_pair_overlap(relative[order], owner[order], x.values[order]) == overlap
+        members = np.stack([x.values, x.values[order], np.zeros_like(x.values)])
+        alone = [max_pair_overlap(relative, owner, v) for v in members]
+        assert max_pair_overlap(relative, owner, members) == alone == [overlap, alone[1], 0.0]
 
 
 @given(specs(max_versions=4), st.data())
@@ -491,6 +502,71 @@ def test_a_batch_of_angles_is_the_per_angle_oracle_byte_for_byte(spec, control, 
     for theta, report in zip(thetas, reports):
         reference = reference_appendix_rotation(plain, theta).to_dict()
         assert json.dumps(report.to_dict()) == json.dumps(reference)
+
+
+# Exact zeros of either sign, so that draws can prune branches and skip
+# versions, and parts over the whole unit interval.
+coefficient_parts = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+)
+
+
+@st.composite
+def draw_batches(draw):
+    """Specs of one chain configuration that differ only in their
+    coefficients: 1-6 draws at N = 2-5, some of them repeats."""
+    n_versions = draw(st.integers(min_value=2, max_value=5))
+    observers = draw(st.integers(min_value=1, max_value=3))
+    photon_model, negative_control = draw(st.booleans()), draw(st.booleans())
+    draws = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if draws and draw(st.booleans()):
+            draws.append(draw(st.sampled_from(draws)))
+            continue
+        parts = draw(st.lists(coefficient_parts, min_size=2 * n_versions, max_size=2 * n_versions))
+        vector = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+        norm = math.sqrt(math.fsum(abs(c) ** 2 for c in vector))
+        assume(norm > 1e-6 and (not negative_control or abs(vector[0]) > 1e-3 * norm))
+        draws.append(tuple(complex(c.real / norm, c.imag / norm) for c in vector))
+    return [
+        ExperimentSpec(n_versions, c, observers, photon_model, negative_control=negative_control)
+        for c in draws
+    ]
+
+
+@given(
+    draw_batches(),
+    st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(experiments.CHAIN_CHECKS), min_size=1, unique=True),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_batch_of_draws_is_the_per_draw_oracle_byte_for_byte(specs, checks):
+    # The batch holds every draw's amplitudes as one row of each state; the
+    # oracle runs each draw alone, every state one state.  JSON tells signed
+    # zeros apart.
+    reports = run_measurement_chain(specs, checks)
+    assert len(reports) == len(specs)
+    for spec, report in zip(specs, reports):
+        reference = reference_measurement_chain(spec, checks).to_dict()
+        assert json.dumps(report.to_dict()) == json.dumps(reference)
+    alone = run_measurement_chain(specs[0], checks)
+    assert json.dumps(alone.to_dict()) == json.dumps(reports[0].to_dict())
+
+
+def test_a_batch_refuses_specs_that_differ_beyond_their_coefficients():
+    spec = ExperimentSpec(2, (0.6, 0.8))
+    for other in (
+        replace(spec, observers=2),
+        replace(spec, photon_model=True),
+        replace(spec, negative_control=True),
+        replace(spec, tolerance=1e-9),
+    ):
+        with pytest.raises(ValueError, match="differ only in their coefficients"):
+            run_measurement_chain([spec, other])
+    with pytest.raises(ValueError, match="differ only in their coefficients"):
+        run_measurement_chain([])
 
 
 @given(sparse_states())
