@@ -1,14 +1,14 @@
 """Config-driven experiment runner with JSON and text reports.
 
-Configs are JSON files (see README for the schema).  Exit codes: 0 all
-checks passed, 1 at least one check failed, 2 usage or config error,
-3 capacity exceeded, 4 internal error (a bug; the traceback goes to
-standard error).
+``main`` reads the command line of ``USAGE`` in one loop over argv: exact
+option names, as ``--name value`` or ``--name=value``.  Configs are JSON
+files (see README for the schema).  Exit codes, all returned: 0 all checks
+passed, 1 at least one check failed, 2 usage or config error, 3 capacity
+exceeded, 4 internal error (a bug; the traceback goes to standard error).
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import functools
 import json
@@ -495,47 +495,67 @@ def _separator(lead: str, depth: int, name: str | None = None) -> str:
     return text if name is None else text + encode_basestring_ascii(name) + ": "
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="branchsim",
-        description="Run branching measurement-chain experiments from a config file.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    runner = sub.add_parser("run", help="execute the experiment in a config file")
-    runner.add_argument("config", help="path to a JSON config")
-    runner.add_argument(
-        "--check",
-        action="append",
-        dest="checks",
-        metavar="NAME",
-        help="run only the named check (repeatable)",
-    )
-    runner.add_argument("--format", choices=("json", "text"), help="report format override")
-    runner.add_argument("--out", metavar="PATH", help="report path override")
-    runner.add_argument("--seed", type=int, metavar="U64", help="seed override")
-    runner.add_argument("--tolerance", type=float, metavar="X", help="tolerance override")
-    runner.add_argument(
-        "--negative-control", action="store_true", help=argparse.SUPPRESS
-    )
-    args = parser.parse_args(argv)
+USAGE = """usage: branchsim run <config.json> [--check NAME]... [--format json|text]
+                                   [--out PATH] [--seed U64] [--tolerance X]"""
 
+# Each option's value conversion; --check appends, any other repeat overrides.
+_OPTIONS = {"--check": str, "--format": str, "--out": str, "--seed": int, "--tolerance": float}
+
+
+def _parse_argv(argv: list[str]) -> dict | None:
+    """``{"config": path, option: value, ...}`` for the options given, or None
+    for help.  A usage error raises ``ValueError`` naming the argument."""
+    args, tokens, positionals = {}, iter(argv), []
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if token in ("-h", "--help"):
+            return None
+        if token == "--negative-control":
+            args[token] = True
+        elif name in _OPTIONS:
+            value = value if equals else next(tokens, None)
+            if value is None:
+                raise ValueError(f"{name} expects a value")
+            try:
+                value = _OPTIONS[name](value)
+            except ValueError:
+                raise ValueError(f"{name}: invalid value {value!r}") from None
+            if name == "--format" and value not in ("json", "text"):
+                raise ValueError(f"--format: expected 'json' or 'text', got {value!r}")
+            args[name] = args.get(name, []) + [value] if name == "--check" else value
+        elif token.startswith("-") and token != "-":
+            raise ValueError(f"unrecognized argument {token!r}")
+        else:
+            positionals.append(token)
+    if argv[:1] != ["run"] or len(positionals) != 2:
+        raise ValueError(f"expected 'run' and one config path, got {positionals}")
+    return {"config": positionals[1], **args}
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run ``branchsim run CONFIG [OPTION]...`` from ``argv`` (default
+    ``sys.argv[1:]``) and return its exit code: 2 for a usage error, 0 for help."""
     try:
-        config = parse_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.tolerance is not None:
-            config.tolerance = _check_tolerance(args.tolerance)
-        if args.checks:
-            config.checks = args.checks
-        if args.format:
-            config.output_format = args.format
-        if args.out:
-            config.output_path = args.out
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nusage error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(USAGE)
+        return 0
+    try:
+        config = parse_config(args["config"])
+        config.seed = args.get("--seed", config.seed)
+        if "--tolerance" in args:
+            config.tolerance = _check_tolerance(args["--tolerance"])
+        config.checks = args.get("--check", config.checks)
+        config.output_format = args.get("--format", config.output_format)
+        config.output_path = args.get("--out") or config.output_path
         _cross_validate(config)
-        blind = config.checks is not None and "mixed_record" not in config.checks
-        if args.negative_control and blind:
+        negative_control = "--negative-control" in args
+        if negative_control and config.checks is not None and "mixed_record" not in config.checks:
             raise ConfigError("--negative-control needs the mixed_record check, which it must fail")
-        exit_code, report = run_and_report(config, negative_control=args.negative_control)
+        exit_code, report = run_and_report(config, negative_control=negative_control)
         write_report(report, config.output_path, config.output_format)
         return exit_code
     except ConfigError as exc:

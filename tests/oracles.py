@@ -40,7 +40,8 @@ library certifies all of a configuration's draws as the rows of one batch,
 and each draw's report must equal this one bit for bit.
 ``reference_report_json``
 is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
-report writer.
+report writer, and ``reference_argv`` is the ``argparse`` parser the CLI
+once built, the reference for its one loop over argv.
 
 The library's run path needs none of the helpers below; tests use them to
 build states and operators by hand: ``version_labels`` (one version's
@@ -50,6 +51,7 @@ and ``level_cycle``, and the inverses ``inverse`` (of one table) and
 ``adjoint`` (of an operator).
 """
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -414,6 +416,41 @@ def reference_report_json(report):
     """A report's JSON text as the stdlib writes it with ``indent=2``, in
     pure Python, one small piece per token (without the final newline)."""
     return json.dumps(report, indent=2, sort_keys=True, default=_jsonify, allow_nan=False)
+
+
+def reference_argv(argv):
+    """``argv`` as the CLI's former ``argparse`` parser read it, in the form
+    ``cli._parse_argv`` returns: ``{"config": path, option: value, ...}`` for
+    the options given.  A usage error raises ``SystemExit(2)`` and help
+    ``SystemExit(0)``, after argparse prints its message."""
+    parser = argparse.ArgumentParser(
+        prog="branchsim",
+        description="Run branching measurement-chain experiments from a config file.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    runner = sub.add_parser("run", help="execute the experiment in a config file")
+    runner.add_argument("config", help="path to a JSON config")
+    runner.add_argument(
+        "--check",
+        action="append",
+        dest="checks",
+        metavar="NAME",
+        help="run only the named check (repeatable)",
+    )
+    runner.add_argument("--format", choices=("json", "text"), help="report format override")
+    runner.add_argument("--out", metavar="PATH", help="report path override")
+    runner.add_argument("--seed", type=int, metavar="U64", help="seed override")
+    runner.add_argument("--tolerance", type=float, metavar="X", help="tolerance override")
+    runner.add_argument(
+        "--negative-control", action="store_true", help=argparse.SUPPRESS
+    )
+    args = vars(parser.parse_args(argv))
+    names = {"checks": "--check", "negative_control": "--negative-control"}
+    return {
+        names.get(dest, dest if dest == "config" else "--" + dest): value
+        for dest, value in args.items()
+        if dest != "command" and value is not None and value is not False
+    }
 
 
 def unitarity_residual(matrix):

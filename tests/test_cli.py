@@ -1,7 +1,10 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -9,11 +12,13 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from branchsim import UnitaryOp, cli, compile_chain, experiments
 from branchsim.cli import MAX_THETAS, main, parse_config, run_and_report
 from branchsim.errors import ConfigError
-from oracles import reference_report_json
+from oracles import reference_argv, reference_report_json
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -737,3 +742,179 @@ def test_an_over_cap_chain_is_refused_before_it_allocates(tmp_path, overrides):
     assert "capacity error: a chain of" in done.stderr
     assert "registers exceeds MAX_REGISTERS = 512" in done.stderr
     assert float(done.stdout) < 1.0
+
+
+# -- the command line ------------------------------------------------------------------
+
+
+def run_main(argv):
+    """``main(argv)``'s exit code, standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["run", "--help"], ["run", "missing.json", "--seed", "1", "-h"]],
+)
+def test_help_prints_the_readme_usage_line_and_returns_zero(argv):
+    assert run_main(argv) == (0, cli.USAGE + "\n", "")
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    assert cli.USAGE in readme.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, offending",
+    [
+        (["run", "{config}", "--bogus"], "'--bogus'"),
+        (["run", "{config}", "--seed"], "--seed expects a value"),
+        (["run", "{config}", "--seed", "abc"], "'abc'"),
+        (["run", "{config}", "--tolerance", "x"], "'x'"),
+        (["run", "{config}", "--format", "xml"], "'xml'"),
+        ([], "got []"),
+        (["{config}"], "got ['{config}']"),
+        (["run"], "got ['run']"),
+        (["run", "{config}", "other.json"], "'other.json']"),
+        (["run", "{config}", "--neg"], "'--neg'"),
+        (["run", "{config}", "--tol", "1e-9"], "'--tol'"),
+    ],
+    ids=[
+        "unknown_option", "no_value", "seed_abc", "tolerance_x", "format_xml",
+        "no_subcommand", "config_without_subcommand", "no_config", "two_configs",
+        "prefix_neg", "prefix_tol",
+    ],
+)
+def test_a_usage_error_returns_two_before_the_config_is_read(tmp_path, monkeypatch, argv, offending):
+    # The config does not exist, so reading it would be a config error.
+    config = str(tmp_path / "missing.json")
+    monkeypatch.setattr(cli, "parse_config", lambda path: pytest.fail("config read"))
+    argv = [arg.format(config=config) for arg in argv]
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(cli.USAGE + "\nusage error: ")
+    assert offending.format(config=config) in err
+    assert "Traceback" not in err
+
+
+def test_an_option_reads_the_same_with_an_equals_sign(tmp_path):
+    path = str(write_config(tmp_path, experiment="generalized", n_versions=3,
+                            coefficients={"random": 2}, seed=5))
+    spaced = ["--check", "structure", "--check", "mixed_record", "--seed", "9",
+              "--tolerance", "1e-10", "--format", "text", "--out"]
+    joined = ["--check=structure", "--check=mixed_record", "--seed=9", "--tolerance=1e-10",
+              "--format=text", "--out=" + str(tmp_path / "joined.txt")]
+    assert main(["run", path, *spaced, str(tmp_path / "spaced.txt")]) == 0
+    assert main(["run", path, *joined]) == 0
+    spaced_text = (tmp_path / "spaced.txt").read_text(encoding="utf-8")
+    assert spaced_text == (tmp_path / "joined.txt").read_text(encoding="utf-8")
+    assert "runs 2" in spaced_text and "check structure" in spaced_text
+
+
+# Each option with values it reads; any option may also get any of VALUES.
+OPTIONS = {
+    "--check": ["structure", "mixed_record"],
+    "--format": ["json", "text"],
+    "--out": ["r.json", "a=b"],
+    "--seed": ["7", "-1", "0"],
+    "--tolerance": ["1e-15", "nan", "-1", "2.5e-9"],
+}
+VALUES = ["-1", "1e-15", "0x10", "nan", "", "a=b", "-", "-x", "-1e-15", "cfg.json"]
+
+
+@st.composite
+def options(draw):
+    name = draw(st.sampled_from(sorted(OPTIONS)))
+    odd = draw(st.booleans()) and draw(st.booleans())
+    value = draw(st.sampled_from(VALUES if odd else OPTIONS[name]))
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+@st.composite
+def argvs(draw):
+    """A command line from the CLI's exact option names, each in the form
+    ``--name value`` or ``--name=value``, repeated and in any order, among
+    config paths and values that look like options or numbers."""
+    single = st.sampled_from(["--negative-control", *OPTIONS, *VALUES]).map(lambda arg: [arg])
+    pieces = st.one_of(options(), options(), options(), options(), single)
+    head = draw(st.sampled_from([["run"], [], ["cfg.json"]]))
+    head = ["run", "cfg.json"] if draw(st.booleans()) or draw(st.booleans()) else head
+    return head + [arg for piece in draw(st.lists(pieces, max_size=6)) for arg in piece]
+
+
+def parsed(parse, argv):
+    """``parse(argv)`` as JSON text (``nan`` compares equal), or None for a
+    usage error."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return json.dumps(parse(argv), sort_keys=True)
+    except SystemExit as exc:
+        assert exc.code == 2
+    except ValueError:
+        pass
+    return None
+
+
+@given(argvs())
+@settings(max_examples=500, deadline=None)
+@example(["run", "cfg.json", "--out", "-x"])
+@example(["run", "cfg.json", "--tolerance", "-1e-15", "--check", "-1"])
+@example(["run", "-1"])
+def test_the_loop_reads_argv_as_argparse_did(argv):
+    expected = parsed(reference_argv, argv)
+    got = parsed(cli._parse_argv, argv)
+    if expected is not None and got is not None:
+        assert got == expected
+    elif got is None:
+        if expected is None:
+            code, out, err = run_main(argv)
+            assert (code, out) == (2, "") and err.startswith(cli.USAGE)
+        else:
+            # Declared difference: an argument that starts with "-" (not "-"
+            # itself) is an option, never the config; argparse takes a
+            # negative number such as "-1" as the config path.
+            assert json.loads(expected)["config"].startswith("-")
+    else:
+        # Declared difference: the argument after "--name" is its value
+        # whatever it looks like, as argparse reads "--name=value"; argparse
+        # refuses a value such as "-x" or "-1e-15" after "--name".
+        joined, rest, dashed = argv[:1], iter(argv[1:]), False
+        for arg in rest:
+            if arg in OPTIONS:
+                value = next(rest)
+                dashed |= value.startswith("-") and value != "-"
+                arg = f"{arg}={value}"
+            joined.append(arg)
+        assert dashed and parsed(reference_argv, joined) == got
+
+
+def test_a_double_dash_is_an_unrecognized_argument():
+    # Declared difference: argparse read "--" as the end of the options.
+    assert reference_argv(["run", "--", "-1"]) == {"config": "-1"}
+    assert parsed(cli._parse_argv, ["run", "--", "-1"]) is None
+    code, out, err = run_main(["run", "cfg.json", "--"])
+    assert (code, out) == (2, "") and "unrecognized argument '--'" in err
+
+
+def test_a_cli_call_imports_no_module(tmp_path):
+    # A child process, since this test process has imported most modules
+    # already.  Each call must find every module it uses imported.
+    chain = random_config(tmp_path, name="chain.json", n_versions=3, photon_model=True)
+    rotation = write_config(
+        tmp_path, name="rotation.json", experiment="appendix_rotation", thetas=[0.7]
+    )
+    script = (
+        "import sys\n"
+        "import branchsim.cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    before = set(sys.modules)\n"
+        "    code = branchsim.cli.main(['run', path, '--out', path + '.report'])\n"
+        "    print(code, sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(chain), str(rotation)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.stdout.splitlines() == ["0 []", "0 []"], done.stderr
