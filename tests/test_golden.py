@@ -96,6 +96,17 @@ CONFIGS = {
         "coefficients": {"random": 16},
         "seed": 2,
     },
+    # Four draws times six angles, signed zero and a right angle among them:
+    # 24 runs, draw-major.
+    "rotation_draws": {
+        "experiment": "appendix_rotation",
+        "n_versions": 2,
+        "observers": 2,
+        "photon_model": True,
+        "coefficients": {"random": 4},
+        "seed": 5,
+        "thetas": [0.0, -0.0, 0.7, 1.5707963267948966, 2.0, -1.1],
+    },
 }
 
 CASES = [(name, control) for name in CONFIGS for control in (False, True)]
