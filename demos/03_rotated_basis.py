@@ -11,18 +11,12 @@ weight for every angle.
 
 import numpy as np
 
-from branchsim import (
-    ExperimentSpec,
-    plain_rotation_run,
-    primed_coefficients,
-    run_appendix_rotation,
-)
+from branchsim import ExperimentSpec, primed_coefficients, run_appendix_rotation
 
 A1, A2 = 0.6, 0.8
 spec = ExperimentSpec(2, (A1, A2))
-# The unrotated run does not depend on the angle: certify it once, then
-# every angle in one call.
-plain = plain_rotation_run(spec)
+# The unrotated run does not depend on the angle: one call certifies it
+# once and turns it at every angle.
 thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False).tolist()
 
 print(f"coefficients a = ({A1}, {A2});  64 rotation angles\n")
@@ -30,7 +24,7 @@ print(f"{'theta':>8}  {'blended c1':>11}  {'blended c2':>11}  "
       f"{'A-residuals':>11}  {'mixed weight':>12}")
 
 worst_mixed = 0.0
-for theta, report in zip(thetas, run_appendix_rotation(plain, thetas)):
+for theta, report in zip(thetas, run_appendix_rotation(spec, thetas)):
     c1, c2 = primed_coefficients(A1, A2, theta)
     coeff = next(c for c in report.checks if c.name == "primed_coefficients")
     evolve = next(c for c in report.checks if c.name == "primed_evolution")

@@ -39,7 +39,6 @@ from .experiments import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     Branch,
-    CertifiedRun,
     CheckResult,
     CompiledChain,
     ExperimentSpec,
@@ -54,7 +53,6 @@ from .experiments import (
     mixed_record_weight,
     no_signaling_check,
     phase_flip_perturbation,
-    plain_rotation_run,
     primed_coefficients,
     record_cycle_perturbation,
     run_appendix_rotation,

@@ -31,7 +31,6 @@ from .experiments import (
     ExperimentSpec,
     compile_chain,
     is_normalized,
-    plain_rotation_run,
     run_appendix_rotation,
     run_measurement_chain,
 )
@@ -39,9 +38,9 @@ from .state import TOLERANCE
 
 SCHEMA_VERSION = 2
 
-# The most angles one sweep may hold: a report of about 157 MB at 2.4 KB
-# per angle.  Checked before any list of angles is built.
-MAX_THETAS = 2**16
+# The most runs (draws x angles) one report may hold: about 157 MB at 2.4 KB
+# per run.  Checked before any list of angles is built or coefficient drawn.
+MAX_RUNS = 2**16
 
 EXPERIMENTS = {
     "stern_gerlach": CHAIN_CHECKS,
@@ -221,8 +220,8 @@ def _parse_thetas(raw: dict, config: ConfigFile) -> None:
         count = value.get("count")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError(f"thetas.count: expected a positive count, got {count!r}")
-        if count > MAX_THETAS:
-            raise ConfigError(f"thetas.count: at most {MAX_THETAS} angles, got {count}")
+        if count > MAX_RUNS:
+            raise ConfigError(f"thetas.count: at most {MAX_RUNS} angles, got {count}")
         start = _expect_float(value, "start", default=0.0)
         end = _expect_float(value, "end", default=2 * np.pi)
         # Uniform grid over [start, end); the endpoint is excluded so a full
@@ -234,8 +233,8 @@ def _parse_thetas(raw: dict, config: ConfigFile) -> None:
         return
     if not isinstance(value, list) or not all(map(_is_finite_number, value)):
         raise ConfigError("thetas: expected a list of finite angles or {count, start, end}")
-    if len(value) > MAX_THETAS:
-        raise ConfigError(f"thetas: at most {MAX_THETAS} angles, got {len(value)}")
+    if len(value) > MAX_RUNS:
+        raise ConfigError(f"thetas: at most {MAX_RUNS} angles, got {len(value)}")
     config.thetas = [float(x) for x in value]
 
 
@@ -271,6 +270,8 @@ def _cross_validate(config: ConfigFile) -> None:
         raise ConfigError(f"n_versions: {config.experiment} requires exactly 2 versions")
     if config.random_draws is not None and config.seed is None:
         raise ConfigError("seed: required when coefficients are random")
+    if (config.random_draws or 1) * max(len(config.thetas), 1) > MAX_RUNS:
+        raise ConfigError(f"coefficients.random: more runs than MAX_RUNS = {MAX_RUNS}")
     if config.experiment == "appendix_rotation" and not config.thetas:
         raise ConfigError("thetas: appendix_rotation needs at least one angle")
     if config.experiment != "appendix_rotation" and config.thetas:
@@ -307,12 +308,12 @@ def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
 def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[int, dict]:
     """Execute every run the config asks for and assemble the report.
 
-    Every draw and angle shares the one memoized compiled chain.  A chain
-    config's draws run as one batch, in one ``run_measurement_chain`` call,
-    so its label work is done once whatever the number of draws; a rotation
-    sweep certifies each draw's unrotated run once and evaluates all its
-    angles in one call.  The chain is compiled first, so a chain over
-    ``MAX_REGISTERS`` raises ``CapacityError`` before any coefficients are drawn.
+    Every draw and angle shares the one memoized compiled chain.  A config's
+    draws run as one batch, in one ``run_measurement_chain`` or
+    ``run_appendix_rotation`` call, so its label work is done once whatever
+    the number of draws; a rotation's reports come draw-major, one per angle.
+    The chain is compiled first, so a chain over ``MAX_REGISTERS`` raises
+    ``CapacityError`` before any coefficients are drawn.
     """
     started = time.perf_counter()
     compile_chain(config.n_versions, config.observers, config.photon_model, negative_control)
@@ -332,13 +333,12 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
         raise ConfigError(str(exc)) from exc
 
     if config.experiment == "appendix_rotation":
-        plains = enumerate(plain_rotation_run(spec, config.checks) for spec in specs)
-        runs = [(i, r) for i, plain in plains for r in run_appendix_rotation(plain, config.thetas)]
+        runs = run_appendix_rotation(specs, config.thetas, config.checks)
     else:
-        runs = list(enumerate(run_measurement_chain(specs, config.checks)))
+        runs = run_measurement_chain(specs, config.checks)
 
-    checks_total = sum(len(r.checks) for _, r in runs)
-    checks_failed = sum(1 for _, r in runs for c in r.checks if not c.passed)
+    checks_total = sum(len(r.checks) for r in runs)
+    checks_failed = sum(1 for r in runs for c in r.checks if not c.passed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "spec": {
@@ -358,8 +358,8 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
             "negative_control": negative_control,
         },
         "runs": [
-            {"run_index": i, "draw_index": draw, **r.to_dict()}
-            for i, (draw, r) in enumerate(runs)
+            {"run_index": i, "draw_index": i // max(len(config.thetas), 1), **r.to_dict()}
+            for i, r in enumerate(runs)
         ],
         "summary": {
             "runs": len(runs),
@@ -529,6 +529,8 @@ def _parse_argv(argv: list[str]) -> dict | None:
             positionals.append(token)
     if argv[:1] != ["run"] or len(positionals) != 2:
         raise ValueError(f"expected 'run' and one config path, got {positionals}")
+    if args.get("--out") == "":
+        raise ValueError("--out: expected a path, got ''")
     return {"config": positionals[1], **args}
 
 
@@ -550,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
             config.tolerance = _check_tolerance(args["--tolerance"])
         config.checks = args.get("--check", config.checks)
         config.output_format = args.get("--format", config.output_format)
-        config.output_path = args.get("--out") or config.output_path
+        config.output_path = args.get("--out", config.output_path)
         _cross_validate(config)
         negative_control = "--negative-control" in args
         if negative_control and config.checks is not None and "mixed_record" not in config.checks:

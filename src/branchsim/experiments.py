@@ -35,12 +35,11 @@ their coefficients, and every state is a batched state (see
 ``StateVector``) with one row of amplitudes per draw.  Every relabel,
 section, check mask and probe is then done once for all the draws, and
 each check gives one residual per row; one spec is the one-row case.
-A rotation sweep certifies the unrotated run once per coefficient draw
-(``plain_rotation_run``); that run and the draw's angles are the only
-inputs of ``run_appendix_rotation(plain, thetas)``, one call per draw.
-Every state an angle touches has the same label rows at every angle, so
-the call builds each rotated state once, as a batched state with one row
-of amplitudes per angle, and certifies it with the chain's own state code.
+A rotation sweep certifies its draws' unrotated run the same way, and
+every state an angle touches has the same label rows at every draw and
+angle, so ``run_appendix_rotation`` builds each once, as a batched state
+with one row of amplitudes per draw and angle, and certifies it with the
+chain's own state code.
 
 Everything is support arithmetic on label rows: a run's states hold N rows,
 branches group rows by their record labels, and the record weights, probes
@@ -543,9 +542,9 @@ class CertifiedRun:
     The post-detection and final states hold one row of amplitudes per spec;
     ``branches`` holds each spec's branches by the first observer's record
     and ``checks`` its results of the checks that read only those states.
-    A rotation sweep computes one per coefficient draw, a batch of one, with
-    ``plain_rotation_run`` and passes it with all the draw's angles to one
-    ``run_appendix_rotation`` call.
+    Both experiments compute one per call: ``run_measurement_chain`` adds
+    the independence and no-signaling checks to it, and
+    ``run_appendix_rotation`` turns its states at every angle.
     """
 
     specs: tuple[ExperimentSpec, ...]
@@ -555,6 +554,17 @@ class CertifiedRun:
     final: StateVector
     branches: tuple[list[Branch], ...]
     checks: tuple[list[CheckResult], ...]
+
+    def reports(self, experiment: str, thetas: Sequence, checks: Sequence) -> list[RunReport]:
+        """One report per entry of ``checks``, draw-major over ``thetas``; the
+        reports of one draw share its final state and its ``draw`` entries."""
+        reports, rows = [], iter(checks)
+        for spec, values, b in zip(self.specs, self.final.values, self.branches):
+            final, draw = replace(self.final, values=values), None
+            for theta in thetas:
+                reports.append(RunReport(experiment, spec, theta, final, [*b], next(rows), draw))
+                draw = reports[-1].draw
+        return reports
 
 
 def _batch(spec: ExperimentSpec | Sequence[ExperimentSpec]) -> tuple[list, np.ndarray]:
@@ -602,11 +612,8 @@ def run_measurement_chain(
         extra.append(coefficient_independence_check(run.specs, final_state=run.final))
     if "no_signaling" in run.enabled:
         extra.append(_canonical_no_signaling(run))
-    final = run.final
-    reports = [
-        RunReport("measurement_chain", s, None, replace(final, values=values), [*b], [*c, *more])
-        for s, values, b, c, *more in zip(run.specs, final.values, run.branches, run.checks, *extra)
-    ]
+    per_draw = [[*results, *more] for results, *more in zip(run.checks, *extra)]
+    reports = run.reports("measurement_chain", [None], per_draw)
     return reports[0] if isinstance(spec, ExperimentSpec) else reports
 
 
@@ -965,17 +972,12 @@ def primed_coefficients(a1: complex, a2: complex, theta: float) -> tuple[complex
     return (a1 * c - a2 * s, a2 * c + a1 * s)
 
 
-def plain_rotation_run(
-    spec: ExperimentSpec, checks: Sequence[str] | None = None
-) -> CertifiedRun:
-    """Evolve and certify the unrotated run of the rotation experiment."""
-    if spec.n_versions != 2:
-        raise ValueError("the rotation experiment is defined for exactly two versions")
-    return _certified_run(spec, checks, APPENDIX_CHECKS)
-
-
-def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[RunReport]:
-    """Rerun perception in a deliberately mixed basis, once per angle.
+def run_appendix_rotation(
+    spec: ExperimentSpec | Sequence[ExperimentSpec],
+    thetas: Sequence[float],
+    checks: Sequence[str] | None = None,
+) -> list[RunReport]:
+    """Rerun perception in a deliberately mixed basis, at every angle.
 
     Starts from the post-detection state, rotates the two-version plane by
     each angle of ``thetas``, and certifies that (a) the rotated amplitudes
@@ -983,24 +985,25 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
     basis vector evolves into the expected two-message expansion, and (c)
     no observer level outside the plain messages is ever populated -- the
     records are properties of the state, not of the basis used to display
-    it.  Returns one ``RunReport`` per angle, in order.
+    it.  ``checks`` selects from ``APPENDIX_CHECKS``.
 
-    ``plain`` is ``plain_rotation_run`` of a spec and check list, and gives
-    the spec, the enabled checks, the chain and the unrotated run; a sweep
-    passes one per draw with all its angles.  The plane is built once per
-    call, and every rotated state is a batched state (see ``StateVector``)
-    with one row of amplitudes per angle, so the checks run the chain's own
-    state code on all the angles at once and each angle's report is the
-    one it gets alone.  A non-finite angle anywhere in ``thetas`` raises
-    ``ValueError`` before any check runs; so does a rotated final state
-    that is not a unit state, when ``record_invariance`` is enabled, as its
-    decomposition would.
+    ``spec`` may be a batch (see ``_batch``), whose unrotated run is
+    certified once, as a chain config's is.  Every rotated state is a
+    batched state with one row of amplitudes per draw and angle, checked by
+    the chain's own state code at once; the reports come draw-major, each
+    the one its draw gets alone at its angle (see ``CertifiedRun.reports``).
+    A non-finite angle anywhere in ``thetas``, or a spec of other than two
+    versions, raises ``ValueError`` before any work; so does a rotated final
+    state that is not a unit state, when ``record_invariance`` is enabled.
     """
     for theta in thetas:
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta!r}")
-    (spec,), enabled, layout = plain.specs, plain.enabled, plain.chain.layout
-    (plain_checks,), (plain_branches,) = plain.checks, plain.branches
+    specs, _ = _batch(spec)
+    if specs[0].n_versions != 2:
+        raise ValueError("the rotation experiment is defined for exactly two versions")
+    run = _certified_run(specs, checks, APPENDIX_CHECKS)
+    layout, tolerance = run.chain.layout, specs[0].tolerance
     # Columns of the scalar cosines and sines primed_coefficients takes: an
     # array call may take another loop and round differently.
     c = np.array([np.cos(theta) for theta in thetas]).reshape(-1, 1)
@@ -1010,54 +1013,50 @@ def run_appendix_rotation(plain: CertifiedRun, thetas: Sequence[float]) -> list[
 
     def turned(state: StateVector) -> StateVector:
         moved = plane.relabel(state.labels)
-        return StateVector(layout, moved.rows, moved.amplitudes(state.values, c, s))
+        values = moved.amplitudes(state.values[..., None, :], c, s)
+        return StateVector(layout, moved.rows, values.reshape(-1, values.shape[-1]))
 
+    # No draw moves the first basis vector: it gets one row per angle.
     basis = product_state(layout, versions[0].tolist())
-    primed_evolved = apply_unitary(plain.chain.perception, turned(basis))
-    per_angle = [list(plain_checks) for _ in thetas]
+    primed_evolved = apply_unitary(run.chain.perception, turned(basis))
+    per_row = [list(results) for results in run.checks for _ in thetas]
 
-    if "mixed_record" in enabled:
+    if "mixed_record" in run.enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
         # of it and the plain run, whose weight on the post-detection state
         # the plain verdict already holds.
-        at = [r.name for r in plain_checks].index("mixed_record")
+        at = [r.name for r in run.checks[0]].index("mixed_record")
         non_message = _non_message_rows(layout, primed_evolved.labels)
         weights = _weight_where(primed_evolved.values, non_message).tolist()
-        for results, weight in zip(per_angle, weights):
-            primed = CheckResult.from_residual("mixed_record", weight, spec.tolerance**2)
-            results[at] = max(results[at], primed, key=lambda r: r.residual)
+        primed = [CheckResult.from_residual("mixed_record", w, tolerance**2) for w in weights]
+        for results, worse in zip(per_row, primed * len(specs)):
+            results[at] = max(results[at], worse, key=lambda r: r.residual)
 
-    if "primed_coefficients" in enabled:
-        rotated = turned(plain.post_detection)
+    if "primed_coefficients" in run.enabled:
+        rotated = turned(run.post_detection)
         hits = [(rotated.labels == row).all(axis=1) for row in versions]
-        for results, theta, amplitudes in zip(per_angle, thetas, rotated.values):
+        rows = [(row.coefficients, theta) for row in specs for theta in thetas]
+        for results, (draw, theta), amplitudes in zip(per_row, rows, rotated.values):
             computed = [amplitudes[hit][0] if hit.any() else 0j for hit in hits]
-            formula = primed_coefficients(*spec.coefficients, theta)
-            residual = max(abs(computed[0] - formula[0]), abs(computed[1] - formula[1]))
-            results.append(
-                CheckResult.from_residual("primed_coefficients", float(residual), spec.tolerance)
-            )
+            formula = primed_coefficients(*draw, theta)
+            residual = max(abs(x - y) for x, y in zip(computed, formula))
+            results.append(CheckResult.from_residual("primed_coefficients", residual, tolerance))
 
-    if "primed_evolution" in enabled:
+    if "primed_evolution" in run.enabled:
         target = StateVector(layout, _expected_rows(layout, 2), np.hstack([c, s]))
-        for results, residual in zip(per_angle, _distance(primed_evolved, target)):
-            results.append(CheckResult.from_residual("primed_evolution", residual, spec.tolerance))
+        for results, residual in zip(per_row, _distance(primed_evolved, target) * len(specs)):
+            results.append(CheckResult.from_residual("primed_evolution", residual, tolerance))
 
-    if "record_invariance" in enabled:
-        final = turned(plain.final)
+    if "record_invariance" in run.enabled:
+        final = turned(run.final)
         require_unit(final.values, "record_invariance")
         sections = _sections(final.labels, [layout.position("Obs1")])
-        for results, branches in zip(per_angle, _branches(sections, final.values, spec.tolerance)):
-            results.append(_record_invariance(plain_branches, branches, spec.tolerance))
+        plain = [branches for branches in run.branches for _ in thetas]
+        rotated = _branches(sections, final.values, tolerance)
+        for results, before, after in zip(per_row, plain, rotated):
+            results.append(_record_invariance(before, after, tolerance))
 
-    unrotated = replace(plain.final, values=plain.final.values[0])
-    reports: list[RunReport] = []
-    for theta, results in zip(thetas, per_angle):
-        draw = reports[0].draw if reports else None
-        reports.append(
-            RunReport("appendix_rotation", spec, theta, unrotated, [*plain_branches], results, draw)
-        )
-    return reports
+    return run.reports("appendix_rotation", thetas, per_row)
 
 
 def _record_invariance(

@@ -28,9 +28,10 @@ one BLAS product, which rounds in its own order, and
 keyed by one-hot tuples and message levels.
 ``rotate`` turns a state by an angle on the planes of a ``PairedRotation``
 (the library's label part, then its amplitude part at that angle), and
-``reference_appendix_rotation`` evolves every state of one rotation angle
-afresh with ``rotate`` and ``apply_unitary``, the reference for the
-experiment's batched states, which hold a whole batch of angles at once.
+``reference_appendix_rotation`` certifies one draw's plain run alone and
+evolves every state of each rotation angle afresh with ``rotate`` and
+``apply_unitary``, the reference for the experiment's batched states, which
+hold a whole batch of draws and angles at once.
 ``reference_measurement_chain`` is the per-draw path of the measurement
 chain: one spec's run by itself, every state one state, its state checks
 (``reference_state_checks``) on ``reference_pair_overlap``, the overlap
@@ -843,19 +844,28 @@ def reference_measurement_chain(spec, checks=None):
     return RunReport("measurement_chain", spec, None, final, list(branches), results)
 
 
-def reference_appendix_rotation(plain, theta):
-    """One angle of the rotation experiment, every state evolved afresh.
+def reference_appendix_rotation(spec, thetas, checks=None):
+    """One draw of the rotation experiment, every angle's states evolved
+    afresh: one report per angle of ``thetas``.
 
-    ``rotate`` turns the first version's basis vector, the post-detection
-    state and the final state by ``theta`` on the version plane, building
-    each state afresh, and ``apply_unitary`` sends the rotated first vector
-    through perception; the rotated half of ``mixed_record`` runs the state
-    check on the post-detection state and the perceived rotated vector, and
+    The draw's plain run is certified alone, as ``_certified_run`` of a
+    batch of one.  Then, for each angle, ``rotate`` turns the first
+    version's basis vector, the post-detection state and the final state by
+    ``theta`` on the version plane, building each state afresh, and
+    ``apply_unitary`` sends the rotated first vector through perception; the
+    rotated half of ``mixed_record`` runs the state check on the
+    post-detection state and the perceived rotated vector, and
     ``record_invariance`` decomposes the rotated final state.  The library
-    builds each of those states once for a whole batch of angles, one row
-    of amplitudes per angle, and runs the same state code on every row, so
-    each of its reports must equal these bit for bit.
+    builds each of those states once for a whole batch of draws and angles,
+    one row of amplitudes per draw and angle, and runs the same state code
+    on every row, so each of its reports must equal these bit for bit.
     """
+    plain = experiments._certified_run(spec, checks, experiments.APPENDIX_CHECKS)
+    return [_reference_angle(plain, theta) for theta in thetas]
+
+
+def _reference_angle(plain, theta):
+    """The report of the plain run ``plain``, a batch of one, at ``theta``."""
     (spec,), (branches,), enabled, chain = plain.specs, plain.branches, plain.enabled, plain.chain
     layout = chain.layout
     post_detection, final = (_row(state, 0) for state in (plain.post_detection, plain.final))

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from branchsim import UnitaryOp, cli, compile_chain, experiments
-from branchsim.cli import MAX_THETAS, main, parse_config, run_and_report
+from branchsim import PairedRotation, UnitaryOp, cli, compile_chain, experiments
+from branchsim.cli import MAX_RUNS, main, parse_config, run_and_report
 from branchsim.errors import ConfigError
 from oracles import reference_argv, reference_report_json
 
@@ -254,23 +254,82 @@ def random_config(tmp_path, **overrides):
 def test_label_work_is_the_same_for_any_number_of_draws(
     tmp_path, monkeypatch, photon_model, negative_control
 ):
-    # A chain config's draws are the rows of one batched run, so every stage
-    # relabels the same label rows once per config, whatever the draw count.
-    relabel, calls = UnitaryOp.relabel, []
-    monkeypatch.setattr(
-        UnitaryOp, "relabel", lambda op, labels: calls.append(len(labels)) or relabel(op, labels)
-    )
-    work = []
-    for draws in (1, 1, 3, 8):  # the first run also compiles the chain
-        path = random_config(
-            tmp_path, n_versions=4, observers=2, photon_model=photon_model,
-            coefficients={"random": draws},
+    # A config's draws are the rows of one batched run, so every stage and
+    # rotation plane relabels the same label rows once per config, whatever
+    # the draw count.
+    calls = []
+    for kind in (UnitaryOp, PairedRotation):
+        monkeypatch.setattr(
+            kind,
+            "relabel",
+            lambda op, labels, relabel=kind.relabel: calls.append(len(labels)) or relabel(op, labels),
         )
-        calls.clear()
-        code, report = run_and_report(parse_config(str(path)), negative_control)
-        assert (code, len(report["runs"])) == (int(negative_control), draws)
-        work.append(list(calls))
-    assert work[1] and work[1] == work[2] == work[3]
+    shapes = [
+        {"n_versions": 4},
+        {"experiment": "appendix_rotation", "thetas": [0.0, 0.7, 2.0]},
+    ]
+    for shape in shapes:
+        work = []
+        for draws in (1, 1, 3, 8):  # the first run also compiles the chain
+            path = random_config(
+                tmp_path, observers=2, photon_model=photon_model,
+                coefficients={"random": draws}, **shape,
+            )
+            calls.clear()
+            code, report = run_and_report(parse_config(str(path)), negative_control)
+            runs = draws * len(shape.get("thetas", [None]))
+            assert (code, len(report["runs"])) == (int(negative_control), runs)
+            work.append(list(calls))
+        assert work[1] and work[1] == work[2] == work[3]
+
+
+def test_a_rotation_sweep_is_one_engine_call_and_one_certified_run(tmp_path, monkeypatch):
+    # Five draws at four angles: the draws' plain runs are certified as one
+    # batch, in the one run_appendix_rotation call the config makes.
+    calls = {"rotation": 0, "certified": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_appendix_rotation", counted("rotation", cli.run_appendix_rotation))
+    monkeypatch.setattr(
+        experiments, "_certified_run", counted("certified", experiments._certified_run)
+    )
+    path = random_config(
+        tmp_path, experiment="appendix_rotation", observers=2, photon_model=True,
+        coefficients={"random": 5}, thetas={"count": 4},
+    )
+    out = tmp_path / "sweep.json"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert calls == {"rotation": 1, "certified": 1}
+    runs = load_report(out)["runs"]
+    assert [(r["draw_index"], r["run_index"]) for r in runs] == [(i // 4, i) for i in range(20)]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"coefficients": {"random": MAX_RUNS + 1}},
+        {"coefficients": {"random": 10**8}},
+        {"experiment": "appendix_rotation", "coefficients": {"random": 2**8},
+         "thetas": {"count": 2**8 + 1}},
+        {"experiment": "appendix_rotation", "coefficients": {"random": 2},
+         "thetas": [0.5] * (MAX_RUNS // 2 + 1)},
+    ],
+    ids=["chain_one_over", "chain_1e8", "rotation_grid", "rotation_list"],
+)
+def test_a_config_over_the_run_bound_exits_two_before_drawing(tmp_path, monkeypatch, capsys, overrides):
+    # A chain makes one run per draw, a rotation one per draw and angle.
+    monkeypatch.setattr(cli, "_coefficient_draws", lambda config: pytest.fail("drew"))
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["run", str(random_config(tmp_path, **overrides)), "--out", str(out)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert f"more runs than MAX_RUNS = {MAX_RUNS}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2), (-1, 2)])
@@ -442,16 +501,25 @@ def test_a_sweep_over_the_angle_bound_exits_two_before_building_it(tmp_path):
     with pytest.raises(ConfigError, match="thetas.count"):
         parse_config(str(path))
     listed = write_config(
-        tmp_path, name="list.json", experiment="appendix_rotation", thetas=[0.5] * (MAX_THETAS + 1)
+        tmp_path, name="list.json", experiment="appendix_rotation", thetas=[0.5] * (MAX_RUNS + 1)
     )
     with pytest.raises(ConfigError, match="thetas"):
         parse_config(str(listed))
 
 
 def test_a_sweep_of_exactly_the_angle_bound_parses(tmp_path):
-    for thetas in ({"count": MAX_THETAS}, [0.5] * MAX_THETAS):
+    for thetas in ({"count": MAX_RUNS}, [0.5] * MAX_RUNS):
         path = write_config(tmp_path, experiment="appendix_rotation", thetas=thetas)
-        assert len(parse_config(str(path)).thetas) == MAX_THETAS
+        assert len(parse_config(str(path)).thetas) == MAX_RUNS
+    # So do configs of exactly MAX_RUNS runs: draws for a chain, draws x
+    # angles for a rotation.
+    for overrides in (
+        {"coefficients": {"random": MAX_RUNS}},
+        {"experiment": "appendix_rotation", "coefficients": {"random": 2**8},
+         "thetas": {"count": 2**8}},
+    ):
+        config = parse_config(str(random_config(tmp_path, **overrides)))
+        assert config.random_draws * max(len(config.thetas), 1) == MAX_RUNS
 
 
 def test_an_overflowing_theta_sweep_exits_two(tmp_path):
@@ -779,11 +847,13 @@ def test_help_prints_the_readme_usage_line_and_returns_zero(argv):
         (["run", "{config}", "other.json"], "'other.json']"),
         (["run", "{config}", "--neg"], "'--neg'"),
         (["run", "{config}", "--tol", "1e-9"], "'--tol'"),
+        (["run", "{config}", "--out=", "--format", "text"], "--out: expected a path"),
+        (["run", "{config}", "--out", ""], "--out: expected a path"),
     ],
     ids=[
         "unknown_option", "no_value", "seed_abc", "tolerance_x", "format_xml",
         "no_subcommand", "config_without_subcommand", "no_config", "two_configs",
-        "prefix_neg", "prefix_tol",
+        "prefix_neg", "prefix_tol", "empty_out_joined", "empty_out_spaced",
     ],
 )
 def test_a_usage_error_returns_two_before_the_config_is_read(tmp_path, monkeypatch, argv, offending):
@@ -861,6 +931,8 @@ def parsed(parse, argv):
 @example(["run", "cfg.json", "--out", "-x"])
 @example(["run", "cfg.json", "--tolerance", "-1e-15", "--check", "-1"])
 @example(["run", "-1"])
+@example(["run", "cfg.json", "--out="])
+@example(["run", "cfg.json", "--out=", "--out", "r.json"])
 def test_the_loop_reads_argv_as_argparse_did(argv):
     expected = parsed(reference_argv, argv)
     got = parsed(cli._parse_argv, argv)
@@ -871,10 +943,13 @@ def test_the_loop_reads_argv_as_argparse_did(argv):
             code, out, err = run_main(argv)
             assert (code, out) == (2, "") and err.startswith(cli.USAGE)
         else:
-            # Declared difference: an argument that starts with "-" (not "-"
-            # itself) is an option, never the config; argparse takes a
-            # negative number such as "-1" as the config path.
-            assert json.loads(expected)["config"].startswith("-")
+            # Declared differences: an argument that starts with "-" (not "-"
+            # itself) is an option, never the config, where argparse takes a
+            # negative number such as "-1" as the config path; and an empty
+            # --out is a usage error, where argparse took it and the report
+            # then went to the config's path or standard output.
+            expected = json.loads(expected)
+            assert expected["config"].startswith("-") or expected.get("--out") == ""
     else:
         # Declared difference: the argument after "--name" is its value
         # whatever it looks like, as argparse reads "--name=value"; argparse

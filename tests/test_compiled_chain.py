@@ -198,8 +198,8 @@ def test_random_draws_share_one_build(builds, tmp_path):
 
 
 def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
-    # The rotation's planes hold no angle, so each draw builds them once,
-    # for all its angles.
+    # The rotation's planes hold no angle and no coefficient, so a config
+    # builds them once, for all its draws and angles.
     config = write_config(
         tmp_path,
         experiment="appendix_rotation",
@@ -211,4 +211,4 @@ def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
     assert main(["run", config, "--out", str(tmp_path / "report.json")]) == 0
     assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
     assert builds["build_detection_unitary"] == [None]
-    assert len(builds["build_basis_rotation"]) == 2
+    assert len(builds["build_basis_rotation"]) == 1

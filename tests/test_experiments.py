@@ -29,7 +29,6 @@ from branchsim import (
     normalize,
     observer_dimension,
     phase_flip_perturbation,
-    plain_rotation_run,
     primed_coefficients,
     product_state,
     record_cycle_perturbation,
@@ -546,7 +545,7 @@ def test_agreement_three_observers_three_versions():
 
 def test_rotation_at_zero_reduces_to_plain_perception():
     spec = ExperimentSpec(2, (0.6, 0.8))
-    (report,) = run_appendix_rotation(plain_rotation_run(spec), [0.0])
+    (report,) = run_appendix_rotation(spec, [0.0])
     assert report.all_passed
     target = expected_final_state(report.final_state.layout, spec.coefficients)
     assert np.linalg.norm(dense_amplitudes(report.final_state) - dense_amplitudes(target)) <= 1e-12
@@ -556,15 +555,13 @@ def test_primed_coefficients_at_quarter_turn():
     b1, b2 = primed_coefficients(1.0, 0.0, np.pi / 4)
     assert abs(b1 - 0.7071067811865476) <= 1e-12
     assert abs(b2 - 0.7071067811865476) <= 1e-12
-    plain = plain_rotation_run(ExperimentSpec(2, (1.0, 0.0)))
-    (report,) = run_appendix_rotation(plain, [np.pi / 4])
+    (report,) = run_appendix_rotation(ExperimentSpec(2, (1.0, 0.0)), [np.pi / 4])
     assert check_by_name(report, "primed_coefficients").passed
 
 
 def test_theta_sweep_never_populates_the_mixed_level():
-    plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8)))
     thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False).tolist()
-    for report in run_appendix_rotation(plain, thetas):
+    for report in run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), thetas):
         assert report.all_passed
         assert check_by_name(report, "mixed_record").residual <= 1e-24
 
@@ -578,15 +575,16 @@ def test_rotation_sweep_matches_one_angle_calls(negative_control):
     spec = ExperimentSpec(
         2, (0.6, 0.8j), observers=2, photon_model=True, negative_control=negative_control
     )
-    plain = plain_rotation_run(spec)
     thetas = [1.2, 0.0, 2.0, -0.4, 1.2, 3.5]
-    swept = run_appendix_rotation(plain, thetas)
+    swept = run_appendix_rotation(spec, thetas)
     assert [report.theta for report in swept] == thetas
     for theta, report in zip(thetas, swept):
-        (alone,) = run_appendix_rotation(plain_rotation_run(spec), [theta])
+        (alone,) = run_appendix_rotation(spec, [theta])
         assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
-        reference = reference_appendix_rotation(plain, theta).to_dict()
-        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(reference, sort_keys=True)
+        (reference,) = reference_appendix_rotation(spec, [theta])
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+            reference.to_dict(), sort_keys=True
+        )
 
 
 ORACLE_ANGLES = [0.0, math.pi / 2, math.pi, -0.4, 1e6] + [
@@ -605,26 +603,26 @@ def test_rotation_reports_match_the_per_angle_reference(observers, photon_model,
         spec = ExperimentSpec(
             2, coefficients, observers, photon_model, negative_control=negative_control
         )
-        plain = plain_rotation_run(spec)
-        reports = run_appendix_rotation(plain, ORACLE_ANGLES)
+        reports = run_appendix_rotation(spec, ORACLE_ANGLES)
         assert len(reports) == len(ORACLE_ANGLES)
-        for theta, report in zip(ORACLE_ANGLES, reports):
+        for report, reference in zip(reports, reference_appendix_rotation(spec, ORACLE_ANGLES)):
             fast = json.dumps(report.to_dict(), sort_keys=True)
-            reference = reference_appendix_rotation(plain, theta).to_dict()
-            assert fast == json.dumps(reference, sort_keys=True)
+            assert fast == json.dumps(reference.to_dict(), sort_keys=True)
 
 
-def test_rotation_refuses_a_final_state_that_is_not_a_unit_state():
+def test_rotation_refuses_a_final_state_that_is_not_a_unit_state(monkeypatch):
     # record_invariance decomposes the rotated final state, which must be a
     # unit state; the shared rows must not let a scaled one through.
-    plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8), observers=2, photon_model=True))
+    spec = ExperimentSpec(2, (0.6, 0.8), observers=2, photon_model=True)
+    plain = experiments._certified_run(spec, None, experiments.APPENDIX_CHECKS)
     final = plain.final
     scaled = replace(plain, final=StateVector(final.layout, final.labels, 1.1 * final.values))
+    monkeypatch.setattr(experiments, "_certified_run", lambda *args: scaled)
     with pytest.raises(ValueError, match="unit state"):
-        reference_appendix_rotation(scaled, 0.7)
+        reference_appendix_rotation(spec, [0.7])
     for thetas in ([0.7], [0.0, 0.7, -2.3]):
         with pytest.raises(ValueError, match="unit state"):
-            run_appendix_rotation(scaled, thetas)
+            run_appendix_rotation(spec, thetas)
 
 
 @pytest.mark.parametrize("photon_model", [False, True])
@@ -633,10 +631,9 @@ def test_negative_control_fails_primed_evolution_by_root_two_cos(observers, phot
     # The control sends the rotated first vector's cos-part to the mixed
     # level instead of message 1, so it misses the target by sqrt(2)|cos|.
     spec = ExperimentSpec(2, (0.6, 0.8), observers, photon_model, negative_control=True)
-    plain = plain_rotation_run(spec)
     always = {"structure", "born_weights", "mixed_record"}
     passing_angles = []
-    for theta, report in zip(ORACLE_ANGLES, run_appendix_rotation(plain, ORACLE_ANGLES)):
+    for theta, report in zip(ORACLE_ANGLES, run_appendix_rotation(spec, ORACLE_ANGLES)):
         expected = math.sqrt(2) * abs(math.cos(theta))
         evolution = check_by_name(report, "primed_evolution")
         assert evolution.residual == pytest.approx(expected, rel=0, abs=1e-15)
@@ -652,9 +649,8 @@ def test_negative_control_residual_is_the_worse_half_at_every_angle():
     # Version 1's message lands on the mixed level: the plain run puts
     # |a1|^2 = 0.36 there, and the perceived rotated first vector cos^2.
     spec = ExperimentSpec(2, (0.6, 0.8), observers=3, photon_model=True, negative_control=True)
-    plain = plain_rotation_run(spec)
     thetas = np.linspace(-np.pi, np.pi, 97).tolist()
-    for theta, report in zip(thetas, run_appendix_rotation(plain, thetas)):
+    for theta, report in zip(thetas, run_appendix_rotation(spec, thetas)):
         result = check_by_name(report, "mixed_record")
         assert not result.passed
         assert result.residual == pytest.approx(max(0.36, np.cos(theta) ** 2), rel=1e-15)
@@ -664,20 +660,23 @@ def test_negative_control_residual_is_the_worse_half_at_every_angle():
 def test_rotation_refuses_a_non_finite_angle(theta, monkeypatch):
     # At NaN every residual of the rotated half is NaN, which no comparison
     # with the plain half's would ever pick.  One such angle anywhere in the
-    # batch refuses the whole batch before any report is built.
-    plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8)))
+    # batch refuses the whole batch before any run is certified or any
+    # report built.
     built = []
     monkeypatch.setattr(experiments, "RunReport", lambda *args: built.append(args))
+    monkeypatch.setattr(experiments, "_certified_run", lambda *args: built.append(args))
     for thetas in ([theta], [theta, 0.7], [0.0, theta, 1.2], [0.3, -0.4, theta]):
-        with pytest.raises(ValueError, match=f"finite, got {theta!r}"):
-            run_appendix_rotation(plain, thetas)
+        for spec in (ExperimentSpec(2, (0.6, 0.8)), [ExperimentSpec(2, (0.6, 0.8))] * 3):
+            with pytest.raises(ValueError, match=f"finite, got {theta!r}"):
+                run_appendix_rotation(spec, thetas)
     assert built == []
 
 
 def test_rotation_of_no_angles_is_no_report():
     for negative_control in (False, True):
         spec = ExperimentSpec(2, (0.6, 0.8), 2, True, negative_control=negative_control)
-        assert run_appendix_rotation(plain_rotation_run(spec), []) == []
+        assert run_appendix_rotation(spec, []) == []
+        assert run_appendix_rotation([spec, spec], []) == []
 
 
 @pytest.mark.parametrize("checks", [(), []])
@@ -686,14 +685,15 @@ def test_an_empty_check_selection_is_refused(checks):
     # negative control.
     for negative_control in (False, True):
         spec = ExperimentSpec(2, (0.6, 0.8), negative_control=negative_control)
-        for run in (run_measurement_chain, plain_rotation_run):
-            with pytest.raises(ValueError, match="empty check selection"):
-                run(spec, checks)
+        with pytest.raises(ValueError, match="empty check selection"):
+            run_measurement_chain(spec, checks)
+        with pytest.raises(ValueError, match="empty check selection"):
+            run_appendix_rotation(spec, [0.7], checks)
 
 
 def test_appendix_rejects_more_than_two_versions():
     with pytest.raises(ValueError, match="two versions"):
-        plain_rotation_run(ExperimentSpec(3, (1.0, 0.0, 0.0)))
+        run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), [0.7])
 
 
 def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
@@ -711,7 +711,7 @@ def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
     try:
         spec = ExperimentSpec(2, (0.6, 0.8))
         chain_run = run_measurement_chain(spec)
-        (rotation,) = run_appendix_rotation(plain_rotation_run(spec), [0.7])
+        (rotation,) = run_appendix_rotation(spec, [0.7])
     finally:
         compile_chain.cache_clear()
     assert not check_by_name(chain_run, "structure").passed
@@ -745,8 +745,7 @@ def test_a_rotation_plane_that_reads_a_record_fails_record_invariance(monkeypatc
         for observers in (1, 2, 3):
             for photon_model in (False, True):
                 spec = ExperimentSpec(2, coefficients, observers, photon_model)
-                plain = plain_rotation_run(spec)
-                at_zero, *turned = run_appendix_rotation(plain, [0.0, 0.7, math.pi / 2, 2.0, -1.1])
+                at_zero, *turned = run_appendix_rotation(spec, [0.0, 0.7, math.pi / 2, 2.0, -1.1])
                 assert failing(at_zero) == set()
                 assert [failing(report) for report in turned] == [faults] * 4
 
@@ -912,13 +911,13 @@ def test_a_perception_that_rewrites_the_record_fails_coherence_and_no_signaling(
 
 def test_appendix_negative_control_fails_mixed_record():
     spec = ExperimentSpec(2, (0.6, 0.8), negative_control=True)
-    (report,) = run_appendix_rotation(plain_rotation_run(spec), [0.7])
+    (report,) = run_appendix_rotation(spec, [0.7])
     assert not check_by_name(report, "mixed_record").passed
     assert not report.all_passed
 
 
 def test_record_invariance_check_present_and_passing():
-    (report,) = run_appendix_rotation(plain_rotation_run(ExperimentSpec(2, (0.6, 0.8))), [1.2])
+    (report,) = run_appendix_rotation(ExperimentSpec(2, (0.6, 0.8)), [1.2])
     invariance = check_by_name(report, "record_invariance")
     assert invariance.passed and invariance.residual <= 1e-12
 

@@ -70,7 +70,6 @@ from branchsim import (
     observer_coherence,
     observer_dimension,
     phase_flip_perturbation,
-    plain_rotation_run,
     record_cycle_perturbation,
     reduced_density_matrix,
     run_appendix_rotation,
@@ -496,12 +495,10 @@ def test_a_batch_of_angles_is_the_per_angle_oracle_byte_for_byte(spec, control, 
     # apart.
     if control and abs(spec.coefficients[0]) > spec.tolerance:
         spec = replace(spec, negative_control=True)
-    plain = plain_rotation_run(spec)
-    reports = run_appendix_rotation(plain, thetas)
+    reports = run_appendix_rotation(spec, thetas)
     assert len(reports) == len(thetas)
-    for theta, report in zip(thetas, reports):
-        reference = reference_appendix_rotation(plain, theta).to_dict()
-        assert json.dumps(report.to_dict()) == json.dumps(reference)
+    for report, reference in zip(reports, reference_appendix_rotation(spec, thetas)):
+        assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
 
 
 # Exact zeros of either sign, so that draws can prune branches and skip
@@ -512,10 +509,11 @@ coefficient_parts = st.one_of(
 
 
 @st.composite
-def draw_batches(draw):
+def draw_batches(draw, max_versions=5):
     """Specs of one chain configuration that differ only in their
-    coefficients: 1-6 draws at N = 2-5, some of them repeats."""
-    n_versions = draw(st.integers(min_value=2, max_value=5))
+    coefficients: 1-6 draws at N = 2 to ``max_versions``, some of them
+    repeats."""
+    n_versions = draw(st.integers(min_value=2, max_value=max_versions))
     observers = draw(st.integers(min_value=1, max_value=3))
     photon_model, negative_control = draw(st.booleans()), draw(st.booleans())
     draws = []
@@ -534,18 +532,25 @@ def draw_batches(draw):
     ]
 
 
+def check_selections(available):
+    return st.one_of(st.none(), st.lists(st.sampled_from(available), min_size=1, unique=True))
+
+
 @given(
     draw_batches(),
-    st.one_of(
-        st.none(),
-        st.lists(st.sampled_from(experiments.CHAIN_CHECKS), min_size=1, unique=True),
-    ),
+    check_selections(experiments.CHAIN_CHECKS),
+    draw_batches(max_versions=2),
+    st.lists(angles, max_size=4),
+    check_selections(experiments.APPENDIX_CHECKS),
 )
 @settings(max_examples=60, deadline=None)
-def test_a_batch_of_draws_is_the_per_draw_oracle_byte_for_byte(specs, checks):
+def test_a_batch_of_draws_is_the_per_draw_oracle_byte_for_byte(
+    specs, checks, pairs, thetas, rotation_checks
+):
     # The batch holds every draw's amplitudes as one row of each state; the
-    # oracle runs each draw alone, every state one state.  JSON tells signed
-    # zeros apart.
+    # oracle runs each draw alone, every state one state.  A rotation's
+    # batch holds one row per draw and angle, and the oracle also turns
+    # each angle alone.  JSON tells signed zeros apart.
     reports = run_measurement_chain(specs, checks)
     assert len(reports) == len(specs)
     for spec, report in zip(specs, reports):
@@ -554,19 +559,28 @@ def test_a_batch_of_draws_is_the_per_draw_oracle_byte_for_byte(specs, checks):
     alone = run_measurement_chain(specs[0], checks)
     assert json.dumps(alone.to_dict()) == json.dumps(reports[0].to_dict())
 
+    rotated = run_appendix_rotation(pairs, thetas, rotation_checks)
+    assert len(rotated) == len(pairs) * len(thetas)
+    for d, spec in enumerate(pairs):
+        draw = rotated[d * len(thetas):(d + 1) * len(thetas)]
+        references = reference_appendix_rotation(spec, thetas, rotation_checks)
+        for a, (report, reference) in enumerate(zip(draw, references)):
+            assert (report.spec, report.theta) == (spec, thetas[a])
+            assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
 
 def test_a_batch_refuses_specs_that_differ_beyond_their_coefficients():
     spec = ExperimentSpec(2, (0.6, 0.8))
-    for other in (
+    others = [
         replace(spec, observers=2),
         replace(spec, photon_model=True),
         replace(spec, negative_control=True),
         replace(spec, tolerance=1e-9),
-    ):
-        with pytest.raises(ValueError, match="differ only in their coefficients"):
-            run_measurement_chain([spec, other])
-    with pytest.raises(ValueError, match="differ only in their coefficients"):
-        run_measurement_chain([])
+    ]
+    for run in (run_measurement_chain, lambda specs: run_appendix_rotation(specs, [0.7])):
+        for batch in [*([spec, other] for other in others), []]:
+            with pytest.raises(ValueError, match="differ only in their coefficients"):
+                run(batch)
 
 
 @given(sparse_states())

@@ -15,7 +15,6 @@ from branchsim import (
     ExperimentSpec,
     build_detection_unitary,
     chain_layout,
-    plain_rotation_run,
     run_appendix_rotation,
     run_measurement_chain,
 )
@@ -76,8 +75,8 @@ def test_full_chain_suite_runs_on_the_support(
 
 
 def test_rotation_suite_runs_on_the_support(no_dense_views):
-    plain = plain_rotation_run(ExperimentSpec(2, (0.6, 0.8j), observers=4, photon_model=True))
-    for report in run_appendix_rotation(plain, [0.0, 0.7, -2.3]):
+    spec = ExperimentSpec(2, (0.6, 0.8j), observers=4, photon_model=True)
+    for report in run_appendix_rotation(spec, [0.0, 0.7, -2.3]):
         assert sorted(c.name for c in report.checks) == sorted(branchsim.APPENDIX_CHECKS)
         assert report.all_passed
 
