@@ -39,7 +39,7 @@ layout = chain_layout(n_versions=2, observers=1)
 print("registers:", ", ".join(f"{r.name}({r.dimension})" for r in layout.registers))
 
 detection = build_detection_unitary(layout)
-perception = build_perception_unitary(layout, "Obs1", standard_classical_configs(2))
+perception = build_perception_unitary(layout, standard_classical_configs(2))
 
 state = initial_state(layout, (A1, A2))
 show("before anything happens (detectors idle, observer blank):", state)

@@ -106,7 +106,8 @@ def parse_config(path: str) -> ConfigFile:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
+    # A list or an object cannot be looked up in EXPERIMENTS at all.
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(
             f"experiment: must be one of {sorted(EXPERIMENTS)}, got {experiment!r}"
         )

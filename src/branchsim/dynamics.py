@@ -374,63 +374,63 @@ def standard_classical_configs(n_versions: int) -> tuple[np.ndarray, np.ndarray]
 
 def build_perception_unitary(
     layout: SubsystemLayout,
-    observer_register: str,
     classical_configs: tuple[np.ndarray, np.ndarray],
-    condition_registers: Sequence[str] | None = None,
     allow_mixed_message: bool = False,
 ) -> UnitaryOp:
-    """Write a message conditioned on the record configuration.
+    """Every observer writes a message conditioned on the record configuration.
 
     ``classical_configs`` holds two arrays: record configurations, one row
-    each, and their messages.  For configuration row c with message m the
-    operator transposes the observer levels blank and m on basis states
-    whose condition registers (detectors by default, photons when a photon
-    model conditions on them) read exactly c; it is the identity on every
-    other configuration and on every other observer level, in particular on
-    the reserved mixed-record level.
+    each, and their messages.  The record is read from the condition
+    registers: the photons when the layout has any, the detectors otherwise.
+    For configuration row c with message m, each observer's table (one per
+    observer register, in layout order) transposes that observer's levels
+    blank and m on basis states whose condition registers read exactly c; it
+    is the identity on every other configuration and on every other observer
+    level, in particular on the reserved mixed-record level.
 
     ``allow_mixed_message`` is the negative-control hook: it lifts the
     validation that no message may target the mixed-record level, so tests
     can prove the mixed-record checks are not vacuous.
     """
-    obs = layout.register(observer_register)
-    if obs.role != ROLE_OBSERVER:
-        raise ValueError(f"register {observer_register!r} has role {obs.role!r}, not observer")
-    if condition_registers is None:
-        condition_registers = _role_registers(layout, ROLE_DETECTOR)
-    if not condition_registers:
+    roles = [r.role for r in layout.registers]
+    observers = [i for i, role in enumerate(roles) if role == ROLE_OBSERVER]
+    if not observers:
+        raise ValueError("layout has no observer register to perceive with")
+    condition = ROLE_PHOTON if ROLE_PHOTON in roles else ROLE_DETECTOR
+    condition_at = [i for i, role in enumerate(roles) if role == condition]
+    if not condition_at:
         raise ValueError("no condition registers for perception")
     when, messages = (np.array(part, dtype=np.int64) for part in classical_configs)
-    if messages.ndim != 1 or when.shape != (messages.size, len(condition_registers)):
+    if messages.ndim != 1 or when.shape != (messages.size, len(condition_at)):
         raise ValueError(
             f"{when.shape} configuration digits for {messages.shape} messages: need one row "
-            f"of {len(condition_registers)} digits per message, one per condition register"
+            f"of {len(condition_at)} digits per message, one per condition register"
         )
     n = messages.size
     if not n:
         raise ValueError("classical_configs is empty")
-    if obs.dimension < n + 2:
-        raise ValueError(
-            f"observer register {observer_register!r} has {obs.dimension} levels, "
-            f"needs at least {n + 2} for {n} configurations"
-        )
 
-    top_message = mixed_record_level(obs.dimension) - 1
-    if allow_mixed_message:
-        top_message = mixed_record_level(obs.dimension)
-    unwritable = (messages < 1) | (messages > top_message)
-    if unwritable.any():
-        raise ValueError(
-            f"message level {messages[unwritable][0]} out of writable range [1, {top_message}]"
-        )
-
-    # Each entry transposes blank with its message and fixes every other level.
-    image = np.tile(np.arange(obs.dimension), (n, 1))
-    image[:, OBSERVER_BLANK] = messages
-    image[np.arange(n), messages] = OBSERVER_BLANK
-    condition_at = [layout.position(name) for name in condition_registers]
-    table = ControlledRewrite(condition_at, when, layout.position(observer_register), image)
-    return UnitaryOp(layout, f"perception[{observer_register}]", (table,))
+    tables = []
+    for at in observers:
+        obs = layout.registers[at]
+        if obs.dimension < n + 2:
+            raise ValueError(
+                f"observer register {obs.name!r} has {obs.dimension} levels, "
+                f"needs at least {n + 2} for {n} configurations"
+            )
+        top_message = mixed_record_level(obs.dimension) - (0 if allow_mixed_message else 1)
+        unwritable = (messages < 1) | (messages > top_message)
+        if unwritable.any():
+            raise ValueError(
+                f"message level {messages[unwritable][0]} out of writable range [1, {top_message}]"
+            )
+        # Each entry transposes blank with its message and fixes every other level.
+        image = np.tile(np.arange(obs.dimension), (n, 1))
+        image[:, OBSERVER_BLANK] = messages
+        image[np.arange(n), messages] = OBSERVER_BLANK
+        tables.append(ControlledRewrite(condition_at, when, at, image))
+    provenance = " . ".join(f"perception[{layout.registers[at].name}]" for at in observers[::-1])
+    return UnitaryOp(layout, provenance, tuple(tables))
 
 
 def build_basis_rotation(

@@ -15,10 +15,10 @@ included; a control that could not fail is refused when the spec is built.
 The step operator is compiled once per chain configuration by the
 memoized ``compile_chain``: the layout, the record stages (detection, then
 photon emission) composed into one operator, every observer's perception
-stage built into another, and the stock no-signaling probes, each stage a
-controlled-rewrite table that is unitary because it could be built (see
-``dynamics``).  Every run, coefficient draw, rotation angle and check of
-one configuration shares that ``CompiledChain``.
+table built into another by one call, and the stock no-signaling probes,
+each stage a controlled-rewrite table that is unitary because it could be
+built (see ``dynamics``).  Every run, coefficient draw, rotation angle and
+check of one configuration shares that ``CompiledChain``.
 
 Both experiments evolve and certify specs through one path: the initial
 state goes through the record stages, then perception, the final state is
@@ -437,23 +437,13 @@ def _build_chain(
 ) -> CompiledChain:
     layout = chain_layout(n_versions, observers, photon_model)
     record = build_detection_unitary(layout)
-    condition = [r.name for r in layout.by_role(ROLE_DETECTOR)]
     if photon_model:
         record = compose(build_photon_emission_unitary(layout), record)
-        condition = [r.name for r in layout.by_role(ROLE_PHOTON)]
 
     configs, messages = standard_classical_configs(n_versions)
     if negative_control:
         messages[0] = mixed_record_level(observer_dimension(n_versions))
-
-    stages = [
-        build_perception_unitary(layout, r.name, (configs, messages), condition, negative_control)
-        for r in layout.by_role(ROLE_OBSERVER)
-    ]
-    # One operator over every observer's tables: composing them one at a
-    # time would check the earlier tables again at every step.
-    tables = tuple(table for op in stages for table in op.stages)
-    perception = UnitaryOp(layout, " . ".join(op.provenance for op in stages[::-1]), tables)
+    perception = build_perception_unitary(layout, (configs, messages), negative_control)
     probes = (phase_flip_perturbation(layout, 1), record_cycle_perturbation(layout, 1))
     return CompiledChain(
         n_versions, observers, photon_model, negative_control, layout, record, perception, probes
@@ -850,22 +840,17 @@ def phase_flip_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
     return UnitaryOp(layout, f"phase-flip[version {version + 1}]", (table,))
 
 
-def record_cycle_perturbation(
-    layout: SubsystemLayout, version: int, observer_register: str | None = None
-) -> UnitaryOp:
-    """Cycle an observer's levels inside one version's configuration.
+def record_cycle_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
+    """Cycle the first observer's levels inside one version's configuration.
 
     A permutation supported on the perturbed version's subspace: it
     scrambles what that version's observer will have seen, and must leave
     every other branch untouched.
     """
-    if observer_register is None:
-        observer_register = layout.by_role(ROLE_OBSERVER)[0].name
+    observer = layout.by_role(ROLE_OBSERVER)[0]
     at, recorded = _version_configuration(layout, version)
-    levels = np.arange(layout.register(observer_register).dimension)
-    table = ControlledRewrite(
-        at, [recorded], layout.position(observer_register), [np.roll(levels, -1)]
-    )
+    levels = np.arange(observer.dimension)
+    table = ControlledRewrite(at, [recorded], layout.position(observer.name), [np.roll(levels, -1)])
     return UnitaryOp(layout, f"record-cycle[version {version + 1}]", (table,))
 
 
@@ -1034,10 +1019,13 @@ def run_appendix_rotation(
 
     if "primed_coefficients" in run.enabled:
         rotated = turned(run.post_detection)
-        hits = [(rotated.labels == row).all(axis=1) for row in versions]
+        # Each version row's amplitude in every draw and angle; 0 if absent.
+        columns = []
+        for row in versions:
+            at = np.flatnonzero((rotated.labels == row).all(axis=1))
+            columns.append(rotated.values[:, at[0]] if at.size else [0j] * len(per_row))
         rows = [(row.coefficients, theta) for row in specs for theta in thetas]
-        for results, (draw, theta), amplitudes in zip(per_row, rows, rotated.values):
-            computed = [amplitudes[hit][0] if hit.any() else 0j for hit in hits]
+        for results, (draw, theta), *computed in zip(per_row, rows, *columns):
             formula = primed_coefficients(*draw, theta)
             residual = max(abs(x - y) for x, y in zip(computed, formula))
             results.append(CheckResult.from_residual("primed_coefficients", residual, tolerance))

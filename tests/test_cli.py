@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchsim import PairedRotation, UnitaryOp, cli, compile_chain, experiments
-from branchsim.cli import MAX_RUNS, main, parse_config, run_and_report
+from branchsim.cli import EXPERIMENTS, MAX_RUNS, main, parse_config, run_and_report
 from branchsim.errors import ConfigError
 from oracles import reference_argv, reference_report_json
 
@@ -694,6 +694,22 @@ def test_an_unreadable_config_exits_two_without_a_traceback(tmp_path, capsys, co
     assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment", [["generalized"], {"a": 1}, 2], ids=["list", "object", "number"]
+)
+def test_a_non_string_experiment_exits_two_without_a_traceback(tmp_path, capsys, experiment):
+    # A list or an object used to reach the lookup in EXPERIMENTS and raise
+    # TypeError (unhashable type): exit 4, reported as an internal error.
+    path = write_config(tmp_path, experiment=experiment)
+    with pytest.raises(ConfigError, match="experiment: must be one of"):
+        parse_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: experiment: must be one of {sorted(EXPERIMENTS)}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 

@@ -108,12 +108,14 @@ BUILDERS = (
     "build_perception_unitary",
     "build_basis_rotation",
 )
+# One perception build over both observers of a two-observer chain.
+BOTH_OBSERVERS = "perception[Obs2] . perception[Obs1]"
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Builder name -> list of the first argument after the layout (the
-    register, or the first row of a plane) of each build.
+    """Builder name -> one entry per build made through the ``experiments``
+    binding: the built operator's provenance (None for a plane).
 
     The compiled-chain cache is cleared before and after, so chains built
     by other tests do not hide builds and counted builders do not leak.
@@ -123,9 +125,10 @@ def builds(monkeypatch):
     for name in BUILDERS:
         original = getattr(experiments, name)
 
-        def counted(layout, *args, _name=name, _original=original, **kwargs):
-            calls[_name].append(args[0] if args else None)
-            return _original(layout, *args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            built = _original(*args, **kwargs)
+            calls[_name].append(getattr(built, "provenance", None))
+            return built
 
         monkeypatch.setattr(experiments, name, counted)
     yield calls
@@ -135,9 +138,9 @@ def builds(monkeypatch):
 def test_one_run_builds_each_stage_once(builds):
     spec = ExperimentSpec(5, tuple([5**-0.5] * 5), observers=2, photon_model=True)
     assert run_measurement_chain(spec).all_passed
-    assert builds["build_detection_unitary"] == [None]
-    assert builds["build_photon_emission_unitary"] == [None]
-    assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
+    assert builds["build_detection_unitary"] == ["detection"]
+    assert builds["build_photon_emission_unitary"] == ["photon-emission"]
+    assert builds["build_perception_unitary"] == [BOTH_OBSERVERS]
     assert builds["build_basis_rotation"] == []
 
 
@@ -148,16 +151,16 @@ def test_library_calls_share_one_build_per_configuration(builds):
     assert run_measurement_chain(spec).all_passed
     assert coefficient_independence_check(spec).passed
     assert no_signaling_check(spec, probe).passed
-    assert builds["build_detection_unitary"] == [None]
-    assert builds["build_photon_emission_unitary"] == [None]
-    assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
+    assert builds["build_detection_unitary"] == ["detection"]
+    assert builds["build_photon_emission_unitary"] == ["photon-emission"]
+    assert builds["build_perception_unitary"] == [BOTH_OBSERVERS]
 
     control = replace(spec, negative_control=True)
     assert not run_measurement_chain(control).all_passed
     assert not run_measurement_chain(control).all_passed
-    assert builds["build_detection_unitary"] == [None, None]
-    assert builds["build_photon_emission_unitary"] == [None, None]
-    assert builds["build_perception_unitary"] == ["Obs1", "Obs2", "Obs1", "Obs2"]
+    assert builds["build_detection_unitary"] == ["detection"] * 2
+    assert builds["build_photon_emission_unitary"] == ["photon-emission"] * 2
+    assert builds["build_perception_unitary"] == [BOTH_OBSERVERS] * 2
 
 
 def test_every_call_form_of_one_configuration_shares_one_chain():
@@ -192,9 +195,9 @@ def test_random_draws_share_one_build(builds, tmp_path):
         seed=5,
     )
     assert main(["run", config, "--out", str(tmp_path / "report.json")]) == 0
-    assert builds["build_detection_unitary"] == [None]
-    assert builds["build_photon_emission_unitary"] == [None]
-    assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
+    assert builds["build_detection_unitary"] == ["detection"]
+    assert builds["build_photon_emission_unitary"] == ["photon-emission"]
+    assert builds["build_perception_unitary"] == [BOTH_OBSERVERS]
 
 
 def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
@@ -209,6 +212,6 @@ def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
         thetas=[0.0, 0.5, 1.0, 1.5],
     )
     assert main(["run", config, "--out", str(tmp_path / "report.json")]) == 0
-    assert builds["build_perception_unitary"] == ["Obs1", "Obs2"]
-    assert builds["build_detection_unitary"] == [None]
+    assert builds["build_perception_unitary"] == [BOTH_OBSERVERS]
+    assert builds["build_detection_unitary"] == ["detection"]
     assert len(builds["build_basis_rotation"]) == 1

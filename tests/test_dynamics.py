@@ -161,14 +161,14 @@ def test_emission_requires_paired_photons():
 def test_perception_matches_brute_force_matrix():
     layout = sg_layout()
     configs = standard_classical_configs(2)
-    built = dense_matrix(build_perception_unitary(layout, "Obs", configs))
+    built = dense_matrix(build_perception_unitary(layout, configs))
     oracle = naive_perception_matrix(layout, "Obs", configs, ["DH", "DV"])
     assert np.array_equal(built, oracle)
 
 
 def test_perception_writes_message_per_version():
     layout = sg_layout()
-    perception = build_perception_unitary(layout, "Obs", standard_classical_configs(2))
+    perception = build_perception_unitary(layout, standard_classical_configs(2))
 
     looked = apply_unitary(
         perception, product_state(layout, {"P": 0, "DH": 1, "DV": 0, "Obs": 0})
@@ -195,7 +195,7 @@ def test_perception_writes_message_per_version():
 
 def test_perception_identity_off_the_classical_configurations():
     layout = sg_layout()
-    perception = build_perception_unitary(layout, "Obs", standard_classical_configs(2))
+    perception = build_perception_unitary(layout, standard_classical_configs(2))
     # Nothing detected: observer stays blank.
     idle = product_state(layout, {"P": 0, "DH": 0, "DV": 0, "Obs": 0})
     assert np.array_equal(dense_amplitudes(apply_unitary(perception, idle)), dense_amplitudes(idle))
@@ -209,7 +209,7 @@ def test_perception_completion_unwrites_existing_message():
     # The transposition closure: a pre-written message on its own
     # configuration maps back to blank.
     layout = sg_layout()
-    perception = build_perception_unitary(layout, "Obs", standard_classical_configs(2))
+    perception = build_perception_unitary(layout, standard_classical_configs(2))
     written = product_state(layout, {"P": 0, "DH": 1, "DV": 0, "Obs": 1})
     back = apply_unitary(perception, written)
     assert dense_amplitudes(back)[encode(layout, {"P": 0, "DH": 1, "DV": 0, "Obs": 0})] == 1.0
@@ -217,32 +217,39 @@ def test_perception_completion_unwrites_existing_message():
 
 def test_perception_validation():
     layout = sg_layout()
-    with pytest.raises(ValueError, match="observer"):
-        build_perception_unitary(layout, "DH", standard_classical_configs(2))
+    # A layout without observers has no one to perceive.
+    with pytest.raises(ValueError, match="no observer register"):
+        build_perception_unitary(make_layout(SG[:3]), standard_classical_configs(2))
     with pytest.raises(ValueError, match="levels"):
         small = make_layout(
             [("P", 3, "particle-path"), ("D1", 2, "detector"), ("D2", 2, "detector"),
              ("D3", 2, "detector"), ("Obs", 4, "observer")]
         )
-        build_perception_unitary(small, "Obs", standard_classical_configs(3))
+        build_perception_unitary(small, standard_classical_configs(3))
+    # Every observer is checked, and the error names the one too small.
+    with pytest.raises(ValueError, match="observer register 'Obs2' has 3 levels, needs at least 4"):
+        build_perception_unitary(
+            make_layout(SG + [("Obs2", 3, "observer")]), standard_classical_configs(2)
+        )
     with pytest.raises(ValueError, match="digits"):
-        build_perception_unitary(layout, "Obs", (np.array([[1, 0, 0]]), np.array([1])))
+        build_perception_unitary(layout, (np.array([[1, 0, 0]]), np.array([1])))
     with pytest.raises(ValueError, match="digits"):
-        build_perception_unitary(layout, "Obs", (np.eye(2), np.array([1])))
+        build_perception_unitary(layout, (np.eye(2), np.array([1])))
     with pytest.raises(ValueError, match="digit 2 out of range for 'DV'"):
-        build_perception_unitary(layout, "Obs", (np.array([[1, 0], [0, 2]]), np.array([1, 2])))
+        build_perception_unitary(layout, (np.array([[1, 0], [0, 2]]), np.array([1, 2])))
     # Messages may only target the mixed level through the explicit hook.
     with pytest.raises(ValueError, match="writable range"):
-        build_perception_unitary(layout, "Obs", (np.eye(2), np.array([3, 2])))
-    build_perception_unitary(layout, "Obs", (np.eye(2), np.array([3, 2])),
+        build_perception_unitary(layout, (np.eye(2), np.array([3, 2])))
+    build_perception_unitary(layout, (np.eye(2), np.array([3, 2])),
                              allow_mixed_message=True)
 
 
-def test_perception_conditions_on_photons_when_asked():
+def test_perception_conditions_on_photons_when_the_layout_has_them():
     layout = photon_layout()
-    perception = build_perception_unitary(
-        layout, "Obs", standard_classical_configs(2), condition_registers=["phH", "phV"]
-    )
+    perception = build_perception_unitary(layout, standard_classical_configs(2))
+    # The builder reads the condition registers off the layout: its photons.
+    (table,) = perception.stages
+    assert [layout.registers[at].name for at in table.control] == ["phH", "phV"]
     # Photons carry the record; detector digits are irrelevant to it.
     lit = product_state(layout, {"P": 0, "DH": 1, "DV": 0, "phH": 1, "phV": 0, "Obs": 0})
     saw = apply_unitary(perception, lit)
@@ -399,7 +406,7 @@ def test_apply_identity_and_dimension_mismatch():
 def test_full_chain_reaches_the_recorded_state():
     layout = sg_layout()
     step = compose(
-        build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+        build_perception_unitary(layout, standard_classical_configs(2)),
         build_detection_unitary(layout),
     )
     a1, a2 = 0.48 + 0.6j, 0.64
@@ -432,7 +439,7 @@ def test_permutation_apply_agrees_with_dense_oracle():
 
 def test_compose_with_adjoint_gives_identity():
     layout = sg_layout()
-    perception = build_perception_unitary(layout, "Obs", standard_classical_configs(2))
+    perception = build_perception_unitary(layout, standard_classical_configs(2))
     round_trip = compose(adjoint(perception), perception)
     assert np.array_equal(dense_matrix(round_trip), np.eye(32))
 
@@ -461,7 +468,7 @@ def test_construction_accepts_builders_and_rejects_defects():
     layout = sg_layout()
     for op in (
         build_detection_unitary(layout),
-        build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+        build_perception_unitary(layout, standard_classical_configs(2)),
         level_cycle(layout, "Obs"),
     ):
         assert unitarity_residual(dense_matrix(op)) <= 1e-12
@@ -540,7 +547,7 @@ def test_label_parts_are_read_only():
     layout = sg_layout()
     labels = basis_labels(layout)
     step = compose(
-        build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+        build_perception_unitary(layout, standard_classical_configs(2)),
         build_detection_unitary(layout),
     )
     permuted = step.relabel(labels)
@@ -568,7 +575,7 @@ def test_every_builder_is_linear(alpha, beta, seed):
         partial(apply_unitary, build_detection_unitary(layout)),
         partial(
             apply_unitary,
-            build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+            build_perception_unitary(layout, standard_classical_configs(2)),
         ),
         lambda state: rotate(plane, state, 0.83),
     ):
@@ -585,7 +592,7 @@ def test_norm_preserved_by_every_builder():
         partial(apply_unitary, build_detection_unitary(layout)),
         partial(
             apply_unitary,
-            build_perception_unitary(layout, "Obs", standard_classical_configs(2)),
+            build_perception_unitary(layout, standard_classical_configs(2)),
         ),
         lambda state: rotate(plane, state, 2.2),
     )
@@ -597,7 +604,7 @@ def test_norm_preserved_by_every_builder():
 def test_stages_commute_with_untouched_registers():
     layout = sg_layout()
     detection = build_detection_unitary(layout)
-    perception = build_perception_unitary(layout, "Obs", standard_classical_configs(2))
+    perception = build_perception_unitary(layout, standard_classical_configs(2))
     observer_shuffle = level_cycle(layout, "Obs")
     path_shuffle = level_cycle(layout, "P")
 
@@ -622,7 +629,6 @@ def test_every_stage_proves_unitary_on_an_uncapped_layout():
     registers += [(f"Obs{k + 1}", n + 2, "observer") for k in range(3)]
     layout = make_layout(registers)
     assert layout.total_dimension > 2**151
-    photons = [f"ph{j + 1}" for j in range(n)]
     stages = [
         build_detection_unitary(layout),
         build_photon_emission_unitary(layout),
@@ -636,16 +642,16 @@ def test_every_stage_proves_unitary_on_an_uncapped_layout():
         configs, messages = standard_classical_configs(n)
         if negative_control:
             messages[0] = n + 1
-        for observer in ("Obs1", "Obs2", "Obs3"):
-            stages.append(
-                build_perception_unitary(
-                    layout,
-                    observer,
-                    (configs, messages),
-                    photons,
-                    allow_mixed_message=negative_control,
-                )
-            )
+        perception = build_perception_unitary(
+            layout, (configs, messages), allow_mixed_message=negative_control
+        )
+        # One table per observer, in layout order, each reading the photons.
+        photons = [layout.position(f"ph{j + 1}") for j in range(n)]
+        assert [list(table.control) for table in perception.stages] == [photons] * 3
+        assert [table.target[0] for table in perception.stages] == [
+            layout.position(f"Obs{k + 1}") for k in range(3)
+        ]
+        stages.append(perception)
     # Building each stage, and its adjoint, is the proof; every phase is
     # exactly of modulus 1.
     for op in stages + [adjoint(op) for op in stages]:

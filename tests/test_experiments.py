@@ -823,12 +823,14 @@ def test_crossed_messages_of_one_observer_fail_observer_agreement(monkeypatch, n
     # branch weight, is untouched.
     build = experiments.build_perception_unitary
 
-    def crossed(layout, observer, rules, *args, **kwargs):
+    def crossed(layout, rules, *args, **kwargs):
+        op = build(layout, rules, *args, **kwargs)
         configs, messages = rules
-        if observer == "Obs2":
-            messages = messages.copy()
-            messages[[0, 1]] = messages[[1, 0]]
-        return build(layout, observer, (configs, messages), *args, **kwargs)
+        messages = messages.copy()
+        messages[[0, 1]] = messages[[1, 0]]
+        # The tables come one per observer in layout order: Obs2's is second.
+        swapped = build(layout, (configs, messages), *args, **kwargs).stages[1]
+        return replace(op, stages=op.stages[:1] + (swapped,) + op.stages[2:])
 
     rng = np.random.default_rng(n_versions)
     compile_chain.cache_clear()
@@ -869,10 +871,8 @@ def test_a_perception_that_rewrites_the_record_fails_coherence_and_no_signaling(
     # branch 1, and every later observer reads M1 on both.
     build = experiments.build_perception_unitary
 
-    def rewriting(layout, observer, *args, **kwargs):
-        op = build(layout, observer, *args, **kwargs)
-        if observer != "Obs1":
-            return op
+    def rewriting(layout, *args, **kwargs):
+        op = build(layout, *args, **kwargs)
         obs1, reads_m2 = layout.position("Obs1"), [[message_level(1)]]
         swap = np.arange(n_versions)
         swap[[0, 1]] = [1, 0]
@@ -884,7 +884,9 @@ def test_a_perception_that_rewrites_the_record_fails_coherence_and_no_signaling(
                 tables.append(
                     ControlledRewrite((obs1, source), [[message_level(1), 1]], target, [[1, 0]])
                 )
-        return UnitaryOp(layout, "record-rewriting perception", op.stages + tuple(tables))
+        # Obs1's table, first in layout order, is followed by the rewrites.
+        stages = op.stages[:1] + tuple(tables) + op.stages[1:]
+        return UnitaryOp(layout, "record-rewriting perception", stages)
 
     rng = np.random.default_rng(n_versions)
     compile_chain.cache_clear()

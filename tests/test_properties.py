@@ -242,10 +242,12 @@ def chain_operators(chain):
     operators = [(build_detection_unitary(layout), naive_detection_matrix(layout))]
     if chain.photon_model:
         operators.append((build_photon_emission_unitary(layout), naive_emission_matrix(layout)))
-    for name in observers:
-        stage = build_perception_unitary(
-            layout, name, rules, condition, allow_mixed_message=chain.negative_control
-        )
+    perception = build_perception_unitary(
+        layout, rules, allow_mixed_message=chain.negative_control
+    )
+    # One table per observer, in layout order: each is that observer's rule.
+    for name, table in zip(observers, perception.stages, strict=True):
+        stage = UnitaryOp(layout, f"perception[{name}]", (table,))
         operators.append((stage, naive_perception_matrix(layout, name, rules, condition)))
     operators += [
         (compose(chain.perception, chain.record), None),
