@@ -11,14 +11,18 @@ one bit changes the digest.  Changing a golden file is changing test data;
 regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import pathlib
 import tempfile
 import tracemalloc
 
 import pytest
 
+from branchsim import cli
 from branchsim.cli import main, parse_config, run_and_report, write_report
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -218,13 +222,41 @@ def test_the_first_difference_names_the_moved_path():
     assert first_difference({"b": True}, {"b": 1}) == "report.b"
 
 
-def test_writing_the_rotation_report_holds_it_about_once(tmp_path):
-    """The writer's memory peak stays under 1.5 times the report's length:
-    a shared container's text is held once, and the whole text is never
-    joined into one string."""
-    config = tmp_path / "rotation_sweep.json"
-    config.write_text(json.dumps(CONFIGS["rotation_sweep"]), encoding="utf-8")
-    _, report = run_and_report(parse_config(str(config)))
+# Two reports past the golden ones in size: 64 draws of the widest chain
+# config (N=64, 3 observers, photons), 1.25 MB with no shared container, and
+# 64 draws of a 16-angle rotation, 2.5 MB of runs that share most of theirs.
+LARGE_CONFIGS = {
+    "chain_64_draws": {
+        "experiment": "generalized",
+        "n_versions": 64,
+        "observers": 3,
+        "photon_model": True,
+        "coefficients": {"random": 64},
+        "seed": 11,
+    },
+    "rotation_64_draws_16_angles": {
+        "experiment": "appendix_rotation",
+        "n_versions": 2,
+        "observers": 3,
+        "photon_model": True,
+        "coefficients": {"random": 64},
+        "seed": 5,
+        "thetas": {"count": 16},
+    },
+}
+
+
+def config_report(tmp_path, config, control=False):
+    """The report of one run of ``config``, saved as ``config.json``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return run_and_report(parse_config(str(path)), negative_control=control)[1]
+
+
+def written_report(tmp_path, config, control=False):
+    """The ``tracemalloc`` peak of writing the report of ``config``, and the
+    report's length in characters."""
+    report = config_report(tmp_path, config, control)
     out = tmp_path / "report.json"
     tracemalloc.start()
     try:
@@ -232,7 +264,48 @@ def test_writing_the_rotation_report_holds_it_about_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * len(out.read_text(encoding="utf-8"))
+    return peak, len(out.read_text(encoding="utf-8"))
+
+
+MEMORY_CASES = CASES + [(name, False) for name in LARGE_CONFIGS]
+
+
+@pytest.mark.parametrize(
+    "name, control", MEMORY_CASES, ids=[case_name(*case) for case in MEMORY_CASES]
+)
+def test_writing_a_report_holds_at_most_one_and_a_half_times_its_length(tmp_path, name, control):
+    """The writer streams its text, so its peak is bounded by the report's
+    length whatever its shape; 16 KiB covers the open file (about 5.4 KB
+    traced) and one batch."""
+    peak, size = written_report(tmp_path, {**CONFIGS, **LARGE_CONFIGS}[name], control)
+    assert peak <= 1.5 * size + 16 * 1024, f"{peak} bytes for {size} characters"
+
+
+def test_writing_the_rotation_report_holds_it_about_once(tmp_path):
+    """The writer's memory peak stays under half the report's length: a
+    shared container's text is held once, and the rest is written as it is
+    encoded."""
+    peak, size = written_report(tmp_path, CONFIGS["rotation_sweep"])
+    assert peak < 0.5 * size, f"{peak} bytes for {size} characters"
+
+
+def test_a_non_finite_number_after_a_written_batch_leaves_no_report(tmp_path, monkeypatch):
+    """NaN in the last run of the 151 KB rotation report: batches are out
+    by the time the writer meets it, and it must still raise, leave no
+    report file, and make ``main`` exit 4."""
+    report = config_report(tmp_path, CONFIGS["rotation_sweep"])
+    report["runs"][-1]["theta"] = math.nan
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), pytest.raises(ValueError):
+        write_report(report, None, "json")
+    assert len(printed.getvalue()) >= 4096
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_report(report, str(out), "json")
+    assert not out.exists()
+    monkeypatch.setattr(cli, "run_and_report", lambda config, negative_control: (0, report))
+    assert main(["run", str(tmp_path / "config.json"), "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_every_golden_file_has_a_case():

@@ -510,6 +510,10 @@ coefficient_parts = st.one_of(
 )
 
 
+# Parts at least 0.01 in size.
+anchor_parts = st.floats(min_value=-1.0, max_value=-0.01) | st.floats(min_value=0.01, max_value=1.0)
+
+
 @st.composite
 def draw_batches(draw, max_versions=5):
     """Specs of one chain configuration that differ only in their
@@ -524,9 +528,14 @@ def draw_batches(draw, max_versions=5):
             draws.append(draw(st.sampled_from(draws)))
             continue
         parts = draw(st.lists(coefficient_parts, min_size=2 * n_versions, max_size=2 * n_versions))
+        # One anchor part, in the first coefficient under the negative
+        # control, keeps the norm nonzero; as the norm is at most sqrt(10),
+        # that coefficient keeps over 1e-3 of it, and the control can fail.
+        # Every other coefficient may still be an exact zero of either sign.
+        anchor = draw(st.integers(0, 1 if negative_control else 2 * n_versions - 1))
+        parts[anchor] = draw(anchor_parts)
         vector = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
         norm = math.sqrt(math.fsum(abs(c) ** 2 for c in vector))
-        assume(norm > 1e-6 and (not negative_control or abs(vector[0]) > 1e-3 * norm))
         draws.append(tuple(complex(c.real / norm, c.imag / norm) for c in vector))
     return [
         ExperimentSpec(n_versions, c, observers, photon_model, negative_control=negative_control)
@@ -737,12 +746,29 @@ def test_the_report_writer_is_the_stdlib_indent_2_encoder(tree):
     assert written_json(tree) == reference_report_json(tree) + "\n"
 
 
+class WriteLog:
+    """Standard output that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
 def test_the_report_writer_joins_its_pieces_into_batches_of_at_most_4096_characters():
-    pieces = [str(i) * (i % 7) for i in range(1000)] + ["x" * 5000] + ["y"] * 300
-    batches = list(cli._batches(pieces))
-    assert "".join(batches) == "".join(pieces)
-    assert all(len(batch) <= 4096 or batch in pieces for batch in batches)
-    assert len(batches) < len(pieces) / 5
+    tree = {"long": ["x" * 5000, list(range(300))], "many": [[i] for i in range(200)]}
+    log = WriteLog()
+    with contextlib.redirect_stdout(log):
+        cli.write_report(tree, None, "json")
+    text = "".join(log.writes)
+    assert text == reference_report_json(tree) + "\n"
+    # Only the one piece over 4,096 characters, the long string, may be
+    # written whole; an 8 KB report takes more than one write.
+    long_piece = json.dumps("x" * 5000)
+    assert all(len(written) <= 4096 or written == long_piece for written in log.writes)
+    assert len(text) > 8192 and len(log.writes) > 1
 
 
 @given(poisoned_trees())
