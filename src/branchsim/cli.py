@@ -13,6 +13,7 @@ import cmath
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -410,36 +411,52 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
     """Write ``report`` to ``path`` (standard output when None).
 
     The JSON form is exactly ``json.dumps(report, indent=2, sort_keys=True)``
-    plus a newline, built as one list of pieces by ``_append_json`` before
-    the file is opened: a non-finite number raises ``ValueError`` (an
-    internal error, exit 4) and leaves no file.
+    plus a newline, written as it is encoded.  A non-finite number raises
+    ``ValueError`` (exit 4) midway: a file begun is removed, printed text stays.
     """
-    if fmt == "json":
-        pieces = []
-        _append_json(pieces, {}, report, 0)
-        pieces.append("\n")
-    else:
-        pieces = [render_text(report)]
     if path is None:
-        sys.stdout.writelines(_batches(pieces))
-        return
+        return _write(report, fmt, sys.stdout.write)
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(_batches(pieces))
+            handle.reconfigure(write_through=True)  # the text layer holds no batch
+            _write(report, fmt, handle.write)
     except OSError as exc:
         raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):  # a device or link is kept
+            os.remove(path)
+        raise
 
 
-def _batches(pieces: list):
-    """``pieces`` joined in runs of 128, since a write costs more than a join;
-    a run of over 4,096 characters is written piece by piece."""
-    for start in range(0, len(pieces), 128):
-        run = pieces[start:start + 128]
-        text = "".join(run)
-        yield from (run if len(text) > 4096 else (text,))
+def _write(report: dict, fmt: str, write) -> None:
+    """Write ``report`` as ``fmt`` through ``write``, at most 4,096 characters
+    at a time; JSON goes out as it is encoded, 128 pieces a batch."""
+    if fmt == "json":
+        _flush(_append_json([], {}, report, 0, write) + ["\n"], write)
+    else:
+        _flush([render_text(report)], write)
+
+
+def _flush(pieces: list, write) -> None:
+    """Write the text of ``pieces`` at most 4,096 characters at a time; empty it."""
+    text = "".join(pieces)
+    pieces.clear()
+    for start in range(0, len(text), 4096):
+        write(text[start:start + 4096])
 
 
 _CONTAINERS = (dict, list, tuple)
+
+
+class _ContainerTypes(dict):
+    """By type, whether the encoder takes it for a container: a lookup in C."""
+
+    def __missing__(self, kind):
+        self[kind] = found = issubclass(kind, _CONTAINERS)
+        return found
+
+
+_is_container_type = _ContainerTypes().__getitem__
 
 
 @functools.cache
@@ -452,47 +469,50 @@ def _flat_encoder(depth: int):
     )
 
 
-def _append_json(pieces: list, written: dict, value, depth: int) -> None:
+def _append_json(pieces: list, memo: dict, value, depth: int, write=None) -> list:
     """Append ``json.dumps(value, indent=2, sort_keys=True, default=_jsonify,
-    allow_nan=False)`` for a ``value`` at nesting ``depth`` to ``pieces``;
-    dict keys must be strings where the dict holds a container.
+    allow_nan=False)`` for a ``value`` at nesting ``depth`` to ``pieces``,
+    flushed through ``write`` if given, and return it; dict keys must be
+    strings where the dict holds a container.
 
     A container without container children is one C-encoder call whose
     separators already break the lines (an encoded string never holds a raw
-    newline), so only its brackets move onto their own lines.  A container
-    met again at the same depth (a report shares some) re-appends its slice
-    of ``pieces``, which ``written`` keeps by ``(id, depth)``."""
-    key = (id(value), depth)
-    if key in written:
-        pieces += pieces[slice(*written[key])]
-        return
-    start = len(pieces)
+    newline), so only its brackets move onto their own lines.  ``memo``
+    marks each container met by ``depth << 64 | id`` key; one met again at
+    the same depth (a report shares some) is encoded on its own, and
+    ``memo`` keeps that text for every later place."""
     is_dict = isinstance(value, dict)
     children = value.values() if is_dict else value
     if not isinstance(value, _CONTAINERS) or not value:
         pieces += _flat_encoder(depth)(value, 0)  # a scalar, [] or {}
-    elif not any(isinstance(child, _CONTAINERS) for child in children):
+    elif not any(map(_is_container_type, map(type, children))):
         text = "".join(_flat_encoder(depth)(value, 0))
-        pieces += (_separator(text[0], depth + 1), text[1:-1], _separator("", depth), text[-1])
+        pieces += (text[0], _separator(depth + 1), text[1:-1], _separator(depth), text[-1])
     else:
         items = sorted(value.items()) if is_dict else ((None, child) for child in value)
         encode = _flat_encoder(depth + 1)
-        lead = "{" if is_dict else "["
+        lead, tag = ("{" if is_dict else "["), (depth + 1) << 64
         for name, child in items:
-            pieces.append(_separator(lead, depth + 1, name))
+            pieces += (lead, _separator(depth + 1, name))
             lead = ","
-            if isinstance(child, _CONTAINERS):
-                _append_json(pieces, written, child, depth + 1)
-            else:
+            if not isinstance(child, _CONTAINERS):
                 pieces += encode(child, 0)
-        pieces += (_separator("", depth), "}" if is_dict else "]")
-    written[key] = (start, len(pieces))
+            elif (key := tag | id(child)) not in memo:
+                memo[key] = None
+                _append_json(pieces, memo, child, depth + 1, write)
+            else:
+                memo[key] = memo[key] or "".join(_append_json([], {}, child, depth + 1))
+                pieces.append(memo[key])
+            if write is not None and len(pieces) >= 128:
+                _flush(pieces, write)
+        pieces += (_separator(depth), "}" if is_dict else "]")
+    return pieces
 
 
 @functools.lru_cache(maxsize=1024)
-def _separator(lead: str, depth: int, name: str | None = None) -> str:
-    """``lead``, a new line at ``depth`` and the dict key ``name``, if any."""
-    text = lead + "\n" + "  " * depth
+def _separator(depth: int, name: str | None = None) -> str:
+    """A new line at ``depth`` and the dict key ``name``, if any."""
+    text = "\n" + "  " * depth
     return text if name is None else text + encode_basestring_ascii(name) + ": "
 
 
