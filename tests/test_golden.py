@@ -6,8 +6,9 @@ JSON report with its ``timings`` removed (``timings`` is the only key that
 may differ between two runs).  ``golden/reports`` holds those reports
 themselves, so a mismatch names the first JSON path that moved, and
 ``golden/text`` holds the exit code and SHA-256 of each ``--format text``
-report.  A change that moves any residual, branch weight or coefficient by
-one bit changes the digest.  Changing a golden file is changing test data;
+report.  ``golden/largest`` holds the exit code, verdicts and digest alone
+of the largest chains the register bound admits.  A change that moves any
+residual, branch weight or coefficient by one bit changes the digest.  Changing a golden file is changing test data;
 regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -120,10 +121,43 @@ def case_name(name, control):
     return f"{name}.negative_control" if control else name
 
 
+# The largest chains the register bound admits, pinned by exit code,
+# verdicts and digest only: N=510 with one observer, N=255 with one observer
+# and photons (the configs of CI's largest-chain steps, which compare their
+# reports with these digests) and two versions with 509 observers.
+LARGEST = GOLDEN / "largest"
+LARGEST_CONFIGS = {
+    "widest_chain": {
+        "experiment": "generalized",
+        "n_versions": 510,
+        "observers": 1,
+        "coefficients": {"random": 1},
+        "seed": 1,
+    },
+    "deepest_chain": {
+        "experiment": "generalized",
+        "n_versions": 255,
+        "observers": 1,
+        "photon_model": True,
+        "coefficients": {"random": 1},
+        "seed": 1,
+    },
+    "many_observers": {
+        "experiment": "generalized",
+        "n_versions": 2,
+        "observers": 509,
+        "coefficients": {"random": 1},
+        "seed": 1,
+    },
+}
+
+LARGEST_CASES = [(name, control) for name in LARGEST_CONFIGS for control in (False, True)]
+
+
 def run_cli(tmp_path, name, control, fmt):
     """Exit code and written report of one CLI run of a config."""
     config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+    config.write_text(json.dumps({**CONFIGS, **LARGEST_CONFIGS}[name]), encoding="utf-8")
     out = tmp_path / f"{name}.report.{fmt}"
     argv = ["run", str(config), "--out", str(out), "--format", fmt]
     code = main(argv + ["--negative-control"] * control)
@@ -205,6 +239,13 @@ def test_a_stored_report_has_its_golden_digest(name, control):
     stored = load(REPORTS / f"{case_name(name, control)}.json")
     golden = load(GOLDEN / f"{case_name(name, control)}.json")
     assert digest(json.dumps(stored, indent=2, sort_keys=True) + "\n") == golden["sha256"]
+
+
+@pytest.mark.parametrize(
+    "name, control", LARGEST_CASES, ids=[case_name(*case) for case in LARGEST_CASES]
+)
+def test_a_largest_chain_report_is_its_golden_digest(tmp_path, name, control):
+    assert outcome(tmp_path, name, control)[0] == load(LARGEST / f"{case_name(name, control)}.json")
 
 
 def test_the_first_difference_names_the_moved_path():
@@ -324,6 +365,8 @@ def test_every_golden_file_has_a_case():
     expected = sorted(case_name(*case) for case in CASES)
     for folder in (GOLDEN, REPORTS, TEXT):
         assert sorted(p.stem for p in folder.glob("*.json")) == expected, folder.name
+    largest = sorted(case_name(*case) for case in LARGEST_CASES)
+    assert sorted(p.stem for p in LARGEST.glob("*.json")) == largest
 
 
 if __name__ == "__main__":
@@ -340,3 +383,9 @@ if __name__ == "__main__":
             stored = json.dumps(report, indent=0, separators=(",", ":"), sort_keys=True)
             (REPORTS / name).write_text(stored + "\n", "utf-8")
             print(name, got["exit_code"], text["exit_code"])
+        LARGEST.mkdir(exist_ok=True)
+        for case in LARGEST_CASES:
+            got, _ = outcome(pathlib.Path(scratch), *case)
+            name = f"{case_name(*case)}.json"
+            (LARGEST / name).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", "utf-8")
+            print(name, got["exit_code"])
