@@ -83,6 +83,8 @@ class ConfigFile:
 
 def parse_config(path: str) -> ConfigFile:
     """Load and validate a JSON config; errors name the offending key."""
+    if "\0" in path:  # open() would raise ValueError, read below as a long number
+        raise ConfigError(f"config path {path!r} holds a NUL character")
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -256,8 +258,8 @@ def _parse_output(raw: dict, config: ConfigFile) -> None:
     if not isinstance(value, dict) or set(value) - {"path", "format"}:
         raise ConfigError("output: expected an object with keys 'path' and/or 'format'")
     if "path" in value:
-        if not isinstance(value["path"], str):
-            raise ConfigError(f"output.path: expected a string, got {value['path']!r}")
+        if not isinstance(value["path"], str) or not value["path"] or "\0" in value["path"]:
+            raise ConfigError(f"output.path: expected a path without NUL, got {value['path']!r}")
         config.output_path = value["path"]
     if "format" in value:
         if value["format"] not in ("json", "text"):
@@ -550,8 +552,8 @@ def _parse_argv(argv: list[str]) -> dict | None:
             positionals.append(token)
     if argv[:1] != ["run"] or len(positionals) != 2:
         raise ValueError(f"expected 'run' and one config path, got {positionals}")
-    if args.get("--out") == "":
-        raise ValueError("--out: expected a path, got ''")
+    if args.get("--out") == "" or "\0" in args.get("--out", ""):
+        raise ValueError(f"--out: expected a path without NUL, got {args['--out']!r}")
     return {"config": positionals[1], **args}
 
 

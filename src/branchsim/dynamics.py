@@ -7,8 +7,9 @@ defined once, as a ``ControlledRewrite`` table: control register positions,
 the control rows (``when``) it acts on and, for each row, the target
 position (or none), the image of each target level and the phase picked up
 there.  A ``UnitaryOp`` is a sequence of such tables applied in order to the
-(k x registers) label rows of a state, so applying it touches only the
-state's support; ``compose`` concatenates the tables.
+(k x registers) label rows of a state, each table looking a row's control
+labels up among its ``when`` rows, so it costs k x registers whatever its
+entries or the dimension; ``compose`` concatenates the tables.
 
 Applying an operator is two parts run in turn.  The label part
 (``relabel``) reads only label rows: it gives the rows after the operator
@@ -120,10 +121,14 @@ class ControlledRewrite:
 
     def _relabel(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows after the table and the phase each row picks up."""
-        # At most one entry matches a row, since the ``when`` rows are distinct.
-        row, entry = np.nonzero(
-            (labels[:, None, list(self.control)] == self.when).all(axis=2)
-        )
+        keys = labels[:, list(self.control)]
+        if len(self.when) == 1:  # photon emission and the probes: one compare per row
+            entry = np.where((keys == self.when[0]).all(axis=1), 0, -1)
+        else:  # the ``when`` rows are distinct, so a row's key names at most one entry
+            index = {key: e for e, key in enumerate(map(tuple, self.when.tolist()))}
+            entry = np.array([index.get(key, -1) for key in map(tuple, keys.tolist())], int)
+        row = np.flatnonzero(entry >= 0)
+        entry = entry[row]
         target = self.target[entry]
         moved = target >= 0
         level = np.where(moved, labels[row, target], 0)

@@ -106,11 +106,9 @@ MAX_TOLERANCE = 1e-3
 # of up to a few 1e-16, which a tighter setting would report as failures.
 MIN_TOLERANCE = 1e-14
 
-# The most registers a chain may have, the one bound on the size of a run
-# (checked by ``chain_layout``).  A run's time grows with support x
-# registers whatever its dimension, but its peak memory grows as N^3
-# through the perception tables' match cube; the README lists the measured
-# worst shapes at this bound.
+# The most registers a chain may have (checked by ``chain_layout``), the one
+# bound on a run, whose time and memory grow with support x registers; 512
+# stands until a grid of the worst shapes (README) re-derives it.
 MAX_REGISTERS = 512
 
 CHAIN_CHECKS = (

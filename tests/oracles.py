@@ -39,6 +39,9 @@ loop one row of amplitudes at a time, its independence check on each
 version evolved as its own state and its probes applied one by one; the
 library certifies all of a configuration's draws as the rows of one batch,
 and each draw's report must equal this one bit for bit.
+``reference_relabel`` applies one controlled-rewrite table by matching
+every label row against every control row at once, the reference for the
+library's lookup of each row's control labels.
 ``reference_report_json``
 is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
 report writer, and ``reference_argv`` is the ``argparse`` parser the CLI
@@ -376,6 +379,22 @@ def rotate(plane, state, theta):
     turn = plane.relabel(state.labels)
     values = turn.amplitudes(state.values, np.cos(theta), np.sin(theta))
     return StateVector(state.layout, turn.rows, values)
+
+
+def reference_relabel(table, labels):
+    """What ``table._relabel`` gives, from one (rows x entries x controls)
+    boolean match of every row against every ``when`` row: the rows after
+    the table and the phase each row picks up."""
+    # At most one entry matches a row, since the ``when`` rows are distinct.
+    row, entry = np.nonzero((labels[:, None, list(table.control)] == table.when).all(axis=2))
+    target = table.target[entry]
+    moved = target >= 0
+    level = np.where(moved, labels[row, target], 0)
+    rows = labels.copy()
+    rows[row[moved], target[moved]] = table.image[entry, level][moved]
+    phases = np.ones(len(labels), dtype=complex)
+    phases[row] = table.phase[entry, level]
+    return rows, phases
 
 
 def permutation_view(op):

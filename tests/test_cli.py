@@ -714,6 +714,33 @@ def test_a_non_string_experiment_exits_two_without_a_traceback(tmp_path, capsys,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("output.path", "config error: output.path: expected a path without NUL"),
+        ("--out", "usage error: --out: expected a path without NUL"),
+        ("config", "config error: config path"),
+    ],
+    ids=["output_path", "out_option", "config_path"],
+)
+def test_a_path_holding_a_nul_character_exits_two_before_any_run(
+    tmp_path, monkeypatch, where, message
+):
+    # A NUL in output.path or --out used to reach open() after the whole
+    # run, exit 4 with a traceback; one in the config path exited 2, read as
+    # a number too long.
+    nul = str(tmp_path / "a\0b.json")
+    config = write_config(tmp_path, **({"output": {"path": nul}} if where == "output.path" else {}))
+    argv = ["run", nul if where == "config" else str(config)]
+    argv += ["--out", nul] if where == "--out" else []
+    monkeypatch.setattr(cli, "run_and_report", lambda *args, **kwargs: pytest.fail("run"))
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "")
+    assert message in err and "NUL" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_unwritable_report_path_exits_two(tmp_path):
     out = tmp_path / "missing-directory" / "report.json"
     assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2

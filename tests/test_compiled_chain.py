@@ -1,6 +1,7 @@
 """The compiled chain against the brute-force oracles, and its build counts."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -215,3 +216,23 @@ def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
     assert builds["build_perception_unitary"] == [BOTH_OBSERVERS]
     assert builds["build_detection_unitary"] == ["detection"]
     assert len(builds["build_basis_rotation"]) == 1
+
+
+@pytest.mark.parametrize(
+    "n, photon_model, bound_mb", [(510, False, 30), (255, True, 15)], ids=["N=510", "N=255-photons"]
+)
+def test_the_largest_chains_run_in_memory_far_below_a_cube_of_labels(n, photon_model, bound_mb):
+    """Every check of one equal-coefficient run at the register bound, its
+    chain compiled beforehand, peaks (``tracemalloc``) well under a boolean
+    (rows x entries x controls) match of the perception table, which is
+    N^3 bytes: 133 MB at N=510 and 17 MB at N=255."""
+    spec = ExperimentSpec(n, (n**-0.5,) * n, photon_model=photon_model)
+    compile_chain(n, 1, photon_model)
+    tracemalloc.start()
+    try:
+        report = run_measurement_chain(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < bound_mb * 1e6, f"{peak / 1e6:.1f} MB"

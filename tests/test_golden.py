@@ -8,8 +8,9 @@ themselves, so a mismatch names the first JSON path that moved, and
 ``golden/text`` holds the exit code and SHA-256 of each ``--format text``
 report.  ``golden/largest`` holds the exit code, verdicts and digest alone
 of the largest chains the register bound admits.  A change that moves any
-residual, branch weight or coefficient by one bit changes the digest.  Changing a golden file is changing test data;
-regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+residual, branch weight or coefficient by one bit changes the digest.
+Changing a golden file is changing test data; regenerate with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib

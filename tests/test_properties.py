@@ -25,7 +25,10 @@ subnormals, multiples of pi/2 and angles up to 1e6, must give each angle
 the per-angle oracle's report, byte for byte.  The table-proof property draws
 the arguments of small controlled-rewrite tables, sound or broken in one
 way, and requires construction to succeed exactly when a loop-built dense
-matrix is unitary.  The report writer is
+matrix is unitary.  A table's lookup of each row's control labels must
+give the rows and phases of the match-cube oracle byte for byte, on random
+tables and on every stage and probe of compiled chains, including every
+application a run makes.  The report writer is
 compared with the stdlib's ``indent=2`` encoder on random JSON trees, and
 on trees that hold one list, tuple or dict object in several places, at the
 same depth and at different depths, as a report shares its containers.
@@ -96,6 +99,7 @@ from oracles import (
     reference_branches,
     reference_born_weight_drift,
     reference_overlap,
+    reference_relabel,
     reference_appendix_rotation,
     reference_measurement_chain,
     reference_report_json,
@@ -679,6 +683,98 @@ def test_the_table_proof_agrees_with_the_dense_oracle(drawn):
         # A sound table is applied, and inverted, as the oracle writes it.
         assert np.array_equal(dense_matrix(op), oracle)
         assert np.array_equal(dense_matrix(adjoint(op)), oracle.conj().T)
+
+
+# -- the table lookup against the match cube -----------------------------------
+
+
+def assert_relabels_as_the_cube(table, labels, relabel=ControlledRewrite._relabel):
+    """``relabel(table, labels)``, the library's lookup by default, gives the
+    rows and phases of ``reference_relabel`` byte for byte; returns them."""
+    moved = relabel(table, labels)
+    for got, want in zip(moved, reference_relabel(table, labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return moved
+
+
+@st.composite
+def relabelled_tables(draw):
+    """A table of 1-6 entries over 1-4 control registers, each entry
+    targeting no register or one free register, phases among 1, -1 and i,
+    and label rows that match an entry, match none, or repeat."""
+    k = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
+    free = draw(st.integers(1, 3))
+    levels = draw(st.integers(2, 3))
+    dims += [levels] * free
+    rows = list(itertools.product(*(range(d) for d in dims[:k])))
+    entries = st.lists(st.sampled_from(rows), min_size=1, max_size=min(6, len(rows)), unique=True)
+    when = draw(entries)
+    if draw(st.booleans()):
+        target, width = [-1] * len(when), 1
+    else:
+        target, width = [draw(st.integers(k, k + free - 1)) for _ in when], levels
+    image = [list(draw(st.permutations(range(width)))) for _ in when]
+    phase = [[draw(st.sampled_from((1.0, -1.0, 1j))) for _ in range(width)] for _ in when]
+    layout = make_layout([(f"R{i}", d, "detector") for i, d in enumerate(dims)])
+    table = ControlledRewrite(range(k), when, target, image, phase)
+    UnitaryOp(layout, "drawn", (table,))  # a table the layout accepts
+    labels = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(st.integers(0, d - 1)) for d in dims]
+        if draw(st.booleans()):
+            row[:k] = draw(st.sampled_from(when))
+        labels += [row] * draw(st.integers(1, 3))
+    return table, np.array(labels, dtype=np.int64).reshape(-1, len(dims))
+
+
+@given(relabelled_tables())
+@settings(max_examples=200, deadline=None)
+def test_a_table_relabels_rows_as_the_match_cube_does(drawn):
+    assert_relabels_as_the_cube(*drawn)
+
+
+@given(
+    st.sampled_from((2, 3, 11)), st.integers(1, 3), st.booleans(), st.booleans(), st.data()
+)
+@settings(max_examples=40, deadline=None)
+def test_every_chain_table_relabels_as_the_match_cube_does(
+    n_versions, observers, photon_model, negative_control, data
+):
+    """Every stage of the compiled chain and both probes, on drawn label
+    rows and on every row a run hands them: evolution, the independence
+    replay, the no-signaling probes and, at N=2, the rotation's
+    perception."""
+    chain = compile_chain(n_versions, observers, photon_model, negative_control)
+    tables = chain.record.stages + chain.perception.stages
+    tables += tuple(stage for probe in chain.probes for stage in probe.stages)
+    dims = chain.layout.dimension_array.tolist()
+    drawn = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), max_size=6))
+    versions = experiments._version_rows(chain.layout, range(n_versions), detected=True)
+    for labels in (np.array(drawn, dtype=np.int64).reshape(-1, len(dims)), versions):
+        for table in tables:
+            assert_relabels_as_the_cube(table, labels)
+
+    applied = []
+    relabel = ControlledRewrite._relabel
+
+    def checked(table, labels):
+        applied.append(table)
+        return assert_relabels_as_the_cube(table, labels, relabel)
+
+    coefficients = (n_versions**-0.5,) * n_versions
+    spec = ExperimentSpec(
+        n_versions, coefficients, observers, photon_model, negative_control=negative_control
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ControlledRewrite, "_relabel", checked)
+        run_measurement_chain(spec)
+        assert set(map(id, applied)) == set(map(id, tables))
+        if n_versions == 2:
+            applied.clear()
+            run_appendix_rotation(spec, [0.0, 0.7])
+            assert set(map(id, chain.perception.stages)) <= set(map(id, applied))
 
 
 # -- the report writer against the stdlib encoder ------------------------------
