@@ -7,7 +7,8 @@ may differ between two runs).  ``golden/reports`` holds those reports
 themselves, so a mismatch names the first JSON path that moved, and
 ``golden/text`` holds the exit code and SHA-256 of each ``--format text``
 report.  ``golden/largest`` holds the exit code, verdicts and digest alone
-of the largest chains the register bound admits.  A change that moves any
+of the largest chains the register bound admits, and ``golden/sweeps``
+those of more rotation sweeps.  A change that moves any
 residual, branch weight or coefficient by one bit changes the digest.
 Changing a golden file is changing test data; regenerate with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -154,11 +155,75 @@ LARGEST_CONFIGS = {
 
 LARGEST_CASES = [(name, control) for name in LARGEST_CONFIGS for control in (False, True)]
 
+# Rotation sweeps pinned the same way: the sweeps CI runs (16 angles; 5
+# draws x 40 angles; 1,024 angles), the benchmark's rotation_sweep at seeds
+# 2 and 3 (bench/workloads.py), a complex-coefficient sweep over signed
+# zero, a huge, a subnormal, a right and a negative angle, and a sweep with
+# all the weight on the first version.
+SWEEPS = GOLDEN / "sweeps"
+SWEEP_CONFIGS = {
+    "rotation_16_angles": {
+        "experiment": "appendix_rotation",
+        "observers": 3,
+        "photon_model": True,
+        "coefficients": [[0.6, 0.0], [0.8, 0.0]],
+        "thetas": {"count": 16},
+    },
+    "rotation_5_draws_40_angles": {
+        "experiment": "appendix_rotation",
+        "observers": 4,
+        "photon_model": True,
+        "coefficients": {"random": 5},
+        "seed": 7,
+        "thetas": {"count": 40},
+    },
+    "rotation_1024_angles": {
+        "experiment": "appendix_rotation",
+        "observers": 4,
+        "photon_model": True,
+        "coefficients": [[0.6, 0.0], [0.8, 0.0]],
+        "thetas": {"count": 1024},
+    },
+    "rotation_sweep_seed2": {
+        "experiment": "appendix_rotation",
+        "n_versions": 2,
+        "observers": 3,
+        "photon_model": True,
+        "coefficients": [[0.6, 0.0], [0.8, 0.0]],
+        "thetas": {"count": 64, "start": 0.08883076378571231, "end": 6.372016070965299},
+    },
+    "rotation_sweep_seed3": {
+        "experiment": "appendix_rotation",
+        "n_versions": 2,
+        "observers": 3,
+        "photon_model": True,
+        "coefficients": [[0.6, 0.0], [0.8, 0.0]],
+        "thetas": {"count": 64, "start": 0.05958184148703294, "end": 6.342767148666619},
+    },
+    "rotation_complex_angles": {
+        "experiment": "appendix_rotation",
+        "observers": 2,
+        "photon_model": True,
+        "coefficients": [[0.6, 0.0], [0.0, 0.8]],
+        "thetas": [0.0, -0.0, 1e6, 5e-324, 1.5707963267948966, -3.0],
+    },
+    "rotation_one_zero": {
+        "experiment": "appendix_rotation",
+        "observers": 2,
+        "coefficients": [[1.0, 0.0], [0.0, 0.0]],
+        "thetas": {"count": 8},
+    },
+}
+
+SWEEP_CASES = [(name, control) for name in SWEEP_CONFIGS for control in (False, True)]
+
 
 def run_cli(tmp_path, name, control, fmt):
     """Exit code and written report of one CLI run of a config."""
     config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps({**CONFIGS, **LARGEST_CONFIGS}[name]), encoding="utf-8")
+    config.write_text(
+        json.dumps({**CONFIGS, **LARGEST_CONFIGS, **SWEEP_CONFIGS}[name]), encoding="utf-8"
+    )
     out = tmp_path / f"{name}.report.{fmt}"
     argv = ["run", str(config), "--out", str(out), "--format", fmt]
     code = main(argv + ["--negative-control"] * control)
@@ -247,6 +312,13 @@ def test_a_stored_report_has_its_golden_digest(name, control):
 )
 def test_a_largest_chain_report_is_its_golden_digest(tmp_path, name, control):
     assert outcome(tmp_path, name, control)[0] == load(LARGEST / f"{case_name(name, control)}.json")
+
+
+@pytest.mark.parametrize(
+    "name, control", SWEEP_CASES, ids=[case_name(*case) for case in SWEEP_CASES]
+)
+def test_a_rotation_sweep_report_is_its_golden_digest(tmp_path, name, control):
+    assert outcome(tmp_path, name, control)[0] == load(SWEEPS / f"{case_name(name, control)}.json")
 
 
 def test_the_first_difference_names_the_moved_path():
@@ -366,8 +438,9 @@ def test_every_golden_file_has_a_case():
     expected = sorted(case_name(*case) for case in CASES)
     for folder in (GOLDEN, REPORTS, TEXT):
         assert sorted(p.stem for p in folder.glob("*.json")) == expected, folder.name
-    largest = sorted(case_name(*case) for case in LARGEST_CASES)
-    assert sorted(p.stem for p in LARGEST.glob("*.json")) == largest
+    for folder, cases in ((LARGEST, LARGEST_CASES), (SWEEPS, SWEEP_CASES)):
+        expected = sorted(case_name(*case) for case in cases)
+        assert sorted(p.stem for p in folder.glob("*.json")) == expected, folder.name
 
 
 if __name__ == "__main__":
@@ -384,9 +457,10 @@ if __name__ == "__main__":
             stored = json.dumps(report, indent=0, separators=(",", ":"), sort_keys=True)
             (REPORTS / name).write_text(stored + "\n", "utf-8")
             print(name, got["exit_code"], text["exit_code"])
-        LARGEST.mkdir(exist_ok=True)
-        for case in LARGEST_CASES:
-            got, _ = outcome(pathlib.Path(scratch), *case)
-            name = f"{case_name(*case)}.json"
-            (LARGEST / name).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", "utf-8")
-            print(name, got["exit_code"])
+        for folder, cases in ((LARGEST, LARGEST_CASES), (SWEEPS, SWEEP_CASES)):
+            folder.mkdir(exist_ok=True)
+            for case in cases:
+                got, _ = outcome(pathlib.Path(scratch), *case)
+                name = f"{case_name(*case)}.json"
+                (folder / name).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", "utf-8")
+                print(folder.name, name, got["exit_code"])
