@@ -39,8 +39,8 @@ from .state import TOLERANCE
 
 SCHEMA_VERSION = 2
 
-# The most runs (draws x angles) one report may hold: about 157 MB at 2.4 KB
-# per run.  Checked before any list of angles is built or coefficient drawn.
+# The most runs (draws x angles) one report may hold: about 154 MB at 2.35 KB
+# per sweep run.  Checked before any list of angles is built or coefficient drawn.
 MAX_RUNS = 2**16
 
 EXPERIMENTS = {

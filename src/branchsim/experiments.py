@@ -57,6 +57,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -167,6 +168,23 @@ class CheckResult:
             "tolerance": self.tolerance,
             "detail": self.detail,
         }
+
+
+def _column(
+    name: str, residuals, tolerance: float, details: str | Sequence[str] = ""
+) -> list[CheckResult]:
+    """Each row's ``CheckResult.from_residual`` for check ``name`` (a string
+    ``details`` is every row's detail).  Rows with equal outcomes -- residual,
+    sign of zero and detail -- share one frozen result, so its report entry."""
+    shared: dict = {}
+    column = []
+    details = repeat(details) if isinstance(details, str) else details
+    for residual, detail in zip(map(float, residuals), details):
+        key = (residual, math.copysign(1.0, residual), detail)
+        if key not in shared:
+            shared[key] = CheckResult.from_residual(name, residual, tolerance, detail)
+        column.append(shared[key])
+    return column
 
 
 @dataclass(frozen=True)
@@ -633,8 +651,8 @@ def _state_checks(
     per_row: list[list[CheckResult]] = [[] for _ in coefficients]
 
     def add(name: str, residuals, tolerance: float = spec.tolerance) -> None:
-        for results, residual in zip(per_row, residuals):
-            results.append(CheckResult.from_residual(name, residual, tolerance))
+        for results, result in zip(per_row, _column(name, residuals, tolerance)):
+            results.append(result)
 
     layout = final.layout
     detector_names = tuple(r.name for r in layout.by_role(ROLE_DETECTOR))
@@ -815,15 +833,13 @@ def coefficient_independence_check(
     weighted = np.repeat(coefficients, sizes, axis=1) * amplitudes
     linear = StateVector(layout, moved.rows, weighted)
 
-    results = []
+    residuals, details = [], []
     for row, distance in zip(specs, _distance(final_state, linear)):
         live = [abs(a) for a in row.coefficients if abs(a) > spec.tolerance]
-        residual = distance / min(live) if live else 0.0
+        residuals.append(distance / min(live) if live else 0.0)
         skipped = [j for j, a in enumerate(row.coefficients) if abs(a) <= spec.tolerance]
-        detail = f"skipped zero-coefficient versions {skipped}" if skipped else ""
-        results.append(
-            CheckResult.from_residual("coefficient_independence", residual, spec.tolerance, detail)
-        )
+        details.append(f"skipped zero-coefficient versions {skipped}" if skipped else "")
+    results = _column("coefficient_independence", residuals, spec.tolerance, details)
     return results[0] if single else results
 
 
@@ -906,10 +922,7 @@ def no_signaling_check(
     residuals = _distance(
         _restricted(baseline, at, recorded), _restricted(perturbed, at, recorded)
     )
-    results = [
-        CheckResult.from_residual("no_signaling", r, spec.tolerance, perturbation.provenance)
-        for r in residuals
-    ]
+    results = _column("no_signaling", residuals, spec.tolerance, perturbation.provenance)
     return results[0] if single else results
 
 
@@ -941,8 +954,9 @@ def _canonical_no_signaling(run: CertifiedRun) -> list[CheckResult]:
     each row of the run."""
     states = (run.post_detection, run.final)
     results = [no_signaling_check(run.specs, probe, states=states) for probe in run.chain.probes]
+    worst = [max(r.residual for r in row) for row in zip(*results)]
     detail = "phase flip and record cycle on version 2"
-    return [replace(max(row, key=lambda r: r.residual), detail=detail) for row in zip(*results)]
+    return _column("no_signaling", worst, run.specs[0].tolerance, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +1016,7 @@ def run_appendix_rotation(
     # No draw moves the first basis vector: it gets one row per angle.
     basis = product_state(layout, versions[0].tolist())
     primed_evolved = apply_unitary(run.chain.perception, turned(basis))
-    per_row = [list(results) for results in run.checks for _ in thetas]
+    per_row, extra = [list(results) for results in run.checks for _ in thetas], []
 
     if "mixed_record" in run.enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
@@ -1011,7 +1025,7 @@ def run_appendix_rotation(
         at = [r.name for r in run.checks[0]].index("mixed_record")
         non_message = _non_message_rows(layout, primed_evolved.labels)
         weights = _weight_where(primed_evolved.values, non_message).tolist()
-        primed = [CheckResult.from_residual("mixed_record", w, tolerance**2) for w in weights]
+        primed = _column("mixed_record", weights, tolerance**2)
         for results, worse in zip(per_row, primed * len(specs)):
             results[at] = max(results[at], worse, key=lambda r: r.residual)
 
@@ -1023,15 +1037,16 @@ def run_appendix_rotation(
             at = np.flatnonzero((rotated.labels == row).all(axis=1))
             columns.append(rotated.values[:, at[0]] if at.size else [0j] * len(per_row))
         rows = [(row.coefficients, theta) for row in specs for theta in thetas]
-        for results, (draw, theta), *computed in zip(per_row, rows, *columns):
-            formula = primed_coefficients(*draw, theta)
-            residual = max(abs(x - y) for x, y in zip(computed, formula))
-            results.append(CheckResult.from_residual("primed_coefficients", residual, tolerance))
+        residuals = [
+            max(abs(x - y) for x, y in zip(computed, primed_coefficients(*draw, theta)))
+            for (draw, theta), *computed in zip(rows, *columns)
+        ]
+        extra.append(_column("primed_coefficients", residuals, tolerance))
 
     if "primed_evolution" in run.enabled:
         target = StateVector(layout, _expected_rows(layout, 2), np.hstack([c, s]))
-        for results, residual in zip(per_row, _distance(primed_evolved, target) * len(specs)):
-            results.append(CheckResult.from_residual("primed_evolution", residual, tolerance))
+        column = _column("primed_evolution", _distance(primed_evolved, target), tolerance)
+        extra.append(column * len(specs))
 
     if "record_invariance" in run.enabled:
         final = turned(run.final)
@@ -1039,30 +1054,25 @@ def run_appendix_rotation(
         sections = _sections(final.labels, [layout.position("Obs1")])
         plain = [branches for branches in run.branches for _ in thetas]
         rotated = _branches(sections, final.values, tolerance)
-        for results, before, after in zip(per_row, plain, rotated):
-            results.append(_record_invariance(before, after, tolerance))
+        outcomes = [_record_invariance(*pair) for pair in zip(plain, rotated)]
+        residuals, details = [r for r, _ in outcomes], [d for _, d in outcomes]
+        extra.append(_column("record_invariance", residuals, tolerance, details))
 
+    per_row = [[*results, *more] for results, *more in zip(per_row, *extra)]
     return run.reports("appendix_rotation", thetas, per_row)
 
 
-def _record_invariance(
-    plain: Sequence[Branch], rotated: Sequence[Branch], tolerance: float
-) -> CheckResult:
-    """Same message table whether or not the state is re-expressed:
-    ``plain`` is the run's decomposition by the first observer's record and
-    ``rotated`` that of the final state with the basis rotation applied;
-    the message sets and each message's branch weight must agree."""
+def _record_invariance(plain: Sequence[Branch], rotated: Sequence[Branch]) -> tuple[float, str]:
+    """Residual and detail of the same message table whether or not the
+    state is re-expressed: ``plain`` is the run's decomposition by the first
+    observer's record and ``rotated`` that of the final state with the basis
+    rotation applied; the message sets (else residual 1) and each message's
+    branch weight must agree."""
     labels_plain = {b.record_label: b.weight for b in plain}
     labels_rotated = {b.record_label: b.weight for b in rotated}
     if set(labels_plain) != set(labels_rotated):
-        return CheckResult(
-            "record_invariance",
-            False,
-            1.0,
-            tolerance,
-            detail=f"message sets differ: {sorted(labels_plain)} vs {sorted(labels_rotated)}",
-        )
+        return 1.0, f"message sets differ: {sorted(labels_plain)} vs {sorted(labels_rotated)}"
     residual = max(
         (abs(labels_plain[k] - labels_rotated[k]) for k in labels_plain), default=0.0
     )
-    return CheckResult.from_residual("record_invariance", residual, tolerance)
+    return residual, ""

@@ -309,6 +309,33 @@ def test_a_rotation_sweep_is_one_engine_call_and_one_certified_run(tmp_path, mon
     assert [(r["draw_index"], r["run_index"]) for r in runs] == [(i // 4, i) for i in range(20)]
 
 
+def test_a_nan_residual_fails_its_own_run_and_exits_4(tmp_path, monkeypatch):
+    # Runs with equal outcomes share one check result, and a NaN equals
+    # none: only its run fails, and the writer refuses the report.
+    calls = []
+    original = experiments._record_invariance
+
+    def poisoned(plain, rotated):
+        calls.append(None)
+        residual, detail = original(plain, rotated)
+        return (math.nan if len(calls) == 3 else residual), detail
+
+    monkeypatch.setattr(experiments, "_record_invariance", poisoned)
+    path = random_config(
+        tmp_path, experiment="appendix_rotation", observers=2, thetas={"count": 8}
+    )
+    code, report = run_and_report(parse_config(str(path)))
+    verdicts = [
+        {c["name"]: c["status"] for c in run["checks"]}["record_invariance"]
+        for run in report["runs"]
+    ]
+    assert (code, verdicts) == (1, ["pass", "pass", "fail", *["pass"] * 5])
+    calls.clear()
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
+    CheckResult,
     ControlledRewrite,
     PairedRotation,
     ExperimentSpec,
@@ -377,6 +378,26 @@ def test_no_signaling_rejects_overlapping_perturbation():
     layout = chain_layout(2, 1)
     with pytest.raises(InvalidPerturbationError):
         no_signaling_check(spec, phase_flip_perturbation(layout, 0))
+
+
+def test_the_no_signaling_verdict_is_each_draw_s_worse_probe(monkeypatch):
+    # Each draw reports the larger of the two stock probes' residuals (the
+    # first of equal ones, so -0.0 before 0.0), and draws with equal
+    # outcomes share one result.
+    columns = iter([[0.0, 2e-12, -0.0, 0.0], [1e-13, 0.0, 0.0, 1e-13]])
+
+    def probe_check(specs, probe, *, states):
+        residuals = next(columns)
+        return [CheckResult.from_residual("no_signaling", r, 1e-12, "a probe") for r in residuals]
+
+    monkeypatch.setattr(experiments, "no_signaling_check", probe_check)
+    reports = run_measurement_chain([ExperimentSpec(2, (0.6, 0.8))] * 4, ["no_signaling"])
+    results = [report.checks[0] for report in reports]
+    residuals = [json.dumps(r.entry["residual"]) for r in results]
+    assert residuals == ["1e-13", "2e-12", "-0.0", "1e-13"]
+    assert [r.passed for r in results] == [True, False, True, True]
+    assert {r.detail for r in results} == {"phase flip and record cycle on version 2"}
+    assert results[0] is results[3]
 
 
 def moves_branch_one(op):

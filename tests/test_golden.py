@@ -404,6 +404,34 @@ def test_writing_the_rotation_report_holds_it_about_once(tmp_path):
     assert peak < 0.5 * size, f"{peak} bytes for {size} characters"
 
 
+@pytest.mark.parametrize("name, outcomes", [("rotation_sweep", 14), ("chain_64_draws", 8)])
+def test_a_report_holds_one_check_entry_per_distinct_outcome(tmp_path, name, outcomes):
+    """Runs whose check reaches the same outcome share one entry object:
+    198 entries for 14 outcomes on the rotation sweep, and 512 for 8 on
+    64 draws, would each be built, held and keyed by the writer."""
+    report = config_report(tmp_path, {**CONFIGS, **LARGE_CONFIGS}[name])
+    entries = [check for run in report["runs"] for check in run["checks"]]
+    texts = {json.dumps(entry, sort_keys=True) for entry in entries}
+    assert len({id(entry) for entry in entries}) == len(texts) == outcomes
+
+
+def test_the_1024_angle_sweep_runs_in_under_1_6_mb(tmp_path):
+    """The whole CLI call, chain compiled first: its 3,072 angle-dependent
+    results reach 15 outcomes, so it holds about half of its 2.4 MB report
+    (it peaked at 2.34 MB with one result per run and check)."""
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SWEEP_CONFIGS["rotation_1024_angles"]), encoding="utf-8")
+    cli.compile_chain(2, 4, True, False)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(config), "--out", str(tmp_path / "report.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.6e6, f"{peak} bytes"
+
+
 def test_a_non_finite_number_after_a_written_batch_leaves_no_report(tmp_path, monkeypatch):
     """NaN in the last run of the 151 KB rotation report: batches are out
     by the time the writer meets it, and it must still raise, leave no

@@ -22,7 +22,9 @@ stay within 1e-15 of one BLAS product; the Born-weight residual must equal
 the dict-based oracle, zero coefficients and foreign labels included.  A
 rotation sweep's batch of angles, drawn with signed zeros,
 subnormals, multiples of pi/2 and angles up to 1e6, must give each angle
-the per-angle oracle's report, byte for byte.  The table-proof property draws
+the per-angle oracle's report, byte for byte.  A check's column of results
+over a batch's rows must be each row's ``CheckResult.from_residual``, bit
+for bit, with one object per distinct outcome.  The table-proof property draws
 the arguments of small controlled-rewrite tables, sound or broken in one
 way, and requires construction to succeed exactly when a loop-built dense
 matrix is unitary.  A table's lookup of each row's control labels must
@@ -40,6 +42,7 @@ import itertools
 import json
 import math
 import pathlib
+import struct
 import tempfile
 from dataclasses import replace
 
@@ -53,6 +56,7 @@ from branchsim.state import max_pair_overlap, union_rows
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
+    CheckResult,
     ControlledRewrite,
     ExperimentSpec,
     RunReport,
@@ -582,6 +586,45 @@ def test_a_batch_of_draws_is_the_per_draw_oracle_byte_for_byte(
         for a, (report, reference) in enumerate(zip(draw, references)):
             assert (report.spec, report.theta) == (spec, thetas[a])
             assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
+
+def float_bits(x):
+    """A float's bytes, sign of zero and NaN payload included."""
+    return struct.pack("<d", x)
+
+
+# Residuals a check reaches: signed zeros, the least subnormal, the
+# tolerance and the next float past it, a miss and NaN.
+column_residuals = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-12, math.nextafter(1e-12, 1.0), 1.0, math.nan]
+)
+
+
+@given(st.lists(column_residuals, max_size=24), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_check_column_is_the_per_row_result_one_object_per_outcome(residuals, data):
+    # A column of results is each row's CheckResult.from_residual, field
+    # for field and bit for bit, and rows with equal outcomes (residual
+    # bits and detail) hold one object, so its report entry is built and
+    # written once.  A NaN row still fails.
+    details = data.draw(
+        st.one_of(
+            st.sampled_from(["", "a detail"]),
+            st.lists(st.sampled_from(["", "a detail"]), min_size=len(residuals),
+                     max_size=len(residuals)),
+        )
+    )
+    column = experiments._column("structure", residuals, 1e-12, details)
+    per_row = [details] * len(residuals) if isinstance(details, str) else details
+    assert len(column) == len(residuals)
+    for got, residual, detail in zip(column, residuals, per_row):
+        want = CheckResult.from_residual("structure", residual, 1e-12, detail)
+        assert replace(got, residual=0.0) == replace(want, residual=0.0)
+        assert float_bits(got.residual) == float_bits(want.residual)
+        assert json.dumps(got.entry) == json.dumps(want.entry)
+    outcomes = {(float_bits(r), d) for r, d in zip(residuals, per_row) if not math.isnan(r)}
+    shared = {id(c) for c, r in zip(column, residuals) if not math.isnan(r)}
+    assert len(shared) == len(outcomes)
 
 
 def test_a_batch_refuses_specs_that_differ_beyond_their_coefficients():
