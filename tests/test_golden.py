@@ -7,8 +7,9 @@ may differ between two runs).  ``golden/reports`` holds those reports
 themselves, so a mismatch names the first JSON path that moved, and
 ``golden/text`` holds the exit code and SHA-256 of each ``--format text``
 report.  ``golden/largest`` holds the exit code, verdicts and digest alone
-of the largest chains the register bound admits, and ``golden/sweeps``
-those of more rotation sweeps.  A change that moves any
+of the largest chains the register bound admits, ``golden/sweeps``
+those of more rotation sweeps and ``golden/seeds`` those of the benchmark's
+chain_wide at more seeds.  A change that moves any
 residual, branch weight or coefficient by one bit changes the digest.
 Changing a golden file is changing test data; regenerate with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -217,12 +218,23 @@ SWEEP_CONFIGS = {
 
 SWEEP_CASES = [(name, control) for name in SWEEP_CONFIGS for control in (False, True)]
 
+# The benchmark's chain_wide at seeds 2 and 3 (bench/workloads.py), pinned
+# the same way.
+SEEDS = GOLDEN / "seeds"
+SEED_CONFIGS = {
+    f"chain_wide_seed{index}": {**CONFIGS["chain_wide"], "seed": seed}
+    for index, seed in ((2, 1943407826), (3, 1582338589))
+}
+
+SEED_CASES = [(name, control) for name in SEED_CONFIGS for control in (False, True)]
+
 
 def run_cli(tmp_path, name, control, fmt):
     """Exit code and written report of one CLI run of a config."""
     config = tmp_path / f"{name}.json"
     config.write_text(
-        json.dumps({**CONFIGS, **LARGEST_CONFIGS, **SWEEP_CONFIGS}[name]), encoding="utf-8"
+        json.dumps({**CONFIGS, **LARGEST_CONFIGS, **SWEEP_CONFIGS, **SEED_CONFIGS}[name]),
+        encoding="utf-8",
     )
     out = tmp_path / f"{name}.report.{fmt}"
     argv = ["run", str(config), "--out", str(out), "--format", fmt]
@@ -319,6 +331,13 @@ def test_a_largest_chain_report_is_its_golden_digest(tmp_path, name, control):
 )
 def test_a_rotation_sweep_report_is_its_golden_digest(tmp_path, name, control):
     assert outcome(tmp_path, name, control)[0] == load(SWEEPS / f"{case_name(name, control)}.json")
+
+
+@pytest.mark.parametrize(
+    "name, control", SEED_CASES, ids=[case_name(*case) for case in SEED_CASES]
+)
+def test_a_workload_seed_report_is_its_golden_digest(tmp_path, name, control):
+    assert outcome(tmp_path, name, control)[0] == load(SEEDS / f"{case_name(name, control)}.json")
 
 
 def test_the_first_difference_names_the_moved_path():
@@ -466,7 +485,7 @@ def test_every_golden_file_has_a_case():
     expected = sorted(case_name(*case) for case in CASES)
     for folder in (GOLDEN, REPORTS, TEXT):
         assert sorted(p.stem for p in folder.glob("*.json")) == expected, folder.name
-    for folder, cases in ((LARGEST, LARGEST_CASES), (SWEEPS, SWEEP_CASES)):
+    for folder, cases in ((LARGEST, LARGEST_CASES), (SWEEPS, SWEEP_CASES), (SEEDS, SEED_CASES)):
         expected = sorted(case_name(*case) for case in cases)
         assert sorted(p.stem for p in folder.glob("*.json")) == expected, folder.name
 
@@ -485,7 +504,7 @@ if __name__ == "__main__":
             stored = json.dumps(report, indent=0, separators=(",", ":"), sort_keys=True)
             (REPORTS / name).write_text(stored + "\n", "utf-8")
             print(name, got["exit_code"], text["exit_code"])
-        for folder, cases in ((LARGEST, LARGEST_CASES), (SWEEPS, SWEEP_CASES)):
+        for folder, cases in ((LARGEST, LARGEST_CASES), (SWEEPS, SWEEP_CASES), (SEEDS, SEED_CASES)):
             folder.mkdir(exist_ok=True)
             for case in cases:
                 got, _ = outcome(pathlib.Path(scratch), *case)
