@@ -39,8 +39,8 @@ from .state import TOLERANCE
 
 SCHEMA_VERSION = 2
 
-# The most runs (draws x angles) one report may hold: about 154 MB at 2.35 KB
-# per sweep run.  Checked before any list of angles is built or coefficient drawn.
+# The most runs (draws x angles) one report may hold: about 154 MB at 2.35 KB per
+# sweep run, whose peak is 0.86 KB a run.  Checked before angles or draws are made.
 MAX_RUNS = 2**16
 
 EXPERIMENTS = {
@@ -413,15 +413,19 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
     """Write ``report`` to ``path`` (standard output when None).
 
     The JSON form is exactly ``json.dumps(report, indent=2, sort_keys=True)``
-    plus a newline, written as it is encoded.  A non-finite number raises
+    plus a newline, written as it is encoded, to a file as UTF-8 bytes (``\\n``
+    line ends) through an unbuffered binary handle.  A non-finite number raises
     ``ValueError`` (exit 4) midway: a file begun is removed, printed text stays.
     """
     if path is None:
         return _write(report, fmt, sys.stdout.write)
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.reconfigure(write_through=True)  # the text layer holds no batch
-            _write(report, fmt, handle.write)
+        with open(path, "wb", buffering=0) as handle:
+            def send(text: str) -> None:
+                data = text.encode()
+                while data:  # a raw write may take only part of its bytes
+                    data = data[handle.write(data):]
+            _write(report, fmt, send)
     except OSError as exc:
         raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
     except BaseException:
@@ -432,7 +436,7 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
 
 def _write(report: dict, fmt: str, write) -> None:
     """Write ``report`` as ``fmt`` through ``write``, at most 4,096 characters
-    at a time; JSON goes out as it is encoded, 128 pieces a batch."""
+    at a time; JSON goes out as it is encoded, 64 pieces a batch."""
     if fmt == "json":
         _flush(_append_json([], {}, report, 0, write) + ["\n"], write)
     else:
@@ -482,7 +486,8 @@ def _append_json(pieces: list, memo: dict, value, depth: int, write=None) -> lis
     newline), so only its brackets move onto their own lines.  ``memo``
     marks each container met by ``depth << 64 | id`` key; one met again at
     the same depth (a report shares some) is encoded on its own, and
-    ``memo`` keeps that text for every later place."""
+    ``memo`` keeps that text for every later place.  Emptied once it holds
+    1,024 keys, ``memo`` stays small; a container met after that is encoded anew."""
     is_dict = isinstance(value, dict)
     children = value.values() if is_dict else value
     if not isinstance(value, _CONTAINERS) or not value:
@@ -500,12 +505,14 @@ def _append_json(pieces: list, memo: dict, value, depth: int, write=None) -> lis
             if not isinstance(child, _CONTAINERS):
                 pieces += encode(child, 0)
             elif (key := tag | id(child)) not in memo:
+                if len(memo) >= 1024:
+                    memo.clear()
                 memo[key] = None
                 _append_json(pieces, memo, child, depth + 1, write)
             else:
                 memo[key] = memo[key] or "".join(_append_json([], {}, child, depth + 1))
                 pieces.append(memo[key])
-            if write is not None and len(pieces) >= 128:
+            if write is not None and len(pieces) >= 64:
                 _flush(pieces, write)
         pieces += (_separator(depth), "}" if is_dict else "]")
     return pieces

@@ -53,9 +53,10 @@ enumerating the observer levels the branch spans.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
 
@@ -187,6 +188,14 @@ def _column(
     return column
 
 
+def _rows(columns: Sequence[Sequence[CheckResult]]) -> list[tuple[CheckResult, ...]]:
+    """The rows of ``columns``, as tuples of results; rows that hold the same
+    result objects are one tuple, as ``_column`` shares them.  Keys unpack the
+    ids: ``tuple(map(...))`` would leave a resized tuple a row on a free list."""
+    shared: dict = {}
+    return [shared.setdefault((*map(id, row),), row) for row in zip(*columns)]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Parameters of one run, the whole input of the experiments.
@@ -244,7 +253,7 @@ def is_normalized(total: float) -> bool:
     return abs(total - 1.0) <= TOLERANCE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """One version of reality, a section of the state it was decomposed from:
     record label, coefficient and the read-only positions of its rows there,
@@ -259,18 +268,19 @@ class Branch:
         return abs(self.coefficient) ** 2
 
 
-@dataclass
+@dataclass(slots=True)
 class RunReport:
     """Result of one run: branch table and check results.  ``draw`` holds
     the report entries that only the spec, the final state and the branches
-    decide, built when not given; the runs of one draw share one."""
+    decide, built when not given.  Runs of one draw share it and the
+    ``branches`` tuple; runs with the same results share the ``checks`` tuple."""
 
     experiment: str
     spec: ExperimentSpec
     theta: float | None
     final_state: StateVector
-    branches: list[Branch]
-    checks: list[CheckResult]
+    branches: tuple[Branch, ...]
+    checks: tuple[CheckResult, ...]
     draw: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -500,41 +510,38 @@ def decompose_branches(
     """
     require_unit(state.values, "decompose_branches")
     names = [record_register] if isinstance(record_register, str) else record_register
-    record_at = [state.layout.position(n) for n in names]
-    branches = _branches(_sections(state.labels, record_at), np.atleast_2d(state.values), tolerance)
+    sections = _sections(state.labels, [state.layout.position(n) for n in names])
+    coefficients = _coefficients(sections, np.atleast_2d(state.values), tolerance)
+    branches = [[Branch(k, c, sections[k]) for k, c in row.items()] for row in coefficients]
     return branches if state.values.ndim == 2 else branches[0]
 
 
-def _sections(
-    labels: np.ndarray, record_at: list[int]
-) -> list[tuple[int | tuple[int, ...], np.ndarray]]:
-    """The rows of ``labels`` grouped by their labels at ``record_at`` (an int
-    for one position, a tuple for several), in increasing record order, each
-    group the read-only positions of its rows, in order."""
+def _sections(labels: np.ndarray, record_at: list[int]) -> dict[int | tuple[int, ...], np.ndarray]:
+    """The read-only positions of the rows of ``labels``, in order, by their
+    labels at ``record_at`` (an int for one position, a tuple for several),
+    in increasing record order."""
     records, position = union_rows(labels[:, record_at])
     order = np.argsort(position, kind="stable")
     bounds = np.cumsum(np.bincount(position, minlength=len(records)))[:-1]
     keys = [r[0] if len(record_at) == 1 else tuple(r) for r in records.tolist()]
-    return [(key, read_only(at)) for key, at in zip(keys, np.split(order, bounds))]
+    return {key: read_only(at) for key, at in zip(keys, np.split(order, bounds))}
 
 
-def _branches(
-    sections: Sequence[tuple[int | tuple[int, ...], np.ndarray]],
-    values: np.ndarray,
-    tolerance: float,
-) -> list[list[Branch]]:
-    """The branches on ``sections`` of each row of amplitudes, in flat-index
-    order, of the 2-D ``values``.  A section's coefficient is its norm with
-    the phase of its largest amplitude (the first of equal ones); a section
-    of weight ``||section||**2`` at most ``tolerance**2`` has no branch."""
-    per_row: list[list[Branch]] = [[] for _ in values]
-    for label, rows in sections:
+def _coefficients(
+    sections: dict[int | tuple[int, ...], np.ndarray], values: np.ndarray, tolerance: float
+) -> Iterator[dict]:
+    """Each row's branch coefficients by label on ``sections`` of the 2-D
+    ``values``, one dict a row as it is reached.  A section's coefficient is
+    its norm with the phase of its largest amplitude (the first of equal
+    ones); a section of weight ``||section||**2`` at most ``tolerance**2`` has none."""
+    columns = []
+    for label, rows in sections.items():
         section = values[:, rows]
         anchors = section[np.arange(len(section)), np.argmax(np.abs(section), axis=1)]
-        for branches, section_norm, anchor in zip(per_row, vector_norms(section), anchors):
-            if section_norm**2 > tolerance**2:
-                branches.append(Branch(label, complex(section_norm * anchor / abs(anchor)), rows))
-    return per_row
+        columns.append((label, vector_norms(section), anchors))
+    for row in range(len(values)):
+        kept = [(label, n[row], x[row]) for label, n, x in columns if n[row] ** 2 > tolerance**2]
+        yield {label: complex(n * x / abs(x)) for label, n, x in kept}
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +565,19 @@ class CertifiedRun:
     chain: CompiledChain
     post_detection: StateVector
     final: StateVector
-    branches: tuple[list[Branch], ...]
-    checks: tuple[list[CheckResult], ...]
+    branches: tuple[tuple[Branch, ...], ...]
+    checks: tuple[tuple[CheckResult, ...], ...]
 
     def reports(self, experiment: str, thetas: Sequence, checks: Sequence) -> list[RunReport]:
         """One report per entry of ``checks``, draw-major over ``thetas``; the
-        reports of one draw share its final state and its ``draw`` entries."""
+        reports of one draw share its branches, its ``draw`` entries and its
+        final state, on the batch's label rows (already in order)."""
         reports, rows = [], iter(checks)
         for spec, values, b in zip(self.specs, self.final.values, self.branches):
-            final, draw = replace(self.final, values=values), None
+            final, draw = copy.copy(self.final), None
+            object.__setattr__(final, "values", values)
             for theta in thetas:
-                reports.append(RunReport(experiment, spec, theta, final, [*b], next(rows), draw))
+                reports.append(RunReport(experiment, spec, theta, final, b, next(rows), draw))
                 draw = reports[-1].draw
         return reports
 
@@ -595,10 +604,10 @@ def _certified_run(
     specs, coefficients = _batch(spec)
     chain = _compiled(specs[0])
     post_detection, final = chain.evolve(initial_state(chain.layout, coefficients))
-    branches = decompose_branches(final, "Obs1", specs[0].tolerance)
+    branches = tuple(map(tuple, decompose_branches(final, "Obs1", specs[0].tolerance)))
     results = _state_checks(specs[0], coefficients, post_detection, final, branches, enabled)
     return CertifiedRun(
-        tuple(specs), enabled, chain, post_detection, final, tuple(branches), tuple(results)
+        tuple(specs), enabled, chain, post_detection, final, branches, tuple(results)
     )
 
 
@@ -618,7 +627,7 @@ def run_measurement_chain(
         extra.append(coefficient_independence_check(run.specs, final_state=run.final))
     if "no_signaling" in run.enabled:
         extra.append(_canonical_no_signaling(run))
-    per_draw = [[*results, *more] for results, *more in zip(run.checks, *extra)]
+    per_draw = _rows([*zip(*run.checks), *extra])
     reports = run.reports("measurement_chain", [None], per_draw)
     return reports[0] if isinstance(spec, ExperimentSpec) else reports
 
@@ -641,18 +650,17 @@ def _state_checks(
     final: StateVector,
     obs_branches: Sequence[Sequence[Branch]],
     enabled: Sequence[str],
-) -> list[list[CheckResult]]:
-    """The checks evaluated directly on the run's states, one list of
-    results per row of the batch's ``coefficients``.
+) -> list[tuple[CheckResult, ...]]:
+    """The checks evaluated directly on the run's states, one row of
+    results (see ``_rows``) per row of the batch's ``coefficients``.
 
     ``final`` is the state every observer has looked at; ``obs_branches``
     holds each row's decomposition of it by the first observer's record.
     """
-    per_row: list[list[CheckResult]] = [[] for _ in coefficients]
+    columns: list[list[CheckResult]] = []
 
     def add(name: str, residuals, tolerance: float = spec.tolerance) -> None:
-        for results, result in zip(per_row, _column(name, residuals, tolerance)):
-            results.append(result)
+        columns.append(_column(name, residuals, tolerance))
 
     layout = final.layout
     detector_names = tuple(r.name for r in layout.by_role(ROLE_DETECTOR))
@@ -690,10 +698,10 @@ def _state_checks(
     if "observer_agreement" in enabled:
         if spec.observers < 2:
             skip = CheckResult.skip("observer_agreement", "needs at least two observers")
-            per_row = [[*results, skip] for results in per_row]
+            columns.append([skip] * len(coefficients))
         else:
             add("observer_agreement", disagreement_weight(final), spec.tolerance**2)
-    return per_row
+    return _rows(columns) if columns else [()] * len(coefficients)
 
 
 def _branch_overlap(
@@ -1016,7 +1024,7 @@ def run_appendix_rotation(
     # No draw moves the first basis vector: it gets one row per angle.
     basis = product_state(layout, versions[0].tolist())
     primed_evolved = apply_unitary(run.chain.perception, turned(basis))
-    per_row, extra = [list(results) for results in run.checks for _ in thetas], []
+    columns = [[r for r in column for _ in thetas] for column in zip(*run.checks)]
 
     if "mixed_record" in run.enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
@@ -1025,54 +1033,48 @@ def run_appendix_rotation(
         at = [r.name for r in run.checks[0]].index("mixed_record")
         non_message = _non_message_rows(layout, primed_evolved.labels)
         weights = _weight_where(primed_evolved.values, non_message).tolist()
-        primed = _column("mixed_record", weights, tolerance**2)
-        for results, worse in zip(per_row, primed * len(specs)):
-            results[at] = max(results[at], worse, key=lambda r: r.residual)
+        primed = _column("mixed_record", weights, tolerance**2) * len(specs)
+        columns[at] = [max(pair, key=lambda r: r.residual) for pair in zip(columns[at], primed)]
 
     if "primed_coefficients" in run.enabled:
         rotated = turned(run.post_detection)
         # Each version row's amplitude in every draw and angle; 0 if absent.
-        columns = []
+        amplitudes = []
         for row in versions:
             at = np.flatnonzero((rotated.labels == row).all(axis=1))
-            columns.append(rotated.values[:, at[0]] if at.size else [0j] * len(per_row))
+            amplitudes.append(rotated.values[:, at[0]] if at.size else [0j] * len(rotated.values))
         rows = [(row.coefficients, theta) for row in specs for theta in thetas]
         residuals = [
             max(abs(x - y) for x, y in zip(computed, primed_coefficients(*draw, theta)))
-            for (draw, theta), *computed in zip(rows, *columns)
+            for (draw, theta), *computed in zip(rows, *amplitudes)
         ]
-        extra.append(_column("primed_coefficients", residuals, tolerance))
+        columns.append(_column("primed_coefficients", residuals, tolerance))
 
     if "primed_evolution" in run.enabled:
         target = StateVector(layout, _expected_rows(layout, 2), np.hstack([c, s]))
         column = _column("primed_evolution", _distance(primed_evolved, target), tolerance)
-        extra.append(column * len(specs))
+        columns.append(column * len(specs))
 
     if "record_invariance" in run.enabled:
         final = turned(run.final)
         require_unit(final.values, "record_invariance")
         sections = _sections(final.labels, [layout.position("Obs1")])
-        plain = [branches for branches in run.branches for _ in thetas]
-        rotated = _branches(sections, final.values, tolerance)
-        outcomes = [_record_invariance(*pair) for pair in zip(plain, rotated)]
+        plain = [{b.record_label: b.coefficient for b in row} for row in run.branches]
+        rotated = _coefficients(sections, final.values, tolerance)
+        outcomes = [_record_invariance(plain[i // len(thetas)], r) for i, r in enumerate(rotated)]
         residuals, details = [r for r, _ in outcomes], [d for _, d in outcomes]
-        extra.append(_column("record_invariance", residuals, tolerance, details))
+        columns.append(_column("record_invariance", residuals, tolerance, details))
 
-    per_row = [[*results, *more] for results, *more in zip(per_row, *extra)]
-    return run.reports("appendix_rotation", thetas, per_row)
+    return run.reports("appendix_rotation", thetas, _rows(columns))
 
 
-def _record_invariance(plain: Sequence[Branch], rotated: Sequence[Branch]) -> tuple[float, str]:
+def _record_invariance(plain: dict, rotated: dict) -> tuple[float, str]:
     """Residual and detail of the same message table whether or not the
-    state is re-expressed: ``plain`` is the run's decomposition by the first
-    observer's record and ``rotated`` that of the final state with the basis
-    rotation applied; the message sets (else residual 1) and each message's
-    branch weight must agree."""
-    labels_plain = {b.record_label: b.weight for b in plain}
-    labels_rotated = {b.record_label: b.weight for b in rotated}
-    if set(labels_plain) != set(labels_rotated):
-        return 1.0, f"message sets differ: {sorted(labels_plain)} vs {sorted(labels_rotated)}"
-    residual = max(
-        (abs(labels_plain[k] - labels_rotated[k]) for k in labels_plain), default=0.0
-    )
+    state is re-expressed: ``plain`` maps the labels of the run's branches by
+    the first observer's record to their coefficients, ``rotated`` those of the
+    rotated final state; the message sets (else residual 1) and each message's
+    weight ``abs(c) ** 2``, as ``Branch.weight``, must agree."""
+    if set(plain) != set(rotated):
+        return 1.0, f"message sets differ: {sorted(plain)} vs {sorted(rotated)}"
+    residual = max((abs(abs(plain[k]) ** 2 - abs(rotated[k]) ** 2) for k in plain), default=0.0)
     return residual, ""

@@ -331,9 +331,9 @@ def vector_norm(values: np.ndarray) -> float:
 
 
 def vector_norms(values: np.ndarray) -> list[float]:
-    """``vector_norm`` of each row of a 2-D array of amplitudes."""
-    real, imag = np.square(values.real).tolist(), np.square(values.imag).tolist()
-    return [math.sqrt(math.fsum(r) + math.fsum(i)) for r, i in zip(real, imag)]
+    """``vector_norm`` of each row of a 2-D array of amplitudes, a row at a time."""
+    rows = zip(np.square(values.real), np.square(values.imag))
+    return [math.sqrt(math.fsum(r.tolist()) + math.fsum(i.tolist())) for r, i in rows]
 
 
 def require_unit(values: np.ndarray, caller: str) -> None:

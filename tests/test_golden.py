@@ -26,7 +26,7 @@ import tracemalloc
 
 import pytest
 
-from branchsim import cli
+from branchsim import cli, experiments
 from branchsim.cli import main, parse_config, run_and_report, write_report
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -408,9 +408,9 @@ MEMORY_CASES = CASES + [(name, False) for name in LARGE_CONFIGS]
 )
 def test_writing_a_report_holds_at_most_one_and_a_half_times_its_length(tmp_path, name, control):
     """The writer streams its text, so its peak is bounded by the report's
-    length whatever its shape; 16 KiB covers the open file (about 5 KB
-    traced), the writer's separator and encoder caches when this process
-    has not filled them yet (up to about 9 KB), and one batch."""
+    length whatever its shape; 16 KiB covers the open file, the writer's
+    separator and encoder caches when this process has not filled them yet
+    (up to about 9 KB), and one batch."""
     peak, size = written_report(tmp_path, {**CONFIGS, **LARGE_CONFIGS}[name], control)
     assert peak <= 1.5 * size + 16 * 1024, f"{peak} bytes for {size} characters"
 
@@ -434,10 +434,12 @@ def test_a_report_holds_one_check_entry_per_distinct_outcome(tmp_path, name, out
     assert len({id(entry) for entry in entries}) == len(texts) == outcomes
 
 
-def test_the_1024_angle_sweep_runs_in_under_1_6_mb(tmp_path):
+def test_the_1024_angle_sweep_runs_in_under_1_1_mb(tmp_path):
     """The whole CLI call, chain compiled first: its 3,072 angle-dependent
-    results reach 15 outcomes, so it holds about half of its 2.4 MB report
-    (it peaked at 2.34 MB with one result per run and check)."""
+    results reach 15 outcomes, its angles build no branches, list copies or
+    text layer of their own, so it holds well under half of its 2.4 MB report
+    (it peaked at 2.34 MB with one result per run and check, and at 1.16 MB
+    with a ``Branch`` per angle and section)."""
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(SWEEP_CONFIGS["rotation_1024_angles"]), encoding="utf-8")
     cli.compile_chain(2, 4, True, False)
@@ -448,7 +450,50 @@ def test_the_1024_angle_sweep_runs_in_under_1_6_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 1.6e6, f"{peak} bytes"
+    assert peak < 1.1e6, f"{peak} bytes"
+
+
+def rotation_sweep_runs(tmp_path, thetas=None):
+    """The runs of rotation_sweep's config through the engine, at
+    ``thetas`` when given."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIGS["rotation_sweep"]), encoding="utf-8")
+    config = parse_config(str(path))
+    spec = experiments.ExperimentSpec(2, tuple(config.coefficients), 3, photon_model=True)
+    return experiments.run_appendix_rotation(spec, thetas or config.thetas)
+
+
+def test_the_runs_of_one_draw_share_one_branch_sequence(tmp_path):
+    runs = rotation_sweep_runs(tmp_path)
+    assert len(runs) == 64 and isinstance(runs[0].branches, tuple)
+    assert all(run.branches is runs[0].branches for run in runs)
+    assert all(run.final_state.labels is runs[0].final_state.labels for run in runs)
+
+
+def test_runs_with_equal_check_results_share_one_check_row(tmp_path):
+    runs = rotation_sweep_runs(tmp_path)
+    rows = {tuple(map(id, run.checks)): run.checks for run in runs}
+    assert all(isinstance(row, tuple) for row in rows.values())
+    assert all(run.checks is rows[tuple(map(id, run.checks))] for run in runs)
+    assert len({id(run.checks) for run in runs}) == len(rows) < len(runs)
+
+
+def test_the_rotated_decomposition_builds_no_branch(tmp_path, monkeypatch):
+    """A sweep builds the branches of its plain run, and none per angle:
+    as many as one angle does."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return branch(*args)
+
+    branch = experiments.Branch
+    monkeypatch.setattr(experiments, "Branch", counted)
+    rotation_sweep_runs(tmp_path)
+    swept = len(built)
+    built.clear()
+    rotation_sweep_runs(tmp_path, [0.5])
+    assert swept == len(built) > 0
 
 
 def test_a_non_finite_number_after_a_written_batch_leaves_no_report(tmp_path, monkeypatch):

@@ -910,6 +910,45 @@ def test_the_report_writer_joins_its_pieces_into_batches_of_at_most_4096_charact
     assert len(text) > 8192 and len(log.writes) > 1
 
 
+def test_a_report_file_is_written_as_bytes_through_an_unbuffered_handle(tmp_path, monkeypatch):
+    tree = {"long": ["x" * 5000, list(range(300))], "many": [[i] for i in range(200)]}
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(RecordingFile(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = tmp_path / "report.json"
+    cli.write_report(tree, str(out), "json")
+    (file,) = files
+    assert type(file.handle) is io.FileIO and file.handle.mode == "wb"
+    assert out.read_bytes() == (reference_report_json(tree) + "\n").encode()
+    assert b"".join(file.writes) == out.read_bytes()
+    # Only the one piece over 4,096 characters, the long string, may be
+    # written whole; an 8 KB report takes more than one write.
+    long_piece = json.dumps("x" * 5000).encode()
+    assert all(len(data) <= 4096 or data == long_piece for data in file.writes)
+    assert len(file.writes) > 1
+
+
+class RecordingFile:
+    """A file that keeps the bytes of each ``write`` call."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.handle.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
 @given(poisoned_trees())
 @settings(max_examples=100, deadline=None)
 def test_the_report_writer_refuses_nan_and_infinity_as_the_stdlib_does(tree):
@@ -976,9 +1015,13 @@ def shared_trees(draw, poisoned=False):
 
 EMPTY = []
 
+# Met in each of 1,500 runs, across the writer's memo being emptied.
+SHARED = {"coefficients": [0.6, 0.8], "label": "M1"}
+
 
 @given(shared_trees())
 @example({"a": [EMPTY], "b": EMPTY, "c": {"d": [[EMPTY], EMPTY]}})
+@example({"runs": [{"index": [i], "shared": [SHARED, SHARED]} for i in range(1500)]})
 @settings(max_examples=100, deadline=None)
 def test_the_report_writer_encodes_shared_containers_where_they_stand(tree):
     assert written_json(tree) == reference_report_json(tree) + "\n"
