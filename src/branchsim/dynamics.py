@@ -46,6 +46,7 @@ import numpy as np
 
 from .state import (
     DETECTOR_YES,
+    LABEL,
     OBSERVER_BLANK,
     ROLE_DETECTOR,
     ROLE_OBSERVER,
@@ -54,6 +55,7 @@ from .state import (
     StateVector,
     SubsystemLayout,
     TOLERANCE,
+    label_array,
     message_level,
     mixed_record_level,
     read_only,
@@ -75,10 +77,10 @@ class ControlledRewrite:
     multiplies by its phase.  Rows that match no entry are left alone.
     ``target``, ``image`` and ``phase`` broadcast over the entries.  Every
     entry's target has ``image.shape[1]`` levels, counting a missing target
-    as one level.  Construction keeps read-only copies of the arrays and
-    refuses (``ValueError``) repeated control positions, a target among
-    them, repeated ``when`` rows, images that are not permutations and
-    phases whose modulus is off 1 by more than ``TOLERANCE``.
+    as one level.  Construction keeps read-only copies (labels as ``LABEL``)
+    and refuses (``ValueError``) labels that would wrap, repeated control
+    positions, a target among them, repeated ``when`` rows, images that are
+    not permutations and phases whose modulus is off 1 by over ``TOLERANCE``.
     """
 
     control: tuple[int, ...]
@@ -89,7 +91,7 @@ class ControlledRewrite:
 
     def __post_init__(self):
         control = tuple(int(c) for c in self.control)
-        when, image = (np.array(a, dtype=np.int64) for a in (self.when, self.image))
+        when, image = (label_array(a, copy=True) for a in (self.when, self.image))
         phase = np.array(self.phase, dtype=complex)
         if when.ndim != 2 or when.shape[1] != len(control) or image.ndim != 2:
             raise ValueError(
@@ -102,7 +104,7 @@ class ControlledRewrite:
         for name, value in (
             ("control", control),
             ("when", when),
-            ("target", np.broadcast_to(np.array(self.target, dtype=np.int64), shape[:1])),
+            ("target", np.broadcast_to(label_array(self.target, copy=True), shape[:1])),
             ("image", image if image.shape == shape else np.broadcast_to(image, shape)),
             ("phase", np.broadcast_to(phase, shape)),
         ):
@@ -129,9 +131,9 @@ class ControlledRewrite:
             entry = np.array([index.get(key, -1) for key in map(tuple, keys.tolist())], int)
         row = np.flatnonzero(entry >= 0)
         entry = entry[row]
-        target = self.target[entry]
+        target = self.target[entry].astype(np.intp)  # LABEL indices are cast per use
         moved = target >= 0
-        level = np.where(moved, labels[row, target], 0)
+        level = np.where(moved, labels[row, target].astype(np.intp), 0)
         rows = labels.copy()
         rows[row[moved], target[moved]] = self.image[entry, level][moved]
         phases = np.ones(len(labels), dtype=complex)
@@ -206,7 +208,7 @@ class PairedRotation:
             raise ValueError(f"fixed positions {self.fixed} must be distinct registers")
         if not len(self.first) == len(self.second) == len(fixed):
             raise ValueError(f"{self.first} and {self.second} must read {len(fixed)} positions")
-        configurations = np.array([self.first, self.second])
+        configurations = label_array([self.first, self.second])
         if ((configurations < 0) | (configurations >= self.layout.dimension_array[fixed])).any():
             raise ValueError(f"configuration label out of range in {configurations.tolist()}")
         if tuple(self.first) == tuple(self.second):
@@ -374,7 +376,7 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
 def standard_classical_configs(n_versions: int) -> tuple[np.ndarray, np.ndarray]:
     """The one-hot record configurations, one row per version, and their
     message levels."""
-    return np.eye(n_versions, dtype=np.int64), message_level(np.arange(n_versions))
+    return np.eye(n_versions, dtype=LABEL), message_level(np.arange(n_versions))
 
 
 def build_perception_unitary(
@@ -405,7 +407,7 @@ def build_perception_unitary(
     condition_at = [i for i, role in enumerate(roles) if role == condition]
     if not condition_at:
         raise ValueError("no condition registers for perception")
-    when, messages = (np.array(part, dtype=np.int64) for part in classical_configs)
+    when, messages = (label_array(part) for part in classical_configs)
     if messages.ndim != 1 or when.shape != (messages.size, len(condition_at)):
         raise ValueError(
             f"{when.shape} configuration digits for {messages.shape} messages: need one row "
@@ -430,7 +432,7 @@ def build_perception_unitary(
                 f"message level {messages[unwritable][0]} out of writable range [1, {top_message}]"
             )
         # Each entry transposes blank with its message and fixes every other level.
-        image = np.tile(np.arange(obs.dimension), (n, 1))
+        image = np.tile(np.arange(obs.dimension, dtype=LABEL), (n, 1))
         image[:, OBSERVER_BLANK] = messages
         image[np.arange(n), messages] = OBSERVER_BLANK
         tables.append(ControlledRewrite(condition_at, when, at, image))

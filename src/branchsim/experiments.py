@@ -76,6 +76,7 @@ from .dynamics import (
 )
 from .errors import CapacityError, InvalidPerturbationError
 from .state import (
+    LABEL,
     OBSERVER_BLANK,
     ROLE_DETECTOR,
     ROLE_OBSERVER,
@@ -109,8 +110,8 @@ MAX_TOLERANCE = 1e-3
 MIN_TOLERANCE = 1e-14
 
 # The most registers a chain may have (checked by ``chain_layout``), the one
-# bound on a run, whose time and memory grow with support x registers; 512
-# stands until a grid of the worst shapes (README) re-derives it.
+# bound on a run, whose time and memory grow with support x registers; a grid
+# of the worst shapes (README) may raise it while N + 2 levels fit ``LABEL``.
 MAX_REGISTERS = 512
 
 CHAIN_CHECKS = (
@@ -371,8 +372,8 @@ def _version_rows(
     """
     roles = [r.role for r in layout.registers]
     at = lambda role: [i for i, r in enumerate(roles) if r == role]
-    versions = np.asarray(versions, dtype=np.int64)[:, None]
-    rows = np.zeros((len(versions), len(roles)), dtype=np.int64)
+    versions = np.asarray(versions)[:, None]
+    rows = np.zeros((len(versions), len(roles)), dtype=LABEL)
     rows[:, at(ROLE_PATH)] = versions
     if detected:
         for role in (ROLE_DETECTOR, ROLE_PHOTON):

@@ -42,6 +42,9 @@ DETECTOR_YES = 1
 # probe.
 OBSERVER_BLANK = 0
 
+# The dtype of every label row and table; signed, so -1 can name no target.
+LABEL = np.int16
+
 # Largest dimension ``SubsystemLayout.digit_values`` is built for.
 DENSE_VIEW_CAP = 2**24
 TOLERANCE = 1e-12
@@ -149,7 +152,16 @@ class SubsystemLayout:
                     f"label {d} out of range for register {reg.name!r} "
                     f"(dimension {reg.dimension})"
                 )
-        return np.array(digits, dtype=np.int64)
+        return label_array(digits)
+
+
+def label_array(labels, copy: bool = False) -> np.ndarray:
+    """``labels`` as ``LABEL`` (a copy if ``copy``); ``ValueError`` if a value would wrap."""
+    given = np.asarray(labels)
+    cast = given.astype(LABEL, copy=copy)
+    if given.dtype != LABEL and cast.tolist() != given.tolist():
+        raise ValueError(f"labels {given.min()}..{given.max()} do not fit {np.dtype(LABEL)}")
+    return cast
 
 
 def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
@@ -184,7 +196,7 @@ def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
 class StateVector:
     """A state stored as its support: label rows and their amplitudes.
 
-    ``labels`` is a (k x registers) integer array and ``values`` the k
+    ``labels`` is a (k x registers) ``LABEL`` array and ``values`` the k
     amplitudes, or a batch of states on those rows: one row of k amplitudes
     per member, shape (members x k).  Construction puts the rows in
     flat-index order and adds the amplitudes of repeated rows, along the
@@ -198,7 +210,7 @@ class StateVector:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = label_array(self.labels)
         values = np.asarray(self.values, dtype=complex)
         registers = len(self.layout.registers)
         shaped = labels.ndim == 2 and labels.shape[1] == registers and values.ndim in (1, 2)
@@ -213,8 +225,8 @@ class StateVector:
         if rows is not labels:
             summed = np.zeros(values.shape[:-1] + (len(rows),), dtype=complex)
             np.add.at(summed, (..., position), values)
-            object.__setattr__(self, "labels", rows)
             values = summed
+        object.__setattr__(self, "labels", rows)
         object.__setattr__(self, "values", values)
 
 

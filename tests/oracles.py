@@ -139,7 +139,7 @@ def basis_labels(layout):
 def flat_indices(layout, labels):
     """Dense view: the flat index of each label row."""
     require_dense_view(layout)
-    return np.ravel_multi_index(np.asarray(labels).T, layout.dimensions())
+    return np.ravel_multi_index(np.asarray(labels, dtype=np.int64).T, layout.dimensions())
 
 
 def dense_amplitudes(state):

@@ -496,12 +496,18 @@ def test_construction_accepts_builders_and_rejects_defects():
     # condition a table can judge alone: a table that scales every row by
     # 0.5, one that sends every observer level to blank, a repeated control
     # position, a target among the controls, and a repeated control row.
+    # Nor can a label reach a table by wrapping: 65,541 = 2^16 + 5 would
+    # read 5 in 16 bits, in a control row, an image or a target.
     for arguments, match in (
         (((), [[]], -1, [[0]], [[0.5]]), "modulus"),
         (((), [[]], 3, [[0, 0, 0, 0]]), "not a permutation"),
         (((0, 0), [[0, 0]], 1, [[1, 0]]), "repeat a register"),
         (((0, 1), [[0, 1]], 1, [[1, 0]]), "among the controls"),
         (((0,), [[1], [1]], 1, [[1, 0]]), "control rows repeat"),
+        (((0,), [[65541]], 1, [[1, 0]]), "do not fit int16"),
+        (((0,), np.array([[65541]], dtype=np.uint32), 1, [[1, 0]]), "do not fit int16"),
+        (((0,), [[1]], 1, [[1, 65541]]), "do not fit int16"),
+        (((0,), [[1]], 65541, [[1, 0]]), "do not fit int16"),
     ):
         with pytest.raises(ValueError, match=match):
             ControlledRewrite(*arguments)
@@ -539,6 +545,24 @@ def test_a_built_table_owns_read_only_copies_of_its_arrays():
     for stored in (table.when, table.target, table.image, table.phase):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = stored[0]
+
+
+def test_a_label_past_the_label_dtype_is_refused_where_it_enters_a_plane():
+    # Register D has 2^62 levels, so 65,541 = 2^16 + 5 is in its range; cast
+    # to 16 bits first, it would wrap to 5 and pass.
+    wide = make_layout([("P", 3, "particle-path"), ("D", 2**62, "detector")])
+    with pytest.raises(ValueError, match="do not fit int16"):
+        PairedRotation(wide, (0, 1), (0, 65541), (1, 5))
+
+
+def test_a_table_takes_labels_as_lists_and_integer_arrays_of_any_width():
+    tables = [
+        ControlledRewrite((0,), when, 1, [[1, 0]])
+        for when in ([[1], [2]], *(np.array([[1], [2]], dtype=t) for t in (np.int8, np.uint64)))
+    ]
+    for table in tables:
+        assert table.when.dtype == table.target.dtype == table.image.dtype == np.int16
+        assert table.when.tolist() == [[1], [2]]
 
 
 def test_label_parts_are_read_only():

@@ -24,10 +24,13 @@ import pathlib
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from branchsim import cli, experiments
 from branchsim.cli import main, parse_config, run_and_report, write_report
+from branchsim.dynamics import PermutedRows, RotatedRows
+from branchsim.state import LABEL, StateVector
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 REPORTS = GOLDEN / "reports"
@@ -305,6 +308,39 @@ def test_a_report_is_its_golden_file(tmp_path, name, control):
     if got["sha256"] != golden["sha256"]:
         moved = first_difference(report, load(REPORTS / f"{case_name(name, control)}.json"))
         pytest.fail(f"the report differs from its golden file first at {moved}")
+
+
+@pytest.mark.parametrize("name", ["chain_observers", "rotation_sweep"])
+def test_every_label_array_of_a_golden_run_has_the_label_dtype(tmp_path, monkeypatch, name):
+    """Every state and every label part a run builds, and every stage table
+    of its chain, holds ``LABEL`` labels, so that no wider label path can
+    come back unnoticed."""
+    built = []
+
+    def counting(cls, attribute):
+        post_init = cls.__post_init__
+
+        def counted(self):
+            post_init(self)
+            built.append((cls, getattr(self, attribute).dtype))
+
+        return counted
+
+    for cls, attribute in ((StateVector, "labels"), (PermutedRows, "rows"), (RotatedRows, "rows")):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls, attribute))
+    assert run_cli(tmp_path, name, False, "json")[0] == 0
+    config = CONFIGS[name]
+    chain = experiments.compile_chain(
+        config["n_versions"], config["observers"], config["photon_model"]
+    )
+    stages = chain.record.stages + chain.perception.stages
+    stages += tuple(stage for probe in chain.probes for stage in probe.stages)
+    # Detection, one emission stage per version, one table per observer, two probes.
+    assert len(stages) == 1 + config["n_versions"] + config["observers"] + 2
+    tables = [array.dtype for stage in stages for array in (stage.when, stage.target, stage.image)]
+    rotated = {RotatedRows} if config["experiment"] == "appendix_rotation" else set()
+    assert {cls for cls, _ in built} == {StateVector, PermutedRows} | rotated
+    assert {dtype for _, dtype in built} == set(tables) == {np.dtype(LABEL)}
 
 
 @pytest.mark.parametrize("name, control", CASES, ids=[case_name(*case) for case in CASES])

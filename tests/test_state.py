@@ -16,7 +16,7 @@ from branchsim import (
     product_state,
     superpose,
 )
-from branchsim.state import aligned, union_rows
+from branchsim.state import LABEL, aligned, union_rows
 from oracles import (
     basis_labels,
     decode,
@@ -72,6 +72,30 @@ def test_flat_indices_refuse_layouts_past_the_dense_view_cap(dims):
         dense_amplitudes(state)
     with pytest.raises(CapacityError, match="dense view"):
         layout.digit_values("P")
+
+
+def test_a_label_past_the_label_dtype_is_refused_not_wrapped():
+    # Register D of this layout has 2^62 levels, so 65,541 = 2^16 + 5 is in
+    # its range; cast to 16 bits first, it would wrap to 5 and pass.
+    layout = make_layout([("P", 3, "particle-path"), ("D", 2**62, "detector")])
+    for labels in ([[2, 65541]], np.array([[2, 65541]]), np.array([[2, 65541]], np.uint64)):
+        with pytest.raises(ValueError, match="do not fit int16"):
+            StateVector(layout, labels, [1.0])
+    with pytest.raises(ValueError, match="do not fit int16"):
+        product_state(layout, [2, 65541])
+    # Labels that fit are taken from lists and integer arrays of any width.
+    widths = (np.int8, np.int64, np.uint64)
+    for labels in ([[2, 5]], *(np.array([[2, 5]], dtype=t) for t in widths)):
+        state = StateVector(layout, labels, [1.0])
+        assert state.labels.dtype == LABEL and state.labels.tolist() == [[2, 5]]
+    assert product_state(layout, [2, 5]).labels.dtype == LABEL
+
+
+def test_the_label_dtype_holds_every_level_under_the_register_bound():
+    # A chain of MAX_REGISTERS registers has at most MAX_REGISTERS - 2
+    # versions, whose observers have N + 2 levels; raising the bound past
+    # the dtype must fail here.
+    assert np.iinfo(LABEL).max >= MAX_REGISTERS + 2
 
 
 def test_encode_first_register_most_significant():
