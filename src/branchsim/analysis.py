@@ -21,11 +21,10 @@ import numpy as np
 from .errors import CapacityError
 from .state import (
     DensityMatrix,
-    OBSERVER_BLANK,
     ROLE_OBSERVER,
     StateVector,
+    is_message,
     max_pair_overlap,
-    mixed_record_level,
     require_unit,
     union_rows,
 )
@@ -74,15 +73,15 @@ def observer_coherence(state: StateVector, observer_register: str) -> float | li
     vanish: the rest of each branch is orthogonal to the rest of every other.
     A batched state gets one result per member, in a list.
     """
-    reg = state.layout.register(observer_register)
-    if reg.role != ROLE_OBSERVER:
+    at = state.layout.position(observer_register)
+    reg = state.layout.registers[at]
+    if at not in state.layout.at(ROLE_OBSERVER):
         raise ValueError(
             f"register {observer_register!r} has role {reg.role!r}, not observer"
         )
     require_unit(state.values, "observer_coherence")
-    at = state.layout.position(observer_register)
     levels = state.labels[:, at]
-    message = (levels > OBSERVER_BLANK) & (levels < mixed_record_level(reg.dimension))
+    message = is_message(levels, reg.dimension)
     return max_pair_overlap(
         np.delete(state.labels[message], at, axis=1), levels[message], state.values[..., message]
     )

@@ -312,14 +312,10 @@ def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
     )
 
 
-def _role_registers(layout: SubsystemLayout, role: str) -> list[str]:
-    return [r.name for r in layout.by_role(role)]
-
-
-def _require_two_level(layout: SubsystemLayout, names: Sequence[str], what: str) -> None:
-    for name in names:
-        if layout.register(name).dimension != 2:
-            raise ValueError(f"{what} register {name!r} must be two-level")
+def _require_two_level(layout: SubsystemLayout, positions: Sequence[int], what: str) -> None:
+    for register in (layout.registers[at] for at in positions):
+        if register.dimension != 2:
+            raise ValueError(f"{what} register {register.name!r} must be two-level")
 
 
 def build_detection_unitary(layout: SubsystemLayout) -> UnitaryOp:
@@ -329,24 +325,18 @@ def build_detection_unitary(layout: SubsystemLayout) -> UnitaryOp:
     two-level detector registers (in layout order).  The result is an
     involution.
     """
-    paths = _role_registers(layout, ROLE_PATH)
-    detectors = _role_registers(layout, ROLE_DETECTOR)
+    paths, detectors = layout.at(ROLE_PATH), layout.at(ROLE_DETECTOR)
     if len(paths) != 1:
-        raise ValueError(f"layout needs exactly one particle-path register, found {paths}")
-    n = layout.register(paths[0]).dimension
+        found = [layout.registers[at].name for at in paths]
+        raise ValueError(f"layout needs exactly one particle-path register, found {found}")
+    n = layout.registers[paths[0]].dimension
     if len(detectors) != n:
         raise ValueError(
             f"path register has {n} levels but layout has {len(detectors)} detectors"
         )
     _require_two_level(layout, detectors, "detector")
-
-    when = np.arange(n)[:, None]
-    detector_at = [layout.position(name) for name in detectors]
-    return UnitaryOp(
-        layout,
-        "detection",
-        (ControlledRewrite((layout.position(paths[0]),), when, detector_at, [FLIP]),),
-    )
+    table = ControlledRewrite(paths, np.arange(n)[:, None], detectors, [FLIP])
+    return UnitaryOp(layout, "detection", (table,))
 
 
 def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
@@ -355,19 +345,15 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
     Detector j is paired with photon register j (layout order); counts must
     match.  Also an involution.
     """
-    detectors = _role_registers(layout, ROLE_DETECTOR)
-    photons = _role_registers(layout, ROLE_PHOTON)
+    detectors, photons = layout.at(ROLE_DETECTOR), layout.at(ROLE_PHOTON)
     if not photons or len(photons) != len(detectors):
         raise ValueError(
             f"need one photon register per detector, found "
             f"{len(photons)} photons for {len(detectors)} detectors"
         )
     _require_two_level(layout, photons, "photon")
-
     stages = tuple(
-        ControlledRewrite(
-            (layout.position(detector),), [[DETECTOR_YES]], layout.position(photon), [FLIP]
-        )
+        ControlledRewrite((detector,), [[DETECTOR_YES]], photon, [FLIP])
         for detector, photon in zip(detectors, photons)
     )
     return UnitaryOp(layout, "photon-emission", stages)
@@ -399,12 +385,10 @@ def build_perception_unitary(
     validation that no message may target the mixed-record level, so tests
     can prove the mixed-record checks are not vacuous.
     """
-    roles = [r.role for r in layout.registers]
-    observers = [i for i, role in enumerate(roles) if role == ROLE_OBSERVER]
+    observers = layout.at(ROLE_OBSERVER)
     if not observers:
         raise ValueError("layout has no observer register to perceive with")
-    condition = ROLE_PHOTON if ROLE_PHOTON in roles else ROLE_DETECTOR
-    condition_at = [i for i, role in enumerate(roles) if role == condition]
+    condition_at = layout.at(ROLE_PHOTON) or layout.at(ROLE_DETECTOR)
     if not condition_at:
         raise ValueError("no condition registers for perception")
     when, messages = (label_array(part) for part in classical_configs)
@@ -457,6 +441,6 @@ def build_basis_rotation(
     ``a1 |1> + a2 |2>``, and the rotation by the opposite angle undoes it.
     The planes are the same at every angle (see ``PairedRotation``).
     """
-    fixed = [i for i, r in enumerate(layout.registers) if r.role != ROLE_OBSERVER]
+    fixed = layout.at(ROLE_PATH, ROLE_DETECTOR, ROLE_PHOTON)
     configurations = [tuple(layout.row(row)[fixed].tolist()) for row in (first, second)]
     return PairedRotation(layout, tuple(fixed), *configurations)

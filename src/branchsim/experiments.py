@@ -77,7 +77,6 @@ from .dynamics import (
 from .errors import CapacityError, InvalidPerturbationError
 from .state import (
     LABEL,
-    OBSERVER_BLANK,
     ROLE_DETECTOR,
     ROLE_OBSERVER,
     ROLE_PATH,
@@ -86,6 +85,7 @@ from .state import (
     SubsystemLayout,
     TOLERANCE,
     aligned,
+    is_message,
     make_layout,
     max_pair_overlap,
     message_level,
@@ -370,17 +370,15 @@ def _version_rows(
     record of each version.  ``message`` fills every observer register, as
     one level or one per version, or leaves it blank when None.
     """
-    roles = [r.role for r in layout.registers]
-    at = lambda role: [i for i, r in enumerate(roles) if r == role]
     versions = np.asarray(versions)[:, None]
-    rows = np.zeros((len(versions), len(roles)), dtype=LABEL)
-    rows[:, at(ROLE_PATH)] = versions
+    rows = np.zeros((len(versions), len(layout.registers)), dtype=LABEL)
+    rows[:, layout.at(ROLE_PATH)] = versions
     if detected:
         for role in (ROLE_DETECTOR, ROLE_PHOTON):
-            columns = at(role)
+            columns = layout.at(role)
             rows[:, columns] = versions == np.arange(len(columns))
     if message is not None:
-        rows[:, at(ROLE_OBSERVER)] = np.asarray(message)[..., None]
+        rows[:, layout.at(ROLE_OBSERVER)] = np.asarray(message)[..., None]
     return rows
 
 
@@ -664,13 +662,12 @@ def _state_checks(
         columns.append(_column(name, residuals, tolerance))
 
     layout = final.layout
-    detector_names = tuple(r.name for r in layout.by_role(ROLE_DETECTOR))
-    observer_names = [r.name for r in layout.by_role(ROLE_OBSERVER)]
+    detector_at = layout.at(ROLE_DETECTOR)
+    detector_names = [layout.registers[at].name for at in detector_at]
 
     if "structure" in enabled:
         add("structure", _distance(final, expected_final_state(layout, coefficients)))
 
-    detector_at = [layout.position(n) for n in detector_names]
     if "branch_orthogonality" in enabled or "born_weights" in enabled:
         det_branches = decompose_branches(post_detection, detector_names, spec.tolerance)
 
@@ -693,7 +690,8 @@ def _state_checks(
         add("mixed_record", weights, spec.tolerance**2)
 
     if "observer_coherence" in enabled:
-        residuals = [analysis.observer_coherence(final, name) for name in observer_names]
+        observers = [layout.registers[at].name for at in layout.at(ROLE_OBSERVER)]
+        residuals = [analysis.observer_coherence(final, name) for name in observers]
         add("observer_coherence", np.max(residuals, axis=0))
 
     if "observer_agreement" in enabled:
@@ -736,7 +734,7 @@ def _born_weight_drift(
         else:
             leftovers.append(b.weight)
     for b in obs_branches:
-        if 1 <= b.record_label <= n_versions:
+        if is_message(b.record_label, observer_dimension(n_versions)):
             recorded[b.record_label - 1] = b.weight
         else:
             leftovers.append(b.weight)
@@ -750,15 +748,6 @@ def _distance(x: StateVector, y: StateVector) -> list[float]:
     return vector_norms(np.atleast_2d(xs - ys))
 
 
-def _observer_columns(
-    layout: SubsystemLayout, labels: np.ndarray
-) -> tuple[list[int], np.ndarray]:
-    """Dimensions and label columns of the observer registers."""
-    observers = layout.by_role(ROLE_OBSERVER)
-    at = [layout.position(r.name) for r in observers]
-    return [r.dimension for r in observers], labels[:, at]
-
-
 def _weight_where(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Summed squared moduli of ``values[..., rows]`` along the last axis,
     in the order ``rows`` lists them (the sum's rounding depends on it)."""
@@ -767,21 +756,20 @@ def _weight_where(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def mixed_record_weight(state: StateVector) -> float | list[float]:
     """Total squared amplitude on any observer's mixed level, per batch member."""
-    dims, levels = _observer_columns(state.layout, state.labels)
-    mixed = [mixed_record_level(d) for d in dims]
-    return _weight_where(state.values, (levels == mixed).any(axis=1)).tolist()
+    at = state.layout.at(ROLE_OBSERVER)
+    mixed = mixed_record_level(state.layout.dimension_array[at])
+    return _weight_where(state.values, (state.labels[:, at] == mixed).any(axis=1)).tolist()
 
 
 def _non_message_rows(layout: SubsystemLayout, labels: np.ndarray) -> np.ndarray:
     """Which label rows put some observer outside the plain messages 1..N."""
-    dims, levels = _observer_columns(layout, labels)
-    mixed = [mixed_record_level(d) for d in dims]
-    return ((levels == OBSERVER_BLANK) | (levels == mixed)).any(axis=1)
+    at = layout.at(ROLE_OBSERVER)
+    return ~is_message(labels[:, at], layout.dimension_array[at]).all(axis=1)
 
 
 def disagreement_weight(state: StateVector) -> float | list[float]:
     """Squared amplitude where observers' records differ, per batch member."""
-    _, levels = _observer_columns(state.layout, state.labels)
+    levels = state.labels[:, state.layout.at(ROLE_OBSERVER)]
     return _weight_where(state.values, (levels[:, 1:] != levels[:, :1]).any(axis=1)).tolist()
 
 
@@ -870,10 +858,10 @@ def record_cycle_perturbation(layout: SubsystemLayout, version: int) -> UnitaryO
     scrambles what that version's observer will have seen, and must leave
     every other branch untouched.
     """
-    observer = layout.by_role(ROLE_OBSERVER)[0]
+    observer = layout.at(ROLE_OBSERVER)[0]
     at, recorded = _version_configuration(layout, version)
-    levels = np.arange(observer.dimension)
-    table = ControlledRewrite(at, [recorded], layout.position(observer.name), [np.roll(levels, -1)])
+    levels = np.arange(layout.registers[observer].dimension)
+    table = ControlledRewrite(at, [recorded], observer, [np.roll(levels, -1)])
     return UnitaryOp(layout, f"record-cycle[version {version + 1}]", (table,))
 
 
@@ -882,7 +870,7 @@ def _version_configuration(
 ) -> tuple[list[int], np.ndarray]:
     """Positions of the non-observer registers and the labels they read in
     ``version``'s recorded configuration."""
-    at = [i for i, r in enumerate(layout.registers) if r.role != ROLE_OBSERVER]
+    at = layout.at(ROLE_PATH, ROLE_DETECTOR, ROLE_PHOTON)
     return at, _version_rows(layout, [version], detected=True)[0, at]
 
 

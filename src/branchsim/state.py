@@ -65,6 +65,12 @@ def mixed_record_level(dimension: int) -> int:
     return dimension - 1
 
 
+def is_message(levels, dimension):
+    """Whether observer ``levels`` of a register of ``dimension`` levels are
+    plain messages, neither blank nor mixed; elementwise on arrays."""
+    return (levels != OBSERVER_BLANK) & (levels != mixed_record_level(dimension))
+
+
 def message_name(level: int, dimension: int) -> str:
     """Human-readable name of an observer level ("blank", "M1", "mixed")."""
     if level == OBSERVER_BLANK:
@@ -110,8 +116,9 @@ class SubsystemLayout:
     def register(self, name: str) -> Register:
         return self.registers[self.position(name)]
 
-    def by_role(self, role: str) -> tuple[Register, ...]:
-        return tuple(r for r in self.registers if r.role == role)
+    def at(self, *roles: str) -> list[int]:
+        """Positions of the registers with any of ``roles``, in layout order."""
+        return [i for i, r in enumerate(self.registers) if r.role in roles]
 
     def digit_values(self, name: str) -> np.ndarray:
         """Dense view: this register's digit at every flat index, refused
@@ -158,8 +165,11 @@ class SubsystemLayout:
 def label_array(labels, copy: bool = False) -> np.ndarray:
     """``labels`` as ``LABEL`` (a copy if ``copy``); ``ValueError`` if a value would wrap."""
     given = np.asarray(labels)
-    cast = given.astype(LABEL, copy=copy)
-    if given.dtype != LABEL and cast.tolist() != given.tolist():
+    try:
+        cast = given.astype(LABEL, copy=copy)
+    except OverflowError:  # a Python int past 64 bits
+        cast = None
+    if cast is None or (given.dtype != LABEL and cast.tolist() != given.tolist()):
         raise ValueError(f"labels {given.min()}..{given.max()} do not fit {np.dtype(LABEL)}")
     return cast
 

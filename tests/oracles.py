@@ -766,8 +766,8 @@ def reference_state_checks(spec, post_detection, final, obs_branches, enabled):
     its decomposition by the first observer's record."""
     results = []
     layout = final.layout
-    detector_names = tuple(r.name for r in layout.by_role("detector"))
-    observer_names = [r.name for r in layout.by_role("observer")]
+    detector_names = tuple(layout.registers[at].name for at in layout.at("detector"))
+    observer_names = [layout.registers[at].name for at in layout.at("observer")]
     check = lambda name, residual, tolerance=spec.tolerance: results.append(
         CheckResult.from_residual(name, residual, tolerance)
     )

@@ -488,6 +488,9 @@ def test_construction_accepts_builders_and_rejects_defects():
         ((0, 1, 4), (0, 1, 0), (1, 0, 1), "distinct registers"),
         # Configurations that do not read every fixed position.
         ((0, 1, 2), (0, 1), (1, 0, 1), "must read 3 positions"),
+        # A label past 64 bits, either sign, fits no integer dtype.
+        ((0, 1, 2), (0, 1, 0), (1, 0, 2**70), "do not fit int16"),
+        ((0, 1, 2), (0, 1, 0), (1, 0, -(2**70)), "do not fit int16"),
     ):
         with pytest.raises(ValueError, match=match):
             PairedRotation(layout, fixed, first, second)
@@ -497,7 +500,8 @@ def test_construction_accepts_builders_and_rejects_defects():
     # 0.5, one that sends every observer level to blank, a repeated control
     # position, a target among the controls, and a repeated control row.
     # Nor can a label reach a table by wrapping: 65,541 = 2^16 + 5 would
-    # read 5 in 16 bits, in a control row, an image or a target.
+    # read 5 in 16 bits, in a control row, an image or a target; a label past
+    # 64 bits, either sign, fits no integer dtype and is refused the same way.
     for arguments, match in (
         (((), [[]], -1, [[0]], [[0.5]]), "modulus"),
         (((), [[]], 3, [[0, 0, 0, 0]]), "not a permutation"),
@@ -508,6 +512,10 @@ def test_construction_accepts_builders_and_rejects_defects():
         (((0,), np.array([[65541]], dtype=np.uint32), 1, [[1, 0]]), "do not fit int16"),
         (((0,), [[1]], 1, [[1, 65541]]), "do not fit int16"),
         (((0,), [[1]], 65541, [[1, 0]]), "do not fit int16"),
+        (((0,), [[2**70]], 1, [[1, 0]]), "do not fit int16"),
+        (((0,), [[-(2**70)]], 1, [[1, 0]]), "do not fit int16"),
+        (((0,), [[1]], 1, [[1, 2**70]]), "do not fit int16"),
+        (((0,), [[1]], -(2**70), [[1, 0]]), "do not fit int16"),
     ):
         with pytest.raises(ValueError, match=match):
             ControlledRewrite(*arguments)

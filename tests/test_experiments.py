@@ -779,10 +779,8 @@ def test_a_path_erasing_detection_fails_orthogonality_and_structure(monkeypatch,
     def path_erasing(layout, _build=experiments.build_detection_unitary):
         swap = np.arange(n_versions)
         swap[[0, 1]] = [1, 0]
-        first = layout.by_role("detector")[0].name
-        table = ControlledRewrite(
-            (layout.position(first),), [[1]], layout.position("path"), [swap]
-        )
+        first = layout.at("detector")[0]
+        table = ControlledRewrite((first,), [[1]], layout.position("path"), [swap])
         return UnitaryOp(layout, "path-erasing detection", _build(layout).stages + (table,))
 
     rng = np.random.default_rng(n_versions)
@@ -900,7 +898,7 @@ def test_a_perception_that_rewrites_the_record_fails_coherence_and_no_signaling(
         tables = [ControlledRewrite((obs1,), reads_m2, layout.position("path"), [swap])]
         for role in ("detector", "photon"):
             # Three controlled flips swap the role's first two bits.
-            at = [layout.position(r.name) for r in layout.by_role(role)[:2]]
+            at = layout.at(role)[:2]
             for source, target in (at, at[::-1], at) if at else ():
                 tables.append(
                     ControlledRewrite((obs1, source), [[message_level(1), 1]], target, [[1, 0]])

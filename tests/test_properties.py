@@ -30,13 +30,17 @@ way, and requires construction to succeed exactly when a loop-built dense
 matrix is unitary.  A table's lookup of each row's control labels must
 give the rows and phases of the match-cube oracle byte for byte, on random
 tables and on every stage and probe of compiled chains, including every
-application a run makes.  The report writer is
+application a run makes.  Interleaving the roles of a chain layout, each
+role's registers in their own order, must permute the columns of the rows
+every record and perception stage gives and change nothing else, and
+``SubsystemLayout.at`` must list positions in layout order.  The report writer is
 compared with the stdlib's ``indent=2`` encoder on random JSON trees, and
 on trees that hold one list, tuple or dict object in several places, at the
 same depth and at different depths, as a report shares its containers.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -52,7 +56,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from branchsim import cli, experiments
-from branchsim.state import max_pair_overlap, union_rows
+from branchsim.state import LABEL, max_pair_overlap, union_rows
 from branchsim import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
@@ -202,7 +206,8 @@ def test_large_chains_are_exactly_linear_and_their_control_fails(spec):
 @settings(max_examples=30, deadline=None)
 def test_decompose_then_reconstruct_round_trips(spec):
     final = run_measurement_chain(spec, checks=["structure"]).final_state
-    for record in ("Obs1", [r.name for r in final.layout.by_role("detector")]):
+    detectors = [final.layout.registers[at].name for at in final.layout.at("detector")]
+    for record in ("Obs1", detectors):
         branches = decompose_branches(final, record, spec.tolerance)
         rebuilt = reconstruct_branches(final, record, branches)
         # Only branches of weight at most tolerance**2 are pruned.
@@ -437,9 +442,9 @@ def test_overlaps_are_the_exact_oracle_in_any_row_order(drawn, data):
     # same bits in any row order.
     chain, state = drawn
     layout = chain.layout
-    detectors = [layout.position(r.name) for r in layout.by_role("detector")]
-    for observer in layout.by_role("observer"):
-        at = layout.position(observer.name)
+    detectors = layout.at("detector")
+    for at in layout.at("observer"):
+        observer = layout.registers[at]
         x = with_shared_relative_rows(data, state, [at])
         coherence = observer_coherence(x, observer.name)
         assert coherence == naive_observer_coherence(exact_partial_trace(x, [observer.name]))
@@ -473,7 +478,7 @@ def test_born_weight_drift_is_the_dict_oracle(spec, data):
     coefficients /= np.linalg.norm(coefficients)
     chain = compile_chain(spec.n_versions, spec.observers, spec.photon_model)
     post, final = chain.evolve(experiments.initial_state(chain.layout, coefficients))
-    names = [r.name for r in chain.layout.by_role("detector")]
+    names = [chain.layout.registers[at].name for at in chain.layout.at("detector")]
     cases = [(post, final)]
     if chain.layout.total_dimension <= MAX_ORACLE_DIMENSION:
         labels = basis_labels(chain.layout)
@@ -818,6 +823,58 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
             applied.clear()
             run_appendix_rotation(spec, [0.0, 0.7])
             assert set(map(id, chain.perception.stages)) <= set(map(id, applied))
+
+
+# -- the builders against register order ---------------------------------------
+
+
+@given(st.integers(2, 4), st.integers(1, 3), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_builders_do_not_depend_on_register_order_across_roles(
+    n_versions, observers, photon_model, data
+):
+    """Interleaving the roles of ``chain_layout``, each role's registers kept
+    in their own order, permutes the columns of every record and perception
+    stage's rows and changes nothing else.  Within a role, layout order pairs
+    detectors with photons by design, so such shuffles are not drawn."""
+    layout = experiments.chain_layout(n_versions, observers, photon_model)
+    roles = [r.role for r in layout.registers]
+    queues = {role: iter(layout.at(role)) for role in roles}
+    order = [next(queues[role]) for role in data.draw(st.permutations(roles))]
+    registers = [layout.registers[at] for at in order]
+    shuffled = make_layout((r.name, r.dimension, r.role) for r in registers)
+
+    # ``at`` lists a role's registers in layout order, their own order kept.
+    for role in ("particle-path", "detector", "photon", "observer"):
+        at = shuffled.at(role)
+        assert at == sorted(at) and [order[i] for i in at] == layout.at(role)
+    several = shuffled.at("detector", "observer")
+    assert several == shuffled.at("observer", "detector")
+    assert several == sorted(shuffled.at("detector") + shuffled.at("observer"))
+    assert shuffled.at("no-such-role") == [] and shuffled.at() == []
+    if not photon_model:
+        assert shuffled.at("photon") == []
+
+    builders = [build_detection_unitary]
+    if photon_model:
+        builders.append(build_photon_emission_unitary)
+    configs = standard_classical_configs(n_versions)
+    builders.append(functools.partial(build_perception_unitary, classical_configs=configs))
+    dims = layout.dimension_array.tolist()
+    drawn = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), max_size=6))
+    armed = experiments._version_rows(layout, range(n_versions), detected=False)
+    rows = np.concatenate([np.array(drawn, dtype=LABEL).reshape(-1, len(dims)), armed])
+    # Each stage gets the rows the one before it moved, so perception reads
+    # recorded configurations.
+    for build in builders:
+        op, permuted = build(layout), build(shuffled)
+        moved, shuffled_moved = op.relabel(rows), permuted.relabel(rows[:, order])
+        assert permuted.provenance == op.provenance
+        assert np.array_equal(shuffled_moved.rows, moved.rows[:, order])
+        assert len(shuffled_moved.phases) == len(moved.phases)
+        for phase, expected in zip(shuffled_moved.phases, moved.phases):
+            assert np.array_equal(phase, expected)
+        rows = moved.rows
 
 
 # -- the report writer against the stdlib encoder ------------------------------

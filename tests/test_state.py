@@ -76,13 +76,23 @@ def test_flat_indices_refuse_layouts_past_the_dense_view_cap(dims):
 
 def test_a_label_past_the_label_dtype_is_refused_not_wrapped():
     # Register D of this layout has 2^62 levels, so 65,541 = 2^16 + 5 is in
-    # its range; cast to 16 bits first, it would wrap to 5 and pass.
+    # its range; cast to 16 bits first, it would wrap to 5 and pass.  Labels
+    # past 64 bits, either sign, fit no integer dtype and are refused alike.
     layout = make_layout([("P", 3, "particle-path"), ("D", 2**62, "detector")])
-    for labels in ([[2, 65541]], np.array([[2, 65541]]), np.array([[2, 65541]], np.uint64)):
+    for labels in (
+        [[2, 65541]],
+        [[2, 2**70]],
+        [[2, -(2**70)]],
+        np.array([[2, 65541]]),
+        np.array([[2, 65541]], np.uint64),
+    ):
         with pytest.raises(ValueError, match="do not fit int16"):
             StateVector(layout, labels, [1.0])
     with pytest.raises(ValueError, match="do not fit int16"):
         product_state(layout, [2, 65541])
+    wide = make_layout([("P", 3, "particle-path"), ("D", 2**72, "detector")])
+    with pytest.raises(ValueError, match="do not fit int16"):
+        product_state(wide, [2, 2**70])
     # Labels that fit are taken from lists and integer arrays of any width.
     widths = (np.int8, np.int64, np.uint64)
     for labels in ([[2, 5]], *(np.array([[2, 5]], dtype=t) for t in widths)):
