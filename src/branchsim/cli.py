@@ -30,7 +30,7 @@ from .experiments import (
     MAX_TOLERANCE,
     MIN_TOLERANCE,
     ExperimentSpec,
-    compile_chain,
+    chain_registers,
     is_normalized,
     run_appendix_rotation,
     run_measurement_chain,
@@ -312,15 +312,15 @@ def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
 def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[int, dict]:
     """Execute every run the config asks for and assemble the report.
 
-    Every draw and angle shares the one memoized compiled chain.  A config's
-    draws run as one batch, in one ``run_measurement_chain`` or
-    ``run_appendix_rotation`` call, so its label work is done once whatever
-    the number of draws; a rotation's reports come draw-major, one per angle.
-    The chain is compiled first, so a chain over ``MAX_REGISTERS`` raises
-    ``CapacityError`` before any coefficients are drawn.
+    A config's draws run as one batch, in one ``run_measurement_chain`` or
+    ``run_appendix_rotation`` call, which compiles the chain, shares it
+    among every draw and angle and lets it go before the report is written;
+    a rotation's reports come draw-major, one per angle.  The registers are
+    counted first, so a chain over ``MAX_REGISTERS`` raises ``CapacityError``
+    before any coefficients are drawn.
     """
     started = time.perf_counter()
-    compile_chain(config.n_versions, config.observers, config.photon_model, negative_control)
+    chain_registers(config.n_versions, config.observers, config.photon_model)
     try:
         specs = [
             ExperimentSpec(

@@ -12,13 +12,13 @@ evolution, and perturbing one branch cannot signal another.
 
 An ``ExperimentSpec`` is the whole input of a run, negative control
 included; a control that could not fail is refused when the spec is built.
-The step operator is compiled once per chain configuration by the
-memoized ``compile_chain``: the layout, the record stages (detection, then
-photon emission) composed into one operator, every observer's perception
-table built into another by one call, and the stock no-signaling probes,
-each stage a controlled-rewrite table that is unitary because it could be
-built (see ``dynamics``).  Every run, coefficient draw, rotation angle and
-check of one configuration shares that ``CompiledChain``.
+The step operator is compiled once per engine call by ``compile_chain``:
+the layout, the record stages (detection, then photon emission) composed
+into one operator, every observer's perception table built into another by
+one call, and the stock no-signaling probes, each stage a controlled-rewrite
+table that is unitary because it could be built (see ``dynamics``).  Every
+coefficient draw, rotation angle and check of that call shares the
+``CompiledChain``, which is let go when the call returns.
 
 Both experiments evolve and certify specs through one path: the initial
 state goes through the record stages, then perception, the final state is
@@ -57,7 +57,7 @@ import copy
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -332,20 +332,23 @@ class RunReport:
 # Layout and stage construction
 
 
-def chain_layout(
-    n_versions: int, observers: int = 1, photon_model: bool = False
-) -> SubsystemLayout:
-    """Canonical layout: path, one detector per version, optional photons,
-    then the observer registers.
-
-    ``CapacityError`` when the chain has more than ``MAX_REGISTERS``
-    registers, counted before any register is built.
-    """
+def chain_registers(n_versions: int, observers: int = 1, photon_model: bool = False) -> int:
+    """The number of registers of a chain, counted without building any;
+    ``CapacityError`` when it exceeds ``MAX_REGISTERS``."""
     count = 1 + n_versions * (2 if photon_model else 1) + observers
     if count > MAX_REGISTERS:
         raise CapacityError(
             f"a chain of {count} registers exceeds MAX_REGISTERS = {MAX_REGISTERS}"
         )
+    return count
+
+
+def chain_layout(
+    n_versions: int, observers: int = 1, photon_model: bool = False
+) -> SubsystemLayout:
+    """Canonical layout: path, one detector per version, optional photons,
+    then the observer registers; ``chain_registers`` refuses an over-cap chain first."""
+    chain_registers(n_versions, observers, photon_model)
     detectors = ["DH", "DV"] if n_versions == 2 else [f"D{j + 1}" for j in range(n_versions)]
     registers = [("path", n_versions, ROLE_PATH)] + [(d, 2, ROLE_DETECTOR) for d in detectors]
     if photon_model:
@@ -410,9 +413,9 @@ class CompiledChain:
     emission, composed into one operator; ``perception`` holds every
     observer's perception stage in layout order, and ``probes`` the stock
     no-signaling probes of version 2.  It depends only on
-    ``(n_versions, observers, photon_model, negative_control)``, so runs
-    that differ in coefficients, angle or checks share one (see
-    ``compile_chain``).
+    ``(n_versions, observers, photon_model, negative_control)``, so the
+    draws, angles and checks of one engine call share one, built when the
+    call starts and let go when it returns.
     """
 
     n_versions: int
@@ -438,12 +441,8 @@ def compile_chain(
 ) -> CompiledChain:
     """Build the layout and every stage once and compose the stages.
 
-    Memoized on the full argument list, defaults filled in, so that every
-    caller in the process that asks for one configuration gets the same
-    frozen chain and its stages are built once; ``lru_cache`` alone keys on
-    how the call is spelled, and ``compile_chain(2)`` and
-    ``compile_chain(n_versions=2)`` would each build one.  ``cache_info``
-    and ``cache_clear`` are those of the cache.  ``negative_control``
+    Each call builds a new chain; the engine calls it once per call of its
+    own and hands the result to every check of that call.  ``negative_control``
     rewires version 1's message onto the reserved mixed-record level, so
     tests can prove the mixed-record checks can fail.
 
@@ -453,13 +452,6 @@ def compile_chain(
     ``MAX_REGISTERS`` raises ``CapacityError`` (``chain_layout``) before
     anything is built.
     """
-    return _build_chain(n_versions, observers, photon_model, negative_control)
-
-
-@lru_cache(maxsize=None)
-def _build_chain(
-    n_versions: int, observers: int, photon_model: bool, negative_control: bool
-) -> CompiledChain:
     layout = chain_layout(n_versions, observers, photon_model)
     record = build_detection_unitary(layout)
     if photon_model:
@@ -475,15 +467,16 @@ def _build_chain(
     )
 
 
-compile_chain.cache_info = _build_chain.cache_info
-compile_chain.cache_clear = _build_chain.cache_clear
-
-
-def _compiled(spec: ExperimentSpec) -> CompiledChain:
-    """The spec's compiled chain."""
-    return compile_chain(
-        spec.n_versions, spec.observers, spec.photon_model, spec.negative_control
-    )
+def _compiled(spec: ExperimentSpec, chain: CompiledChain | None = None) -> CompiledChain:
+    """The spec's compiled chain: ``chain`` when given, built otherwise.
+    ``ValueError`` when ``chain`` is another configuration's."""
+    config = (spec.n_versions, spec.observers, spec.photon_model, spec.negative_control)
+    if chain is None:
+        return compile_chain(*config)
+    given = (chain.n_versions, chain.observers, chain.photon_model, chain.negative_control)
+    if given != config:
+        raise ValueError(f"a chain compiled for {given} cannot certify a spec of {config}")
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +616,9 @@ def run_measurement_chain(
     run = _certified_run(spec, checks, CHAIN_CHECKS)
     extra = []
     if "coefficient_independence" in run.enabled:
-        extra.append(coefficient_independence_check(run.specs, final_state=run.final))
+        extra.append(
+            coefficient_independence_check(run.specs, final_state=run.final, chain=run.chain)
+        )
     if "no_signaling" in run.enabled:
         extra.append(_canonical_no_signaling(run))
     per_draw = _rows([*zip(*run.checks), *extra])
@@ -782,6 +777,7 @@ def coefficient_independence_check(
     version_states: Sequence[StateVector] | None = None,
     *,
     final_state: StateVector | None = None,
+    chain: CompiledChain | None = None,
 ) -> CheckResult | list[CheckResult]:
     """Compare the full run with the weighted sum of standalone runs.
 
@@ -794,9 +790,9 @@ def coefficient_independence_check(
     rescaled by ``1 / a_j``, against s_j -- is ``||D|| / |a_j|`` for
     ``D = final - sum_k a_k s_k``, so the check reports ``||D||`` over the
     smallest such ``|a_j|``.  ``final_state`` is the full run's final state
-    when the caller already has it.  Versions with a coefficient of modulus
-    at most the tolerance are skipped and noted; with none left the
-    residual is 0.
+    and ``chain`` the compiled chain when the caller already has them.
+    Versions with a coefficient of modulus at most the tolerance are skipped
+    and noted; with none left the residual is 0.
 
     ``spec`` may be a batch (see ``_batch``), with ``final_state`` batched;
     it gives a list of results, one per spec.
@@ -804,7 +800,7 @@ def coefficient_independence_check(
     single = isinstance(spec, ExperimentSpec)
     specs, coefficients = _batch(spec)
     spec = specs[0]
-    chain = _compiled(spec)
+    chain = _compiled(spec, chain)
     layout = chain.layout
     if version_states is None:
         labels = _version_rows(layout, range(spec.n_versions), detected=False)
@@ -885,6 +881,7 @@ def no_signaling_check(
     perturbation: UnitaryOp,
     *,
     states: tuple[StateVector, StateVector] | None = None,
+    chain: CompiledChain | None = None,
 ) -> CheckResult | list[CheckResult]:
     """Perturb the second version mid-run; the first branch must not move.
 
@@ -893,13 +890,14 @@ def no_signaling_check(
     configuration subspace, else ``InvalidPerturbationError``.  The
     unperturbed run is the baseline: ``states`` is its post-detection and
     final state when the caller already has them, as ``CompiledChain.evolve``
-    returns them.  ``spec`` may be a batch (see ``_batch``), with ``states``
+    returns them, and ``chain`` the compiled chain when the caller already
+    has it.  ``spec`` may be a batch (see ``_batch``), with ``states``
     batched; it gives a list of results, one per spec.
     """
     single = isinstance(spec, ExperimentSpec)
     specs, coefficients = _batch(spec)
     spec = specs[0]
-    chain = _compiled(spec)
+    chain = _compiled(spec, chain)
     layout = chain.layout
     if perturbation.layout != layout:
         raise ValueError(
@@ -949,8 +947,8 @@ def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None
 def _canonical_no_signaling(run: CertifiedRun) -> list[CheckResult]:
     """Worst residual over the stock phase-flip and record-cycle probes, for
     each row of the run."""
-    states = (run.post_detection, run.final)
-    results = [no_signaling_check(run.specs, probe, states=states) for probe in run.chain.probes]
+    states, chain = (run.post_detection, run.final), run.chain
+    results = [no_signaling_check(run.specs, p, states=states, chain=chain) for p in chain.probes]
     worst = [max(r.residual for r in row) for row in zip(*results)]
     detail = "phase flip and record cycle on version 2"
     return _column("no_signaling", worst, run.specs[0].tolerance, detail)

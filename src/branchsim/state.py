@@ -137,8 +137,9 @@ class SubsystemLayout:
         return np.arange(self.total_dimension) // stride % self.registers[position].dimension
 
     def row(self, labels: Sequence[int] | Mapping[str, int]) -> np.ndarray:
-        """Label row of the basis state with the given per-register labels."""
-        if isinstance(labels, Mapping):
+        """Label row of the basis state with the given per-register labels, by
+        name when they have ``keys`` (an ABC check would cache each new type)."""
+        if hasattr(labels, "keys"):
             missing = set(self.names()) - set(labels)
             extra = set(labels) - set(self.names())
             if missing or extra:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from branchsim import PairedRotation, UnitaryOp, cli, compile_chain, experiments
+from branchsim import PairedRotation, UnitaryOp, cli, experiments
 from branchsim.cli import EXPERIMENTS, MAX_RUNS, main, parse_config, run_and_report
 from branchsim.errors import ConfigError
 from oracles import reference_argv, reference_report_json
@@ -786,11 +786,7 @@ def test_a_stage_that_fails_its_unitarity_proof_exits_four(tmp_path, monkeypatch
         return UnitaryOp(layout, "detection", (broken,))
 
     monkeypatch.setattr(experiments, "build_detection_unitary", merged)
-    compile_chain.cache_clear()
-    try:
-        code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "r.json")])
-    finally:
-        compile_chain.cache_clear()
+    code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "r.json")])
     assert code == 4
     assert "ValueError: image [1, 1] is not a permutation" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()

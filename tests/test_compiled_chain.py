@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +18,10 @@ from branchsim import (
     no_signaling_check,
     observer_dimension,
     phase_flip_perturbation,
+    run_appendix_rotation,
     run_measurement_chain,
 )
-from branchsim import experiments
+from branchsim import cli, experiments
 from branchsim.cli import main
 from oracles import (
     basis_labels,
@@ -116,12 +117,7 @@ BOTH_OBSERVERS = "perception[Obs2] . perception[Obs1]"
 @pytest.fixture
 def builds(monkeypatch):
     """Builder name -> one entry per build made through the ``experiments``
-    binding: the built operator's provenance (None for a plane).
-
-    The compiled-chain cache is cleared before and after, so chains built
-    by other tests do not hide builds and counted builders do not leak.
-    """
-    compile_chain.cache_clear()
+    binding: the built operator's provenance (None for a plane)."""
     calls = {name: [] for name in BUILDERS}
     for name in BUILDERS:
         original = getattr(experiments, name)
@@ -132,8 +128,7 @@ def builds(monkeypatch):
             return built
 
         monkeypatch.setattr(experiments, name, counted)
-    yield calls
-    compile_chain.cache_clear()
+    return calls
 
 
 def test_one_run_builds_each_stage_once(builds):
@@ -145,38 +140,90 @@ def test_one_run_builds_each_stage_once(builds):
     assert builds["build_basis_rotation"] == []
 
 
-def test_library_calls_share_one_build_per_configuration(builds):
+@pytest.mark.parametrize("negative_control", [False, True], ids=["plain", "control"])
+def test_every_engine_call_builds_each_stage_once(builds, negative_control):
+    # No chain outlives the call that built it: each call, of either
+    # experiment, builds every stage again, and exactly once.
+    spec = ExperimentSpec(2, (0.6, 0.8), 2, True, negative_control=negative_control)
+    calls = [
+        lambda: run_measurement_chain(spec),
+        lambda: run_measurement_chain([spec, spec]),
+        lambda: run_appendix_rotation(spec, [0.0, 0.7]),
+        lambda: run_appendix_rotation([spec, spec], [0.7]),
+    ]
+    for count, call in enumerate(calls, 1):
+        call()
+        assert builds["build_detection_unitary"] == ["detection"] * count
+        assert builds["build_photon_emission_unitary"] == ["photon-emission"] * count
+        assert builds["build_perception_unitary"] == [BOTH_OBSERVERS] * count
+    assert len(builds["build_basis_rotation"]) == 2
+
+
+def test_a_standalone_check_builds_its_chain_once(builds):
     spec = ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2, photon_model=True)
     probe = phase_flip_perturbation(chain_layout(3, 2, True), 1)
-    assert run_measurement_chain(spec).all_passed
-    assert run_measurement_chain(spec).all_passed
-    assert coefficient_independence_check(spec).passed
-    assert no_signaling_check(spec, probe).passed
+    checks = [lambda: coefficient_independence_check(spec), lambda: no_signaling_check(spec, probe)]
+    for count, check in enumerate(checks, 1):
+        assert check().passed
+        assert builds["build_detection_unitary"] == ["detection"] * count
+        assert builds["build_photon_emission_unitary"] == ["photon-emission"] * count
+        assert builds["build_perception_unitary"] == [BOTH_OBSERVERS] * count
+
+
+def test_a_given_chain_is_used_and_never_built_again(builds):
+    spec = ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2, photon_model=True)
+    chain = compile_chain(3, 2, True)
+    states = chain.evolve(experiments.initial_state(chain.layout, spec.coefficients))
+    assert coefficient_independence_check(spec, final_state=states[1], chain=chain).passed
+    for probe in chain.probes:
+        assert no_signaling_check(spec, probe, states=states, chain=chain).passed
     assert builds["build_detection_unitary"] == ["detection"]
-    assert builds["build_photon_emission_unitary"] == ["photon-emission"]
     assert builds["build_perception_unitary"] == [BOTH_OBSERVERS]
 
-    control = replace(spec, negative_control=True)
-    assert not run_measurement_chain(control).all_passed
-    assert not run_measurement_chain(control).all_passed
-    assert builds["build_detection_unitary"] == ["detection"] * 2
-    assert builds["build_photon_emission_unitary"] == ["photon-emission"] * 2
-    assert builds["build_perception_unitary"] == [BOTH_OBSERVERS] * 2
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_versions", 3), ("observers", 2), ("photon_model", True), ("negative_control", True)],
+)
+def test_a_chain_of_another_configuration_is_refused(field, value):
+    # Every other field of the spec's configuration, one at a time: the
+    # checks must not certify one config with another config's stages.
+    spec = ExperimentSpec(2, (0.6, 0.8))
+    config = {"n_versions": 2, "observers": 1, "photon_model": False, "negative_control": False}
+    other = compile_chain(**{**config, field: value})
+    probe = phase_flip_perturbation(chain_layout(2), 1)
+    with pytest.raises(ValueError, match="cannot certify"):
+        coefficient_independence_check(spec, chain=other)
+    with pytest.raises(ValueError, match="cannot certify"):
+        no_signaling_check(spec, probe, chain=other)
 
 
-def test_every_call_form_of_one_configuration_shares_one_chain():
-    compile_chain.cache_clear()
-    try:
-        chains = [
-            compile_chain(2),
-            compile_chain(2, 1, False, False),
-            compile_chain(n_versions=2),
-        ]
-        info = compile_chain.cache_info()
-    finally:
-        compile_chain.cache_clear()
-    assert (info.misses, info.hits) == (1, 2)
-    assert chains[0] is chains[1] is chains[2]
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "generalized", "n_versions": 3, "observers": 2, "photon_model": True,
+         "coefficients": {"random": 3}, "seed": 5},
+        {"experiment": "appendix_rotation", "observers": 3, "photon_model": True,
+         "coefficients": {"random": 2}, "seed": 5, "thetas": {"count": 8}},
+    ],
+    ids=["chain", "rotation"],
+)
+def test_no_compiled_chain_is_alive_when_the_report_is_written(tmp_path, monkeypatch, config):
+    built, alive_at_write = [], []
+
+    def compiled(*args, _compile=experiments.compile_chain):
+        chain = _compile(*args)
+        built.append(weakref.ref(chain))
+        return chain
+
+    def write_report(*args, _write=cli.write_report):
+        alive_at_write.extend(ref() is not None for ref in built)
+        return _write(*args)
+
+    monkeypatch.setattr(experiments, "compile_chain", compiled)
+    monkeypatch.setattr(cli, "write_report", write_report)
+    assert main(["run", write_config(tmp_path, **config), "--out", str(tmp_path / "r.json")]) == 0
+    assert alive_at_write == [False]
 
 
 def write_config(tmp_path, **config):
@@ -223,12 +270,12 @@ def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
 )
 def test_the_largest_chains_run_in_memory_far_below_a_cube_of_labels(n, photon_model, bound_mb):
     """Every check of one equal-coefficient run at the register bound, its
-    chain compiled beforehand, peaks (``tracemalloc``) well under a boolean
+    chain's compile included, peaks (``tracemalloc``) well under a boolean
     (rows x entries x controls) match of the perception table, which is
     N^3 bytes: 133 MB at N=510 and 17 MB at N=255.  With 16-bit labels the
-    peaks are about 8.7 and 5.4 MB; 64-bit labels took 21.2 and 11.7 MB."""
+    peaks are about 10.0 and 6.1 MB (8.7 and 5.4 MB without the compile);
+    64-bit labels took 21.2 and 11.7 MB without it."""
     spec = ExperimentSpec(n, (n**-0.5,) * n, photon_model=photon_model)
-    compile_chain(n, 1, photon_model)
     tracemalloc.start()
     try:
         report = run_measurement_chain(spec)

@@ -386,7 +386,7 @@ def test_the_no_signaling_verdict_is_each_draw_s_worse_probe(monkeypatch):
     # outcomes share one result.
     columns = iter([[0.0, 2e-12, -0.0, 0.0], [1e-13, 0.0, 0.0, 1e-13]])
 
-    def probe_check(specs, probe, *, states):
+    def probe_check(specs, probe, *, states, chain):
         residuals = next(columns)
         return [CheckResult.from_residual("no_signaling", r, 1e-12, "a probe") for r in residuals]
 
@@ -727,14 +727,10 @@ def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
         table = ControlledRewrite(table.control, table.when, target, table.image)
         return UnitaryOp(layout, "crossed detection", (table,))
 
-    compile_chain.cache_clear()
     monkeypatch.setattr(experiments, "build_detection_unitary", crossed)
-    try:
-        spec = ExperimentSpec(2, (0.6, 0.8))
-        chain_run = run_measurement_chain(spec)
-        (rotation,) = run_appendix_rotation(spec, [0.7])
-    finally:
-        compile_chain.cache_clear()
+    spec = ExperimentSpec(2, (0.6, 0.8))
+    chain_run = run_measurement_chain(spec)
+    (rotation,) = run_appendix_rotation(spec, [0.7])
     assert not check_by_name(chain_run, "structure").passed
     assert not check_by_name(rotation, "structure").passed
     assert not check_by_name(rotation, "primed_coefficients").passed
@@ -784,21 +780,17 @@ def test_a_path_erasing_detection_fails_orthogonality_and_structure(monkeypatch,
         return UnitaryOp(layout, "path-erasing detection", _build(layout).stages + (table,))
 
     rng = np.random.default_rng(n_versions)
-    compile_chain.cache_clear()
     monkeypatch.setattr(experiments, "build_detection_unitary", path_erasing)
-    try:
-        for observers in (1, 2, 3):
-            for photon_model in (False, True):
-                spec = ExperimentSpec(
-                    n_versions,
-                    unit_coefficients(rng, n_versions),
-                    observers=observers,
-                    photon_model=photon_model,
-                )
-                expected = {"structure"} if photon_model else {"branch_orthogonality", "structure"}
-                assert failing(run_measurement_chain(spec)) == expected, (observers, photon_model)
-    finally:
-        compile_chain.cache_clear()
+    for observers in (1, 2, 3):
+        for photon_model in (False, True):
+            spec = ExperimentSpec(
+                n_versions,
+                unit_coefficients(rng, n_versions),
+                observers=observers,
+                photon_model=photon_model,
+            )
+            expected = {"structure"} if photon_model else {"branch_orthogonality", "structure"}
+            assert failing(run_measurement_chain(spec)) == expected, (observers, photon_model)
 
 
 @pytest.mark.parametrize("n_versions", [2, 3, 8])
@@ -811,28 +803,24 @@ def test_crossed_messages_fail_born_weights_unless_the_moduli_agree(monkeypatch,
         return configs, messages
 
     rng = np.random.default_rng(n_versions)
-    compile_chain.cache_clear()
     monkeypatch.setattr(experiments, "standard_classical_configs", crossed)
-    try:
-        for observers in (1, 2):
-            for photon_model in (False, True):
-                for equal in (False, True):
-                    v = rng.standard_normal(n_versions) + 1j * rng.standard_normal(n_versions)
-                    v[1] = abs(v[0]) * (1j if equal else 2.0)
-                    spec = ExperimentSpec(
-                        n_versions,
-                        tuple(v / np.linalg.norm(v)),
-                        observers=observers,
-                        photon_model=photon_model,
-                    )
-                    expected = {"structure"} if equal else {"born_weights", "structure"}
-                    assert failing(run_measurement_chain(spec)) == expected, (
-                        observers,
-                        photon_model,
-                        equal,
-                    )
-    finally:
-        compile_chain.cache_clear()
+    for observers in (1, 2):
+        for photon_model in (False, True):
+            for equal in (False, True):
+                v = rng.standard_normal(n_versions) + 1j * rng.standard_normal(n_versions)
+                v[1] = abs(v[0]) * (1j if equal else 2.0)
+                spec = ExperimentSpec(
+                    n_versions,
+                    tuple(v / np.linalg.norm(v)),
+                    observers=observers,
+                    photon_model=photon_model,
+                )
+                expected = {"structure"} if equal else {"born_weights", "structure"}
+                assert failing(run_measurement_chain(spec)) == expected, (
+                    observers,
+                    photon_model,
+                    equal,
+                )
 
 
 @pytest.mark.parametrize("n_versions", [2, 3, 8, 64])
@@ -852,31 +840,27 @@ def test_crossed_messages_of_one_observer_fail_observer_agreement(monkeypatch, n
         return replace(op, stages=op.stages[:1] + (swapped,) + op.stages[2:])
 
     rng = np.random.default_rng(n_versions)
-    compile_chain.cache_clear()
     monkeypatch.setattr(experiments, "build_perception_unitary", crossed)
-    try:
-        for observers in (2, 3):
-            for photon_model in (False, True):
-                spec = ExperimentSpec(
-                    n_versions,
-                    unit_coefficients(rng, n_versions),
-                    observers=observers,
-                    photon_model=photon_model,
-                )
-                report = run_measurement_chain(spec)
-                assert failing(report) == {"observer_agreement", "structure"}, (
-                    observers,
-                    photon_model,
-                )
-                weight = abs(spec.coefficients[0]) ** 2 + abs(spec.coefficients[1]) ** 2
-                residual = check_by_name(report, "observer_agreement").residual
-                assert residual == pytest.approx(weight, rel=1e-12)
-        (result,) = run_measurement_chain(
-            ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2), checks=("observer_agreement",)
-        ).checks
-        assert not result.passed and result.residual == pytest.approx(0.5904, rel=1e-12)
-    finally:
-        compile_chain.cache_clear()
+    for observers in (2, 3):
+        for photon_model in (False, True):
+            spec = ExperimentSpec(
+                n_versions,
+                unit_coefficients(rng, n_versions),
+                observers=observers,
+                photon_model=photon_model,
+            )
+            report = run_measurement_chain(spec)
+            assert failing(report) == {"observer_agreement", "structure"}, (
+                observers,
+                photon_model,
+            )
+            weight = abs(spec.coefficients[0]) ** 2 + abs(spec.coefficients[1]) ** 2
+            residual = check_by_name(report, "observer_agreement").residual
+            assert residual == pytest.approx(weight, rel=1e-12)
+    (result,) = run_measurement_chain(
+        ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2), checks=("observer_agreement",)
+    ).checks
+    assert not result.passed and result.residual == pytest.approx(0.5904, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_versions", [2, 3, 8])
@@ -908,26 +892,22 @@ def test_a_perception_that_rewrites_the_record_fails_coherence_and_no_signaling(
         return UnitaryOp(layout, "record-rewriting perception", stages)
 
     rng = np.random.default_rng(n_versions)
-    compile_chain.cache_clear()
     monkeypatch.setattr(experiments, "build_perception_unitary", rewriting)
-    try:
-        for observers in (1, 2, 3):
-            for photon_model in (False, True):
-                spec = ExperimentSpec(
-                    n_versions,
-                    unit_coefficients(rng, n_versions),
-                    observers=observers,
-                    photon_model=photon_model,
-                )
-                report = run_measurement_chain(spec)
-                expected = {"structure", "branch_orthogonality", "observer_coherence"}
-                expected |= {"no_signaling"} | ({"observer_agreement"} if observers > 1 else set())
-                assert failing(report) == expected, (observers, photon_model)
-                interference = abs(spec.coefficients[0] * spec.coefficients[1])
-                residual = check_by_name(report, "observer_coherence").residual
-                assert residual == pytest.approx(interference, rel=1e-12)
-    finally:
-        compile_chain.cache_clear()
+    for observers in (1, 2, 3):
+        for photon_model in (False, True):
+            spec = ExperimentSpec(
+                n_versions,
+                unit_coefficients(rng, n_versions),
+                observers=observers,
+                photon_model=photon_model,
+            )
+            report = run_measurement_chain(spec)
+            expected = {"structure", "branch_orthogonality", "observer_coherence"}
+            expected |= {"no_signaling"} | ({"observer_agreement"} if observers > 1 else set())
+            assert failing(report) == expected, (observers, photon_model)
+            interference = abs(spec.coefficients[0] * spec.coefficients[1])
+            residual = check_by_name(report, "observer_coherence").residual
+            assert residual == pytest.approx(interference, rel=1e-12)
 
 
 def test_appendix_negative_control_fails_mixed_record():
@@ -1022,13 +1002,9 @@ def test_mixed_record_fails_when_an_observer_never_looks(monkeypatch):
         return np.delete(configs, 1, axis=0), np.delete(messages, 1)
 
     monkeypatch.setattr(experiments, "standard_classical_configs", without_second)
-    compile_chain.cache_clear()
-    try:
-        report = run_measurement_chain(
-            ExperimentSpec(3, (0.6, 0.48, 0.64)), checks=("mixed_record",)
-        )
-    finally:
-        compile_chain.cache_clear()
+    report = run_measurement_chain(
+        ExperimentSpec(3, (0.6, 0.48, 0.64)), checks=("mixed_record",)
+    )
     assert not report.checks[0].passed
     assert report.checks[0].residual == pytest.approx(0.48**2)
 

@@ -471,14 +471,13 @@ def test_a_report_holds_one_check_entry_per_distinct_outcome(tmp_path, name, out
 
 
 def test_the_1024_angle_sweep_runs_in_under_1_1_mb(tmp_path):
-    """The whole CLI call, chain compiled first: its 3,072 angle-dependent
-    results reach 15 outcomes, its angles build no branches, list copies or
-    text layer of their own, so it holds well under half of its 2.4 MB report
-    (it peaked at 2.34 MB with one result per run and check, and at 1.16 MB
+    """The whole CLI call, its chain's compile included: its 3,072
+    angle-dependent results reach 15 outcomes, its angles build no branches,
+    list copies or text layer of their own, so it holds well under half of
+    its 2.4 MB report (it peaked at 2.34 MB with one result per run and check, and at 1.16 MB
     with a ``Branch`` per angle and section)."""
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(SWEEP_CONFIGS["rotation_1024_angles"]), encoding="utf-8")
-    cli.compile_chain(2, 4, True, False)
     tracemalloc.start()
     try:
         code = main(["run", str(config), "--out", str(tmp_path / "report.json")])

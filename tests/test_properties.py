@@ -793,10 +793,14 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
     """Every stage of the compiled chain and both probes, on drawn label
     rows and on every row a run hands them: evolution, the independence
     replay, the no-signaling probes and, at N=2, the rotation's
-    perception."""
+    perception, each run on the chain it builds itself."""
+
+    def tables_of(chain):
+        tables = chain.record.stages + chain.perception.stages
+        return tables + tuple(stage for probe in chain.probes for stage in probe.stages)
+
     chain = compile_chain(n_versions, observers, photon_model, negative_control)
-    tables = chain.record.stages + chain.perception.stages
-    tables += tuple(stage for probe in chain.probes for stage in probe.stages)
+    tables = tables_of(chain)
     dims = chain.layout.dimension_array.tolist()
     drawn = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), max_size=6))
     versions = experiments._version_rows(chain.layout, range(n_versions), detected=True)
@@ -804,12 +808,16 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
         for table in tables:
             assert_relabels_as_the_cube(table, labels)
 
-    applied = []
+    applied, built = [], []
     relabel = ControlledRewrite._relabel
 
     def checked(table, labels):
         applied.append(table)
         return assert_relabels_as_the_cube(table, labels, relabel)
+
+    def compiled(*args, _compile=experiments.compile_chain):
+        built.append(_compile(*args))
+        return built[-1]
 
     coefficients = (n_versions**-0.5,) * n_versions
     spec = ExperimentSpec(
@@ -817,12 +825,15 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ControlledRewrite, "_relabel", checked)
+        patch.setattr(experiments, "compile_chain", compiled)
         run_measurement_chain(spec)
-        assert set(map(id, applied)) == set(map(id, tables))
+        (run_chain,) = built
+        assert set(map(id, applied)) == set(map(id, tables_of(run_chain)))
         if n_versions == 2:
             applied.clear()
             run_appendix_rotation(spec, [0.0, 0.7])
-            assert set(map(id, chain.perception.stages)) <= set(map(id, applied))
+            _, rotation_chain = built
+            assert set(map(id, rotation_chain.perception.stages)) <= set(map(id, applied))
 
 
 # -- the builders against register order ---------------------------------------

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from branchsim import (
     product_state,
     superpose,
 )
+from branchsim import state
 from branchsim.state import LABEL, aligned, union_rows
 from oracles import (
     basis_labels,
@@ -242,6 +247,34 @@ def test_product_state_label_out_of_range():
         product_state(layout, {"P": 2, "DH": 0, "DV": 0, "Obs": 0})
     with pytest.raises(ValueError):
         product_state(layout, [0, 0, 0])  # one label short
+
+
+def test_a_label_row_leaves_no_cache_entry_per_argument_type():
+    # An ABC check on the labels would add negative-cache entries across
+    # the ABC's subclass tree for each new argument type, kept for the
+    # process (about 3.6 KB for these three); a child process, since this
+    # one has long since passed lists, tuples and arrays to such checks.
+    script = (
+        "import gc, tracemalloc\n"
+        "import numpy as np\n"
+        "from branchsim import chain_layout\n"
+        "layout = chain_layout(2)\n"
+        "layout.row({r.name: 0 for r in layout.registers})\n"
+        "arguments = [np.zeros(4, dtype=int), [0, 0, 0, 0], (0, 0, 0, 0)]\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "for labels in arguments:\n"
+        "    layout.row(labels)\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(state.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 512
 
 
 def test_product_states_orthogonal_iff_labels_differ():
