@@ -63,7 +63,7 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ConfigFile:
     """Validated experiment configuration."""
 

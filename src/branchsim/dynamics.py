@@ -66,7 +66,7 @@ from .state import (
 FLIP = (1, 0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ControlledRewrite:
     """One controlled rewrite of label rows.
 
@@ -141,6 +141,7 @@ class ControlledRewrite:
         return rows, phases
 
 
+# Keeps its __dict__: the benchmark's tracer reads every built operator's vars().
 @dataclass(frozen=True)
 class UnitaryOp:
     """Basis permutation with phases: controlled rewrites applied in order.
@@ -184,6 +185,7 @@ class UnitaryOp:
         return PermutedRows(labels, tuple(phases))
 
 
+# Keeps its __dict__: the benchmark's tracer reads every built operator's vars().
 @dataclass(frozen=True)
 class PairedRotation:
     """The planes ``(e_x1, e_x2)`` of a rotation, the same at every angle.
@@ -234,7 +236,7 @@ class PairedRotation:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PermutedRows:
     """Label part of a permutation applied to some rows.
 
@@ -257,7 +259,7 @@ class PermutedRows:
         return values
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RotatedRows:
     """Label part of a paired rotation applied to some rows.
 

@@ -57,7 +57,6 @@ import copy
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -138,9 +137,11 @@ APPENDIX_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
-    """Outcome of one verification: residual against a tolerance."""
+    """Outcome of one verification: residual against a tolerance.  ``entry``
+    is its report entry, built once and shared by every report that holds
+    the result."""
 
     name: str
     passed: bool
@@ -148,6 +149,14 @@ class CheckResult:
     tolerance: float
     skipped: bool = False
     detail: str = ""
+    entry: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        status = "skip" if self.skipped else ("pass" if self.passed else "fail")
+        object.__setattr__(self, "entry", {
+            "name": self.name, "status": status, "residual": self.residual,
+            "tolerance": self.tolerance, "detail": self.detail,
+        })
 
     @classmethod
     def from_residual(
@@ -158,18 +167,6 @@ class CheckResult:
     @classmethod
     def skip(cls, name: str, detail: str) -> "CheckResult":
         return cls(name, True, 0.0, 0.0, True, detail)
-
-    @cached_property
-    def entry(self) -> dict:
-        """The check's report entry, built once and shared by every report
-        that holds the check."""
-        return {
-            "name": self.name,
-            "status": "skip" if self.skipped else ("pass" if self.passed else "fail"),
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
 
 
 def _column(
@@ -197,7 +194,7 @@ def _rows(columns: Sequence[Sequence[CheckResult]]) -> list[tuple[CheckResult, .
     return [shared.setdefault((*map(id, row),), row) for row in zip(*columns)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentSpec:
     """Parameters of one run, the whole input of the experiments.
 
@@ -405,6 +402,7 @@ def _expected_rows(layout: SubsystemLayout, n_versions: int) -> np.ndarray:
     return _version_rows(layout, versions, detected=True, message=message_level(versions))
 
 
+# Keeps its __dict__: tests hold weak references to it, and Python 3.10 has no weakref_slot.
 @dataclass(frozen=True)
 class CompiledChain:
     """Layout and step operator of one chain configuration, built once.
@@ -540,7 +538,7 @@ def _coefficients(
 # The main experiment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertifiedRun:
     """The evolved and certified run of a batch of specs (see ``_batch``).
 

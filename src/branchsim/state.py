@@ -19,7 +19,6 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -80,26 +79,32 @@ def message_name(level: int, dimension: int) -> str:
     return f"M{level}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Register:
     name: str
     dimension: int
     role: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsystemLayout:
     """Ordered registers of a composite space.  Layouts are immutable; all
-    methods are pure."""
+    methods are pure.  Each builds once its ``dimension_array``, the register
+    dimensions to compare label rows against, and the role table ``at`` reads."""
 
     registers: tuple[Register, ...]
     total_dimension: int
-    _positions: dict = field(repr=False, compare=False)
+    dimension_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _positions: dict = field(init=False, repr=False, compare=False)
+    _roles: dict = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def dimension_array(self) -> np.ndarray:
-        """Register dimensions as an array, to compare label rows against."""
-        return np.array(self.dimensions())
+    def __post_init__(self):
+        roles: dict[str, list[int]] = {}
+        for i, r in enumerate(self.registers):
+            roles.setdefault(r.role, []).append(i)
+        object.__setattr__(self, "dimension_array", np.array(self.dimensions()))
+        object.__setattr__(self, "_positions", {r.name: i for i, r in enumerate(self.registers)})
+        object.__setattr__(self, "_roles", roles)
 
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.registers)
@@ -118,7 +123,10 @@ class SubsystemLayout:
 
     def at(self, *roles: str) -> list[int]:
         """Positions of the registers with any of ``roles``, in layout order."""
-        return [i for i, r in enumerate(self.registers) if r.role in roles]
+        found = []
+        for role in set(roles):
+            found += self._roles.get(role, ())
+        return sorted(found)
 
     def digit_values(self, name: str) -> np.ndarray:
         """Dense view: this register's digit at every flat index, refused
@@ -196,14 +204,10 @@ def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
         total *= dimension
     if not regs:
         raise ValueError("layout needs at least one register")
-    return SubsystemLayout(
-        registers=tuple(regs),
-        total_dimension=total,
-        _positions={r.name: i for i, r in enumerate(regs)},
-    )
+    return SubsystemLayout(tuple(regs), total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """A state stored as its support: label rows and their amplitudes.
 
@@ -374,7 +378,7 @@ def normalize(x: StateVector) -> StateVector:
     return StateVector(x.layout, x.labels, x.values / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Dense density matrix: Hermitian, of unit trace and positive
     semidefinite within ``TOLERANCE`` once built; it owns a read-only copy
