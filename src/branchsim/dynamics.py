@@ -1,12 +1,12 @@
 """Construction and application of the evolution operators.
 
 Every step of the measurement chain acts on one version's configuration at a
-time: a control configuration selects a permutation, with phases, of one
-target register that the control does not read.  Each step is therefore
-defined once, as a ``ControlledRewrite`` table: control register positions,
-the control rows (``when``) it acts on and, for each row, the target
-position (or none), the image of each target level and the phase picked up
-there.  A ``UnitaryOp`` is a sequence of such tables applied in order to the
+time: a control configuration selects a permutation, with phases, of target
+registers that the control does not read.  Each step is therefore defined
+once, as a ``ControlledRewrite`` table: control register positions, the
+control rows (``when``) it acts on and, for each row, the target positions
+(or none), the image of each target level and the phase picked up there.
+A ``UnitaryOp`` is a sequence of such tables applied in order to the
 (k x registers) label rows of a state, each table looking a row's control
 labels up among its ``when`` rows, so it costs k x registers whatever its
 entries or the dimension; ``compose`` concatenates the tables.
@@ -22,11 +22,12 @@ so one label part moves every row of a batched state (see ``StateVector``),
 and one plane turns a state by many angles at once.
 
 A table is unitary when its control positions are distinct and exclude
-the target, its ``when`` rows are distinct and in range, every image is a
-permutation and every phase has modulus 1: each control row then permutes,
-with phases, the basis states it selects, and they stay selected.  Building
-a table and an operator checks exactly that, in O(entries x levels)
-whatever the dimension, so an operator that exists is unitary.
+the targets, each entry's targets are distinct, its ``when`` rows are
+distinct and in range, every image is a permutation and every phase has
+modulus 1: each control row then permutes, with phases, the basis states
+it selects, and they stay selected.  Building a table and an operator
+checks exactly that, in O(entries x (levels + targets)) whatever the
+dimension, so an operator that exists is unitary.
 
 The mixed-basis rotation turns disjoint pairs of basis states within their
 planes; a ``PairedRotation`` is those planes, the same at every angle, and
@@ -71,16 +72,19 @@ class ControlledRewrite:
     """One controlled rewrite of label rows.
 
     Entry e applies to the rows whose registers at ``control`` read
-    ``when[e]``: it sends level l of register ``target[e]`` to
+    ``when[e]``: it sends level l of each register in ``target[e]`` to
     ``image[e, l]`` and multiplies the amplitude by ``phase[e, l]``.  A
     target of -1 names no register; such an entry reads level 0 and only
     multiplies by its phase.  Rows that match no entry are left alone.
-    ``target``, ``image`` and ``phase`` broadcast over the entries.  Every
-    entry's target has ``image.shape[1]`` levels, counting a missing target
-    as one level.  Construction keeps read-only copies (labels as ``LABEL``)
-    and refuses (``ValueError``) labels that would wrap, repeated control
-    positions, a target among them, repeated ``when`` rows, images that are
-    not permutations and phases whose modulus is off 1 by over ``TOLERANCE``.
+    ``target`` (entries x targets; a scalar or 1-D one is one column),
+    ``image`` and ``phase`` broadcast over the entries.  Every target has
+    ``image.shape[1]`` levels, counting a missing one as one level.
+    Construction keeps read-only copies (labels as ``LABEL``) and refuses
+    (``ValueError``) labels that would wrap, repeated control positions, a
+    target among them, repeated ``when`` rows, images that are not
+    permutations and phases whose modulus is off 1 by over ``TOLERANCE``;
+    with several targets, repeated ones and phases other than 1, so the
+    table is its one-target tables applied in turn.
     """
 
     control: tuple[int, ...]
@@ -98,21 +102,27 @@ class ControlledRewrite:
                 f"{when.shape} control rows and {image.shape} images do not describe a "
                 f"table over {len(control)} control registers"
             )
-        shape = (len(when), image.shape[1])
+        shape, target = (len(when), image.shape[1]), label_array(self.target, copy=True)
+        if target.ndim < 2:  # a scalar, or one target per entry
+            target = target.reshape(-1, 1)
         when.flags.writeable = image.flags.writeable = False
         # Broadcast views are read-only, so every array is a read-only copy.
         for name, value in (
             ("control", control),
             ("when", when),
-            ("target", np.broadcast_to(label_array(self.target, copy=True), shape[:1])),
+            ("target", np.broadcast_to(target, (len(when), target.shape[1]))),
             ("image", image if image.shape == shape else np.broadcast_to(image, shape)),
             ("phase", np.broadcast_to(phase, shape)),
         ):
             object.__setattr__(self, name, value)
         if len(set(control)) != len(control):
             raise ValueError(f"control positions {control} repeat a register")
-        if not set(control).isdisjoint(self.target.tolist()):
+        if not set(control).isdisjoint(self.target.ravel().tolist()):
             raise ValueError(f"a target in {self.target.tolist()} is among the controls {control}")
+        if self.target.shape[1] > 1 and (
+            (np.diff(np.sort(self.target), axis=1) == 0).any() or (self.phase != 1).any()
+        ):
+            raise ValueError("several targets must be distinct registers, with phases of 1")
         if len(set(map(tuple, when.tolist()))) != len(when):
             raise ValueError(f"control rows repeat in a table over {control}")
         permutes = (np.sort(image, axis=1) == np.arange(shape[1])).all(axis=1)
@@ -129,9 +139,11 @@ class ControlledRewrite:
         else:  # the ``when`` rows are distinct, so a row's key names at most one entry
             index = {key: e for e, key in enumerate(map(tuple, self.when.tolist()))}
             entry = np.array([index.get(key, -1) for key in map(tuple, keys.tolist())], int)
-        row = np.flatnonzero(entry >= 0)
+        # One cell per matched row and target; an entry's targets share its phases of 1.
+        width = self.target.shape[1]
+        row = np.flatnonzero(entry >= 0).repeat(width)
         entry = entry[row]
-        target = self.target[entry].astype(np.intp)  # LABEL indices are cast per use
+        target = self.target[entry[::width]].ravel().astype(np.intp)  # LABEL indices cast per use
         moved = target >= 0
         level = np.where(moved, labels[row, target].astype(np.intp), 0)
         rows = labels.copy()
@@ -160,7 +172,7 @@ class UnitaryOp:
     def __post_init__(self):
         dimensions, n = self.layout.dimension_array, len(self.layout.registers)
         for stage in self.stages:
-            control, targets = list(stage.control), stage.target.tolist()
+            control, targets = list(stage.control), stage.target.ravel().tolist()
             off = [p for p in control if not 0 <= p < n]
             off += [t for t in targets if not -1 <= t < n]
             if off:
@@ -377,11 +389,11 @@ def build_perception_unitary(
     ``classical_configs`` holds two arrays: record configurations, one row
     each, and their messages.  The record is read from the condition
     registers: the photons when the layout has any, the detectors otherwise.
-    For configuration row c with message m, each observer's table (one per
-    observer register, in layout order) transposes that observer's levels
-    blank and m on basis states whose condition registers read exactly c; it
-    is the identity on every other configuration and on every other observer
-    level, in particular on the reserved mixed-record level.
+    For configuration row c with message m, one table transposes every
+    observer's levels blank and m on basis states whose condition registers
+    read exactly c; it is the identity on every other configuration and on
+    every other observer level, in particular on the reserved mixed-record
+    level.  Observers of unequal sizes cannot share its images (``UnitaryOp``).
 
     ``allow_mixed_message`` is the negative-control hook: it lifts the
     validation that no message may target the mixed-record level, so tests
@@ -403,27 +415,25 @@ def build_perception_unitary(
     if not n:
         raise ValueError("classical_configs is empty")
 
-    tables = []
-    for at in observers:
-        obs = layout.registers[at]
-        if obs.dimension < n + 2:
-            raise ValueError(
-                f"observer register {obs.name!r} has {obs.dimension} levels, "
-                f"needs at least {n + 2} for {n} configurations"
-            )
-        top_message = mixed_record_level(obs.dimension) - (0 if allow_mixed_message else 1)
-        unwritable = (messages < 1) | (messages > top_message)
-        if unwritable.any():
-            raise ValueError(
-                f"message level {messages[unwritable][0]} out of writable range [1, {top_message}]"
-            )
-        # Each entry transposes blank with its message and fixes every other level.
-        image = np.tile(np.arange(obs.dimension, dtype=LABEL), (n, 1))
-        image[:, OBSERVER_BLANK] = messages
-        image[np.arange(n), messages] = OBSERVER_BLANK
-        tables.append(ControlledRewrite(condition_at, when, at, image))
+    obs = min((layout.registers[at] for at in observers), key=lambda register: register.dimension)
+    if obs.dimension < n + 2:
+        raise ValueError(
+            f"observer register {obs.name!r} has {obs.dimension} levels, "
+            f"needs at least {n + 2} for {n} configurations"
+        )
+    top_message = mixed_record_level(obs.dimension) - (0 if allow_mixed_message else 1)
+    unwritable = (messages < 1) | (messages > top_message)
+    if unwritable.any():
+        raise ValueError(
+            f"message level {messages[unwritable][0]} out of writable range [1, {top_message}]"
+        )
+    # Each entry transposes blank with its message and fixes every other level.
+    image = np.tile(np.arange(obs.dimension, dtype=LABEL), (n, 1))
+    image[:, OBSERVER_BLANK] = messages
+    image[np.arange(n), messages] = OBSERVER_BLANK
+    table = ControlledRewrite(condition_at, when, [observers], image)
     provenance = " . ".join(f"perception[{layout.registers[at].name}]" for at in observers[::-1])
-    return UnitaryOp(layout, provenance, tuple(tables))
+    return UnitaryOp(layout, provenance, (table,))
 
 
 def build_basis_rotation(

@@ -2,23 +2,23 @@
 
 A run prepares a path superposition in front of an armed detector bank,
 evolves it through the step operator (detection, optional photon emission,
-one perception step per observer) and decomposes the result into branches:
-the sections of its rows by record label, each with a coefficient.  The checks
-certify the package's core claims on the finished state -- the branch
-structure is exactly the weighted sum of single-version outcomes, branches
-are mutually orthogonal, no observer register ever holds the mixed-record
-level, observers agree, removing other branches does not change a branch's
+perception) and decomposes the result into branches: the sections of its
+rows by record label, each with a coefficient.  The checks certify the
+package's core claims on the finished state -- the branch structure is
+exactly the weighted sum of single-version outcomes, branches are mutually
+orthogonal, no observer register ever holds the mixed-record level,
+observers agree, removing other branches does not change a branch's
 evolution, and perturbing one branch cannot signal another.
 
 An ``ExperimentSpec`` is the whole input of a run, negative control
 included; a control that could not fail is refused when the spec is built.
 The step operator is compiled once per engine call by ``compile_chain``:
 the layout, the record stages (detection, then photon emission) composed
-into one operator, every observer's perception table built into another by
-one call, and the stock no-signaling probes, each stage a controlled-rewrite
-table that is unitary because it could be built (see ``dynamics``).  Every
-coefficient draw, rotation angle and check of that call shares the
-``CompiledChain``, which is let go when the call returns.
+into one operator, perception as one table that writes every observer, and
+the stock no-signaling probes, each stage a controlled-rewrite table that
+is unitary because it could be built (see ``dynamics``).  Every coefficient
+draw, rotation angle and check of that call shares the ``CompiledChain``,
+which is let go when the call returns.
 
 Both experiments evolve and certify specs through one path: the initial
 state goes through the record stages, then perception, the final state is
@@ -408,9 +408,9 @@ class CompiledChain:
     """Layout and step operator of one chain configuration, built once.
 
     ``record`` is detection followed, with the photon model, by photon
-    emission, composed into one operator; ``perception`` holds every
-    observer's perception stage in layout order, and ``probes`` the stock
-    no-signaling probes of version 2.  It depends only on
+    emission, composed into one operator; ``perception`` is one table that
+    writes every observer, and ``probes`` the stock no-signaling probes of
+    version 2.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so the
     draws, angles and checks of one engine call share one, built when the
     call starts and let go when it returns.

@@ -40,8 +40,9 @@ version evolved as its own state and its probes applied one by one; the
 library certifies all of a configuration's draws as the rows of one batch,
 and each draw's report must equal this one bit for bit.
 ``reference_relabel`` applies one controlled-rewrite table by matching
-every label row against every control row at once, the reference for the
-library's lookup of each row's control labels.
+every label row against every control row at once and writing its targets
+one column at a time, the reference for the library's lookup of each row's
+control labels and its one write of every target.
 ``reference_report_json``
 is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
 report writer, and ``reference_argv`` is the ``argparse`` parser the CLI
@@ -384,16 +385,20 @@ def rotate(plane, state, theta):
 def reference_relabel(table, labels):
     """What ``table._relabel`` gives, from one (rows x entries x controls)
     boolean match of every row against every ``when`` row: the rows after
-    the table and the phase each row picks up."""
+    the table and the phase each row picks up, one column of targets at a
+    time."""
     # At most one entry matches a row, since the ``when`` rows are distinct.
     row, entry = np.nonzero((labels[:, None, list(table.control)] == table.when).all(axis=2))
-    target = table.target[entry]
-    moved = target >= 0
-    level = np.where(moved, labels[row, target], 0)
     rows = labels.copy()
-    rows[row[moved], target[moved]] = table.image[entry, level][moved]
     phases = np.ones(len(labels), dtype=complex)
-    phases[row] = table.phase[entry, level]
+    # An entry's targets are distinct and not among its controls, so each
+    # column reads the levels it rewrites from ``labels``; with several
+    # columns every phase is 1.
+    for target in table.target[entry].T:
+        moved = target >= 0
+        level = np.where(moved, labels[row, target], 0)
+        rows[row[moved], target[moved]] = table.image[entry, level][moved]
+        phases[row] = table.phase[entry, level]
     return rows, phases
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from branchsim import (
+    ControlledRewrite,
     ExperimentSpec,
     StateVector,
+    UnitaryOp,
     chain_layout,
     coefficient_independence_check,
     compile_chain,
@@ -284,3 +286,32 @@ def test_the_largest_chains_run_in_memory_far_below_a_cube_of_labels(n, photon_m
         tracemalloc.stop()
     assert report.all_passed
     assert peak < bound_mb * 1e6, f"{peak / 1e6:.1f} MB"
+
+
+# -- validation counts ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("photon_model", [False, True], ids=["plain", "photons"])
+def test_a_chain_validates_as_many_tables_at_255_observers_as_at_31(monkeypatch, photon_model):
+    """Compiling N=2 builds detection, one perception table for every
+    observer and two probes, plus one emission table per version with
+    photons, and ``UnitaryOp`` proves as many stages, whatever the number of
+    observers: a count, so no timing noise can hide a per-observer table."""
+    tables, stages = [], []
+    for cls, seen in ((ControlledRewrite, tables), (UnitaryOp, stages)):
+
+        def counted(self, _post_init=cls.__post_init__, _seen=seen):
+            _post_init(self)
+            _seen.append(len(getattr(self, "stages", (self,))))
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    counts = []
+    for observers in (31, 255):
+        tables.clear()
+        stages.clear()
+        chain = compile_chain(2, observers, photon_model)
+        counts.append((len(tables), sum(stages), len(chain.perception.stages)))
+    # The record proves detection, then the N emission tables, then both again
+    # in their composition.
+    record = 1 + 2 + (1 + 2) if photon_model else 1
+    assert counts == [(2 + 4 if photon_model else 4, record + 1 + 2, 1)] * 2

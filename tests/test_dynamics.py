@@ -244,6 +244,43 @@ def test_perception_validation():
                              allow_mixed_message=True)
 
 
+def test_one_perception_table_refuses_observers_of_unequal_sizes():
+    # Obs has 4 levels and Obs2 5: each is large enough, but one table's
+    # images cannot fit both (the levels are listed per entry and target).
+    with pytest.raises(ValueError, match=r"4-level images for targets of \[4, 5, 4, 5\] levels"):
+        build_perception_unitary(
+            make_layout(SG + [("Obs2", 5, "observer")]), standard_classical_configs(2)
+        )
+
+
+def test_an_entry_of_several_targets_writes_distinct_registers_with_phases_of_1():
+    layout = make_layout([("C", 2, "detector")] + [(f"T{i}", 2, "detector") for i in range(3)])
+    flip, when = [[1, 0]], [[0], [1]]
+    table = ControlledRewrite((0,), when, [[1, 2, 3], [3, 1, 2]], flip)
+    assert table.target.shape == (2, 3)
+    in_turn = [ControlledRewrite((0,), when, column, flip) for column in table.target.T]
+    assert np.array_equal(
+        dense_matrix(UnitaryOp(layout, "several", (table,))),
+        dense_matrix(UnitaryOp(layout, "in turn", tuple(in_turn))),
+    )
+    several = "several targets must be distinct registers, with phases of 1"
+    for target in ([[1, 2, 2], [1, 2, 3]], [[1, 2, 3], [3, 2, 3]], [[-1, -1], [1, 2]]):
+        with pytest.raises(ValueError, match=several):
+            ControlledRewrite((0,), when, target, flip)
+    for phase in ([[1.0, -1.0]], [[1j, 1.0]], [[1.0, 1.0], [1.0, np.exp(1e-13j)]]):
+        with pytest.raises(ValueError, match=several):
+            ControlledRewrite((0,), when, [[1, 2], [2, 3]], flip, phase)
+    # A missing target (-1) has one level and a register at least two, so no
+    # image fits a -1 among several targets.
+    for target in ([[1, -1], [1, 2]], [[2, 3], [3, -1]]):
+        missing = ControlledRewrite((0,), when, target, flip)
+        with pytest.raises(ValueError, match="2-level images for targets of"):
+            UnitaryOp(layout, "missing", (missing,))
+    # One target per entry keeps a missing target and any unit phase.
+    ControlledRewrite((0,), [[1]], -1, [[0]], [[-1.0]])
+    ControlledRewrite((0,), when, [1, 2], flip, [[1j, -1.0]])
+
+
 def test_perception_conditions_on_photons_when_the_layout_has_them():
     layout = photon_layout()
     perception = build_perception_unitary(layout, standard_classical_configs(2))
@@ -677,12 +714,12 @@ def test_every_stage_proves_unitary_on_an_uncapped_layout():
         perception = build_perception_unitary(
             layout, (configs, messages), allow_mixed_message=negative_control
         )
-        # One table per observer, in layout order, each reading the photons.
+        # One table reads the photons and writes every observer, in layout order.
         photons = [layout.position(f"ph{j + 1}") for j in range(n)]
-        assert [list(table.control) for table in perception.stages] == [photons] * 3
-        assert [table.target[0] for table in perception.stages] == [
-            layout.position(f"Obs{k + 1}") for k in range(3)
-        ]
+        (table,) = perception.stages
+        assert list(table.control) == photons
+        observers = [layout.position(f"Obs{k + 1}") for k in range(3)]
+        assert table.target.tolist() == [observers] * n
         stages.append(perception)
     # Building each stage, and its adjoint, is the proof; every phase is
     # exactly of modulus 1.

@@ -835,9 +835,14 @@ def test_crossed_messages_of_one_observer_fail_observer_agreement(monkeypatch, n
         configs, messages = rules
         messages = messages.copy()
         messages[[0, 1]] = messages[[1, 0]]
-        # The tables come one per observer in layout order: Obs2's is second.
-        swapped = build(layout, (configs, messages), *args, **kwargs).stages[1]
-        return replace(op, stages=op.stages[:1] + (swapped,) + op.stages[2:])
+        (table,), (swapped,) = op.stages, build(layout, (configs, messages), *args, **kwargs).stages
+        # One table per observer, in layout order; Obs2's takes the crossed messages.
+        obs2 = layout.position("Obs2")
+        stages = tuple(
+            ControlledRewrite(table.control, table.when, at, (swapped if at == obs2 else table).image)
+            for at in table.target[0].tolist()
+        )
+        return replace(op, stages=stages)
 
     rng = np.random.default_rng(n_versions)
     monkeypatch.setattr(experiments, "build_perception_unitary", crossed)
@@ -887,8 +892,14 @@ def test_a_perception_that_rewrites_the_record_fails_coherence_and_no_signaling(
                 tables.append(
                     ControlledRewrite((obs1, source), [[message_level(1), 1]], target, [[1, 0]])
                 )
-        # Obs1's table, first in layout order, is followed by the rewrites.
-        stages = op.stages[:1] + tuple(tables) + op.stages[1:]
+        # Obs1's table, first in layout order, is followed by the rewrites,
+        # then one table per later observer.
+        (table,) = op.stages
+        first, *later = (
+            ControlledRewrite(table.control, table.when, at, table.image)
+            for at in table.target[0].tolist()
+        )
+        stages = (first, *tables, *later)
         return UnitaryOp(layout, "record-rewriting perception", stages)
 
     rng = np.random.default_rng(n_versions)

@@ -335,8 +335,8 @@ def test_every_label_array_of_a_golden_run_has_the_label_dtype(tmp_path, monkeyp
     )
     stages = chain.record.stages + chain.perception.stages
     stages += tuple(stage for probe in chain.probes for stage in probe.stages)
-    # Detection, one emission stage per version, one table per observer, two probes.
-    assert len(stages) == 1 + config["n_versions"] + config["observers"] + 2
+    # Detection, one emission stage per version, one table for every observer, two probes.
+    assert len(stages) == 1 + config["n_versions"] + 1 + 2
     tables = [array.dtype for stage in stages for array in (stage.when, stage.target, stage.image)]
     rotated = {RotatedRows} if config["experiment"] == "appendix_rotation" else set()
     assert {cls for cls, _ in built} == {StateVector, PermutedRows} | rotated

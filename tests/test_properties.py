@@ -30,7 +30,11 @@ way, and requires construction to succeed exactly when a loop-built dense
 matrix is unitary.  A table's lookup of each row's control labels must
 give the rows and phases of the match-cube oracle byte for byte, on random
 tables and on every stage and probe of compiled chains, including every
-application a run makes.  Interleaving the roles of a chain layout, each
+application a run makes.  A table whose entries write several targets
+must give the rows and phases of its one-target tables applied in turn
+byte for byte, and their amplitudes up to the sign of a zero, on random
+tables and on every compiled chain's perception, one table that writes
+every observer.  Interleaving the roles of a chain layout, each
 role's registers in their own order, must permute the columns of the rows
 every record and perception stage gives and change nothing else, and
 ``SubsystemLayout.at`` must list positions in layout order.  The report writer is
@@ -56,6 +60,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from branchsim import cli, experiments
+from branchsim.dynamics import PermutedRows
 from branchsim.state import LABEL, max_pair_overlap, union_rows
 from branchsim import (
     MAX_TOLERANCE,
@@ -258,11 +263,17 @@ def chain_operators(chain):
     perception = build_perception_unitary(
         layout, rules, allow_mixed_message=chain.negative_control
     )
-    # One table per observer, in layout order: each is that observer's rule.
-    for name, table in zip(observers, perception.stages, strict=True):
-        stage = UnitaryOp(layout, f"perception[{name}]", (table,))
-        operators.append((stage, naive_perception_matrix(layout, name, rules, condition)))
+    # One table writes every observer, in layout order; its column for one
+    # observer alone is that observer's rule, and the table is their product.
+    (table,) = perception.stages
+    product = np.eye(layout.total_dimension)
+    for name, at in zip(observers, table.target[0].tolist(), strict=True):
+        one = ControlledRewrite(table.control, table.when, at, table.image)
+        rule = naive_perception_matrix(layout, name, rules, condition)
+        operators.append((UnitaryOp(layout, f"perception[{name}]", (one,)), rule))
+        product = rule @ product
     operators += [
+        (perception, product),
         (compose(chain.perception, chain.record), None),
         (phase_flip_perturbation(layout, 1), None),
         (record_cycle_perturbation(layout, 1), None),
@@ -749,8 +760,9 @@ def assert_relabels_as_the_cube(table, labels, relabel=ControlledRewrite._relabe
 @st.composite
 def relabelled_tables(draw):
     """A table of 1-6 entries over 1-4 control registers, each entry
-    targeting no register or one free register, phases among 1, -1 and i,
-    and label rows that match an entry, match none, or repeat."""
+    targeting no register, one free register or a row of 2-3 distinct free
+    registers, phases among 1, -1 and i (1 with several targets), and label
+    rows that match an entry, match none, or repeat."""
     k = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
     free = draw(st.integers(1, 3))
@@ -759,12 +771,15 @@ def relabelled_tables(draw):
     rows = list(itertools.product(*(range(d) for d in dims[:k])))
     entries = st.lists(st.sampled_from(rows), min_size=1, max_size=min(6, len(rows)), unique=True)
     when = draw(entries)
+    several = draw(st.integers(1, free))
     if draw(st.booleans()):
-        target, width = [-1] * len(when), 1
+        target, width, several = [-1] * len(when), 1, 1
     else:
-        target, width = [draw(st.integers(k, k + free - 1)) for _ in when], levels
+        free_registers = st.permutations(range(k, k + free))
+        target, width = [draw(free_registers)[:several] for _ in when], levels
+    roots = (1.0, -1.0, 1j) if several == 1 else (1.0,)
     image = [list(draw(st.permutations(range(width)))) for _ in when]
-    phase = [[draw(st.sampled_from((1.0, -1.0, 1j))) for _ in range(width)] for _ in when]
+    phase = [[draw(st.sampled_from(roots)) for _ in range(width)] for _ in when]
     layout = make_layout([(f"R{i}", d, "detector") for i, d in enumerate(dims)])
     table = ControlledRewrite(range(k), when, target, image, phase)
     UnitaryOp(layout, "drawn", (table,))  # a table the layout accepts
@@ -781,6 +796,61 @@ def relabelled_tables(draw):
 @settings(max_examples=200, deadline=None)
 def test_a_table_relabels_rows_as_the_match_cube_does(drawn):
     assert_relabels_as_the_cube(*drawn)
+
+
+# Real and imaginary parts of drawn amplitudes, signed zeros and subnormals included.
+amplitude_parts = st.floats(-1.0, 1.0) | st.sampled_from((-0.0, 0.0, 5e-324, -5e-324))
+
+
+def assert_is_its_one_target_tables_in_turn(table, labels, values):
+    """``table`` applied once gives the rows, phases and amplitudes of its
+    one-target tables, one per column of its targets, applied in turn: the
+    rows and every stage's phases byte for byte, and the amplitudes byte for
+    byte up to the sign of a zero.  Each stage multiplies by its phases of 1
+    once more, and that can clear a zero's sign: ``-0-0j`` times 1 is
+    ``0-0j``, and that times 1 is ``0j``; nothing else changes."""
+    rows, phase = table._relabel(labels)
+    turned, phases = labels, []
+    for column in table.target.T:
+        one = ControlledRewrite(table.control, table.when, column, table.image, table.phase)
+        turned, step = one._relabel(turned)
+        phases.append(step)
+    assert rows.dtype == turned.dtype and rows.tobytes() == turned.tobytes()
+    assert all(step.tobytes() == phase.tobytes() for step in phases)
+    at_once = PermutedRows(rows, (phase,)).amplitudes(values) + 0.0
+    in_turn = PermutedRows(turned, tuple(phases)).amplitudes(values) + 0.0
+    assert at_once.tobytes() == in_turn.tobytes()
+
+
+@given(relabelled_tables(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_table_of_several_targets_is_its_one_target_tables_in_turn(drawn, data):
+    table, labels = drawn
+    parts = st.lists(amplitude_parts, min_size=2 * len(labels), max_size=2 * len(labels))
+    values = np.array(data.draw(parts), dtype=float).view(complex)
+    assert_is_its_one_target_tables_in_turn(table, labels, values)
+
+
+@given(
+    st.sampled_from((2, 3, 11)), st.integers(1, 3), st.booleans(), st.booleans(), st.data()
+)
+@settings(max_examples=40, deadline=None)
+def test_every_chain_perception_is_one_table_of_its_observers_tables_in_turn(
+    n_versions, observers, photon_model, negative_control, data
+):
+    """A compiled chain's perception is one table that writes every
+    observer, in layout order, and equals their one-target tables applied in
+    turn, on drawn label rows and on every version's recorded rows."""
+    chain = compile_chain(n_versions, observers, photon_model, negative_control)
+    (table,) = chain.perception.stages
+    assert table.target.tolist() == [chain.layout.at("observer")] * n_versions
+    dims = chain.layout.dimension_array.tolist()
+    drawn = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), max_size=6))
+    versions = experiments._version_rows(chain.layout, range(n_versions), detected=True)
+    for labels in (np.array(drawn, dtype=LABEL).reshape(-1, len(dims)), versions):
+        parts = st.lists(amplitude_parts, min_size=2 * len(labels), max_size=2 * len(labels))
+        values = np.array(data.draw(parts), dtype=float).view(complex)
+        assert_is_its_one_target_tables_in_turn(table, labels, values)
 
 
 @given(
