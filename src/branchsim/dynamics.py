@@ -4,19 +4,19 @@ Every step of the measurement chain acts on one version's configuration at a
 time: a control configuration selects a permutation, with phases, of target
 registers that the control does not read.  Each step is therefore defined
 once, as a ``ControlledRewrite`` table: control register positions, the
-control rows (``when``) it acts on and, for each row, the target positions
-(or none), the image of each target level and the phase picked up there.
-A ``UnitaryOp`` is a sequence of such tables applied in order to the
-(k x registers) label rows of a state, each table looking a row's control
-labels up among its ``when`` rows, so it costs k x registers whatever its
-entries or the dimension; ``compose`` concatenates the tables.
+control rows (``when``) it acts on and, for each row, the target positions,
+the image of each target level and the phase picked up there.
+A ``UnitaryOp`` is a sequence of such tables applied in order, in place, to
+one copy of the (k x registers) label rows of a state, each table looking a
+row's control labels up among its ``when`` rows, so it costs k x registers
+whatever its entries or the dimension; ``compose`` concatenates the tables.
 
 Applying an operator is two parts run in turn.  The label part
 (``relabel``) reads only label rows: it gives the rows after the operator
-and, per row, what its amplitude needs -- the phase picked up at each stage
-of a permutation (``PermutedRows``), or the plane a rotated row shares with
-its partner (``RotatedRows``).  The amplitude part (``amplitudes``)
-multiplies by those phases in stage order, or mixes each plane in closed
+and, per row, what its amplitude needs -- the product of the phases it
+picks up at a permutation's stages (``PermutedRows``), or the plane a
+rotated row shares with its partner (``RotatedRows``).  The amplitude part
+(``amplitudes``) multiplies by that phase, or mixes each plane in closed
 form, along the last axis of the amplitudes.  ``apply_unitary`` runs both,
 so one label part moves every row of a batched state (see ``StateVector``),
 and one plane turns a state by many angles at once.
@@ -73,12 +73,11 @@ class ControlledRewrite:
 
     Entry e applies to the rows whose registers at ``control`` read
     ``when[e]``: it sends level l of each register in ``target[e]`` to
-    ``image[e, l]`` and multiplies the amplitude by ``phase[e, l]``.  A
-    target of -1 names no register; such an entry reads level 0 and only
-    multiplies by its phase.  Rows that match no entry are left alone.
-    ``target`` (entries x targets; a scalar or 1-D one is one column),
-    ``image`` and ``phase`` broadcast over the entries.  Every target has
-    ``image.shape[1]`` levels, counting a missing one as one level.
+    ``image[e, l]`` and multiplies the amplitude by ``phase[e, l]``; an
+    entry that only multiplies by a phase has the identity image.  Rows that
+    match no entry are left alone.  ``target`` (entries x targets; a scalar
+    or 1-D one is one column), ``image`` and ``phase`` broadcast over the
+    entries.  Every target is a register of ``image.shape[1]`` levels.
     Construction keeps read-only copies (labels as ``LABEL``) and refuses
     (``ValueError``) labels that would wrap, repeated control positions, a
     target among them, repeated ``when`` rows, images that are not
@@ -131,9 +130,11 @@ class ControlledRewrite:
         if (np.abs(np.abs(phase) - 1.0) > TOLERANCE).any():
             raise ValueError(f"a phase in a table over {control} has modulus other than 1")
 
-    def _relabel(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows after the table and the phase each row picks up."""
-        keys = labels[:, list(self.control)]
+    def _relabel(self, rows: np.ndarray, phases: np.ndarray) -> None:
+        """Rewrite the target cells of the matched ``rows`` and multiply their
+        ``phases``, in place: no target is a control, and every level is read
+        before a cell is written."""
+        keys = rows[:, list(self.control)]
         if len(self.when) == 1:  # photon emission and the probes: one compare per row
             entry = np.where((keys == self.when[0]).all(axis=1), 0, -1)
         else:  # the ``when`` rows are distinct, so a row's key names at most one entry
@@ -144,13 +145,9 @@ class ControlledRewrite:
         row = np.flatnonzero(entry >= 0).repeat(width)
         entry = entry[row]
         target = self.target[entry[::width]].ravel().astype(np.intp)  # LABEL indices cast per use
-        moved = target >= 0
-        level = np.where(moved, labels[row, target].astype(np.intp), 0)
-        rows = labels.copy()
-        rows[row[moved], target[moved]] = self.image[entry, level][moved]
-        phases = np.ones(len(labels), dtype=complex)
-        phases[row] = self.phase[entry, level]
-        return rows, phases
+        level = rows[row, target].astype(np.intp)
+        rows[row, target] = self.image[entry, level]
+        phases[row[::width]] *= self.phase[entry[::width], level[::width]]
 
 
 # Keeps its __dict__: the benchmark's tracer reads every built operator's vars().
@@ -162,7 +159,8 @@ class UnitaryOp:
     x in turn.  Operators are immutable once built and application is a pure
     function, so one operator may be applied from many threads at once.
     Construction refuses (``ValueError``) a stage with a position off the
-    layout, a ``when`` digit out of range or images of the wrong width.
+    layout (-1 included), a ``when`` digit out of range or images of the
+    wrong width.
     """
 
     layout: SubsystemLayout
@@ -173,8 +171,7 @@ class UnitaryOp:
         dimensions, n = self.layout.dimension_array, len(self.layout.registers)
         for stage in self.stages:
             control, targets = list(stage.control), stage.target.ravel().tolist()
-            off = [p for p in control if not 0 <= p < n]
-            off += [t for t in targets if not -1 <= t < n]
+            off = [p for p in control + targets if not 0 <= p < n]
             if off:
                 raise ValueError(f"position {off[0]} is off the layout's {n} registers")
             outside = (stage.when < 0) | (stage.when >= dimensions[control])
@@ -182,19 +179,18 @@ class UnitaryOp:
                 entry, column = np.argwhere(outside)[0]
                 name = self.layout.registers[control[column]].name
                 raise ValueError(f"digit {stage.when[entry, column]} out of range for {name!r}")
-            # A missing target (-1) has one level.
-            levels = [int(dimensions[t]) if t >= 0 else 1 for t in targets]
+            levels = [int(dimensions[t]) for t in targets]
             width = stage.image.shape[1]
             if any(level != width for level in levels):
                 raise ValueError(f"{width}-level images for targets of {levels} levels")
 
     def relabel(self, labels: np.ndarray) -> "PermutedRows":
-        """Label part: every stage's rewrite of ``labels``, and its phases."""
-        phases = []
+        """Label part: the stages in turn rewrite one copy of ``labels`` and
+        multiply one phase per row."""
+        rows, phases = labels.copy(), np.ones(len(labels), dtype=complex)
         for stage in self.stages:
-            labels, phase = stage._relabel(labels)
-            phases.append(phase)
-        return PermutedRows(labels, tuple(phases))
+            stage._relabel(rows, phases)
+        return PermutedRows(rows, phases)
 
 
 # Keeps its __dict__: the benchmark's tracer reads every built operator's vars().
@@ -253,22 +249,22 @@ class PermutedRows:
     """Label part of a permutation applied to some rows.
 
     ``rows`` are the rows after every stage, in input order, and
-    ``phases[i]`` holds the phase each row picks up at stage i.  The arrays
-    are read-only views, so one label part can serve many amplitude parts.
+    ``phases[r]`` is the product, in stage order, of the phases row r picks
+    up; every phase the package builds is 1 or -1, so multiplying by it
+    rounds as multiplying stage by stage would.  The arrays are read-only
+    views, so one label part can serve many amplitude parts.
     """
 
     rows: np.ndarray
-    phases: tuple[np.ndarray, ...]
+    phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", read_only(self.rows))
-        object.__setattr__(self, "phases", tuple(map(read_only, self.phases)))
+        for name in ("rows", "phases"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def amplitudes(self, values: np.ndarray) -> np.ndarray:
-        """Amplitude part: ``values`` times each stage's phases, in stage order."""
-        for phase in self.phases:
-            values = values * phase
-        return values
+        """Amplitude part: ``values`` times each row's phase."""
+        return values * self.phases
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -544,7 +544,8 @@ class CertifiedRun:
 
     The post-detection and final states hold one row of amplitudes per spec;
     ``branches`` holds each spec's branches by the first observer's record
-    and ``checks`` its results of the checks that read only those states.
+    and ``checks`` one column of the specs' results per check that reads
+    only those states.
     Both experiments compute one per call: ``run_measurement_chain`` adds
     the independence and no-signaling checks to it, and
     ``run_appendix_rotation`` turns its states at every angle.
@@ -556,7 +557,7 @@ class CertifiedRun:
     post_detection: StateVector
     final: StateVector
     branches: tuple[tuple[Branch, ...], ...]
-    checks: tuple[tuple[CheckResult, ...], ...]
+    checks: tuple[list[CheckResult], ...]
 
     def reports(self, experiment: str, thetas: Sequence, checks: Sequence) -> list[RunReport]:
         """One report per entry of ``checks``, draw-major over ``thetas``; the
@@ -619,7 +620,7 @@ def run_measurement_chain(
         )
     if "no_signaling" in run.enabled:
         extra.append(_canonical_no_signaling(run))
-    per_draw = _rows([*zip(*run.checks), *extra])
+    per_draw = _rows([*run.checks, *extra])
     reports = run.reports("measurement_chain", [None], per_draw)
     return reports[0] if isinstance(spec, ExperimentSpec) else reports
 
@@ -642,9 +643,9 @@ def _state_checks(
     final: StateVector,
     obs_branches: Sequence[Sequence[Branch]],
     enabled: Sequence[str],
-) -> list[tuple[CheckResult, ...]]:
-    """The checks evaluated directly on the run's states, one row of
-    results (see ``_rows``) per row of the batch's ``coefficients``.
+) -> list[list[CheckResult]]:
+    """The checks evaluated directly on the run's states: per check, one
+    column of results (see ``_column``), one per row of ``coefficients``.
 
     ``final`` is the state every observer has looked at; ``obs_branches``
     holds each row's decomposition of it by the first observer's record.
@@ -693,7 +694,7 @@ def _state_checks(
             columns.append([skip] * len(coefficients))
         else:
             add("observer_agreement", disagreement_weight(final), spec.tolerance**2)
-    return _rows(columns) if columns else [()] * len(coefficients)
+    return columns
 
 
 def _branch_overlap(
@@ -839,9 +840,12 @@ def coefficient_independence_check(
 
 
 def phase_flip_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
-    """Flip the sign of every basis state in one version's configuration."""
+    """Flip the sign of every basis state in one version's configuration:
+    the first observer is rewritten there by the identity, with phase -1."""
+    observer = layout.at(ROLE_OBSERVER)[0]
     at, recorded = _version_configuration(layout, version)
-    table = ControlledRewrite(at, [recorded], -1, [[0]], [[-1.0]])
+    levels = np.arange(layout.registers[observer].dimension)
+    table = ControlledRewrite(at, [recorded], observer, [levels], -1.0)
     return UnitaryOp(layout, f"phase-flip[version {version + 1}]", (table,))
 
 
@@ -1009,13 +1013,13 @@ def run_appendix_rotation(
     # No draw moves the first basis vector: it gets one row per angle.
     basis = product_state(layout, versions[0].tolist())
     primed_evolved = apply_unitary(run.chain.perception, turned(basis))
-    columns = [[r for r in column for _ in thetas] for column in zip(*run.checks)]
+    columns = [[r for r in column for _ in thetas] for column in run.checks]
 
     if "mixed_record" in run.enabled:
         # The rotated-basis run is perceived too: the verdict is the worse
         # of it and the plain run, whose weight on the post-detection state
         # the plain verdict already holds.
-        at = [r.name for r in run.checks[0]].index("mixed_record")
+        at = [column[0].name for column in run.checks].index("mixed_record")
         non_message = _non_message_rows(layout, primed_evolved.labels)
         weights = _weight_where(primed_evolved.values, non_message).tolist()
         primed = _column("mixed_record", weights, tolerance**2) * len(specs)

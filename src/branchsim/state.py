@@ -41,7 +41,7 @@ DETECTOR_YES = 1
 # probe.
 OBSERVER_BLANK = 0
 
-# The dtype of every label row and table; signed, so -1 can name no target.
+# The dtype of every label row and table; signed, so a negative label stays negative.
 LABEL = np.int16
 
 # Largest dimension ``SubsystemLayout.digit_values`` is built for.

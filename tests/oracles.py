@@ -342,10 +342,8 @@ def inner_product(x, y):
 
 
 def identity(layout):
-    """The empty table: every row matches no entry."""
-    return UnitaryOp(
-        layout, "identity", (ControlledRewrite((), np.zeros((0, 0)), -1, [[0]]),)
-    )
+    """The operator of no stages: every row is left as it is, with phase 1."""
+    return UnitaryOp(layout, "identity", ())
 
 
 def level_cycle(layout, register, shift=1):
@@ -383,10 +381,10 @@ def rotate(plane, state, theta):
 
 
 def reference_relabel(table, labels):
-    """What ``table._relabel`` gives, from one (rows x entries x controls)
-    boolean match of every row against every ``when`` row: the rows after
-    the table and the phase each row picks up, one column of targets at a
-    time."""
+    """What ``table._relabel`` writes into a copy of ``labels`` and a phase
+    of 1 per row, from one (rows x entries x controls) boolean match of every
+    row against every ``when`` row: the rows after the table and the phase
+    each row picks up, one column of targets at a time."""
     # At most one entry matches a row, since the ``when`` rows are distinct.
     row, entry = np.nonzero((labels[:, None, list(table.control)] == table.when).all(axis=2))
     rows = labels.copy()
@@ -395,9 +393,8 @@ def reference_relabel(table, labels):
     # column reads the levels it rewrites from ``labels``; with several
     # columns every phase is 1.
     for target in table.target[entry].T:
-        moved = target >= 0
-        level = np.where(moved, labels[row, target], 0)
-        rows[row[moved], target[moved]] = table.image[entry, level][moved]
+        level = labels[row, target]
+        rows[row, target] = table.image[entry, level]
         phases[row] = table.phase[entry, level]
     return rows, phases
 
@@ -488,7 +485,7 @@ def naive_rewrite_matrix(layout, control, when, target, image, phase):
 
     Every entry whose control row basis state x reads adds
     ``phase[e][l] e_x'`` to column x, where l is x's level of ``target[e]``
-    (0 for a target of -1) and x' is x with that level replaced by
+    and x' is x with that level replaced by
     ``image[e][l]``; a state that no entry reads maps to itself.  A table
     whose control rows repeat therefore sums several images into one
     column, as the controlled operator it writes down would.
@@ -505,10 +502,8 @@ def naive_rewrite_matrix(layout, control, when, target, image, phase):
             matrix[column, column] += 1.0
         for e in hits:
             moved = list(labels)
-            level = 0
-            if target[e] >= 0:
-                level = labels[target[e]]
-                moved[target[e]] = image[e][level]
+            level = labels[target[e]]
+            moved[target[e]] = image[e][level]
             matrix[naive_encode(dims, moved), column] += phase[e][level]
     return matrix
 
@@ -899,7 +894,7 @@ def _reference_angle(plain, theta):
     primed_first = rotate(plane, product_state(layout, versions[0].tolist()), theta)
     primed_evolved = apply_unitary(chain.perception, primed_first)
 
-    results = list(plain.checks[0])
+    results = [column[0] for column in plain.checks]
     if "mixed_record" in enabled:
         (primed,) = reference_state_checks(
             spec, post_detection, primed_evolved, branches, ["mixed_record"]

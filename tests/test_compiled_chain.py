@@ -268,15 +268,17 @@ def test_rotation_angles_share_the_perception_stages(builds, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n, photon_model, bound_mb", [(510, False, 12), (255, True, 7)], ids=["N=510", "N=255-photons"]
+    "n, photon_model, bound_mb", [(510, False, 12), (255, True, 5.5)], ids=["N=510", "N=255-photons"]
 )
 def test_the_largest_chains_run_in_memory_far_below_a_cube_of_labels(n, photon_model, bound_mb):
     """Every check of one equal-coefficient run at the register bound, its
     chain's compile included, peaks (``tracemalloc``) well under a boolean
     (rows x entries x controls) match of the perception table, which is
-    N^3 bytes: 133 MB at N=510 and 17 MB at N=255.  With 16-bit labels the
-    peaks are about 10.0 and 6.1 MB (8.7 and 5.4 MB without the compile);
-    64-bit labels took 21.2 and 11.7 MB without it."""
+    N^3 bytes: 133 MB at N=510 and 17 MB at N=255.  With 16-bit labels
+    relabelled in one copy per operator the peaks are about 9.9 and 4.9 MB
+    (8.7 and 4.3 MB without the compile); a copy per stage took 6.0 MB at
+    N=255 (5.4 MB without the compile), and 64-bit labels took 21.2 and
+    11.7 MB without it."""
     spec = ExperimentSpec(n, (n**-0.5,) * n, photon_model=photon_model)
     tracemalloc.start()
     try:

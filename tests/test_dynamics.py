@@ -270,15 +270,14 @@ def test_an_entry_of_several_targets_writes_distinct_registers_with_phases_of_1(
     for phase in ([[1.0, -1.0]], [[1j, 1.0]], [[1.0, 1.0], [1.0, np.exp(1e-13j)]]):
         with pytest.raises(ValueError, match=several):
             ControlledRewrite((0,), when, [[1, 2], [2, 3]], flip, phase)
-    # A missing target (-1) has one level and a register at least two, so no
-    # image fits a -1 among several targets.
+    # Every target is a register: a -1 among several targets is off the layout.
     for target in ([[1, -1], [1, 2]], [[2, 3], [3, -1]]):
         missing = ControlledRewrite((0,), when, target, flip)
-        with pytest.raises(ValueError, match="2-level images for targets of"):
+        with pytest.raises(ValueError, match="position -1 is off"):
             UnitaryOp(layout, "missing", (missing,))
-    # One target per entry keeps a missing target and any unit phase.
-    ControlledRewrite((0,), [[1]], -1, [[0]], [[-1.0]])
-    ControlledRewrite((0,), when, [1, 2], flip, [[1j, -1.0]])
+    # One target per entry keeps any unit phase, the identity image included.
+    UnitaryOp(layout, "sign", (ControlledRewrite((0,), [[1]], 1, [[0, 1]], [[-1.0]]),))
+    UnitaryOp(layout, "phases", (ControlledRewrite((0,), when, [1, 2], flip, [[1j, -1.0]]),))
 
 
 def test_perception_conditions_on_photons_when_the_layout_has_them():
@@ -533,14 +532,15 @@ def test_construction_accepts_builders_and_rejects_defects():
             PairedRotation(layout, fixed, first, second)
 
     # No table that describes no unitary can be built.  Each case breaks one
-    # condition a table can judge alone: a table that scales every row by
-    # 0.5, one that sends every observer level to blank, a repeated control
-    # position, a target among the controls, and a repeated control row.
+    # condition a table can judge alone: a table that scales every observer
+    # level by 0.5, one that sends every observer level to blank, a repeated
+    # control position, a target among the controls, and a repeated control
+    # row.
     # Nor can a label reach a table by wrapping: 65,541 = 2^16 + 5 would
     # read 5 in 16 bits, in a control row, an image or a target; a label past
     # 64 bits, either sign, fits no integer dtype and is refused the same way.
     for arguments, match in (
-        (((), [[]], -1, [[0]], [[0.5]]), "modulus"),
+        (((), [[]], 3, [[0, 1, 2, 3]], [[0.5]]), "modulus"),
         (((), [[]], 3, [[0, 0, 0, 0]]), "not a permutation"),
         (((0, 0), [[0, 0]], 1, [[1, 0]]), "repeat a register"),
         (((0, 1), [[0, 1]], 1, [[1, 0]]), "among the controls"),
@@ -558,8 +558,9 @@ def test_construction_accepts_builders_and_rejects_defects():
             ControlledRewrite(*arguments)
 
     # Nor any operator whose tables do not fit its layout: a control or
-    # target position off the four registers, a control digit out of its
-    # register's range, or images that do not cover the target's levels.
+    # target position off the four registers (-1 names none of them), a
+    # control digit out of its register's range, or images that do not cover
+    # the target's levels.
     for table, match in (
         (ControlledRewrite((4,), [[0]], 3, [[1, 2, 3, 0]]), "position 4 is off"),
         (ControlledRewrite((-1,), [[0]], 3, [[1, 2, 3, 0]]), "position -1 is off"),
@@ -569,7 +570,8 @@ def test_construction_accepts_builders_and_rejects_defects():
          "digit 2 out of range for 'P'"),
         (ControlledRewrite((0,), [[-1]], 3, [[1, 0, 2, 3]]), "digit -1 out of range for 'P'"),
         (ControlledRewrite((0,), [[1]], 1, [[1, 0, 2, 3]]), r"4-level images for targets of \[2\]"),
-        (ControlledRewrite((0,), [[1]], -1, [[1, 0]]), r"2-level images for targets of \[1\]"),
+        (ControlledRewrite((0,), [[1]], -1, [[1, 0]]), "position -1 is off"),
+        (ControlledRewrite((0,), [[1]], -1, [[0]], [[-1.0]]), "position -1 is off"),
     ):
         with pytest.raises(ValueError, match=match):
             UnitaryOp(layout, "misfit", (table,))
@@ -621,8 +623,8 @@ def test_label_parts_are_read_only():
     )
     permuted = step.relabel(labels)
     rotated = build_basis_rotation(layout, *version_rows(layout)).relabel(labels)
-    assert len(permuted.phases) == 2
-    for array in (permuted.rows, *permuted.phases, rotated.rows, rotated.kept, rotated.members):
+    assert permuted.phases.shape == (len(labels),)
+    for array in (permuted.rows, permuted.phases, rotated.rows, rotated.kept, rotated.members):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 

@@ -430,15 +430,19 @@ def assert_protection_matches_the_oracle(spec, probe):
 def test_protection_is_a_lookup_over_observer_controls():
     # Branch 1 spans every observer level, so a probe entry that agrees with
     # version 1 on its non-observer controls fires inside it whatever Obs1
-    # level it asks for; one that reads version 2 never does.
+    # level it asks for; one that reads version 2 never does.  Each probe
+    # rewrites Obs2 by the identity, with the given phase.
     spec = ExperimentSpec(2, (0.6, 0.8), observers=2)
     layout = chain_layout(2, 2)
     at = [i for i, r in enumerate(layout.registers) if r.role != "observer"]
     control = at + [layout.position("Obs1")]
+    levels = [np.arange(observer_dimension(2))]
 
     def probe(version, level, phase):
         recorded = layout.row(version_labels(layout, version, detected=True))[at]
-        table = ControlledRewrite(control, [[*recorded, level]], -1, [[0]], [[phase]])
+        table = ControlledRewrite(
+            control, [[*recorded, level]], layout.position("Obs2"), levels, phase
+        )
         return UnitaryOp(layout, f"probe[version {version + 1}, Obs1={level}]", (table,))
 
     for level in range(observer_dimension(2)):

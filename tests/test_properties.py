@@ -12,7 +12,11 @@ observers, photons and the negative control on or off) and random sparse
 states, and compare the support arithmetic with the dense oracles; on the
 same draws, each operator's label part applied once must give, with every
 set of amplitudes and any rotation angle, the states ``apply_unitary`` (or,
-for the rotation, the oracle's ``rotate``) gives, bit for bit, and the
+for the rotation, the oracle's ``rotate``) gives, bit for bit; for every
+stage, probe and record of the chain and for drawn operators of several
+stages, its rows must be the stage-by-stage oracle's byte for byte, its one
+phase per row the oracle's stage phases multiplied in stage order, and the
+labels it was given must be left as they were; and the
 branches, with and without copied rows relabelled at the record so that
 branches share relative rows, must equal the relative-state oracle bit for
 bit.  On such states every observer's coherence must equal the exactly
@@ -337,6 +341,33 @@ def bits(state):
     return state.labels.tolist(), state.values.tobytes()
 
 
+@st.composite
+def drawn_operators(draw, layout, labels):
+    """An operator of 1-4 stages on ``layout``, each a table over 0-2
+    control registers whose 1-3 entries rewrite one other register, with
+    phases among 1, -1 and i, or several of its size, with phases of 1;
+    control rows are drawn from ``labels`` as often as from anywhere, so
+    several stages rewrite one row."""
+    dims = layout.dimension_array.tolist()
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(len(dims))))
+        k = draw(st.integers(0, 2))
+        control, (first, *rest) = order[:k], order[k:]
+        alike = [p for p in rest if dims[p] == dims[first]]
+        targets = [first, *alike[: draw(st.integers(0, len(alike)))]]
+        keys = list(itertools.product(*(range(dims[c]) for c in control)))
+        seen = [tuple(row) for row in labels[:, control].tolist()]
+        rows = st.sampled_from(seen) | st.sampled_from(keys)
+        when = draw(st.lists(rows, min_size=1, max_size=3, unique=True))
+        roots = (1.0, -1.0, 1j) if len(targets) == 1 else (1.0,)
+        image = [draw(st.permutations(range(dims[first]))) for _ in when]
+        phase = [[draw(st.sampled_from(roots)) for _ in range(dims[first])] for _ in when]
+        when = np.reshape(when, (len(when), k))
+        stages.append(ControlledRewrite(control, when, [targets] * len(when), image, phase))
+    return UnitaryOp(layout, "drawn", tuple(stages))
+
+
 @given(
     sparse_states(),
     st.data(),
@@ -346,16 +377,29 @@ def bits(state):
 @settings(max_examples=30, deadline=None)
 def test_label_and_amplitude_parts_are_the_application(drawn, data, theta2, theta):
     # One label part per operator and support serves other amplitudes on
-    # that support and, for the rotation, every angle.
+    # that support and, for the rotation, every angle.  It is one pass over
+    # one copy of the labels: the rows of the stage-by-stage oracle byte for
+    # byte, one phase per row equal to its stage phases multiplied in stage
+    # order, and the caller's labels left as they were.
     chain, state = drawn
     layout = chain.layout
     parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
     values = [complex(data.draw(parts), data.draw(parts)) for _ in state.values]
     other = StateVector(layout, state.labels, values)
-    operators = [op for op, _ in chain_operators(chain)]
+    operators = [op for op, _ in chain_operators(chain)] + [chain.record]
+    operators += [data.draw(drawn_operators(layout, state.labels)) for _ in range(3)]
     operators += [UnitaryOp(layout, "stage", (stage,)) for op in operators for stage in op.stages]
     for op in operators:
-        moved = op.relabel(state.labels)
+        labels = state.labels.copy()
+        moved = op.relabel(labels)
+        assert labels.tobytes() == state.labels.tobytes()
+        rows, phases = labels, []
+        for stage in op.stages:
+            rows, phase = reference_relabel(stage, rows)
+            phases.append(phase)
+        assert moved.rows.dtype == rows.dtype and moved.rows.tobytes() == rows.tobytes()
+        product = functools.reduce(np.multiply, phases, np.ones(len(labels), dtype=complex))
+        assert moved.phases.shape == (len(labels),) and np.array_equal(moved.phases, product)
         for x in (state, other):
             split = StateVector(layout, moved.rows, moved.amplitudes(x.values))
             assert bits(split) == bits(apply_unitary(op, x))
@@ -694,11 +738,9 @@ def rewrite_tables(draw):
     control = order[:k]
     if defect == "target in control":
         targets = [control[0]]
-    elif defect != "merged levels" and draw(st.booleans()):
-        targets = [-1]
     else:
         targets = [p for p in order[k:] if dims[p] == dims[order[k]]]
-    levels = 1 if targets == [-1] else dims[targets[0]]
+    levels = dims[targets[0]]
     rows = list(itertools.product(*(range(dims[c]) for c in control)))
     when = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4, unique=True))
     target = [draw(st.sampled_from(targets)) for _ in when]
@@ -748,21 +790,22 @@ def test_the_table_proof_agrees_with_the_dense_oracle(drawn):
 
 
 def assert_relabels_as_the_cube(table, labels, relabel=ControlledRewrite._relabel):
-    """``relabel(table, labels)``, the library's lookup by default, gives the
-    rows and phases of ``reference_relabel`` byte for byte; returns them."""
-    moved = relabel(table, labels)
+    """``relabel``, the library's in-place step by default, handed a copy of
+    ``labels`` and a phase of 1 per row, writes the rows and phases of
+    ``reference_relabel`` byte for byte."""
+    moved = labels.copy(), np.ones(len(labels), dtype=complex)
+    relabel(table, *moved)
     for got, want in zip(moved, reference_relabel(table, labels)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    return moved
 
 
 @st.composite
 def relabelled_tables(draw):
     """A table of 1-6 entries over 1-4 control registers, each entry
-    targeting no register, one free register or a row of 2-3 distinct free
-    registers, phases among 1, -1 and i (1 with several targets), and label
-    rows that match an entry, match none, or repeat."""
+    targeting one free register or a row of 2-3 distinct free registers,
+    phases among 1, -1 and i (1 with several targets), and label rows that
+    match an entry, match none, or repeat."""
     k = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
     free = draw(st.integers(1, 3))
@@ -772,14 +815,11 @@ def relabelled_tables(draw):
     entries = st.lists(st.sampled_from(rows), min_size=1, max_size=min(6, len(rows)), unique=True)
     when = draw(entries)
     several = draw(st.integers(1, free))
-    if draw(st.booleans()):
-        target, width, several = [-1] * len(when), 1, 1
-    else:
-        free_registers = st.permutations(range(k, k + free))
-        target, width = [draw(free_registers)[:several] for _ in when], levels
+    free_registers = st.permutations(range(k, k + free))
+    target = [draw(free_registers)[:several] for _ in when]
     roots = (1.0, -1.0, 1j) if several == 1 else (1.0,)
-    image = [list(draw(st.permutations(range(width)))) for _ in when]
-    phase = [[draw(st.sampled_from(roots)) for _ in range(width)] for _ in when]
+    image = [list(draw(st.permutations(range(levels)))) for _ in when]
+    phase = [[draw(st.sampled_from(roots)) for _ in range(levels)] for _ in when]
     layout = make_layout([(f"R{i}", d, "detector") for i, d in enumerate(dims)])
     table = ControlledRewrite(range(k), when, target, image, phase)
     UnitaryOp(layout, "drawn", (table,))  # a table the layout accepts
@@ -806,19 +846,21 @@ def assert_is_its_one_target_tables_in_turn(table, labels, values):
     """``table`` applied once gives the rows, phases and amplitudes of its
     one-target tables, one per column of its targets, applied in turn: the
     rows and every stage's phases byte for byte, and the amplitudes byte for
-    byte up to the sign of a zero.  Each stage multiplies by its phases of 1
-    once more, and that can clear a zero's sign: ``-0-0j`` times 1 is
-    ``0-0j``, and that times 1 is ``0j``; nothing else changes."""
-    rows, phase = table._relabel(labels)
-    turned, phases = labels, []
+    byte up to the sign of a zero against each stage's phases multiplied in
+    turn.  Each stage multiplies by its phases of 1 once more, and that can
+    clear a zero's sign: ``-0-0j`` times 1 is ``0-0j``, and that times 1 is
+    ``0j``; nothing else changes."""
+    rows, phase = labels.copy(), np.ones(len(labels), dtype=complex)
+    table._relabel(rows, phase)
+    turned, steps = labels.copy(), []
     for column in table.target.T:
         one = ControlledRewrite(table.control, table.when, column, table.image, table.phase)
-        turned, step = one._relabel(turned)
-        phases.append(step)
+        steps.append(np.ones(len(labels), dtype=complex))
+        one._relabel(turned, steps[-1])
     assert rows.dtype == turned.dtype and rows.tobytes() == turned.tobytes()
-    assert all(step.tobytes() == phase.tobytes() for step in phases)
-    at_once = PermutedRows(rows, (phase,)).amplitudes(values) + 0.0
-    in_turn = PermutedRows(turned, tuple(phases)).amplitudes(values) + 0.0
+    assert all(step.tobytes() == phase.tobytes() for step in steps)
+    at_once = PermutedRows(rows, phase).amplitudes(values) + 0.0
+    in_turn = functools.reduce(np.multiply, steps, values) + 0.0
     assert at_once.tobytes() == in_turn.tobytes()
 
 
@@ -881,9 +923,10 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
     applied, built = [], []
     relabel = ControlledRewrite._relabel
 
-    def checked(table, labels):
+    def checked(table, rows, phases):
         applied.append(table)
-        return assert_relabels_as_the_cube(table, labels, relabel)
+        assert_relabels_as_the_cube(table, rows, relabel)
+        relabel(table, rows, phases)
 
     def compiled(*args, _compile=experiments.compile_chain):
         built.append(_compile(*args))
@@ -952,9 +995,8 @@ def test_the_builders_do_not_depend_on_register_order_across_roles(
         moved, shuffled_moved = op.relabel(rows), permuted.relabel(rows[:, order])
         assert permuted.provenance == op.provenance
         assert np.array_equal(shuffled_moved.rows, moved.rows[:, order])
-        assert len(shuffled_moved.phases) == len(moved.phases)
-        for phase, expected in zip(shuffled_moved.phases, moved.phases):
-            assert np.array_equal(phase, expected)
+        assert shuffled_moved.phases.shape == moved.phases.shape == (len(rows),)
+        assert np.array_equal(shuffled_moved.phases, moved.phases)
         rows = moved.rows
 
 
