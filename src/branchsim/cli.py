@@ -40,7 +40,7 @@ from .state import TOLERANCE
 SCHEMA_VERSION = 2
 
 # The most runs (draws x angles) one report may hold: about 154 MB at 2.35 KB per
-# sweep run, whose peak is 0.86 KB a run.  Checked before angles or draws are made.
+# sweep run, whose peak is 0.63 KB a run.  Checked before angles or draws are made.
 MAX_RUNS = 2**16
 
 EXPERIMENTS = {
@@ -309,15 +309,30 @@ def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
     return draws
 
 
+class RunEntry:
+    """One run's report entry, without its states (runs share ``draw`` and ``checks``);
+    the writers build ``to_dict()`` only as they reach the run."""
+
+    __slots__ = ("run_index", "draw_index", "draw", "experiment", "theta", "checks")
+
+    def __init__(self, run_index, draw_index, draw, experiment, theta, checks):
+        self.run_index, self.draw_index, self.draw = run_index, draw_index, draw
+        self.experiment, self.theta, self.checks = experiment, theta, checks
+
+    def to_dict(self) -> dict:
+        return {"run_index": self.run_index, "draw_index": self.draw_index, **self.draw,
+                "experiment": self.experiment, "theta": self.theta, "checks": self.checks}
+
+
 def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[int, dict]:
     """Execute every run the config asks for and assemble the report.
 
     A config's draws run as one batch, in one ``run_measurement_chain`` or
     ``run_appendix_rotation`` call, which compiles the chain, shares it
     among every draw and angle and lets it go before the report is written;
-    a rotation's reports come draw-major, one per angle.  The registers are
-    counted first, so a chain over ``MAX_REGISTERS`` raises ``CapacityError``
-    before any coefficients are drawn.
+    a rotation's reports come draw-major, one per angle, and the report holds
+    a ``RunEntry`` for each.  The registers are counted first, so a chain over
+    ``MAX_REGISTERS`` raises ``CapacityError`` before any coefficients are drawn.
     """
     started = time.perf_counter()
     chain_registers(config.n_versions, config.observers, config.photon_model)
@@ -341,6 +356,11 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
     else:
         runs = run_measurement_chain(specs, config.checks)
 
+    entries, checks, angles = [], {}, max(len(config.thetas), 1)
+    for i, r in enumerate(runs):  # runs that share a row of results share its list
+        if (row := id(r.checks)) not in checks:
+            checks[row] = [c.entry for c in r.checks]
+        entries.append(RunEntry(i, i // angles, r.draw, r.experiment, r.theta, checks[row]))
     checks_total = sum(len(r.checks) for r in runs)
     checks_failed = sum(1 for r in runs for c in r.checks if not c.passed)
     report = {
@@ -361,10 +381,7 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
             "checks": config.checks,
             "negative_control": negative_control,
         },
-        "runs": [
-            {"run_index": i, "draw_index": i // max(len(config.thetas), 1), **r.to_dict()}
-            for i, r in enumerate(runs)
-        ],
+        "runs": entries,
         "summary": {
             "runs": len(runs),
             "checks_total": checks_total,
@@ -377,7 +394,7 @@ def run_and_report(config: ConfigFile, negative_control: bool = False) -> tuple[
 
 
 def render_text(report: dict) -> str:
-    """Aligned, human-readable view of a report."""
+    """Aligned, human-readable view of a report from ``run_and_report``."""
     lines = []
     spec = report["spec"]
     summary = report["summary"]
@@ -385,7 +402,7 @@ def render_text(report: dict) -> str:
         f"experiment {spec['experiment']}  runs {summary['runs']}  "
         f"all passed {'yes' if summary['all_passed'] else 'NO'}"
     )
-    for run in report["runs"]:
+    for run in map(RunEntry.to_dict, report["runs"]):
         theta = run["theta"]
         theta_text = "-" if theta is None else f"{theta:.6f}"
         coeffs = ", ".join(f"{re:+.4f}{im:+.4f}i" for re, im in run["coefficients"])
@@ -413,9 +430,10 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
     """Write ``report`` to ``path`` (standard output when None).
 
     The JSON form is exactly ``json.dumps(report, indent=2, sort_keys=True)``
-    plus a newline, written as it is encoded, to a file as UTF-8 bytes (``\\n``
-    line ends) through an unbuffered binary handle.  A non-finite number raises
-    ``ValueError`` (exit 4) midway: a file begun is removed, printed text stays.
+    plus a newline, a ``RunEntry`` read as its ``to_dict()``, written as it is
+    encoded, to a file as UTF-8 bytes (``\\n`` line ends) through an unbuffered
+    binary handle.  A non-finite number raises ``ValueError`` (exit 4) midway:
+    a file begun is removed, printed text stays.
     """
     if path is None:
         return _write(report, fmt, sys.stdout.write)
@@ -451,7 +469,7 @@ def _flush(pieces: list, write) -> None:
         write(text[start:start + 4096])
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, RunEntry)
 
 
 class _ContainerTypes(dict):
@@ -504,6 +522,8 @@ def _append_json(pieces: list, memo: dict, value, depth: int, write=None) -> lis
             lead = ","
             if not isinstance(child, _CONTAINERS):
                 pieces += encode(child, 0)
+            elif type(child) is RunEntry:  # never keyed: a later run's dict may take its id
+                _append_json(pieces, memo, child.to_dict(), depth + 1, write)
             elif (key := tag | id(child)) not in memo:
                 if len(memo) >= 1024:
                     memo.clear()

@@ -53,7 +53,6 @@ enumerating the observer levels the branch spans.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -562,11 +561,12 @@ class CertifiedRun:
     def reports(self, experiment: str, thetas: Sequence, checks: Sequence) -> list[RunReport]:
         """One report per entry of ``checks``, draw-major over ``thetas``; the
         reports of one draw share its branches, its ``draw`` entries and its
-        final state, on the batch's label rows (already in order)."""
-        reports, rows = [], iter(checks)
-        for spec, values, b in zip(self.specs, self.final.values, self.branches):
-            final, draw = copy.copy(self.final), None
-            object.__setattr__(final, "values", values)
+        final state, set on the batch's label rows (already in order)."""
+        reports, rows, batch = [], iter(checks), self.final
+        for spec, values, b in zip(self.specs, batch.values, self.branches):
+            final, draw = object.__new__(StateVector), None
+            for name, value in zip(StateVector.__slots__, (batch.layout, batch.labels, values)):
+                object.__setattr__(final, name, value)
             for theta in thetas:
                 reports.append(RunReport(experiment, spec, theta, final, b, next(rows), draw))
                 draw = reports[-1].draw

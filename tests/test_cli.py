@@ -104,7 +104,7 @@ def test_run_and_report_passes(tmp_path):
     assert report["schema_version"] == 2
     assert report["summary"]["all_passed"] is True
     assert len(report["runs"]) == 1
-    run = report["runs"][0]
+    run = report["runs"][0].to_dict()
     assert {b["label"] for b in run["branches"]} == {"M1", "M2"}
     assert all(set(b) == {"label", "weight", "coefficient"} for b in run["branches"])
     statuses = {c["name"]: c["status"] for c in run["checks"]}
@@ -326,7 +326,7 @@ def test_a_nan_residual_fails_its_own_run_and_exits_4(tmp_path, monkeypatch):
     )
     code, report = run_and_report(parse_config(str(path)))
     verdicts = [
-        {c["name"]: c["status"] for c in run["checks"]}["record_invariance"]
+        {c["name"]: c["status"] for c in run.checks}["record_invariance"]
         for run in report["runs"]
     ]
     assert (code, verdicts) == (1, ["pass", "pass", "fail", *["pass"] * 5])

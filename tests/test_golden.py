@@ -16,6 +16,7 @@ Changing a golden file is changing test data; regenerate with
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -465,17 +466,65 @@ def test_a_report_holds_one_check_entry_per_distinct_outcome(tmp_path, name, out
     198 entries for 14 outcomes on the rotation sweep, and 512 for 8 on
     64 draws, would each be built, held and keyed by the writer."""
     report = config_report(tmp_path, {**CONFIGS, **LARGE_CONFIGS}[name])
-    entries = [check for run in report["runs"] for check in run["checks"]]
+    entries = [check for run in report["runs"] for check in run.checks]
     texts = {json.dumps(entry, sort_keys=True) for entry in entries}
     assert len({id(entry) for entry in entries}) == len(texts) == outcomes
 
 
-def test_the_1024_angle_sweep_runs_in_under_1_1_mb(tmp_path):
+@pytest.mark.parametrize(
+    "config",
+    [
+        CONFIGS["rotation_sweep"],
+        SWEEP_CONFIGS["rotation_1024_angles"],
+        LARGE_CONFIGS["rotation_64_draws_16_angles"],
+    ],
+    ids=["rotation_sweep", "rotation_1024_angles", "rotation_64_draws_16_angles"],
+)
+def test_a_written_report_is_the_stdlib_encoding_of_its_run_entries(tmp_path, config):
+    """The writer's memo keys containers by id, so a container it keys must
+    outlive the write: a run's dict, made as the writer reaches it and
+    dropped after, is never keyed, and every list or object inside it belongs
+    to the report.  Were a run's checks list made afresh under the shared
+    memo, a later run's list could take a freed one's id and be written as
+    its text.  These sweeps share a few rows of results across hundreds of
+    runs, so most runs meet a list or entry the memo holds."""
+    report = config_report(tmp_path, config)
+    out = tmp_path / "report.json"
+    write_report(report, str(out), "json")
+    runs = [run.to_dict() for run in report["runs"]]
+    expected = json.dumps({**report, "runs": runs}, indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("name", ["chain_observers", "rotation_draws"])
+def test_a_report_reaches_no_array_state_branch_or_run_report(tmp_path, name):
+    """A report keeps what it prints and none of the runs' states: walking
+    everything it refers to (``gc.get_referents``, but not into classes)
+    meets no ``ndarray``, ``StateVector``, ``Branch`` or ``RunReport``, so
+    the engine's arrays are freed before the report is written."""
+    report = config_report(tmp_path, CONFIGS[name])
+    held = (np.ndarray, StateVector, experiments.Branch, experiments.RunReport)
+    seen, pending, found = set(), [report], []
+    while pending:
+        value = pending.pop()
+        if id(value) in seen or isinstance(value, type):
+            continue
+        seen.add(id(value))
+        if isinstance(value, held):
+            found.append(type(value).__name__)
+        pending.extend(gc.get_referents(value))
+    assert found == []
+    assert {id(container) for run in report["runs"] for container in (run.draw, run.checks)} <= seen
+
+
+def test_the_1024_angle_sweep_runs_in_under_0_8_mb(tmp_path):
     """The whole CLI call, its chain's compile included: its 3,072
     angle-dependent results reach 15 outcomes, its angles build no branches,
-    list copies or text layer of their own, so it holds well under half of
-    its 2.4 MB report (it peaked at 2.34 MB with one result per run and check, and at 1.16 MB
-    with a ``Branch`` per angle and section)."""
+    list copies or text layer of their own, and its report holds each run as
+    a small entry whose dict is made only as it is written, so it holds
+    about a quarter of its 2.4 MB report (it peaked at 2.34 MB with one
+    result per run and check, at 1.16 MB with a ``Branch`` per angle and
+    section, and at 0.94 MB with a dict per run)."""
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(SWEEP_CONFIGS["rotation_1024_angles"]), encoding="utf-8")
     tracemalloc.start()
@@ -485,7 +534,7 @@ def test_the_1024_angle_sweep_runs_in_under_1_1_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 1.1e6, f"{peak} bytes"
+    assert peak < 0.8e6, f"{peak} bytes"
 
 
 def rotation_sweep_runs(tmp_path, thetas=None):
@@ -536,7 +585,7 @@ def test_a_non_finite_number_after_a_written_batch_leaves_no_report(tmp_path, mo
     by the time the writer meets it, and it must still raise, leave no
     report file, and make ``main`` exit 4."""
     report = config_report(tmp_path, CONFIGS["rotation_sweep"])
-    report["runs"][-1]["theta"] = math.nan
+    report["runs"][-1].theta = math.nan
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed), pytest.raises(ValueError):
         write_report(report, None, "json")
