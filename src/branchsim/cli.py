@@ -454,7 +454,7 @@ def write_report(report: dict, path: str | None, fmt: str) -> None:
 
 def _write(report: dict, fmt: str, write) -> None:
     """Write ``report`` as ``fmt`` through ``write``, at most 4,096 characters
-    at a time; JSON goes out as it is encoded, 64 pieces a batch."""
+    at a time; JSON goes out as it is encoded, 32 pieces a batch."""
     if fmt == "json":
         _flush(_append_json([], {}, report, 0, write) + ["\n"], write)
     else:
@@ -532,7 +532,7 @@ def _append_json(pieces: list, memo: dict, value, depth: int, write=None) -> lis
             else:
                 memo[key] = memo[key] or "".join(_append_json([], {}, child, depth + 1))
                 pieces.append(memo[key])
-            if write is not None and len(pieces) >= 64:
+            if write is not None and len(pieces) >= 32:
                 _flush(pieces, write)
         pieces += (_separator(depth), "}" if is_dict else "]")
     return pieces

@@ -984,8 +984,11 @@ def run_appendix_rotation(
     ``spec`` may be a batch (see ``_batch``), whose unrotated run is
     certified once, as a chain config's is.  Every rotated state is a
     batched state with one row of amplitudes per draw and angle, checked by
-    the chain's own state code at once; the reports come draw-major, each
-    the one its draw gets alone at its angle (see ``CertifiedRun.reports``).
+    the chain's own state code at once; it and the arrays made from it are
+    dropped once its check column is built, so the sweep holds one rotated
+    batch at a time and none while the reports are built.  The reports come
+    draw-major, each the one its draw gets alone at its angle (see
+    ``CertifiedRun.reports``).
     A non-finite angle anywhere in ``thetas``, or a spec of other than two
     versions, raises ``ValueError`` before any work; so does a rotated final
     state that is not a unit state, when ``record_invariance`` is enabled.
@@ -1024,6 +1027,7 @@ def run_appendix_rotation(
         weights = _weight_where(primed_evolved.values, non_message).tolist()
         primed = _column("mixed_record", weights, tolerance**2) * len(specs)
         columns[at] = [max(pair, key=lambda r: r.residual) for pair in zip(columns[at], primed)]
+        del non_message, weights, primed
 
     if "primed_coefficients" in run.enabled:
         rotated = turned(run.post_detection)
@@ -1038,11 +1042,14 @@ def run_appendix_rotation(
             for (draw, theta), *computed in zip(rows, *amplitudes)
         ]
         columns.append(_column("primed_coefficients", residuals, tolerance))
+        del rotated, amplitudes, rows, residuals
 
     if "primed_evolution" in run.enabled:
         target = StateVector(layout, _expected_rows(layout, 2), np.hstack([c, s]))
         column = _column("primed_evolution", _distance(primed_evolved, target), tolerance)
         columns.append(column * len(specs))
+        del target, column
+    del primed_evolved
 
     if "record_invariance" in run.enabled:
         final = turned(run.final)
@@ -1053,6 +1060,7 @@ def run_appendix_rotation(
         outcomes = [_record_invariance(plain[i // len(thetas)], r) for i, r in enumerate(rotated)]
         residuals, details = [r for r, _ in outcomes], [d for _, d in outcomes]
         columns.append(_column("record_invariance", residuals, tolerance, details))
+        del final, sections, outcomes, residuals, details
 
     return run.reports("appendix_rotation", thetas, _rows(columns))
 

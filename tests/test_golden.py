@@ -30,7 +30,7 @@ import pytest
 
 from branchsim import cli, experiments
 from branchsim.cli import main, parse_config, run_and_report, write_report
-from branchsim.dynamics import PermutedRows, RotatedRows
+from branchsim.dynamics import PairedRotation, PermutedRows, RotatedRows
 from branchsim.state import LABEL, StateVector
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -517,24 +517,42 @@ def test_a_report_reaches_no_array_state_branch_or_run_report(tmp_path, name):
     assert {id(container) for run in report["runs"] for container in (run.draw, run.checks)} <= seen
 
 
-def test_the_1024_angle_sweep_runs_in_under_0_8_mb(tmp_path):
-    """The whole CLI call, its chain's compile included: its 3,072
-    angle-dependent results reach 15 outcomes, its angles build no branches,
-    list copies or text layer of their own, and its report holds each run as
-    a small entry whose dict is made only as it is written, so it holds
-    about a quarter of its 2.4 MB report (it peaked at 2.34 MB with one
-    result per run and check, at 1.16 MB with a ``Branch`` per angle and
-    section, and at 0.94 MB with a dict per run)."""
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(SWEEP_CONFIGS["rotation_1024_angles"]), encoding="utf-8")
+def whole_run_peak(tmp_path, config):
+    """The exit code and ``tracemalloc`` peak of one whole CLI call of
+    ``config``, its chain's compile included."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
     tracemalloc.start()
     try:
-        code = main(["run", str(config), "--out", str(tmp_path / "report.json")])
+        code = main(["run", str(path), "--out", str(tmp_path / "report.json")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+def test_the_1024_angle_sweep_runs_in_under_0_5_mb(tmp_path):
+    """Its 3,072 angle-dependent results reach 15 outcomes, its angles build
+    no branches, list copies or text layer of their own, its report holds
+    each run as a small entry whose dict is made only as it is written, and
+    the sweep holds one rotated batch at a time, so it holds about a sixth
+    of its 2.4 MB report (it peaked at 2.34 MB with one result per run and
+    check, at 1.16 MB with a ``Branch`` per angle and section, at 0.94 MB
+    with a dict per run, and at 0.65 MB with every rotated batch held to
+    the end of the sweep)."""
+    code, peak = whole_run_peak(tmp_path, SWEEP_CONFIGS["rotation_1024_angles"])
     assert code == 0
-    assert peak < 0.8e6, f"{peak} bytes"
+    assert peak < 0.5e6, f"{peak} bytes"
+
+
+def test_64_draws_of_16_angles_run_in_under_0_45_mb(tmp_path):
+    """64 draws at 16 angles each, a 2.5 MB report: each rotated batch has a
+    row per draw and angle, and the sweep holds one at a time (it peaked at
+    0.55 MB holding every one to the end of the sweep, and at 0.38 MB
+    since)."""
+    code, peak = whole_run_peak(tmp_path, LARGE_CONFIGS["rotation_64_draws_16_angles"])
+    assert code == 0
+    assert peak < 0.45e6, f"{peak} bytes"
 
 
 def rotation_sweep_runs(tmp_path, thetas=None):
@@ -578,6 +596,44 @@ def test_the_rotated_decomposition_builds_no_branch(tmp_path, monkeypatch):
     built.clear()
     rotation_sweep_runs(tmp_path, [0.5])
     assert swept == len(built) > 0
+
+
+@pytest.mark.parametrize(
+    "config, draws, angles",
+    [
+        (CONFIGS["rotation_sweep"], 1, 64),
+        ({**CONFIGS["rotation_draws"], "coefficients": {"random": 3}, "thetas": {"count": 5}}, 3, 5),
+    ],
+    ids=["rotation_sweep", "3_draws_5_angles"],
+)
+def test_a_sweep_holds_one_rotated_batch_at_a_time(tmp_path, monkeypatch, config, draws, angles):
+    """A state with one amplitude row per draw and angle is a rotated batch.
+    A peak reading is too noisy to show one more of them, so count them
+    (``gc.get_objects()``) each time the sweep turns a state and when its
+    reports are built.  Only the perceived turned basis vector, one row per
+    angle, is live at the second turn, since ``primed_evolution`` reads it
+    later; with one draw it is a batch too."""
+    gc.collect()  # no earlier test's garbage is counted
+    live = []
+
+    def batches():
+        return sum(
+            isinstance(o, StateVector) and np.ndim(o.values) == 2 and len(o.values) == draws * angles
+            for o in gc.get_objects()
+        )
+
+    def counting(method):
+        def counted(self, *args):
+            live.append((method.__name__, batches()))
+            return method(self, *args)
+
+        return counted
+
+    monkeypatch.setattr(PairedRotation, "relabel", counting(PairedRotation.relabel))
+    monkeypatch.setattr(experiments.CertifiedRun, "reports", counting(experiments.CertifiedRun.reports))
+    config_report(tmp_path, config)
+    held = 1 if draws == 1 else 0
+    assert live == [("relabel", 0), ("relabel", held), ("relabel", 0), ("reports", 0)]
 
 
 def test_a_non_finite_number_after_a_written_batch_leaves_no_report(tmp_path, monkeypatch):
