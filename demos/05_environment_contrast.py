@@ -27,7 +27,7 @@ rho = reduced_density_matrix(final, ["Obs1"])
 print("observer's reduced density matrix (levels blank, M1, M2, mixed):")
 with np.printoptions(precision=4, suppress=True):
     print(rho.entries.real)
-print(f"largest off-diagonal between messages: {observer_coherence(final, 'Obs1'):.1e}")
+print(f"largest off-diagonal between messages: {observer_coherence(final):.1e}")
 
 entropy = von_neumann_entropy(rho)
 weights = [abs(c) ** 2 for c in spec.coefficients]

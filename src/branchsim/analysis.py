@@ -4,7 +4,9 @@ These quantities (reduced density matrices, von Neumann entropy,
 system-fragment mutual information) are not needed to establish the branch
 structure -- linearity alone does that -- but they let a run show what an
 environment/redundancy analysis of the same state sees.  Record coherence
-is a chain check and builds no matrix (``state.max_pair_overlap``).
+is a chain check over every observer at once and builds no matrix: it groups
+the rows once by their non-observer registers and pairs only rows that share
+a group (``state.max_pair_overlap``).
 
 A reduced density matrix is accumulated from the state's support, so only
 the kept registers' dimension is dense, and it is capped at
@@ -64,27 +66,28 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(positive * np.log2(positive)))
 
 
-def observer_coherence(state: StateVector, observer_register: str) -> float | list[float]:
-    """Largest interference term between two distinct written messages.
-
-    Off-diagonal entries of the observer's reduced density matrix between
-    message levels (blank and mixed excluded): ``max_pair_overlap`` of the
-    rows at those levels, owned by their level.  After perception this must
-    vanish: the rest of each branch is orthogonal to the rest of every other.
-    A batched state gets one result per member, in a list.
+def observer_coherence(state: StateVector) -> float | list[float]:
+    """Largest interference term, over every observer, between two distinct
+    written messages: off-diagonal entries of each observer's reduced density
+    matrix between message levels (blank and mixed excluded), found by
+    ``max_pair_overlap`` of the rows at those levels, owned by their level.
+    Such rows agree on every other register, so only rows that share their
+    non-observer labels are paired; a working chain has none.  After
+    perception this must vanish.  A batched state gets a list, one per member.
     """
-    at = state.layout.position(observer_register)
-    reg = state.layout.registers[at]
-    if at not in state.layout.at(ROLE_OBSERVER):
-        raise ValueError(
-            f"register {observer_register!r} has role {reg.role!r}, not observer"
-        )
+    observers = state.layout.at(ROLE_OBSERVER)
     require_unit(state.values, "observer_coherence")
-    levels = state.labels[:, at]
-    message = is_message(levels, reg.dimension)
-    return max_pair_overlap(
-        np.delete(state.labels[message], at, axis=1), levels[message], state.values[..., message]
-    )
+    _, group = union_rows(np.delete(state.labels, observers, axis=1))
+    shared = np.bincount(group)[group] > 1
+    labels, values = state.labels[shared], np.atleast_2d(state.values)[:, shared]
+    worst = [0.0] * len(values)
+    for at in observers if shared.any() else ():
+        levels = labels[:, at]
+        message = is_message(levels, state.layout.registers[at].dimension)
+        relative = np.delete(labels[message], at, axis=1)
+        overlaps = max_pair_overlap(relative, levels[message], values[:, message])
+        worst = list(map(max, worst, overlaps))
+    return worst if state.values.ndim == 2 else worst[0]
 
 
 def fragment_mutual_information(

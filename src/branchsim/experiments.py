@@ -684,9 +684,7 @@ def _state_checks(
         add("mixed_record", weights, spec.tolerance**2)
 
     if "observer_coherence" in enabled:
-        observers = [layout.registers[at].name for at in layout.at(ROLE_OBSERVER)]
-        residuals = [analysis.observer_coherence(final, name) for name in observers]
-        add("observer_coherence", np.max(residuals, axis=0))
+        add("observer_coherence", analysis.observer_coherence(final))
 
     if "observer_agreement" in enabled:
         if spec.observers < 2:
@@ -989,10 +987,13 @@ def run_appendix_rotation(
     batch at a time and none while the reports are built.  The reports come
     draw-major, each the one its draw gets alone at its angle (see
     ``CertifiedRun.reports``).
-    A non-finite angle anywhere in ``thetas``, or a spec of other than two
-    versions, raises ``ValueError`` before any work; so does a rotated final
-    state that is not a unit state, when ``record_invariance`` is enabled.
+    No angle, a non-finite angle anywhere in ``thetas``, or a spec of other
+    than two versions raises ``ValueError`` before any work; so does a
+    rotated final state that is not a unit state, when ``record_invariance``
+    is enabled.
     """
+    if len(thetas) == 0:
+        raise ValueError("an empty sweep certifies nothing")
     for theta in thetas:
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta!r}")

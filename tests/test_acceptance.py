@@ -173,7 +173,7 @@ def test_criterion_5_orthogonality_and_no_interference():
             midpoint = apply_unitary(
                 build_detection_unitary(layout), initial_state(layout, spec.coefficients)
             )
-            worst_coherence = max(worst_coherence, observer_coherence(midpoint, "Obs1"))
+            worst_coherence = max(worst_coherence, observer_coherence(midpoint))
     conclude(
         5,
         worst_overlap <= 1e-12 and worst_coherence <= 1e-12,

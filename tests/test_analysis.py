@@ -130,7 +130,7 @@ def test_entropy_bounds_on_random_reductions():
 
 def test_recorded_state_has_no_message_coherence():
     _, state = recorded_state(0.6, 0.8)
-    assert observer_coherence(state, "Obs1") <= 1e-12
+    assert observer_coherence(state) <= 1e-12
 
 
 def test_unentangled_message_superposition_is_maximally_coherent():
@@ -141,7 +141,7 @@ def test_unentangled_message_superposition_is_maximally_coherent():
             (2**-0.5, product_state(layout, version_labels(layout, 0, detected=True, message=2))),
         ]
     )
-    assert observer_coherence(state, "Obs1") == pytest.approx(0.5, abs=1e-12)
+    assert observer_coherence(state) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_blank_observer_has_no_message_coherence():
@@ -152,7 +152,7 @@ def test_blank_observer_has_no_message_coherence():
             (0.8, product_state(layout, version_labels(layout, 1, detected=False))),
         ]
     )
-    assert observer_coherence(state, "Obs1") == 0.0
+    assert observer_coherence(state) == 0.0
 
 
 def test_coherence_is_the_pairwise_loop_bit_for_bit():
@@ -171,16 +171,10 @@ def test_coherence_is_the_pairwise_loop_bit_for_bit():
                 ]
             )
             rho = exact_partial_trace(state, ["Obs1"])
-            coherence = observer_coherence(state, "Obs1")
+            coherence = observer_coherence(state)
             assert coherence == naive_observer_coherence(rho)
             assert coherence > 0.0
             assert coherence == pytest.approx(dense_observer_coherence(state, "Obs1"), abs=1e-15)
-
-
-def test_coherence_requires_an_observer_register():
-    _, state = recorded_state(0.6, 0.8)
-    with pytest.raises(ValueError, match="observer"):
-        observer_coherence(state, "DH")
 
 
 def test_coherence_vanishes_after_every_suite_run():
@@ -189,8 +183,7 @@ def test_coherence_vanishes_after_every_suite_run():
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         spec = ExperimentSpec(n, tuple(v / np.linalg.norm(v)), observers=observers)
         report = run_measurement_chain(spec, checks=["structure"])
-        for k in range(observers):
-            assert observer_coherence(report.final_state, f"Obs{k + 1}") <= 1e-12
+        assert observer_coherence(report.final_state) <= 1e-12
 
 
 # -- fragment mutual information -----------------------------------------------------

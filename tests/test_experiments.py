@@ -697,11 +697,19 @@ def test_rotation_refuses_a_non_finite_angle(theta, monkeypatch):
     assert built == []
 
 
-def test_rotation_of_no_angles_is_no_report():
+def test_rotation_of_no_angles_is_refused(monkeypatch):
+    # A sweep of no angles would return no report, so every report passes
+    # vacuously, even under the negative control.  It is refused before the
+    # unrotated run is certified.
+    built = []
+    monkeypatch.setattr(experiments, "_certified_run", lambda *args: built.append(args))
     for negative_control in (False, True):
         spec = ExperimentSpec(2, (0.6, 0.8), 2, True, negative_control=negative_control)
-        assert run_appendix_rotation(spec, []) == []
-        assert run_appendix_rotation([spec, spec], []) == []
+        for thetas in ([], (), np.array([])):
+            for batch in (spec, [spec, spec]):
+                with pytest.raises(ValueError, match="empty sweep"):
+                    run_appendix_rotation(batch, thetas)
+    assert built == []
 
 
 @pytest.mark.parametrize("checks", [(), []])

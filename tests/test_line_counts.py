@@ -1,4 +1,5 @@
-"""Deterministic cost: the Python lines a run executes in the package.
+"""Deterministic cost: the Python lines a run executes in the package, and
+the label cells it groups.
 
 Timing is too noisy to tell a quadratic from a linear term run to run, but
 the line events ``sys.settrace`` reports in the package's own files are
@@ -7,6 +8,12 @@ of a two-version chain, or the versions of a one-observer chain, doubles
 its stages and about doubles its registers and support, so a run's line
 count may grow at most ``MAX_GROWTH`` times per doubling; a lookup that
 scans the layout once per observer makes it grow by more.
+
+Line events miss work that numpy does in one call per observer, such as
+regrouping the whole label array once per observer.  So every label cell
+passed to ``union_rows``, the grouping each check and stage builds on, is
+counted too, and one run may group at most ``MAX_CELLS_GROUPED`` times the
+cells of its final state (support x registers).
 """
 
 import math
@@ -16,10 +23,11 @@ import sys
 import pytest
 
 import branchsim
-from branchsim import ExperimentSpec, run_measurement_chain
+from branchsim import ExperimentSpec, analysis, dynamics, experiments, run_measurement_chain, state
 
 PACKAGE = os.path.dirname(branchsim.__file__)
 MAX_GROWTH = 2.2
+MAX_CELLS_GROUPED = 32
 
 
 def lines_executed(spec: ExperimentSpec) -> int:
@@ -42,6 +50,24 @@ def lines_executed(spec: ExperimentSpec) -> int:
     return count
 
 
+def cells_grouped(spec: ExperimentSpec, monkeypatch) -> float:
+    """Label cells passed to ``union_rows`` during one full chain run, per
+    cell of its final state."""
+    grouped = 0
+    union_rows = state.union_rows
+
+    def counting(labels):
+        nonlocal grouped
+        grouped += labels.size
+        return union_rows(labels)
+
+    with monkeypatch.context() as patch:
+        for module in (state, analysis, experiments, dynamics):
+            patch.setattr(module, "union_rows", counting)
+        final = run_measurement_chain(spec).final_state
+    return grouped / final.labels.size
+
+
 def even(n_versions: int, **options) -> ExperimentSpec:
     return ExperimentSpec(n_versions, (1 / math.sqrt(n_versions),) * n_versions, **options)
 
@@ -58,3 +84,9 @@ def test_lines_per_run_grow_at_most_linearly(family):
     counts = [lines_executed(spec) for spec in FAMILIES[family]]
     growth = [later / earlier for earlier, later in zip(counts, counts[1:])]
     assert max(growth) <= MAX_GROWTH, f"line counts {counts} grow by {growth}"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cells_grouped_per_run_grow_with_support_times_registers(family, monkeypatch):
+    ratios = [cells_grouped(spec, monkeypatch) for spec in FAMILIES[family]]
+    assert max(ratios) <= MAX_CELLS_GROUPED, f"cells grouped per final cell: {ratios}"

@@ -19,11 +19,13 @@ phase per row the oracle's stage phases multiplied in stage order, and the
 labels it was given must be left as they were; and the
 branches, with and without copied rows relabelled at the record so that
 branches share relative rows, must equal the relative-state oracle bit for
-bit.  On such states every observer's coherence must equal the exactly
-rounded loop over its reduced density matrix bit for bit, the overlap
-engine must give the same bits in any row order, and both overlaps must
-stay within 1e-15 of one BLAS product; the Born-weight residual must equal
-the dict-based oracle, zero coefficients and foreign labels included.  A
+bit.  On such states, with one observer's cells or several observers'
+redrawn, the coherence must equal the largest over every observer of the
+exactly rounded loop over its reduced density matrix bit for bit, plain and
+batched, the overlap engine must give the same bits in any row order, and
+both overlaps must stay within 1e-15 of one BLAS product; the Born-weight
+residual must equal the dict-based oracle, zero coefficients and foreign
+labels included.  A
 rotation sweep's batch of angles, drawn with signed zeros,
 subnormals, multiples of pi/2 and angles up to 1e6, must give each angle
 the per-angle oracle's report, byte for byte.  A check's column of results
@@ -490,26 +492,33 @@ def test_branches_are_the_relative_state_oracle_bit_for_bit(drawn, data, toleran
 @given(sparse_states(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_overlaps_are_the_exact_oracle_in_any_row_order(drawn, data):
-    # Each observer's coherence equals the exactly rounded loop over the
-    # whole reduced density matrix, bit for bit, on states whose message
-    # sections share relative rows, and stays within 1e-15 of one BLAS
-    # product.  The overlap engine's inputs, read at any record, give the
-    # same bits in any row order.
+    # Coherence is the largest over every observer of its exactly rounded
+    # loop over the whole reduced density matrix, bit for bit, on states
+    # whose message sections share relative rows, with one observer's cells
+    # redrawn or every observer's, plain and batched; each observer's loop
+    # stays within 1e-15 of one BLAS product.  The overlap engine's inputs,
+    # read at any record, give the same bits in any row order.
     chain, state = drawn
     layout = chain.layout
     detectors = layout.at("detector")
-    for at in layout.at("observer"):
-        observer = layout.registers[at]
-        x = with_shared_relative_rows(data, state, [at])
-        coherence = observer_coherence(x, observer.name)
-        assert coherence == naive_observer_coherence(exact_partial_trace(x, [observer.name]))
-        assert coherence == pytest.approx(dense_observer_coherence(x, observer.name), abs=1e-15)
+    observers = layout.at("observer")
+    names = [layout.registers[at].name for at in observers]
+
+    def exact(x):
+        return [naive_observer_coherence(exact_partial_trace(x, [name])) for name in names]
+
+    for record_at in [[at] for at in observers] + [observers]:
+        x = with_shared_relative_rows(data, state, record_at)
+        each = exact(x)
+        assert observer_coherence(x) == max(each)
+        for name, coherence in zip(names, each):
+            assert coherence == pytest.approx(dense_observer_coherence(x, name), abs=1e-15)
         # A batch of unit states on x's rows: each member's own coherence.
         order = data.draw(st.permutations(range(len(x.values))))
         members = np.stack([x.values, 1j * x.values, x.values[order]])
         batch = StateVector(layout, x.labels, members)
-        alone = [observer_coherence(StateVector(layout, x.labels, v), observer.name) for v in members]
-        assert observer_coherence(batch, observer.name) == alone
+        alone = [max(exact(StateVector(layout, x.labels, v))) for v in members]
+        assert observer_coherence(batch) == alone
     for at in ([layout.position("Obs1")], detectors):
         x = with_shared_relative_rows(data, state, at)
         relative = np.delete(x.labels, at, axis=1)
@@ -557,7 +566,7 @@ angles = st.one_of(
 )
 
 
-@given(specs(max_versions=2), st.booleans(), st.lists(angles, max_size=12))
+@given(specs(max_versions=2), st.booleans(), st.lists(angles, min_size=1, max_size=12))
 @settings(max_examples=40, deadline=None)
 def test_a_batch_of_angles_is_the_per_angle_oracle_byte_for_byte(spec, control, thetas):
     # The batch computes every angle's amplitudes as one row of an array;
@@ -619,7 +628,7 @@ def check_selections(available):
     draw_batches(),
     check_selections(experiments.CHAIN_CHECKS),
     draw_batches(max_versions=2),
-    st.lists(angles, max_size=4),
+    st.lists(angles, min_size=1, max_size=4),
     check_selections(experiments.APPENDIX_CHECKS),
 )
 @settings(max_examples=60, deadline=None)
