@@ -3,13 +3,14 @@
 Every step of the measurement chain acts on one version's configuration at a
 time: a control configuration selects a permutation, with phases, of target
 registers that the control does not read.  Each step is therefore defined
-once, as a ``ControlledRewrite`` table: control register positions, the
-control rows (``when``) it acts on and, for each row, the target positions,
-the image of each target level and the phase picked up there.
-A ``UnitaryOp`` is a sequence of such tables applied in order, in place, to
-one copy of the (k x registers) label rows of a state, each table looking a
-row's control labels up among its ``when`` rows, so it costs k x registers
-whatever its entries or the dimension; ``compose`` concatenates the tables.
+once, as a ``ControlledRewrite`` table: control positions, shared or one row
+per entry (emission's entry j reads detector j), the control rows (``when``)
+it acts on and, for each, the targets, the image of each target level and
+the phase picked up there.  A ``UnitaryOp`` applies such tables in order, in
+place, to one copy of the (k x registers) label rows of a state.  A table
+looks a row's shared control labels up among its ``when`` rows, or compares
+them entry by entry, so it costs k x registers or k x entries x controls
+whatever the dimension; ``compose`` concatenates the tables.
 
 Applying an operator is two parts run in turn.  The label part
 (``relabel``) reads only label rows: it gives the rows after the operator
@@ -23,10 +24,11 @@ and one plane turns a state by many angles at once.
 
 A table is unitary when its control positions are distinct and exclude
 the targets, each entry's targets are distinct, its ``when`` rows are
-distinct and in range, every image is a permutation and every phase has
-modulus 1: each control row then permutes, with phases, the basis states
-it selects, and they stay selected.  Building a table and an operator
-checks exactly that, in O(entries x (levels + targets)) whatever the
+distinct (with a control row per entry, its registers are, and its phases
+are 1), in range, every image is a permutation and every phase has modulus
+1: each control row then permutes, with phases, the basis states it
+selects, and they stay selected.  Building a table and an operator checks
+exactly that, in O(entries x (levels + controls + targets)) whatever the
 dimension, so an operator that exists is unitary.
 
 The mixed-basis rotation turns disjoint pairs of basis states within their
@@ -71,40 +73,45 @@ FLIP = (1, 0)
 class ControlledRewrite:
     """One controlled rewrite of label rows.
 
-    Entry e applies to the rows whose registers at ``control`` read
-    ``when[e]``: it sends level l of each register in ``target[e]`` to
+    Entry e applies to the rows whose registers at its control positions
+    read ``when[e]``: it sends level l of each register in ``target[e]`` to
     ``image[e, l]`` and multiplies the amplitude by ``phase[e, l]``; an
     entry that only multiplies by a phase has the identity image.  Rows that
-    match no entry are left alone.  ``target`` (entries x targets; a scalar
-    or 1-D one is one column), ``image`` and ``phase`` broadcast over the
+    match no entry are left alone.  ``control`` is one row of positions for
+    every entry, or one row each; ``target`` (entries x targets; a scalar or
+    1-D one is one column), ``image`` and ``phase`` broadcast over the
     entries.  Every target is a register of ``image.shape[1]`` levels.
     Construction keeps read-only copies (labels as ``LABEL``) and refuses
     (``ValueError``) labels that would wrap, repeated control positions, a
     target among them, repeated ``when`` rows, images that are not
     permutations and phases whose modulus is off 1 by over ``TOLERANCE``;
     with several targets, repeated ones and phases other than 1, so the
-    table is its one-target tables applied in turn.
+    table is its one-target tables applied in turn.  With a control row per
+    entry, the positions and targets of all entries count as one table's,
+    and ``when`` rows may repeat: entries touch disjoint registers, so
+    several may fire on one row, and the table is its one-entry tables
+    applied in turn.
     """
 
-    control: tuple[int, ...]
+    control: np.ndarray
     when: np.ndarray
     target: np.ndarray
     image: np.ndarray
     phase: np.ndarray = 1.0
 
     def __post_init__(self):
-        control = tuple(int(c) for c in self.control)
+        control = label_array(self.control, copy=True)
         when, image = (label_array(a, copy=True) for a in (self.when, self.image))
         phase = np.array(self.phase, dtype=complex)
-        if when.ndim != 2 or when.shape[1] != len(control) or image.ndim != 2:
+        if when.ndim != 2 or control.shape not in (when.shape, when.shape[1:]) or image.ndim != 2:
             raise ValueError(
                 f"{when.shape} control rows and {image.shape} images do not describe a "
-                f"table over {len(control)} control registers"
+                f"table over {control.shape} control positions"
             )
         shape, target = (len(when), image.shape[1]), label_array(self.target, copy=True)
         if target.ndim < 2:  # a scalar, or one target per entry
             target = target.reshape(-1, 1)
-        when.flags.writeable = image.flags.writeable = False
+        control.flags.writeable = when.flags.writeable = image.flags.writeable = False
         # Broadcast views are read-only, so every array is a read-only copy.
         for name, value in (
             ("control", control),
@@ -114,40 +121,43 @@ class ControlledRewrite:
             ("phase", np.broadcast_to(phase, shape)),
         ):
             object.__setattr__(self, name, value)
-        if len(set(control)) != len(control):
-            raise ValueError(f"control positions {control} repeat a register")
-        if not set(control).isdisjoint(self.target.ravel().tolist()):
-            raise ValueError(f"a target in {self.target.tolist()} is among the controls {control}")
-        if self.target.shape[1] > 1 and (
-            (np.diff(np.sort(self.target), axis=1) == 0).any() or (self.phase != 1).any()
+        # A table with a control row per entry has every register distinct and
+        # phases of 1, so several of its entries may fire on one row.
+        at, apart = control.ravel().tolist(), control.ndim == 2
+        if len(set(at)) != len(at):
+            raise ValueError(f"control positions {control.tolist()} repeat a register")
+        if not set(at).isdisjoint(self.target.ravel().tolist()):
+            raise ValueError(f"a target in {self.target.tolist()} is among the controls {at}")
+        targets = self.target.reshape(1, -1) if apart else self.target
+        if (apart or targets.shape[1] > 1) and (
+            (np.diff(np.sort(targets), axis=1) == 0).any() or (self.phase != 1).any()
         ):
             raise ValueError("several targets must be distinct registers, with phases of 1")
-        if len(set(map(tuple, when.tolist()))) != len(when):
-            raise ValueError(f"control rows repeat in a table over {control}")
+        if not apart and len(set(map(tuple, when.tolist()))) != len(when):
+            raise ValueError(f"control rows repeat in a table over {at}")
         permutes = (np.sort(image, axis=1) == np.arange(shape[1])).all(axis=1)
         if not permutes.all():
             raise ValueError(f"image {image[~permutes][0].tolist()} is not a permutation")
         if (np.abs(np.abs(phase) - 1.0) > TOLERANCE).any():
-            raise ValueError(f"a phase in a table over {control} has modulus other than 1")
+            raise ValueError(f"a phase in a table over {at} has modulus other than 1")
 
     def _relabel(self, rows: np.ndarray, phases: np.ndarray) -> None:
         """Rewrite the target cells of the matched ``rows`` and multiply their
         ``phases``, in place: no target is a control, and every level is read
         before a cell is written."""
-        keys = rows[:, list(self.control)]
-        if len(self.when) == 1:  # photon emission and the probes: one compare per row
-            entry = np.where((keys == self.when[0]).all(axis=1), 0, -1)
-        else:  # the ``when`` rows are distinct, so a row's key names at most one entry
+        if self.control.ndim == 1 and len(self.when) > 1:  # a key names at most one entry
             index = {key: e for e, key in enumerate(map(tuple, self.when.tolist()))}
-            entry = np.array([index.get(key, -1) for key in map(tuple, keys.tolist())], int)
-        # One cell per matched row and target; an entry's targets share its phases of 1.
-        width = self.target.shape[1]
-        row = np.flatnonzero(entry >= 0).repeat(width)
-        entry = entry[row]
-        target = self.target[entry[::width]].ravel().astype(np.intp)  # LABEL indices cast per use
-        level = rows[row, target].astype(np.intp)
-        rows[row, target] = self.image[entry, level]
-        phases[row[::width]] *= self.phase[entry[::width], level[::width]]
+            keys = map(tuple, rows[:, self.control].tolist())
+            entry = np.array([index.get(key, -1) for key in keys], int)
+            row, entry = np.flatnonzero(entry >= 0), entry[entry >= 0]
+        else:  # one compare per row and entry: photon emission and the probes
+            row, entry = np.nonzero((rows[:, np.atleast_2d(self.control)] == self.when).all(axis=2))
+        # Matches x targets cells; an entry's targets share its phases of 1, and
+        # entries that fire on one row write disjoint cells with phases of 1.
+        target = self.target[entry].astype(np.intp)  # LABEL indices cast per use
+        level = rows[row[:, None], target].astype(np.intp)
+        rows[row[:, None], target] = self.image[entry[:, None], level]
+        phases[row] *= self.phase[entry, level[:, 0]]
 
 
 # Keeps its __dict__: the benchmark's tracer reads every built operator's vars().
@@ -170,15 +180,15 @@ class UnitaryOp:
     def __post_init__(self):
         dimensions, n = self.layout.dimension_array, len(self.layout.registers)
         for stage in self.stages:
-            control, targets = list(stage.control), stage.target.ravel().tolist()
-            off = [p for p in control + targets if not 0 <= p < n]
+            control, targets = stage.control, stage.target.ravel().tolist()
+            off = [p for p in control.ravel().tolist() + targets if not 0 <= p < n]
             if off:
                 raise ValueError(f"position {off[0]} is off the layout's {n} registers")
             outside = (stage.when < 0) | (stage.when >= dimensions[control])
             if outside.any():
-                entry, column = np.argwhere(outside)[0]
-                name = self.layout.registers[control[column]].name
-                raise ValueError(f"digit {stage.when[entry, column]} out of range for {name!r}")
+                bad = tuple(np.argwhere(outside)[0])
+                name = self.layout.registers[np.broadcast_to(control, outside.shape)[bad]].name
+                raise ValueError(f"digit {stage.when[bad]} out of range for {name!r}")
             levels = [int(dimensions[t]) for t in targets]
             width = stage.image.shape[1]
             if any(level != width for level in levels):
@@ -353,7 +363,8 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
     """Each activated detector flips its paired photon register.
 
     Detector j is paired with photon register j (layout order); counts must
-    match.  Also an involution.
+    match.  One table whose entry j reads detector j alone, so it flips photon
+    j also on rows where several detectors fired.  Also an involution.
     """
     detectors, photons = layout.at(ROLE_DETECTOR), layout.at(ROLE_PHOTON)
     if not photons or len(photons) != len(detectors):
@@ -362,11 +373,9 @@ def build_photon_emission_unitary(layout: SubsystemLayout) -> UnitaryOp:
             f"{len(photons)} photons for {len(detectors)} detectors"
         )
     _require_two_level(layout, photons, "photon")
-    stages = tuple(
-        ControlledRewrite((detector,), [[DETECTOR_YES]], photon, [FLIP])
-        for detector, photon in zip(detectors, photons)
-    )
-    return UnitaryOp(layout, "photon-emission", stages)
+    control = np.reshape(detectors, (-1, 1))  # one control row per entry
+    table = ControlledRewrite(control, [[DETECTOR_YES]] * len(detectors), photons, [FLIP])
+    return UnitaryOp(layout, "photon-emission", (table,))
 
 
 def standard_classical_configs(n_versions: int) -> tuple[np.ndarray, np.ndarray]:

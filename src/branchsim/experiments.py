@@ -406,10 +406,10 @@ def _expected_rows(layout: SubsystemLayout, n_versions: int) -> np.ndarray:
 class CompiledChain:
     """Layout and step operator of one chain configuration, built once.
 
-    ``record`` is detection followed, with the photon model, by photon
-    emission, composed into one operator; ``perception`` is one table that
-    writes every observer, and ``probes`` the stock no-signaling probes of
-    version 2.  It depends only on
+    ``record`` is the detection table followed, with the photon model, by
+    the emission table, one entry per detector; ``perception`` is one table
+    that writes every observer, and ``probes`` the stock no-signaling probes
+    of version 2, one table each.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so the
     draws, angles and checks of one engine call share one, built when the
     call starts and let go when it returns.
@@ -926,15 +926,15 @@ def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None
     the registers at ``at`` read ``labels``.
 
     Every other register is free there, so a table entry can fire there
-    exactly when its control row agrees with ``labels`` on the control
+    exactly when its ``when`` row agrees with ``labels`` on its own control
     registers among ``at``; each such entry must fix every level with phase
     1.  A lookup in each table, whatever the number of free levels.
     """
-    fixed = dict(zip(at, labels.tolist()))
+    wanted = np.full(len(op.layout.registers), -1)  # -1: a free register
+    wanted[at] = labels
     for stage in op.stages:
-        columns = [i for i, c in enumerate(stage.control) if c in fixed]
-        wanted = [fixed[stage.control[i]] for i in columns]
-        fires = (stage.when[:, columns] == wanted).all(axis=1)
+        cells = wanted[stage.control]  # each entry's own control cells
+        fires = ((stage.when == cells) | (cells < 0)).all(axis=1)
         fixes = (stage.image == np.arange(stage.image.shape[1])).all(axis=1)
         fixes &= (np.abs(stage.phase - 1.0) <= TOLERANCE).all(axis=1)
         if (fires & ~fixes).any():

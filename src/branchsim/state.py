@@ -365,9 +365,9 @@ def vector_norms(values: np.ndarray) -> list[float]:
 
 def require_unit(values: np.ndarray, caller: str) -> None:
     """``ValueError`` unless the amplitudes ``values`` (each row of them, for
-    a 2-D array) have norm 1 within 1e-9."""
+    a 2-D array) have norm 1 within 1e-9; a norm of NaN is not."""
     for total in vector_norms(np.atleast_2d(values)):
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"{caller} expects a unit state, norm is {total!r}")
 
 

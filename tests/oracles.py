@@ -40,9 +40,9 @@ version evolved as its own state and its probes applied one by one; the
 library certifies all of a configuration's draws as the rows of one batch,
 and each draw's report must equal this one bit for bit.
 ``reference_relabel`` applies one controlled-rewrite table by matching
-every label row against every control row at once and writing its targets
-one column at a time, the reference for the library's lookup of each row's
-control labels and its one write of every target.
+every label row against every entry's control cells at once and writing
+its targets one column at a time, the reference for the library's lookup
+of each row's control labels and its one write of every target.
 ``reference_report_json``
 is the stdlib's pure-Python ``indent=2`` encoding, the reference for the
 report writer, and ``reference_argv`` is the ``argparse`` parser the CLI
@@ -383,15 +383,19 @@ def rotate(plane, state, theta):
 def reference_relabel(table, labels):
     """What ``table._relabel`` writes into a copy of ``labels`` and a phase
     of 1 per row, from one (rows x entries x controls) boolean match of every
-    row against every ``when`` row: the rows after the table and the phase
-    each row picks up, one column of targets at a time."""
-    # At most one entry matches a row, since the ``when`` rows are distinct.
-    row, entry = np.nonzero((labels[:, None, list(table.control)] == table.when).all(axis=2))
+    row's cells at each entry's control positions against its ``when`` row:
+    the rows after the table and the phase each row picks up, one column of
+    targets at a time."""
+    # A 1-D control row is every entry's, and its ``when`` rows are distinct,
+    # so at most one entry matches a row.  With a control row per entry,
+    # several may: their registers are disjoint and their phases 1.
+    control = np.broadcast_to(table.control, table.when.shape)
+    row, entry = np.nonzero((labels[:, control] == table.when).all(axis=2))
     rows = labels.copy()
     phases = np.ones(len(labels), dtype=complex)
-    # An entry's targets are distinct and not among its controls, so each
-    # column reads the levels it rewrites from ``labels``; with several
-    # columns every phase is 1.
+    # An entry's targets are distinct and not among any matched entry's
+    # controls, so each column reads the levels it rewrites from ``labels``;
+    # with several columns, or several matches in a row, every phase is 1.
     for target in table.target[entry].T:
         level = labels[row, target]
         rows[row, target] = table.image[entry, level]

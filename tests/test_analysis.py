@@ -16,6 +16,7 @@ from branchsim import (
     superpose,
     von_neumann_entropy,
 )
+from branchsim.state import require_unit
 from oracles import (
     basis_labels,
     dense_amplitudes,
@@ -153,6 +154,23 @@ def test_blank_observer_has_no_message_coherence():
         ]
     )
     assert observer_coherence(state) == 0.0
+
+
+@pytest.mark.parametrize(
+    "amplitude", [np.nan, complex(0.6, np.nan), np.inf, -np.inf, complex(0.0, -np.inf)]
+)
+def test_a_norm_of_nan_or_inf_is_not_a_unit_state(amplitude):
+    # NaN compares false with everything, so a NaN norm must be refused as
+    # plainly as an infinite one, not read as within 1e-9 of 1.
+    layout = chain_layout(2, 1)
+    labels = layout.row(version_labels(layout, 0, detected=True, message=1))[None]
+    for values in ([amplitude], [[1.0], [amplitude]]):  # plain, and a batch's second member
+        values = np.array(values, dtype=complex)
+        with pytest.raises(ValueError, match="probe expects a unit state, norm is"):
+            require_unit(values, "probe")
+        with pytest.raises(ValueError, match="observer_coherence expects a unit state"):
+            observer_coherence(StateVector(layout, labels, values))
+    assert observer_coherence(StateVector(layout, labels, [1.0])) == 0.0
 
 
 def test_coherence_is_the_pairwise_loop_bit_for_bit():

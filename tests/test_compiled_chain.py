@@ -290,13 +290,55 @@ def test_the_largest_chains_run_in_memory_far_below_a_cube_of_labels(n, photon_m
     assert peak < bound_mb * 1e6, f"{peak / 1e6:.1f} MB"
 
 
+# -- application and validation counts ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, photon_model", [(255, True), (510, False)], ids=["N=255-photons", "N=510"]
+)
+def test_a_run_applies_each_table_as_often_at_the_bound_as_at_n_2(
+    monkeypatch, n, photon_model
+):
+    """One run applies each record table twice (the evolution and the
+    independence replay), the perception table four times (those two, and
+    once after each probe) and each probe once, whatever N: at the register
+    bound that is 10 table applications with photons, whose emission is one
+    table (518 with one emission table per version), and 8 without.  A
+    count, so no timing noise can hide a table per version."""
+    applied, built = [], []
+    relabel, compile_chain = ControlledRewrite._relabel, experiments.compile_chain
+
+    def counted(table, rows, phases):
+        applied.append(id(table))
+        relabel(table, rows, phases)
+
+    def compiled(*args):
+        built.append(compile_chain(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ControlledRewrite, "_relabel", counted)
+    monkeypatch.setattr(experiments, "compile_chain", compiled)
+    counts = []
+    for versions in (n, 2):
+        applied.clear()
+        spec = ExperimentSpec(versions, (versions**-0.5,) * versions, photon_model=photon_model)
+        assert run_measurement_chain(spec).all_passed
+        chain = built[-1]
+        expected = {id(table): 2 for table in chain.record.stages}
+        expected.update({id(table): 4 for table in chain.perception.stages})
+        expected.update({id(table): 1 for probe in chain.probes for table in probe.stages})
+        assert {table: applied.count(table) for table in set(applied)} == expected
+        counts.append(len(applied))
+    assert counts == [10 if photon_model else 8] * 2
+
+
 # -- validation counts ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("photon_model", [False, True], ids=["plain", "photons"])
 def test_a_chain_validates_as_many_tables_at_255_observers_as_at_31(monkeypatch, photon_model):
     """Compiling N=2 builds detection, one perception table for every
-    observer and two probes, plus one emission table per version with
+    observer and two probes, plus one emission table for every version with
     photons, and ``UnitaryOp`` proves as many stages, whatever the number of
     observers: a count, so no timing noise can hide a per-observer table."""
     tables, stages = [], []
@@ -313,7 +355,7 @@ def test_a_chain_validates_as_many_tables_at_255_observers_as_at_31(monkeypatch,
         stages.clear()
         chain = compile_chain(2, observers, photon_model)
         counts.append((len(tables), sum(stages), len(chain.perception.stages)))
-    # The record proves detection, then the N emission tables, then both again
+    # The record proves detection, then the emission table, then both again
     # in their composition.
-    record = 1 + 2 + (1 + 2) if photon_model else 1
-    assert counts == [(2 + 4 if photon_model else 4, record + 1 + 2, 1)] * 2
+    record = 1 + 1 + (1 + 1) if photon_model else 1
+    assert counts == [(1 + 4 if photon_model else 4, record + 1 + 2, 1)] * 2

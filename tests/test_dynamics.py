@@ -150,6 +150,18 @@ def test_emission_copies_detector_into_photon():
     )
 
 
+def test_emission_is_one_table_whose_entries_read_their_own_detector():
+    # Detector j flips photon j wherever it reads 1, also on rows where
+    # several detectors do: one entry per detector, over its own position.
+    layout = photon_layout()
+    emission = build_photon_emission_unitary(layout)
+    (table,) = emission.stages
+    assert table.control.tolist() == [[1], [2]] and table.target.tolist() == [[3], [4]]
+    both = product_state(layout, {"P": 0, "DH": 1, "DV": 1, "phH": 0, "phV": 1, "Obs": 0})
+    lit = encode(layout, {"P": 0, "DH": 1, "DV": 1, "phH": 1, "phV": 0, "Obs": 0})
+    assert dense_amplitudes(apply_unitary(emission, both))[lit] == 1.0
+
+
 def test_emission_requires_paired_photons():
     with pytest.raises(ValueError, match="photon"):
         build_photon_emission_unitary(sg_layout())
@@ -278,6 +290,47 @@ def test_an_entry_of_several_targets_writes_distinct_registers_with_phases_of_1(
     # One target per entry keeps any unit phase, the identity image included.
     UnitaryOp(layout, "sign", (ControlledRewrite((0,), [[1]], 1, [[0, 1]], [[-1.0]]),))
     UnitaryOp(layout, "phases", (ControlledRewrite((0,), when, [1, 2], flip, [[1j, -1.0]]),))
+
+
+def test_entries_over_their_own_controls_touch_disjoint_registers():
+    layout = make_layout([(f"R{i}", 2, "detector") for i in range(6)])
+    flip = [1, 0]
+    # Over R0 and R5 one entry flips R1; over R2 and R3 another flips R4, and
+    # it may fire on the same rows as the first does.
+    table = ControlledRewrite([[0, 5], [2, 3]], [[1, 0], [1, 1]], [1, 4], [flip])
+    in_turn = [
+        ControlledRewrite(table.control[e], table.when[e : e + 1], table.target[e], [flip])
+        for e in range(2)
+    ]
+    assert np.array_equal(
+        dense_matrix(UnitaryOp(layout, "one table", (table,))),
+        dense_matrix(UnitaryOp(layout, "in turn", tuple(in_turn))),
+    )
+    # Their ``when`` rows may repeat, since no two entries read one register.
+    ControlledRewrite([[0], [2]], [[1], [1]], [1, 3], [flip])
+    refused = {
+        "repeat a register": [
+            ([[0, 1], [0, 2]], [3, 4]),  # a control of two entries
+            ([[0, 1], [0, 1]], [4, 5]),  # one control row for two entries
+            ([[0, 0], [2, 3]], [4, 5]),  # a control repeated
+        ],
+        "among the controls": [
+            ([[0, 1], [2, 3]], [2, 4]),  # one entry's target is the other's control
+            ([[0, 1], [2, 3]], [4, 0]),  # a target among its own controls
+        ],
+        "several targets": [([[0, 1], [2, 3]], [4, 4])],  # a target of two entries
+        "do not describe": [([[0, 1]] * 3, [4, 5]), ([[0], [1]], [4, 5])],
+    }
+    for message, tables in refused.items():
+        for control, target in tables:
+            with pytest.raises(ValueError, match=message):
+                ControlledRewrite(control, [[1, 1], [1, 1]], target, [flip])
+    with pytest.raises(ValueError, match="several targets"):  # entries that fire together
+        ControlledRewrite([[0], [2]], [[1], [1]], [1, 3], [flip], [[1.0, -1.0]])
+    with pytest.raises(ValueError, match="position 6 is off"):
+        UnitaryOp(layout, "off", (ControlledRewrite([[0], [6]], [[1], [1]], [1, 2], [flip]),))
+    with pytest.raises(ValueError, match="digit 2 out of range for 'R3'"):
+        UnitaryOp(layout, "digit", (ControlledRewrite([[0], [3]], [[1], [2]], [1, 2], [flip]),))
 
 
 def test_perception_conditions_on_photons_when_the_layout_has_them():

@@ -474,6 +474,32 @@ def test_protection_rejects_a_control_that_reads_version_one():
     assert no_signaling_check(spec, path_probe(1)).passed
 
 
+def test_protection_reads_each_entry_s_own_controls():
+    # One table over two control rows: its first entry cycles Obs1 where D2
+    # reads 1 (version 2's record), its second rewrites Obs2 by the given
+    # image where D1 reads 1 (version 1's).  Reading the first entry's
+    # controls for both would miss where the second fires.
+    spec = ExperimentSpec(2, (0.6, 0.8), observers=2)
+    layout = chain_layout(2, 2)
+    d1, d2 = layout.at("detector")
+    levels = np.arange(observer_dimension(2))
+
+    def probe(image):
+        table = ControlledRewrite(
+            [[d2], [d1]], [[1], [1]], [layout.position("Obs1"), layout.position("Obs2")],
+            [np.roll(levels, -1), image],
+        )
+        return UnitaryOp(layout, f"cycle Obs1 on D2, {image.tolist()} on D1", (table,))
+
+    assert moves_branch_one(probe(np.roll(levels, -1)))
+    with pytest.raises(InvalidPerturbationError):
+        no_signaling_check(spec, probe(np.roll(levels, -1)))
+    assert not moves_branch_one(probe(levels))
+    assert no_signaling_check(spec, probe(levels)).passed
+    for stock in compile_chain(2, 2).probes:
+        assert no_signaling_check(spec, stock).passed
+
+
 def test_a_probe_that_is_not_unitary_cannot_be_built():
     # A probe on version 2 that zeroes its amplitude, or that merges every
     # observer level into blank, touches no row of branch 1, so the

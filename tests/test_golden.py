@@ -336,9 +336,10 @@ def test_every_label_array_of_a_golden_run_has_the_label_dtype(tmp_path, monkeyp
     )
     stages = chain.record.stages + chain.perception.stages
     stages += tuple(stage for probe in chain.probes for stage in probe.stages)
-    # Detection, one emission stage per version, one table for every observer, two probes.
-    assert len(stages) == 1 + config["n_versions"] + 1 + 2
-    tables = [array.dtype for stage in stages for array in (stage.when, stage.target, stage.image)]
+    # Detection, one emission table, one table for every observer, two probes.
+    assert len(stages) == 1 + 1 + 1 + 2
+    arrays = ("control", "when", "target", "image")
+    tables = [getattr(stage, array).dtype for stage in stages for array in arrays]
     rotated = {RotatedRows} if config["experiment"] == "appendix_rotation" else set()
     assert {cls for cls, _ in built} == {StateVector, PermutedRows} | rotated
     assert {dtype for _, dtype in built} == set(tables) == {np.dtype(LABEL)}

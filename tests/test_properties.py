@@ -36,9 +36,12 @@ way, and requires construction to succeed exactly when a loop-built dense
 matrix is unitary.  A table's lookup of each row's control labels must
 give the rows and phases of the match-cube oracle byte for byte, on random
 tables and on every stage and probe of compiled chains, including every
-application a run makes.  A table whose entries write several targets
-must give the rows and phases of its one-target tables applied in turn
-byte for byte, and their amplitudes up to the sign of a zero, on random
+application a run makes.  A table with a control row per entry, on rows
+where none, one or several of its entries fire, must give the rows and
+phases of its one-entry tables applied in turn by that oracle byte for
+byte.  A table whose entries write several targets must give the rows and
+phases of its one-target tables applied in turn byte for byte, and their
+amplitudes up to the sign of a zero, on random
 tables and on every compiled chain's perception, one table that writes
 every observer.  Interleaving the roles of a chain layout, each
 role's registers in their own order, must permute the columns of the rows
@@ -847,6 +850,71 @@ def test_a_table_relabels_rows_as_the_match_cube_does(drawn):
     assert_relabels_as_the_cube(*drawn)
 
 
+@st.composite
+def independent_tables(draw):
+    """A table of 1-4 entries, each over its own 1-2 control registers and
+    writing its own one or two registers (as many for every entry) by a
+    permutation other than the identity, phases 1, its registers shuffled
+    into the layout and its entries into any order.  Each label row makes
+    each entry read its ``when`` row or not, so none, one or several
+    entries fire on it."""
+    levels = draw(st.integers(2, 3))
+    moved = st.permutations(range(levels)).filter(lambda image: image != sorted(image))
+    controls, several = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    dims, entries = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        at = list(range(len(dims), len(dims) + controls))
+        dims += draw(st.lists(st.integers(2, 3), min_size=controls, max_size=controls))
+        when = [draw(st.integers(0, dims[c] - 1)) for c in at]
+        target = list(range(len(dims), len(dims) + several))
+        dims += [levels] * several
+        entries.append((at, when, target, list(draw(moved))))
+    entries = draw(st.permutations(entries))
+    order = draw(st.permutations(range(len(dims))))  # register p sits at order[p]
+    placed = [order.index(at) for at in range(len(dims))]  # the register at each position
+    layout = make_layout([(f"R{at}", dims[p], "detector") for at, p in enumerate(placed)])
+    control, when, target, image = zip(*entries)
+    table = ControlledRewrite(
+        [[order[p] for p in at] for at in control],
+        when,
+        [[order[p] for p in at] for at in target],
+        image,
+    )
+    UnitaryOp(layout, "drawn", (table,))  # a table the layout accepts
+    labels = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(st.integers(0, d - 1)) for d in dims]
+        for at, rule, *_ in entries:
+            if draw(st.booleans()):
+                for p, level in zip(at, rule):
+                    row[p] = level
+        labels.append([row[p] for p in placed])
+    return table, np.array(labels, dtype=LABEL).reshape(-1, len(dims))
+
+
+@given(independent_tables())
+@settings(max_examples=200, deadline=None)
+def test_a_table_over_several_control_rows_is_its_one_entry_tables_in_turn(drawn):
+    """One pass of a table with a control row per entry gives, byte for
+    byte, the rows and phases of its one-entry tables applied in turn by the
+    match-cube oracle, however many of its entries fire on a row; so does
+    the oracle on the whole table."""
+    table, labels = drawn
+    rows, phases = labels.copy(), np.ones(len(labels), dtype=complex)
+    table._relabel(rows, phases)
+    turned, product = labels, np.ones(len(labels), dtype=complex)
+    for e in range(len(table.when)):
+        one = ControlledRewrite(
+            table.control[e], table.when[e : e + 1], table.target[e : e + 1],
+            table.image[e : e + 1], table.phase[e : e + 1],
+        )
+        turned, phase = reference_relabel(one, turned)
+        product *= phase
+    assert rows.dtype == turned.dtype and rows.tobytes() == turned.tobytes()
+    assert phases.tobytes() == product.tobytes()
+    assert_relabels_as_the_cube(table, labels)
+
+
 # Real and imaginary parts of drawn amplitudes, signed zeros and subnormals included.
 amplitude_parts = st.floats(-1.0, 1.0) | st.sampled_from((-0.0, 0.0, 5e-324, -5e-324))
 
@@ -922,6 +990,8 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
 
     chain = compile_chain(n_versions, observers, photon_model, negative_control)
     tables = tables_of(chain)
+    # Detection reads the path; emission, with photons, one detector per entry.
+    assert [stage.control.ndim for stage in chain.record.stages] == [1, 2][: 1 + photon_model]
     dims = chain.layout.dimension_array.tolist()
     drawn = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), max_size=6))
     versions = experiments._version_rows(chain.layout, range(n_versions), detected=True)
