@@ -12,15 +12,12 @@ looks a row's shared control labels up among its ``when`` rows, or compares
 them entry by entry, so it costs k x registers or k x entries x controls
 whatever the dimension; ``compose`` concatenates the tables.
 
-Applying an operator is two parts run in turn.  The label part
+Applying a permutation is two parts run in turn.  The label part
 (``relabel``) reads only label rows: it gives the rows after the operator
-and, per row, what its amplitude needs -- the product of the phases it
-picks up at a permutation's stages (``PermutedRows``), or the plane a
-rotated row shares with its partner (``RotatedRows``).  The amplitude part
-(``amplitudes``) multiplies by that phase, or mixes each plane in closed
-form, along the last axis of the amplitudes.  ``apply_unitary`` runs both,
-so one label part moves every row of a batched state (see ``StateVector``),
-and one plane turns a state by many angles at once.
+and, per row, the product of the phases it picks up at the stages
+(``PermutedRows``).  The amplitude part (``amplitudes``) multiplies by that
+phase along the last axis of the amplitudes.  ``apply_unitary`` runs both,
+so one label part moves every row of a batched state (see ``StateVector``).
 
 A table is unitary when its control positions are distinct and exclude
 the targets, each entry's targets are distinct, its ``when`` rows are
@@ -33,9 +30,9 @@ dimension, so an operator that exists is unitary.
 
 The mixed-basis rotation turns disjoint pairs of basis states within their
 planes; a ``PairedRotation`` is those planes, the same at every angle, and
-only its amplitude part takes the angle's cosine and sine.  It is unitary at
-every angle by construction, so only permutations go through
-``apply_unitary`` and ``compose``.
+its ``rotate`` turns a state on them in one call, by many angles at once.
+It is unitary at every angle by construction, so only permutations go
+through ``apply_unitary`` and ``compose``.
 
 Convention: ``U e_x = phase(x) e_image(x)``.
 """
@@ -210,7 +207,7 @@ class PairedRotation:
 
     ``fixed`` names register positions; x1 reads ``first`` there and x2
     reads ``second``, and the two agree everywhere else.  The rotation by
-    the angle of cosine c and sine s (``RotatedRows.amplitudes``) sends
+    the angle of cosine c and sine s (``rotate``) sends
     ``e_x1`` to ``c e_x1 + s e_x2`` and ``e_x2`` to ``-s e_x1 + c e_x2``
     and fixes every other basis state.  Construction refuses any structure
     for which that is not unitary at every angle: repeated or out-of-range
@@ -234,9 +231,14 @@ class PairedRotation:
         if tuple(self.first) == tuple(self.second):
             raise ValueError(f"{self.first} twice: a plane needs two distinct configurations")
 
-    def relabel(self, labels: np.ndarray) -> "RotatedRows":
-        """Label part: the rows after the rotation, whatever the angle."""
-        fixed = list(self.fixed)
+    def rotate(self, state: StateVector, c, s) -> StateVector:
+        """``state`` turned on each plane by the angle of cosine ``c`` and
+        sine ``s`` (a missing member has amplitude zero).  Both broadcast: a
+        column of them gives one row of amplitudes per member of ``state``
+        and angle, member-major.  ``ValueError`` for a state of another
+        layout."""
+        _require_layout(self, state)
+        labels, fixed = state.labels, list(self.fixed)
         key = labels[:, fixed]
         in_first = (key == self.first).all(axis=1)
         in_second = (key == self.second).all(axis=1)
@@ -249,9 +251,13 @@ class PairedRotation:
         members = np.full((len(planes), 2), -1)
         members[position[in_first[moving]], 0] = np.flatnonzero(in_first)
         members[position[in_second[moving]], 1] = np.flatnonzero(in_second)
-        return RotatedRows(
-            np.concatenate([labels[~moving], planes, partners]), np.flatnonzero(~moving), members
-        )
+        values, kept = state.values[..., None, :], np.flatnonzero(~moving)
+        a, b = (np.where(at >= 0, values[..., at], 0) for at in members.T)
+        turned = (c * a - s * b, s * a + c * b)
+        rest = np.broadcast_to(values[..., kept], turned[0].shape[:-1] + kept.shape)
+        values = np.concatenate([rest, *turned], axis=-1)
+        rows = np.concatenate([labels[kept], planes, partners])
+        return StateVector(self.layout, rows, values.reshape(-1, values.shape[-1]))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -262,7 +268,9 @@ class PermutedRows:
     ``phases[r]`` is the product, in stage order, of the phases row r picks
     up; every phase the package builds is 1 or -1, so multiplying by it
     rounds as multiplying stage by stage would.  The arrays are read-only
-    views, so one label part can serve many amplitude parts.
+    views.  It stays apart from its amplitude part because the independence
+    replay reads it on version rows no state merges, and an operator that is
+    not a table of stages stands in through its own ``relabel``.
     """
 
     rows: np.ndarray
@@ -277,42 +285,18 @@ class PermutedRows:
         return values * self.phases
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class RotatedRows:
-    """Label part of a paired rotation applied to some rows.
-
-    ``rows`` are the input rows at ``kept``, which read neither
-    configuration, then one row per plane reading the first configuration,
-    then its partner reading the second.  ``members[p]`` names the input
-    rows on plane p that read the first and the second configuration, -1
-    where the state has no such row.  The arrays are read-only views.
-    """
-
-    rows: np.ndarray
-    kept: np.ndarray
-    members: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rows", "kept", "members"):
-            object.__setattr__(self, name, read_only(getattr(self, name)))
-
-    def amplitudes(self, values: np.ndarray, c, s) -> np.ndarray:
-        """Amplitude part: rotate the amplitudes along the last axis of
-        ``values`` on each plane by the angle of cosine ``c`` and sine ``s``
-        (a missing member has amplitude zero).  All three broadcast: a column
-        of cosines and sines gives one row of amplitudes per angle."""
-        a, b = (np.where(at >= 0, values[..., at], 0) for at in self.members.T)
-        turned = (c * a - s * b, s * a + c * b)
-        kept = np.broadcast_to(values[..., self.kept], turned[0].shape[:-1] + self.kept.shape)
-        return np.concatenate([kept, *turned], axis=-1)
-
-
-def apply_unitary(op: UnitaryOp, x: StateVector) -> StateVector:
+def _require_layout(op, x: StateVector) -> None:
     if op.layout != x.layout:
         raise ValueError(
             f"operator on registers of dimensions {op.layout.dimensions()} does not "
             f"match state registers of dimensions {x.layout.dimensions()}"
         )
+
+
+def apply_unitary(op: UnitaryOp, x: StateVector) -> StateVector:
+    if isinstance(op, PairedRotation):
+        raise TypeError("a rotation turns a state by an angle: use PairedRotation.rotate")
+    _require_layout(op, x)
     moved = op.relabel(x.labels)
     return StateVector(x.layout, moved.rows, moved.amplitudes(x.values))
 

@@ -14,11 +14,12 @@ An ``ExperimentSpec`` is the whole input of a run, negative control
 included; a control that could not fail is refused when the spec is built.
 The step operator is compiled once per engine call by ``compile_chain``:
 the layout, the record stages (detection, then photon emission) composed
-into one operator, perception as one table that writes every observer, and
-the stock no-signaling probes, each stage a controlled-rewrite table that
-is unitary because it could be built (see ``dynamics``).  Every coefficient
-draw, rotation angle and check of that call shares the ``CompiledChain``,
-which is let go when the call returns.
+into one operator, and perception as one table that writes every observer,
+each stage a controlled-rewrite table that is unitary because it could be
+built (see ``dynamics``).  Every coefficient draw, rotation angle and check
+of that call shares the ``CompiledChain``, which is let go when the call
+returns; the stock no-signaling probes are built by the check that applies
+them.
 
 Both experiments evolve and certify specs through one path: the initial
 state goes through the record stages, then perception, the final state is
@@ -407,9 +408,8 @@ class CompiledChain:
     """Layout and step operator of one chain configuration, built once.
 
     ``record`` is the detection table followed, with the photon model, by
-    the emission table, one entry per detector; ``perception`` is one table
-    that writes every observer, and ``probes`` the stock no-signaling probes
-    of version 2, one table each.  It depends only on
+    the emission table, one entry per detector, and ``perception`` one table
+    that writes every observer.  It depends only on
     ``(n_versions, observers, photon_model, negative_control)``, so the
     draws, angles and checks of one engine call share one, built when the
     call starts and let go when it returns.
@@ -422,7 +422,6 @@ class CompiledChain:
     layout: SubsystemLayout
     record: UnitaryOp
     perception: UnitaryOp
-    probes: tuple[UnitaryOp, ...]
 
     def evolve(self, state: StateVector) -> tuple[StateVector, StateVector]:
         """The post-detection and final states reached from ``state``."""
@@ -458,9 +457,8 @@ def compile_chain(
     if negative_control:
         messages[0] = mixed_record_level(observer_dimension(n_versions))
     perception = build_perception_unitary(layout, (configs, messages), negative_control)
-    probes = (phase_flip_perturbation(layout, 1), record_cycle_perturbation(layout, 1))
     return CompiledChain(
-        n_versions, observers, photon_model, negative_control, layout, record, perception, probes
+        n_versions, observers, photon_model, negative_control, layout, record, perception
     )
 
 
@@ -495,10 +493,13 @@ def decompose_branches(
     exactly the amplitude attached to that label.  The weighted branches
     reconstruct the input exactly.  Branches come in increasing record label
     order, and each one's rows keep their flat-index order.  A batched state
-    gets one list of branches per member, on sections found once.
+    gets one list of branches per member, on sections found once.  An empty
+    selection of record registers raises ``ValueError``.
     """
     require_unit(state.values, "decompose_branches")
     names = [record_register] if isinstance(record_register, str) else record_register
+    if len(names) == 0:
+        raise ValueError("an empty record selection labels no branch")
     sections = _sections(state.labels, [state.layout.position(n) for n in names])
     coefficients = _coefficients(sections, np.atleast_2d(state.values), tolerance)
     branches = [[Branch(k, c, sections[k]) for k, c in row.items()] for row in coefficients]
@@ -892,8 +893,16 @@ def no_signaling_check(
     final state when the caller already has them, as ``CompiledChain.evolve``
     returns them, and ``chain`` the compiled chain when the caller already
     has it.  ``spec`` may be a batch (see ``_batch``), with ``states``
-    batched; it gives a list of results, one per spec.
+    batched; it gives a list of results, one per spec.  A perturbation that
+    is not a permutation operator raises ``TypeError``.
+
+    The check sees only what ``perturbation`` does, and neither stock probe
+    changes the second version's weight: an engine that couples the first
+    branch to that weight passes it, and fails ``structure`` and
+    ``coefficient_independence`` instead.
     """
+    if not isinstance(perturbation, UnitaryOp):
+        raise TypeError(f"no_signaling takes permutation operators only, got {perturbation!r}")
     single = isinstance(spec, ExperimentSpec)
     specs, coefficients = _batch(spec)
     spec = specs[0]
@@ -948,7 +957,8 @@ def _canonical_no_signaling(run: CertifiedRun) -> list[CheckResult]:
     """Worst residual over the stock phase-flip and record-cycle probes, for
     each row of the run."""
     states, chain = (run.post_detection, run.final), run.chain
-    results = [no_signaling_check(run.specs, p, states=states, chain=chain) for p in chain.probes]
+    probes = (phase_flip_perturbation(chain.layout, 1), record_cycle_perturbation(chain.layout, 1))
+    results = [no_signaling_check(run.specs, p, states=states, chain=chain) for p in probes]
     worst = [max(r.residual for r in row) for row in zip(*results)]
     detail = "phase flip and record cycle on version 2"
     return _column("no_signaling", worst, run.specs[0].tolerance, detail)
@@ -1009,14 +1019,9 @@ def run_appendix_rotation(
     versions = _version_rows(layout, [0, 1], detected=True)
     plane = build_basis_rotation(layout, *versions)
 
-    def turned(state: StateVector) -> StateVector:
-        moved = plane.relabel(state.labels)
-        values = moved.amplitudes(state.values[..., None, :], c, s)
-        return StateVector(layout, moved.rows, values.reshape(-1, values.shape[-1]))
-
     # No draw moves the first basis vector: it gets one row per angle.
     basis = product_state(layout, versions[0].tolist())
-    primed_evolved = apply_unitary(run.chain.perception, turned(basis))
+    primed_evolved = apply_unitary(run.chain.perception, plane.rotate(basis, c, s))
     columns = [[r for r in column for _ in thetas] for column in run.checks]
 
     if "mixed_record" in run.enabled:
@@ -1031,7 +1036,7 @@ def run_appendix_rotation(
         del non_message, weights, primed
 
     if "primed_coefficients" in run.enabled:
-        rotated = turned(run.post_detection)
+        rotated = plane.rotate(run.post_detection, c, s)
         # Each version row's amplitude in every draw and angle; 0 if absent.
         amplitudes = []
         for row in versions:
@@ -1053,7 +1058,7 @@ def run_appendix_rotation(
     del primed_evolved
 
     if "record_invariance" in run.enabled:
-        final = turned(run.final)
+        final = plane.rotate(run.final, c, s)
         require_unit(final.values, "record_invariance")
         sections = _sections(final.labels, [layout.position("Obs1")])
         plain = [{b.record_label: b.coefficient for b in row} for row in run.branches]

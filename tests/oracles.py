@@ -27,7 +27,7 @@ one BLAS product, which rounds in its own order, and
 ``reference_born_weight_drift`` is the Born-weight residual from dicts
 keyed by one-hot tuples and message levels.
 ``rotate`` turns a state by an angle on the planes of a ``PairedRotation``
-(the library's label part, then its amplitude part at that angle), and
+(the library's ``rotate`` at that angle), and
 ``reference_appendix_rotation`` certifies one draw's plain run alone and
 evolves every state of each rotation angle afresh with ``rotate`` and
 ``apply_unitary``, the reference for the experiment's batched states, which
@@ -52,8 +52,9 @@ The library's run path needs none of the helpers below; tests use them to
 build states and operators by hand: ``version_labels`` (one version's
 configuration, register by register), ``reconstruct_branches`` (the inverse
 of ``decompose_branches``), ``inner_product``, the operators ``identity``
-and ``level_cycle``, and the inverses ``inverse`` (of one table) and
-``adjoint`` (of an operator).
+and ``level_cycle``, ``stock_probes`` (the two probes the chain's
+no-signaling check builds), and the inverses ``inverse`` (of one table)
+and ``adjoint`` (of an operator).
 """
 
 import argparse
@@ -373,11 +374,11 @@ def adjoint(op):
 
 def rotate(plane, state, theta):
     """``state`` turned by ``theta`` on the planes of ``plane``: the
-    library's label part on the state's rows, then its amplitude part at the
-    angle's cosine and sine."""
-    turn = plane.relabel(state.labels)
-    values = turn.amplitudes(state.values, np.cos(theta), np.sin(theta))
-    return StateVector(state.layout, turn.rows, values)
+    library's ``PairedRotation.rotate`` at the angle's cosine and sine, with
+    the amplitudes in the state's own shape (one row, or one per member)."""
+    turned = plane.rotate(state, np.cos(theta), np.sin(theta))
+    values = turned.values.reshape(state.values.shape[:-1] + (-1,))
+    return StateVector(state.layout, turned.labels, values)
 
 
 def reference_relabel(table, labels):
@@ -425,13 +426,11 @@ def dense_matrix(op, theta=None):
         )
     matrix = np.zeros((dimension, dimension), dtype=complex)
     if isinstance(op, PairedRotation):
-        # Row i of the identity is basis state i's amplitudes, so row i of
-        # the rotated rows is the matrix's column i.
-        turn = op.relabel(basis_labels(op.layout))
-        identity_rows = np.eye(dimension, dtype=complex)
-        matrix[flat_indices(op.layout, turn.rows)] = turn.amplitudes(
-            identity_rows, np.cos(theta), np.sin(theta)
-        ).T
+        # Member i of the identity batch is basis state i, so row i of the
+        # turned batch's amplitudes is the matrix's column i.
+        identity = StateVector(op.layout, basis_labels(op.layout), np.eye(dimension))
+        turned = op.rotate(identity, np.cos(theta), np.sin(theta))
+        matrix[flat_indices(op.layout, turned.labels)] = turned.values.T
     else:
         image, phases = permutation_view(op)
         matrix[image, np.arange(dimension)] = phases
@@ -826,13 +825,22 @@ def reference_independence(spec, final):
     return CheckResult.from_residual("coefficient_independence", residual, spec.tolerance, detail)
 
 
+def stock_probes(layout):
+    """The stock no-signaling probes on ``layout``: version 2's phase flip
+    and record cycle."""
+    return (
+        experiments.phase_flip_perturbation(layout, 1),
+        experiments.record_cycle_perturbation(layout, 1),
+    )
+
+
 def reference_no_signaling(spec, chain, post_detection, final):
     """The worst of the stock probes' ``no_signaling`` results for one
     spec's run: each probe applied to the post-detection state, the result
     perceived, and version 1's configuration compared with ``final``'s."""
     at, recorded = experiments._version_configuration(chain.layout, 0)
     results = []
-    for probe in chain.probes:
+    for probe in stock_probes(chain.layout):
         experiments._require_protected(probe, at, recorded)
         perturbed = apply_unitary(chain.perception, apply_unitary(probe, post_detection))
         residual = _reference_distance(

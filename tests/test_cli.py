@@ -254,16 +254,22 @@ def random_config(tmp_path, **overrides):
 def test_label_work_is_the_same_for_any_number_of_draws(
     tmp_path, monkeypatch, photon_model, negative_control
 ):
-    # A config's draws are the rows of one batched run, so every stage and
-    # rotation plane relabels the same label rows once per config, whatever
-    # the draw count.
+    # A config's draws are the rows of one batched run, so every stage
+    # relabels, and every rotation plane turns, the same label rows once per
+    # config, whatever the draw count.
     calls = []
-    for kind in (UnitaryOp, PairedRotation):
-        monkeypatch.setattr(
-            kind,
-            "relabel",
-            lambda op, labels, relabel=kind.relabel: calls.append(len(labels)) or relabel(op, labels),
-        )
+    monkeypatch.setattr(
+        UnitaryOp,
+        "relabel",
+        lambda op, labels, relabel=UnitaryOp.relabel: calls.append(len(labels)) or relabel(op, labels),
+    )
+    monkeypatch.setattr(
+        PairedRotation,
+        "rotate",
+        lambda plane, state, c, s, rotate=PairedRotation.rotate: (
+            calls.append(len(state.labels)) or rotate(plane, state, c, s)
+        ),
+    )
     shapes = [
         {"n_versions": 4},
         {"experiment": "appendix_rotation", "thetas": [0.0, 0.7, 2.0]},

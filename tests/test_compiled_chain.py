@@ -32,6 +32,7 @@ from oracles import (
     encode,
     naive_chain_matrix,
     naive_evolve,
+    stock_probes,
     version_labels,
 )
 
@@ -161,6 +162,35 @@ def test_every_engine_call_builds_each_stage_once(builds, negative_control):
     assert len(builds["build_basis_rotation"]) == 2
 
 
+@pytest.mark.parametrize("photon_model", [False, True], ids=["plain", "photons"])
+def test_an_engine_call_builds_probe_tables_only_for_the_no_signaling_check(
+    monkeypatch, photon_model
+):
+    """Every call builds the record tables (detection, and emission with
+    photons) and perception; only a chain run that certifies ``no_signaling``
+    builds the two probe tables too, so a rotation sweep builds none."""
+    built = []
+    post_init = ControlledRewrite.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(ControlledRewrite, "__post_init__", counted)
+    spec = ExperimentSpec(2, (0.6, 0.8), 2, photon_model)
+    stages = 3 if photon_model else 2
+    calls = [
+        (lambda: run_measurement_chain(spec), stages + 2),
+        (lambda: run_measurement_chain([spec, spec], ["structure", "born_weights"]), stages),
+        (lambda: run_appendix_rotation(spec, [0.0, 0.7]), stages),
+        (lambda: run_appendix_rotation([spec, spec], [0.7]), stages),
+    ]
+    for call, tables in calls:
+        built.clear()
+        call()
+        assert len(built) == tables
+
+
 def test_a_standalone_check_builds_its_chain_once(builds):
     spec = ExperimentSpec(3, (0.6, 0.48, 0.64), observers=2, photon_model=True)
     probe = phase_flip_perturbation(chain_layout(3, 2, True), 1)
@@ -177,7 +207,7 @@ def test_a_given_chain_is_used_and_never_built_again(builds):
     chain = compile_chain(3, 2, True)
     states = chain.evolve(experiments.initial_state(chain.layout, spec.coefficients))
     assert coefficient_independence_check(spec, final_state=states[1], chain=chain).passed
-    for probe in chain.probes:
+    for probe in stock_probes(chain.layout):
         assert no_signaling_check(spec, probe, states=states, chain=chain).passed
     assert builds["build_detection_unitary"] == ["detection"]
     assert builds["build_perception_unitary"] == [BOTH_OBSERVERS]
@@ -301,12 +331,14 @@ def test_a_run_applies_each_table_as_often_at_the_bound_as_at_n_2(
 ):
     """One run applies each record table twice (the evolution and the
     independence replay), the perception table four times (those two, and
-    once after each probe) and each probe once, whatever N: at the register
-    bound that is 10 table applications with photons, whose emission is one
-    table (518 with one emission table per version), and 8 without.  A
-    count, so no timing noise can hide a table per version."""
-    applied, built = [], []
+    once after each probe) and each probe the check builds once, whatever
+    N: at the register bound that is 10 table applications with photons,
+    whose emission is one table (518 with one emission table per version),
+    and 8 without.  A count, so no timing noise can hide a table per
+    version."""
+    applied, built, probes = [], [], []
     relabel, compile_chain = ControlledRewrite._relabel, experiments.compile_chain
+    check = experiments.no_signaling_check
 
     def counted(table, rows, phases):
         applied.append(id(table))
@@ -316,17 +348,24 @@ def test_a_run_applies_each_table_as_often_at_the_bound_as_at_n_2(
         built.append(compile_chain(*args))
         return built[-1]
 
+    def probed(specs, probe, **kwargs):
+        probes.append(probe)
+        return check(specs, probe, **kwargs)
+
     monkeypatch.setattr(ControlledRewrite, "_relabel", counted)
     monkeypatch.setattr(experiments, "compile_chain", compiled)
+    monkeypatch.setattr(experiments, "no_signaling_check", probed)
     counts = []
     for versions in (n, 2):
         applied.clear()
+        probes.clear()
         spec = ExperimentSpec(versions, (versions**-0.5,) * versions, photon_model=photon_model)
         assert run_measurement_chain(spec).all_passed
         chain = built[-1]
         expected = {id(table): 2 for table in chain.record.stages}
         expected.update({id(table): 4 for table in chain.perception.stages})
-        expected.update({id(table): 1 for probe in chain.probes for table in probe.stages})
+        assert len(probes) == 2
+        expected.update({id(table): 1 for probe in probes for table in probe.stages})
         assert {table: applied.count(table) for table in set(applied)} == expected
         counts.append(len(applied))
     assert counts == [10 if photon_model else 8] * 2
@@ -337,10 +376,10 @@ def test_a_run_applies_each_table_as_often_at_the_bound_as_at_n_2(
 
 @pytest.mark.parametrize("photon_model", [False, True], ids=["plain", "photons"])
 def test_a_chain_validates_as_many_tables_at_255_observers_as_at_31(monkeypatch, photon_model):
-    """Compiling N=2 builds detection, one perception table for every
-    observer and two probes, plus one emission table for every version with
-    photons, and ``UnitaryOp`` proves as many stages, whatever the number of
-    observers: a count, so no timing noise can hide a per-observer table."""
+    """Compiling N=2 builds detection, one perception table that writes
+    every observer and, with photons, one emission table, and ``UnitaryOp``
+    proves as many stages, whatever the number of observers: a count, so no
+    timing noise can hide a per-observer table."""
     tables, stages = [], []
     for cls, seen in ((ControlledRewrite, tables), (UnitaryOp, stages)):
 
@@ -358,4 +397,4 @@ def test_a_chain_validates_as_many_tables_at_255_observers_as_at_31(monkeypatch,
     # The record proves detection, then the emission table, then both again
     # in their composition.
     record = 1 + 1 + (1 + 1) if photon_model else 1
-    assert counts == [(1 + 4 if photon_model else 4, record + 1 + 2, 1)] * 2
+    assert counts == [(1 + 2 if photon_model else 2, record + 1, 1)] * 2

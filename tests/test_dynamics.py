@@ -1,4 +1,5 @@
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -490,6 +491,25 @@ def test_apply_identity_and_dimension_mismatch():
     assert np.array_equal(dense_amplitudes(same), dense_amplitudes(state))
     with pytest.raises(ValueError, match="dimension"):
         apply_unitary(identity(make_layout([("P", 16, "particle-path")])), state)
+    plane = build_basis_rotation(layout, *version_rows(layout))
+    with pytest.raises(ValueError, match="dimension"):
+        plane.rotate(random_state(make_layout([("P", 16, "particle-path")]), 3), 1.0, 0.0)
+
+
+def test_apply_unitary_refuses_a_rotation_and_delegates_to_any_other_operator():
+    # A rotation has no image without an angle, so apply_unitary names the
+    # call that turns a state; any other operator's own label and amplitude
+    # parts are applied, whatever its class.
+    layout = sg_layout()
+    state = random_state(layout, 5)
+    plane = build_basis_rotation(layout, *version_rows(layout))
+    with pytest.raises(TypeError, match=r"PairedRotation\.rotate"):
+        apply_unitary(plane, state)
+    detection = build_detection_unitary(layout)
+    stand_in = SimpleNamespace(layout=layout, relabel=detection.relabel)
+    moved, expected = apply_unitary(stand_in, state), apply_unitary(detection, state)
+    assert moved.labels.tobytes() == expected.labels.tobytes()
+    assert moved.values.tobytes() == expected.values.tobytes()
 
 
 def test_full_chain_reaches_the_recorded_state():
@@ -666,8 +686,8 @@ def test_a_table_takes_labels_as_lists_and_integer_arrays_of_any_width():
 
 
 def test_label_parts_are_read_only():
-    # One label part serves many amplitude parts, so none of its arrays can
-    # be written through.
+    # A label part may be read by more than one amplitude part, so none of
+    # its arrays can be written through.
     layout = sg_layout()
     labels = basis_labels(layout)
     step = compose(
@@ -675,9 +695,8 @@ def test_label_parts_are_read_only():
         build_detection_unitary(layout),
     )
     permuted = step.relabel(labels)
-    rotated = build_basis_rotation(layout, *version_rows(layout)).relabel(labels)
     assert permuted.phases.shape == (len(labels),)
-    for array in (permuted.rows, permuted.phases, rotated.rows, rotated.kept, rotated.members):
+    for array in (permuted.rows, permuted.phases):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 

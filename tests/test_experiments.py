@@ -17,6 +17,7 @@ from branchsim import (
     InvalidPerturbationError,
     RunReport,
     StateVector,
+    build_basis_rotation,
     chain_layout,
     coefficient_independence_check,
     compile_chain,
@@ -57,6 +58,7 @@ from oracles import (
     naive_independence_residual,
     reconstruct_branches,
     reference_appendix_rotation,
+    stock_probes,
     version_labels,
 )
 
@@ -224,6 +226,15 @@ def test_decompose_requires_unit_state_and_known_register():
         decompose_branches(state, "Obs9")
 
 
+@pytest.mark.parametrize("selection", [[], ()])
+def test_decompose_refuses_an_empty_record_selection(selection):
+    # No register labels no branch: one branch labelled () holding the whole
+    # state would certify nothing.
+    _, state = recorded_state(0.6, 0.8)
+    with pytest.raises(ValueError, match="empty record selection"):
+        decompose_branches(state, selection)
+
+
 def test_branch_weights_sum_to_one():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5):
@@ -373,6 +384,16 @@ def test_no_signaling_identity_trivially_passes():
     assert result.passed and result.residual == 0.0
 
 
+def test_no_signaling_refuses_a_perturbation_that_is_not_a_permutation():
+    # A rotation has no stages to prove protected: it is refused up front,
+    # as compose refuses it.
+    spec = ExperimentSpec(2, (0.6, 0.8))
+    layout = chain_layout(2)
+    plane = build_basis_rotation(layout, *experiments._version_rows(layout, [0, 1], detected=True))
+    with pytest.raises(TypeError, match="permutation operators only"):
+        no_signaling_check(spec, plane)
+
+
 def test_no_signaling_rejects_overlapping_perturbation():
     spec = ExperimentSpec(2, (0.6, 0.8))
     layout = chain_layout(2, 1)
@@ -496,7 +517,7 @@ def test_protection_reads_each_entry_s_own_controls():
         no_signaling_check(spec, probe(np.roll(levels, -1)))
     assert not moves_branch_one(probe(levels))
     assert no_signaling_check(spec, probe(levels)).passed
-    for stock in compile_chain(2, 2).probes:
+    for stock in stock_probes(layout):
         assert no_signaling_check(spec, stock).passed
 
 

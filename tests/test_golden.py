@@ -30,8 +30,9 @@ import pytest
 
 from branchsim import cli, experiments
 from branchsim.cli import main, parse_config, run_and_report, write_report
-from branchsim.dynamics import PairedRotation, PermutedRows, RotatedRows
+from branchsim.dynamics import PairedRotation, PermutedRows
 from branchsim.state import LABEL, StateVector
+from oracles import stock_probes
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 REPORTS = GOLDEN / "reports"
@@ -313,9 +314,9 @@ def test_a_report_is_its_golden_file(tmp_path, name, control):
 
 @pytest.mark.parametrize("name", ["chain_observers", "rotation_sweep"])
 def test_every_label_array_of_a_golden_run_has_the_label_dtype(tmp_path, monkeypatch, name):
-    """Every state and every label part a run builds, and every stage table
-    of its chain, holds ``LABEL`` labels, so that no wider label path can
-    come back unnoticed."""
+    """Every state (rotated ones included) and every label part a run
+    builds, and every stage table of its chain and probe, holds ``LABEL``
+    labels, so that no wider label path can come back unnoticed."""
     built = []
 
     def counting(cls, attribute):
@@ -327,7 +328,7 @@ def test_every_label_array_of_a_golden_run_has_the_label_dtype(tmp_path, monkeyp
 
         return counted
 
-    for cls, attribute in ((StateVector, "labels"), (PermutedRows, "rows"), (RotatedRows, "rows")):
+    for cls, attribute in ((StateVector, "labels"), (PermutedRows, "rows")):
         monkeypatch.setattr(cls, "__post_init__", counting(cls, attribute))
     assert run_cli(tmp_path, name, False, "json")[0] == 0
     config = CONFIGS[name]
@@ -335,13 +336,12 @@ def test_every_label_array_of_a_golden_run_has_the_label_dtype(tmp_path, monkeyp
         config["n_versions"], config["observers"], config["photon_model"]
     )
     stages = chain.record.stages + chain.perception.stages
-    stages += tuple(stage for probe in chain.probes for stage in probe.stages)
+    stages += tuple(stage for probe in stock_probes(chain.layout) for stage in probe.stages)
     # Detection, one emission table, one table for every observer, two probes.
     assert len(stages) == 1 + 1 + 1 + 2
     arrays = ("control", "when", "target", "image")
     tables = [getattr(stage, array).dtype for stage in stages for array in arrays]
-    rotated = {RotatedRows} if config["experiment"] == "appendix_rotation" else set()
-    assert {cls for cls, _ in built} == {StateVector, PermutedRows} | rotated
+    assert {cls for cls, _ in built} == {StateVector, PermutedRows}
     assert {dtype for _, dtype in built} == set(tables) == {np.dtype(LABEL)}
 
 
@@ -630,11 +630,11 @@ def test_a_sweep_holds_one_rotated_batch_at_a_time(tmp_path, monkeypatch, config
 
         return counted
 
-    monkeypatch.setattr(PairedRotation, "relabel", counting(PairedRotation.relabel))
+    monkeypatch.setattr(PairedRotation, "rotate", counting(PairedRotation.rotate))
     monkeypatch.setattr(experiments.CertifiedRun, "reports", counting(experiments.CertifiedRun.reports))
     config_report(tmp_path, config)
     held = 1 if draws == 1 else 0
-    assert live == [("relabel", 0), ("relabel", held), ("relabel", 0), ("reports", 0)]
+    assert live == [("rotate", 0), ("rotate", held), ("rotate", 0), ("reports", 0)]
 
 
 def test_a_non_finite_number_after_a_written_batch_leaves_no_report(tmp_path, monkeypatch):

@@ -126,6 +126,7 @@ from oracles import (
     reference_measurement_chain,
     reference_report_json,
     rotate,
+    stock_probes,
     unitarity_residual,
     version_labels,
 )
@@ -382,10 +383,11 @@ def drawn_operators(draw, layout, labels):
 @settings(max_examples=30, deadline=None)
 def test_label_and_amplitude_parts_are_the_application(drawn, data, theta2, theta):
     # One label part per operator and support serves other amplitudes on
-    # that support and, for the rotation, every angle.  It is one pass over
-    # one copy of the labels: the rows of the stage-by-stage oracle byte for
-    # byte, one phase per row equal to its stage phases multiplied in stage
-    # order, and the caller's labels left as they were.
+    # that support, and one rotation call turns a batch by every angle, each
+    # member at each angle bit for bit as alone.  The label part is one pass
+    # over one copy of the labels: the rows of the stage-by-stage oracle byte
+    # for byte, one phase per row equal to its stage phases multiplied in
+    # stage order, and the caller's labels left as they were.
     chain, state = drawn
     layout = chain.layout
     parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -413,12 +415,52 @@ def test_label_and_amplitude_parts_are_the_application(drawn, data, theta2, thet
         layout.row(version_labels(layout, j, detected=True, message=j + 1)) for j in (0, 1)
     ]
     plane = build_basis_rotation(layout, *rows)
-    turn = plane.relabel(state.labels)
-    for angle in (theta2, theta):
-        c, s = np.cos(angle), np.sin(angle)
-        for x in (state, other):
-            split = StateVector(layout, turn.rows, turn.amplitudes(x.values, c, s))
-            assert bits(split) == bits(rotate(plane, x, angle))
+    batch = StateVector(layout, state.labels, [state.values, other.values])
+    c, s = (np.array([[f(angle)] for angle in (theta2, theta)]) for f in (np.cos, np.sin))
+    turned = plane.rotate(batch, c, s)
+    members = itertools.product((state, other), (theta2, theta))
+    for values, (x, angle) in zip(turned.values, members, strict=True):
+        assert bits(StateVector(layout, turned.labels, values)) == bits(rotate(plane, x, angle))
+
+
+@given(
+    sparse_states(),
+    st.data(),
+    st.lists(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False), min_size=1, max_size=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_batched_rotation_is_the_dense_rotation_of_each_member_at_each_angle(
+    drawn, data, thetas
+):
+    """``rotate`` on a batch of 1-3 members and a column of angles gives,
+    member-major, the loop-built rotation matrix times each member at each
+    angle.  The support always holds version 1's recorded row without its
+    partner, so at least one plane has a missing member."""
+    chain, state = drawn
+    layout = chain.layout
+    rows = [
+        layout.row(version_labels(layout, j, detected=True, message=j + 1)) for j in (0, 1)
+    ]
+    plane = build_basis_rotation(layout, *rows)
+    partner = rows[0].copy()
+    partner[list(plane.fixed)] = plane.second
+    labels = state.labels[~(state.labels == partner).all(axis=1)]
+    labels = np.concatenate([labels, rows[0][None, :]])
+    parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    size = st.lists(parts, min_size=2 * len(labels), max_size=2 * len(labels))
+    members = data.draw(st.lists(size, min_size=1, max_size=3))
+    batch = StateVector(layout, labels, np.array(members).view(complex))
+    c, s = (np.array([[f(theta)] for theta in thetas]) for f in (np.cos, np.sin))
+    turned = plane.rotate(batch, c, s)
+    assert turned.values.shape == (len(batch.values) * len(thetas), len(turned.labels))
+    span = version_span(layout)
+    for (member, theta), values in zip(
+        itertools.product(batch.values, thetas), turned.values, strict=True
+    ):
+        dense = dense_amplitudes(StateVector(layout, batch.labels, member))
+        expected = naive_rotation_matrix(layout, span, theta) @ dense
+        moved = dense_amplitudes(StateVector(layout, turned.labels, values))
+        assert np.max(np.abs(moved - expected)) <= 1e-12
 
 
 @given(sparse_states())
@@ -984,12 +1026,12 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
     replay, the no-signaling probes and, at N=2, the rotation's
     perception, each run on the chain it builds itself."""
 
-    def tables_of(chain):
+    def tables_of(chain, probes):
         tables = chain.record.stages + chain.perception.stages
-        return tables + tuple(stage for probe in chain.probes for stage in probe.stages)
+        return tables + tuple(stage for probe in probes for stage in probe.stages)
 
     chain = compile_chain(n_versions, observers, photon_model, negative_control)
-    tables = tables_of(chain)
+    tables = tables_of(chain, stock_probes(chain.layout))
     # Detection reads the path; emission, with photons, one detector per entry.
     assert [stage.control.ndim for stage in chain.record.stages] == [1, 2][: 1 + photon_model]
     dims = chain.layout.dimension_array.tolist()
@@ -999,7 +1041,7 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
         for table in tables:
             assert_relabels_as_the_cube(table, labels)
 
-    applied, built = [], []
+    applied, built, probes = [], [], []
     relabel = ControlledRewrite._relabel
 
     def checked(table, rows, phases):
@@ -1011,6 +1053,10 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
         built.append(_compile(*args))
         return built[-1]
 
+    def probed(specs, probe, _check=experiments.no_signaling_check, **kwargs):
+        probes.append(probe)
+        return _check(specs, probe, **kwargs)
+
     coefficients = (n_versions**-0.5,) * n_versions
     spec = ExperimentSpec(
         n_versions, coefficients, observers, photon_model, negative_control=negative_control
@@ -1018,9 +1064,11 @@ def test_every_chain_table_relabels_as_the_match_cube_does(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ControlledRewrite, "_relabel", checked)
         patch.setattr(experiments, "compile_chain", compiled)
+        patch.setattr(experiments, "no_signaling_check", probed)
         run_measurement_chain(spec)
         (run_chain,) = built
-        assert set(map(id, applied)) == set(map(id, tables_of(run_chain)))
+        assert len(probes) == 2
+        assert set(map(id, applied)) == set(map(id, tables_of(run_chain, probes)))
         if n_versions == 2:
             applied.clear()
             run_appendix_rotation(spec, [0.0, 0.7])

@@ -62,7 +62,7 @@ def values_seen(call):
         (
             {"experiment": "appendix_rotation", "observers": 2, "photon_model": True,
              "coefficients": [[0.6, 0.0], [0.8, 0.0]], "thetas": {"count": 4}},
-            {"PermutedRows", "RotatedRows", "PairedRotation"},
+            {"PermutedRows", "PairedRotation"},
         ),
     ],
     ids=["chain", "rotation"],
