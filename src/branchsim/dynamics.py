@@ -130,8 +130,11 @@ class ControlledRewrite:
             (np.diff(np.sort(targets), axis=1) == 0).any() or (self.phase != 1).any()
         ):
             raise ValueError("several targets must be distinct registers, with phases of 1")
-        if not apart and len(set(map(tuple, when.tolist()))) != len(when):
-            raise ValueError(f"control rows repeat in a table over {at}")
+        if not apart and len(when) > 1:  # equal rows, one void key each, sort side by side
+            width = when[0].nbytes  # and rows of no control cells are all equal
+            keys = width and np.sort(np.ascontiguousarray(when).view(f"V{width}").ravel())
+            if not width or (keys[1:] == keys[:-1]).any():
+                raise ValueError(f"control rows repeat in a table over {at}")
         permutes = (np.sort(image, axis=1) == np.arange(shape[1])).all(axis=1)
         if not permutes.all():
             raise ValueError(f"image {image[~permutes][0].tolist()} is not a permutation")
@@ -237,7 +240,7 @@ class PairedRotation:
         column of them gives one row of amplitudes per member of ``state``
         and angle, member-major.  ``ValueError`` for a state of another
         layout."""
-        _require_layout(self, state)
+        self.layout.require_same(state.layout, "PairedRotation.rotate")
         labels, fixed = state.labels, list(self.fixed)
         key = labels[:, fixed]
         in_first = (key == self.first).all(axis=1)
@@ -285,18 +288,10 @@ class PermutedRows:
         return values * self.phases
 
 
-def _require_layout(op, x: StateVector) -> None:
-    if op.layout != x.layout:
-        raise ValueError(
-            f"operator on registers of dimensions {op.layout.dimensions()} does not "
-            f"match state registers of dimensions {x.layout.dimensions()}"
-        )
-
-
 def apply_unitary(op: UnitaryOp, x: StateVector) -> StateVector:
     if isinstance(op, PairedRotation):
         raise TypeError("a rotation turns a state by an angle: use PairedRotation.rotate")
-    _require_layout(op, x)
+    op.layout.require_same(x.layout, "apply_unitary")
     moved = op.relabel(x.labels)
     return StateVector(x.layout, moved.rows, moved.amplitudes(x.values))
 
@@ -306,11 +301,7 @@ def compose(second: UnitaryOp, first: UnitaryOp) -> UnitaryOp:
     for op in (second, first):
         if not isinstance(op, UnitaryOp):
             raise TypeError(f"compose takes permutation operators only, got {op!r}")
-    if second.layout != first.layout:
-        raise ValueError(
-            f"cannot compose operators on dimensions {second.layout.dimensions()} "
-            f"and {first.layout.dimensions()}"
-        )
+    second.layout.require_same(first.layout, "compose")
     return UnitaryOp(
         first.layout, f"{second.provenance} . {first.provenance}", first.stages + second.stages
     )

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -198,8 +199,12 @@ def _rows(columns: Sequence[Sequence[CheckResult]]) -> list[tuple[CheckResult, .
 class ExperimentSpec:
     """Parameters of one run, the whole input of the experiments.
 
-    ``tolerance`` must lie in ``[MIN_TOLERANCE, MAX_TOLERANCE]``; the
-    coefficients must be finite, with ``is_normalized`` squared moduli.
+    Construction refuses (``ValueError``, naming the field) counts that are
+    not integers or are ``bool``, flags that are not ``bool``, and a
+    tolerance or coefficients that are not numbers; it stores the counts as
+    ``int`` and the coefficients as ``complex``.  ``tolerance`` must lie in
+    ``[MIN_TOLERANCE, MAX_TOLERANCE]``; the coefficients must be finite,
+    with ``is_normalized`` squared moduli.
     ``negative_control`` corrupts the perception step so that the first
     version's message lands on the reserved mixed-record level, proving the
     checks can fail; it needs a first coefficient of modulus above the
@@ -215,7 +220,18 @@ class ExperimentSpec:
     negative_control: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
+        for name in ("n_versions", "observers"):
+            count = _converted(name, getattr(self, name), operator.index, bool, "an integer")
+            object.__setattr__(self, name, count)
+        for name in ("photon_model", "negative_control"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        text = (str, bytes)
+        _converted("tolerance", self.tolerance, float, text, "a number")
+        coefficients = tuple(
+            _converted("coefficients", c, complex, text, "numbers") for c in self.coefficients
+        )
+        object.__setattr__(self, "coefficients", coefficients)
         # Written so that NaN fails the comparison too.
         if not MIN_TOLERANCE <= self.tolerance <= MAX_TOLERANCE:
             raise ValueError(
@@ -243,6 +259,17 @@ class ExperimentSpec:
                 f"negative control needs a first coefficient of modulus above the "
                 f"tolerance {self.tolerance}, got {self.coefficients[0]!r}"
             )
+
+
+def _converted(name: str, value, convert, refused, kind: str):
+    """``convert(value)``; ``ValueError`` naming ``name`` if ``value`` is one
+    of the ``refused`` types or ``convert`` refuses it."""
+    try:
+        if not isinstance(value, refused):
+            return convert(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def is_normalized(total: float) -> bool:
@@ -908,11 +935,7 @@ def no_signaling_check(
     spec = specs[0]
     chain = _compiled(spec, chain)
     layout = chain.layout
-    if perturbation.layout != layout:
-        raise ValueError(
-            f"perturbation on dimensions {perturbation.layout.dimensions()} does not "
-            f"match layout dimensions {layout.dimensions()}"
-        )
+    layout.require_same(perturbation.layout, "no_signaling_check")
     # Branch 1 is everything living on version 1's configuration, observer
     # included; a perturbed version 2 may do anything, even display the
     # first version's message, without touching that subspace.

@@ -89,22 +89,44 @@ class Register:
 @dataclass(frozen=True, slots=True)
 class SubsystemLayout:
     """Ordered registers of a composite space.  Layouts are immutable; all
-    methods are pure.  Each builds once its ``dimension_array``, the register
-    dimensions to compare label rows against, and the role table ``at`` reads."""
+    methods are pure.  Construction refuses (``ValueError``) no registers, a
+    repeated name, a dimension below 2 and an unknown role, and derives
+    ``total_dimension``, the product of the register dimensions.  Each builds
+    once its ``dimension_array``, the register dimensions to compare label
+    rows against, and the role table ``at`` reads."""
 
     registers: tuple[Register, ...]
-    total_dimension: int
+    total_dimension: int = field(init=False)
     dimension_array: np.ndarray = field(init=False, repr=False, compare=False)
     _positions: dict = field(init=False, repr=False, compare=False)
     _roles: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        roles: dict[str, list[int]] = {}
+        if not self.registers:
+            raise ValueError("layout needs at least one register")
+        positions, roles = {}, {}  # name -> position, role -> positions
         for i, r in enumerate(self.registers):
+            if r.name in positions:
+                raise ValueError(f"duplicate register name {r.name!r}")
+            if r.dimension < 2:
+                raise ValueError(f"register {r.name!r} has dimension {r.dimension}, need >= 2")
+            if r.role not in ROLES:
+                raise ValueError(f"register {r.name!r} has unknown role {r.role!r}")
+            positions[r.name] = i
             roles.setdefault(r.role, []).append(i)
-        object.__setattr__(self, "dimension_array", np.array(self.dimensions()))
-        object.__setattr__(self, "_positions", {r.name: i for i, r in enumerate(self.registers)})
+        dimensions = self.dimensions()
+        object.__setattr__(self, "total_dimension", math.prod(dimensions))
+        object.__setattr__(self, "dimension_array", np.array(dimensions))
+        object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_roles", roles)
+
+    def require_same(self, other: "SubsystemLayout", caller: str) -> None:
+        """``ValueError`` naming ``caller`` unless ``other`` is this layout."""
+        if other != self:
+            raise ValueError(
+                f"{caller}: a layout of dimensions {self.dimensions()} does not match "
+                f"the layout of dimensions {other.dimensions()}"
+            )
 
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.registers)
@@ -184,27 +206,10 @@ def label_array(labels, copy: bool = False) -> np.ndarray:
 
 
 def make_layout(registers: Iterable[tuple[str, int, str]]) -> SubsystemLayout:
-    """Build a layout from ``(name, dimension, role)`` triples.
-
-    Raises ``ValueError`` on duplicate names, dimensions below 2 or unknown
-    roles.
-    """
-    regs = []
-    seen: set[str] = set()
-    total = 1
-    for name, dimension, role in registers:
-        if name in seen:
-            raise ValueError(f"duplicate register name {name!r}")
-        seen.add(name)
-        if dimension < 2:
-            raise ValueError(f"register {name!r} has dimension {dimension}, need >= 2")
-        if role not in ROLES:
-            raise ValueError(f"register {name!r} has unknown role {role!r}")
-        regs.append(Register(name, dimension, role))
-        total *= dimension
-    if not regs:
-        raise ValueError("layout needs at least one register")
-    return SubsystemLayout(tuple(regs), total)
+    """The layout of ``(name, dimension, role)`` triples, in order; it refuses
+    what ``SubsystemLayout`` refuses."""
+    # tuple() of a list, unlike a generator, reuses a freed tuple: a lower peak.
+    return SubsystemLayout(tuple([Register(name, dim, role) for name, dim, role in registers]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,9 +313,8 @@ def aligned(*states: StateVector) -> tuple[np.ndarray, np.ndarray]:
     array holding each state's amplitude there, zero off its support; for
     batched states, a (states x members x rows) array.
     """
-    layout = states[0].layout
-    if any(state.layout != layout for state in states):
-        raise ValueError("aligned states must share one layout")
+    for state in states:
+        states[0].layout.require_same(state.layout, "aligned")
     rows, position = union_rows(np.concatenate([state.labels for state in states]))
     leading = np.broadcast_shapes(*(state.values.shape[:-1] for state in states))
     table = np.zeros((len(states), *leading, len(rows)), dtype=complex)
@@ -334,8 +338,7 @@ def superpose(terms: Sequence[tuple[complex, StateVector]]) -> StateVector:
         raise ValueError("superpose needs at least one term")
     layout = terms[0][1].layout
     for _, state in terms:
-        if state.layout != layout:
-            raise ValueError("superpose terms must share one layout")
+        layout.require_same(state.layout, "superpose")
     return StateVector(
         layout,
         np.concatenate([state.labels for _, state in terms]),

@@ -608,7 +608,7 @@ def test_construction_accepts_builders_and_rejects_defects():
     # condition a table can judge alone: a table that scales every observer
     # level by 0.5, one that sends every observer level to blank, a repeated
     # control position, a target among the controls, and a repeated control
-    # row.
+    # row, next to its twin or not, or of no control cells at all.
     # Nor can a label reach a table by wrapping: 65,541 = 2^16 + 5 would
     # read 5 in 16 bits, in a control row, an image or a target; a label past
     # 64 bits, either sign, fits no integer dtype and is refused the same way.
@@ -618,6 +618,8 @@ def test_construction_accepts_builders_and_rejects_defects():
         (((0, 0), [[0, 0]], 1, [[1, 0]]), "repeat a register"),
         (((0, 1), [[0, 1]], 1, [[1, 0]]), "among the controls"),
         (((0,), [[1], [1]], 1, [[1, 0]]), "control rows repeat"),
+        (((0, 1), [[1, 0], [0, 1], [1, 0]], 2, [[1, 0]]), "control rows repeat"),
+        (((), [[], []], 3, [[1, 2, 3, 0]]), "control rows repeat"),
         (((0,), [[65541]], 1, [[1, 0]]), "do not fit int16"),
         (((0,), np.array([[65541]], dtype=np.uint32), 1, [[1, 0]]), "do not fit int16"),
         (((0,), [[1]], 1, [[1, 65541]]), "do not fit int16"),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,41 @@ def test_spec_validation():
         ExperimentSpec(3, (1.0, 0.0))
     with pytest.raises(ValueError, match="sum"):
         ExperimentSpec(2, (1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("photon_model", "no"),
+        ("photon_model", 1),
+        ("negative_control", "no"),
+        ("negative_control", np.bool_(True)),
+        ("observers", True),
+        ("observers", 1.5),
+        ("n_versions", 2.0),
+        ("n_versions", "2"),
+        ("coefficients", ("0.6", "0.8")),
+        ("coefficients", (0.6, b"0.8")),
+        ("coefficients", (0.6, None)),
+        ("tolerance", "1e-12"),
+        ("tolerance", 1e-12j),
+    ],
+)
+def test_spec_refuses_fields_of_the_wrong_type(field, value):
+    # Each would otherwise reach the run: a truthy string builds the photon
+    # chain or the negative control, a bool counts one observer, a float
+    # count fails deep inside chain_layout, and a string is parsed as a number.
+    with pytest.raises(ValueError, match=field):
+        replace(ExperimentSpec(2, (0.6, 0.8)), **{field: value})
+
+
+def test_spec_stores_numpy_numbers_as_python_ones():
+    spec = ExperimentSpec(np.int64(2), np.array([0.6, 0.8]), observers=np.uint8(2))
+    assert (spec.n_versions, spec.observers) == (2, 2)
+    assert type(spec.n_versions) is int and type(spec.observers) is int
+    assert spec.coefficients == (0.6, 0.8) and type(spec.coefficients[0]) is complex
+    assert spec == ExperimentSpec(2, (0.6, 0.8), observers=2)
+    assert json.dumps(run_measurement_chain(spec).draw)
 
 
 def test_report_rejects_duplicate_checks():
@@ -399,6 +435,35 @@ def test_no_signaling_rejects_overlapping_perturbation():
     layout = chain_layout(2, 1)
     with pytest.raises(InvalidPerturbationError):
         no_signaling_check(spec, phase_flip_perturbation(layout, 0))
+
+
+AGREEMENT_CALLS = {
+    # Each call puts an object of the two-version chain next to one of the
+    # three-version chain; the perturbation is refused before its protection
+    # is looked at.
+    "apply_unitary": lambda ours, other: apply_unitary(
+        identity(ours), initial_state(other, [1, 0, 0])
+    ),
+    "PairedRotation.rotate": lambda ours, other: build_basis_rotation(
+        ours, *experiments._version_rows(ours, [0, 1], detected=True)
+    ).rotate(initial_state(other, [1, 0, 0]), 1.0, 0.0),
+    "compose": lambda ours, other: compose(identity(ours), identity(other)),
+    "no_signaling_check": lambda ours, other: no_signaling_check(
+        ExperimentSpec(2, (0.6, 0.8)), phase_flip_perturbation(other, 0)
+    ),
+    "aligned": lambda ours, other: aligned(
+        initial_state(ours, [1, 0]), initial_state(other, [1, 0, 0])
+    ),
+    "superpose": lambda ours, other: superpose(
+        [(1.0, initial_state(ours, [1, 0])), (1.0, initial_state(other, [1, 0, 0]))]
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", AGREEMENT_CALLS)
+def test_every_caller_refuses_a_layout_from_another_chain(caller):
+    with pytest.raises(ValueError, match=f"^{re.escape(caller)}: a layout of dimensions"):
+        AGREEMENT_CALLS[caller](chain_layout(2), chain_layout(3))
 
 
 def test_the_no_signaling_verdict_is_each_draw_s_worse_probe(monkeypatch):

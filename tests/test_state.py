@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from branchsim import (
     superpose,
 )
 from branchsim import state
-from branchsim.state import LABEL, aligned, union_rows
+from branchsim.state import LABEL, Register, SubsystemLayout, aligned, union_rows
 from oracles import (
     basis_labels,
     decode,
@@ -40,17 +41,28 @@ SG = [("P", 2, "particle-path"), ("DH", 2, "detector"), ("DV", 2, "detector"),
 def test_layout_total_dimension():
     assert make_layout(SG).total_dimension == 32
     assert make_layout([("P", 2, "particle-path")]).total_dimension == 2
+    # The dimension is derived from the registers, never given.
+    registers = make_layout(SG).registers
+    assert SubsystemLayout(registers).total_dimension == math.prod(r.dimension for r in registers)
+    with pytest.raises(TypeError):
+        SubsystemLayout(registers, 7)
+    with pytest.raises(TypeError):
+        SubsystemLayout(registers=registers, total_dimension=32)
 
 
 def test_layout_rejects_duplicates_and_bad_dimensions():
-    with pytest.raises(ValueError, match="duplicate"):
-        make_layout([("P", 2, "particle-path"), ("P", 2, "particle-path")])
-    with pytest.raises(ValueError, match="dimension"):
-        make_layout([("P", 1, "particle-path")])
-    with pytest.raises(ValueError, match="role"):
-        make_layout([("P", 2, "screen")])
-    with pytest.raises(ValueError):
-        make_layout([])
+    # The layout itself refuses each defect, however it is built.
+    path = ("P", 2, "particle-path")
+    for registers, match in (
+        ([path, path], "duplicate"),
+        ([("P", 1, "particle-path")], "dimension"),
+        ([("P", 2, "screen")], "role"),
+        ([], "at least one register"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            make_layout(registers)
+        with pytest.raises(ValueError, match=match):
+            SubsystemLayout(tuple(Register(*r) for r in registers))
 
 
 @pytest.mark.parametrize(
