@@ -8,9 +8,9 @@ per entry (emission's entry j reads detector j), the control rows (``when``)
 it acts on and, for each, the targets, the image of each target level and
 the phase picked up there.  A ``UnitaryOp`` applies such tables in order, in
 place, to one copy of the (k x registers) label rows of a state.  A table
-looks a row's shared control labels up among its ``when`` rows, or compares
-them entry by entry, so it costs k x registers or k x entries x controls
-whatever the dimension; ``compose`` concatenates the tables.
+groups a row's shared control labels with its ``when`` rows (``union_rows``)
+or compares them entry by entry, so it costs (k + entries) x controls or k x
+entries x controls whatever the dimension; ``compose`` concatenates tables.
 
 Applying a permutation is two parts run in turn.  The label part
 (``relabel``) reads only label rows: it gives the rows after the operator
@@ -80,7 +80,7 @@ class ControlledRewrite:
     entries.  Every target is a register of ``image.shape[1]`` levels.
     Construction keeps read-only copies (labels as ``LABEL``) and refuses
     (``ValueError``) labels that would wrap, repeated control positions, a
-    target among them, repeated ``when`` rows, images that are not
+    target among them, repeated ``when`` rows (``union_rows``), images that are not
     permutations and phases whose modulus is off 1 by over ``TOLERANCE``;
     with several targets, repeated ones and phases other than 1, so the
     table is its one-target tables applied in turn.  With a control row per
@@ -130,11 +130,8 @@ class ControlledRewrite:
             (np.diff(np.sort(targets), axis=1) == 0).any() or (self.phase != 1).any()
         ):
             raise ValueError("several targets must be distinct registers, with phases of 1")
-        if not apart and len(when) > 1:  # equal rows, one void key each, sort side by side
-            width = when[0].nbytes  # and rows of no control cells are all equal
-            keys = width and np.sort(np.ascontiguousarray(when).view(f"V{width}").ravel())
-            if not width or (keys[1:] == keys[:-1]).any():
-                raise ValueError(f"control rows repeat in a table over {at}")
+        if not apart and len(union_rows(when)[0]) < len(when):
+            raise ValueError(f"control rows repeat in a table over {at}")
         permutes = (np.sort(image, axis=1) == np.arange(shape[1])).all(axis=1)
         if not permutes.all():
             raise ValueError(f"image {image[~permutes][0].tolist()} is not a permutation")
@@ -145,11 +142,13 @@ class ControlledRewrite:
         """Rewrite the target cells of the matched ``rows`` and multiply their
         ``phases``, in place: no target is a control, and every level is read
         before a cell is written."""
-        if self.control.ndim == 1 and len(self.when) > 1:  # a key names at most one entry
-            index = {key: e for e, key in enumerate(map(tuple, self.when.tolist()))}
-            keys = map(tuple, rows[:, self.control].tolist())
-            entry = np.array([index.get(key, -1) for key in keys], int)
-            row, entry = np.flatnonzero(entry >= 0), entry[entry >= 0]
+        n = len(self.when)
+        if self.control.ndim == 1 and n > 1:  # a group holds at most one entry's when row
+            groups, group = union_rows(np.concatenate([self.when, rows[:, self.control]]))
+            entry = np.full(len(groups), -1)
+            entry[group[:n]] = np.arange(n)
+            row = np.flatnonzero(entry[group[n:]] >= 0)
+            entry = entry[group[n:][row]]
         else:  # one compare per row and entry: photon emission and the probes
             row, entry = np.nonzero((rows[:, np.atleast_2d(self.control)] == self.when).all(axis=2))
         # Matches x targets cells; an entry's targets share its phases of 1, and
@@ -193,6 +192,22 @@ class UnitaryOp:
             width = stage.image.shape[1]
             if any(level != width for level in levels):
                 raise ValueError(f"{width}-level images for targets of {levels} levels")
+
+    def is_identity_where(self, at: Sequence[int], labels: np.ndarray) -> bool:
+        """Whether each stage is the identity where the registers at ``at``
+        read ``labels``, the rest free: every entry whose ``when`` row agrees
+        with ``labels`` on its own controls among ``at`` fixes each level with
+        phase 1.  A lookup per table; stages that undo each other fail it."""
+        wanted = np.full(len(self.layout.registers), -1)  # -1: a free register
+        wanted[at] = labels
+        for stage in self.stages:
+            cells = wanted[stage.control]  # each entry's own control cells
+            fires = ((stage.when == cells) | (cells < 0)).all(axis=1)
+            fixes = (stage.image == np.arange(stage.image.shape[1])).all(axis=1)
+            fixes &= (np.abs(stage.phase - 1.0) <= TOLERANCE).all(axis=1)
+            if (fires & ~fixes).any():
+                return False
+        return True
 
     def relabel(self, labels: np.ndarray) -> "PermutedRows":
         """Label part: the stages in turn rewrite one copy of ``labels`` and

@@ -47,8 +47,8 @@ branches group rows by their record labels, and the record weights, probes
 and residuals read rows and amplitudes, never flat indices, so a run costs
 O(support) whatever the dimension.  The probes are tables too, so
 ``no_signaling_check`` proves that a probe leaves the first branch alone by
-looking its control rows up against that branch's configuration, without
-enumerating the observer levels the branch spans.
+a lookup of its control rows against that branch's configuration that
+enumerates no observer level (``UnitaryOp.is_identity_where``).
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from .state import (
     SubsystemLayout,
     TOLERANCE,
     aligned,
+    converted,
     is_message,
     make_layout,
     max_pair_overlap,
@@ -221,15 +222,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("n_versions", "observers"):
-            count = _converted(name, getattr(self, name), operator.index, bool, "an integer")
+            count = converted(name, getattr(self, name), operator.index, bool, "an integer")
             object.__setattr__(self, name, count)
         for name in ("photon_model", "negative_control"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         text = (str, bytes)
-        _converted("tolerance", self.tolerance, float, text, "a number")
+        converted("tolerance", self.tolerance, float, text, "a number")
         coefficients = tuple(
-            _converted("coefficients", c, complex, text, "numbers") for c in self.coefficients
+            converted("coefficients", c, complex, text, "numbers") for c in self.coefficients
         )
         object.__setattr__(self, "coefficients", coefficients)
         # Written so that NaN fails the comparison too.
@@ -259,17 +260,6 @@ class ExperimentSpec:
                 f"negative control needs a first coefficient of modulus above the "
                 f"tolerance {self.tolerance}, got {self.coefficients[0]!r}"
             )
-
-
-def _converted(name: str, value, convert, refused, kind: str):
-    """``convert(value)``; ``ValueError`` naming ``name`` if ``value`` is one
-    of the ``refused`` types or ``convert`` refuses it."""
-    try:
-        if not isinstance(value, refused):
-            return convert(value)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def is_normalized(total: float) -> bool:
@@ -420,13 +410,9 @@ def expected_final_state(
     layout: SubsystemLayout, coefficients: Sequence[complex]
 ) -> StateVector:
     """The branch-table target: each version tagged with its own message."""
-    return StateVector(layout, _expected_rows(layout, np.shape(coefficients)[-1]), coefficients)
-
-
-def _expected_rows(layout: SubsystemLayout, n_versions: int) -> np.ndarray:
-    """The label rows of ``expected_final_state``, in version order."""
-    versions = np.arange(n_versions)
-    return _version_rows(layout, versions, detected=True, message=message_level(versions))
+    versions = np.arange(np.shape(coefficients)[-1])
+    rows = _version_rows(layout, versions, detected=True, message=message_level(versions))
+    return StateVector(layout, rows, coefficients)
 
 
 # Keeps its __dict__: tests hold weak references to it, and Python 3.10 has no weakref_slot.
@@ -868,25 +854,24 @@ def coefficient_independence_check(
 def phase_flip_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
     """Flip the sign of every basis state in one version's configuration:
     the first observer is rewritten there by the identity, with phase -1."""
-    observer = layout.at(ROLE_OBSERVER)[0]
-    at, recorded = _version_configuration(layout, version)
-    levels = np.arange(layout.registers[observer].dimension)
-    table = ControlledRewrite(at, [recorded], observer, [levels], -1.0)
-    return UnitaryOp(layout, f"phase-flip[version {version + 1}]", (table,))
+    return _probe(layout, version, "phase-flip", 0, -1.0)
 
 
 def record_cycle_perturbation(layout: SubsystemLayout, version: int) -> UnitaryOp:
-    """Cycle the first observer's levels inside one version's configuration.
+    """Cycle the first observer's levels inside one version's configuration,
+    scrambling what it saw there; every other branch must stay untouched."""
+    return _probe(layout, version, "record-cycle", 1, 1.0)
 
-    A permutation supported on the perturbed version's subspace: it
-    scrambles what that version's observer will have seen, and must leave
-    every other branch untouched.
-    """
+
+def _probe(layout: SubsystemLayout, version: int, name: str, step: int, phase: float) -> UnitaryOp:
+    """One entry: inside ``version``'s configuration, the first observer's
+    level l goes to l + ``step`` (cyclically), with ``phase``."""
     observer = layout.at(ROLE_OBSERVER)[0]
     at, recorded = _version_configuration(layout, version)
-    levels = np.arange(layout.registers[observer].dimension)
-    table = ControlledRewrite(at, [recorded], observer, [np.roll(levels, -1)])
-    return UnitaryOp(layout, f"record-cycle[version {version + 1}]", (table,))
+    dimension = layout.registers[observer].dimension
+    levels = (np.arange(dimension) + step) % dimension
+    table = ControlledRewrite(at, [recorded], observer, [levels], phase)
+    return UnitaryOp(layout, f"{name}[version {version + 1}]", (table,))
 
 
 def _version_configuration(
@@ -940,7 +925,9 @@ def no_signaling_check(
     # included; a perturbed version 2 may do anything, even display the
     # first version's message, without touching that subspace.
     at, recorded = _version_configuration(layout, 0)
-    _require_protected(perturbation, at, recorded)
+    if not perturbation.is_identity_where(at, recorded):
+        what = f"perturbation {perturbation.provenance!r} is not the identity"
+        raise InvalidPerturbationError(f"{what} on the protected branch subspace")
 
     if states is None:
         states = chain.evolve(initial_state(layout, coefficients))
@@ -951,29 +938,6 @@ def no_signaling_check(
     )
     results = _column("no_signaling", residuals, spec.tolerance, perturbation.provenance)
     return results[0] if single else results
-
-
-def _require_protected(op: UnitaryOp, at: list[int], labels: np.ndarray) -> None:
-    """``InvalidPerturbationError`` unless ``op`` is the identity wherever
-    the registers at ``at`` read ``labels``.
-
-    Every other register is free there, so a table entry can fire there
-    exactly when its ``when`` row agrees with ``labels`` on its own control
-    registers among ``at``; each such entry must fix every level with phase
-    1.  A lookup in each table, whatever the number of free levels.
-    """
-    wanted = np.full(len(op.layout.registers), -1)  # -1: a free register
-    wanted[at] = labels
-    for stage in op.stages:
-        cells = wanted[stage.control]  # each entry's own control cells
-        fires = ((stage.when == cells) | (cells < 0)).all(axis=1)
-        fixes = (stage.image == np.arange(stage.image.shape[1])).all(axis=1)
-        fixes &= (np.abs(stage.phase - 1.0) <= TOLERANCE).all(axis=1)
-        if (fires & ~fixes).any():
-            raise InvalidPerturbationError(
-                f"perturbation {op.provenance!r} is not the identity on the "
-                f"protected branch subspace"
-            )
 
 
 def _canonical_no_signaling(run: CertifiedRun) -> list[CheckResult]:
@@ -1074,7 +1038,7 @@ def run_appendix_rotation(
         del rotated, amplitudes, rows, residuals
 
     if "primed_evolution" in run.enabled:
-        target = StateVector(layout, _expected_rows(layout, 2), np.hstack([c, s]))
+        target = expected_final_state(layout, np.hstack([c, s]))
         column = _column("primed_evolution", _distance(primed_evolved, target), tolerance)
         columns.append(column * len(specs))
         del target, column

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -85,12 +86,19 @@ class Register:
     dimension: int
     role: str
 
+    def __post_init__(self):
+        if type(self.dimension) is not int:  # a numpy integer, a bool or no integer
+            what = f"the dimension of register {self.name!r}"
+            dimension = converted(what, self.dimension, operator.index, bool, "an integer")
+            object.__setattr__(self, "dimension", dimension)
+
 
 @dataclass(frozen=True, slots=True)
 class SubsystemLayout:
     """Ordered registers of a composite space.  Layouts are immutable; all
     methods are pure.  Construction refuses (``ValueError``) no registers, a
-    repeated name, a dimension below 2 and an unknown role, and derives
+    repeated name, a dimension that is no integer (a ``Register`` keeps a
+    numpy one as ``int``) or is below 2 and an unknown role, and derives
     ``total_dimension``, the product of the register dimensions.  Each builds
     once its ``dimension_array``, the register dimensions to compare label
     rows against, and the role table ``at`` reads."""
@@ -121,11 +129,15 @@ class SubsystemLayout:
         object.__setattr__(self, "_roles", roles)
 
     def require_same(self, other: "SubsystemLayout", caller: str) -> None:
-        """``ValueError`` naming ``caller`` unless ``other`` is this layout."""
+        """``ValueError`` naming ``caller`` and the first register that
+        differs, on both sides, unless ``other`` is this layout."""
         if other != self:
+            pairs = enumerate(itertools.zip_longest(self.registers, other.registers))
+            at, ours, theirs = next((i, a, b) for i, (a, b) in pairs if a != b)
             raise ValueError(
                 f"{caller}: a layout of dimensions {self.dimensions()} does not match "
-                f"the layout of dimensions {other.dimensions()}"
+                f"the layout of dimensions {other.dimensions()}: register {at} is "
+                f"{ours or 'missing'} against {theirs or 'missing'}"
             )
 
     def names(self) -> tuple[str, ...]:
@@ -193,6 +205,17 @@ class SubsystemLayout:
         return label_array(digits)
 
 
+def converted(name: str, value, convert, refused, kind: str):
+    """``convert(value)``; ``ValueError`` naming ``name`` if ``value`` is one
+    of the ``refused`` types or ``convert`` refuses it."""
+    try:
+        if not isinstance(value, refused):
+            return convert(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def label_array(labels, copy: bool = False) -> np.ndarray:
     """``labels`` as ``LABEL`` (a copy if ``copy``); ``ValueError`` if a value would wrap."""
     given = np.asarray(labels)
@@ -254,9 +277,10 @@ def union_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a label array in flat-index order, and the position
     of each input row among them.
 
-    Sorting rows as tuples (first register first) orders them by flat index
-    without computing one; supports are small, so Python's sort is the
-    cheapest way to do it.
+    The one row key: states, sections, overlaps, tables' distinct ``when``
+    rows and their lookups all group rows here.  Sorting rows as lists
+    (first register first) orders them by flat index without computing one;
+    supports are small, so Python's sort is the cheapest way to do it.
     """
     rows = labels.tolist()
     position = [0] * len(rows)

@@ -69,6 +69,7 @@ from branchsim import (
     CapacityError,
     CheckResult,
     ControlledRewrite,
+    InvalidPerturbationError,
     PairedRotation,
     RunReport,
     StateVector,
@@ -841,7 +842,8 @@ def reference_no_signaling(spec, chain, post_detection, final):
     at, recorded = experiments._version_configuration(chain.layout, 0)
     results = []
     for probe in stock_probes(chain.layout):
-        experiments._require_protected(probe, at, recorded)
+        if not probe.is_identity_where(at, recorded):
+            raise InvalidPerturbationError(f"probe {probe.provenance!r} moves branch 1")
         perturbed = apply_unitary(chain.perception, apply_unitary(probe, post_detection))
         residual = _reference_distance(
             experiments._restricted(final, at, recorded),

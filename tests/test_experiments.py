@@ -586,6 +586,44 @@ def test_protection_reads_each_entry_s_own_controls():
         assert no_signaling_check(spec, stock).passed
 
 
+def test_is_identity_where_matches_the_brute_force_view():
+    # UnitaryOp.is_identity_where, asked about version 1's recorded
+    # configuration with the observers free, says no exactly when the
+    # oracle's view of every basis state sees branch 1 move or rephase.
+    layout = chain_layout(2, 2)
+    at, recorded = experiments._version_configuration(layout, 0)
+    path, (d1, d2) = layout.position("path"), layout.at("detector")
+    obs1, obs2 = layout.position("Obs1"), layout.position("Obs2")
+    levels = np.arange(observer_dimension(2))
+    cycle = np.roll(levels, -1)
+
+    def op(name, *table):
+        return UnitaryOp(layout, name, (ControlledRewrite(*table),))
+
+    cases = [
+        *stock_probes(layout),
+        phase_flip_perturbation(layout, 0),
+        record_cycle_perturbation(layout, 0),
+        # A control row per entry: each entry reads its own detector.
+        op("own controls, cycle", [[d2], [d1]], [[1], [1]], [obs1, obs2], [cycle, cycle]),
+        op("own controls, identity", [[d2], [d1]], [[1], [1]], [obs1, obs2], [cycle, levels]),
+        # Several targets, written through one image.
+        op("two targets on path=0", [path], [[0]], [[obs1, obs2]], [cycle]),
+        op("two targets on path=1", [path], [[1]], [[obs1, obs2]], [cycle]),
+        # A phase other than 1 on the identity image.
+        op("phase i on D1", [d1], [[1]], obs2, [levels], 1j),
+        op("phase i on D2", [d2], [[1]], obs2, [levels], 1j),
+        op("phase -1 on D1=0", [d1], [[0]], obs2, [levels], -1.0),
+        # Every control of the entry is a free register.
+        op("phase -1 on Obs1", [obs1], [[2]], obs2, [levels], -1.0),
+        op("cycle on Obs1", [obs1], [[0], [3]], obs2, [cycle, levels]),
+        op("identity on Obs1", [obs1], [[0], [3]], obs2, [levels, levels]),
+    ]
+    verdicts = {case.provenance: case.is_identity_where(at, recorded) for case in cases}
+    assert verdicts == {case.provenance: not moves_branch_one(case) for case in cases}
+    assert sorted(set(verdicts.values())) == [False, True]
+
+
 def test_a_probe_that_is_not_unitary_cannot_be_built():
     # A probe on version 2 that zeroes its amplitude, or that merges every
     # observer level into blank, touches no row of branch 1, so the

@@ -65,6 +65,37 @@ def test_layout_rejects_duplicates_and_bad_dimensions():
             SubsystemLayout(tuple(Register(*r) for r in registers))
 
 
+@pytest.mark.parametrize("dimension", [2.5, "2", True, None, np.float64(3.0)])
+def test_a_register_dimension_must_be_an_integer(dimension):
+    registers = [("P", dimension, "particle-path"), ("D", 2, "detector")]
+    with pytest.raises(ValueError, match="the dimension of register 'P' must be an integer, got "):
+        make_layout(registers)
+
+
+def test_a_numpy_integer_dimension_is_kept_as_a_python_int():
+    layout = make_layout([("P", np.int64(3), "particle-path"), ("D", 2**70, "detector")])
+    assert type(layout.registers[0].dimension) is int
+    assert layout.total_dimension == 3 * 2**70
+    assert type(layout.total_dimension) is int
+    assert layout == make_layout([("P", 3, "particle-path"), ("D", 2**70, "detector")])
+
+
+@pytest.mark.parametrize(
+    "other, differs",
+    [
+        ([("B", 2, "detector"), ("O", 4, "observer")], "'A'.* against .*'B'"),
+        ([("A", 2, "photon"), ("O", 4, "observer")], "'detector'.* against .*'photon'"),
+        ([("A", 2, "detector"), ("O", 5, "observer")], "register 1 is .*=4.* against .*=5"),
+        ([("A", 2, "detector")], r"register 1 is Register\(name='O'.* against missing"),
+    ],
+)
+def test_require_same_names_the_first_register_that_differs(other, differs):
+    ours = make_layout([("A", 2, "detector"), ("O", 4, "observer")])
+    with pytest.raises(ValueError, match=f"^apply_unitary: a layout of dimensions .*{differs}"):
+        ours.require_same(make_layout(other), "apply_unitary")
+    ours.require_same(make_layout([("A", 2, "detector"), ("O", 4, "observer")]), "apply_unitary")
+
+
 @pytest.mark.parametrize(
     "n, observers, photon_model",
     [(510, 1, False), (255, 1, True), (2, 509, False), (2, 507, True)],
