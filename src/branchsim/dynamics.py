@@ -81,7 +81,7 @@ class ControlledRewrite:
     Construction keeps read-only copies (labels as ``LABEL``) and refuses
     (``ValueError``) labels that would wrap, repeated control positions, a
     target among them, repeated ``when`` rows (``union_rows``), images that are not
-    permutations and phases whose modulus is off 1 by over ``TOLERANCE``;
+    permutations and phases whose modulus is not within ``TOLERANCE`` of 1;
     with several targets, repeated ones and phases other than 1, so the
     table is its one-target tables applied in turn.  With a control row per
     entry, the positions and targets of all entries count as one table's,
@@ -135,7 +135,7 @@ class ControlledRewrite:
         permutes = (np.sort(image, axis=1) == np.arange(shape[1])).all(axis=1)
         if not permutes.all():
             raise ValueError(f"image {image[~permutes][0].tolist()} is not a permutation")
-        if (np.abs(np.abs(phase) - 1.0) > TOLERANCE).any():
+        if not (np.abs(np.abs(phase) - 1.0) <= TOLERANCE).all():  # NaN fails it too
             raise ValueError(f"a phase in a table over {at} has modulus other than 1")
 
     def _relabel(self, rows: np.ndarray, phases: np.ndarray) -> None:

@@ -21,21 +21,17 @@ of that call shares the ``CompiledChain``, which is let go when the call
 returns; the stock no-signaling probes are built by the check that applies
 them.
 
-Both experiments evolve and certify specs through one path: the initial
-state goes through the record stages, then perception, the final state is
-decomposed by the first observer's record, and the state checks read the
-result, a ``CertifiedRun``.  The measurement chain adds the independence
-check, which reuses the final state, replays every standalone version's
-rows through the record stages and then perception and takes one linearity
-difference against their weighted sum, and the no-signaling probes, which
-reuse the post-detection state and take the final state as their baseline.
-By linearity, the label rows a chain moves do not depend on the
-coefficients, only the amplitudes do.  So that path takes a batch: the
-coefficient draws of one configuration, as specs that differ only in
-their coefficients, and every state is a batched state (see
-``StateVector``) with one row of amplitudes per draw.  Every relabel,
-section, check mask and probe is then done once for all the draws, and
-each check gives one residual per row; one spec is the one-row case.
+Both experiments evolve specs through one path: the initial state goes
+through the record stages, then perception, and the final state is
+decomposed by the first observer's record, a ``CertifiedRun``.  Each check
+is one of its methods, listed in report order in one table, ``CHECKS``,
+whose enabled entries ``_certify`` runs.  By linearity, the label rows a
+chain moves do not depend on the coefficients, only the amplitudes do.  So
+that path takes a batch: the coefficient draws of one configuration, as
+specs that differ only in their coefficients, and every state is a batched
+state (see ``StateVector``) with one row of amplitudes per draw.  Every
+relabel, section, check mask and probe is then done once for all the draws,
+and each check gives one residual per row; one spec is the one-row case.
 A rotation sweep certifies its draws' unrotated run the same way, and
 every state an angle touches has the same label rows at every draw and
 angle, so ``run_appendix_rotation`` builds each once, as a batched state
@@ -65,6 +61,7 @@ import numpy as np
 from . import analysis
 from .dynamics import (
     ControlledRewrite,
+    PairedRotation,
     UnitaryOp,
     apply_unitary,
     build_basis_rotation,
@@ -114,29 +111,6 @@ MIN_TOLERANCE = 1e-14
 # bound on a run, whose time and memory grow with support x registers; a grid
 # of the worst shapes (README) may raise it while N + 2 levels fit ``LABEL``.
 MAX_REGISTERS = 512
-
-CHAIN_CHECKS = (
-    "structure",
-    "branch_orthogonality",
-    "born_weights",
-    "mixed_record",
-    "observer_coherence",
-    "observer_agreement",
-    "coefficient_independence",
-    "no_signaling",
-)
-
-APPENDIX_CHECKS = (
-    "structure",
-    "primed_coefficients",
-    "primed_evolution",
-    "record_invariance",
-    "branch_orthogonality",
-    "born_weights",
-    "mixed_record",
-    "observer_coherence",
-    "observer_agreement",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -553,15 +527,13 @@ def _coefficients(
 
 @dataclass(frozen=True, slots=True)
 class CertifiedRun:
-    """The evolved and certified run of a batch of specs (see ``_batch``).
+    """The evolved run of a batch of specs (see ``_batch``), one per call.
 
-    The post-detection and final states hold one row of amplitudes per spec;
-    ``branches`` holds each spec's branches by the first observer's record
-    and ``checks`` one column of the specs' results per check that reads
-    only those states.
-    Both experiments compute one per call: ``run_measurement_chain`` adds
-    the independence and no-signaling checks to it, and
-    ``run_appendix_rotation`` turns its states at every angle.
+    Its states hold one row of amplitudes per spec, ``branches`` each spec's
+    branches by the first observer's record and ``enabled`` the checks to run.
+    A ``check_`` method gives one result per report (see ``_column``) from
+    the run, the ``Sweep`` (None for a chain) and the values it shares (see
+    ``CHECKS``); it finds the checked code in module globals, for profilers.
     """
 
     specs: tuple[ExperimentSpec, ...]
@@ -570,7 +542,10 @@ class CertifiedRun:
     post_detection: StateVector
     final: StateVector
     branches: tuple[tuple[Branch, ...], ...]
-    checks: tuple[list[CheckResult], ...]
+
+    @property
+    def tolerance(self) -> float:
+        return self.specs[0].tolerance
 
     def reports(self, experiment: str, thetas: Sequence, checks: Sequence) -> list[RunReport]:
         """One report per entry of ``checks``, draw-major over ``thetas``; the
@@ -585,6 +560,152 @@ class CertifiedRun:
                 reports.append(RunReport(experiment, spec, theta, final, b, next(rows), draw))
                 draw = reports[-1].draw
         return reports
+
+    def check_structure(self, sweep):
+        target = expected_final_state(self.final.layout, [s.coefficients for s in self.specs])
+        distances = _distance(self.final, target)
+        return _per_angle(_column("structure", distances, self.tolerance), sweep)
+
+    def detector_branches(self, sweep):
+        """Each draw's branches of the post-detection state by its detector records."""
+        layout = self.post_detection.layout
+        names = [layout.registers[at].name for at in layout.at(ROLE_DETECTOR)]
+        return decompose_branches(self.post_detection, names, self.tolerance)
+
+    def check_branch_orthogonality(self, sweep, detected):
+        layout = self.final.layout
+        residuals = np.maximum(
+            _branch_overlap(self.post_detection, layout.at(ROLE_DETECTOR), detected),
+            _branch_overlap(self.final, [layout.position("Obs1")], self.branches),
+        )
+        return _per_angle(_column("branch_orthogonality", residuals, self.tolerance), sweep)
+
+    def check_born_weights(self, sweep, detected):
+        n_versions = self.specs[0].n_versions
+        drifts = [_born_weight_drift(n_versions, *pair) for pair in zip(detected, self.branches)]
+        return _per_angle(_column("born_weights", drifts, self.tolerance), sweep)
+
+    def check_mixed_record(self, sweep, perceived):
+        # Once every observer has looked, any level outside the plain
+        # messages counts, blank included.
+        final, tolerance = self.final, self.tolerance**2
+        non_message = _weight_where(final.values, _non_message_rows(final.layout, final.labels))
+        weights = np.maximum(mixed_record_weight(self.post_detection), non_message)
+        column = _per_angle(_column("mixed_record", weights, tolerance), sweep)
+        if perceived is None:
+            return column
+        # The rotated-basis run is perceived too: the verdict is the worse of
+        # it and the plain run, whose weight on the post-detection state the
+        # plain verdict already holds.
+        non_message = _non_message_rows(final.layout, perceived.labels)
+        weights = _weight_where(perceived.values, non_message).tolist()
+        primed = _column("mixed_record", weights, tolerance) * len(self.specs)
+        return [max(pair, key=lambda r: r.residual) for pair in zip(column, primed)]
+
+    def check_observer_coherence(self, sweep):
+        coherence = analysis.observer_coherence(self.final)
+        return _per_angle(_column("observer_coherence", coherence, self.tolerance), sweep)
+
+    def check_observer_agreement(self, sweep):
+        if self.specs[0].observers < 2:
+            skip = CheckResult.skip("observer_agreement", "needs at least two observers")
+            return _per_angle([skip] * len(self.specs), sweep)
+        weights = disagreement_weight(self.final)
+        return _per_angle(_column("observer_agreement", weights, self.tolerance**2), sweep)
+
+    def check_coefficient_independence(self, sweep):
+        return coefficient_independence_check(self.specs, final_state=self.final, chain=self.chain)
+
+    def check_no_signaling(self, sweep):
+        """Worst residual of the stock phase-flip and record-cycle probes, per row."""
+        states, chain, layout = (self.post_detection, self.final), self.chain, self.chain.layout
+        probes = (phase_flip_perturbation(layout, 1), record_cycle_perturbation(layout, 1))
+        results = [no_signaling_check(self.specs, p, states=states, chain=chain) for p in probes]
+        worst = [max(r.residual for r in row) for row in zip(*results)]
+        detail = "phase flip and record cycle on version 2"
+        return _column("no_signaling", worst, self.tolerance, detail)
+
+    def perceived_basis(self, sweep):
+        """The first version's basis vector turned by every angle and
+        perceived, one row per angle, as no draw moves it; None for a chain."""
+        if sweep is None:
+            return None
+        basis = product_state(self.chain.layout, sweep.versions[0].tolist())
+        return apply_unitary(self.chain.perception, sweep.plane.rotate(basis, sweep.cos, sweep.sin))
+
+    def check_primed_coefficients(self, sweep):
+        rotated = sweep.plane.rotate(self.post_detection, sweep.cos, sweep.sin)
+        # Each version row's amplitude in every draw and angle; 0 if absent.
+        amplitudes = []
+        for row in sweep.versions:
+            at = np.flatnonzero((rotated.labels == row).all(axis=1))
+            amplitudes.append(rotated.values[:, at[0]] if at.size else [0j] * len(rotated.values))
+        rows = [(spec.coefficients, theta) for spec in self.specs for theta in sweep.thetas]
+        residuals = [
+            max(abs(x - y) for x, y in zip(computed, primed_coefficients(*draw, theta)))
+            for (draw, theta), *computed in zip(rows, *amplitudes)
+        ]
+        return _column("primed_coefficients", residuals, self.tolerance)
+
+    def check_primed_evolution(self, sweep, perceived):
+        target = expected_final_state(perceived.layout, np.hstack([sweep.cos, sweep.sin]))
+        column = _column("primed_evolution", _distance(perceived, target), self.tolerance)
+        return column * len(self.specs)
+
+    def check_record_invariance(self, sweep):
+        final = sweep.plane.rotate(self.final, sweep.cos, sweep.sin)
+        require_unit(final.values, "record_invariance")
+        sections = _sections(final.labels, [final.layout.position("Obs1")])
+        plain = [{b.record_label: b.coefficient for b in row} for row in self.branches]
+        rotated = _coefficients(sections, final.values, self.tolerance)
+        angles = len(sweep.thetas)
+        outcomes = [_record_invariance(plain[i // angles], r) for i, r in enumerate(rotated)]
+        residuals, details = [r for r, _ in outcomes], [d for _, d in outcomes]
+        return _column("record_invariance", residuals, self.tolerance, details)
+
+
+_CHAIN, _ROTATION = ("measurement_chain",), ("appendix_rotation",)
+_BOTH = _CHAIN + _ROTATION
+
+# Every check in report order: its name, the experiments that run it, its
+# method and the methods of the values it shares with other checks.
+CHECKS = (
+    ("structure", _BOTH, CertifiedRun.check_structure, ()),
+    ("branch_orthogonality", _BOTH, CertifiedRun.check_branch_orthogonality,
+     (CertifiedRun.detector_branches,)),
+    ("born_weights", _BOTH, CertifiedRun.check_born_weights, (CertifiedRun.detector_branches,)),
+    ("mixed_record", _BOTH, CertifiedRun.check_mixed_record, (CertifiedRun.perceived_basis,)),
+    ("observer_coherence", _BOTH, CertifiedRun.check_observer_coherence, ()),
+    ("observer_agreement", _BOTH, CertifiedRun.check_observer_agreement, ()),
+    ("coefficient_independence", _CHAIN, CertifiedRun.check_coefficient_independence, ()),
+    ("no_signaling", _CHAIN, CertifiedRun.check_no_signaling, ()),
+    ("primed_coefficients", _ROTATION, CertifiedRun.check_primed_coefficients, ()),
+    ("primed_evolution", _ROTATION, CertifiedRun.check_primed_evolution,
+     (CertifiedRun.perceived_basis,)),
+    ("record_invariance", _ROTATION, CertifiedRun.check_record_invariance, ()),
+)
+
+CHAIN_CHECKS = tuple(name for name, serves, *_ in CHECKS if "measurement_chain" in serves)
+APPENDIX_CHECKS = tuple(name for name, serves, *_ in CHECKS if "appendix_rotation" in serves)
+
+
+def _certify(run: CertifiedRun, sweep: Sweep | None = None) -> list[list[CheckResult]]:
+    """The columns of the run's enabled checks, in ``CHECKS`` order.  A
+    shared value is computed for the first check that reads it and let go
+    after the last, so it is gone before the next check turns a state."""
+    selected = [entry for entry in CHECKS if entry[0] in run.enabled]
+    shared, columns = {}, []
+    for at, (_, _, check, needs) in enumerate(selected):
+        shared.update({need: need(run, sweep) for need in needs if need not in shared})
+        columns.append(check(run, sweep, *map(shared.__getitem__, needs)))
+        for need in set(needs).difference(*(later for *_, later in selected[at + 1 :])):
+            del shared[need]
+    return columns
+
+
+def _per_angle(column: list[CheckResult], sweep: Sweep | None) -> list[CheckResult]:
+    """One result per report: each per-draw result of ``column`` at every angle."""
+    return column if sweep is None else [r for r in column for _ in sweep.thetas]
 
 
 def _batch(spec: ExperimentSpec | Sequence[ExperimentSpec]) -> tuple[list, np.ndarray]:
@@ -603,17 +724,19 @@ def _certified_run(
     available: Sequence[str],
 ) -> CertifiedRun:
     """Evolve the batch's initial state through the record stages, then
-    perception, decompose the result by ``Obs1`` and run the state checks
-    among ``checks`` (all of ``available`` when None) on every row."""
-    enabled = tuple(_select_checks(checks, available))
+    perception, and decompose the result by ``Obs1``, to run the ``checks``
+    (all of ``available`` when None); ``ValueError`` before any work for an
+    unknown name or an empty selection."""
+    enabled = tuple(available if checks is None else checks)
+    if unknown := sorted(set(enabled) - set(available)):
+        raise ValueError(f"unknown checks {unknown}; available: {list(available)}")
+    if not enabled:
+        raise ValueError("an empty check selection certifies nothing")
     specs, coefficients = _batch(spec)
     chain = _compiled(specs[0])
     post_detection, final = chain.evolve(initial_state(chain.layout, coefficients))
     branches = tuple(map(tuple, decompose_branches(final, "Obs1", specs[0].tolerance)))
-    results = _state_checks(specs[0], coefficients, post_detection, final, branches, enabled)
-    return CertifiedRun(
-        tuple(specs), enabled, chain, post_detection, final, branches, tuple(results)
-    )
+    return CertifiedRun(tuple(specs), enabled, chain, post_detection, final, branches)
 
 
 def run_measurement_chain(
@@ -627,86 +750,8 @@ def run_measurement_chain(
     all of them, and an empty selection raises ``ValueError``.
     """
     run = _certified_run(spec, checks, CHAIN_CHECKS)
-    extra = []
-    if "coefficient_independence" in run.enabled:
-        extra.append(
-            coefficient_independence_check(run.specs, final_state=run.final, chain=run.chain)
-        )
-    if "no_signaling" in run.enabled:
-        extra.append(_canonical_no_signaling(run))
-    per_draw = _rows([*run.checks, *extra])
-    reports = run.reports("measurement_chain", [None], per_draw)
+    reports = run.reports("measurement_chain", [None], _rows(_certify(run)))
     return reports[0] if isinstance(spec, ExperimentSpec) else reports
-
-
-def _select_checks(requested: Sequence[str] | None, available: Sequence[str]) -> list[str]:
-    if requested is None:
-        return list(available)
-    unknown = set(requested) - set(available)
-    if unknown:
-        raise ValueError(f"unknown checks {sorted(unknown)}; available: {list(available)}")
-    if not requested:
-        raise ValueError("an empty check selection certifies nothing")
-    return [name for name in available if name in set(requested)]
-
-
-def _state_checks(
-    spec: ExperimentSpec,
-    coefficients: np.ndarray,
-    post_detection: StateVector,
-    final: StateVector,
-    obs_branches: Sequence[Sequence[Branch]],
-    enabled: Sequence[str],
-) -> list[list[CheckResult]]:
-    """The checks evaluated directly on the run's states: per check, one
-    column of results (see ``_column``), one per row of ``coefficients``.
-
-    ``final`` is the state every observer has looked at; ``obs_branches``
-    holds each row's decomposition of it by the first observer's record.
-    """
-    columns: list[list[CheckResult]] = []
-
-    def add(name: str, residuals, tolerance: float = spec.tolerance) -> None:
-        columns.append(_column(name, residuals, tolerance))
-
-    layout = final.layout
-    detector_at = layout.at(ROLE_DETECTOR)
-    detector_names = [layout.registers[at].name for at in detector_at]
-
-    if "structure" in enabled:
-        add("structure", _distance(final, expected_final_state(layout, coefficients)))
-
-    if "branch_orthogonality" in enabled or "born_weights" in enabled:
-        det_branches = decompose_branches(post_detection, detector_names, spec.tolerance)
-
-    if "branch_orthogonality" in enabled:
-        residuals = np.maximum(
-            _branch_overlap(post_detection, detector_at, det_branches),
-            _branch_overlap(final, [layout.position("Obs1")], obs_branches),
-        )
-        add("branch_orthogonality", residuals)
-
-    if "born_weights" in enabled:
-        pairs = zip(det_branches, obs_branches)
-        add("born_weights", [_born_weight_drift(spec.n_versions, *pair) for pair in pairs])
-
-    if "mixed_record" in enabled:
-        # Once every observer has looked, any level outside the plain
-        # messages counts, blank included.
-        non_message = _weight_where(final.values, _non_message_rows(layout, final.labels))
-        weights = np.maximum(mixed_record_weight(post_detection), non_message)
-        add("mixed_record", weights, spec.tolerance**2)
-
-    if "observer_coherence" in enabled:
-        add("observer_coherence", analysis.observer_coherence(final))
-
-    if "observer_agreement" in enabled:
-        if spec.observers < 2:
-            skip = CheckResult.skip("observer_agreement", "needs at least two observers")
-            columns.append([skip] * len(coefficients))
-        else:
-            add("observer_agreement", disagreement_weight(final), spec.tolerance**2)
-    return columns
 
 
 def _branch_overlap(
@@ -940,17 +985,6 @@ def no_signaling_check(
     return results[0] if single else results
 
 
-def _canonical_no_signaling(run: CertifiedRun) -> list[CheckResult]:
-    """Worst residual over the stock phase-flip and record-cycle probes, for
-    each row of the run."""
-    states, chain = (run.post_detection, run.final), run.chain
-    probes = (phase_flip_perturbation(chain.layout, 1), record_cycle_perturbation(chain.layout, 1))
-    results = [no_signaling_check(run.specs, p, states=states, chain=chain) for p in probes]
-    worst = [max(r.residual for r in row) for row in zip(*results)]
-    detail = "phase flip and record cycle on version 2"
-    return _column("no_signaling", worst, run.specs[0].tolerance, detail)
-
-
 # ---------------------------------------------------------------------------
 # Mixed-basis rotation (no record ever reads "mixed", in any basis)
 
@@ -959,6 +993,17 @@ def primed_coefficients(a1: complex, a2: complex, theta: float) -> tuple[complex
     """Coefficient pair on the rotated two-version plane."""
     c, s = np.cos(theta), np.sin(theta)
     return (a1 * c - a2 * s, a2 * c + a1 * s)
+
+
+@dataclass(frozen=True, slots=True)
+class Sweep:
+    """Angles, their cosine and sine columns, and the two versions' rows and plane."""
+
+    thetas: Sequence[float]
+    cos: np.ndarray
+    sin: np.ndarray
+    versions: np.ndarray
+    plane: PairedRotation
 
 
 def run_appendix_rotation(
@@ -979,8 +1024,9 @@ def run_appendix_rotation(
     ``spec`` may be a batch (see ``_batch``), whose unrotated run is
     certified once, as a chain config's is.  Every rotated state is a
     batched state with one row of amplitudes per draw and angle, checked by
-    the chain's own state code at once; it and the arrays made from it are
-    dropped once its check column is built, so the sweep holds one rotated
+    the chain's own state code at once.  A check frees the states it turns
+    when it returns, and ``_certify`` frees the perceived turned basis
+    vector after the last check that reads it, so the sweep holds one rotated
     batch at a time and none while the reports are built.  The reports come
     draw-major, each the one its draw gets alone at its angle (see
     ``CertifiedRun.reports``).
@@ -998,64 +1044,13 @@ def run_appendix_rotation(
     if specs[0].n_versions != 2:
         raise ValueError("the rotation experiment is defined for exactly two versions")
     run = _certified_run(specs, checks, APPENDIX_CHECKS)
-    layout, tolerance = run.chain.layout, specs[0].tolerance
+    layout = run.chain.layout
     # Columns of the scalar cosines and sines primed_coefficients takes: an
     # array call may take another loop and round differently.
-    c = np.array([np.cos(theta) for theta in thetas]).reshape(-1, 1)
-    s = np.array([np.sin(theta) for theta in thetas]).reshape(-1, 1)
+    c, s = (np.array([f(theta) for theta in thetas]).reshape(-1, 1) for f in (np.cos, np.sin))
     versions = _version_rows(layout, [0, 1], detected=True)
-    plane = build_basis_rotation(layout, *versions)
-
-    # No draw moves the first basis vector: it gets one row per angle.
-    basis = product_state(layout, versions[0].tolist())
-    primed_evolved = apply_unitary(run.chain.perception, plane.rotate(basis, c, s))
-    columns = [[r for r in column for _ in thetas] for column in run.checks]
-
-    if "mixed_record" in run.enabled:
-        # The rotated-basis run is perceived too: the verdict is the worse
-        # of it and the plain run, whose weight on the post-detection state
-        # the plain verdict already holds.
-        at = [column[0].name for column in run.checks].index("mixed_record")
-        non_message = _non_message_rows(layout, primed_evolved.labels)
-        weights = _weight_where(primed_evolved.values, non_message).tolist()
-        primed = _column("mixed_record", weights, tolerance**2) * len(specs)
-        columns[at] = [max(pair, key=lambda r: r.residual) for pair in zip(columns[at], primed)]
-        del non_message, weights, primed
-
-    if "primed_coefficients" in run.enabled:
-        rotated = plane.rotate(run.post_detection, c, s)
-        # Each version row's amplitude in every draw and angle; 0 if absent.
-        amplitudes = []
-        for row in versions:
-            at = np.flatnonzero((rotated.labels == row).all(axis=1))
-            amplitudes.append(rotated.values[:, at[0]] if at.size else [0j] * len(rotated.values))
-        rows = [(row.coefficients, theta) for row in specs for theta in thetas]
-        residuals = [
-            max(abs(x - y) for x, y in zip(computed, primed_coefficients(*draw, theta)))
-            for (draw, theta), *computed in zip(rows, *amplitudes)
-        ]
-        columns.append(_column("primed_coefficients", residuals, tolerance))
-        del rotated, amplitudes, rows, residuals
-
-    if "primed_evolution" in run.enabled:
-        target = expected_final_state(layout, np.hstack([c, s]))
-        column = _column("primed_evolution", _distance(primed_evolved, target), tolerance)
-        columns.append(column * len(specs))
-        del target, column
-    del primed_evolved
-
-    if "record_invariance" in run.enabled:
-        final = plane.rotate(run.final, c, s)
-        require_unit(final.values, "record_invariance")
-        sections = _sections(final.labels, [layout.position("Obs1")])
-        plain = [{b.record_label: b.coefficient for b in row} for row in run.branches]
-        rotated = _coefficients(sections, final.values, tolerance)
-        outcomes = [_record_invariance(plain[i // len(thetas)], r) for i, r in enumerate(rotated)]
-        residuals, details = [r for r, _ in outcomes], [d for _, d in outcomes]
-        columns.append(_column("record_invariance", residuals, tolerance, details))
-        del final, sections, outcomes, residuals, details
-
-    return run.reports("appendix_rotation", thetas, _rows(columns))
+    sweep = Sweep(thetas, c, s, versions, build_basis_rotation(layout, *versions))
+    return run.reports("appendix_rotation", thetas, _rows(_certify(run, sweep)))
 
 
 def _record_invariance(plain: dict, rotated: dict) -> tuple[float, str]:
@@ -1068,3 +1063,4 @@ def _record_invariance(plain: dict, rotated: dict) -> tuple[float, str]:
         return 1.0, f"message sets differ: {sorted(plain)} vs {sorted(rotated)}"
     residual = max((abs(abs(plain[k]) ** 2 - abs(rotated[k]) ** 2) for k in plain), default=0.0)
     return residual, ""
+

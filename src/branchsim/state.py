@@ -240,8 +240,8 @@ class StateVector:
     """A state stored as its support: label rows and their amplitudes.
 
     ``labels`` is a (k x registers) ``LABEL`` array and ``values`` the k
-    amplitudes, or a batch of states on those rows: one row of k amplitudes
-    per member, shape (members x k).  Construction puts the rows in
+    finite amplitudes, or a batch of states on those rows: one row of k
+    amplitudes per member, shape (members x k).  Construction puts the rows in
     flat-index order and adds the amplitudes of repeated rows, along the
     last axis of ``values``, so equal states have equal arrays and each
     member of a batch equals the one-row state built from it.  Treat
@@ -264,6 +264,8 @@ class StateVector:
             )
         if (labels < 0).any() or (labels >= self.layout.dimension_array).any():
             raise ValueError(f"label out of range for layout {self.layout.names()}")
+        if not np.isfinite(values).all():
+            raise ValueError("a state's amplitudes must be finite")
         rows, position = union_rows(labels)
         if rows is not labels:
             summed = np.zeros(values.shape[:-1] + (len(rows),), dtype=complex)
@@ -407,7 +409,7 @@ def normalize(x: StateVector) -> StateVector:
 
 @dataclass(frozen=True, slots=True)
 class DensityMatrix:
-    """Dense density matrix: Hermitian, of unit trace and positive
+    """Dense density matrix: finite, Hermitian, of unit trace and positive
     semidefinite within ``TOLERANCE`` once built; it owns a read-only copy
     of its entries, so it stays so."""
 
@@ -416,17 +418,17 @@ class DensityMatrix:
 
     def __post_init__(self):
         entries = read_only(np.array(self.entries, dtype=complex))
-        if entries.shape != (self.dimension, self.dimension):
+        if entries.shape != (self.dimension, self.dimension) or not np.isfinite(entries).all():
             raise ValueError(
-                f"entries shape {entries.shape} does not match dimension {self.dimension}"
+                f"entries {entries.shape} are not a finite {self.dimension}-square matrix"
             )
         hermitian_defect = np.max(np.abs(entries - entries.conj().T))
-        if hermitian_defect > TOLERANCE:
+        if not hermitian_defect <= TOLERANCE:
             raise ValueError(f"density matrix not Hermitian (defect {hermitian_defect:.3e})")
         trace_defect = abs(np.trace(entries) - 1.0)
-        if trace_defect > TOLERANCE:
+        if not trace_defect <= TOLERANCE:
             raise ValueError(f"density matrix trace off by {trace_defect:.3e}")
         lowest = float(np.min(np.linalg.eigvalsh(entries)))
-        if lowest < -TOLERANCE:
+        if not lowest >= -TOLERANCE:
             raise ValueError(f"density matrix has eigenvalue {lowest:.3e} < 0")
         object.__setattr__(self, "entries", entries)

@@ -861,7 +861,7 @@ def reference_measurement_chain(spec, checks=None):
     the reference for the library's batched run, which certifies all of a
     configuration's draws as the rows of one batch and must give each draw
     this report bit for bit."""
-    enabled = experiments._select_checks(checks, experiments.CHAIN_CHECKS)
+    enabled = experiments.CHAIN_CHECKS if checks is None else checks
     chain = experiments.compile_chain(
         spec.n_versions, spec.observers, spec.photon_model, spec.negative_control
     )
@@ -881,8 +881,9 @@ def reference_appendix_rotation(spec, thetas, checks=None):
     """One draw of the rotation experiment, every angle's states evolved
     afresh: one report per angle of ``thetas``.
 
-    The draw's plain run is certified alone, as ``_certified_run`` of a
-    batch of one.  Then, for each angle, ``rotate`` turns the first
+    The draw's plain run is evolved and decomposed alone, as
+    ``_certified_run`` of a batch of one, and ``reference_state_checks``
+    certifies it at every angle.  Then, for each angle, ``rotate`` turns the first
     version's basis vector, the post-detection state and the final state by
     ``theta`` on the version plane, building each state afresh, and
     ``apply_unitary`` sends the rotated first vector through perception; the
@@ -908,7 +909,7 @@ def _reference_angle(plain, theta):
     primed_first = rotate(plane, product_state(layout, versions[0].tolist()), theta)
     primed_evolved = apply_unitary(chain.perception, primed_first)
 
-    results = [column[0] for column in plain.checks]
+    results = reference_state_checks(spec, post_detection, final, branches, enabled)
     if "mixed_record" in enabled:
         (primed,) = reference_state_checks(
             spec, post_detection, primed_evolved, branches, ["mixed_record"]

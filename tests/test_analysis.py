@@ -161,15 +161,19 @@ def test_blank_observer_has_no_message_coherence():
 )
 def test_a_norm_of_nan_or_inf_is_not_a_unit_state(amplitude):
     # NaN compares false with everything, so a NaN norm must be refused as
-    # plainly as an infinite one, not read as within 1e-9 of 1.
+    # plainly as an infinite one, not read as within 1e-9 of 1.  A state is
+    # refused such amplitudes where it is built, before any check reads it;
+    # observer_coherence still refuses a finite state that is not a unit one.
     layout = chain_layout(2, 1)
     labels = layout.row(version_labels(layout, 0, detected=True, message=1))[None]
     for values in ([amplitude], [[1.0], [amplitude]]):  # plain, and a batch's second member
         values = np.array(values, dtype=complex)
         with pytest.raises(ValueError, match="probe expects a unit state, norm is"):
             require_unit(values, "probe")
-        with pytest.raises(ValueError, match="observer_coherence expects a unit state"):
-            observer_coherence(StateVector(layout, labels, values))
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            StateVector(layout, labels, values)
+    with pytest.raises(ValueError, match="observer_coherence expects a unit state"):
+        observer_coherence(StateVector(layout, labels, [[1.0], [2.0]]))
     assert observer_coherence(StateVector(layout, labels, [1.0])) == 0.0
 
 

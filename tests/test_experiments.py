@@ -437,6 +437,18 @@ def test_no_signaling_rejects_overlapping_perturbation():
         no_signaling_check(spec, phase_flip_perturbation(layout, 0))
 
 
+@pytest.mark.parametrize("phase", [math.nan, complex(1.0, math.nan), math.inf])
+def test_no_signaling_refuses_a_probe_with_a_non_finite_phase(phase):
+    # The probe rewrites the second observer inside version 2's
+    # configuration only, so branch 1 reads the same whatever it does; a
+    # NaN phase once built and passed there with residual 0.0.
+    spec = ExperimentSpec(2, (0.6, 0.8), observers=2)
+    layout = chain_layout(2, 2)
+    at, recorded = experiments._version_configuration(layout, 1)
+    with pytest.raises(ValueError, match="modulus other than 1"):
+        table = ControlledRewrite(at, [recorded], layout.position("Obs2"), [np.arange(4)], phase)
+        no_signaling_check(spec, UnitaryOp(layout, "non-finite phase", (table,)))
+
 AGREEMENT_CALLS = {
     # Each call puts an object of the two-version chain next to one of the
     # three-version chain; the perturbation is refused before its protection
@@ -798,6 +810,13 @@ def test_rotation_refuses_a_final_state_that_is_not_a_unit_state(monkeypatch):
     for thetas in ([0.7], [0.0, 0.7, -2.3]):
         with pytest.raises(ValueError, match="unit state"):
             run_appendix_rotation(spec, thetas)
+    # observer_coherence refuses the scaled state first; alone, the rotated
+    # final state must be refused too.
+    alone = replace(scaled, enabled=("record_invariance",))
+    monkeypatch.setattr(experiments, "_certified_run", lambda *args: alone)
+    for thetas in ([0.7], [0.0, 0.7, -2.3]):
+        with pytest.raises(ValueError, match="record_invariance expects a unit state"):
+            run_appendix_rotation(spec, thetas, ["record_invariance"])
 
 
 @pytest.mark.parametrize("photon_model", [False, True])

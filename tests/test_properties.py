@@ -76,6 +76,7 @@ from branchsim import (
     MIN_TOLERANCE,
     CheckResult,
     ControlledRewrite,
+    DensityMatrix,
     ExperimentSpec,
     RunReport,
     StateVector,
@@ -702,6 +703,20 @@ def test_a_batch_of_draws_is_the_per_draw_oracle_byte_for_byte(
             assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
 
 
+@given(check_selections(experiments.CHAIN_CHECKS), check_selections(experiments.APPENDIX_CHECKS))
+@settings(max_examples=40, deadline=None)
+def test_a_report_lists_its_checks_in_the_public_order(chain_checks, rotation_checks):
+    # Whatever order a selection names them in, a report lists its checks
+    # as CHAIN_CHECKS or APPENDIX_CHECKS does.
+    spec = ExperimentSpec(2, (0.6, 0.8), observers=2)
+    for report, available, selection in (
+        (run_measurement_chain(spec, chain_checks), experiments.CHAIN_CHECKS, chain_checks),
+        (run_appendix_rotation(spec, [0.3], rotation_checks)[0], experiments.APPENDIX_CHECKS,
+         rotation_checks),
+    ):
+        expected = [name for name in available if selection is None or name in selection]
+        assert [c.name for c in report.checks] == expected
+
 def float_bits(x):
     """A float's bytes, sign of zero and NaN payload included."""
     return struct.pack("<d", x)
@@ -1274,6 +1289,27 @@ json_containers = (
 )
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")])
 
+
+
+@given(non_finite | st.builds(complex, st.floats(-1, 1), non_finite), st.integers(0, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_non_finite_number_is_refused_where_it_enters(bad, at, batched):
+    # NaN compares false with everything, so every guard must be written so
+    # that NaN fails it: a table's phase, a density matrix's entry and a
+    # state's amplitude (of one state or of a batch's member) are refused.
+    layout = experiments.chain_layout(2, 2)
+    where, recorded = experiments._version_configuration(layout, 1)
+    with pytest.raises(ValueError, match="modulus other than 1"):
+        ControlledRewrite(where, [recorded], layout.position("Obs2"), [np.arange(4)], bad)
+    entries = np.eye(2, dtype=complex) / 2
+    entries.flat[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(2, entries)
+    values = np.full((2, 2), 0.6 + 0j)
+    values.flat[at] = bad
+    rows = experiments._version_rows(layout, [0, 1], detected=True)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(layout, rows, values if batched else values[at // 2])
 
 def with_slots(*slots):
     """JSON trees whose leaves may be any of ``slots``."""
