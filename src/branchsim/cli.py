@@ -81,8 +81,11 @@ class ConfigFile:
     output_format: str = "json"
 
 
-def parse_config(path: str) -> ConfigFile:
-    """Load and validate a JSON config; errors name the offending key."""
+def parse_config(path: str, options: dict | None = None) -> ConfigFile:
+    """Load and validate a JSON config, with ``_parse_argv``'s options in place
+    of the keys they override (``--check`` for ``checks``, ``--out`` for
+    ``output.path``) and checked against ``--negative-control``; errors name
+    the offending key."""
     if "\0" in path:  # open() would raise ValueError, read below as a long number
         raise ConfigError(f"config path {path!r} holds a NUL character")
     try:
@@ -103,6 +106,10 @@ def parse_config(path: str) -> ConfigFile:
         raise ConfigError(f"config {path!r} nests too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
+    options = options or {}
+    for key, option in ("seed", "--seed"), ("tolerance", "--tolerance"), ("checks", "--check"):
+        if option in options:
+            raw[key] = options[option]
 
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
@@ -119,14 +126,20 @@ def parse_config(path: str) -> ConfigFile:
     config.n_versions = _expect_int(raw, "n_versions", default=2, minimum=2)
     config.observers = _expect_int(raw, "observers", default=1, minimum=1)
     config.photon_model = _expect_bool(raw, "photon_model", default=False)
-    config.tolerance = _check_tolerance(_expect_float(raw, "tolerance", default=TOLERANCE))
+    config.tolerance = _expect_float(raw, "tolerance", default=TOLERANCE)
+    if not MIN_TOLERANCE <= config.tolerance <= MAX_TOLERANCE:  # NaN fails it too
+        raise ConfigError(
+            f"tolerance: must lie in [{MIN_TOLERANCE}, {MAX_TOLERANCE}], got {config.tolerance!r}"
+        )
     config.seed = _expect_int(raw, "seed", default=None)
 
     _parse_coefficients(raw, config)
     _parse_thetas(raw, config)
     _parse_checks(raw, config)
     _parse_output(raw, config)
-    _cross_validate(config)
+    config.output_format = options.get("--format", config.output_format)
+    config.output_path = options.get("--out", config.output_path)
+    _cross_validate(config, "--negative-control" in options)
     return config
 
 
@@ -170,12 +183,9 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _check_tolerance(value: float) -> float:
-    # Written so that NaN fails the comparison too.
-    if not MIN_TOLERANCE <= value <= MAX_TOLERANCE:
-        raise ConfigError(
-            f"tolerance: must lie in [{MIN_TOLERANCE}, {MAX_TOLERANCE}], got {value!r}"
-        )
+def _expect_count(value, key: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{key}: expected a positive count, got {value!r}")
     return value
 
 
@@ -186,10 +196,7 @@ def _parse_coefficients(raw: dict, config: ConfigFile) -> None:
     if isinstance(value, dict):
         if set(value) != {"random"}:
             raise ConfigError(f"coefficients: object form takes only 'random', got {sorted(value)}")
-        draws = value["random"]
-        if not isinstance(draws, int) or isinstance(draws, bool) or draws < 1:
-            raise ConfigError(f"coefficients.random: expected a positive count, got {draws!r}")
-        config.random_draws = draws
+        config.random_draws = _expect_count(value["random"], "coefficients.random")
         return
     if not isinstance(value, list):
         raise ConfigError("coefficients: expected a list of [re, im] pairs or {\"random\": count}")
@@ -221,9 +228,7 @@ def _parse_thetas(raw: dict, config: ConfigFile) -> None:
         extra = set(value) - {"count", "start", "end"}
         if extra:
             raise ConfigError(f"thetas: unknown sweep keys {sorted(extra)}")
-        count = value.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError(f"thetas.count: expected a positive count, got {count!r}")
+        count = _expect_count(value.get("count"), "thetas.count")
         if count > MAX_RUNS:
             raise ConfigError(f"thetas.count: at most {MAX_RUNS} angles, got {count}")
         start = _expect_float(value, "start", default=0.0)
@@ -267,7 +272,7 @@ def _parse_output(raw: dict, config: ConfigFile) -> None:
         config.output_format = value["format"]
 
 
-def _cross_validate(config: ConfigFile) -> None:
+def _cross_validate(config: ConfigFile, negative_control: bool) -> None:
     if config.seed is not None and not 0 <= config.seed < 2**64:  # the U64 of --seed
         raise ConfigError(f"seed: must lie in [0, 2**64 - 1], got {config.seed}")
     if config.experiment in ("stern_gerlach", "appendix_rotation") and config.n_versions != 2:
@@ -288,6 +293,8 @@ def _cross_validate(config: ConfigFile) -> None:
                 f"checks: unknown names {sorted(unknown)}; "
                 f"available for {config.experiment}: {list(EXPERIMENTS[config.experiment])}"
             )
+    if negative_control and config.checks is not None and "mixed_record" not in config.checks:
+        raise ConfigError("--negative-control needs the mixed_record check, which it must fail")
 
 
 def _coefficient_draws(config: ConfigFile) -> list[list[complex]]:
@@ -596,18 +603,8 @@ def main(argv: list[str] | None = None) -> int:
         print(USAGE)
         return 0
     try:
-        config = parse_config(args["config"])
-        config.seed = args.get("--seed", config.seed)
-        if "--tolerance" in args:
-            config.tolerance = _check_tolerance(args["--tolerance"])
-        config.checks = args.get("--check", config.checks)
-        config.output_format = args.get("--format", config.output_format)
-        config.output_path = args.get("--out", config.output_path)
-        _cross_validate(config)
-        negative_control = "--negative-control" in args
-        if negative_control and config.checks is not None and "mixed_record" not in config.checks:
-            raise ConfigError("--negative-control needs the mixed_record check, which it must fail")
-        exit_code, report = run_and_report(config, negative_control=negative_control)
+        config = parse_config(args["config"], args)
+        exit_code, report = run_and_report(config, negative_control="--negative-control" in args)
         write_report(report, config.output_path, config.output_format)
         return exit_code
     except ConfigError as exc:

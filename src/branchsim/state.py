@@ -6,9 +6,9 @@ labels.  A ``StateVector`` keeps only its support: a (k x registers) label
 array whose rows are distinct and sorted lexicographically, first register
 first, plus the k amplitudes.  That order is called flat-index order: it is
 the order of the rows' mixed-radix numbers, first register most
-significant, though the package never computes one.  Every state of a
-measurement chain has support N (one basis state per version) whatever the
-dimension, so states cost O(support), and no state has a dense view here.
+significant; a run computes one only in ``analysis.reduced_density_matrix``.
+Every state of a measurement chain has support N (one basis state per
+version) whatever the dimension, so states cost O(support) and have no dense view.
 A layout has no size bound of its own (its dimension is a Python integer);
 a chain run is bounded by its register count, ``experiments.MAX_REGISTERS``.
 """

@@ -1065,3 +1065,138 @@ def test_a_cli_call_imports_no_module(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert done.stdout.splitlines() == ["0 []", "0 []"], done.stderr
+
+
+# -- options read as the config keys they override -----------------------------------
+
+
+def report_without_timings(path):
+    report = load_report(path)
+    del report["timings"]
+    return report
+
+
+def test_a_seed_flag_supplies_the_seed_a_random_config_needs(tmp_path):
+    # --seed is written in as the config's seed before any key is read, so
+    # the cross-key rules see the seed the run uses.
+    seedless = write_config(tmp_path, name="seedless.json", experiment="generalized",
+                            coefficients={"random": 3})
+    seeded = random_config(tmp_path, name="seeded.json", coefficients={"random": 3}, seed=5)
+    assert main(["run", str(seedless), "--seed", "5", "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["run", str(seeded), "--out", str(tmp_path / "b.json")]) == 0
+    flagged = report_without_timings(tmp_path / "a.json")
+    assert flagged["spec"]["seed"] == 5
+    assert flagged == report_without_timings(tmp_path / "b.json")
+
+
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [
+        ({"tolerance": 0.5}, ["--tolerance", "1e-9"]),
+        ({"checks": ["primed_evolution"]}, ["--check", "structure"]),
+        ({"seed": "five"}, ["--seed", "1"]),
+    ],
+    ids=["tolerance", "checks", "seed"],
+)
+def test_a_file_value_an_option_replaces_is_not_read(tmp_path, overrides, flags):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=f"^{next(iter(overrides))}: "):
+        parse_config(str(path))
+    assert main(["run", str(path), *flags, "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_the_cross_key_rules_run_once_per_cli_call(tmp_path, monkeypatch):
+    calls = []
+    cross_validate = cli._cross_validate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_cross_validate", counted)
+    path = str(write_config(tmp_path))
+    out = ["--out", str(tmp_path / "r.json")]
+    for argv, code in (
+        ([path, *out], 0),
+        ([path, "--seed", "3", "--tolerance", "1e-10", "--check", "mixed_record", *out], 0),
+        ([path, "--negative-control", *out], 1),
+        ([path, "--seed", "-1", *out], 2),
+    ):
+        calls.clear()
+        assert main(["run", *argv]) == code
+        assert len(calls) == 1
+
+
+def test_a_config_output_is_read_and_an_option_replaces_it(tmp_path):
+    text = tmp_path / "r.txt"
+    path = write_config(tmp_path, output={"path": str(text), "format": "text"})
+    config = parse_config(str(path))
+    assert (config.output_path, config.output_format) == (str(text), "text")
+    assert main(["run", str(path)]) == 0
+    assert text.read_text(encoding="utf-8").startswith("experiment stern_gerlach")
+    text.unlink()
+    replaced = tmp_path / "r.json"
+    assert main(["run", str(path), "--format", "json", "--out", str(replaced)]) == 0
+    assert load_report(replaced)["summary"]["all_passed"] is True
+    assert not text.exists()
+
+
+# -- every refusal names its key ---------------------------------------------------------
+
+MISSING = object()
+THREE_VERSIONS = {"n_versions": 3, "coefficients": [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (None, "cannot read config"),
+        ([], "config .* must be a JSON object"),
+        ({"n_versions": 2.5}, "n_versions: expected an integer, got 2.5"),
+        ({"observers": 0}, "observers: must be >= 1, got 0"),
+        ({"photon_model": 1}, "photon_model: expected true or false, got 1"),
+        ({"tolerance": BEYOND_FLOAT}, "tolerance: expected a finite number"),
+        ({"coefficients": MISSING}, "coefficients: required"),
+        ({"coefficients": {"random": 2, "draws": 2}, "seed": 1},
+         r"coefficients: object form takes only 'random', got \['draws', 'random'\]"),
+        ({"coefficients": {"random": 0}, "seed": 1},
+         "coefficients.random: expected a positive count, got 0"),
+        ({"coefficients": "0.6, 0.8"}, "coefficients: expected a list of"),
+        ({"experiment": "appendix_rotation", "thetas": {"count": 2, "stop": 1.0}},
+         r"thetas: unknown sweep keys \['stop'\]"),
+        ({"experiment": "appendix_rotation", "thetas": {"count": 0}},
+         "thetas.count: expected a positive count, got 0"),
+        ({"output": "r.json"}, "output: expected an object"),
+        ({"output": {"format": "xml"}}, "output.format: expected 'json' or 'text', got 'xml'"),
+        (THREE_VERSIONS, "n_versions: stern_gerlach requires exactly 2 versions"),
+        ({"experiment": "appendix_rotation", "thetas": [0.5], **THREE_VERSIONS},
+         "n_versions: appendix_rotation requires exactly 2 versions"),
+        ({"experiment": "appendix_rotation"}, "thetas: appendix_rotation needs at least one angle"),
+        ({"thetas": [0.5]}, "thetas: only apply to appendix_rotation"),
+        ("report", "cannot serialize set"),
+    ],
+    ids=[
+        "unreadable", "not_an_object", "integer_type", "integer_minimum", "boolean",
+        "beyond_float", "coefficients_missing", "coefficients_extra_keys",
+        "coefficients_random_zero", "coefficients_not_a_list", "thetas_unknown_keys",
+        "thetas_count_zero", "output_not_an_object", "output_format", "stern_gerlach_versions",
+        "rotation_versions", "rotation_without_angles", "angles_for_a_chain", "report_set",
+    ],
+)
+def test_every_refusal_names_its_key(tmp_path, overrides, message):
+    path = tmp_path / "config.json"
+    if overrides == "report":
+        # The report writer's one refusal: a value no JSON type holds.
+        with pytest.raises(TypeError, match=message):
+            cli.write_report({"spec": {"seeds": {5}}}, str(path), "json")
+        assert not path.exists()
+        return
+    if overrides is not None:  # else the file does not exist
+        raw = overrides
+        if isinstance(overrides, dict):
+            raw = {"experiment": "stern_gerlach", "coefficients": [[0.6, 0.0], [0.8, 0.0]],
+                   **overrides}
+            raw = {key: value for key, value in raw.items() if value is not MISSING}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse_config(str(path))

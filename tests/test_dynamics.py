@@ -257,6 +257,20 @@ def test_perception_validation():
                              allow_mixed_message=True)
 
 
+@pytest.mark.parametrize(
+    "layout, configs, message",
+    [
+        ([("P", 2, "particle-path"), ("Obs", 4, "observer")], standard_classical_configs(2),
+         "no condition registers for perception"),
+        (SG, (np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int)), "classical_configs is empty"),
+    ],
+    ids=["no_condition_registers", "no_configurations"],
+)
+def test_perception_refuses_nothing_to_condition_on(layout, configs, message):
+    with pytest.raises(ValueError, match=message):
+        build_perception_unitary(make_layout(layout), configs)
+
+
 def test_one_perception_table_refuses_observers_of_unequal_sizes():
     # Obs has 4 levels and Obs2 5: each is large enough, but one table's
     # images cannot fit both (the levels are listed per entry and target).

@@ -898,6 +898,22 @@ def test_appendix_rejects_more_than_two_versions():
         run_appendix_rotation(ExperimentSpec(3, (1.0, 0.0, 0.0)), [0.7])
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_independence_refuses_a_version_state_per_version_too_few_or_many(count):
+    layout = chain_layout(2, 1)
+    version = product_state(layout, version_labels(layout, 0, detected=False))
+    with pytest.raises(ValueError, match=f"^{count} version states for 2 versions$"):
+        coefficient_independence_check(ExperimentSpec(2, (0.6, 0.8)), [version] * count)
+
+
+def test_record_invariance_fails_differing_message_sets_with_residual_one():
+    plain, rotated = {(1,): 0.6, (2,): 0.8}, {(1,): 0.6, (3,): 0.8}
+    assert experiments._record_invariance(plain, rotated) == (
+        1.0, "message sets differ: [(1,), (2,)] vs [(1,), (3,)]"
+    )
+    assert experiments._record_invariance(plain, dict(plain)) == (0.0, "")
+
+
 def test_a_crossed_detection_stage_fails_both_experiments(monkeypatch):
     # Path j flips detector j + 1: a valid table that proves unitary, but
     # not the detection the branch table describes.  Both experiments evolve

@@ -292,6 +292,27 @@ def test_product_state_label_out_of_range():
         product_state(layout, [0, 0, 0])  # one label short
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda layout: StateVector(layout, [[0, 0, 0, -1]], [1.0]), "label out of range"),
+        (lambda layout: StateVector(layout, [[0, 0, 2, 0]], [1.0]), "label out of range"),
+        (lambda layout: layout.row({"P": 0, "DH": 0, "DV": 0}),
+         r"missing=\['Obs'\], unknown=\[\]"),
+        (lambda layout: layout.row({"P": 0, "DH": 0, "DV": 0, "Obs": 0, "X": 0}),
+         r"missing=\[\], unknown=\['X'\]"),
+        (lambda layout: superpose([]), "at least one term"),
+    ],
+    ids=["raw_row_negative", "raw_row_at_dimension", "row_missing_name", "row_unknown_name",
+         "superpose_nothing"],
+)
+def test_a_state_refuses_rows_outside_its_layout(build, message):
+    # product_state meets layout.row's range check first, so the raw rows
+    # here test the state's own guard.
+    with pytest.raises(ValueError, match=message):
+        build(make_layout(SG))
+
+
 def test_a_label_row_leaves_no_cache_entry_per_argument_type():
     # An ABC check on the labels would add negative-cache entries across
     # the ABC's subclass tree for each new argument type, kept for the
